@@ -12,34 +12,35 @@ import argparse
 import json
 import sys
 
-from .errors import ChernLabError, SchemaError
-from .metrics import CATALOG_NAMES
+from .errors import BadParams, ChernLabError, DimensionMismatch, SchemaError
+from .metrics import CATALOG_NAMES, catalog_metric
 from .scenario import emit_grid, run_scenario
 
 _MAP_KINDS = ("identity", "scaling", "linear", "power", "mobius", "product")
 
 
-def _catalog_dim(name, params):
-    if name == "poincare_disk":
-        return 1
-    if name == "polydisk":
-        return len(params)
-    return int(params[0]) if params else 1
-
-
 def _metric_arg(text):
     """Parse '[scale*]name[:p1,p2,...]' into a scenario metric entry."""
     spec = {}
-    if "*" in text:
-        scale, text = text.split("*", 1)
-        spec["scale"] = float(scale)
-    if ":" in text:
-        name, params = text.split(":", 1)
-        spec["params"] = [float(p) for p in params.split(",") if p]
-    else:
-        name, spec["params"] = text, []
+    rest = text
+    try:
+        if "*" in rest:
+            scale, rest = rest.split("*", 1)
+            spec["scale"] = float(scale)
+        if ":" in rest:
+            name, params = rest.split(":", 1)
+            spec["params"] = [float(p) for p in params.split(",") if p]
+        else:
+            name, spec["params"] = rest, []
+    except ValueError as exc:
+        raise BadParams(f"metric spec {text!r}: scale and parameters must be numbers") from exc
     spec["catalog"] = name
     return spec
+
+
+def _metric_dim(spec):
+    """Complex dimension of a catalog metric entry, from the catalog itself."""
+    return catalog_metric(spec["catalog"], spec["params"]).dim
 
 
 def _map_arg(text, source_dim):
@@ -61,7 +62,10 @@ def _map_arg(text, source_dim):
 
 
 def _point_arg(text):
-    values = [float(v) for v in text.split(",") if v]
+    try:
+        values = [float(v) for v in text.split(",") if v]
+    except ValueError as exc:
+        raise SchemaError(f"point coordinates must be numbers, got {text!r}", "--point") from exc
     if len(values) % 2 == 0:
         return [[values[i], values[i + 1]] for i in range(0, len(values), 2)]
     return [[v, 0.0] for v in values]
@@ -131,16 +135,28 @@ def _cmd_catalog(args):
     return 0
 
 
+def _point_task(kind, args):
+    """A one-point task on ``--metric`` at ``--point``, with the point's dimension checked."""
+    metric = _metric_arg(args.metric)
+    point = _point_arg(args.point)
+    dim = _metric_dim(metric)
+    if len(point) != dim:
+        raise DimensionMismatch(
+            f"--point has {len(point)} complex coordinates, {args.metric} has dimension {dim}"
+        )
+    return {"kind": kind, "metric": "m", "point": point}, {"m": metric}
+
+
 def _cmd_curvature(args):
-    task = {"kind": "curvature", "metric": "m", "point": _point_arg(args.point)}
+    task, metrics = _point_task("curvature", args)
     if args.tol is not None:
         task["tol"] = args.tol
-    return _run_single_task(task, {"m": _metric_arg(args.metric)}, {}, args)
+    return _run_single_task(task, metrics, {}, args)
 
 
 def _cmd_cone(args, kind):
-    task = {"kind": kind, "metric": "m", "point": _point_arg(args.point)}
-    return _run_single_task(task, {"m": _metric_arg(args.metric)}, {}, args)
+    task, metrics = _point_task(kind, args)
+    return _run_single_task(task, metrics, {}, args)
 
 
 def _cmd_schwarz(args):
@@ -154,8 +170,7 @@ def _cmd_schwarz(args):
         "grid": _grid_arg(args.grid),
     }
     if args.theorem != "trace_bound":
-        src_dim = _catalog_dim(metrics["source"]["catalog"], metrics["source"]["params"])
-        maps["f"] = _map_arg(args.map, src_dim)
+        maps["f"] = _map_arg(args.map, _metric_dim(metrics["source"]))
         task["map"] = "f"
     if args.mu:
         metrics["mu"] = _metric_arg(args.mu)
@@ -211,8 +226,8 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, grid=False):
-        p.add_argument("--seed", type=int, default=0, help="master random seed")
+    def common(p, grid=False, seed=0, seed_help="master random seed"):
+        p.add_argument("--seed", type=int, default=seed, help=seed_help)
         p.add_argument("--out", default=None, help="write the report JSON here")
         p.add_argument("--timing", action="store_true", help="include wall-clock timing (breaks byte determinism)")
         if grid:
@@ -268,7 +283,7 @@ def build_parser():
     p = sub.add_parser("run", help="run a scenario file")
     p.add_argument("--scenario", required=True)
     p.add_argument("--parallel", action="store_true", help="task-level parallelism")
-    common(p, grid=True)
+    common(p, grid=True, seed=None, seed_help="master random seed (default: the scenario's own seed)")
     p.set_defaults(func=_cmd_run)
 
     return parser

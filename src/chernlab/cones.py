@@ -10,6 +10,7 @@ search on skew-Hermitian generators.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -67,6 +68,21 @@ class OrthantExtremum:
     certificate: tuple
 
 
+@functools.lru_cache(maxsize=None)
+def _faces(n):
+    """Index data of every nonempty coordinate face of R^n.
+
+    One ``(sub-matrix index, face, off-face indices, face tuple)`` per face,
+    in the order of the face bitmasks 1 .. 2^n - 1.
+    """
+    faces = []
+    for mask in range(1, 1 << n):
+        face = [i for i in range(n) if mask >> i & 1]
+        off = np.array([i for i in range(n) if not mask >> i & 1], dtype=int)
+        faces.append((np.ix_(face, face), np.array(face), off, tuple(face)))
+    return tuple(faces)
+
+
 def _face_candidates(sym, kkt_tol):
     """KKT-feasible stationary points of the orthant Rayleigh quotient.
 
@@ -76,10 +92,8 @@ def _face_candidates(sym, kkt_tol):
     """
     n = sym.shape[0]
     mins, maxs = [], []
-    for mask in range(1, 1 << n):
-        face = [i for i in range(n) if mask >> i & 1]
-        sub = sym[np.ix_(face, face)]
-        vals, vecs = np.linalg.eigh(sub)
+    for sub_index, face, off, face_key in _faces(n):
+        vals, vecs = np.linalg.eigh(sym[sub_index])
         for k in range(len(face)):
             w = vecs[:, k]
             if np.all(w >= -1e-12):
@@ -94,12 +108,12 @@ def _face_candidates(sym, kkt_tol):
             if nrm == 0.0:
                 continue
             x /= nrm
-            grad_off = (sym @ x)[[i for i in range(n) if i not in face]]
+            grad_off = (sym @ x)[off]
             value = float(x @ sym @ x)
             if grad_off.size == 0 or np.all(grad_off >= -kkt_tol):
-                mins.append((value, x, tuple(face)))
+                mins.append((value, x, face_key))
             if grad_off.size == 0 or np.all(grad_off <= kkt_tol):
-                maxs.append((value, x, tuple(face)))
+                maxs.append((value, x, face_key))
     return mins, maxs
 
 
@@ -394,28 +408,34 @@ def _generator_from_params(params, n):
     return a
 
 
-def _frame_search(objective, n, cfg, sense):
+def _unitary(params, n):
+    """The unitary ``expm`` of the generator with parameters ``params``."""
+    return scipy.linalg.expm(_generator_from_params(params, n))
+
+
+def _frame_search(value, n, cfg, sense):
     """Multistart + coordinate descent over unitary-frame generators.
 
-    ``objective(U)`` is evaluated at frames ``e0 @ U``; ``sense`` is +1 to
-    maximize and -1 to minimize.  Returns (best value, best U).
+    ``value(params)`` returns ``(objective, frame)`` for the generator
+    parameters ``params``; ``frame`` is what the caller wants back for the
+    best parameters, at least ``_unitary(params, n)``.  ``sense`` is +1 to
+    maximize and -1 to minimize.  An objective of ``sense * inf`` (an
+    unbounded frame) cannot be improved on, so the search returns at the
+    first one.  Returns (best objective, its frame).
     """
     rng = np.random.default_rng(cfg.seed)
     n_params = n * (n - 1)
-
-    def value(params):
-        u = scipy.linalg.expm(_generator_from_params(params, n))
-        return objective(u), u
-
-    best_val, best_u = value(np.zeros(max(n_params, 1)))
     if n_params == 0:
-        return best_val, best_u
+        return value(np.zeros(1))
 
     starts = [np.zeros(n_params)]
     starts += [rng.normal(scale=0.5, size=n_params) for _ in range(cfg.n_starts - 1)]
+    best_val = best_u = None
     for s0 in starts:
         params = s0.copy()
         val, u = value(params)
+        if sense * val == np.inf:
+            return val, u
         step = 0.4
         iters = 0
         while step > cfg.step_tol and iters < cfg.max_iter:
@@ -426,6 +446,8 @@ def _frame_search(objective, n, cfg, sense):
                     trial[k] += delta
                     tval, tu = value(trial)
                     if sense * tval > sense * val + 1e-14:
+                        if sense * tval == np.inf:
+                            return tval, tu
                         params, val, u = trial, tval, tu
                         improved = True
             if not improved:
@@ -433,7 +455,7 @@ def _frame_search(objective, n, cfg, sense):
             iters += 1
         if iters >= cfg.max_iter and step > cfg.step_tol:
             warnings.warn("frame search hit iteration budget", SearchBudgetExhausted)
-        if sense * val > sense * best_val:
+        if best_u is None or sense * val > sense * best_val:
             best_val, best_u = val, u
     return best_val, best_u
 
@@ -442,23 +464,35 @@ def rbc_bounds(r, g, cfg=FrameSearchConfig()):
     """Search bounds on the real bisectional curvature of a tensor.
 
     Extremizes the orthant Rayleigh extrema of the frame matrix over
-    unitary frames ``e0 @ exp(skew)``.  The returned inf/sup are bounds of
-    the search, flagged heuristic for n >= 2 (the quantifier over all
-    frames is explored, not certified).
+    unitary frames ``e0 @ exp(skew)``.  The min and max searches share
+    their frame evaluations: each generator visited by either search is
+    exponentiated, contracted and extremized once.  The returned inf/sup
+    are bounds of the search, flagged heuristic for n >= 2 (the quantifier
+    over all frames is explored, not certified).
     """
     r = np.asarray(r, dtype=complex)
     g = np.asarray(g, dtype=complex)
     n = g.shape[0]
     e0 = gram_unitary_frame(g)
+    memo = {}  # generator parameter bytes -> (U, orthant extrema in the frame e0 @ U)
 
-    def min_obj(u):
-        return orthant_rayleigh_extrema(curvature_in_frame(r, e0 @ u).r_mat).min_val
+    def extrema(params):
+        key = params.tobytes()
+        if key not in memo:
+            u = _unitary(params, n)
+            memo[key] = (u, orthant_rayleigh_extrema(curvature_in_frame(r, e0 @ u).r_mat))
+        return memo[key]
 
-    def max_obj(u):
-        return orthant_rayleigh_extrema(curvature_in_frame(r, e0 @ u).r_mat).max_val
+    def min_value(params):
+        u, ext = extrema(params)
+        return ext.min_val, u
 
-    inf_val, inf_u = _frame_search(min_obj, n, cfg, sense=-1)
-    sup_val, sup_u = _frame_search(max_obj, n, cfg, sense=+1)
+    def max_value(params):
+        u, ext = extrema(params)
+        return ext.max_val, u
+
+    inf_val, inf_u = _frame_search(min_value, n, cfg, sense=-1)
+    sup_val, sup_u = _frame_search(max_value, n, cfg, sense=+1)
     return RbcBounds(
         inf=inf_val,
         sup=sup_val,
@@ -469,37 +503,34 @@ def rbc_bounds(r, g, cfg=FrameSearchConfig()):
 
 
 def sbc_bound(r, g, cfg=FrameSearchConfig(), inner_starts=4):
-    """Frame-searched infimum of the SBC; unbounded in any visited frame
-    means unbounded overall (with that frame's certificate attached)."""
+    """Frame-searched infimum of the SBC.
+
+    Unbounded in any visited frame means unbounded overall: the search
+    stops at the first such frame and returns it with its divergence
+    certificate.
+    """
     r = np.asarray(r, dtype=complex)
     g = np.asarray(g, dtype=complex)
     n = g.shape[0]
     e0 = gram_unitary_frame(g)
-    unbounded = {}
 
-    def objective(u):
-        res = sbc_infimum(
-            curvature_in_frame(r, e0 @ u).r_mat, n_starts=inner_starts, seed=cfg.seed
-        )
-        if res.status == "unbounded_below":
-            unbounded.setdefault("hit", (res, u))
-            return -np.inf
-        return res.inf_val
+    def value(params):
+        u = _unitary(params, n)
+        res = sbc_infimum(curvature_in_frame(r, e0 @ u).r_mat, n_starts=inner_starts, seed=cfg.seed)
+        return (-np.inf if res.status == "unbounded_below" else res.inf_val), (u, res)
 
-    best_val, best_u = _frame_search(objective, n, cfg, sense=-1)
-    if "hit" in unbounded:
-        res, u = unbounded["hit"]
+    _, (u, res) = _frame_search(value, n, cfg, sense=-1)
+    if res.status == "unbounded_below":
         return SbcResult(
             status="unbounded_below",
             divergence_certificate=res.divergence_certificate,
             frame=e0 @ u,
         )
-    res = sbc_infimum(curvature_in_frame(r, e0 @ best_u).r_mat, n_starts=inner_starts, seed=cfg.seed)
     return SbcResult(
         status="finite",
         inf_val=res.inf_val,
         arg=res.arg,
         marginal=res.marginal,
         margin=res.margin,
-        frame=e0 @ best_u,
+        frame=e0 @ u,
     )

@@ -18,6 +18,7 @@ from .errors import DimensionMismatch, ZeroVector
 from .metrics import ChartedHermitianMetric, metric_derivatives
 from .tensors import (
     FrameCurvatureMatrices,
+    contract,
     hermitian_inverse,
     hermitize,
     symmetrize_curvature,
@@ -39,7 +40,7 @@ def assemble_chern_tensor(g, dg, dbar_g, ddbar_g):
     """Curvature tensor from a metric value and its Wirtinger derivatives."""
     ginv = hermitian_inverse(g)
     # g^{p qbar} = ginv[q, p]
-    second = np.einsum("qp,ikq,jpl->ijkl", ginv, dg, dbar_g, optimize=True)
+    second = contract("qp,ikq,jpl->ijkl", ginv, dg, dbar_g)
     return -ddbar_g + second
 
 
@@ -80,11 +81,11 @@ def ricci(r, g, kind):
         raise DimensionMismatch(f"tensor shape {r.shape} vs metric dim {n}")
     ginv = hermitian_inverse(g)
     if kind == 1:
-        raw = np.einsum("lk,ijkl->ij", ginv, r, optimize=True)
+        raw = contract("lk,ijkl->ij", ginv, r)
     elif kind == 2:
-        raw = np.einsum("ji,ijkl->kl", ginv, r, optimize=True)
+        raw = contract("ji,ijkl->kl", ginv, r)
     elif kind == 3:
-        raw = np.einsum("li,ijkl->kj", ginv, r, optimize=True)
+        raw = contract("li,ijkl->kj", ginv, r)
     else:
         raise ValueError("kind must be 1, 2 or 3")
     herm, residue = hermitize(raw)
@@ -107,7 +108,7 @@ def hsc(r, g, v):
     if norm_sq <= 0.0 or np.max(np.abs(v)) == 0.0:
         raise ZeroVector("hsc requires a nonzero direction")
     vc = np.conj(v)
-    quartic = complex(np.einsum("ijkl,i,j,k,l->", r, v, vc, v, vc, optimize=True))
+    quartic = complex(contract("ijkl,i,j,k,l->", r, v, vc, v, vc))
     if abs(quartic.imag) > 1e-9 * max(1.0, abs(quartic.real)):
         raise ValueError(f"HSC numerator imaginary residue {quartic.imag:.3e}")
     return quartic.real / norm_sq**2

@@ -27,7 +27,7 @@ from .errors import (
 )
 from .fd import D1_OFFSETS, D1_WEIGHTS, wirtinger_hessian
 from .metrics import Domain
-from .tensors import hermitian_inverse, hermitize
+from .tensors import contract, hermitian_inverse, hermitize
 
 __all__ = [
     "HolomorphicMapModel",
@@ -219,7 +219,7 @@ def pullback_metric(f, z, target_metric, jac=None):
     if jac is None:
         jac = jacobian(f, z)
     h_mat = target_metric(f(np.atleast_1d(np.asarray(z, dtype=complex))))
-    pull = np.einsum("ab,ai,bj->ij", h_mat, jac, np.conj(jac), optimize=True)
+    pull = contract("ab,ai,bj->ij", h_mat, jac, np.conj(jac))
     herm, _ = hermitize(pull)
     return herm
 

@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import BadParams, DomainMarginError, UnknownCatalogName
+from .errors import BadParams, DimensionMismatch, DomainMarginError, UnknownCatalogName
 from .fd import StencilField, wirtinger_derivatives
 
 __all__ = [
@@ -236,7 +236,7 @@ def metric_derivatives(metric, z, h=None):
     """
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     if z.shape != (metric.dim,):
-        raise ValueError(f"point shape {z.shape} does not match dim {metric.dim}")
+        raise DimensionMismatch(f"point shape {z.shape} does not match dim {metric.dim}")
     if h is None:
         h = 1e-3 * max(1.0, float(np.linalg.norm(z)))
     if not metric.domain.contains(z, margin=4.0 * h):

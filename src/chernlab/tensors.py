@@ -36,6 +36,23 @@ __all__ = [
 ]
 
 
+_EINSUM_PATHS = {}  # (subscripts, operand shapes) -> contraction path
+
+
+def contract(subscripts, *operands):
+    """``np.einsum(subscripts, *operands, optimize=True)`` with the path planned once.
+
+    The contraction path depends only on the subscripts and the operand
+    shapes, so it is planned on the first call with those and reused after;
+    the result is bit-for-bit the one ``optimize=True`` gives.
+    """
+    key = (subscripts, tuple(np.shape(op) for op in operands))
+    path = _EINSUM_PATHS.get(key)
+    if path is None:
+        path = _EINSUM_PATHS[key] = np.einsum_path(subscripts, *operands, optimize=True)[0]
+    return np.einsum(subscripts, *operands, optimize=path)
+
+
 def check_finite(a, what="array"):
     """Reject NaN/Inf entries on construction paths."""
     a = np.asarray(a)
@@ -166,8 +183,8 @@ def curvature_in_frame(r, e, imag_tol=1e-6):
             f"tensor shape {r.shape} does not match frame dimension {n}"
         )
     ec = np.conj(e)
-    r_full = np.einsum("ijkl,ia,ja,kg,lg->ag", r, ec, e, ec, e, optimize=True)
-    p_full = np.einsum("ijkl,ia,jg,kg,la->ag", r, ec, e, ec, e, optimize=True)
+    r_full = contract("ijkl,ia,ja,kg,lg->ag", r, ec, e, ec, e)
+    p_full = contract("ijkl,ia,jg,kg,la->ag", r, ec, e, ec, e)
     # conjugation symmetry forces R_mat entrywise real but only forces P_mat
     # Hermitian; real v only sees Re(P), so the Hermitian defect is the residue
     residue = float(

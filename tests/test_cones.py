@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
+from chernlab import cones
 from chernlab.cones import (
     FrameSearchConfig,
+    _frame_search,
+    _unitary,
     orthant_rayleigh_extrema,
     rbc_bounds,
     sbc_along_map,
@@ -13,7 +16,7 @@ from chernlab.cones import (
 from chernlab.curvature import chern_curvature
 from chernlab.errors import DimensionError, ZeroSingularValue
 from chernlab.metrics import catalog_metric
-from chernlab.tensors import curvature_in_frame
+from chernlab.tensors import curvature_in_frame, gram_unitary_frame
 from test_tensors import fs_normal_form, rand_unitary
 
 
@@ -223,3 +226,72 @@ class TestFrameSearch:
         res = sbc_bound(chern_curvature(ch, [0.0, 0.0]), np.eye(2), cfg)
         assert res.status == "unbounded_below"
         assert res.divergence_certificate is not None
+
+
+def fresh_value(objective, n):
+    """Frame-search value of ``objective(U)``, sharing nothing between calls."""
+
+    def value(params):
+        u = _unitary(params, n)
+        return objective(u), u
+
+    return value
+
+
+class TestFrameSearchWork:
+    """Shared RBC evaluations and the SBC early exit give the same answers."""
+
+    cfg = FrameSearchConfig(n_starts=4, max_iter=25, seed=7)
+
+    @pytest.mark.parametrize(
+        "name, point",
+        [("fubini_study", [0.0, 0.0]), ("hopf", [1.0, 0.5]), ("complex_hyperbolic", [0.0, 0.0])],
+    )
+    def test_rbc_bounds_match_independent_searches(self, name, point):
+        metric = catalog_metric(name, (2,))
+        r, g = chern_curvature(metric, point), metric(point)
+        e0 = gram_unitary_frame(g)
+
+        def extrema(u):
+            return orthant_rayleigh_extrema(curvature_in_frame(r, e0 @ u).r_mat)
+
+        inf_val, inf_u = _frame_search(fresh_value(lambda u: extrema(u).min_val, 2), 2, self.cfg, -1)
+        sup_val, sup_u = _frame_search(fresh_value(lambda u: extrema(u).max_val, 2), 2, self.cfg, +1)
+        res = rbc_bounds(r, g, self.cfg)
+        assert res.inf == inf_val and res.sup == sup_val
+        assert np.array_equal(res.inf_frame, e0 @ inf_u)
+        assert np.array_equal(res.sup_frame, e0 @ sup_u)
+
+    def test_sbc_bound_stops_at_first_unbounded_frame(self, monkeypatch):
+        metric = catalog_metric("complex_hyperbolic", (2,))
+        r, g = chern_curvature(metric, [0.0, 0.0]), metric([0.0, 0.0])
+        e0 = gram_unitary_frame(g)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return sbc_infimum(*args, **kwargs)
+
+        monkeypatch.setattr(cones, "sbc_infimum", counted)
+        res = sbc_bound(r, g, self.cfg)
+        monkeypatch.undo()
+        assert len(calls) == 1
+
+        # the search without the early exit: unbounded frames score a finite
+        # -1e300, so it runs its whole budget and keeps the first hit
+        hits = []
+
+        def objective(u):
+            inner = sbc_infimum(curvature_in_frame(r, e0 @ u).r_mat, n_starts=4, seed=self.cfg.seed)
+            if inner.status == "unbounded_below":
+                hits.append((inner.divergence_certificate, u))
+                return -1e300
+            return inner.inf_val
+
+        _frame_search(fresh_value(objective, 2), 2, self.cfg, -1)
+        assert len(hits) > 1
+        cert, u = hits[0]
+        assert res.status == "unbounded_below"
+        assert res.divergence_certificate.gap_index == cert.gap_index
+        assert np.array_equal(res.divergence_certificate.base, cert.base)
+        assert np.array_equal(res.frame, e0 @ u)

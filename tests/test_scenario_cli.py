@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -239,6 +240,29 @@ class TestCli:
         main(["run", "--scenario", str(scen), "--out", str(a), "--seed", "3"])
         main(["run", "--scenario", str(scen), "--out", str(b), "--seed", "3"])
         assert a.read_bytes() == b.read_bytes()
+
+    def test_run_keeps_the_document_seed(self, tmp_path):
+        demo = Path(__file__).resolve().parent.parent / "scenarios" / "demo.json"
+        out = tmp_path / "r.json"
+        main(["run", "--scenario", str(demo), "--out", str(out)])
+        text = out.read_text(encoding="utf-8")
+        assert json.loads(text)["seed"] == 7
+        assert text == run_scenario(str(demo)).to_json()
+
+    def test_non_numeric_metric_param_exit_2(self, capsys):
+        assert main(["curvature", "--metric", "poincare_disk:x", "--point", "0"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: BadParams:") and "Traceback" not in err
+
+    def test_point_dimension_mismatch_exit_2(self, capsys):
+        assert main(["curvature", "--metric", "fubini_study:2", "--point", "0,0"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: DimensionMismatch:") and "Traceback" not in err
+
+    def test_non_numeric_point_exit_2(self, capsys):
+        assert main(["curvature", "--metric", "fubini_study:2", "--point", "0,0,x,0"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("schema error:") and "Traceback" not in err
 
     def test_curvature_subcommand(self, tmp_path, capsys):
         code = main(["curvature", "--metric", "euclidean:2", "--point", "0,0,0,0"])

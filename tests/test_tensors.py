@@ -1,8 +1,13 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import chernlab
 from chernlab.errors import DimensionMismatch, NotPositiveDefinite
 from chernlab.tensors import (
+    contract,
     curvature_in_frame,
     frame_residue,
     gram_unitary_frame,
@@ -147,3 +152,27 @@ class TestSymmetrize:
         h, residue = hermitize(np.array([[1.0, 2.0], [0.0, 1.0]]))
         assert residue == 2.0
         assert np.allclose(h, [[1.0, 1.0], [1.0, 1.0]])
+
+
+def package_contractions():
+    """Every subscripts string passed to ``contract`` in the package source."""
+    found = set()
+    for path in Path(chernlab.__file__).parent.glob("*.py"):
+        found.update(re.findall(r'contract\(\s*"([^"]+)"', path.read_text(encoding="utf-8")))
+    return sorted(found)
+
+
+class TestContract:
+    def test_every_einsum_site_found(self):
+        assert len(package_contractions()) >= 8
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("subscripts", package_contractions())
+    def test_same_bits_as_einsum_optimize(self, subscripts, n):
+        rng = np.random.default_rng(n)
+        shapes = [(n,) * len(term) for term in subscripts.split("->")[0].split(",")]
+        operands = [rng.standard_normal(s) + 1j * rng.standard_normal(s) for s in shapes]
+        expected = np.einsum(subscripts, *operands, optimize=True)
+        # the first call plans the path, the second reuses it
+        for _ in range(2):
+            assert np.array_equal(contract(subscripts, *operands), expected)

@@ -14,7 +14,6 @@ from .cones import (
 )
 from .curvature import (
     CurvatureReport,
-    altered_hsc_matrix,
     chern_curvature,
     curvature_report,
     hsc,

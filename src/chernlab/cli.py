@@ -14,7 +14,7 @@ import sys
 
 from .errors import BadParams, ChernLabError, DimensionMismatch, SchemaError
 from .metrics import CATALOG_NAMES, catalog_metric
-from .scenario import emit_grid, run_scenario
+from .scenario import emit_grid, parse_grid_spec, parse_point_spec, run_scenario
 
 _MAP_KINDS = ("identity", "scaling", "linear", "power", "mobius", "product")
 
@@ -48,46 +48,20 @@ def _map_arg(text, source_dim):
         kind, arg = text.split(":", 1)
     else:
         kind, arg = text, None
-    if kind == "identity":
-        return {"kind": "identity", "dim": source_dim}
-    if kind == "scaling":
-        c = complex(arg) if arg else 1.0
-        return {"kind": "scaling", "c": [c.real, c.imag], "dim": source_dim}
-    if kind == "power":
-        return {"kind": "power", "k": int(arg)}
-    if kind == "mobius":
-        a = complex(arg) if arg else 0.0
-        return {"kind": "mobius", "a": [a.real, a.imag]}
-    raise SchemaError(f"unsupported map spec {text!r} (CLI supports identity, scaling, power, mobius)", "--map")
-
-
-def _point_arg(text):
     try:
-        values = [float(v) for v in text.split(",") if v]
-    except ValueError as exc:
-        raise SchemaError(f"point coordinates must be numbers, got {text!r}", "--point") from exc
-    if len(values) % 2 == 0:
-        return [[values[i], values[i + 1]] for i in range(0, len(values), 2)]
-    return [[v, 0.0] for v in values]
-
-
-def _grid_arg(text):
-    if not text.startswith("box:"):
-        raise SchemaError("grid spec must start with 'box:'", "--grid")
-    fields = dict(part.split("=", 1) for part in text[4:].split(";") if "=" in part)
-    unknown = set(fields) - {"center", "half", "per-axis"}
-    if unknown:
-        raise SchemaError(f"unknown grid fields {sorted(unknown)}", "--grid")
-    center_vals = [float(v) for v in fields.get("center", "0").split(",")]
-    if len(center_vals) % 2 == 0:
-        center = [[center_vals[i], center_vals[i + 1]] for i in range(0, len(center_vals), 2)]
-    else:
-        center = [[v, 0.0] for v in center_vals]
-    return {
-        "center": center,
-        "half": float(fields.get("half", "0.25")),
-        "per_axis": int(fields.get("per-axis", "3")),
-    }
+        if kind == "identity":
+            return {"kind": "identity", "dim": source_dim}
+        if kind == "scaling":
+            c = complex(arg) if arg else 1.0
+            return {"kind": "scaling", "c": [c.real, c.imag], "dim": source_dim}
+        if kind == "power":
+            return {"kind": "power", "k": int(arg)}
+        if kind == "mobius":
+            a = complex(arg) if arg else 0.0
+            return {"kind": "mobius", "a": [a.real, a.imag]}
+    except (TypeError, ValueError) as exc:
+        raise BadParams(f"map spec {text!r}: malformed parameter {arg!r}") from exc
+    raise SchemaError(f"unsupported map spec {text!r} (CLI supports identity, scaling, power, mobius)", "--map")
 
 
 def _emit(report, args):
@@ -138,7 +112,7 @@ def _cmd_catalog(args):
 def _point_task(kind, args):
     """A one-point task on ``--metric`` at ``--point``, with the point's dimension checked."""
     metric = _metric_arg(args.metric)
-    point = _point_arg(args.point)
+    point = parse_point_spec(args.point, "--point")
     dim = _metric_dim(metric)
     if len(point) != dim:
         raise DimensionMismatch(
@@ -167,7 +141,7 @@ def _cmd_schwarz(args):
         "theorem": args.theorem,
         "source": "source",
         "target": "target",
-        "grid": _grid_arg(args.grid),
+        "grid": parse_grid_spec(args.grid),
     }
     if args.theorem != "trace_bound":
         maps["f"] = _map_arg(args.map, _metric_dim(metrics["source"]))
@@ -203,7 +177,7 @@ def _cmd_identity(args):
             raise SchemaError("averaged-hsc needs --metric and --point", "--check")
         metrics["m"] = _metric_arg(args.metric)
         task["metric"] = "m"
-        task["point"] = _point_arg(args.point)
+        task["point"] = parse_point_spec(args.point, "--point")
         if args.b:
             task["b"] = [float(v) for v in args.b.split(",")]
         task["samples"] = args.samples

@@ -18,7 +18,7 @@ import numpy as np
 import scipy.linalg
 import scipy.optimize
 
-from .errors import DimensionError, SearchBudgetExhausted, ZeroSingularValue
+from .errors import DimensionMismatch, SearchBudgetExhausted, ZeroSingularValue
 from .tensors import curvature_in_frame, gram_unitary_frame
 
 __all__ = [
@@ -64,7 +64,6 @@ class OrthantExtremum:
     max_val: float
     argmin: np.ndarray
     argmax: np.ndarray
-    method: str
     certificate: tuple
 
 
@@ -117,105 +116,29 @@ def _face_candidates(sym, kkt_tol):
     return mins, maxs
 
 
-def _simplex_project(c):
-    """Euclidean projection onto the unit simplex (sort-based)."""
-    n = len(c)
-    a = -np.sort(-c)
-    lam = (np.cumsum(a) - 1.0) / np.arange(1, n + 1)
-    for k in range(n - 1, -1, -1):
-        if a[k] > lam[k]:
-            return np.maximum(c - lam[k], 0.0)
-    return np.full(n, 1.0 / n)
-
-
-def _projected_gradient_min(sym, x0, iters=300):
-    """Minimize the Rayleigh quotient over the simplex by projected gradient."""
-    x = _simplex_project(np.asarray(x0, dtype=float))
-    best_x, best_val = None, np.inf
-    for _ in range(iters):
-        nrm2 = float(x @ x)
-        val = float(x @ sym @ x) / nrm2
-        if val < best_val:
-            best_val, best_x = val, x / np.sqrt(nrm2)
-        grad = 2.0 * (sym @ x - val * x) / nrm2
-        step = 1.0
-        improved = False
-        for _ in range(20):
-            cand = _simplex_project(x - step * grad)
-            cn2 = float(cand @ cand)
-            if cn2 > 0 and float(cand @ sym @ cand) / cn2 < val - 1e-15:
-                x = cand
-                improved = True
-                break
-            step *= 0.5
-        if not improved:
-            break
-    return best_val, best_x
-
-
-def orthant_rayleigh_extrema(m, n_starts=64, seed=0):
+def orthant_rayleigh_extrema(m):
     """Extrema of the Rayleigh quotient of ``m`` over the nonnegative orthant.
 
     Only the symmetric part of ``m`` matters (the quotient annihilates the
-    antisymmetric part).  For n <= 4 the answer is exact by facial
-    enumeration of KKT points; for larger n a multistart projected-gradient
-    search on the simplex is used, seeded with exact extrema of random
-    4-coordinate principal minors, and the result is flagged ``multistart``.
+    antisymmetric part).  The answer is exact for every n, by facial
+    enumeration of KKT points: every extremum is a uniform-sign eigenvector
+    of the matrix restricted to some coordinate face.  The cost is one
+    symmetric eigendecomposition per nonempty face, 2^n - 1 of them.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
-        raise DimensionError(f"expected a square matrix, got shape {m.shape}")
-    n = m.shape[0]
+        raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
     sym = (m + m.T) / 2.0
     scale = max(1.0, float(np.max(np.abs(sym))))
-    kkt_tol = 1e-10 * scale
-
-    if n <= 4:
-        mins, maxs = _face_candidates(sym, kkt_tol)
-        min_val, argmin, min_face = min(mins, key=lambda t: t[0])
-        max_val, argmax, max_face = max(maxs, key=lambda t: t[0])
-        return OrthantExtremum(
-            min_val=min_val,
-            max_val=max_val,
-            argmin=argmin,
-            argmax=argmax,
-            method="exact-facial",
-            certificate=(min_face, max_face),
-        )
-
-    rng = np.random.default_rng(seed)
-    min_pool, max_pool = [], []
-    # exact extrema on random 4-coordinate minors as embedded candidates
-    for _ in range(20):
-        face = np.sort(rng.choice(n, size=4, replace=False))
-        sub = orthant_rayleigh_extrema(sym[np.ix_(face, face)])
-        for val, arg, pool in (
-            (sub.min_val, sub.argmin, min_pool),
-            (sub.max_val, sub.argmax, max_pool),
-        ):
-            x = np.zeros(n)
-            x[face] = arg
-            pool.append((val, x))
-    starts = [np.full(n, 1.0 / n)]
-    starts += [rng.dirichlet(np.ones(n)) for _ in range(n_starts - 1)]
-    for x0 in starts:
-        val, x = _projected_gradient_min(sym, x0)
-        min_pool.append((val, x))
-        val, x = _projected_gradient_min(-sym, x0)
-        max_pool.append((-val, x))
-    min_val, argmin = min(min_pool, key=lambda t: t[0])
-    max_val, argmax = max(max_pool, key=lambda t: t[0])
-    support_tol = 1e-9
+    mins, maxs = _face_candidates(sym, kkt_tol=1e-10 * scale)
+    min_val, argmin, min_face = min(mins, key=lambda t: t[0])
+    max_val, argmax, max_face = max(maxs, key=lambda t: t[0])
     return OrthantExtremum(
-        min_val=float(argmin @ sym @ argmin),
-        max_val=float(argmax @ sym @ argmax),
+        min_val=min_val,
+        max_val=max_val,
         argmin=argmin,
         argmax=argmax,
-        method="multistart",
-        certificate=(
-            tuple(np.nonzero(argmin > support_tol)[0]),
-            tuple(np.nonzero(argmax > support_tol)[0]),
-        ),
+        certificate=(min_face, max_face),
     )
 
 
@@ -326,7 +249,7 @@ def sbc_infimum(rm, n_starts=8, seed=0, unbounded_tol=1e-8, marginal_tol=1e-6):
     """
     rm = np.asarray(rm, dtype=float)
     if rm.ndim != 2 or rm.shape[0] != rm.shape[1] or rm.shape[0] < 1:
-        raise DimensionError(f"expected a square matrix, got shape {rm.shape}")
+        raise DimensionMismatch(f"expected a square matrix, got shape {rm.shape}")
     n = rm.shape[0]
     if n == 1:
         return SbcResult(status="finite", inf_val=float(rm[0, 0]), arg=np.array([1.0]))
@@ -365,7 +288,7 @@ def sbc_along_map(rm, lambdas):
     rm = np.asarray(rm, dtype=float)
     lam = np.asarray(lambdas, dtype=float)
     if rm.shape[0] != lam.shape[0]:
-        raise DimensionError(
+        raise DimensionMismatch(
             f"matrix dim {rm.shape[0]} does not match {lam.shape[0]} singular values"
         )
     if np.any(lam <= 0.0):
@@ -466,9 +389,10 @@ def rbc_bounds(r, g, cfg=FrameSearchConfig()):
     Extremizes the orthant Rayleigh extrema of the frame matrix over
     unitary frames ``e0 @ exp(skew)``.  The min and max searches share
     their frame evaluations: each generator visited by either search is
-    exponentiated, contracted and extremized once.  The returned inf/sup
-    are bounds of the search, flagged heuristic for n >= 2 (the quantifier
-    over all frames is explored, not certified).
+    exponentiated, contracted and extremized once.  The orthant extrema in
+    each frame are exact; the returned inf/sup are bounds of the search,
+    flagged heuristic for n >= 2 (the quantifier over all frames is
+    explored, not certified).
     """
     r = np.asarray(r, dtype=complex)
     g = np.asarray(g, dtype=complex)

@@ -17,7 +17,6 @@ import numpy as np
 from .errors import DimensionMismatch, ZeroVector
 from .metrics import ChartedHermitianMetric, metric_derivatives
 from .tensors import (
-    FrameCurvatureMatrices,
     contract,
     hermitian_inverse,
     hermitize,
@@ -27,7 +26,6 @@ from .tensors import (
 
 __all__ = [
     "CurvatureReport",
-    "altered_hsc_matrix",
     "chern_curvature",
     "curvature_report",
     "hsc",
@@ -125,12 +123,6 @@ def kahler_symmetry_check(r, tol):
     res_barred = float(np.max(np.abs(r - np.transpose(r, (0, 3, 2, 1)))))
     residue = max(res_unbarred, res_barred)
     return residue < tol, residue
-
-
-def altered_hsc_matrix(fm: FrameCurvatureMatrices):
-    """Quadratic-form matrix ``Q = R_mat + P_mat`` whose sign over the
-    nonnegative orthant controls the sign of the HSC."""
-    return fm.q_mat()
 
 
 @dataclass(frozen=True)

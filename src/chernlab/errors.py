@@ -13,10 +13,6 @@ class DimensionMismatch(ChernLabError):
     """Array dimensions are incompatible."""
 
 
-# cone-quadratics spells this DimensionError in its contracts
-DimensionError = DimensionMismatch
-
-
 class ZeroVector(ChernLabError):
     """A direction vector must be nonzero."""
 

@@ -106,17 +106,4 @@ def wirtinger_derivatives(field: StencilField, h):
 
 def wirtinger_hessian(fun, z, h):
     """Complex Hessian ``d^2 u / dz_i dzbar_j`` of a scalar field."""
-    field = StencilField(fun, z)
-    n = field.n
-    d2 = {}
-    for u in range(2 * n):
-        for v in range(u, 2 * n):
-            d2[(u, v)] = field.d2_same(u, h) if u == v else field.d2_mixed(u, v, h)
-            d2[(v, u)] = d2[(u, v)]
-    hess = np.empty((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            hess[i, j] = 0.25 * (
-                d2[(i, j)] + 1j * d2[(i, n + j)] - 1j * d2[(n + i, j)] + d2[(n + i, n + j)]
-            )
-    return hess
+    return wirtinger_derivatives(StencilField(fun, z), h)[2]

@@ -34,7 +34,7 @@ from .verify import (
     trace_bound_verify,
 )
 
-__all__ = ["Report", "box_grid", "emit_grid", "parse_grid_spec", "run_scenario"]
+__all__ = ["Report", "box_grid", "emit_grid", "parse_grid_spec", "parse_point_spec", "run_scenario"]
 
 FORMAT_VERSION = 1
 
@@ -55,6 +55,18 @@ def _require_keys(obj, allowed, required, loc):
             raise SchemaError(f"missing required key {key!r}", loc)
 
 
+def _number(value, loc):
+    if not isinstance(value, (int, float)):
+        raise SchemaError(f"expected a number, got {value!r}", loc)
+    return float(value)
+
+
+def _positive_int(value, loc):
+    if not isinstance(value, int) or value < 1:
+        raise SchemaError(f"expected a positive integer, got {value!r}", loc)
+    return value
+
+
 def _as_complex(value, loc):
     """Complex scalar from a number or an [re, im] pair."""
     if isinstance(value, (int, float)):
@@ -72,12 +84,18 @@ def _as_point(value, loc):
     return np.array([_as_complex(v, f"{loc}[{i}]") for i, v in enumerate(value)])
 
 
-def _real_list_to_centers(values, loc):
-    """n reals -> real centers; 2n reals -> interleaved (re, im) pairs."""
+def parse_point_spec(text, loc):
+    """Comma-separated reals as document coordinates ``[[re, im], ...]``.
+
+    n reals are n real coordinates; 2n reals are n interleaved (re, im) pairs.
+    """
+    try:
+        values = [float(v) for v in text.split(",") if v]
+    except ValueError as exc:
+        raise SchemaError(f"coordinates must be numbers, got {text!r}", loc) from exc
     if len(values) % 2 == 0:
-        pairs = [complex(values[i], values[i + 1]) for i in range(0, len(values), 2)]
-        return np.array(pairs)
-    return np.array([complex(v) for v in values])
+        return [[values[i], values[i + 1]] for i in range(0, len(values), 2)]
+    return [[v, 0.0] for v in values]
 
 
 # ---------------------------------------------------------------------------
@@ -110,11 +128,17 @@ def box_grid(center, half, per_axis):
 
 
 def parse_grid_spec(spec):
-    """Parse a CLI grid spec like ``box:center=0,0;half=0.4;per-axis=5``."""
+    """Parse a CLI grid spec like ``box:center=0,0;half=0.4;per-axis=5``.
+
+    Returns the scenario document's grid object ``{"center", "half",
+    "per_axis"}``; omitted fields default to center 0, half 0.25, per-axis 3.
+    """
     if not spec.startswith("box:"):
         raise SchemaError(f"unsupported grid spec {spec!r} (expected 'box:...')", "--grid")
     fields = {}
     for part in spec[len("box:") :].split(";"):
+        if not part:
+            continue
         if "=" not in part:
             raise SchemaError(f"malformed grid field {part!r}", "--grid")
         key, value = part.split("=", 1)
@@ -123,21 +147,19 @@ def parse_grid_spec(spec):
     if unknown:
         raise SchemaError(f"unknown grid fields {sorted(unknown)}", "--grid")
     try:
-        center_vals = [float(v) for v in fields.get("center", "0").split(",")]
         half = float(fields.get("half", "0.25"))
         per_axis = int(fields.get("per-axis", "3"))
     except ValueError as exc:
         raise SchemaError(f"malformed grid spec: {exc}", "--grid") from exc
-    center = _real_list_to_centers(center_vals, "--grid")
-    return box_grid(center, half, per_axis)
+    center = parse_point_spec(fields.get("center", "0"), "--grid")
+    return {"center": center, "half": half, "per_axis": per_axis}
 
 
 def _grid_from_json(obj, loc):
     _require_keys(obj, {"center", "half", "per_axis"}, {"center", "half", "per_axis"}, loc)
     center = _as_point(obj["center"], f"{loc}.center")
-    if not isinstance(obj["per_axis"], int) or obj["per_axis"] < 1:
-        raise SchemaError("per_axis must be a positive integer", f"{loc}.per_axis")
-    return box_grid(center, float(obj["half"]), obj["per_axis"])
+    half = _number(obj["half"], f"{loc}.half")
+    return box_grid(center, half, _positive_int(obj["per_axis"], f"{loc}.per_axis"))
 
 
 # ---------------------------------------------------------------------------
@@ -158,21 +180,21 @@ def _load_metric(spec, loc):
         domain = None
         if "domain" in spec:
             dom_loc = f"{loc}.domain"
-            _require_keys(
-                spec["domain"],
-                {"center", "radius", "inner_radius", "norm"},
-                {"center", "radius"},
-                dom_loc,
-            )
+            dom = spec["domain"]
+            _require_keys(dom, {"center", "radius", "inner_radius", "norm"}, {"center", "radius"}, dom_loc)
+            norm = dom.get("norm", "l2")
+            if norm not in ("l2", "max"):
+                raise SchemaError(f"unknown domain norm {norm!r} (expected 'l2' or 'max')", f"{dom_loc}.norm")
             domain = Domain(
-                center=tuple(_as_point(spec["domain"]["center"], f"{dom_loc}.center")),
-                radius=float(spec["domain"]["radius"]),
-                inner_radius=float(spec["domain"].get("inner_radius", 0.0)),
-                norm=spec["domain"].get("norm", "l2"),
+                center=tuple(_as_point(dom["center"], f"{dom_loc}.center")),
+                radius=_number(dom["radius"], f"{dom_loc}.radius"),
+                inner_radius=_number(dom.get("inner_radius", 0.0), f"{dom_loc}.inner_radius"),
+                norm=norm,
             )
-        metric = parse_metric_expression(spec["expression"], int(spec["dim"]), domain=domain)
+        dim = _positive_int(spec["dim"], f"{loc}.dim")
+        metric = parse_metric_expression(spec["expression"], dim, domain=domain)
     if "scale" in spec:
-        metric = scale_metric(metric, float(spec["scale"]))
+        metric = scale_metric(metric, _number(spec["scale"], f"{loc}.scale"))
     return metric
 
 
@@ -192,10 +214,10 @@ def _load_map(spec, loc, maps):
     if kind == "identity":
         if "dim" not in spec:
             raise SchemaError("identity map needs 'dim'", loc)
-        params["dim"] = spec["dim"]
+        params["dim"] = _positive_int(spec["dim"], f"{loc}.dim")
     elif kind == "scaling":
         params["c"] = _as_complex(spec.get("c", 1.0), f"{loc}.c")
-        params["dim"] = spec.get("dim", 1)
+        params["dim"] = _positive_int(spec.get("dim", 1), f"{loc}.dim")
     elif kind == "linear":
         rows = spec.get("matrix")
         if not isinstance(rows, list) or not rows:
@@ -205,7 +227,7 @@ def _load_map(spec, loc, maps):
             for i, row in enumerate(rows)
         ]
     elif kind == "power":
-        params["k"] = spec.get("k", 1)
+        params["k"] = _positive_int(spec.get("k", 1), f"{loc}.k")
     elif kind == "mobius":
         params["a"] = _as_complex(spec.get("a", 0.0), f"{loc}.a")
     else:
@@ -300,9 +322,9 @@ def _search_cfg(spec, loc, seed):
         return FrameSearchConfig(seed=seed)
     _require_keys(spec, {"n_starts", "max_iter", "step_tol", "seed"}, set(), loc)
     return FrameSearchConfig(
-        n_starts=spec.get("n_starts", 8),
-        max_iter=spec.get("max_iter", 40),
-        step_tol=spec.get("step_tol", 1e-4),
+        n_starts=_positive_int(spec.get("n_starts", 8), f"{loc}.n_starts"),
+        max_iter=_positive_int(spec.get("max_iter", 40), f"{loc}.max_iter"),
+        step_tol=_number(spec.get("step_tol", 1e-4), f"{loc}.step_tol"),
         seed=spec.get("seed", seed),
     )
 

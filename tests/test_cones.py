@@ -1,5 +1,8 @@
+import itertools
+
 import numpy as np
 import pytest
+import scipy.optimize
 
 from chernlab import cones
 from chernlab.cones import (
@@ -14,24 +17,40 @@ from chernlab.cones import (
     sbc_value,
 )
 from chernlab.curvature import chern_curvature
-from chernlab.errors import DimensionError, ZeroSingularValue
+from chernlab.errors import DimensionMismatch, SearchBudgetExhausted, ZeroSingularValue
 from chernlab.metrics import catalog_metric
 from chernlab.tensors import curvature_in_frame, gram_unitary_frame
 from test_tensors import fs_normal_form, rand_unitary
 
 
+def simplex_lattice(n, resolution):
+    """Unit-normalized points of the simplex lattice with ``resolution`` steps per edge."""
+    pts = []
+    for bars in itertools.combinations(range(resolution + n - 1), n - 1):
+        edges = (-1,) + bars + (resolution + n - 1,)
+        pts.append([edges[i + 1] - edges[i] - 1 for i in range(n)])
+    x = np.array(pts, dtype=float)
+    return x / np.linalg.norm(x, axis=1, keepdims=True)
+
+
 def simplex_grid_extrema(sym, resolution=120):
     """Brute-force Rayleigh extrema over a simplex lattice (oracle)."""
-    pts = []
-    n = sym.shape[0]
-    assert n == 3
-    for i in range(resolution + 1):
-        for j in range(resolution + 1 - i):
-            pts.append((i, j, resolution - i - j))
-    x = np.array(pts, dtype=float)
-    x /= np.linalg.norm(x, axis=1, keepdims=True)
+    x = simplex_lattice(sym.shape[0], resolution)
     vals = np.einsum("pi,ij,pj->p", x, sym, x)
     return float(np.min(vals)), float(np.max(vals))
+
+
+def polished_min(sym, x0):
+    """Local minimum of the Rayleigh quotient on the simplex, by SLSQP from ``x0`` (oracle)."""
+    res = scipy.optimize.minimize(
+        lambda x: float(x @ sym @ x) / float(x @ x),
+        x0 / np.sum(x0),
+        method="SLSQP",
+        bounds=[(0.0, 1.0)] * len(x0),
+        constraints=[{"type": "eq", "fun": lambda x: np.sum(x) - 1.0}],
+        options={"ftol": 1e-14, "maxiter": 500},
+    )
+    return float(res.fun)
 
 
 class TestOrthantExtrema:
@@ -85,21 +104,31 @@ class TestOrthantExtrema:
             assert abs(float(ext.argmax @ sym @ ext.argmax) - ext.max_val) < 1e-10
             assert abs(np.linalg.norm(ext.argmin) - 1.0) < 1e-12
             assert np.all(ext.argmin >= 0) and np.all(ext.argmax >= 0)
-            assert ext.method == "exact-facial"
 
-    def test_multistart_path(self):
+    @pytest.mark.parametrize("n, resolution", [(5, 16), (6, 10)])
+    def test_exact_above_four(self, n, resolution):
         rng = np.random.default_rng(3)
-        m = rng.standard_normal((6, 6))
-        sym = (m + m.T) / 2
-        ext = orthant_rayleigh_extrema(sym, seed=1)
-        assert ext.method == "multistart"
-        # multistart values must beat every vertex and stay within eigen range
-        eigs = np.linalg.eigvalsh(sym)
-        assert eigs[0] - 1e-9 <= ext.min_val <= np.min(np.diag(sym)) + 1e-9
-        assert np.max(np.diag(sym)) - 1e-9 <= ext.max_val <= eigs[-1] + 1e-9
+        lattice = simplex_lattice(n, resolution)
+        for k in range(6):
+            m = rng.standard_normal((n, n))
+            # a negative all-ones shift pulls the minimizer onto the full face
+            sym = (m + m.T) / 2 - (3.0 if k % 2 else 0.0) * np.ones((n, n))
+            ext = orthant_rayleigh_extrema(sym)
+            for val, arg in ((ext.min_val, ext.argmin), (ext.max_val, ext.argmax)):
+                assert abs(float(arg @ sym @ arg) - val) < 1e-10
+                assert abs(np.linalg.norm(arg) - 1.0) < 1e-12 and np.all(arg >= 0)
+            eigs = np.linalg.eigvalsh(sym)
+            assert eigs[0] - 1e-9 <= ext.min_val <= np.min(np.diag(sym)) + 1e-9
+            assert np.max(np.diag(sym)) - 1e-9 <= ext.max_val <= eigs[-1] + 1e-9
+            # no lattice point beats the extrema, and a local polish from the
+            # best lattice points lands on them
+            vals = np.einsum("pi,ij,pj->p", lattice, sym, lattice)
+            assert ext.min_val <= np.min(vals) + 1e-12 and ext.max_val >= np.max(vals) - 1e-12
+            assert abs(polished_min(sym, lattice[np.argmin(vals)]) - ext.min_val) < 1e-9
+            assert abs(-polished_min(-sym, lattice[np.argmax(vals)]) - ext.max_val) < 1e-9
 
     def test_dimension_error(self):
-        with pytest.raises(DimensionError):
+        with pytest.raises(DimensionMismatch):
             orthant_rayleigh_extrema(np.zeros((2, 3)))
 
 
@@ -201,6 +230,14 @@ class TestFrameSearch:
         ch = catalog_metric("complex_hyperbolic", (2,))
         res = rbc_bounds(chern_curvature(ch, [0.0, 0.0]), np.eye(2), cfg)
         assert abs(res.inf + 3.0) < 1e-4 and abs(res.sup + 2.0) < 1e-4
+
+    def test_rbc_fs_closed_form_n5(self):
+        # fubini_study(5) at the origin: inf c = 2, sup c (n + 1) / 2 = 6
+        fs = catalog_metric("fubini_study", (5,))
+        z = np.zeros(5)
+        with pytest.warns(SearchBudgetExhausted):
+            res = rbc_bounds(chern_curvature(fs, z), fs(z), FrameSearchConfig(n_starts=1, max_iter=1))
+        assert abs(res.inf - 2.0) < 1e-4 and abs(res.sup - 6.0) < 1e-4
 
     def test_frame_invariance_spread(self):
         # U(n)-invariant tensor: extrema identical across 50 random frames

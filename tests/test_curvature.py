@@ -3,7 +3,6 @@ import pytest
 
 import oracles
 from chernlab.curvature import (
-    altered_hsc_matrix,
     chern_curvature,
     curvature_report,
     hsc,
@@ -154,17 +153,17 @@ class TestAlteredHscMatrix:
     def test_fs_normal_form(self):
         fs = catalog_metric("fubini_study", (2,))
         fm = curvature_in_frame(chern_curvature(fs, [0.0, 0.0]), np.eye(2))
-        q = altered_hsc_matrix(fm)
+        q = fm.q_mat()
         assert np.max(np.abs(q - 2.0 * (1.0 + np.eye(2)))) < 1e-6
 
     def test_zero(self):
         fm = curvature_in_frame(np.zeros((2, 2, 2, 2)), np.eye(2))
-        assert np.all(altered_hsc_matrix(fm) == 0)
+        assert np.all(fm.q_mat() == 0)
 
     def test_poincare(self):
         m = catalog_metric("poincare_disk", (1.0,))
         fm = curvature_in_frame(chern_curvature(m, [0.0]), np.eye(1))
-        assert abs(altered_hsc_matrix(fm)[0, 0] + 4.0) < 1e-6
+        assert abs(fm.q_mat()[0, 0] + 4.0) < 1e-6
 
     def test_hsc_matches_adapted_frame_diagonal(self):
         # rotate v to the first frame vector: hsc(v) = Q[0,0]/2 in that frame

@@ -3,6 +3,7 @@ import pytest
 
 import oracles
 from chernlab.errors import BadParams, DomainMarginError, NonFiniteSample, UnknownCatalogName
+from chernlab.fd import wirtinger_hessian
 from chernlab.metrics import ChartedHermitianMetric, Domain, catalog_metric, metric_derivatives
 
 
@@ -177,6 +178,21 @@ class TestDerivatives:
         )
         with pytest.raises(NonFiniteSample):
             metric_derivatives(bad, [0.5 + 0.0j])
+
+
+class TestWirtingerHessian:
+    def test_closed_form_quadratic(self):
+        # |z1|^2 + 2|z2|^2 + Re(z1 conj z2) has complex Hessian [[1, 1/2], [1/2, 2]]
+        samples = set()
+
+        def u(z):
+            samples.add(tuple(z))
+            return abs(z[0]) ** 2 + 2.0 * abs(z[1]) ** 2 + (z[0] * np.conj(z[1])).real
+
+        hess = wirtinger_hessian(u, [0.3 - 0.2j, 0.1 + 0.4j], 1e-3)
+        assert np.max(np.abs(hess - np.array([[1.0, 0.5], [0.5, 2.0]]))) < 1e-8
+        # center, 4 same-axis and 16 mixed offsets per real axis pair: 1 + 4 * 4 + 6 * 16
+        assert len(samples) == 113
 
 
 class TestDomain:

@@ -58,6 +58,32 @@ class TestSchema:
         with pytest.raises(SchemaError):
             run_scenario(doc)
 
+    @pytest.mark.parametrize(
+        "edit, location, raised",
+        [
+            (
+                lambda d: d["metrics"].update(
+                    e={"expression": "1", "dim": 1, "domain": {"center": [0], "radius": 1, "norm": "l1"}}
+                ),
+                "$.metrics.e.domain.norm",
+                True,
+            ),
+            (lambda d: d["maps"].update(p={"kind": "power", "k": "x"}), "$.maps.p.k", True),
+            (lambda d: d["tasks"][0].update(search={"n_starts": 0}), "$.tasks[0].search.n_starts", False),
+            (lambda d: d["tasks"][0]["grid"].update(half="a"), "$.tasks[0].grid.half", False),
+        ],
+    )
+    def test_schema_violations_are_schema_errors(self, edit, location, raised):
+        doc = base_scenario()
+        edit(doc)
+        if raised:
+            with pytest.raises(SchemaError) as exc:
+                run_scenario(doc)
+            assert exc.value.location == location
+        else:
+            error = run_scenario(doc).tasks[0]["error"]
+            assert error.startswith("SchemaError:") and f"(at {location})" in error
+
     def test_exclusive_metric_source(self):
         doc = base_scenario()
         doc["metrics"]["p1"] = {"catalog": "euclidean", "expression": "1", "params": [1]}
@@ -181,8 +207,14 @@ class TestGrids:
         assert pts[-1][0] == 1.0 + 1.0j
 
     def test_parse_grid_spec(self):
-        pts = parse_grid_spec("box:center=0,0;half=0.4;per-axis=5")
-        assert len(pts) == 25
+        grid = parse_grid_spec("box:center=0,0;half=0.4;per-axis=5")
+        assert grid == {"center": [[0.0, 0.0]], "half": 0.4, "per_axis": 5}
+        # an odd count of reals is real coordinates; omitted fields take their defaults
+        assert parse_grid_spec("box:center=0.1,0.2,0.3") == {
+            "center": [[0.1, 0.0], [0.2, 0.0], [0.3, 0.0]],
+            "half": 0.25,
+            "per_axis": 3,
+        }
         with pytest.raises(SchemaError):
             parse_grid_spec("sphere:radius=1")
         with pytest.raises(SchemaError):
@@ -293,6 +325,22 @@ class TestCli:
         )
         assert code == 0
         assert csv_path.exists()
+        task = json.loads((tmp_path / "r.json").read_text())["scenario"]["tasks"][0]
+        assert task["grid"] == {"center": [[0.0, 0.0]], "half": 0.3, "per_axis": 3}
+
+    @pytest.mark.parametrize("spec", ["power:x", "scaling:abc", "mobius:zz"])
+    def test_malformed_map_exit_2(self, spec, capsys):
+        argv = ["schwarz", "--theorem", "chern_lu", "--source", "poincare_disk:1", "--target", "poincare_disk:2"]
+        assert main(argv + ["--map", spec, "--grid", "box:half=0.2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: BadParams:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("spec", ["box:half=abc", "box:half=0.2;junk"])
+    def test_malformed_grid_exit_2(self, spec, capsys):
+        argv = ["schwarz", "--theorem", "chern_lu", "--source", "poincare_disk:1", "--target", "poincare_disk:2"]
+        assert main(argv + ["--grid", spec]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("schema error:") and "Traceback" not in err
 
     def test_identity_subcommand(self, capsys):
         code = main(["identity", "--check", "theorem23", "--n", "3", "--trials", "20"])

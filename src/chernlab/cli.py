@@ -13,10 +13,8 @@ import json
 import sys
 
 from .errors import BadParams, ChernLabError, DimensionMismatch, SchemaError
-from .metrics import CATALOG_NAMES, catalog_metric
-from .scenario import emit_grid, parse_grid_spec, parse_point_spec, run_scenario
-
-_MAP_KINDS = ("identity", "scaling", "linear", "power", "mobius", "product")
+from .metrics import catalog_metric
+from .scenario import emit_grid, parse_grid_spec, parse_point_spec, run_scenario, scenario_schema
 
 
 def _metric_arg(text):
@@ -101,10 +99,11 @@ def _run_single_task(task, metrics, maps, args):
 
 
 def _cmd_catalog(args):
+    defs = scenario_schema()["$defs"]
     lines = ["metrics:"]
-    lines += [f"  {name}" for name in CATALOG_NAMES]
+    lines += [f"  {name}" for name in defs["metric"]["properties"]["catalog"]["enum"]]
     lines.append("maps:")
-    lines += [f"  {kind}" for kind in _MAP_KINDS]
+    lines += [f"  {kind}" for kind in defs["map"]["properties"]["kind"]["enum"]]
     print("\n".join(lines))
     return 0
 

@@ -171,13 +171,13 @@ def catalog_map(kind, **params):
     if kind == "identity":
         return map_identity(int(params["dim"]))
     if kind == "scaling":
-        return map_scaling(params["c"], int(params.get("dim", 1)))
+        return map_scaling(params.get("c", 1.0), int(params.get("dim", 1)))
     if kind == "linear":
         return map_linear(params["matrix"])
     if kind == "power":
-        return map_power(params["k"])
+        return map_power(params.get("k", 1))
     if kind == "mobius":
-        return map_mobius(params["a"])
+        return map_mobius(params.get("a", 0.0))
     if kind == "product":
         return map_product(params["factors"])
     raise UnknownCatalogName(f"unknown catalog map {kind!r}")

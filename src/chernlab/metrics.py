@@ -26,16 +26,6 @@ __all__ = [
     "scale_metric",
 ]
 
-CATALOG_NAMES = (
-    "euclidean",
-    "fubini_study",
-    "complex_hyperbolic",
-    "poincare_disk",
-    "polydisk",
-    "hopf",
-)
-
-
 @dataclass(frozen=True)
 class Domain:
     """Ball/box/annulus constraint in C^n.

@@ -1,16 +1,21 @@
 """Scenario files: schema validation, task execution, reports, CSV grids.
 
-A scenario is one JSON document (strict schema, unknown keys rejected)
-declaring named metrics and maps plus a task list.  Reports are
-deterministic given (scenario, seed): all randomness flows from the seed,
-key order is sorted, and wall-clock timing is excluded unless explicitly
-requested.
+A scenario is one JSON document declaring named metrics and maps plus a
+task list.  ``scenario.schema.json`` next to this module is the one
+definition of a valid document (unknown keys rejected, allowed and required
+keys per task and map kind); the code checks only the names a document
+refers to.  Reports are deterministic given (scenario, seed): all randomness
+flows from the seed, key order is sorted, and wall-clock timing is excluded
+unless explicitly requested.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import json
 from dataclasses import dataclass, field
+from pathlib import Path
 from time import perf_counter
 
 import numpy as np
@@ -19,7 +24,7 @@ from .cones import FrameSearchConfig, rbc_bounds, sbc_bound
 from .curvature import chern_curvature, curvature_report
 from .errors import ChernLabError, SchemaError
 from .exprparse import parse_metric_expression
-from .maps import catalog_map, map_product
+from .maps import catalog_map, map_identity
 from .metrics import Domain, catalog_metric, scale_metric
 from .tensors import curvature_in_frame, gram_unitary_frame
 from .verify import (
@@ -40,48 +45,107 @@ FORMAT_VERSION = 1
 
 
 # ---------------------------------------------------------------------------
-# schema helpers
+# schema
 # ---------------------------------------------------------------------------
 
 
-def _require_keys(obj, allowed, required, loc):
-    if not isinstance(obj, dict):
-        raise SchemaError(f"expected an object, got {type(obj).__name__}", loc)
-    for key in obj:
-        if key not in allowed:
-            raise SchemaError(f"unknown key {key!r}", loc)
-    for key in required:
-        if key not in obj:
-            raise SchemaError(f"missing required key {key!r}", loc)
+@functools.cache
+def scenario_schema():
+    """The parsed ``scenario.schema.json``: one shared dict, not to be mutated."""
+    return json.loads(Path(__file__).with_name("scenario.schema.json").read_text(encoding="utf-8"))
 
 
-def _number(value, loc):
-    if not isinstance(value, (int, float)):
-        raise SchemaError(f"expected a number, got {value!r}", loc)
-    return float(value)
+# JSON types of values as Python's json module loads them: true is not a
+# number, and 2.0 is an integer (JSON does not tell 2 from 2.0)
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "integer": lambda v: (isinstance(v, int) and not isinstance(v, bool))
+    or (isinstance(v, float) and v.is_integer()),
+}
 
 
-def _positive_int(value, loc):
-    if not isinstance(value, int) or value < 1:
-        raise SchemaError(f"expected a positive integer, got {value!r}", loc)
+def _same(a, b):
+    """JSON equality of scalars: true is not 1, 1.0 is."""
+    return isinstance(a, bool) == isinstance(b, bool) and a == b
+
+
+def _conform(value, node, loc):
+    """Check ``value`` against the schema ``node``; raise SchemaError at the first violation.
+
+    Interprets the keywords scenario.schema.json uses.  Returns ``value``
+    with every float the schema types as an integer made an int, so that
+    ``"samples": 1e6`` reaches the program as 1000000.
+    """
+    if node is True:
+        return value
+    if "$ref" in node:
+        path = node["$ref"].removeprefix("#/").split("/")
+        value = _conform(value, functools.reduce(dict.__getitem__, path, scenario_schema()), loc)
+    if "type" in node:
+        if not _TYPES[node["type"]](value):
+            raise SchemaError(f"expected {node['type']}, got {value!r}", loc)
+        if node["type"] == "integer":
+            value = int(value)
+    if "const" in node and not _same(value, node["const"]):
+        raise SchemaError(f"expected {node['const']!r}, got {value!r}", loc)
+    if "enum" in node and not any(_same(value, option) for option in node["enum"]):
+        raise SchemaError(f"expected one of {node['enum']}, got {value!r}", loc)
+    if _TYPES["number"](value):
+        if "minimum" in node and value < node["minimum"]:
+            raise SchemaError(f"expected a value >= {node['minimum']}, got {value!r}", loc)
+        if "exclusiveMinimum" in node and value <= node["exclusiveMinimum"]:
+            raise SchemaError(f"expected a value > {node['exclusiveMinimum']}, got {value!r}", loc)
+    if isinstance(value, list):
+        if len(value) < node.get("minItems", 0):
+            raise SchemaError(f"expected at least {node['minItems']} items, got {len(value)}", loc)
+        if len(value) > node.get("maxItems", len(value)):
+            raise SchemaError(f"expected at most {node['maxItems']} items, got {len(value)}", loc)
+        if "items" in node:
+            value = [_conform(item, node["items"], f"{loc}[{i}]") for i, item in enumerate(value)]
+    if isinstance(value, dict):
+        for key in node.get("required", ()):
+            if key not in value:
+                raise SchemaError(f"missing required key {key!r}", loc)
+        properties = node.get("properties", {})
+        others = node.get("additionalProperties", True)
+        for key in value:
+            if others is False and key not in properties:
+                raise SchemaError(f"unknown key {key!r}", loc)
+        value = {
+            key: _conform(item, properties.get(key, others), f"{loc}.{key}") for key, item in value.items()
+        }
+        for key, needed in node.get("dependentRequired", {}).items():
+            if key in value and not value.keys() >= set(needed):
+                raise SchemaError(f"key {key!r} needs the keys {needed}", loc)
+    if "oneOf" in node:
+        matches = []
+        for option in node["oneOf"]:
+            with contextlib.suppress(SchemaError):
+                matches.append(_conform(value, option, loc))
+        if len(matches) != 1:
+            raise SchemaError(f"matches {len(matches)} of the alternatives {node['oneOf']}, not one", loc)
+        value = matches[0]
+    for option in node.get("allOf", ()):
+        value = _conform(value, option, loc)
+    if "if" in node:
+        try:
+            _conform(value, node["if"], loc)
+        except SchemaError:
+            return value
+        value = _conform(value, node["then"], loc)
     return value
 
 
-def _as_complex(value, loc):
+def _as_complex(value):
     """Complex scalar from a number or an [re, im] pair."""
-    if isinstance(value, (int, float)):
-        return complex(value)
-    if isinstance(value, list) and len(value) == 2 and all(
-        isinstance(v, (int, float)) for v in value
-    ):
-        return complex(value[0], value[1])
-    raise SchemaError(f"expected a number or [re, im] pair, got {value!r}", loc)
+    return complex(*value) if isinstance(value, list) else complex(value)
 
 
-def _as_point(value, loc):
-    if not isinstance(value, list) or not value:
-        raise SchemaError("point must be a nonempty list of coordinates", loc)
-    return np.array([_as_complex(v, f"{loc}[{i}]") for i, v in enumerate(value)])
+def _as_point(value):
+    return np.array([_as_complex(v) for v in value])
 
 
 def parse_point_spec(text, loc):
@@ -155,84 +219,46 @@ def parse_grid_spec(spec):
     return {"center": center, "half": half, "per_axis": per_axis}
 
 
-def _grid_from_json(obj, loc):
-    _require_keys(obj, {"center", "half", "per_axis"}, {"center", "half", "per_axis"}, loc)
-    center = _as_point(obj["center"], f"{loc}.center")
-    half = _number(obj["half"], f"{loc}.half")
-    return box_grid(center, half, _positive_int(obj["per_axis"], f"{loc}.per_axis"))
-
-
 # ---------------------------------------------------------------------------
 # scenario loading
 # ---------------------------------------------------------------------------
 
 
-def _load_metric(spec, loc):
-    allowed = {"catalog", "params", "expression", "dim", "domain", "scale"}
-    _require_keys(spec, allowed, set(), loc)
-    if ("catalog" in spec) == ("expression" in spec):
-        raise SchemaError("metric needs exactly one of 'catalog' or 'expression'", loc)
+def _lookup(table, what, name, loc):
+    if name not in table:
+        raise SchemaError(f"undefined {what} {name!r}", loc)
+    return table[name]
+
+
+def _load_metric(spec):
     if "catalog" in spec:
         metric = catalog_metric(spec["catalog"], tuple(spec.get("params", [])))
     else:
-        if "dim" not in spec:
-            raise SchemaError("expression metrics need 'dim'", loc)
         domain = None
         if "domain" in spec:
-            dom_loc = f"{loc}.domain"
             dom = spec["domain"]
-            _require_keys(dom, {"center", "radius", "inner_radius", "norm"}, {"center", "radius"}, dom_loc)
-            norm = dom.get("norm", "l2")
-            if norm not in ("l2", "max"):
-                raise SchemaError(f"unknown domain norm {norm!r} (expected 'l2' or 'max')", f"{dom_loc}.norm")
             domain = Domain(
-                center=tuple(_as_point(dom["center"], f"{dom_loc}.center")),
-                radius=_number(dom["radius"], f"{dom_loc}.radius"),
-                inner_radius=_number(dom.get("inner_radius", 0.0), f"{dom_loc}.inner_radius"),
-                norm=norm,
+                center=tuple(_as_point(dom["center"])),
+                radius=dom["radius"],
+                inner_radius=dom.get("inner_radius", 0.0),
+                norm=dom.get("norm", "l2"),
             )
-        dim = _positive_int(spec["dim"], f"{loc}.dim")
-        metric = parse_metric_expression(spec["expression"], dim, domain=domain)
+        metric = parse_metric_expression(spec["expression"], spec["dim"], domain=domain)
     if "scale" in spec:
-        metric = scale_metric(metric, _number(spec["scale"], f"{loc}.scale"))
+        metric = scale_metric(metric, spec["scale"])
     return metric
 
 
 def _load_map(spec, loc, maps):
-    allowed = {"kind", "dim", "c", "matrix", "k", "a", "factors"}
-    _require_keys(spec, allowed, {"kind"}, loc)
-    kind = spec["kind"]
-    if kind == "product":
-        names = spec.get("factors")
-        if not isinstance(names, list) or not names:
-            raise SchemaError("product map needs a list of factor names", loc)
-        missing = [nm for nm in names if nm not in maps]
-        if missing:
-            raise SchemaError(f"undefined factor maps {missing}", loc)
-        return map_product([maps[nm] for nm in names])
-    params = {}
-    if kind == "identity":
-        if "dim" not in spec:
-            raise SchemaError("identity map needs 'dim'", loc)
-        params["dim"] = _positive_int(spec["dim"], f"{loc}.dim")
-    elif kind == "scaling":
-        params["c"] = _as_complex(spec.get("c", 1.0), f"{loc}.c")
-        params["dim"] = _positive_int(spec.get("dim", 1), f"{loc}.dim")
-    elif kind == "linear":
-        rows = spec.get("matrix")
-        if not isinstance(rows, list) or not rows:
-            raise SchemaError("linear map needs 'matrix'", loc)
-        params["matrix"] = [
-            [_as_complex(v, f"{loc}.matrix[{i}][{j}]") for j, v in enumerate(row)]
-            for i, row in enumerate(rows)
-        ]
-    elif kind == "power":
-        params["k"] = _positive_int(spec.get("k", 1), f"{loc}.k")
-    elif kind == "mobius":
-        params["a"] = _as_complex(spec.get("a", 0.0), f"{loc}.a")
-    else:
-        raise SchemaError(f"unknown map kind {kind!r}", loc)
-    return catalog_map(kind, **params)
+    params = {key: value for key, value in spec.items() if key != "kind"}
+    if "factors" in params:
+        params["factors"] = [_lookup(maps, "factor map", name, loc) for name in params["factors"]]
+    for key in ("c", "a"):
+        if key in params:
+            params[key] = _as_complex(params[key])
+    if "matrix" in params:
+        params["matrix"] = [[_as_complex(v) for v in row] for row in params["matrix"]]
+    return catalog_map(spec["kind"], **params)
 
 
 # ---------------------------------------------------------------------------
@@ -279,72 +305,21 @@ def _verdict_payload(verdict):
 # tasks
 # ---------------------------------------------------------------------------
 
-_TASK_KEYS = {
-    "curvature": {"kind", "metric", "point", "tol", "seed"},
-    "rbc": {"kind", "metric", "point", "search", "seed"},
-    "sbc": {"kind", "metric", "point", "search", "seed"},
-    "schwarz": {
-        "kind",
-        "theorem",
-        "preset",
-        "map",
-        "source",
-        "target",
-        "mu",
-        "grid",
-        "constants",
-        "tol",
-        "seed",
-        "kappa_mode",
-        "search",
-    },
-    "identity": {
-        "kind",
-        "check",
-        "n",
-        "indices",
-        "samples",
-        "trials",
-        "tol",
-        "seed",
-        "metric",
-        "point",
-        "b",
-        "diagonal",
-    },
-}
 
-_CONSTANT_KEYS = {"c1", "c2", "c3", "c4", "kappa", "kappa1", "kappa2", "r", "n"}
+def _search_cfg(spec, seed):
+    return FrameSearchConfig(**{"seed": seed, **(spec or {})})
 
 
-def _search_cfg(spec, loc, seed):
-    if spec is None:
-        return FrameSearchConfig(seed=seed)
-    _require_keys(spec, {"n_starts", "max_iter", "step_tol", "seed"}, set(), loc)
-    return FrameSearchConfig(
-        n_starts=_positive_int(spec.get("n_starts", 8), f"{loc}.n_starts"),
-        max_iter=_positive_int(spec.get("max_iter", 40), f"{loc}.max_iter"),
-        step_tol=_number(spec.get("step_tol", 1e-4), f"{loc}.step_tol"),
-        seed=spec.get("seed", seed),
-    )
+def _run_task(task, metrics, maps, loc, seed):
+    kind = task["kind"]
+    if kind == "schwarz":
+        return _run_schwarz(task, metrics, maps, loc, seed)
+    if kind == "identity":
+        return _run_identity(task, metrics, loc, seed)
 
-
-def _metric_ref(name, metrics, loc):
-    if name not in metrics:
-        raise SchemaError(f"undefined metric {name!r}", loc)
-    return metrics[name]
-
-
-def _run_task(task, metrics, maps, loc, default_seed):
-    kind = task.get("kind")
-    if kind not in _TASK_KEYS:
-        raise SchemaError(f"unknown task kind {kind!r}", loc)
-    _require_keys(task, _TASK_KEYS[kind], {"kind"}, loc)
-    seed = task.get("seed", default_seed)
-
+    metric = _lookup(metrics, "metric", task["metric"], f"{loc}.metric")
+    point = _as_point(task["point"])
     if kind == "curvature":
-        metric = _metric_ref(task["metric"], metrics, f"{loc}.metric")
-        point = _as_point(task["point"], f"{loc}.point")
         report = curvature_report(metric, point, kahler_tol=task.get("tol", 1e-6))
         return {
             "point": _jsonify(list(point)),
@@ -359,94 +334,70 @@ def _run_task(task, metrics, maps, loc, default_seed):
             "tensor_max_abs": float(np.max(np.abs(report.tensor))),
         }
 
-    if kind in ("rbc", "sbc"):
-        metric = _metric_ref(task["metric"], metrics, f"{loc}.metric")
-        point = _as_point(task["point"], f"{loc}.point")
-        cfg = _search_cfg(task.get("search"), f"{loc}.search", seed)
-        tensor = chern_curvature(metric, point)
-        g = metric(point)
-        if kind == "rbc":
-            res = rbc_bounds(tensor, g, cfg)
-            return {
-                "point": _jsonify(list(point)),
-                "inf": res.inf,
-                "sup": res.sup,
-                "heuristic": res.heuristic,
-            }
-        res = sbc_bound(tensor, g, cfg)
-        payload = {"point": _jsonify(list(point)), "status": res.status}
-        if res.status == "finite":
-            payload.update(
-                inf_val=res.inf_val, arg=_jsonify(res.arg), marginal=res.marginal, margin=res.margin
-            )
-        else:
-            cert = res.divergence_certificate
-            payload["certificate"] = {
-                "gap_index": cert.gap_index,
-                "base": _jsonify(cert.base),
-                "leading_coefficient": cert.leading_coefficient,
-            }
-        return payload
-
-    if kind == "schwarz":
-        return _run_schwarz(task, metrics, maps, loc, seed)
-
-    return _run_identity(task, metrics, loc, seed)
+    cfg = _search_cfg(task.get("search"), seed)
+    tensor = chern_curvature(metric, point)
+    g = metric(point)
+    if kind == "rbc":
+        res = rbc_bounds(tensor, g, cfg)
+        return {
+            "point": _jsonify(list(point)),
+            "inf": res.inf,
+            "sup": res.sup,
+            "heuristic": res.heuristic,
+        }
+    res = sbc_bound(tensor, g, cfg)
+    payload = {"point": _jsonify(list(point)), "status": res.status}
+    if res.status == "finite":
+        payload.update(
+            inf_val=res.inf_val, arg=_jsonify(res.arg), marginal=res.marginal, margin=res.margin
+        )
+    else:
+        cert = res.divergence_certificate
+        payload["certificate"] = {
+            "gap_index": cert.gap_index,
+            "base": _jsonify(cert.base),
+            "leading_coefficient": cert.leading_coefficient,
+        }
+    return payload
 
 
 def _run_schwarz(task, metrics, maps, loc, seed):
-    theorem = task.get("theorem")
-    if theorem not in ("chern_lu", "aubin_yau", "family", "trace_bound"):
-        raise SchemaError(f"unknown theorem {theorem!r}", f"{loc}.theorem")
-    source = _metric_ref(task["source"], metrics, f"{loc}.source")
-    target = _metric_ref(task["target"], metrics, f"{loc}.target")
-    mu = _metric_ref(task["mu"], metrics, f"{loc}.mu") if "mu" in task else None
-    if theorem == "trace_bound":
-        fmap = None
-    else:
-        name = task.get("map")
-        if name not in maps:
-            raise SchemaError(f"undefined map {name!r}", f"{loc}.map")
-        fmap = maps[name]
-    if "grid" not in task:
-        raise SchemaError("schwarz tasks need a grid", loc)
-    grid = _grid_from_json(task["grid"], f"{loc}.grid")
+    theorem = task["theorem"]
+    source = _lookup(metrics, "metric", task["source"], f"{loc}.source")
+    target = _lookup(metrics, "metric", task["target"], f"{loc}.target")
+    mu = _lookup(metrics, "metric", task["mu"], f"{loc}.mu") if "mu" in task else None
+    fmap = None if theorem == "trace_bound" else _lookup(maps, "map", task["map"], f"{loc}.map")
+    grid = box_grid(_as_point(task["grid"]["center"]), task["grid"]["half"], task["grid"]["per_axis"])
     tol = task.get("tol", 1e-6)
-    cfg = _search_cfg(task.get("search"), f"{loc}.search", seed)
+    cfg = _search_cfg(task.get("search"), seed)
 
-    constants = None
     if "constants" in task:
-        _require_keys(task["constants"], _CONSTANT_KEYS, set(), f"{loc}.constants")
         constants = HypothesisConstants(**task["constants"])
         for key in task["constants"]:
             constants.provenance[key] = "user"
         constants.n = constants.n or (source.dim if fmap is None else fmap.source_dim)
         constants.r = constants.r or constants.n
+    elif theorem == "trace_bound":
+        constants = estimate_hypotheses(
+            source, target, map_identity(source.dim), grid, "trace_bound", frame_cfg=cfg
+        )
     else:
-        from_map = fmap if fmap is not None else None
-        if theorem == "trace_bound":
-            constants = estimate_hypotheses(
-                source, target, _identity_for(source), grid, "trace_bound", frame_cfg=cfg
-            )
-        else:
-            constants = estimate_hypotheses(
-                source,
-                target,
-                from_map,
-                grid,
-                theorem,
-                mu=mu,
-                frame_cfg=cfg,
-                kappa_mode=task.get("kappa_mode", "auto"),
-            )
+        constants = estimate_hypotheses(
+            source,
+            target,
+            fmap,
+            grid,
+            theorem,
+            mu=mu,
+            frame_cfg=cfg,
+            kappa_mode=task.get("kappa_mode", "along_map"),
+        )
 
     if theorem == "chern_lu":
         verdict = chern_lu_verify(source, target, fmap, constants, grid, tol=tol)
     elif theorem == "aubin_yau":
         verdict = aubin_yau_verify(source, target, fmap, constants, grid, tol=tol)
     elif theorem == "family":
-        if mu is None:
-            raise SchemaError("family tasks need 'mu'", loc)
         verdict = family_verify(
             source, target, mu, fmap, constants, grid, tol=tol, preset=task.get("preset")
         )
@@ -455,19 +406,13 @@ def _run_schwarz(task, metrics, maps, loc, seed):
     return _verdict_payload(verdict)
 
 
-def _identity_for(metric):
-    from .maps import map_identity
-
-    return map_identity(metric.dim)
-
-
 def _run_identity(task, metrics, loc, seed):
-    check = task.get("check")
+    check = task["check"]
     if check == "fs-moment":
         res = fs_moment_check(
-            int(task.get("n", 2)),
+            task.get("n", 2),
             tuple(task.get("indices", (1, 1, 1, 1))),
-            n_samples=int(task.get("samples", 1_000_000)),
+            n_samples=task.get("samples", 1_000_000),
             seed=seed,
         )
         return {
@@ -483,35 +428,33 @@ def _run_identity(task, metrics, loc, seed):
             "check": check,
             **_jsonify(
                 theorem23_check(
-                    int(task.get("n", 3)),
-                    trials=int(task.get("trials", 100)),
+                    task.get("n", 3),
+                    trials=task.get("trials", 100),
                     seed=seed,
-                    tol=float(task.get("tol", 1e-10)),
+                    tol=task.get("tol", 1e-10),
                     diagonal=task.get("diagonal", "zero"),
                 )
             ),
         }
-    if check == "averaged-hsc":
-        metric = _metric_ref(task["metric"], metrics, f"{loc}.metric")
-        point = _as_point(task["point"], f"{loc}.point")
-        tensor = chern_curvature(metric, point)
-        frame = gram_unitary_frame(metric(point))
-        fm = curvature_in_frame(tensor, frame)
-        res = averaged_hsc_check(
-            fm,
-            np.asarray(task.get("b", [1.0] * metric.dim), dtype=float),
-            n_samples=int(task.get("samples", 200_000)),
-            seed=seed,
-        )
-        return {
-            "check": check,
-            "lhs": res.lhs,
-            "rhs": res.rhs,
-            "abs_err": res.abs_err,
-            "std_error": res.std_error,
-            "within_3se": bool(res.abs_err <= 3 * res.std_error + 1e-12),
-        }
-    raise SchemaError(f"unknown identity check {check!r}", f"{loc}.check")
+    metric = _lookup(metrics, "metric", task["metric"], f"{loc}.metric")
+    point = _as_point(task["point"])
+    tensor = chern_curvature(metric, point)
+    frame = gram_unitary_frame(metric(point))
+    fm = curvature_in_frame(tensor, frame)
+    res = averaged_hsc_check(
+        fm,
+        np.asarray(task.get("b", [1.0] * metric.dim), dtype=float),
+        n_samples=task.get("samples", 200_000),
+        seed=seed,
+    )
+    return {
+        "check": check,
+        "lhs": res.lhs,
+        "rhs": res.rhs,
+        "abs_err": res.abs_err,
+        "std_error": res.std_error,
+        "within_3se": bool(res.abs_err <= 3 * res.std_error + 1e-12),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -554,10 +497,12 @@ def _task_passed(result):
 def run_scenario(source, seed=None, parallel=False):
     """Execute a scenario (path or already-loaded dict) and build a Report.
 
-    Tasks run in order (or task-parallel with ``parallel=True``; results
-    are still collected in order so the report is identical).  Per-task
-    failures are recorded and the run continues; the report passes only
-    if every task succeeded and every verdict passed.
+    A document the schema rejects outside its task list raises SchemaError;
+    a task the schema rejects, or one that fails, is recorded on that task
+    and the run continues.  Tasks run in order (or task-parallel with
+    ``parallel=True``; results are still collected in order so the report
+    is identical).  The report passes only if every task succeeded and
+    every verdict passed.
     """
     if isinstance(source, (str, bytes)):
         with open(source, "r", encoding="utf-8") as fh:
@@ -568,40 +513,27 @@ def run_scenario(source, seed=None, parallel=False):
     else:
         doc = source
 
-    _require_keys(doc, {"version", "seed", "metrics", "maps", "tasks"}, {"version", "tasks"}, "$")
-    if doc["version"] != 1:
-        raise SchemaError(f"unsupported scenario version {doc['version']!r}", "$.version")
+    schema = scenario_schema()
+    # the top level with the tasks left unchecked: each task is checked where it runs
+    top = _conform(doc, {**schema, "properties": {**schema["properties"], "tasks": {"type": "array"}}}, "$")
     if seed is None:
-        seed = int(doc.get("seed", 0))
-
-    metrics = {}
-    for name, spec in (doc.get("metrics") or {}).items():
-        metrics[name] = _load_metric(spec, f"$.metrics.{name}")
+        seed = top.get("seed", 0)
+    metrics = {name: _load_metric(spec) for name, spec in top.get("metrics", {}).items()}
     maps = {}
-    for name, spec in (doc.get("maps") or {}).items():
+    for name, spec in top.get("maps", {}).items():
         maps[name] = _load_map(spec, f"$.maps.{name}", maps)
-    tasks = doc.get("tasks")
-    if not isinstance(tasks, list):
-        raise SchemaError("tasks must be a list", "$.tasks")
+    tasks = doc["tasks"]
 
     def execute(index, task):
         loc = f"$.tasks[{index}]"
+        entry = {"index": index, "kind": task.get("kind") if isinstance(task, dict) else None}
         start = perf_counter()
         try:
-            result = _run_task(task, metrics, maps, loc, default_seed=seed + index)
-            entry = {
-                "index": index,
-                "kind": task.get("kind"),
-                "status": "ok" if _task_passed(result) else "fail",
-                "result": result,
-            }
+            checked = _conform(task, schema["$defs"]["task"], loc)
+            result = _run_task(checked, metrics, maps, loc, checked.get("seed", seed + index))
+            entry.update(status="ok" if _task_passed(result) else "fail", result=result)
         except ChernLabError as exc:
-            entry = {
-                "index": index,
-                "kind": task.get("kind"),
-                "status": "error",
-                "error": f"{type(exc).__name__}: {exc}",
-            }
+            entry.update(status="error", error=f"{type(exc).__name__}: {exc}")
         return entry, (perf_counter() - start) * 1000.0
 
     results = [None] * len(tasks)
@@ -620,8 +552,8 @@ def run_scenario(source, seed=None, parallel=False):
     effective = {
         "version": 1,
         "seed": seed,
-        "metrics": doc.get("metrics") or {},
-        "maps": doc.get("maps") or {},
+        "metrics": doc.get("metrics", {}),
+        "maps": doc.get("maps", {}),
         "tasks": tasks,
     }
     passed = all(entry["status"] == "ok" for entry in results)

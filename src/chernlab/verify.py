@@ -185,7 +185,7 @@ def estimate_hypotheses(
     mu=None,
     fixed=None,
     frame_cfg=FrameSearchConfig(),
-    kappa_mode="auto",
+    kappa_mode="along_map",
 ):
     """Fit the tightest constants valid on the sampled grid for a theorem.
 
@@ -194,8 +194,12 @@ def estimate_hypotheses(
     inequalities hold with equality at their achieving points.  Raises
     InfeasibleHypothesis when a sign constraint cannot be met (e.g. the
     RBC sup is positive where kappa >= 0 is demanded) and UnboundedSbc
-    when a full-cone kappa certification fails.
+    when a full-cone kappa certification fails.  ``kappa_mode`` picks the
+    Aubin-Yau kappa: the SBC along the map (``"along_map"``) or over the
+    full cone (``"full_cone"``).
     """
+    if kappa_mode not in ("along_map", "full_cone"):
+        raise BadParams(f"unknown kappa_mode {kappa_mode!r} (expected 'along_map' or 'full_cone')")
     fixed = dict(fixed or {})
     points = [np.atleast_1d(np.asarray(z, dtype=complex)) for z in grid]
     if not points:
@@ -258,9 +262,8 @@ def estimate_hypotheses(
                 f"no C1 > 0 satisfies Ric2 <= -C1 eta + C2 (f^-1)* omega (best {worst[0]:.6g})"
             )
         fit("c1", worst[0], worst[1])
-        mode = "along_map" if kappa_mode == "auto" else kappa_mode
         if "kappa" not in fixed:
-            if mode == "along_map":
+            if kappa_mode == "along_map":
                 kappa, at = _kappa_sbc_along_map(f, source_metric, target_metric, points)
             else:
                 kappa, at = _kappa_sbc_full_cone(source_metric, points, frame_cfg)
@@ -720,6 +723,8 @@ def theorem23_check(n, trials=100, seed=0, tol=1e-10, diagonal="zero"):
     """
     if n < 2:
         raise BadParams("theorem23_check needs n >= 2")
+    if diagonal not in ("zero", "random"):
+        raise BadParams(f"unknown diagonal {diagonal!r} (expected 'zero' or 'random')")
     rng = np.random.default_rng(seed)
     eye = np.eye(n, dtype=complex)
     max_equal = 0.0

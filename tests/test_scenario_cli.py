@@ -6,6 +6,8 @@ import pytest
 
 from chernlab.cli import main
 from chernlab.errors import SchemaError
+from chernlab.maps import catalog_map, map_identity, map_power
+from chernlab.metrics import catalog_metric
 from chernlab.scenario import box_grid, emit_grid, parse_grid_spec, run_scenario
 
 
@@ -29,6 +31,11 @@ def base_scenario():
             }
         ],
     }
+
+
+CURVATURE = {"kind": "curvature", "metric": "p1", "point": [[0.1, 0.0]]}
+THEOREM23 = {"kind": "identity", "check": "theorem23", "n": 3, "trials": 5}
+AVERAGED_HSC = {"kind": "identity", "check": "averaged-hsc", "metric": "p1", "point": [[0.1, 0.0]]}
 
 
 class TestSchema:
@@ -71,6 +78,77 @@ class TestSchema:
             (lambda d: d["maps"].update(p={"kind": "power", "k": "x"}), "$.maps.p.k", True),
             (lambda d: d["tasks"][0].update(search={"n_starts": 0}), "$.tasks[0].search.n_starts", False),
             (lambda d: d["tasks"][0]["grid"].update(half="a"), "$.tasks[0].grid.half", False),
+            pytest.param(
+                lambda d: d["tasks"][0].update(seed="x"), "$.tasks[0].seed", False, id="task-seed"
+            ),
+            pytest.param(
+                lambda d: d["tasks"][0].update(search={"seed": "x"}), "$.tasks[0].search.seed", False,
+                id="search-seed",
+            ),
+            pytest.param(
+                lambda d: d.update(tasks=[dict(THEOREM23, n="x")]), "$.tasks[0].n", False,
+                id="identity-n",
+            ),
+            pytest.param(
+                lambda d: d.update(tasks=[dict(THEOREM23, trials="x")]), "$.tasks[0].trials", False,
+                id="trials",
+            ),
+            pytest.param(
+                lambda d: d.update(tasks=[dict(THEOREM23, diagonal="bogus")]), "$.tasks[0].diagonal", False,
+                id="diagonal",
+            ),
+            pytest.param(
+                lambda d: d.update(tasks=[dict(CURVATURE, tol="x")]), "$.tasks[0].tol", False,
+                id="curvature-tol",
+            ),
+            pytest.param(
+                lambda d: d["tasks"][0].update(tol="x"), "$.tasks[0].tol", False, id="schwarz-tol"
+            ),
+            pytest.param(
+                lambda d: d["tasks"][0].update(constants={"c1": "x"}), "$.tasks[0].constants.c1", False,
+                id="constant-c1",
+            ),
+            pytest.param(
+                lambda d: d["tasks"][0].update(kappa_mode="bogus"), "$.tasks[0].kappa_mode", False,
+                id="kappa-mode",
+            ),
+            pytest.param(
+                lambda d: d["tasks"][0]["grid"].update(per_axis=True), "$.tasks[0].grid.per_axis", False,
+                id="per-axis-bool",
+            ),
+            pytest.param(
+                lambda d: d["tasks"][0]["grid"].update(half=-0.3), "$.tasks[0].grid.half", False,
+                id="negative-half",
+            ),
+            pytest.param(
+                lambda d: d.update(tasks=[dict(AVERAGED_HSC, samples=100)]), "$.tasks[0].samples", False,
+                id="few-samples",
+            ),
+            pytest.param(
+                lambda d: d.update(tasks=[{"kind": "curvature", "point": [[0.1, 0.0]]}]), "$.tasks[0]", False,
+                id="no-metric",
+            ),
+            pytest.param(
+                lambda d: d.update(tasks=[{"kind": "curvature", "metric": "p1"}]), "$.tasks[0]", False,
+                id="no-point",
+            ),
+            pytest.param(
+                lambda d: d["tasks"][0].pop("source"), "$.tasks[0]", False, id="no-source"
+            ),
+            pytest.param(
+                lambda d: d["metrics"]["p1"].update(params=["x"]), "$.metrics.p1.params[0]", True,
+                id="params",
+            ),
+            pytest.param(
+                lambda d: d["maps"].update(lin={"kind": "linear", "matrix": [1]}), "$.maps.lin.matrix[0]", True,
+                id="matrix-row",
+            ),
+            pytest.param(
+                lambda d: d["metrics"].update(e={"expression": 5, "dim": 1}), "$.metrics.e.expression", True,
+                id="expression",
+            ),
+            pytest.param(lambda d: d.update(seed="x"), "$.seed", True, id="seed"),
+            pytest.param(lambda d: d.update(version=True), "$.version", True, id="version"),
         ],
     )
     def test_schema_violations_are_schema_errors(self, edit, location, raised):
@@ -143,6 +221,14 @@ class TestTasks:
         report = run_scenario(doc)
         assert report.passed
         assert abs(report.tasks[0]["result"]["scal"] + 2.0) < 1e-5
+
+    def test_integral_floats_are_integers(self):
+        # JSON does not tell 2 from 2.0: the schema types both as integers
+        task = {"kind": "identity", "check": "fs-moment", "n": 2, "indices": [1, 2, 2, 1], "samples": 20000}
+        floats = dict(task, n=2.0, indices=[1.0, 2.0, 2.0, 1.0], samples=2e4)
+        report = run_scenario({"version": 1, "seed": 5.0, "tasks": [floats]})
+        assert report.seed == 5 and report.tasks[0]["status"] == "ok"
+        assert report.tasks == run_scenario({"version": 1, "seed": 5, "tasks": [task]}).tasks
 
     def test_schwarz_task_passes(self):
         report = run_scenario(base_scenario())
@@ -341,6 +427,32 @@ class TestCli:
         assert main(argv + ["--grid", spec]) == 2
         err = capsys.readouterr().err
         assert err.startswith("schema error:") and "Traceback" not in err
+
+    def test_catalog_lists_the_schema_enums(self, capsys):
+        metric_params = {
+            "euclidean": (2,),
+            "fubini_study": (2,),
+            "complex_hyperbolic": (2,),
+            "poincare_disk": (1.0,),
+            "polydisk": (1.0, 2.0),
+            "hopf": (2,),
+        }
+        map_params = {
+            "identity": {"dim": 1},
+            "scaling": {"c": 2.0},
+            "linear": {"matrix": [[1.0, 0.5]]},
+            "power": {"k": 2},
+            "mobius": {"a": 0.5},
+            "product": {"factors": [map_identity(1), map_power(2)]},
+        }
+        assert main(["catalog"]) == 0
+        names = "\n".join(f"  {name}" for name in metric_params)
+        kinds = "\n".join(f"  {kind}" for kind in map_params)
+        assert capsys.readouterr().out == f"metrics:\n{names}\nmaps:\n{kinds}\n"
+        for name, params in metric_params.items():
+            assert catalog_metric(name, params).label == name
+        for kind, params in map_params.items():
+            catalog_map(kind, **params)
 
     def test_identity_subcommand(self, capsys):
         code = main(["identity", "--check", "theorem23", "--n", "3", "--trials", "20"])

@@ -70,6 +70,10 @@ class TestEstimateHypotheses:
                 frame_cfg=CFG, kappa_mode="full_cone",
             )
 
+    def test_unknown_kappa_mode(self, poincare):
+        with pytest.raises(BadParams):
+            estimate_hypotheses(poincare, poincare, map_identity(1), disk_grid(), "aubin_yau", kappa_mode="auto")
+
     def test_aubin_yau_along_map_kappa(self, poincare):
         c = estimate_hypotheses(poincare, poincare, map_identity(1), disk_grid(), "aubin_yau")
         assert abs(c.c1 - 2.0) < 1e-6
@@ -390,6 +394,10 @@ class TestTheorem23:
         rep = theorem23_check(3, trials=100, seed=0)
         assert rep["max_discrepancy"] < 1e-10
         assert rep["passed"]
+
+    def test_unknown_diagonal(self):
+        with pytest.raises(BadParams):
+            theorem23_check(3, trials=1, diagonal="bogus")
 
     def test_random_diagonal_structure(self):
         rep = theorem23_check(3, trials=50, seed=1, diagonal="random")

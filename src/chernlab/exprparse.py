@@ -12,11 +12,13 @@ Metric tables are given entry-by-entry as ``g[i][j] = <expr>`` lines with
 1-based indices; omitted lower-triangle entries default to the conjugate
 transpose of the matching upper entry, omitted off-diagonal pairs to zero.
 A bare expression (no assignment lines) is accepted for n = 1.
+
+Expressions are evaluated on numpy arrays: ``z<k>`` is ``z[..., k-1]`` of a
+stack of points, so one evaluator call covers the whole stack.
 """
 
 from __future__ import annotations
 
-import cmath
 import re
 import warnings
 
@@ -162,11 +164,13 @@ def _parse_base(tz, n):
 
 
 def _eval(node, z):
+    """Value of an AST node at the points ``z`` of shape ``(..., n)``: an
+    array over the leading axes, or a scalar for a constant node."""
     tag = node[0]
     if tag == "num":
         return node[1]
     if tag == "var":
-        return complex(z[node[1]])
+        return z[..., node[1]]
     if tag == "neg":
         return -_eval(node[1], z)
     if tag == "pow":
@@ -185,16 +189,16 @@ def _eval(node, z):
     _, name, arg = node
     w = _eval(arg, z)
     if name == "conj":
-        return w.conjugate()
+        return np.conj(w)
     if name == "abs2":
-        return complex(w.real * w.real + w.imag * w.imag)
+        return np.asarray(w.real * w.real + w.imag * w.imag, dtype=complex)
     if name == "exp":
-        return cmath.exp(w)
+        return np.exp(w)
     if name == "log":
-        return cmath.log(w)
+        return np.log(w)
     if name == "re":
-        return complex(w.real)
-    return complex(w.imag)
+        return np.asarray(np.real(w), dtype=complex)
+    return np.asarray(np.imag(w), dtype=complex)
 
 
 def parse_expression(text, n, line=1):
@@ -276,32 +280,31 @@ def parse_metric_expression(source, n, domain=None, label="custom"):
             else:
                 table[i][j] = ("plain", ("num", 0j))
 
+    def written(z):
+        """The table at each point of ``z`` as written, before symmetrizing."""
+        points = z.reshape(-1, n)
+        g = np.empty((points.shape[0], n, n), dtype=complex)
+        # a singular point gives inf or nan, which the callers report
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            for i in range(n):
+                for j in range(n):
+                    mode, node = table[i][j]
+                    val = _eval(node, points)
+                    g[:, i, j] = np.conj(val) if mode == "conj" else val
+        return g.reshape(z.shape[:-1] + (n, n))
+
     def evaluator(z):
-        g = np.empty((n, n), dtype=complex)
-        for i in range(n):
-            for j in range(n):
-                mode, node = table[i][j]
-                val = _eval(node, z)
-                g[i, j] = val.conjugate() if mode == "conj" else val
-        return (g + g.conj().T) / 2.0
+        g = written(z)
+        return (g + g.swapaxes(-1, -2).conj()) / 2.0
 
-    def raw_residue(z):
-        g = np.empty((n, n), dtype=complex)
-        for i in range(n):
-            for j in range(n):
-                mode, node = table[i][j]
-                val = _eval(node, z)
-                g[i, j] = val.conjugate() if mode == "conj" else val
-        return float(np.max(np.abs(g - g.conj().T)))
-
-    probes = [p for p in _probe_points(domain, n) if domain.contains(p)]
-    residue = 0.0
-    for p in probes:
-        try:
-            residue = max(residue, raw_residue(p))
-        except (ZeroDivisionError, OverflowError, ValueError) as exc:
-            raise EvaluationDomainError(f"evaluation failed at probe point {p}: {exc}") from exc
-    if not np.isfinite(residue) or residue > 1e-4:
+    probes = np.array([p for p in _probe_points(domain, n) if domain.contains(p)])
+    raw = written(probes)
+    finite = np.all(np.isfinite(raw), axis=(-2, -1))
+    if not np.all(finite):
+        p = probes[np.argmin(finite)]
+        raise EvaluationDomainError(f"evaluation failed at probe point {p}: non-finite value")
+    residue = float(np.max(np.abs(raw - raw.swapaxes(-1, -2).conj()), initial=0.0))
+    if residue > 1e-4:
         raise NonHermitianExpression(
             f"Hermitian residue {residue:.3e} on the probe grid exceeds 1e-4"
         )
@@ -311,12 +314,10 @@ def parse_metric_expression(source, n, domain=None, label="custom"):
             stacklevel=2,
         )
 
-    for p in probes:
-        g = evaluator(p)
-        if not np.all(np.isfinite(g)):
-            raise EvaluationDomainError(f"non-finite metric value at probe point {p}")
-        if float(np.min(np.linalg.eigvalsh(g))) <= 0.0:
-            raise EvaluationDomainError(f"metric not positive-definite at probe point {p}")
+    positive = np.min(np.linalg.eigvalsh(evaluator(probes)), axis=-1) > 0.0
+    if not np.all(positive):
+        p = probes[np.argmin(positive)]
+        raise EvaluationDomainError(f"metric not positive-definite at probe point {p}")
 
     return ChartedHermitianMetric(
         dim=n, domain=domain, evaluator=evaluator, label=label, kahler=None

@@ -23,7 +23,11 @@ D2_WEIGHTS = (-1.0 / 12.0, 16.0 / 12.0, -30.0 / 12.0, 16.0 / 12.0, -1.0 / 12.0)
 
 
 class StencilField:
-    """Caches evaluations of ``fun: C^n -> array`` at real-coordinate offsets."""
+    """Caches evaluations of ``fun: C^n -> array`` at real-coordinate offsets.
+
+    ``at`` evaluates one offset per call; ``fill`` evaluates a list of
+    offsets in one call of ``fun`` on the stack of their points.
+    """
 
     def __init__(self, fun, z):
         z = np.atleast_1d(np.asarray(z, dtype=complex))
@@ -32,17 +36,34 @@ class StencilField:
         self.x0 = np.concatenate([np.real(z), np.imag(z)])
         self.cache = {}
 
+    def _point(self, offsets):
+        x = self.x0.copy()
+        for axis, delta in offsets:
+            x[axis] += delta
+        return x[: self.n] + 1j * x[self.n :]
+
     def at(self, offsets=()):
         key = tuple(offsets)
         if key not in self.cache:
-            x = self.x0.copy()
-            for axis, delta in offsets:
-                x[axis] += delta
-            value = np.asarray(self.fun(x[: self.n] + 1j * x[self.n :]))
+            value = np.asarray(self.fun(self._point(key)))
             if not np.all(np.isfinite(value)):
                 raise NonFiniteSample(f"field evaluation not finite at offset {key}")
             self.cache[key] = value
         return self.cache[key]
+
+    def fill(self, keys):
+        """Cache ``fun`` at each offset of ``keys`` from one call of ``fun``
+        on the stack ``(len(keys), n)`` of their points."""
+        x = np.tile(self.x0, (len(keys), 1))
+        for row, key in enumerate(keys):
+            for axis, delta in key:
+                x[row, axis] += delta
+        values = np.asarray(self.fun(x[:, : self.n] + 1j * x[:, self.n :]))
+        finite = np.isfinite(values).reshape(len(keys), -1).all(axis=1)
+        if not np.all(finite):
+            bad = keys[np.argmin(finite)]
+            raise NonFiniteSample(f"field evaluation not finite at offset {bad}")
+        self.cache.update(zip(keys, values))
 
     # The base value is subtracted from every sample: the stencil weights sum
     # to zero, so this changes nothing analytically but makes constant fields
@@ -104,6 +125,25 @@ def wirtinger_derivatives(field: StencilField, h):
     return dz, dzbar, dzzbar
 
 
+def _stencil_offsets(n, h):
+    """Every offset ``wirtinger_derivatives`` samples at step ``h``, in the
+    order it asks for them: the center, four per real axis, and sixteen per
+    pair of real axes (the same-axis second differences reuse the first's)."""
+    keys = [()]
+    for axis in range(2 * n):
+        keys += [((axis, off * h),) for off in D1_OFFSETS]
+    for u in range(2 * n):
+        for v in range(u + 1, 2 * n):
+            keys += [((u, a * h), (v, b * h)) for a in D1_OFFSETS for b in D1_OFFSETS]
+    return keys
+
+
 def wirtinger_hessian(fun, z, h):
-    """Complex Hessian ``d^2 u / dz_i dzbar_j`` of a scalar field."""
-    return wirtinger_derivatives(StencilField(fun, z), h)[2]
+    """Complex Hessian ``d^2 u / dz_i dzbar_j`` of a scalar field.
+
+    ``fun`` maps a stack of points ``(k, n)`` to ``k`` values; it is called
+    once, on the whole stencil (113 points for n = 2).
+    """
+    field = StencilField(fun, z)
+    field.fill(_stencil_offsets(field.n, h))
+    return wirtinger_derivatives(field, h)[2]

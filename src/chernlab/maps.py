@@ -4,6 +4,11 @@ Jacobians use complex-direction central differences (valid by holomorphy,
 guarded by a Cauchy-Riemann residual check); the energy density is the
 metric trace of the pullback ``tr_omega(f* eta)``; singular values and
 frames come from a generalized SVD whitened by the two Cholesky factors.
+
+Map evaluators, Jacobians and energy densities act on stacks of points
+``(..., n)``; a single point is the stack of one.  Each point of a stack
+gets the bits it gets alone, so a finite-difference stencil is one
+evaluator call instead of one call per sample.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from .errors import (
     UnknownCatalogName,
 )
 from .fd import D1_OFFSETS, D1_WEIGHTS, wirtinger_hessian
-from .metrics import Domain
+from .metrics import Domain, point_norms
 from .tensors import contract, hermitian_inverse, hermitize
 
 __all__ = [
@@ -54,8 +59,10 @@ __all__ = [
 class HolomorphicMapModel:
     """A holomorphic map ``f: C^n -> C^m`` between charts.
 
-    ``inverse`` (when known in closed form) maps target points back to the
-    source; maps without one fall back to damped Newton preimage solves.
+    ``evaluator`` maps a stack of points ``(..., n)`` to ``(..., m)`` and
+    must broadcast over the leading axes.  ``inverse`` (when known in closed
+    form) maps a stack of target points back to the source; maps without
+    one fall back to damped Newton preimage solves.
     """
 
     source_dim: int
@@ -66,9 +73,11 @@ class HolomorphicMapModel:
     domain: Domain | None = None
 
     def __call__(self, z):
-        w = np.atleast_1d(np.asarray(self.evaluator(np.asarray(z, dtype=complex)), dtype=complex))
-        if w.shape != (self.target_dim,):
-            raise ValueError(f"map returned shape {w.shape}, expected ({self.target_dim},)")
+        z = np.asarray(z, dtype=complex)
+        w = np.asarray(self.evaluator(z), dtype=complex)
+        expected = z.shape[:-1] + (self.target_dim,)
+        if w.shape != expected:
+            raise ValueError(f"map returned shape {w.shape}, expected {expected}")
         return w
 
 
@@ -85,16 +94,25 @@ def map_scaling(c, n=1):
     )
 
 
+def _row_times(z, b):
+    """``z @ b`` with each point of the stack ``z`` as its own row vector,
+    so that a stack of points rounds as each point does alone."""
+    return np.matmul(z[..., None, :], b)[..., 0, :]
+
+
 def map_linear(a):
-    a = np.asarray(a, dtype=complex)
+    try:
+        a = np.asarray(a, dtype=complex)
+    except (TypeError, ValueError) as exc:
+        raise BadParams("linear map expects a matrix with rows of one length") from exc
     if a.ndim != 2:
         raise BadParams("linear map expects a matrix")
     m, n = a.shape
     inverse = None
     if m == n and abs(np.linalg.det(a)) > 1e-14:
         a_inv = np.linalg.inv(a)
-        inverse = lambda w: a_inv @ w
-    return HolomorphicMapModel(n, m, lambda z: a @ z, "linear", inverse=inverse)
+        inverse = lambda w: _row_times(w, a_inv.T)
+    return HolomorphicMapModel(n, m, lambda z: _row_times(z, a.T), "linear", inverse=inverse)
 
 
 def map_power(k):
@@ -132,9 +150,9 @@ def map_product(factors):
     def ev(z):
         out, pos = [], 0
         for f in factors:
-            out.append(f(z[pos : pos + f.source_dim]))
+            out.append(f(z[..., pos : pos + f.source_dim]))
             pos += f.source_dim
-        return np.concatenate(out)
+        return np.concatenate(out, axis=-1)
 
     inverse = None
     if all(f.inverse is not None for f in factors):
@@ -142,9 +160,9 @@ def map_product(factors):
         def inverse(w):
             out, pos = [], 0
             for f in factors:
-                out.append(np.atleast_1d(f.inverse(w[pos : pos + f.target_dim])))
+                out.append(f.inverse(w[..., pos : pos + f.target_dim]))
                 pos += f.target_dim
-            return np.concatenate(out)
+            return np.concatenate(out, axis=-1)
 
     return HolomorphicMapModel(n, m, ev, "product", inverse=inverse)
 
@@ -155,7 +173,7 @@ def map_compose(outer, inner):
         raise DimensionMismatch("composition dimensions do not match")
     inverse = None
     if inner.inverse is not None and outer.inverse is not None:
-        inverse = lambda w: inner.inverse(np.atleast_1d(outer.inverse(w)))
+        inverse = lambda w: inner.inverse(outer.inverse(w))
     return HolomorphicMapModel(
         inner.source_dim,
         outer.target_dim,
@@ -183,56 +201,83 @@ def catalog_map(kind, **params):
     raise UnknownCatalogName(f"unknown catalog map {kind!r}")
 
 
-def jacobian(f: HolomorphicMapModel, z, h=None, cr_tol=1e-5):
-    """Jacobian ``J[a, i] = d f^a / d z_i`` by 4th-order complex stencils.
+def _first(mask):
+    """Index of the first true entry of the boolean array ``mask``."""
+    return np.unravel_index(np.argmax(mask), np.shape(mask))
 
-    Holomorphy is checked by comparing real-direction and rotated
-    (imaginary-direction) difference quotients; a Cauchy-Riemann residual
-    above ``cr_tol`` raises NotHolomorphicAtPoint.
+
+def jacobian(f: HolomorphicMapModel, z, h=None, cr_tol=1e-5):
+    """Jacobian ``J[..., a, i] = d f^a / d z_i`` by 4th-order complex stencils.
+
+    ``z`` is one point or a stack ``(..., n)``; one map call samples the 8n
+    stencil points of every point.  Holomorphy is checked by comparing
+    real-direction and rotated (imaginary-direction) difference quotients;
+    a Cauchy-Riemann residual above ``cr_tol`` at any point raises
+    NotHolomorphicAtPoint.  The default step is ``1e-3 max(1, |z|)`` per
+    point.
     """
     z = np.atleast_1d(np.asarray(z, dtype=complex))
-    if z.shape != (f.source_dim,):
-        raise DimensionMismatch(f"point shape {z.shape} vs source dim {f.source_dim}")
+    n = f.source_dim
+    if z.shape[-1] != n:
+        raise DimensionMismatch(f"point shape {z.shape} vs source dim {n}")
     if h is None:
-        h = 1e-3 * max(1.0, float(np.linalg.norm(z)))
-    if f.domain is not None and not f.domain.contains(z, margin=4.0 * h):
-        raise DomainMarginError(f"point {z} too close to the map's domain boundary")
+        h = 1e-3 * np.maximum(1.0, point_norms(z))
+    h = np.broadcast_to(np.asarray(h, dtype=float), z.shape[:-1])[..., None]
+    if f.domain is not None:
+        outside = ~f.domain.contains(z, margin=4.0 * h[..., 0])
+        if np.any(outside):
+            bad = z[_first(outside)]
+            raise DomainMarginError(f"point {bad} too close to the map's domain boundary")
 
-    jac = np.empty((f.target_dim, f.source_dim), dtype=complex)
-    residual = 0.0
-    for i in range(f.source_dim):
-        e = np.zeros(f.source_dim, dtype=complex)
-        e[i] = 1.0
-        d_real = sum(w * f(z + off * h * e) for off, w in zip(D1_OFFSETS, D1_WEIGHTS)) / h
-        d_rot = sum(w * f(z + off * 1j * h * e) for off, w in zip(D1_OFFSETS, D1_WEIGHTS)) / (1j * h)
-        residual = max(residual, float(np.max(np.abs(d_real - d_rot))))
-        jac[:, i] = (d_real + d_rot) / 2.0
-    if residual > cr_tol:
+    eye = np.eye(n, dtype=complex)
+    steps = []
+    for i in range(n):
+        steps += [off * h * eye[i] for off in D1_OFFSETS]
+        steps += [off * 1j * h * eye[i] for off in D1_OFFSETS]
+    samples = f(z[..., None, :] + np.stack(steps, axis=-2))
+
+    jac = np.empty(z.shape[:-1] + (f.target_dim, n), dtype=complex)
+    residual = np.zeros(z.shape[:-1])
+    for i in range(n):
+        real, rot = samples[..., 8 * i : 8 * i + 4, :], samples[..., 8 * i + 4 : 8 * i + 8, :]
+        d_real = sum(w * real[..., k, :] for k, w in enumerate(D1_WEIGHTS)) / h
+        d_rot = sum(w * rot[..., k, :] for k, w in enumerate(D1_WEIGHTS)) / (1j * h)
+        residual = np.maximum(residual, np.max(np.abs(d_real - d_rot), axis=-1))
+        jac[..., i] = (d_real + d_rot) / 2.0
+    if np.any(residual > cr_tol):
+        bad = _first(residual > cr_tol)
         raise NotHolomorphicAtPoint(
-            f"Cauchy-Riemann residual {residual:.3e} exceeds {cr_tol:.1e} at {z}"
+            f"Cauchy-Riemann residual {residual[bad]:.3e} exceeds {cr_tol:.1e} at {z[bad]}"
         )
     return jac
 
 
 def pullback_metric(f, z, target_metric, jac=None):
-    """Pullback form ``(f* eta)_{i jbar} = h_{a bbar} f_i^a conj(f_j^b)``."""
+    """Pullback form ``(f* eta)_{i jbar} = h_{a bbar} f_i^a conj(f_j^b)`` at
+    one point or at each point of a stack."""
+    z = np.atleast_1d(np.asarray(z, dtype=complex))
     if jac is None:
         jac = jacobian(f, z)
-    h_mat = target_metric(f(np.atleast_1d(np.asarray(z, dtype=complex))))
+    h_mat = target_metric(f(z))
     pull = contract("ab,ai,bj->ij", h_mat, jac, np.conj(jac))
     herm, _ = hermitize(pull)
     return herm
 
 
 def energy_density(f, z, source_metric, target_metric, jac=None):
-    """Energy density ``|df|^2 = tr_omega(f* eta)`` (real, nonnegative)."""
+    """Energy density ``|df|^2 = tr_omega(f* eta)`` (real, nonnegative): a
+    float at one point, an array over a stack ``(..., n)``.
+
+    Raises NotPositiveDefinite if the source metric is not positive-definite
+    at any point.
+    """
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     if jac is None:
         jac = jacobian(f, z)
     g = source_metric(z)
     pull = pullback_metric(f, z, target_metric, jac=jac)
-    value = float(np.real(np.trace(hermitian_inverse(g) @ pull)))
-    return max(value, 0.0)
+    value = np.maximum(np.real(np.trace(hermitian_inverse(g) @ pull, axis1=-2, axis2=-1)), 0.0)
+    return float(value) if value.ndim == 0 else value
 
 
 @dataclass(frozen=True)
@@ -302,8 +347,9 @@ def singular_frames(f, z, source_metric, target_metric, rank_tol=1e-9):
 def laplacian_log_energy(f, z, source_metric, target_metric, h=None, critical_tol=1e-10):
     """Source-trace Laplacian ``Delta_omega log |df|^2`` at ``z``.
 
-    Away from critical points only: energy below ``critical_tol`` raises
-    NearCriticalPoint.
+    The Hessian stencil is one energy evaluation on the stack of its
+    points.  Away from critical points only: energy below ``critical_tol``
+    raises NearCriticalPoint.
     """
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     base = energy_density(f, z, source_metric, target_metric)
@@ -350,8 +396,10 @@ def laplacian_energy(f, z, source_metric, target_metric, h=None, rank_tol=1e-9):
     """Target-trace Laplacian ``Delta_eta |df|^2`` at ``z``.
 
     Stencils in target coordinates through the inverse map (closed-form
-    when the catalog map has one, damped Newton otherwise); requires the
-    map to be locally biholomorphic (square full-rank Jacobian).
+    when the catalog map has one, damped Newton from ``z`` for each stencil
+    point otherwise), then takes one energy evaluation on the stack of
+    preimages; requires the map to be locally biholomorphic (square
+    full-rank Jacobian).
     """
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     if f.source_dim != f.target_dim:
@@ -365,12 +413,12 @@ def laplacian_energy(f, z, source_metric, target_metric, h=None, rank_tol=1e-9):
         h = 5e-3 * max(1.0, float(np.linalg.norm(w0)))
 
     if f.inverse is not None:
-        pre = lambda w: np.atleast_1d(np.asarray(f.inverse(w), dtype=complex))
+        pre = f.inverse
     else:
-        pre = lambda w: _preimage(f, w, z)
+        pre = lambda ws: np.array([_preimage(f, w, z) for w in ws])
 
-    def u(w):
-        return energy_density(f, pre(w), source_metric, target_metric)
+    def u(ws):
+        return energy_density(f, pre(ws), source_metric, target_metric)
 
     hess = wirtinger_hessian(u, w0, h)
     h_mat = target_metric(w0)

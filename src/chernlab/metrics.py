@@ -44,18 +44,29 @@ class Domain:
     def _dist(self, z):
         d = np.asarray(z, dtype=complex) - np.asarray(self.center, dtype=complex)
         if self.norm == "l2":
-            return float(np.linalg.norm(d))
+            return point_norms(d)
         if self.norm == "max":
-            return float(np.max(np.abs(d)))
+            return np.max(np.abs(d), axis=-1)
         raise ValueError(f"unknown norm type {self.norm!r}")
 
     def contains(self, z, margin=0.0):
+        """Whether each point of the stack ``z`` is inside with ``margin``
+        (one bool for one point; ``margin`` broadcasts against the stack)."""
         d = self._dist(z)
-        if d > self.radius - margin:
-            return False
-        if self.inner_radius > 0.0 and d < self.inner_radius + margin:
-            return False
-        return True
+        inside = ~(d > self.radius - margin)
+        if self.inner_radius > 0.0:
+            inside &= ~(d < self.inner_radius + margin)
+        return inside
+
+
+def point_norms(z):
+    """Euclidean norm of each point of a stack ``(..., n)``, with the bits of
+    ``np.linalg.norm`` of that point (the same strided BLAS dot products)."""
+
+    def dot(x):
+        return np.matmul(x[..., None, :], x[..., :, None])[..., 0, 0]
+
+    return np.sqrt(dot(z.real) + dot(z.imag))
 
 
 def _whole_space(n):
@@ -78,11 +89,11 @@ class ChartedHermitianMetric:
     params: tuple = field(default_factory=tuple)
 
     def __call__(self, z):
-        g = np.asarray(self.evaluator(np.asarray(z, dtype=complex)), dtype=complex)
-        if g.shape != (self.dim, self.dim):
-            raise ValueError(
-                f"metric evaluator returned shape {g.shape}, expected {(self.dim, self.dim)}"
-            )
+        z = np.asarray(z, dtype=complex)
+        g = np.asarray(self.evaluator(z), dtype=complex)
+        expected = z.shape[:-1] + (self.dim, self.dim)
+        if g.shape != expected:
+            raise ValueError(f"metric evaluator returned shape {g.shape}, expected {expected}")
         return g
 
 
@@ -100,31 +111,58 @@ def scale_metric(m: ChartedHermitianMetric, c: float) -> ChartedHermitianMetric:
     )
 
 
+# Evaluators map a stack of points ``(..., n)`` to a stack of matrices
+# ``(..., n, n)``; a single point is the stack of one.  Every operation acts
+# elementwise or per point, so each point of a stack gets the bits it gets
+# alone.  fubini_study, complex_hyperbolic and poincare_disk square their
+# per-point scalars by libm ``pow`` (``np.float_power``), which rounds
+# differently from ``x * x`` in about one case in a thousand; their values
+# are pinned to that rounding (polydisk squares by ``x * x``).
+
+
+def _sq_norm(z):
+    """``|z|^2`` per point, by the BLAS dot product that ``np.vdot`` uses."""
+    return np.matmul(np.conj(z)[..., None, :], z[..., :, None])[..., 0, 0].real
+
+
+def _outer(z):
+    """``conj(z_i) z_j`` per point."""
+    return np.conj(z)[..., :, None] * z[..., None, :]
+
+
+def _diagonal(d):
+    """Complex diagonal matrices with the last axis of ``d`` on the diagonal."""
+    n = d.shape[-1]
+    out = np.zeros(d.shape[:-1] + (n * n,), dtype=complex)
+    out[..., :: n + 1] = d
+    return out.reshape(d.shape + (n,))
+
+
 def _euclidean(n):
     eye = np.eye(n, dtype=complex)
-    return lambda z: eye.copy()
+    return lambda z: np.broadcast_to(eye, z.shape[:-1] + (n, n)).copy()
 
 
 def _fubini_study(n):
     def ev(z):
-        q = 1.0 + float(np.vdot(z, z).real)
-        return np.eye(n, dtype=complex) / q - np.outer(np.conj(z), z) / q**2
+        q = (1.0 + _sq_norm(z))[..., None, None]
+        return np.eye(n, dtype=complex) / q - _outer(z) / np.float_power(q, 2)
 
     return ev
 
 
 def _complex_hyperbolic(n):
     def ev(z):
-        u = 1.0 - float(np.vdot(z, z).real)
-        return np.eye(n, dtype=complex) / u + np.outer(np.conj(z), z) / u**2
+        u = (1.0 - _sq_norm(z))[..., None, None]
+        return np.eye(n, dtype=complex) / u + _outer(z) / np.float_power(u, 2)
 
     return ev
 
 
 def _poincare_disk(a):
     def ev(z):
-        u = 1.0 - abs(complex(z[0])) ** 2
-        return np.array([[a / u**2]], dtype=complex)
+        u = 1.0 - np.float_power(np.hypot(z.real, z.imag), 2)
+        return _diagonal(a / np.float_power(u, 2))
 
     return ev
 
@@ -134,14 +172,14 @@ def _polydisk(scales):
 
     def ev(z):
         u = 1.0 - np.abs(z) ** 2
-        return np.diag(scales / u**2).astype(complex)
+        return _diagonal(scales / u**2)
 
     return ev
 
 
 def _hopf(n):
     def ev(z):
-        s = float(np.vdot(z, z).real)
+        s = _sq_norm(z)[..., None, None]
         return np.eye(n, dtype=complex) / s
 
     return ev

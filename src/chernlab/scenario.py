@@ -497,11 +497,12 @@ def _task_passed(result):
 def run_scenario(source, seed=None, parallel=False):
     """Execute a scenario (path or already-loaded dict) and build a Report.
 
-    A document the schema rejects outside its task list raises SchemaError;
-    a task the schema rejects, or one that fails, is recorded on that task
-    and the run continues.  Tasks run in order (or task-parallel with
-    ``parallel=True``; results are still collected in order so the report
-    is identical).  The report passes only if every task succeeded and
+    A document the schema rejects outside its task list raises SchemaError,
+    and so does a ``seed`` argument the schema would reject as the
+    document's seed; a task the schema rejects, or one that fails, is
+    recorded on that task and the run continues.  Tasks run in order (or
+    task-parallel with ``parallel=True``; results are still collected in
+    order so the report is identical).  The report passes only if every task succeeded and
     every verdict passed.
     """
     if isinstance(source, (str, bytes)):
@@ -518,6 +519,8 @@ def run_scenario(source, seed=None, parallel=False):
     top = _conform(doc, {**schema, "properties": {**schema["properties"], "tasks": {"type": "array"}}}, "$")
     if seed is None:
         seed = top.get("seed", 0)
+    else:
+        seed = _conform(seed, schema["properties"]["seed"], "seed argument")
     metrics = {name: _load_metric(spec) for name, spec in top.get("metrics", {}).items()}
     maps = {}
     for name, spec in top.get("maps", {}).items():

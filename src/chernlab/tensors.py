@@ -36,7 +36,7 @@ __all__ = [
 ]
 
 
-_EINSUM_PATHS = {}  # (subscripts, operand shapes) -> contraction path
+_EINSUM_PATHS = {}  # (subscripts, operand shapes) -> (einsum subscripts, contraction path)
 
 
 def contract(subscripts, *operands):
@@ -44,13 +44,27 @@ def contract(subscripts, *operands):
 
     The contraction path depends only on the subscripts and the operand
     shapes, so it is planned on the first call with those and reused after;
-    the result is bit-for-bit the one ``optimize=True`` gives.
+    the result is bit-for-bit the one ``optimize=True`` gives.  Operands
+    may carry leading stack axes in front of their subscripted ones: the
+    path is planned for one point and replayed over the stack, so each
+    point of a stack gets the bits it gets alone.
     """
     key = (subscripts, tuple(np.shape(op) for op in operands))
-    path = _EINSUM_PATHS.get(key)
-    if path is None:
-        path = _EINSUM_PATHS[key] = np.einsum_path(subscripts, *operands, optimize=True)[0]
-    return np.einsum(subscripts, *operands, optimize=path)
+    plan = _EINSUM_PATHS.get(key)
+    if plan is None:
+        plan = _EINSUM_PATHS[key] = _plan(subscripts, operands)
+    return np.einsum(plan[0], *operands, optimize=plan[1])
+
+
+def _plan(subscripts, operands):
+    inputs, output = subscripts.split("->")
+    terms = inputs.split(",")
+    stack_dims = [np.ndim(op) - len(term) for op, term in zip(operands, terms)]
+    points = [op[(0,) * d] for op, d in zip(operands, stack_dims)]
+    path = np.einsum_path(subscripts, *points, optimize=True)[0]
+    if not any(stack_dims):
+        return subscripts, path
+    return ",".join("..." + term for term in terms) + "->..." + output, path
 
 
 def check_finite(a, what="array"):
@@ -61,33 +75,44 @@ def check_finite(a, what="array"):
     return a
 
 
+def _dagger(a):
+    """Conjugate transpose of each matrix of a stack ``(..., n, n)``."""
+    return np.conj(np.swapaxes(a, -1, -2))
+
+
 def hermitize(a):
     """Return the Hermitian part of ``a`` and the pre-symmetrization residue.
 
-    Finite-difference output is only approximately Hermitian; constructors
-    take ``(a + a^dag)/2`` and keep ``max|a - a^dag|`` for diagnostics.
+    ``a`` is one square matrix or a stack of them.  Finite-difference output
+    is only approximately Hermitian; constructors take ``(a + a^dag)/2``
+    and keep ``max|a - a^dag|`` (over the whole stack) for diagnostics.
     """
     a = check_finite(np.asarray(a, dtype=complex), "matrix")
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
-    residue = float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
-    return (a + a.conj().T) / 2.0, residue
+    residue = float(np.max(np.abs(a - _dagger(a)))) if a.size else 0.0
+    return (a + _dagger(a)) / 2.0, residue
 
 
 def hermitian_inverse(g):
     """Inverse of a Hermitian positive-definite matrix via Cholesky.
 
-    Raises NotPositiveDefinite when the Cholesky factorization fails; the
-    result is re-symmetrized so it is Hermitian to machine precision.
+    ``g`` is one matrix or a stack ``(..., n, n)``, each inverted on its
+    own.  Raises NotPositiveDefinite when an entry is not finite or a
+    Cholesky factorization fails; the result is re-symmetrized so it is
+    Hermitian to machine precision.
     """
     g = np.asarray(g, dtype=complex)
+    if not np.all(np.isfinite(g)):
+        raise NotPositiveDefinite("matrix has non-finite entries")
     try:
         low = np.linalg.cholesky(g)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite("Cholesky factorization failed") from exc
-    inv_low = scipy.linalg.solve_triangular(low, np.eye(g.shape[0]), lower=True)
-    inv = inv_low.conj().T @ inv_low
-    return (inv + inv.conj().T) / 2.0
+    eye = np.broadcast_to(np.eye(g.shape[-1]), g.shape)
+    inv_low = scipy.linalg.solve_triangular(low, eye, lower=True)
+    inv = _dagger(inv_low) @ inv_low
+    return (inv + _dagger(inv)) / 2.0
 
 
 def trace_form(g, form):

@@ -10,7 +10,7 @@ from chernlab.curvature import (
     ricci,
 )
 from chernlab.errors import ZeroVector
-from chernlab.metrics import catalog_metric
+from chernlab.metrics import ChartedHermitianMetric, catalog_metric
 from chernlab.tensors import curvature_in_frame, hermitian_inverse, trace_form
 from test_metrics import interior_points
 
@@ -47,6 +47,25 @@ class TestChernCurvature:
                 r = chern_curvature(m, z)
                 residue = np.max(np.abs(r - np.conj(np.transpose(r, (1, 0, 3, 2)))))
                 assert residue < 1e-10 * max(1.0, np.max(np.abs(r)))
+
+
+class TestEvaluationCounts:
+    @pytest.mark.parametrize("n, calls", [(1, 41), (2, 193), (3, 457), (4, 833)])
+    def test_one_metric_call_per_curvature_sample(self, n, calls):
+        # the curvature stencil evaluates the metric once per distinct sample;
+        # the benchmark's traced run holds chern_curvature to these counts
+        base = catalog_metric("complex_hyperbolic", (n,))
+        seen = []
+
+        def counted(z):
+            seen.append(np.shape(z))
+            return base.evaluator(z)
+
+        metric = ChartedHermitianMetric(n, base.domain, counted, "counted", True, (n,))
+        r = chern_curvature(metric, np.zeros(n, dtype=complex))
+        assert len(seen) == calls
+        assert set(seen) == {(n,)}
+        assert np.array_equal(r, chern_curvature(base, np.zeros(n, dtype=complex)))
 
 
 class TestRicci:

@@ -3,8 +3,10 @@ import pytest
 
 from chernlab.errors import (
     BadParams,
+    DomainMarginError,
     NearCriticalPoint,
     NotHolomorphicAtPoint,
+    NotPositiveDefinite,
     RankDeficient,
 )
 from chernlab.maps import (
@@ -24,7 +26,7 @@ from chernlab.maps import (
     pullback_metric,
     singular_frames,
 )
-from chernlab.metrics import catalog_metric, scale_metric
+from chernlab.metrics import ChartedHermitianMetric, catalog_metric, scale_metric
 from chernlab.tensors import frame_residue
 
 
@@ -63,6 +65,12 @@ class TestJacobian:
             map_power(0)
         with pytest.raises(BadParams):
             map_mobius(1.5)
+
+    def test_ragged_linear_matrix(self):
+        with pytest.raises(BadParams):
+            map_linear([[1.0, 2.0], [3.0]])
+        with pytest.raises(BadParams):
+            map_linear([[1.0 + 0j, 2.0 + 0j], [3.0 + 0j]])
 
 
 class TestEnergyDensity:
@@ -197,6 +205,29 @@ class TestLaplacians:
         with pytest.raises(RankDeficient):
             laplacian_energy(map_power(2), [0.0], eu, eu)
 
+    def test_newton_fallback_matches_closed_inverse_n2(self):
+        # power(2) has no closed inverse, so the product map solves each stencil
+        # preimage by Newton; away from z1 = 0 the principal square root inverts it
+        pd = catalog_metric("polydisk", (1.0, 1.0))
+        eu = catalog_metric("euclidean", (2,))
+        mob = map_mobius(0.2 + 0.1j)
+        f = map_product([map_power(2), mob])
+        assert f.inverse is None
+        closed = HolomorphicMapModel(
+            2,
+            2,
+            f.evaluator,
+            "product-with-inverse",
+            inverse=lambda w: np.concatenate(
+                [np.sqrt(w[..., :1]), mob.inverse(w[..., 1:])], axis=-1
+            ),
+        )
+        z = np.array([0.4 + 0.3j, 0.1 - 0.2j])
+        a = laplacian_energy(closed, z, pd, eu)
+        b = laplacian_energy(f, z, pd, eu)
+        assert abs(a) > 1.0
+        assert abs(a - b) < 1e-6
+
     def test_newton_fallback_matches_closed_inverse(self):
         p1 = catalog_metric("poincare_disk", (1.0,))
         eu = catalog_metric("euclidean", (1,))
@@ -230,3 +261,60 @@ class TestProductMap:
         assert abs(jac[0, 0] - 1.0) < 1e-10
         assert abs(jac[1, 1] - 3.0) < 1e-10
         assert abs(jac[0, 1]) < 1e-12 and abs(jac[1, 0]) < 1e-12
+
+
+def stack_maps():
+    mobius = map_mobius(0.3 - 0.2j)
+    return [
+        map_identity(2),
+        map_scaling(2.0 - 1.0j, 2),
+        map_linear(np.array([[1.0, 2.0j], [0.5 - 1.0j, 3.0]])),
+        map_linear(np.array([[1.0, 2.0j], [0.5 - 1.0j, 3.0], [0.0, -1.0]])),
+        map_power(3),
+        mobius,
+        map_product([map_power(2), mobius]),
+        map_product([mobius, map_scaling(3.0, 1)]),
+        map_compose(map_power(2), mobius),
+    ]
+
+
+def _points(n, count=40, seed=3):
+    rng = np.random.default_rng(seed)
+    return 0.6 * (rng.uniform(-1, 1, (count, n)) + 1j * rng.uniform(-1, 1, (count, n))) / np.sqrt(2)
+
+
+class TestStackEvaluation:
+    @pytest.mark.parametrize("f", stack_maps(), ids=lambda f: f"{f.label}-{f.target_dim}")
+    def test_stack_equals_points_bit_for_bit(self, f):
+        z = _points(f.source_dim)
+        w = f(z)
+        assert np.array_equal(w, np.array([f(p) for p in z]))
+        assert np.array_equal(f(z.reshape(4, 10, -1)).reshape(w.shape), w)
+        if f.inverse is not None:
+            assert np.array_equal(f.inverse(w), np.array([f.inverse(p) for p in w]))
+
+    @pytest.mark.parametrize("f", stack_maps(), ids=lambda f: f"{f.label}-{f.target_dim}")
+    def test_jacobian_and_energy_equal_their_points(self, f):
+        z = _points(f.source_dim, count=12)
+        jac = jacobian(f, z)
+        assert jac.shape == (12, f.target_dim, f.source_dim)
+        assert np.array_equal(jac, np.array([jacobian(f, p) for p in z]))
+        src = catalog_metric("polydisk", (1.0,) * f.source_dim)
+        tgt = catalog_metric("fubini_study", (f.target_dim,))
+        energy = energy_density(f, z, src, tgt)
+        assert energy.shape == (12,)
+        assert np.array_equal(energy, [energy_density(f, p, src, tgt) for p in z])
+
+    def test_errors_name_the_first_failing_point(self):
+        eu = catalog_metric("euclidean", (1,))
+        with pytest.raises(DomainMarginError, match=r"point \[0\.9999\+0\.j\] "):
+            jacobian(map_mobius(0.1), np.array([[0.1], [0.9999], [0.99999]]))
+        half_conj = HolomorphicMapModel(1, 1, lambda z: np.where(z.real > 0.5, np.conj(z), z))
+        with pytest.raises(NotHolomorphicAtPoint, match=r"at \[0\.7\+0\.j\]$"):
+            jacobian(half_conj, np.array([[0.1], [0.7], [0.9]]))
+        flipped = ChartedHermitianMetric(
+            1, eu.domain, lambda z: np.where(z.real[..., None] > 0.5, -1.0, 1.0) + 0j, "flipped"
+        )
+        with pytest.raises(NotPositiveDefinite):
+            energy_density(map_identity(1), np.array([[0.1], [0.7]]), flipped, eu)
+        assert abs(energy_density(map_identity(1), [0.1], flipped, eu) - 1.0) < 1e-10

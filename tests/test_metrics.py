@@ -4,7 +4,14 @@ import pytest
 import oracles
 from chernlab.errors import BadParams, DomainMarginError, NonFiniteSample, UnknownCatalogName
 from chernlab.fd import wirtinger_hessian
-from chernlab.metrics import ChartedHermitianMetric, Domain, catalog_metric, metric_derivatives
+from chernlab.exprparse import parse_metric_expression
+from chernlab.metrics import (
+    ChartedHermitianMetric,
+    Domain,
+    catalog_metric,
+    metric_derivatives,
+    scale_metric,
+)
 
 
 def _ball_points(rng, count, dim, radius):
@@ -180,19 +187,83 @@ class TestDerivatives:
             metric_derivatives(bad, [0.5 + 0.0j])
 
 
+# every entry function of the expression language, a negative power and a
+# conjugate-default off-diagonal entry; positive-definite on the 0.9-ball
+_EXPR_TABLE = "\n".join(
+    [
+        "g[1][1] = 2 + abs2(z1) + re(z2)^2 + (2 + abs2(z1))^-1",
+        "g[1][2] = exp(z1) * conj(z2) / 10",
+        "g[2][2] = 3 + im(z1) + log(2 + z2 * conj(z2))",
+    ]
+)
+
+
+def stack_metrics():
+    """Every catalog metric, an expression metric and a rescaled metric, each
+    with a stack of interior points."""
+    rng = np.random.default_rng(11)
+    cases = [
+        (catalog_metric("euclidean", (2,)), 1.5),
+        (catalog_metric("fubini_study", (2,)), 1.5),
+        (catalog_metric("fubini_study", (3,)), 1.5),
+        (catalog_metric("complex_hyperbolic", (3,)), 0.6),
+        (catalog_metric("poincare_disk", (1.5,)), 0.7),
+        (catalog_metric("polydisk", (1.0, 2.0)), 0.6),
+        (catalog_metric("hopf", (2,)), None),
+        (parse_metric_expression(_EXPR_TABLE, 2), 0.8),
+        (scale_metric(catalog_metric("complex_hyperbolic", (2,)), 3.0), 0.6),
+    ]
+    out = []
+    for metric, radius in cases:
+        if radius is None:
+            points = interior_points("hopf", rng, 40)
+        else:
+            points = _ball_points(rng, 40, metric.dim, radius)
+        out.append(pytest.param(metric, np.array(points), id=metric.label))
+    return out
+
+
+class TestStackEvaluation:
+    @pytest.mark.parametrize("metric, points", stack_metrics())
+    def test_stack_equals_points_bit_for_bit(self, metric, points):
+        single = np.array([metric(z) for z in points])
+        assert np.array_equal(metric(points), single)
+        # any number of leading axes
+        stacked = metric(points.reshape(4, 10, metric.dim))
+        assert np.array_equal(stacked.reshape(single.shape), single)
+
+    def test_wrong_shape_rejected(self):
+        bad = ChartedHermitianMetric(2, Domain((0.0, 0.0), 1.0), lambda z: np.eye(2), "no-stack")
+        with pytest.raises(ValueError):
+            bad(np.zeros((3, 2), dtype=complex))
+
+    def test_domain_contains_each_point(self):
+        dom = Domain(center=(0.0, 0.0), radius=1.0, inner_radius=0.2, norm="max")
+        z = np.array([[0.5, 0.0], [0.1, 0.1j], [0.95, 0.5], [1.2, 0.0]])
+        assert dom.contains(z).tolist() == [True, False, True, False]
+        assert dom.contains(z, margin=np.array([0.0, 0.0, 0.1, 0.0])).tolist() == [
+            True, False, False, False
+        ]
+        assert [dom.contains(p) for p in z] == [True, False, True, False]
+
+
 class TestWirtingerHessian:
     def test_closed_form_quadratic(self):
         # |z1|^2 + 2|z2|^2 + Re(z1 conj z2) has complex Hessian [[1, 1/2], [1/2, 2]]
-        samples = set()
+        stacks = []
 
         def u(z):
-            samples.add(tuple(z))
-            return abs(z[0]) ** 2 + 2.0 * abs(z[1]) ** 2 + (z[0] * np.conj(z[1])).real
+            stacks.append(z.copy())
+            z1, z2 = z[:, 0], z[:, 1]
+            return np.abs(z1) ** 2 + 2.0 * np.abs(z2) ** 2 + (z1 * np.conj(z2)).real
 
         hess = wirtinger_hessian(u, [0.3 - 0.2j, 0.1 + 0.4j], 1e-3)
         assert np.max(np.abs(hess - np.array([[1.0, 0.5], [0.5, 2.0]]))) < 1e-8
+        # the field is called once, on the stack of every stencil point
+        assert len(stacks) == 1
+        samples = {tuple(row) for row in stacks[0]}
         # center, 4 same-axis and 16 mixed offsets per real axis pair: 1 + 4 * 4 + 6 * 16
-        assert len(samples) == 113
+        assert len(samples) == 113 == len(stacks[0])
 
 
 class TestDomain:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from chernlab.cli import main
-from chernlab.errors import SchemaError
+from chernlab.errors import BadParams, SchemaError
 from chernlab.maps import catalog_map, map_identity, map_power
 from chernlab.metrics import catalog_metric
 from chernlab.scenario import box_grid, emit_grid, parse_grid_spec, run_scenario
@@ -230,6 +230,17 @@ class TestTasks:
         assert report.seed == 5 and report.tasks[0]["status"] == "ok"
         assert report.tasks == run_scenario({"version": 1, "seed": 5, "tasks": [task]}).tasks
 
+    @pytest.mark.parametrize("seed", [-1, "x", 1.5, True])
+    def test_seed_argument_checked_like_the_document_seed(self, seed):
+        with pytest.raises(SchemaError, match="seed argument"):
+            run_scenario({"version": 1, "tasks": [THEOREM23]}, seed=seed)
+
+    def test_ragged_linear_matrix_is_bad_params(self):
+        doc = base_scenario()
+        doc["maps"]["lin"] = {"kind": "linear", "matrix": [[[1, 0], [2, 0]], [[3, 0]]]}
+        with pytest.raises(BadParams):
+            run_scenario(doc)
+
     def test_schwarz_task_passes(self):
         report = run_scenario(base_scenario())
         result = report.tasks[0]["result"]
@@ -366,6 +377,21 @@ class TestCli:
         text = out.read_text(encoding="utf-8")
         assert json.loads(text)["seed"] == 7
         assert text == run_scenario(str(demo)).to_json()
+
+    def test_negative_seed_exit_2(self, tmp_path, capsys):
+        scen = tmp_path / "s.json"
+        scen.write_text(json.dumps({"version": 1, "tasks": [THEOREM23]}))
+        assert main(["run", "--scenario", str(scen), "--seed", "-1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("schema error:") and "seed" in err and "Traceback" not in err
+
+    def test_ragged_linear_matrix_exit_2(self, tmp_path, capsys):
+        doc = base_scenario()
+        doc["maps"]["lin"] = {"kind": "linear", "matrix": [[[1, 0], [2, 0]], [[3, 0]]]}
+        scen = tmp_path / "s.json"
+        scen.write_text(json.dumps(doc))
+        assert main(["run", "--scenario", str(scen)]) == 2
+        assert capsys.readouterr().err.startswith("error: BadParams:")
 
     def test_non_numeric_metric_param_exit_2(self, capsys):
         assert main(["curvature", "--metric", "poincare_disk:x", "--point", "0"]) == 2

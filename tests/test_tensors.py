@@ -57,6 +57,23 @@ class TestHermitianInverse:
         with pytest.raises(NotPositiveDefinite):
             hermitian_inverse(np.diag([1.0, -1.0]))
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_stack_equals_matrices_bit_for_bit(self, n):
+        rng = np.random.default_rng(n)
+        g = np.array([rand_spd(n, rng) for _ in range(12)]).reshape(3, 4, n, n)
+        single = np.array([hermitian_inverse(m) for m in g.reshape(12, n, n)])
+        assert np.array_equal(hermitian_inverse(g).reshape(12, n, n), single)
+
+    def test_stack_with_one_bad_matrix(self):
+        with pytest.raises(NotPositiveDefinite):
+            hermitian_inverse(np.array([np.eye(2), np.diag([1.0, -1.0])]))
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_entries(self, bad):
+        # Cholesky does not reject them by itself
+        with pytest.raises(NotPositiveDefinite):
+            hermitian_inverse(np.array([[1.0, 0.2], [0.2, bad]]))
+
 
 class TestGramUnitaryFrame:
     def test_identity(self):
@@ -165,6 +182,17 @@ def package_contractions():
 class TestContract:
     def test_every_einsum_site_found(self):
         assert len(package_contractions()) >= 8
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_stack_replays_the_point_path(self, n):
+        # leading stack axes: each point gets the bits of its own contraction
+        rng = np.random.default_rng(n)
+        h, jac = (
+            rng.standard_normal((5, n, n)) + 1j * rng.standard_normal((5, n, n)) for _ in range(2)
+        )
+        stacked = contract("ab,ai,bj->ij", h, jac, np.conj(jac))
+        single = [contract("ab,ai,bj->ij", h[k], jac[k], np.conj(jac[k])) for k in range(5)]
+        assert np.array_equal(stacked, single)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     @pytest.mark.parametrize("subscripts", package_contractions())

@@ -70,10 +70,6 @@ class RankDeficient(ChernLabError):
     """Map is not biholomorphic onto its image on the sampled grid."""
 
 
-class InverseSolveError(ChernLabError):
-    """Newton iteration for a map preimage failed to converge."""
-
-
 class InfeasibleHypothesis(ChernLabError):
     """No constants satisfying the theorem's sign constraints fit the data."""
 

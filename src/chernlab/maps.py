@@ -23,7 +23,6 @@ from .errors import (
     BadParams,
     DimensionMismatch,
     DomainMarginError,
-    InverseSolveError,
     NearCriticalPoint,
     NotHolomorphicAtPoint,
     NotPositiveDefinite,
@@ -32,7 +31,7 @@ from .errors import (
 )
 from .fd import D1_OFFSETS, D1_WEIGHTS, wirtinger_hessian
 from .metrics import Domain, point_norms
-from .tensors import contract, hermitian_inverse, hermitize
+from .tensors import contract, hermitian_inverse, hermitize, trace_form
 
 __all__ = [
     "HolomorphicMapModel",
@@ -60,16 +59,13 @@ class HolomorphicMapModel:
     """A holomorphic map ``f: C^n -> C^m`` between charts.
 
     ``evaluator`` maps a stack of points ``(..., n)`` to ``(..., m)`` and
-    must broadcast over the leading axes.  ``inverse`` (when known in closed
-    form) maps a stack of target points back to the source; maps without
-    one fall back to damped Newton preimage solves.
+    must broadcast over the leading axes.
     """
 
     source_dim: int
     target_dim: int
     evaluator: Callable[[np.ndarray], np.ndarray]
     label: str = "custom"
-    inverse: Callable[[np.ndarray], np.ndarray] | None = None
     domain: Domain | None = None
 
     def __call__(self, z):
@@ -77,21 +73,19 @@ class HolomorphicMapModel:
         w = np.asarray(self.evaluator(z), dtype=complex)
         expected = z.shape[:-1] + (self.target_dim,)
         if w.shape != expected:
-            raise ValueError(f"map returned shape {w.shape}, expected {expected}")
+            raise DimensionMismatch(f"map returned shape {w.shape}, expected {expected}")
         return w
 
 
 def map_identity(n):
-    return HolomorphicMapModel(n, n, lambda z: z.copy(), "identity", inverse=lambda w: w.copy())
+    return HolomorphicMapModel(n, n, lambda z: z.copy(), "identity")
 
 
 def map_scaling(c, n=1):
     c = complex(c)
     if c == 0:
         raise BadParams("scaling factor must be nonzero")
-    return HolomorphicMapModel(
-        n, n, lambda z: c * z, f"scaling({c})", inverse=lambda w: w / c
-    )
+    return HolomorphicMapModel(n, n, lambda z: c * z, f"scaling({c})")
 
 
 def _row_times(z, b):
@@ -108,19 +102,14 @@ def map_linear(a):
     if a.ndim != 2:
         raise BadParams("linear map expects a matrix")
     m, n = a.shape
-    inverse = None
-    if m == n and abs(np.linalg.det(a)) > 1e-14:
-        a_inv = np.linalg.inv(a)
-        inverse = lambda w: _row_times(w, a_inv.T)
-    return HolomorphicMapModel(n, m, lambda z: _row_times(z, a.T), "linear", inverse=inverse)
+    return HolomorphicMapModel(n, m, lambda z: _row_times(z, a.T), "linear")
 
 
 def map_power(k):
     k = int(k)
     if k < 1:
         raise BadParams("power exponent must be a positive integer")
-    inverse = (lambda w: w.copy()) if k == 1 else None
-    return HolomorphicMapModel(1, 1, lambda z: z**k, f"power({k})", inverse=inverse)
+    return HolomorphicMapModel(1, 1, lambda z: z**k, f"power({k})")
 
 
 def map_mobius(a):
@@ -133,12 +122,7 @@ def map_mobius(a):
     def ev(z):
         return (z + a) / (1.0 + ac * z)
 
-    def inv(w):
-        return (w - a) / (1.0 - ac * w)
-
-    return HolomorphicMapModel(
-        1, 1, ev, f"mobius({a})", inverse=inv, domain=Domain(center=(0.0,), radius=1.0)
-    )
+    return HolomorphicMapModel(1, 1, ev, f"mobius({a})", domain=Domain(center=(0.0,), radius=1.0))
 
 
 def map_product(factors):
@@ -154,32 +138,18 @@ def map_product(factors):
             pos += f.source_dim
         return np.concatenate(out, axis=-1)
 
-    inverse = None
-    if all(f.inverse is not None for f in factors):
-
-        def inverse(w):
-            out, pos = [], 0
-            for f in factors:
-                out.append(f.inverse(w[..., pos : pos + f.target_dim]))
-                pos += f.target_dim
-            return np.concatenate(out, axis=-1)
-
-    return HolomorphicMapModel(n, m, ev, "product", inverse=inverse)
+    return HolomorphicMapModel(n, m, ev, "product")
 
 
 def map_compose(outer, inner):
     """Composition ``outer o inner`` (target of inner feeds outer)."""
     if inner.target_dim != outer.source_dim:
         raise DimensionMismatch("composition dimensions do not match")
-    inverse = None
-    if inner.inverse is not None and outer.inverse is not None:
-        inverse = lambda w: inner.inverse(outer.inverse(w))
     return HolomorphicMapModel(
         inner.source_dim,
         outer.target_dim,
         lambda z: outer(inner(z)),
         f"{outer.label}o{inner.label}",
-        inverse=inverse,
         domain=inner.domain,
     )
 
@@ -362,44 +332,17 @@ def laplacian_log_energy(f, z, source_metric, target_metric, h=None, critical_to
         return np.log(energy_density(f, zz, source_metric, target_metric))
 
     hess = wirtinger_hessian(u, z, h)
-    g = source_metric(z)
-    return float(np.real(np.trace(hermitian_inverse(g) @ hess)))
-
-
-def _preimage(f, w, z0, tol=1e-12, max_iter=50):
-    """Damped Newton solve of ``f(z) = w`` seeded at ``z0``."""
-    z = np.array(z0, dtype=complex)
-    scale = max(1.0, float(np.linalg.norm(w)))
-    res = f(z) - w
-    for _ in range(max_iter):
-        if float(np.linalg.norm(res)) < tol * scale:
-            return z
-        jac = jacobian(f, z)
-        try:
-            step = np.linalg.solve(jac, -res)
-        except np.linalg.LinAlgError as exc:
-            raise InverseSolveError("singular Jacobian in Newton preimage solve") from exc
-        t = 1.0
-        while t > 1e-4:
-            cand = z + t * step
-            cand_res = f(cand) - w
-            if float(np.linalg.norm(cand_res)) < float(np.linalg.norm(res)):
-                z, res = cand, cand_res
-                break
-            t /= 2.0
-        else:
-            raise InverseSolveError(f"Newton damping stalled solving f(z) = {w}")
-    raise InverseSolveError(f"Newton did not converge solving f(z) = {w}")
+    return trace_form(source_metric(z), hess)
 
 
 def laplacian_energy(f, z, source_metric, target_metric, h=None, rank_tol=1e-9):
     """Target-trace Laplacian ``Delta_eta |df|^2`` at ``z``.
 
-    Stencils in target coordinates through the inverse map (closed-form
-    when the catalog map has one, damped Newton from ``z`` for each stencil
-    point otherwise), then takes one energy evaluation on the stack of
-    preimages; requires the map to be locally biholomorphic (square
-    full-rank Jacobian).
+    For a local biholomorphism ``(Delta_eta u) o f = Delta_{f* eta} (u o f)``,
+    so this is the same source-coordinate stencil as ``laplacian_log_energy``,
+    on the energy itself and traced with the pullback form ``f* eta`` in
+    place of ``g``.  Requires equal dimensions and a full-rank Jacobian at
+    ``z``.
     """
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     if f.source_dim != f.target_dim:
@@ -408,18 +351,11 @@ def laplacian_energy(f, z, source_metric, target_metric, h=None, rank_tol=1e-9):
     s = np.linalg.svd(jac0, compute_uv=False)
     if s[-1] <= rank_tol * max(1.0, s[0]):
         raise RankDeficient(f"differential is rank-deficient at {z}")
-    w0 = f(z)
     if h is None:
-        h = 5e-3 * max(1.0, float(np.linalg.norm(w0)))
+        h = 5e-3 * max(1.0, float(np.linalg.norm(z)))
 
-    if f.inverse is not None:
-        pre = f.inverse
-    else:
-        pre = lambda ws: np.array([_preimage(f, w, z) for w in ws])
+    def u(zz):
+        return energy_density(f, zz, source_metric, target_metric)
 
-    def u(ws):
-        return energy_density(f, pre(ws), source_metric, target_metric)
-
-    hess = wirtinger_hessian(u, w0, h)
-    h_mat = target_metric(w0)
-    return float(np.real(np.trace(hermitian_inverse(h_mat) @ hess)))
+    hess = wirtinger_hessian(u, z, h)
+    return trace_form(pullback_metric(f, z, target_metric, jac=jac0), hess)

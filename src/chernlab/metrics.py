@@ -93,7 +93,9 @@ class ChartedHermitianMetric:
         g = np.asarray(self.evaluator(z), dtype=complex)
         expected = z.shape[:-1] + (self.dim, self.dim)
         if g.shape != expected:
-            raise ValueError(f"metric evaluator returned shape {g.shape}, expected {expected}")
+            raise DimensionMismatch(
+                f"metric evaluator returned shape {g.shape}, expected {expected}"
+            )
         return g
 
 

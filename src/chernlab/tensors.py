@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import DimensionMismatch, NotPositiveDefinite
+from .errors import DimensionMismatch, NonFiniteSample, NotPositiveDefinite
 
 __all__ = [
     "FrameCurvatureMatrices",
@@ -71,7 +71,7 @@ def check_finite(a, what="array"):
     """Reject NaN/Inf entries on construction paths."""
     a = np.asarray(a)
     if not np.all(np.isfinite(a)):
-        raise ValueError(f"{what} contains non-finite entries")
+        raise NonFiniteSample(f"{what} contains non-finite entries")
     return a
 
 

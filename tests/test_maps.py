@@ -3,6 +3,7 @@ import pytest
 
 from chernlab.errors import (
     BadParams,
+    DimensionMismatch,
     DomainMarginError,
     NearCriticalPoint,
     NotHolomorphicAtPoint,
@@ -205,40 +206,19 @@ class TestLaplacians:
         with pytest.raises(RankDeficient):
             laplacian_energy(map_power(2), [0.0], eu, eu)
 
-    def test_newton_fallback_matches_closed_inverse_n2(self):
-        # power(2) has no closed inverse, so the product map solves each stencil
-        # preimage by Newton; away from z1 = 0 the principal square root inverts it
+    def test_target_trace_closed_form_power_mobius(self):
+        # power(2) x mobius(a), polydisk(1, 1) -> euclidean(2): in target
+        # coordinates w the energy is 4|w1| (1 - |w1|)^2 + (1 - |w2|^2)^2, whose
+        # flat Laplacian is 1/|w1| - 8 + 9|w1| - 2 + 4|w2|^2; |w1| = |z1|^2 = 1/4
         pd = catalog_metric("polydisk", (1.0, 1.0))
         eu = catalog_metric("euclidean", (2,))
-        mob = map_mobius(0.2 + 0.1j)
-        f = map_product([map_power(2), mob])
-        assert f.inverse is None
-        closed = HolomorphicMapModel(
-            2,
-            2,
-            f.evaluator,
-            "product-with-inverse",
-            inverse=lambda w: np.concatenate(
-                [np.sqrt(w[..., :1]), mob.inverse(w[..., 1:])], axis=-1
-            ),
-        )
+        a = 0.2 + 0.1j
+        f = map_product([map_power(2), map_mobius(a)])
         z = np.array([0.4 + 0.3j, 0.1 - 0.2j])
-        a = laplacian_energy(closed, z, pd, eu)
-        b = laplacian_energy(f, z, pd, eu)
-        assert abs(a) > 1.0
-        assert abs(a - b) < 1e-6
-
-    def test_newton_fallback_matches_closed_inverse(self):
-        p1 = catalog_metric("poincare_disk", (1.0,))
-        eu = catalog_metric("euclidean", (1,))
-        f = map_mobius(0.2 + 0.1j)
-        stripped = HolomorphicMapModel(
-            1, 1, f.evaluator, "mobius-no-inverse", inverse=None, domain=f.domain
-        )
-        z = np.array([0.1 + 0.2j])
-        a = laplacian_energy(f, z, p1, eu)
-        b = laplacian_energy(stripped, z, p1, eu)
-        assert abs(a - b) < 1e-6
+        w2 = (z[1] + a) / (1.0 + np.conj(a) * z[1])
+        expected = -3.75 + 4.0 * abs(w2) ** 2
+        assert abs(expected + 3.35099750623) < 1e-10
+        assert abs(laplacian_energy(f, z, pd, eu) - expected) < 1e-7
 
 
 class TestProductMap:
@@ -248,12 +228,6 @@ class TestProductMap:
         w = f(z)
         assert abs(w[0] - 0.25) < 1e-15
         assert abs(w[1] - 3.0 * z[1]) < 1e-15
-        assert f.inverse is None  # power(2) factor has no closed inverse
-
-    def test_inverse_of_invertible_factors(self):
-        f = map_product([map_mobius(0.2), map_scaling(3.0, 1)])
-        z = np.array([0.1 + 0.1j, 0.5])
-        assert np.max(np.abs(f.inverse(f(z)) - z)) < 1e-14
 
     def test_jacobian_block_diagonal(self):
         f = map_product([map_power(2), map_scaling(3.0, 1)])
@@ -290,8 +264,11 @@ class TestStackEvaluation:
         w = f(z)
         assert np.array_equal(w, np.array([f(p) for p in z]))
         assert np.array_equal(f(z.reshape(4, 10, -1)).reshape(w.shape), w)
-        if f.inverse is not None:
-            assert np.array_equal(f.inverse(w), np.array([f.inverse(p) for p in w]))
+
+    def test_wrong_shape_rejected(self):
+        bad = HolomorphicMapModel(2, 2, lambda z: np.zeros(2, dtype=complex), "no-stack")
+        with pytest.raises(DimensionMismatch, match=r"map returned shape \(2,\)"):
+            bad(np.zeros((3, 2), dtype=complex))
 
     @pytest.mark.parametrize("f", stack_maps(), ids=lambda f: f"{f.label}-{f.target_dim}")
     def test_jacobian_and_energy_equal_their_points(self, f):

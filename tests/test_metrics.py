@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 import oracles
-from chernlab.errors import BadParams, DomainMarginError, NonFiniteSample, UnknownCatalogName
+from chernlab.errors import (
+    BadParams,
+    DimensionMismatch,
+    DomainMarginError,
+    NonFiniteSample,
+    UnknownCatalogName,
+)
 from chernlab.fd import wirtinger_hessian
 from chernlab.exprparse import parse_metric_expression
 from chernlab.metrics import (
@@ -234,7 +240,7 @@ class TestStackEvaluation:
 
     def test_wrong_shape_rejected(self):
         bad = ChartedHermitianMetric(2, Domain((0.0, 0.0), 1.0), lambda z: np.eye(2), "no-stack")
-        with pytest.raises(ValueError):
+        with pytest.raises(DimensionMismatch, match=r"returned shape \(2, 2\)"):
             bad(np.zeros((3, 2), dtype=complex))
 
     def test_domain_contains_each_point(self):

@@ -241,6 +241,24 @@ class TestTasks:
         with pytest.raises(BadParams):
             run_scenario(doc)
 
+    def test_non_finite_pullback_is_a_task_error(self):
+        # the target metric 1/|z|^2 is infinite at the grid's centre 0, so the
+        # pullback there is not finite; the next task must still be reported
+        doc = base_scenario()
+        doc["metrics"]["inv"] = {
+            "expression": "1/abs2(z1)",
+            "dim": 1,
+            "domain": {"center": [0.0], "radius": 2.0, "inner_radius": 0.5},
+        }
+        doc["tasks"][0].update(target="inv", constants={"c1": 2.0, "c2": 0.0, "kappa": 0.5})
+        doc["tasks"].append(THEOREM23)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            report = run_scenario(doc)
+        assert report.tasks[0]["status"] == "error"
+        assert report.tasks[0]["error"].startswith("NonFiniteSample: ")
+        assert report.tasks[1]["status"] == "ok"
+        assert not report.passed
+
     def test_schwarz_task_passes(self):
         report = run_scenario(base_scenario())
         result = report.tasks[0]["result"]

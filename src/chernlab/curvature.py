@@ -14,15 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, ZeroVector
+from .errors import BadParams, DimensionMismatch, ResidueTooLarge, ZeroVector
 from .metrics import ChartedHermitianMetric, metric_derivatives
-from .tensors import (
-    contract,
-    hermitian_inverse,
-    hermitize,
-    symmetrize_curvature,
-    trace_form,
-)
+from .tensors import hermitian_inverse, hermitize, pair_matrix, symmetrize_curvature, trace_form
 
 __all__ = [
     "CurvatureReport",
@@ -35,10 +29,15 @@ __all__ = [
 
 
 def assemble_chern_tensor(g, dg, dbar_g, ddbar_g):
-    """Curvature tensor from a metric value and its Wirtinger derivatives."""
+    """Curvature tensor from a metric value and its Wirtinger derivatives,
+    at one point or at each point of a stack."""
+    n = g.shape[-1]
     ginv = hermitian_inverse(g)
-    # g^{p qbar} = ginv[q, p]
-    second = contract("qp,ikq,jpl->ijkl", ginv, dg, dbar_g)
+    # g^{p qbar} = ginv[q, p]: sum_pq dg[i, k, q] ginv[q, p] dbar_g[j, p, l]
+    # as the matrix [(i, k), (j, l)] of dg[(i, k), q] @ ginv @ dbar_g[p, (j, l)]
+    left = dg.reshape(dg.shape[:-3] + (n * n, n)) @ ginv
+    right = np.moveaxis(dbar_g, -2, -3).reshape(dbar_g.shape[:-3] + (n, n * n))
+    second = np.swapaxes((left @ right).reshape(left.shape[:-2] + (n,) * 4), -3, -2)
     return -ddbar_g + second
 
 
@@ -55,7 +54,7 @@ def chern_curvature(metric: ChartedHermitianMetric, z, h=None, return_derivs=Fal
     tensor, residue = symmetrize_curvature(raw)
     scale = max(1.0, float(np.max(np.abs(tensor))))
     if residue > 100.0 * md.error_estimate * scale:
-        raise ValueError(
+        raise ResidueTooLarge(
             f"conjugation-symmetry residue {residue:.3e} exceeds "
             f"100x FD error estimate {md.error_estimate:.3e} (scale {scale:.1e})"
         )
@@ -69,24 +68,27 @@ def ricci(r, g, kind):
 
     kind 1 traces the last index pair (``g^{k lbar} R_{i jbar k lbar}``),
     kind 2 the first (``g^{i jbar} R_{i jbar k lbar}``), and kind 3 the
-    outer pair (``g^{i lbar} R_{i jbar k lbar}``).  The result is
+    outer pair (``g^{i lbar} R_{i jbar k lbar}``).  ``r`` and ``g`` may be
+    stacks ``(..., n, n, n, n)`` and ``(..., n, n)``.  The result is
     Hermitian-symmetrized with the residue recorded.
     """
+    if kind not in (1, 2, 3):
+        raise BadParams("kind must be 1, 2 or 3")
     r = np.asarray(r, dtype=complex)
     g = np.asarray(g, dtype=complex)
-    n = g.shape[0]
-    if r.shape != (n, n, n, n):
+    n = g.shape[-1]
+    if r.shape != g.shape[:-2] + (n,) * 4:
         raise DimensionMismatch(f"tensor shape {r.shape} vs metric dim {n}")
-    ginv = hermitian_inverse(g)
+    # trace[(a, b)] = g^{a bbar} = ginv[b, a], as a row vector
+    trace = np.swapaxes(hermitian_inverse(g), -1, -2).reshape(g.shape[:-2] + (1, n * n))
     if kind == 1:
-        raw = contract("lk,ijkl->ij", ginv, r)
+        raw = pair_matrix(r) @ np.swapaxes(trace, -1, -2)
     elif kind == 2:
-        raw = contract("ji,ijkl->kl", ginv, r)
-    elif kind == 3:
-        raw = contract("li,ijkl->kj", ginv, r)
+        raw = trace @ pair_matrix(r)
     else:
-        raise ValueError("kind must be 1, 2 or 3")
-    herm, residue = hermitize(raw)
+        # R[i, j, k, l] as [(i, l), (k, j)]; the result is indexed [k, j]
+        raw = trace @ pair_matrix(np.swapaxes(r, -3, -1))
+    herm, residue = hermitize(raw.reshape(g.shape))
     return herm, residue
 
 
@@ -105,10 +107,11 @@ def hsc(r, g, v):
     norm_sq = float(np.real(v @ g @ np.conj(v)))
     if norm_sq <= 0.0 or np.max(np.abs(v)) == 0.0:
         raise ZeroVector("hsc requires a nonzero direction")
-    vc = np.conj(v)
-    quartic = complex(contract("ijkl,i,j,k,l->", r, v, vc, v, vc))
+    # pair vector u[(i, j)] = v_i conj(v_j); the numerator is u^T R u
+    u = (v[..., :, None] * np.conj(v)[..., None, :]).reshape(v.shape[:-1] + (1, v.shape[-1] ** 2))
+    quartic = complex((u @ pair_matrix(r) @ np.swapaxes(u, -1, -2))[..., 0, 0])
     if abs(quartic.imag) > 1e-9 * max(1.0, abs(quartic.real)):
-        raise ValueError(f"HSC numerator imaginary residue {quartic.imag:.3e}")
+        raise ResidueTooLarge(f"HSC numerator imaginary residue {quartic.imag:.3e}")
     return quartic.real / norm_sq**2
 
 

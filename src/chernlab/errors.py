@@ -103,5 +103,9 @@ class SchemaError(ChernLabError):
         self.location = location
 
 
+class ResidueTooLarge(ChernLabError):
+    """A residue that is zero in exact arithmetic exceeded its tolerance."""
+
+
 class SearchBudgetExhausted(Warning):
     """Frame/multistart search hit its budget; best found is returned."""

@@ -280,19 +280,22 @@ def parse_metric_expression(source, n, domain=None, label="custom"):
             else:
                 table[i][j] = ("plain", ("num", 0j))
 
+    # a singular point gives inf or nan, which the callers report
+    quiet = np.errstate(divide="ignore", invalid="ignore", over="ignore")
+
+    @quiet
     def written(z):
         """The table at each point of ``z`` as written, before symmetrizing."""
         points = z.reshape(-1, n)
         g = np.empty((points.shape[0], n, n), dtype=complex)
-        # a singular point gives inf or nan, which the callers report
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            for i in range(n):
-                for j in range(n):
-                    mode, node = table[i][j]
-                    val = _eval(node, points)
-                    g[:, i, j] = np.conj(val) if mode == "conj" else val
+        for i in range(n):
+            for j in range(n):
+                mode, node = table[i][j]
+                val = _eval(node, points)
+                g[:, i, j] = np.conj(val) if mode == "conj" else val
         return g.reshape(z.shape[:-1] + (n, n))
 
+    @quiet
     def evaluator(z):
         g = written(z)
         return (g + g.swapaxes(-1, -2).conj()) / 2.0

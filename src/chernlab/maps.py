@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     BadParams,
@@ -25,13 +24,13 @@ from .errors import (
     DomainMarginError,
     NearCriticalPoint,
     NotHolomorphicAtPoint,
-    NotPositiveDefinite,
     RankDeficient,
+    ResidueTooLarge,
     UnknownCatalogName,
 )
 from .fd import D1_OFFSETS, D1_WEIGHTS, wirtinger_hessian
 from .metrics import Domain, point_norms
-from .tensors import contract, hermitian_inverse, hermitize, trace_form
+from .tensors import cholesky_factor, hermitian_inverse, hermitize, trace_form
 
 __all__ = [
     "HolomorphicMapModel",
@@ -224,12 +223,19 @@ def jacobian(f: HolomorphicMapModel, z, h=None, cr_tol=1e-5):
 
 def pullback_metric(f, z, target_metric, jac=None):
     """Pullback form ``(f* eta)_{i jbar} = h_{a bbar} f_i^a conj(f_j^b)`` at
-    one point or at each point of a stack."""
+    one point or at each point of a stack: ``J^T h conj(J)`` per point.
+
+    Raises DomainMarginError if ``f(z)`` leaves the target metric's domain
+    at any point of the stack.
+    """
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     if jac is None:
         jac = jacobian(f, z)
-    h_mat = target_metric(f(z))
-    pull = contract("ab,ai,bj->ij", h_mat, jac, np.conj(jac))
+    w = f(z)
+    outside = ~target_metric.domain.contains(w)
+    if np.any(outside):
+        raise DomainMarginError(f"image point {w[_first(outside)]} is outside the target's domain")
+    pull = np.swapaxes(jac, -1, -2) @ target_metric(w) @ np.conj(jac)
     herm, _ = hermitize(pull)
     return herm
 
@@ -275,13 +281,6 @@ def map_in_frames(jac, source_frame, target_frame):
     return np.linalg.solve(np.conj(target_frame), jac @ np.conj(source_frame))
 
 
-def _chol(g, what):
-    try:
-        return np.linalg.cholesky(np.asarray(g, dtype=complex))
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite(f"{what} metric is not positive-definite") from exc
-
-
 def singular_frames(f, z, source_metric, target_metric, rank_tol=1e-9):
     """Generalized SVD of the differential with respect to the two metrics.
 
@@ -292,22 +291,18 @@ def singular_frames(f, z, source_metric, target_metric, rank_tol=1e-9):
     jac = jacobian(f, z)
     g = source_metric(z)
     h_mat = target_metric(f(z))
-    low_g = _chol(g, "source")
-    low_h = _chol(h_mat, "target")
-    n, m = f.source_dim, f.target_dim
-    inv_gt = scipy.linalg.solve_triangular(low_g.T, np.eye(n), lower=False)
-    white = low_h.T @ jac @ inv_gt
+    low_g = cholesky_factor(g, "source metric")
+    low_h = cholesky_factor(h_mat, "target metric")
+    inv_low_g = np.linalg.inv(low_g)
+    white = low_h.T @ jac @ inv_low_g.T
     u, s, vh = np.linalg.svd(white)
-    v = vh.conj().T
 
-    inv_g_dag = scipy.linalg.solve_triangular(low_g.conj().T, np.eye(n), lower=False)
-    inv_h_dag = scipy.linalg.solve_triangular(low_h.conj().T, np.eye(m), lower=False)
-    src_frame = inv_g_dag @ np.conj(v)
-    tgt_frame = inv_h_dag @ np.conj(u)
+    src_frame = inv_low_g.conj().T @ vh.T
+    tgt_frame = np.linalg.inv(low_h).conj().T @ np.conj(u)
 
     energy = energy_density(f, z, source_metric, target_metric, jac=jac)
     if abs(float(np.sum(s**2)) - energy) > 1e-8 * max(1.0, energy):
-        raise ValueError(
+        raise ResidueTooLarge(
             f"singular values inconsistent with energy: {np.sum(s ** 2):.12g} vs {energy:.12g}"
         )
     rank = int(np.sum(s > rank_tol * max(1.0, s[0] if s.size else 0.0)))

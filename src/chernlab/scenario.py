@@ -230,15 +230,19 @@ def _lookup(table, what, name, loc):
     return table[name]
 
 
-def _load_metric(spec):
+def _load_metric(name, spec):
     if "catalog" in spec:
         metric = catalog_metric(spec["catalog"], tuple(spec.get("params", [])))
     else:
         domain = None
         if "domain" in spec:
             dom = spec["domain"]
+            center = _as_point(dom["center"])
+            if center.shape != (spec["dim"],):
+                raise SchemaError(f"domain center has {center.size} coordinates, expected "
+                                  f"dim = {spec['dim']}", f"$.metrics.{name}.domain.center")
             domain = Domain(
-                center=tuple(_as_point(dom["center"])),
+                center=tuple(center),
                 radius=dom["radius"],
                 inner_radius=dom.get("inner_radius", 0.0),
                 norm=dom.get("norm", "l2"),
@@ -521,7 +525,7 @@ def run_scenario(source, seed=None, parallel=False):
         seed = top.get("seed", 0)
     else:
         seed = _conform(seed, schema["properties"]["seed"], "seed argument")
-    metrics = {name: _load_metric(spec) for name, spec in top.get("metrics", {}).items()}
+    metrics = {name: _load_metric(name, spec) for name, spec in top.get("metrics", {}).items()}
     maps = {}
     for name, spec in top.get("maps", {}).items():
         maps[name] = _load_map(spec, f"$.maps.{name}", maps)

@@ -11,6 +11,11 @@ Conventions, fixed once for the whole package:
   ``conj(R[i, j, k, l]) = R[j, i, l, k]``;
 * frame matrices hold frame vectors as columns and satisfy
   ``e^dag g e = I``.
+
+Kernels are plain numpy, with no einsum or scipy: matmuls on rank-4 arrays
+read as ``n^2 x n^2`` matrices ``R[(i, j), (k, l)]``, and inverses of lower
+Cholesky factors.  Each takes stacks ``(..., n, n)`` and gives every matrix
+of a stack the bits it gets alone.
 """
 
 from __future__ import annotations
@@ -18,9 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from .errors import DimensionMismatch, NonFiniteSample, NotPositiveDefinite
+from .errors import DimensionMismatch, NonFiniteSample, NotPositiveDefinite, ResidueTooLarge
 
 __all__ = [
     "FrameCurvatureMatrices",
@@ -36,35 +40,10 @@ __all__ = [
 ]
 
 
-_EINSUM_PATHS = {}  # (subscripts, operand shapes) -> (einsum subscripts, contraction path)
-
-
-def contract(subscripts, *operands):
-    """``np.einsum(subscripts, *operands, optimize=True)`` with the path planned once.
-
-    The contraction path depends only on the subscripts and the operand
-    shapes, so it is planned on the first call with those and reused after;
-    the result is bit-for-bit the one ``optimize=True`` gives.  Operands
-    may carry leading stack axes in front of their subscripted ones: the
-    path is planned for one point and replayed over the stack, so each
-    point of a stack gets the bits it gets alone.
-    """
-    key = (subscripts, tuple(np.shape(op) for op in operands))
-    plan = _EINSUM_PATHS.get(key)
-    if plan is None:
-        plan = _EINSUM_PATHS[key] = _plan(subscripts, operands)
-    return np.einsum(plan[0], *operands, optimize=plan[1])
-
-
-def _plan(subscripts, operands):
-    inputs, output = subscripts.split("->")
-    terms = inputs.split(",")
-    stack_dims = [np.ndim(op) - len(term) for op, term in zip(operands, terms)]
-    points = [op[(0,) * d] for op, d in zip(operands, stack_dims)]
-    path = np.einsum_path(subscripts, *points, optimize=True)[0]
-    if not any(stack_dims):
-        return subscripts, path
-    return ",".join("..." + term for term in terms) + "->..." + output, path
+def pair_matrix(r):
+    """A rank-4 array, or a stack of them, as the matrix ``R[(i, j), (k, l)]``."""
+    n = r.shape[-1]
+    return r.reshape(r.shape[:-4] + (n * n, n * n))
 
 
 def check_finite(a, what="array"):
@@ -94,23 +73,30 @@ def hermitize(a):
     return (a + _dagger(a)) / 2.0, residue
 
 
+def cholesky_factor(g, what="matrix"):
+    """Lower Cholesky factor of each matrix of ``g``, one or a stack ``(..., n, n)``.
+
+    Raises NotPositiveDefinite when an entry is not finite (Cholesky does
+    not reject those by itself) or a factorization fails.
+    """
+    g = np.asarray(g, dtype=complex)
+    if not np.all(np.isfinite(g)):
+        raise NotPositiveDefinite(f"{what} has non-finite entries")
+    try:
+        return np.linalg.cholesky(g)
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefinite(f"{what} is not positive-definite") from exc
+
+
 def hermitian_inverse(g):
     """Inverse of a Hermitian positive-definite matrix via Cholesky.
 
     ``g`` is one matrix or a stack ``(..., n, n)``, each inverted on its
-    own.  Raises NotPositiveDefinite when an entry is not finite or a
-    Cholesky factorization fails; the result is re-symmetrized so it is
+    own as ``inv(L)^dag inv(L)``.  Raises NotPositiveDefinite as
+    ``cholesky_factor`` does; the result is re-symmetrized so it is
     Hermitian to machine precision.
     """
-    g = np.asarray(g, dtype=complex)
-    if not np.all(np.isfinite(g)):
-        raise NotPositiveDefinite("matrix has non-finite entries")
-    try:
-        low = np.linalg.cholesky(g)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite("Cholesky factorization failed") from exc
-    eye = np.broadcast_to(np.eye(g.shape[-1]), g.shape)
-    inv_low = scipy.linalg.solve_triangular(low, eye, lower=True)
+    inv_low = np.linalg.inv(cholesky_factor(g))
     inv = _dagger(inv_low) @ inv_low
     return (inv + _dagger(inv)) / 2.0
 
@@ -123,16 +109,10 @@ def trace_form(g, form):
 def gram_unitary_frame(g):
     """One unitary frame for ``g``: columns ``e`` with ``e^dag g e = I``.
 
-    Uses the inverse conjugate-transpose of the lower-triangular Cholesky
+    The inverse conjugate-transpose of the lower-triangular Cholesky
     factor, so ``gram_unitary_frame(diag(d)) = diag(1/sqrt(d))``.
     """
-    g = np.asarray(g, dtype=complex)
-    try:
-        low = np.linalg.cholesky(g)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite("Cholesky factorization failed") from exc
-    n = g.shape[0]
-    return scipy.linalg.solve_triangular(low.conj().T, np.eye(n), lower=False)
+    return _dagger(np.linalg.inv(cholesky_factor(g)))
 
 
 def frame_residue(e, g):
@@ -173,7 +153,7 @@ class FrameCurvatureMatrices:
 
     @property
     def dim(self):
-        return self.r_mat.shape[0]
+        return self.r_mat.shape[-1]
 
     def q_mat(self):
         """Quadratic-form matrix ``R_mat + P_mat`` controlling the HSC sign."""
@@ -185,11 +165,13 @@ def curvature_in_frame(r, e, imag_tol=1e-6):
 
     Parameters
     ----------
-    r : (n,n,n,n) complex array, indexed R_{i jbar k lbar}.
-    e : (n,n) complex frame matrix, columns are frame vectors, normalized
-        by ``e^dag g e = I``.
+    r : (..., n,n,n,n) complex array, indexed R_{i jbar k lbar}.
+    e : (..., n,n) complex frame matrix, columns are frame vectors,
+        normalized by ``e^dag g e = I``.  Stacks of ``r`` and ``e``
+        broadcast against each other.
     imag_tol : loud-failure threshold on the imaginary residue of the
-        diagonal-pair components (they are real in exact arithmetic).
+        diagonal-pair components (they are real in exact arithmetic),
+        taken over the whole stack.
 
     Notes
     -----
@@ -202,25 +184,28 @@ def curvature_in_frame(r, e, imag_tol=1e-6):
     """
     r = np.asarray(r, dtype=complex)
     e = np.asarray(e, dtype=complex)
-    n = e.shape[0]
-    if r.shape != (n, n, n, n):
+    n = e.shape[-1]
+    if r.shape[-4:] != (n,) * 4:
         raise DimensionMismatch(
             f"tensor shape {r.shape} does not match frame dimension {n}"
         )
-    ec = np.conj(e)
-    r_full = contract("ijkl,ia,ja,kg,lg->ag", r, ec, e, ec, e)
-    p_full = contract("ijkl,ia,jg,kg,la->ag", r, ec, e, ec, e)
+    # pair matrix m[(i, j), a] = conj(e[i, a]) e[j, a]; R as R[(i, j), (k, l)]
+    # gives r_full, and R transposed to R[(i, l), (j, k)] gives p_full
+    m = (np.conj(e)[..., :, None, :] * e[..., None, :, :]).reshape(e.shape[:-2] + (n * n, n))
+    m_t = np.swapaxes(m, -1, -2)
+    r_full = m_t @ pair_matrix(r) @ m
+    p_full = m_t @ pair_matrix(np.moveaxis(r, -1, -3)) @ np.conj(m)
     # conjugation symmetry forces R_mat entrywise real but only forces P_mat
     # Hermitian; real v only sees Re(P), so the Hermitian defect is the residue
     residue = float(
         max(
             np.max(np.abs(r_full.imag)),
-            np.max(np.abs(p_full - p_full.conj().T)) / 2.0,
-            np.max(np.abs(np.diag(p_full).imag)),
+            np.max(np.abs(p_full - _dagger(p_full))) / 2.0,
+            np.max(np.abs(np.diagonal(p_full, axis1=-2, axis2=-1).imag)),
         )
     )
     if residue > imag_tol:
-        raise ValueError(
+        raise ResidueTooLarge(
             f"frame components have imaginary residue {residue:.3e} > {imag_tol:.1e}"
         )
     return FrameCurvatureMatrices(

@@ -15,13 +15,8 @@ BARE = {"ValueError", "TypeError"}
 ALLOWED = {
     ("cones", "FrameSearchConfig.__post_init__"),
     ("cones", "sbc_along_map"),
-    ("curvature", "chern_curvature"),
-    ("curvature", "ricci"),
-    ("curvature", "hsc"),
-    ("maps", "singular_frames"),
     ("metrics", "Domain._dist"),
     ("scenario", "box_grid"),
-    ("tensors", "curvature_in_frame"),
 }
 
 

@@ -3,7 +3,7 @@ import pytest
 
 from chernlab.errors import EvaluationDomainError, NonHermitianExpression, ParseError
 from chernlab.exprparse import parse_expression, parse_metric_expression
-from chernlab.metrics import catalog_metric
+from chernlab.metrics import Domain, catalog_metric
 
 
 class TestScalarGrammar:
@@ -91,6 +91,13 @@ class TestMetricTables:
     def test_singularity_inside_domain(self):
         with pytest.raises(EvaluationDomainError):
             parse_metric_expression("1/(0.1-abs2(z1))", 1)
+
+    def test_value_at_a_singularity_outside_the_domain_is_quiet(self):
+        # 1/|z|^2 on the annulus 0.5 <= |z| <= 2 evaluated at 0: the value is
+        # not finite and numpy raises no warning (the suite makes them errors)
+        domain = Domain(center=(0.0,), radius=2.0, inner_radius=0.5)
+        metric = parse_metric_expression("1/abs2(z1)", 1, domain=domain)
+        assert not np.all(np.isfinite(metric(np.zeros(1, dtype=complex))))
 
     def test_not_positive_definite_probe(self):
         with pytest.raises(EvaluationDomainError):

@@ -147,6 +147,14 @@ class TestSchema:
                 lambda d: d["metrics"].update(e={"expression": 5, "dim": 1}), "$.metrics.e.expression", True,
                 id="expression",
             ),
+            pytest.param(
+                lambda d: d["metrics"].update(
+                    e={"expression": "1", "dim": 1, "domain": {"center": [0.0, 0.0], "radius": 2.0}}
+                ),
+                "$.metrics.e.domain.center",
+                True,
+                id="domain-center-length",
+            ),
             pytest.param(lambda d: d.update(seed="x"), "$.seed", True, id="seed"),
             pytest.param(lambda d: d.update(version=True), "$.version", True, id="version"),
         ],
@@ -242,22 +250,39 @@ class TestTasks:
             run_scenario(doc)
 
     def test_non_finite_pullback_is_a_task_error(self):
-        # the target metric 1/|z|^2 is infinite at the grid's centre 0, so the
-        # pullback there is not finite; the next task must still be reported
+        # the target metric 1/|z - 0.3|^2 is infinite at the grid point 0.3,
+        # inside its declared disk but between the parser's probe points, so
+        # the pullback there is not finite; the next task must still be
+        # reported, and no numpy warning may escape
+        doc = base_scenario()
+        doc["metrics"]["inv"] = {
+            "expression": "1/abs2(z1 - 0.3)",
+            "dim": 1,
+            "domain": {"center": [0.0], "radius": 2.0},
+        }
+        doc["tasks"][0].update(target="inv", constants={"c1": 2.0, "c2": 0.0, "kappa": 0.5})
+        doc["tasks"].append(THEOREM23)
+        report = run_scenario(doc)
+        assert report.tasks[0]["status"] == "error"
+        assert report.tasks[0]["error"].startswith("NonFiniteSample: ")
+        assert report.tasks[1]["status"] == "ok"
+        assert not report.passed
+
+    @pytest.mark.parametrize("per_axis", [2, 3])
+    def test_image_outside_target_domain_is_a_task_error(self, per_axis):
+        # every grid point lies in the hole |z| < 0.5 of the target's annulus,
+        # and per_axis 3 also samples the singular point 0 of 1/|z|^2
         doc = base_scenario()
         doc["metrics"]["inv"] = {
             "expression": "1/abs2(z1)",
             "dim": 1,
             "domain": {"center": [0.0], "radius": 2.0, "inner_radius": 0.5},
         }
-        doc["tasks"][0].update(target="inv", constants={"c1": 2.0, "c2": 0.0, "kappa": 0.5})
-        doc["tasks"].append(THEOREM23)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            report = run_scenario(doc)
+        doc["tasks"][0].update(target="inv", constants={"c1": 1.0, "c2": 0.0, "kappa": 1.0})
+        doc["tasks"][0]["grid"]["per_axis"] = per_axis
+        report = run_scenario(doc)
         assert report.tasks[0]["status"] == "error"
-        assert report.tasks[0]["error"].startswith("NonFiniteSample: ")
-        assert report.tasks[1]["status"] == "ok"
-        assert not report.passed
+        assert report.tasks[0]["error"].startswith("DomainMarginError: ")
 
     def test_schwarz_task_passes(self):
         report = run_scenario(base_scenario())
@@ -410,6 +435,16 @@ class TestCli:
         scen.write_text(json.dumps(doc))
         assert main(["run", "--scenario", str(scen)]) == 2
         assert capsys.readouterr().err.startswith("error: BadParams:")
+
+    def test_domain_center_length_exit_2(self, tmp_path, capsys):
+        doc = base_scenario()
+        doc["metrics"]["e"] = {"expression": "1", "dim": 1, "domain": {"center": [0.0, 0.0], "radius": 2.0}}
+        scen = tmp_path / "s.json"
+        scen.write_text(json.dumps(doc))
+        assert main(["run", "--scenario", str(scen)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("schema error:") and "$.metrics.e.domain.center" in err
+        assert "Traceback" not in err
 
     def test_non_numeric_metric_param_exit_2(self, capsys):
         assert main(["curvature", "--metric", "poincare_disk:x", "--point", "0"]) == 2

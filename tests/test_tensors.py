@@ -1,13 +1,11 @@
-import re
-from pathlib import Path
-
 import numpy as np
 import pytest
 
-import chernlab
+from chernlab.curvature import assemble_chern_tensor, hsc, ricci
 from chernlab.errors import DimensionMismatch, NotPositiveDefinite
+from chernlab.maps import map_linear, pullback_metric
+from chernlab.metrics import catalog_metric
 from chernlab.tensors import (
-    contract,
     curvature_in_frame,
     frame_residue,
     gram_unitary_frame,
@@ -171,36 +169,91 @@ class TestSymmetrize:
         assert np.allclose(h, [[1.0, 1.0], [1.0, 1.0]])
 
 
-def package_contractions():
-    """Every subscripts string passed to ``contract`` in the package source."""
-    found = set()
-    for path in Path(chernlab.__file__).parent.glob("*.py"):
-        found.update(re.findall(r'contract\(\s*"([^"]+)"', path.read_text(encoding="utf-8")))
-    return sorted(found)
+def rand_complex(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
-class TestContract:
-    def test_every_einsum_site_found(self):
-        assert len(package_contractions()) >= 8
+def _chern_assembly(rng, n):
+    g, dg, dbar_g = rand_spd(n, rng), rand_complex(rng, n, n, n), rand_complex(rng, n, n, n)
+    got = assemble_chern_tensor(g, dg, dbar_g, np.zeros((n,) * 4))
+    return got, (hermitian_inverse(g), dg, dbar_g), lambda x: x
+
+
+def _ricci(kind):
+    def case(rng, n):
+        g, r = rand_spd(n, rng), rand_complex(rng, n, n, n, n)
+        return ricci(r, g, kind)[0], (hermitian_inverse(g), r), lambda x: hermitize(x)[0]
+
+    return case
+
+
+def _frame(field):
+    def case(rng, n):
+        r, _ = symmetrize_curvature(rand_complex(rng, n, n, n, n))
+        e = gram_unitary_frame(rand_spd(n, rng)) @ rand_unitary(n, rng)
+        ec = np.conj(e)
+        return getattr(curvature_in_frame(r, e), field), (r, ec, e, ec, e), np.real
+
+    return case
+
+
+def _hsc_quartic(rng, n):
+    g, v = rand_spd(n, rng), rand_complex(rng, n)
+    r, _ = symmetrize_curvature(rand_complex(rng, n, n, n, n))
+    vc = np.conj(v)
+    norm_sq = np.real(v @ g @ vc)
+    return np.array(hsc(r, g, v)), (r, v, vc, v, vc), lambda x: x.real / norm_sq**2
+
+
+def _pullback(rng, n):
+    target = catalog_metric("fubini_study", (n,))
+    z, jac = 0.3 * rand_complex(rng, n), rand_complex(rng, n, n)
+    got = pullback_metric(map_linear(np.eye(n)), z, target, jac=jac)
+    return got, (target(z), jac, np.conj(jac)), lambda x: hermitize(x)[0]
+
+
+# each matmul kernel under the einsum subscripts it replaced: a random case
+# gives (kernel result, einsum operands, map from the einsum to that result)
+KERNELS = {
+    "qp,ikq,jpl->ijkl": _chern_assembly,
+    "lk,ijkl->ij": _ricci(1),
+    "ji,ijkl->kl": _ricci(2),
+    "li,ijkl->kj": _ricci(3),
+    "ijkl,ia,ja,kg,lg->ag": _frame("r_mat"),
+    "ijkl,ia,jg,kg,la->ag": _frame("p_mat"),
+    "ijkl,i,j,k,l->": _hsc_quartic,
+    "ab,ai,bj->ij": _pullback,
+}
+
+
+class TestKernels:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("subscripts", sorted(KERNELS))
+    def test_matches_einsum(self, subscripts, n):
+        got, operands, finish = KERNELS[subscripts](np.random.default_rng(n), n)
+        expected = finish(np.einsum(subscripts, *operands, optimize=False))
+        scale = max(1.0, float(np.max(np.abs(expected))))
+        assert float(np.max(np.abs(got - expected))) <= 1e-13 * scale
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_stack_replays_the_point_path(self, n):
-        # leading stack axes: each point gets the bits of its own contraction
+    def test_stacked_frames_give_the_point_bits(self, n):
         rng = np.random.default_rng(n)
-        h, jac = (
-            rng.standard_normal((5, n, n)) + 1j * rng.standard_normal((5, n, n)) for _ in range(2)
-        )
-        stacked = contract("ab,ai,bj->ij", h, jac, np.conj(jac))
-        single = [contract("ab,ai,bj->ij", h[k], jac[k], np.conj(jac[k])) for k in range(5)]
+        r, _ = symmetrize_curvature(rand_complex(rng, n, n, n, n))
+        frames = np.array([rand_unitary(n, rng) for _ in range(6)]).reshape(2, 3, n, n)
+        stacked = curvature_in_frame(r, frames)
+        for idx in np.ndindex(2, 3):
+            single = curvature_in_frame(r, frames[idx])
+            assert np.array_equal(stacked.r_mat[idx], single.r_mat)
+            assert np.array_equal(stacked.p_mat[idx], single.p_mat)
+        tensors = np.broadcast_to(r, (2, 3) + r.shape)
+        assert np.array_equal(curvature_in_frame(tensors, frames).r_mat, stacked.r_mat)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_stacked_pullback_gives_the_point_bits(self, n):
+        rng = np.random.default_rng(n)
+        target = catalog_metric("fubini_study", (n,))
+        f = map_linear(rand_complex(rng, n, n))
+        z, jac = 0.3 * rand_complex(rng, 5, n), rand_complex(rng, 5, n, n)
+        stacked = pullback_metric(f, z, target, jac=jac)
+        single = [pullback_metric(f, z[k], target, jac=jac[k]) for k in range(5)]
         assert np.array_equal(stacked, single)
-
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    @pytest.mark.parametrize("subscripts", package_contractions())
-    def test_same_bits_as_einsum_optimize(self, subscripts, n):
-        rng = np.random.default_rng(n)
-        shapes = [(n,) * len(term) for term in subscripts.split("->")[0].split(",")]
-        operands = [rng.standard_normal(s) + 1j * rng.standard_normal(s) for s in shapes]
-        expected = np.einsum(subscripts, *operands, optimize=True)
-        # the first call plans the path, the second reuses it
-        for _ in range(2):
-            assert np.array_equal(contract(subscripts, *operands), expected)

@@ -226,14 +226,17 @@ KERNELS = {
 }
 
 
-class TestKernels:
+class TestContract:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     @pytest.mark.parametrize("subscripts", sorted(KERNELS))
-    def test_matches_einsum(self, subscripts, n):
+    def test_same_bits_as_einsum_optimize(self, subscripts, n):
+        # a matmul sums in its own order, so the kernel agrees with einsum,
+        # planned or not, to rounding rather than to the bit
         got, operands, finish = KERNELS[subscripts](np.random.default_rng(n), n)
-        expected = finish(np.einsum(subscripts, *operands, optimize=False))
-        scale = max(1.0, float(np.max(np.abs(expected))))
-        assert float(np.max(np.abs(got - expected))) <= 1e-13 * scale
+        for optimize in (False, True):
+            expected = finish(np.einsum(subscripts, *operands, optimize=optimize))
+            scale = max(1.0, float(np.max(np.abs(expected))))
+            assert float(np.max(np.abs(got - expected))) <= 1e-13 * scale
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_stacked_frames_give_the_point_bits(self, n):
@@ -249,7 +252,7 @@ class TestKernels:
         assert np.array_equal(curvature_in_frame(tensors, frames).r_mat, stacked.r_mat)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_stacked_pullback_gives_the_point_bits(self, n):
+    def test_stack_replays_the_point_path(self, n):
         rng = np.random.default_rng(n)
         target = catalog_metric("fubini_study", (n,))
         f = map_linear(rand_complex(rng, n, n))

@@ -18,7 +18,7 @@ import numpy as np
 import scipy.linalg
 import scipy.optimize
 
-from .errors import DimensionMismatch, SearchBudgetExhausted, ZeroSingularValue
+from .errors import BadParams, DimensionMismatch, SearchBudgetExhausted, ZeroSingularValue
 from .tensors import curvature_in_frame, gram_unitary_frame
 
 __all__ = [
@@ -294,7 +294,7 @@ def sbc_along_map(rm, lambdas):
     if np.any(lam <= 0.0):
         raise ZeroSingularValue("all singular values must be positive")
     if np.any(np.diff(lam) > 0.0):
-        raise ValueError("singular values must be non-increasing")
+        raise BadParams("singular values must be non-increasing")
     lam2 = lam**2
     return float(np.sum(rm * (lam2[:, None] / lam2[None, :])))
 

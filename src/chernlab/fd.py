@@ -5,9 +5,17 @@ in the 2n real coordinates underlying C^n, assembled into Wirtinger
 derivatives ``d/dz = (d/dx - i d/dy)/2`` and ``d/dzbar = (d/dx + i d/dy)/2``.
 Complex-step differentiation is not applicable: the fields depend on both
 z and zbar.
+
+``wirtinger_hessian`` samples the stencils of a whole stack of points in one
+call of its field (the Schwarz Laplacians of a grid); ``wirtinger_derivatives``
+samples a ``StencilField`` one offset at a time (the curvature stencils, whose
+metric calls stay one per sample).  Both difference the samples with the
+same array code, so a point gets the same bits either way.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -23,11 +31,8 @@ D2_WEIGHTS = (-1.0 / 12.0, 16.0 / 12.0, -30.0 / 12.0, 16.0 / 12.0, -1.0 / 12.0)
 
 
 class StencilField:
-    """Caches evaluations of ``fun: C^n -> array`` at real-coordinate offsets.
-
-    ``at`` evaluates one offset per call; ``fill`` evaluates a list of
-    offsets in one call of ``fun`` on the stack of their points.
-    """
+    """Caches evaluations of ``fun: C^n -> array`` at real-coordinate
+    offsets, one offset per call of ``fun``."""
 
     def __init__(self, fun, z):
         z = np.atleast_1d(np.asarray(z, dtype=complex))
@@ -51,99 +56,90 @@ class StencilField:
             self.cache[key] = value
         return self.cache[key]
 
-    def fill(self, keys):
-        """Cache ``fun`` at each offset of ``keys`` from one call of ``fun``
-        on the stack ``(len(keys), n)`` of their points."""
-        x = np.tile(self.x0, (len(keys), 1))
-        for row, key in enumerate(keys):
-            for axis, delta in key:
-                x[row, axis] += delta
-        values = np.asarray(self.fun(x[:, : self.n] + 1j * x[:, self.n :]))
-        finite = np.isfinite(values).reshape(len(keys), -1).all(axis=1)
-        if not np.all(finite):
-            bad = keys[np.argmin(finite)]
-            raise NonFiniteSample(f"field evaluation not finite at offset {bad}")
-        self.cache.update(zip(keys, values))
-
-    # The base value is subtracted from every sample: the stencil weights sum
-    # to zero, so this changes nothing analytically but makes constant fields
-    # cancel exactly and trims roundoff for nearly-constant ones.
-
-    def d1(self, axis, h):
-        base = self.at(())
-        acc = 0.0
-        for off, w in zip(D1_OFFSETS, D1_WEIGHTS):
-            acc = acc + w * (self.at(((axis, off * h),)) - base)
-        return acc / h
-
-    def d2_same(self, axis, h):
-        # the center sample appears with offset 0: its difference vanishes
-        base = self.at(())
-        acc = 0.0
-        for off, w in zip(D2_OFFSETS, D2_WEIGHTS):
-            if off != 0:
-                acc = acc + w * (self.at(((axis, off * h),)) - base)
-        return acc / h**2
-
-    def d2_mixed(self, axis_a, axis_b, h):
-        base = self.at(())
-        acc = 0.0
-        for off_a, w_a in zip(D1_OFFSETS, D1_WEIGHTS):
-            for off_b, w_b in zip(D1_OFFSETS, D1_WEIGHTS):
-                acc = acc + w_a * w_b * (
-                    self.at(((axis_a, off_a * h), (axis_b, off_b * h))) - base
-                )
-        return acc / h**2
-
 
 def wirtinger_derivatives(field: StencilField, h):
     """First and mixed-second Wirtinger derivatives of an array field.
 
     Returns ``(dz, dzbar, dz_dzbar)`` with derivative axes prepended:
-    ``dz[i] = d(field)/dz_i`` etc.
+    ``dz[i] = d(field)/dz_i`` etc.  The field is sampled one offset at a
+    time, in the order of ``_stencil``.
     """
-    n = field.n
-    dx = [field.d1(axis, h) for axis in range(2 * n)]
-    d2 = {}
-    for u in range(2 * n):
-        for v in range(u, 2 * n):
-            d2[(u, v)] = field.d2_same(u, h) if u == v else field.d2_mixed(u, v, h)
-            d2[(v, u)] = d2[(u, v)]
+    keys = [tuple((axis, off * h) for axis, off in key) for key in _stencil(field.n)[0]]
+    return _differences(np.stack([field.at(key) for key in keys]), field.n, h)
 
-    shape = np.asarray(field.at(())).shape
-    dz = np.empty((n,) + shape, dtype=complex)
-    dzbar = np.empty((n,) + shape, dtype=complex)
-    dzzbar = np.empty((n, n) + shape, dtype=complex)
-    for i in range(n):
-        dz[i] = 0.5 * (dx[i] - 1j * dx[n + i])
-        dzbar[i] = 0.5 * (dx[i] + 1j * dx[n + i])
-    for i in range(n):
-        for j in range(n):
-            dzzbar[i, j] = 0.25 * (
-                d2[(i, j)] + 1j * d2[(i, n + j)] - 1j * d2[(n + i, j)] + d2[(n + i, n + j)]
-            )
+
+@functools.cache
+def _stencil(n):
+    """Unit offsets ``((axis, offset), ...)`` of the stencil samples in order:
+    the center, four per real axis (shared by the first and same-axis second
+    differences), sixteen per pair ``u < v`` of real axes; and the pairs."""
+    keys = [()]
+    for axis in range(2 * n):
+        keys += [((axis, off),) for off in D1_OFFSETS]
+    pairs = [(u, v) for u in range(2 * n) for v in range(u + 1, 2 * n)]
+    for u, v in pairs:
+        keys += [((u, a), (v, b)) for a in D1_OFFSETS for b in D1_OFFSETS]
+    return tuple(keys), np.array(pairs).T
+
+
+def _weighted_sum(diffs, weights):
+    """``sum_k weights[k] diffs[:, k]``, added in order from 0.0."""
+    acc = 0.0
+    for k, w in enumerate(weights):
+        acc = acc + w * diffs[:, k]
+    return acc
+
+
+def _differences(values, n, h):
+    """``(dz, dzbar, dz_dzbar)`` from the samples ``values[k]`` of the stencil
+    ``_stencil(n)`` at step ``h`` (which broadcasts against ``values[0]``).
+
+    The base value is subtracted from every sample: the stencil weights sum
+    to zero, so this changes nothing analytically but makes constant fields
+    cancel exactly and trims roundoff for nearly-constant ones.  The center
+    sample of the same-axis second difference has a vanishing difference and
+    is skipped.
+    """
+    _, (u, v) = _stencil(n)
+    diffs = values - values[0]
+    same = diffs[1 : 1 + 8 * n].reshape((2 * n, 4) + values.shape[1:])
+    mixed = diffs[1 + 8 * n :].reshape((len(u), 16) + values.shape[1:])
+    h2 = np.float_power(h, 2)  # libm pow, as Python's h**2
+    dx = _weighted_sum(same, D1_WEIGHTS) / h
+    d2 = np.empty((2 * n, 2 * n) + values.shape[1:], dtype=diffs.dtype)
+    d2[range(2 * n), range(2 * n)] = _weighted_sum(same, D2_WEIGHTS[:2] + D2_WEIGHTS[3:]) / h2
+    d2[u, v] = d2[v, u] = _weighted_sum(mixed, [a * b for a in D1_WEIGHTS for b in D1_WEIGHTS]) / h2
+    dz = 0.5 * (dx[:n] - 1j * dx[n:])
+    dzbar = 0.5 * (dx[:n] + 1j * dx[n:])
+    dzzbar = 0.25 * (d2[:n, :n] + 1j * d2[:n, n:] - 1j * d2[n:, :n] + d2[n:, n:])
     return dz, dzbar, dzzbar
 
 
-def _stencil_offsets(n, h):
-    """Every offset ``wirtinger_derivatives`` samples at step ``h``, in the
-    order it asks for them: the center, four per real axis, and sixteen per
-    pair of real axes (the same-axis second differences reuse the first's)."""
-    keys = [()]
-    for axis in range(2 * n):
-        keys += [((axis, off * h),) for off in D1_OFFSETS]
-    for u in range(2 * n):
-        for v in range(u + 1, 2 * n):
-            keys += [((u, a * h), (v, b * h)) for a in D1_OFFSETS for b in D1_OFFSETS]
-    return keys
+def wirtinger_hessian(fun, z, h, centre=None):
+    """Complex Hessian ``d^2 u / dz_i dzbar_j`` of a scalar field at one point
+    or at each point of a stack ``(..., n)``, with step ``h`` per point.
 
-
-def wirtinger_hessian(fun, z, h):
-    """Complex Hessian ``d^2 u / dz_i dzbar_j`` of a scalar field.
-
-    ``fun`` maps a stack of points ``(k, n)`` to ``k`` values; it is called
-    once, on the whole stencil (113 points for n = 2).
+    ``fun`` maps a stack of points ``(..., k, n)`` to ``(..., k)`` values; it
+    is called once, on the stencils of every point (113 samples each for
+    n = 2).  ``centre``, the field at ``z`` when the caller has it, is not
+    evaluated again.  Each point gets the bits of ``wirtinger_derivatives``
+    at that point alone; a non-finite sample raises NonFiniteSample naming
+    the first such point.
     """
-    field = StencilField(fun, z)
-    field.fill(_stencil_offsets(field.n, h))
-    return wirtinger_derivatives(field, h)[2]
+    z = np.atleast_1d(np.asarray(z, dtype=complex))
+    n = z.shape[-1]
+    keys, _ = _stencil(n)
+    rows, axes, offsets = zip(*[(k, axis, off) for k, key in enumerate(keys) for axis, off in key])
+    h = np.asarray(h, dtype=float)
+    x = np.repeat(np.concatenate([z.real, z.imag], axis=-1)[..., None, :], len(keys), axis=-2)
+    x[..., rows, axes] += np.array(offsets, dtype=float) * h[..., None]
+    points = x[..., :n] + 1j * x[..., n:]
+    if centre is None:
+        values = np.asarray(fun(points))
+    else:
+        values = np.concatenate([np.asarray(centre)[..., None], fun(points[..., 1:, :])], axis=-1)
+    finite = np.isfinite(values)
+    if not np.all(finite):
+        bad = tuple(np.argwhere(~finite)[0])
+        raise NonFiniteSample(f"field evaluation not finite at stencil sample {bad[-1]} of {z[bad[:-1]]}")
+    return np.moveaxis(_differences(np.moveaxis(values, -1, 0), n, h)[2], (0, 1), (-2, -1))

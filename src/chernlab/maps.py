@@ -5,10 +5,13 @@ guarded by a Cauchy-Riemann residual check); the energy density is the
 metric trace of the pullback ``tr_omega(f* eta)``; singular values and
 frames come from a generalized SVD whitened by the two Cholesky factors.
 
-Map evaluators, Jacobians and energy densities act on stacks of points
-``(..., n)``; a single point is the stack of one.  Each point of a stack
-gets the bits it gets alone, so a finite-difference stencil is one
-evaluator call instead of one call per sample.
+Map evaluators, Jacobians, energy densities, singular frames and both
+Schwarz Laplacians act on stacks of points ``(..., n)``; a single point is
+the stack of one.  Each point of a stack gets the bits it gets alone, so a
+finite-difference stencil is one evaluator call instead of one call per
+sample, and the Laplacians of a whole grid take a fixed number of calls on
+the stencils of all its points.  A check that fails on a stack names its
+first failing point.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from .errors import (
 )
 from .fd import D1_OFFSETS, D1_WEIGHTS, wirtinger_hessian
 from .metrics import Domain, point_norms
-from .tensors import cholesky_factor, hermitian_inverse, hermitize, trace_form
+from .tensors import cholesky_factor, hermitize, trace_form
 
 __all__ = [
     "HolomorphicMapModel",
@@ -221,6 +224,25 @@ def jacobian(f: HolomorphicMapModel, z, h=None, cr_tol=1e-5):
     return jac
 
 
+def _image_metric(f, z, target_metric):
+    """The target metric at ``f(z)``; DomainMarginError if ``f(z)`` leaves the
+    target's domain at any point of the stack."""
+    w = f(z)
+    outside = ~target_metric.domain.contains(w)
+    if np.any(outside):
+        raise DomainMarginError(f"image point {w[_first(outside)]} is outside the target's domain")
+    return target_metric(w)
+
+
+def _pullback(jac, h_w):
+    return hermitize(np.swapaxes(jac, -1, -2) @ h_w @ np.conj(jac))[0]
+
+
+def _energy(g, pull):
+    value = np.maximum(trace_form(g, pull), 0.0)
+    return float(value) if value.ndim == 0 else value
+
+
 def pullback_metric(f, z, target_metric, jac=None):
     """Pullback form ``(f* eta)_{i jbar} = h_{a bbar} f_i^a conj(f_j^b)`` at
     one point or at each point of a stack: ``J^T h conj(J)`` per point.
@@ -231,13 +253,7 @@ def pullback_metric(f, z, target_metric, jac=None):
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     if jac is None:
         jac = jacobian(f, z)
-    w = f(z)
-    outside = ~target_metric.domain.contains(w)
-    if np.any(outside):
-        raise DomainMarginError(f"image point {w[_first(outside)]} is outside the target's domain")
-    pull = np.swapaxes(jac, -1, -2) @ target_metric(w) @ np.conj(jac)
-    herm, _ = hermitize(pull)
-    return herm
+    return _pullback(jac, _image_metric(f, z, target_metric))
 
 
 def energy_density(f, z, source_metric, target_metric, jac=None):
@@ -250,26 +266,26 @@ def energy_density(f, z, source_metric, target_metric, jac=None):
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     if jac is None:
         jac = jacobian(f, z)
-    g = source_metric(z)
-    pull = pullback_metric(f, z, target_metric, jac=jac)
-    value = np.maximum(np.real(np.trace(hermitian_inverse(g) @ pull, axis1=-2, axis2=-1)), 0.0)
-    return float(value) if value.ndim == 0 else value
+    return _energy(source_metric(z), pullback_metric(f, z, target_metric, jac=jac))
 
 
 @dataclass(frozen=True)
 class SingularFrameData:
-    """Singular values of the differential with realizing unitary frames.
+    """Singular values of the differential with realizing unitary frames, at
+    one point or at each point of a stack (then every field is stacked).
 
-    ``lambdas`` are non-increasing; ``rank`` counts those above tolerance.
-    The stored frames satisfy ``e^dag g e = I`` (resp. with the target
-    metric), diagonalize the pullback form, and realize the normal form
-    through ``map_in_frames``.
+    ``lambdas`` are non-increasing; ``rank`` counts those above tolerance;
+    ``energy`` is the energy density ``sum(lambdas^2)`` as ``energy_density``
+    gives it.  The stored frames satisfy ``e^dag g e = I`` (resp. with the
+    target metric), diagonalize the pullback form, and realize the normal
+    form through ``map_in_frames``.
     """
 
     lambdas: np.ndarray
-    rank: int
+    rank: int | np.ndarray
     source_frame: np.ndarray
     target_frame: np.ndarray
+    energy: float | np.ndarray
 
 
 def map_in_frames(jac, source_frame, target_frame):
@@ -282,75 +298,95 @@ def map_in_frames(jac, source_frame, target_frame):
 
 
 def singular_frames(f, z, source_metric, target_metric, rank_tol=1e-9):
-    """Generalized SVD of the differential with respect to the two metrics.
+    """Generalized SVD of the differential with respect to the two metrics,
+    at one point or at each point of a stack ``(..., n)``.
 
     Whitens by the transposed Cholesky factors, takes an ordinary SVD, and
-    un-whitens.  ``sum(lambdas^2)`` equals the energy density (enforced).
+    un-whitens.  ``sum(lambdas^2)`` equals the energy density (enforced at
+    every point), which comes from the same Jacobian and metric values: two
+    map and two metric calls in all.
     """
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     jac = jacobian(f, z)
     g = source_metric(z)
-    h_mat = target_metric(f(z))
+    h_mat = _image_metric(f, z, target_metric)
     low_g = cholesky_factor(g, "source metric")
     low_h = cholesky_factor(h_mat, "target metric")
     inv_low_g = np.linalg.inv(low_g)
-    white = low_h.T @ jac @ inv_low_g.T
+    white = np.swapaxes(low_h, -1, -2) @ jac @ np.swapaxes(inv_low_g, -1, -2)
     u, s, vh = np.linalg.svd(white)
 
-    src_frame = inv_low_g.conj().T @ vh.T
-    tgt_frame = np.linalg.inv(low_h).conj().T @ np.conj(u)
+    src_frame = np.conj(np.swapaxes(inv_low_g, -1, -2)) @ np.swapaxes(vh, -1, -2)
+    tgt_frame = np.conj(np.swapaxes(np.linalg.inv(low_h), -1, -2)) @ np.conj(u)
 
-    energy = energy_density(f, z, source_metric, target_metric, jac=jac)
-    if abs(float(np.sum(s**2)) - energy) > 1e-8 * max(1.0, energy):
-        raise ResidueTooLarge(
-            f"singular values inconsistent with energy: {np.sum(s ** 2):.12g} vs {energy:.12g}"
-        )
-    rank = int(np.sum(s > rank_tol * max(1.0, s[0] if s.size else 0.0)))
-    return SingularFrameData(lambdas=s, rank=rank, source_frame=src_frame, target_frame=tgt_frame)
+    energy = _energy(g, _pullback(jac, h_mat))
+    sum_sq = np.sum(s**2, axis=-1)
+    off = np.abs(sum_sq - energy) > 1e-8 * np.maximum(1.0, energy)
+    if np.any(off):
+        bad = _first(off)
+        raise ResidueTooLarge(f"singular values inconsistent with energy at {z[bad]}: "
+                              f"{sum_sq[bad]:.12g} vs {np.asarray(energy)[bad]:.12g}")
+    rank = np.sum(s > rank_tol * np.maximum(1.0, s[..., :1]), axis=-1)
+    return SingularFrameData(s, int(rank) if rank.ndim == 0 else rank, src_frame, tgt_frame, energy)
 
 
-def laplacian_log_energy(f, z, source_metric, target_metric, h=None, critical_tol=1e-10):
-    """Source-trace Laplacian ``Delta_omega log |df|^2`` at ``z``.
+def _energy_hessian(f, z, source_metric, target_metric, h, field, energy):
+    """Complex Hessian of ``field(|df|^2)`` at each point of ``z``, at the
+    default step ``5e-3 max(1, |z|)`` per point.  The stencil energies are
+    evaluated 16 samples of every point at a time, whatever the grid size:
+    the Jacobians of a whole stencil at once would hold 8n map samples for
+    each of its 113 (n = 2) samples of every point, about 3 MB for 16 points."""
+    if h is None:
+        h = 5e-3 * np.maximum(1.0, point_norms(z))
 
-    The Hessian stencil is one energy evaluation on the stack of its
-    points.  Away from critical points only: energy below ``critical_tol``
-    raises NearCriticalPoint.
+    def stencil(zz):
+        blocks = [zz[..., k : k + 16, :] for k in range(0, zz.shape[-2], 16)]
+        return np.concatenate([field(energy_density(f, b, source_metric, target_metric)) for b in blocks], -1)
+
+    return wirtinger_hessian(stencil, z, h, None if energy is None else field(energy))
+
+
+def laplacian_log_energy(f, z, source_metric, target_metric, h=None, critical_tol=1e-10, energy=None):
+    """Source-trace Laplacian ``Delta_omega log |df|^2`` at ``z``, one point or
+    each point of a stack ``(..., n)``.
+
+    The Hessian stencils of all points are evaluated together, in energy
+    calls whose number does not grow with the stack; ``energy``, the energy
+    density at ``z`` when the caller has it, is not evaluated again.  Away from critical points only: energy
+    below ``critical_tol`` raises NearCriticalPoint naming the first such
+    point.
     """
     z = np.atleast_1d(np.asarray(z, dtype=complex))
-    base = energy_density(f, z, source_metric, target_metric)
-    if base <= critical_tol:
-        raise NearCriticalPoint(f"energy {base:.3e} at {z} is below {critical_tol:.1e}")
-    if h is None:
-        h = 5e-3 * max(1.0, float(np.linalg.norm(z)))
-
-    def u(zz):
-        return np.log(energy_density(f, zz, source_metric, target_metric))
-
-    hess = wirtinger_hessian(u, z, h)
+    if energy is None:
+        energy = energy_density(f, z, source_metric, target_metric)
+    low = np.asarray(energy) <= critical_tol
+    if np.any(low):
+        bad = _first(low)
+        raise NearCriticalPoint(
+            f"energy {np.asarray(energy)[bad]:.3e} at {z[bad]} is below {critical_tol:.1e}"
+        )
+    hess = _energy_hessian(f, z, source_metric, target_metric, h, np.log, energy)
     return trace_form(source_metric(z), hess)
 
 
-def laplacian_energy(f, z, source_metric, target_metric, h=None, rank_tol=1e-9):
-    """Target-trace Laplacian ``Delta_eta |df|^2`` at ``z``.
+def laplacian_energy(f, z, source_metric, target_metric, h=None, rank_tol=1e-9, energy=None):
+    """Target-trace Laplacian ``Delta_eta |df|^2`` at ``z``, one point or each
+    point of a stack ``(..., n)``.
 
     For a local biholomorphism ``(Delta_eta u) o f = Delta_{f* eta} (u o f)``,
     so this is the same source-coordinate stencil as ``laplacian_log_energy``,
     on the energy itself and traced with the pullback form ``f* eta`` in
-    place of ``g``.  Requires equal dimensions and a full-rank Jacobian at
-    ``z``.
+    place of ``g``; ``energy`` at ``z``, when the caller has it, spares the
+    stencil centres.  Requires equal dimensions and a full-rank Jacobian at
+    every point.
     """
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     if f.source_dim != f.target_dim:
         raise RankDeficient("target-trace Laplacian needs equal dimensions")
     jac0 = jacobian(f, z)
     s = np.linalg.svd(jac0, compute_uv=False)
-    if s[-1] <= rank_tol * max(1.0, s[0]):
-        raise RankDeficient(f"differential is rank-deficient at {z}")
-    if h is None:
-        h = 5e-3 * max(1.0, float(np.linalg.norm(z)))
-
-    def u(zz):
-        return energy_density(f, zz, source_metric, target_metric)
-
-    hess = wirtinger_hessian(u, z, h)
+    deficient = s[..., -1] <= rank_tol * np.maximum(1.0, s[..., 0])
+    if np.any(deficient):
+        raise RankDeficient(f"differential is rank-deficient at {z[_first(deficient)]}")
+    hess = _energy_hessian(f, z, source_metric, target_metric, h, np.asarray, energy)
     return trace_form(pullback_metric(f, z, target_metric, jac=jac0), hess)

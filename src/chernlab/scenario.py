@@ -22,7 +22,7 @@ import numpy as np
 
 from .cones import FrameSearchConfig, rbc_bounds, sbc_bound
 from .curvature import chern_curvature, curvature_report
-from .errors import ChernLabError, SchemaError
+from .errors import BadParams, ChernLabError, SchemaError
 from .exprparse import parse_metric_expression
 from .maps import catalog_map, map_identity
 from .metrics import Domain, catalog_metric, scale_metric
@@ -172,23 +172,15 @@ def box_grid(center, half, per_axis):
 
     Axes are ordered (re z_1, im z_1, re z_2, im z_2, ...) with the last
     axis varying fastest; each of the 2n axes carries ``per_axis`` points
-    spanning ``[c - half, c + half]``.
+    spanning ``[c - half, c + half]``.  Returns the ``(per_axis^(2n), n)``
+    stack of points.
     """
-    center = np.atleast_1d(np.asarray(center, dtype=complex))
-    n = center.shape[0]
     if per_axis < 1:
-        raise ValueError("per_axis must be >= 1")
-    axes = []
-    for i in range(n):
-        axes.append(np.linspace(center[i].real - half, center[i].real + half, per_axis))
-        axes.append(np.linspace(center[i].imag - half, center[i].imag + half, per_axis))
-    points = []
-    for idx in np.ndindex(*(per_axis,) * (2 * n)):
-        z = np.empty(n, dtype=complex)
-        for i in range(n):
-            z[i] = axes[2 * i][idx[2 * i]] + 1j * axes[2 * i + 1][idx[2 * i + 1]]
-        points.append(z)
-    return points
+        raise BadParams("per_axis must be >= 1")
+    center = np.atleast_1d(np.asarray(center, dtype=complex))
+    axes = [np.linspace(x - half, x + half, per_axis) for c in center for x in (c.real, c.imag)]
+    x = np.stack([m.reshape(-1) for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
+    return x[:, 0::2] + 1j * x[:, 1::2]
 
 
 def parse_grid_spec(spec):

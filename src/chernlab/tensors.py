@@ -102,8 +102,10 @@ def hermitian_inverse(g):
 
 
 def trace_form(g, form):
-    """Metric trace ``g^{i jbar} a_{i jbar}`` of a Hermitian form matrix."""
-    return float(np.real(np.trace(hermitian_inverse(g) @ form)))
+    """Metric trace ``g^{i jbar} a_{i jbar}`` of a Hermitian form matrix: a
+    float for one matrix, an array over a stack ``(..., n, n)``."""
+    value = np.real(np.trace(hermitian_inverse(g) @ form, axis1=-2, axis2=-1))
+    return float(value) if value.ndim == 0 else value
 
 
 def gram_unitary_frame(g):

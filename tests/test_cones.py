@@ -17,7 +17,7 @@ from chernlab.cones import (
     sbc_value,
 )
 from chernlab.curvature import chern_curvature
-from chernlab.errors import DimensionMismatch, SearchBudgetExhausted, ZeroSingularValue
+from chernlab.errors import BadParams, DimensionMismatch, SearchBudgetExhausted, ZeroSingularValue
 from chernlab.metrics import catalog_metric
 from chernlab.tensors import curvature_in_frame, gram_unitary_frame
 from test_tensors import fs_normal_form, rand_unitary
@@ -204,7 +204,7 @@ class TestSbcAlongMap:
     def test_rejections(self):
         with pytest.raises(ZeroSingularValue):
             sbc_along_map(np.eye(2), [1.0, 0.0])
-        with pytest.raises(ValueError):
+        with pytest.raises(BadParams):
             sbc_along_map(np.eye(2), [1.0, 2.0])
 
     def test_matches_transposed_sbc_value(self):

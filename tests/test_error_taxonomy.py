@@ -14,9 +14,7 @@ BARE = {"ValueError", "TypeError"}
 
 ALLOWED = {
     ("cones", "FrameSearchConfig.__post_init__"),
-    ("cones", "sbc_along_map"),
     ("metrics", "Domain._dist"),
-    ("scenario", "box_grid"),
 }
 
 

@@ -49,7 +49,7 @@ class FrameSearchConfig:
 
     def __post_init__(self):
         if self.n_starts < 1:
-            raise ValueError("n_starts must be >= 1")
+            raise BadParams("n_starts must be >= 1")
 
 
 @dataclass(frozen=True)

@@ -54,10 +54,6 @@ class NonFiniteSample(ChernLabError):
     """Evaluator returned NaN or Inf at a stencil point."""
 
 
-class NotHolomorphicAtPoint(ChernLabError):
-    """Cauchy-Riemann residual of a map exceeded tolerance."""
-
-
 class NearCriticalPoint(ChernLabError):
     """Energy density too small for the logarithmic Laplacian."""
 

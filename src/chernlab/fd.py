@@ -1,10 +1,10 @@
 """Finite-difference stencils for Wirtinger derivatives of chart fields.
 
-All differentiation in the package goes through 4th-order central stencils
-in the 2n real coordinates underlying C^n, assembled into Wirtinger
-derivatives ``d/dz = (d/dx - i d/dy)/2`` and ``d/dzbar = (d/dx + i d/dy)/2``.
-Complex-step differentiation is not applicable: the fields depend on both
-z and zbar.
+Metric derivatives (curvature) and energy Hessians (the Schwarz Laplacians)
+are 4th-order central stencils in the 2n real coordinates of C^n, assembled
+into Wirtinger derivatives ``d/dz = (d/dx - i d/dy)/2`` and ``d/dzbar =
+(d/dx + i d/dy)/2``; the fields depend on z and zbar, so complex steps do
+not apply.  Map differentials are each map's closed form, not stencils.
 
 ``wirtinger_hessian`` samples the stencils of a whole stack of points in one
 call of its field (the Schwarz Laplacians of a grid); ``wirtinger_derivatives``
@@ -134,6 +134,7 @@ def wirtinger_hessian(fun, z, h, centre=None):
     x = np.repeat(np.concatenate([z.real, z.imag], axis=-1)[..., None, :], len(keys), axis=-2)
     x[..., rows, axes] += np.array(offsets, dtype=float) * h[..., None]
     points = x[..., :n] + 1j * x[..., n:]
+    del x  # freed before the field runs: on a grid's stencils its temporaries are the peak
     if centre is None:
         values = np.asarray(fun(points))
     else:

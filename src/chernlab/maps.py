@@ -1,17 +1,16 @@
 """Holomorphic maps between charted Hermitian manifolds.
 
-Jacobians use complex-direction central differences (valid by holomorphy,
-guarded by a Cauchy-Riemann residual check); the energy density is the
-metric trace of the pullback ``tr_omega(f* eta)``; singular values and
-frames come from a generalized SVD whitened by the two Cholesky factors.
+Every map carries its differential in closed form, so Jacobians are exact;
+the energy density is the metric trace of the pullback ``tr_omega(f* eta)``;
+singular values and frames come from a generalized SVD whitened by the two
+Cholesky factors.  The two Schwarz Laplacians are the complex Hessian of the
+energy, taken by ``fd.wirtinger_hessian`` in source coordinates.
 
-Map evaluators, Jacobians, energy densities, singular frames and both
-Schwarz Laplacians act on stacks of points ``(..., n)``; a single point is
-the stack of one.  Each point of a stack gets the bits it gets alone, so a
-finite-difference stencil is one evaluator call instead of one call per
-sample, and the Laplacians of a whole grid take a fixed number of calls on
-the stencils of all its points.  A check that fails on a stack names its
-first failing point.
+Map evaluators, differentials, energy densities, singular frames and both
+Laplacians act on stacks of points ``(..., n)``; a single point is the stack
+of one.  Each point of a stack gets the bits it gets alone, and the
+Laplacians of a whole grid take one energy call on the stencils of all its
+points.  A check that fails on a stack names its first failing point.
 """
 
 from __future__ import annotations
@@ -26,12 +25,11 @@ from .errors import (
     DimensionMismatch,
     DomainMarginError,
     NearCriticalPoint,
-    NotHolomorphicAtPoint,
     RankDeficient,
     ResidueTooLarge,
     UnknownCatalogName,
 )
-from .fd import D1_OFFSETS, D1_WEIGHTS, wirtinger_hessian
+from .fd import wirtinger_hessian
 from .metrics import Domain, point_norms
 from .tensors import cholesky_factor, hermitize, trace_form
 
@@ -60,13 +58,16 @@ __all__ = [
 class HolomorphicMapModel:
     """A holomorphic map ``f: C^n -> C^m`` between charts.
 
-    ``evaluator`` maps a stack of points ``(..., n)`` to ``(..., m)`` and
-    must broadcast over the leading axes.
+    ``evaluator`` maps a stack of points ``(..., n)`` to ``(..., m)``, and
+    ``differential`` maps it to the Jacobians ``(..., m, n)``,
+    ``J[..., a, i] = d f^a / d z_i``, in closed form; both must broadcast
+    over the leading axes.
     """
 
     source_dim: int
     target_dim: int
     evaluator: Callable[[np.ndarray], np.ndarray]
+    differential: Callable[[np.ndarray], np.ndarray]
     label: str = "custom"
     domain: Domain | None = None
 
@@ -79,15 +80,20 @@ class HolomorphicMapModel:
         return w
 
 
+def _constant(a):
+    """The differential of a linear map: the matrix ``a`` at every point."""
+    return lambda z: np.broadcast_to(a, z.shape[:-1] + a.shape).copy()
+
+
 def map_identity(n):
-    return HolomorphicMapModel(n, n, lambda z: z.copy(), "identity")
+    return HolomorphicMapModel(n, n, lambda z: z.copy(), _constant(np.eye(n, dtype=complex)), "identity")
 
 
 def map_scaling(c, n=1):
     c = complex(c)
     if c == 0:
         raise BadParams("scaling factor must be nonzero")
-    return HolomorphicMapModel(n, n, lambda z: c * z, f"scaling({c})")
+    return HolomorphicMapModel(n, n, lambda z: c * z, _constant(c * np.eye(n)), f"scaling({c})")
 
 
 def _row_times(z, b):
@@ -104,53 +110,68 @@ def map_linear(a):
     if a.ndim != 2:
         raise BadParams("linear map expects a matrix")
     m, n = a.shape
-    return HolomorphicMapModel(n, m, lambda z: _row_times(z, a.T), "linear")
+    return HolomorphicMapModel(n, m, lambda z: _row_times(z, a.T), _constant(a), "linear")
 
 
 def map_power(k):
     k = int(k)
     if k < 1:
         raise BadParams("power exponent must be a positive integer")
-    return HolomorphicMapModel(1, 1, lambda z: z**k, f"power({k})")
+    return HolomorphicMapModel(1, 1, lambda z: z**k, lambda z: (k * z ** (k - 1))[..., None], f"power({k})")
 
 
 def map_mobius(a):
-    """Disk automorphism ``z -> (z + a) / (1 + conj(a) z)``, |a| < 1."""
+    """Disk automorphism ``z -> (z + a) / (1 + conj(a) z)``, |a| < 1, with
+    derivative ``(1 - |a|^2) / (1 + conj(a) z)^2``."""
     a = complex(a)
     if abs(a) >= 1:
         raise BadParams("mobius parameter must satisfy |a| < 1")
-    ac = a.conjugate()
+    ac, scale = a.conjugate(), 1.0 - abs(a) ** 2
 
     def ev(z):
         return (z + a) / (1.0 + ac * z)
 
-    return HolomorphicMapModel(1, 1, ev, f"mobius({a})", domain=Domain(center=(0.0,), radius=1.0))
+    def diff(z):
+        return (scale / (1.0 + ac * z) ** 2)[..., None]
+
+    return HolomorphicMapModel(1, 1, ev, diff, f"mobius({a})", domain=Domain(center=(0.0,), radius=1.0))
 
 
 def map_product(factors):
-    """Product map acting blockwise: ``(z_1, ..) -> (f_1(z_1), ..)``."""
+    """Product map acting blockwise: ``(z_1, ..) -> (f_1(z_1), ..)``, with
+    the block-diagonal differential."""
     factors = list(factors)
     n = sum(f.source_dim for f in factors)
     m = sum(f.target_dim for f in factors)
 
-    def ev(z):
-        out, pos = [], 0
+    def blocks():
+        row = col = 0
         for f in factors:
-            out.append(f(z[..., pos : pos + f.source_dim]))
-            pos += f.source_dim
-        return np.concatenate(out, axis=-1)
+            yield f, slice(row, row + f.target_dim), slice(col, col + f.source_dim)
+            row, col = row + f.target_dim, col + f.source_dim
 
-    return HolomorphicMapModel(n, m, ev, "product")
+    def ev(z):
+        return np.concatenate([f(z[..., cols]) for f, _, cols in blocks()], axis=-1)
+
+    def diff(z):
+        jac = np.zeros(z.shape[:-1] + (m, n), dtype=complex)
+        for f, rows, cols in blocks():
+            jac[..., rows, cols] = _differential(f, z[..., cols])
+        return jac
+
+    return HolomorphicMapModel(n, m, ev, diff, "product")
 
 
 def map_compose(outer, inner):
-    """Composition ``outer o inner`` (target of inner feeds outer)."""
+    """Composition ``outer o inner`` (target of inner feeds outer), with the
+    chain rule ``J_outer(inner(z)) @ J_inner(z)``."""
     if inner.target_dim != outer.source_dim:
         raise DimensionMismatch("composition dimensions do not match")
     return HolomorphicMapModel(
         inner.source_dim,
         outer.target_dim,
         lambda z: outer(inner(z)),
+        lambda z: _differential(outer, inner(z)) @ _differential(inner, z),
         f"{outer.label}o{inner.label}",
         domain=inner.domain,
     )
@@ -178,50 +199,31 @@ def _first(mask):
     return np.unravel_index(np.argmax(mask), np.shape(mask))
 
 
-def jacobian(f: HolomorphicMapModel, z, h=None, cr_tol=1e-5):
-    """Jacobian ``J[..., a, i] = d f^a / d z_i`` by 4th-order complex stencils.
+def _differential(f, z):
+    """``f.differential`` on the stack ``z``, checked for its shape."""
+    jac = np.asarray(f.differential(z), dtype=complex)
+    expected = z.shape[:-1] + (f.target_dim, f.source_dim)
+    if jac.shape != expected:
+        raise DimensionMismatch(f"differential returned shape {jac.shape}, expected {expected}")
+    return jac
 
-    ``z`` is one point or a stack ``(..., n)``; one map call samples the 8n
-    stencil points of every point.  Holomorphy is checked by comparing
-    real-direction and rotated (imaginary-direction) difference quotients;
-    a Cauchy-Riemann residual above ``cr_tol`` at any point raises
-    NotHolomorphicAtPoint.  The default step is ``1e-3 max(1, |z|)`` per
-    point.
+
+def jacobian(f: HolomorphicMapModel, z):
+    """Jacobian ``J[..., a, i] = d f^a / d z_i`` at one point or at each
+    point of a stack ``(..., n)``: the map's closed-form ``differential``.
+
+    Raises DimensionMismatch for a point or a differential of the wrong
+    shape and DomainMarginError naming the first point outside the map's
+    domain.
     """
     z = np.atleast_1d(np.asarray(z, dtype=complex))
-    n = f.source_dim
-    if z.shape[-1] != n:
-        raise DimensionMismatch(f"point shape {z.shape} vs source dim {n}")
-    if h is None:
-        h = 1e-3 * np.maximum(1.0, point_norms(z))
-    h = np.broadcast_to(np.asarray(h, dtype=float), z.shape[:-1])[..., None]
+    if z.shape[-1] != f.source_dim:
+        raise DimensionMismatch(f"point shape {z.shape} vs source dim {f.source_dim}")
     if f.domain is not None:
-        outside = ~f.domain.contains(z, margin=4.0 * h[..., 0])
+        outside = ~f.domain.contains(z)
         if np.any(outside):
-            bad = z[_first(outside)]
-            raise DomainMarginError(f"point {bad} too close to the map's domain boundary")
-
-    eye = np.eye(n, dtype=complex)
-    steps = []
-    for i in range(n):
-        steps += [off * h * eye[i] for off in D1_OFFSETS]
-        steps += [off * 1j * h * eye[i] for off in D1_OFFSETS]
-    samples = f(z[..., None, :] + np.stack(steps, axis=-2))
-
-    jac = np.empty(z.shape[:-1] + (f.target_dim, n), dtype=complex)
-    residual = np.zeros(z.shape[:-1])
-    for i in range(n):
-        real, rot = samples[..., 8 * i : 8 * i + 4, :], samples[..., 8 * i + 4 : 8 * i + 8, :]
-        d_real = sum(w * real[..., k, :] for k, w in enumerate(D1_WEIGHTS)) / h
-        d_rot = sum(w * rot[..., k, :] for k, w in enumerate(D1_WEIGHTS)) / (1j * h)
-        residual = np.maximum(residual, np.max(np.abs(d_real - d_rot), axis=-1))
-        jac[..., i] = (d_real + d_rot) / 2.0
-    if np.any(residual > cr_tol):
-        bad = _first(residual > cr_tol)
-        raise NotHolomorphicAtPoint(
-            f"Cauchy-Riemann residual {residual[bad]:.3e} exceeds {cr_tol:.1e} at {z[bad]}"
-        )
-    return jac
+            raise DomainMarginError(f"point {z[_first(outside)]} is outside the map's domain")
+    return _differential(f, z)
 
 
 def _image_metric(f, z, target_metric):
@@ -235,7 +237,9 @@ def _image_metric(f, z, target_metric):
 
 
 def _pullback(jac, h_w):
-    return hermitize(np.swapaxes(jac, -1, -2) @ h_w @ np.conj(jac))[0]
+    form = np.swapaxes(jac, -1, -2) @ h_w @ np.conj(jac)
+    del jac, h_w  # freed before symmetrizing, when the caller holds no other reference
+    return hermitize(form)[0]
 
 
 def _energy(g, pull):
@@ -243,7 +247,7 @@ def _energy(g, pull):
     return float(value) if value.ndim == 0 else value
 
 
-def pullback_metric(f, z, target_metric, jac=None):
+def pullback_metric(f, z, target_metric):
     """Pullback form ``(f* eta)_{i jbar} = h_{a bbar} f_i^a conj(f_j^b)`` at
     one point or at each point of a stack: ``J^T h conj(J)`` per point.
 
@@ -251,12 +255,10 @@ def pullback_metric(f, z, target_metric, jac=None):
     at any point of the stack.
     """
     z = np.atleast_1d(np.asarray(z, dtype=complex))
-    if jac is None:
-        jac = jacobian(f, z)
-    return _pullback(jac, _image_metric(f, z, target_metric))
+    return _pullback(jacobian(f, z), _image_metric(f, z, target_metric))
 
 
-def energy_density(f, z, source_metric, target_metric, jac=None):
+def energy_density(f, z, source_metric, target_metric):
     """Energy density ``|df|^2 = tr_omega(f* eta)`` (real, nonnegative): a
     float at one point, an array over a stack ``(..., n)``.
 
@@ -264,9 +266,8 @@ def energy_density(f, z, source_metric, target_metric, jac=None):
     at any point.
     """
     z = np.atleast_1d(np.asarray(z, dtype=complex))
-    if jac is None:
-        jac = jacobian(f, z)
-    return _energy(source_metric(z), pullback_metric(f, z, target_metric, jac=jac))
+    pull = pullback_metric(f, z, target_metric)
+    return _energy(source_metric(z), pull)
 
 
 @dataclass(frozen=True)
@@ -303,7 +304,7 @@ def singular_frames(f, z, source_metric, target_metric, rank_tol=1e-9):
 
     Whitens by the transposed Cholesky factors, takes an ordinary SVD, and
     un-whitens.  ``sum(lambdas^2)`` equals the energy density (enforced at
-    every point), which comes from the same Jacobian and metric values: two
+    every point), which comes from the same Jacobian and metric values: one
     map and two metric calls in all.
     """
     z = np.atleast_1d(np.asarray(z, dtype=complex))
@@ -332,16 +333,13 @@ def singular_frames(f, z, source_metric, target_metric, rank_tol=1e-9):
 
 def _energy_hessian(f, z, source_metric, target_metric, h, field, energy):
     """Complex Hessian of ``field(|df|^2)`` at each point of ``z``, at the
-    default step ``5e-3 max(1, |z|)`` per point.  The stencil energies are
-    evaluated 16 samples of every point at a time, whatever the grid size:
-    the Jacobians of a whole stencil at once would hold 8n map samples for
-    each of its 113 (n = 2) samples of every point, about 3 MB for 16 points."""
+    default step ``5e-3 max(1, |z|)`` per point: one energy call on the
+    stencils of every point."""
     if h is None:
         h = 5e-3 * np.maximum(1.0, point_norms(z))
 
     def stencil(zz):
-        blocks = [zz[..., k : k + 16, :] for k in range(0, zz.shape[-2], 16)]
-        return np.concatenate([field(energy_density(f, b, source_metric, target_metric)) for b in blocks], -1)
+        return field(energy_density(f, zz, source_metric, target_metric))
 
     return wirtinger_hessian(stencil, z, h, None if energy is None else field(energy))
 
@@ -350,9 +348,9 @@ def laplacian_log_energy(f, z, source_metric, target_metric, h=None, critical_to
     """Source-trace Laplacian ``Delta_omega log |df|^2`` at ``z``, one point or
     each point of a stack ``(..., n)``.
 
-    The Hessian stencils of all points are evaluated together, in energy
-    calls whose number does not grow with the stack; ``energy``, the energy
-    density at ``z`` when the caller has it, is not evaluated again.  Away from critical points only: energy
+    The Hessian stencils of all points are evaluated together, in one
+    energy call; ``energy``, the energy density at ``z`` when the caller has
+    it, is not evaluated again.  Away from critical points only: energy
     below ``critical_tol`` raises NearCriticalPoint naming the first such
     point.
     """
@@ -389,4 +387,4 @@ def laplacian_energy(f, z, source_metric, target_metric, h=None, rank_tol=1e-9, 
     if np.any(deficient):
         raise RankDeficient(f"differential is rank-deficient at {z[_first(deficient)]}")
     hess = _energy_hessian(f, z, source_metric, target_metric, h, np.asarray, energy)
-    return trace_form(pullback_metric(f, z, target_metric, jac=jac0), hess)
+    return trace_form(_pullback(jac0, _image_metric(f, z, target_metric)), hess)

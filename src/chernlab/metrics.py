@@ -41,13 +41,15 @@ class Domain:
     inner_radius: float = 0.0
     norm: str = "l2"
 
+    def __post_init__(self):
+        if self.norm not in ("l2", "max"):
+            raise BadParams(f"unknown norm type {self.norm!r} (expected 'l2' or 'max')")
+
     def _dist(self, z):
         d = np.asarray(z, dtype=complex) - np.asarray(self.center, dtype=complex)
         if self.norm == "l2":
             return point_norms(d)
-        if self.norm == "max":
-            return np.max(np.abs(d), axis=-1)
-        raise ValueError(f"unknown norm type {self.norm!r}")
+        return np.max(np.abs(d), axis=-1)
 
     def contains(self, z, margin=0.0):
         """Whether each point of the stack ``z`` is inside with ``margin``

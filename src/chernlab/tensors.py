@@ -96,9 +96,11 @@ def hermitian_inverse(g):
     ``cholesky_factor`` does; the result is re-symmetrized so it is
     Hermitian to machine precision.
     """
-    inv_low = np.linalg.inv(cholesky_factor(g))
-    inv = _dagger(inv_low) @ inv_low
-    return (inv + _dagger(inv)) / 2.0
+    inv = np.linalg.inv(cholesky_factor(g))
+    inv = _dagger(inv) @ inv
+    inv += _dagger(inv)  # in place: on a grid's stencils these inverses are the memory peak
+    inv /= 2.0
+    return inv
 
 
 def trace_form(g, form):

@@ -7,15 +7,15 @@ its theorem.  Verification is pointwise-on-grids: the charts are open sets,
 so "global" means the sup over the sampled grid, and every verdict records
 that, the constants used, and their provenance (user-given or estimated).
 
-The verifiers take the grid as one ``(P, n)`` stack and make each map-side
-quantity (energy, singular frames, Laplacian stencils, pullbacks) one call
-on the whole grid; every point keeps the bits it gets alone, and a check
-that fails names the first failing point in grid order.  Curvature
-(``chern_curvature``, so the loops of ``estimate_hypotheses`` and the mu
-curvature of ``family_verify``) stays one point at a time: its stencils call
-the metric once per sample, a count the benchmark's evaluation check pins,
-and exact Wirtinger jets are to replace those stencils rather than stack
-them.
+The verifiers and ``estimate_hypotheses`` make each map-side quantity of a
+``(P, n)`` grid stack (energy, exact Jacobians and their inverses, singular
+frames, Laplacian stencils, pullbacks) one call; every point keeps the bits
+it gets alone, and a failing check names the first failing point in grid
+order.  Curvature (``chern_curvature``, so the loops of
+``estimate_hypotheses`` and the mu curvature of ``family_verify``) stays one
+point at a time: its stencils call the metric once per sample, a count the
+benchmark's evaluation check pins, and exact Wirtinger jets are to replace
+those stencils rather than stack them.
 """
 
 from __future__ import annotations
@@ -256,13 +256,12 @@ def estimate_hypotheses(
         c2 = fixed.get("c2", 0.0)
         fit("c2", c2, None)
         worst = (np.inf, None)
-        for z in points:
-            w = f(z)
-            ric2_h = ricci(chern_curvature(target_metric, w), target_metric(w), 2)[0]
-            jac = jacobian(f, z)
-            jinv = np.linalg.inv(jac)
-            back = jinv.T @ source_metric(z) @ np.conj(jinv)
-            c_here = float(np.min(_gen_eigs(c2 * back - ric2_h, target_metric(w))))
+        images = f(stack)
+        jinvs = np.linalg.inv(jacobian(f, stack))
+        backs = np.swapaxes(jinvs, -1, -2) @ source_metric(stack) @ np.conj(jinvs)
+        for z, w, h_w, back in zip(points, images, target_metric(images), backs):
+            ric2_h = ricci(chern_curvature(target_metric, w), h_w, 2)[0]
+            c_here = float(np.min(_gen_eigs(c2 * back - ric2_h, h_w)))
             if c_here < worst[0]:
                 worst = (c_here, z)
         if worst[0] <= 0:
@@ -492,9 +491,8 @@ def family_verify(source_metric, target_metric, mu, f, constants, grid, tol=1e-6
     bound, preset_notes = _apply_family_preset(c, preset, tol)
 
     z = _grid_stack(grid)
-    jac = jacobian(f, z)
-    pulls = pullback_metric(f, z, target_metric, jac=jac)
-    energies = energy_density(f, z, source_metric, target_metric, jac=jac)
+    pulls = pullback_metric(f, z, target_metric)
+    energies = energy_density(f, z, source_metric, target_metric)
     records = []
     worst_eig = (np.inf, None)
     for point, pull, g_omega, energy in zip(z, pulls, source_metric(z), energies.tolist()):

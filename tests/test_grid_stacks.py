@@ -193,7 +193,13 @@ def test_verifier_records_match_per_point_runs(name):
 
 
 # critical points at 0.1 and -0.2: f'(z) = 2 (z - 0.1)(z + 0.2)(2z + 0.1)
-TWO_CRITICAL = HolomorphicMapModel(1, 1, lambda z: (z - 0.1) ** 2 * (z + 0.2) ** 2, "two_critical")
+TWO_CRITICAL = HolomorphicMapModel(
+    1,
+    1,
+    lambda z: (z - 0.1) ** 2 * (z + 0.2) ** 2,
+    lambda z: (2.0 * (z - 0.1) * (z + 0.2) * (2.0 * z + 0.1))[..., None],
+    "two_critical",
+)
 FAILING_GRID = [np.array([0.3 + 0.0j]), np.array([0.1 + 0.0j]), np.array([-0.2 + 0.0j])]
 
 
@@ -254,9 +260,10 @@ class TestEvaluatorCalls:
             monkeypatch.setattr(owner, "__call__", counted)
         return counts
 
-    def test_singular_frames_evaluates_each_model_twice(self, calls):
+    def test_singular_frames_evaluates_each_model_once(self, calls):
+        # the source metric at z, the map at z and the target metric at f(z)
         sf = singular_frames(map_identity(1), [0.1 + 0.2j], DISK, DISK)
-        assert calls == {"metric": 2, "map": 2}
+        assert calls == {"metric": 2, "map": 1}
         assert sf.energy == energy_density(map_identity(1), [0.1 + 0.2j], DISK, DISK)
 
     @pytest.mark.parametrize("theorem", ["chern_lu", "aubin_yau", "trace_bound"])
@@ -276,18 +283,18 @@ class TestEvaluatorCalls:
             seen.append(dict(calls))
         assert len(grid) == 16 and seen[0] == seen[1]
         # (metric, map) calls; each call of the product map calls its two
-        # factors too.  An energy evaluation is (2, 2), and the 112 stencil
-        # samples of every point are 7 of them, 16 samples at a time.
-        # chern_lu: the energy at the grid, the stencils less their centres,
-        # and the source metric for the trace (1, 0); so the energy is
-        # evaluated once per point for the record, the critical-point check
-        # and the stencil centre.  aubin_yau: singular frames (2, 2), the
-        # rank check's Jacobian (0, 1), the stencils, and the pullback for
-        # the trace (1, 1).
-        energy, stencil = (2, 2), (14, 14)
+        # factors too, and its closed-form differential calls neither.  An
+        # energy evaluation is (2, 1): the source metric, the map at z and
+        # the target metric at f(z); the 112 stencil samples of every point
+        # are one of them.  chern_lu: the energy at the grid, the stencils
+        # less their centres, and the source metric for the trace (1, 0); so
+        # the energy is evaluated once per point for the record, the
+        # critical-point check and the stencil centre.  aubin_yau: singular
+        # frames (2, 1), the stencils, and the pullback for the trace (1, 1).
+        energy = (2, 1)
         expected = {
-            "chern_lu": (energy[0] + stencil[0] + 1, energy[1] + stencil[1]),
-            "aubin_yau": (2 + stencil[0] + 1, 2 + 1 + stencil[1] + 1),
+            "chern_lu": (2 * energy[0] + 1, 2 * energy[1]),
+            "aubin_yau": (2 + energy[0] + 1, 1 + energy[1] + 1),
             "trace_bound": (2, 0),
         }[theorem]
         assert (seen[0]["metric"], seen[0]["map"] // 3) == expected

@@ -6,7 +6,6 @@ from chernlab.errors import (
     DimensionMismatch,
     DomainMarginError,
     NearCriticalPoint,
-    NotHolomorphicAtPoint,
     NotPositiveDefinite,
     RankDeficient,
 )
@@ -28,6 +27,7 @@ from chernlab.maps import (
     singular_frames,
 )
 from chernlab.metrics import ChartedHermitianMetric, catalog_metric, scale_metric
+from chernlab.scenario import box_grid
 from chernlab.tensors import frame_residue
 
 
@@ -45,19 +45,14 @@ class TestJacobian:
     def test_power_derivative(self):
         f = map_power(2)
         jac = jacobian(f, np.array([0.3]))
-        assert abs(jac[0, 0] - 0.6) < 1e-10
+        assert abs(jac[0, 0] - 0.6) < 1e-14
 
     def test_mobius_derivative(self):
         a = 0.3 + 0.1j
         f = map_mobius(a)
         z = np.array([0.2 - 0.1j])
         expected = (1 - abs(a) ** 2) / (1 + np.conj(a) * z[0]) ** 2
-        assert abs(jacobian(f, z)[0, 0] - expected) < 1e-10
-
-    def test_not_holomorphic(self):
-        conj_map = HolomorphicMapModel(1, 1, lambda z: np.conj(z), "antiholomorphic")
-        with pytest.raises(NotHolomorphicAtPoint):
-            jacobian(conj_map, np.array([0.3 + 0.2j]))
+        assert abs(jacobian(f, z)[0, 0] - expected) < 1e-14
 
     def test_bad_params(self):
         with pytest.raises(BadParams):
@@ -81,11 +76,20 @@ class TestEnergyDensity:
         assert abs(energy_density(f, [0.3, 0.2j], fs, fs) - 2.0) < 1e-10
 
     def test_conformal_ratio_constant(self):
+        # the identity into c g has energy c n; a product of Moebius maps, an
+        # isometry of the polydisk, has energy n; both to rounding everywhere
         p1 = catalog_metric("poincare_disk", (1.0,))
-        pk = scale_metric(p1, 2.5)
-        f = map_identity(1)
-        for z in ([0.0], [0.4 - 0.2j], [0.1 + 0.6j]):
-            assert abs(energy_density(f, z, p1, pk) - 2.5) < 1e-10
+        pd = catalog_metric("polydisk", (1.0, 1.0))
+        mobius2 = map_product([map_mobius(0.1 + 0.2j), map_mobius(-0.2 + 0.05j)])
+        grid = box_grid([0.05 - 0.1j, 0.1 + 0.02j], 0.25, 2)
+        cases = [
+            (map_identity(1), p1, scale_metric(p1, 2.5), [[0.0], [0.4 - 0.2j], [0.1 + 0.6j]], 2.5),
+            (map_identity(2), pd, scale_metric(pd, 3.0), grid, 6.0),
+            (mobius2, pd, pd, grid, 2.0),
+        ]
+        for f, src, tgt, z, expected in cases:
+            energy = energy_density(f, z, src, tgt)
+            assert np.max(np.abs(energy / expected - 1.0)) <= 1e-14, f.label
 
     def test_scaling_euclidean(self):
         eu = catalog_metric("euclidean", (1,))
@@ -266,9 +270,14 @@ class TestStackEvaluation:
         assert np.array_equal(f(z.reshape(4, 10, -1)).reshape(w.shape), w)
 
     def test_wrong_shape_rejected(self):
-        bad = HolomorphicMapModel(2, 2, lambda z: np.zeros(2, dtype=complex), "no-stack")
+        def flat(z):
+            return np.zeros(2, dtype=complex)
+
+        bad = HolomorphicMapModel(2, 2, flat, flat, "no-stack")
         with pytest.raises(DimensionMismatch, match=r"map returned shape \(2,\)"):
             bad(np.zeros((3, 2), dtype=complex))
+        with pytest.raises(DimensionMismatch, match=r"differential returned shape \(2,\)"):
+            jacobian(bad, np.zeros((3, 2), dtype=complex))
 
     @pytest.mark.parametrize("f", stack_maps(), ids=lambda f: f"{f.label}-{f.target_dim}")
     def test_jacobian_and_energy_equal_their_points(self, f):
@@ -284,14 +293,44 @@ class TestStackEvaluation:
 
     def test_errors_name_the_first_failing_point(self):
         eu = catalog_metric("euclidean", (1,))
-        with pytest.raises(DomainMarginError, match=r"point \[0\.9999\+0\.j\] "):
-            jacobian(map_mobius(0.1), np.array([[0.1], [0.9999], [0.99999]]))
-        half_conj = HolomorphicMapModel(1, 1, lambda z: np.where(z.real > 0.5, np.conj(z), z))
-        with pytest.raises(NotHolomorphicAtPoint, match=r"at \[0\.7\+0\.j\]$"):
-            jacobian(half_conj, np.array([[0.1], [0.7], [0.9]]))
+        with pytest.raises(DomainMarginError, match=r"point \[1\.0001\+0\.j\] "):
+            jacobian(map_mobius(0.1), np.array([[0.1], [0.9999], [1.0001], [1.5]]))
         flipped = ChartedHermitianMetric(
             1, eu.domain, lambda z: np.where(z.real[..., None] > 0.5, -1.0, 1.0) + 0j, "flipped"
         )
         with pytest.raises(NotPositiveDefinite):
             energy_density(map_identity(1), np.array([[0.1], [0.7]]), flipped, eu)
         assert abs(energy_density(map_identity(1), [0.1], flipped, eu) - 1.0) < 1e-10
+
+
+def _central_difference(f, z, h=1e-5):
+    """``(f(z + h e_i) - f(z - h e_i)) / 2h`` for each source axis ``i``: the
+    derivative of a holomorphic map along a real step, stacked as ``J``."""
+    return np.stack([(f(z + h * e) - f(z - h * e)) / (2.0 * h) for e in np.eye(f.source_dim)], axis=-1)
+
+
+def differential_maps():
+    mobius = map_mobius(0.3 - 0.2j)
+    return [
+        map_identity(2),
+        map_scaling(2.0 - 1.0j, 2),
+        map_linear(np.array([[1.0, 2.0j], [0.5 - 1.0j, 3.0], [0.0, -1.0]])),
+        map_linear(np.array([[1.0, 2.0j, -0.5 + 0.5j]])),
+        map_power(1),
+        map_power(3),
+        mobius,
+        map_product([map_power(2), mobius, map_scaling(3.0, 1)]),
+        map_compose(map_power(2), mobius),
+        map_compose(map_linear(np.array([[1.0, 2.0j], [0.5, -1.0]])), map_product([map_power(3), mobius])),
+    ]
+
+
+class TestDifferential:
+    @pytest.mark.parametrize(
+        "f", differential_maps(), ids=lambda f: f"{f.label}-{f.target_dim}x{f.source_dim}"
+    )
+    def test_matches_central_difference(self, f):
+        z = _points(f.source_dim, count=12).reshape(3, 4, -1)
+        jac = jacobian(f, z)
+        assert jac.shape == (3, 4, f.target_dim, f.source_dim)
+        assert np.max(np.abs(jac - _central_difference(f, z))) < 1e-8

@@ -3,7 +3,7 @@ import pytest
 
 from chernlab.curvature import assemble_chern_tensor, hsc, ricci
 from chernlab.errors import DimensionMismatch, NotPositiveDefinite
-from chernlab.maps import map_linear, pullback_metric
+from chernlab.maps import map_compose, map_linear, map_power, map_product, pullback_metric
 from chernlab.metrics import catalog_metric
 from chernlab.tensors import (
     curvature_in_frame,
@@ -208,8 +208,9 @@ def _hsc_quartic(rng, n):
 def _pullback(rng, n):
     target = catalog_metric("fubini_study", (n,))
     z, jac = 0.3 * rand_complex(rng, n), rand_complex(rng, n, n)
-    got = pullback_metric(map_linear(np.eye(n)), z, target, jac=jac)
-    return got, (target(z), jac, np.conj(jac)), lambda x: hermitize(x)[0]
+    f = map_linear(jac)  # its differential is jac at every point
+    got = pullback_metric(f, z, target)
+    return got, (target(f(z)), jac, np.conj(jac)), lambda x: hermitize(x)[0]
 
 
 # each matmul kernel under the einsum subscripts it replaced: a random case
@@ -255,8 +256,9 @@ class TestContract:
     def test_stack_replays_the_point_path(self, n):
         rng = np.random.default_rng(n)
         target = catalog_metric("fubini_study", (n,))
-        f = map_linear(rand_complex(rng, n, n))
-        z, jac = 0.3 * rand_complex(rng, 5, n), rand_complex(rng, 5, n, n)
-        stacked = pullback_metric(f, z, target, jac=jac)
-        single = [pullback_metric(f, z[k], target, jac=jac[k]) for k in range(5)]
+        # differential A diag(3 z_i^2): a different Jacobian at every point
+        f = map_compose(map_linear(rand_complex(rng, n, n)), map_product([map_power(3)] * n))
+        z = 0.3 * rand_complex(rng, 5, n)
+        stacked = pullback_metric(f, z, target)
+        single = [pullback_metric(f, z[k], target) for k in range(5)]
         assert np.array_equal(stacked, single)

@@ -5,14 +5,20 @@ Two objects drive the Schwarz-type estimates: the Rayleigh quotient
 and the generalized quotient ``u_v^t R v`` with ``u_v`` the Hadamard inverse
 of ``v`` over the ordered cone ``v_1 >= ... >= v_n > 0`` (SBC).  Both are
 further extremized over the unitary frame bundle by a seeded multistart
-search on skew-Hermitian generators.
+coordinate descent on skew-Hermitian generators.
+
+The frame search runs in lockstep: every start, sense (min, max) and
+point of one ``rbc_bounds`` or ``sbc_bound`` call advances together, and
+the frames they wait on are contracted and extremized as one stack (one
+``expm`` per distinct frame).  Each start visits the frames of the starts
+run one after another, with the same bits.
 """
 
 from __future__ import annotations
 
 import functools
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
@@ -68,52 +74,27 @@ class OrthantExtremum:
 
 
 @functools.lru_cache(maxsize=None)
-def _faces(n):
-    """Index data of every nonempty coordinate face of R^n.
+def _face_slots(n):
+    """Index data of the KKT candidate slots of R^n, one per (face, eigenvector).
 
-    One ``(sub-matrix index, face, off-face indices, face tuple)`` per face,
-    in the order of the face bitmasks 1 .. 2^n - 1.
+    Slots run over the nonempty coordinate faces in the order of their
+    bitmasks 1 .. 2^n - 1 and, within a face, over its eigenvectors in
+    ``eigh`` order.  Returns the faces of each size as ``(rows, cols,
+    slots)`` index arrays: ``cols[f, 0, :]`` (and ``rows[f, :, 0]``) the
+    coordinates of face f, ``slots[f, :, 0]`` its slots; the off-face
+    coordinate mask of every slot; and the face tuple of every slot.
     """
-    faces = []
-    for mask in range(1, 1 << n):
-        face = [i for i in range(n) if mask >> i & 1]
-        off = np.array([i for i in range(n) if not mask >> i & 1], dtype=int)
-        faces.append((np.ix_(face, face), np.array(face), off, tuple(face)))
-    return tuple(faces)
-
-
-def _face_candidates(sym, kkt_tol):
-    """KKT-feasible stationary points of the orthant Rayleigh quotient.
-
-    For every coordinate face, eigenvectors of the restricted matrix with
-    uniform sign are stationary on the face's relative interior; the KKT
-    sign of the off-face gradient decides min vs max feasibility.
-    """
-    n = sym.shape[0]
-    mins, maxs = [], []
-    for sub_index, face, off, face_key in _faces(n):
-        vals, vecs = np.linalg.eigh(sym[sub_index])
-        for k in range(len(face)):
-            w = vecs[:, k]
-            if np.all(w >= -1e-12):
-                pass
-            elif np.all(w <= 1e-12):
-                w = -w
-            else:
-                continue
-            x = np.zeros(n)
-            x[face] = np.clip(w, 0.0, None)
-            nrm = np.linalg.norm(x)
-            if nrm == 0.0:
-                continue
-            x /= nrm
-            grad_off = (sym @ x)[off]
-            value = float(x @ sym @ x)
-            if grad_off.size == 0 or np.all(grad_off >= -kkt_tol):
-                mins.append((value, x, face_key))
-            if grad_off.size == 0 or np.all(grad_off <= kkt_tol):
-                maxs.append((value, x, face_key))
-    return mins, maxs
+    faces = [tuple(i for i in range(n) if mask >> i & 1) for mask in range(1, 1 << n)]
+    first = np.cumsum([0] + [len(face) for face in faces])
+    by_size = []
+    for size in range(1, n + 1):
+        index = [k for k, face in enumerate(faces) if len(face) == size]
+        cols = np.array([faces[k] for k in index])[:, None, :]
+        slots = np.array([first[k] + np.arange(size) for k in index])[:, :, None]
+        by_size.append((np.swapaxes(cols, 1, 2), cols, slots))
+    slot_faces = tuple(face for face in faces for _ in face)
+    off = np.array([[i not in face for i in range(n)] for face in slot_faces])
+    return tuple(by_size), off, slot_faces
 
 
 def orthant_rayleigh_extrema(m):
@@ -122,24 +103,53 @@ def orthant_rayleigh_extrema(m):
     Only the symmetric part of ``m`` matters (the quotient annihilates the
     antisymmetric part).  The answer is exact for every n, by facial
     enumeration of KKT points: every extremum is a uniform-sign eigenvector
-    of the matrix restricted to some coordinate face.  The cost is one
-    symmetric eigendecomposition per nonempty face, 2^n - 1 of them.
+    of the matrix restricted to some coordinate face, and the KKT sign of
+    the off-face gradient decides min vs max feasibility.  The cost is one
+    symmetric eigendecomposition per nonempty face, 2^n - 1 of them, taken
+    as one ``eigh`` per face size.
+
+    ``m`` is one matrix or a stack ``(..., n, n)``; each matrix of a stack
+    gets the bits it gets alone.  For a stack the values are arrays over
+    the stack, the arg points ``(..., n)``, and ``certificate`` holds one
+    ``(min_face, max_face)`` pair per matrix, in the stack's C order.
     """
     m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2] or m.shape[-1] < 1:
         raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
-    sym = (m + m.T) / 2.0
-    scale = max(1.0, float(np.max(np.abs(sym))))
-    mins, maxs = _face_candidates(sym, kkt_tol=1e-10 * scale)
-    min_val, argmin, min_face = min(mins, key=lambda t: t[0])
-    max_val, argmax, max_face = max(maxs, key=lambda t: t[0])
-    return OrthantExtremum(
-        min_val=min_val,
-        max_val=max_val,
-        argmin=argmin,
-        argmax=argmax,
-        certificate=(min_face, max_face),
-    )
+    n = m.shape[-1]
+    sym = ((m + np.swapaxes(m, -1, -2)) / 2.0).reshape(-1, n, n)
+    kkt_tol = 1e-10 * np.maximum(1.0, np.max(np.abs(sym), axis=(-2, -1)))
+    by_size, off, slot_faces = _face_slots(n)
+
+    # every candidate as a vector of R^n, zero off its face: an eigenvector
+    # of the face's sub-matrix, sign-flipped into the orthant if it can be
+    x = np.zeros((len(sym), len(slot_faces), n))
+    uniform = np.zeros(x.shape[:2], dtype=bool)
+    for rows, cols, slots in by_size:
+        w = np.swapaxes(np.linalg.eigh(sym[:, rows, cols])[1], -1, -2)
+        pos, neg = np.all(w >= -1e-12, axis=-1), np.all(w <= 1e-12, axis=-1)
+        x[:, slots, cols] = np.clip(np.where((neg & ~pos)[..., None], -w, w), 0.0, None)
+        uniform[:, slots[..., 0]] = pos | neg
+    # norms, gradients and values row by row, as numpy's 1-d dot and
+    # matrix-vector products round them
+    norm = np.sqrt(x[..., None, :] @ x[..., :, None])[..., 0, 0]
+    valid = uniform & (norm != 0.0)
+    x /= np.where(valid, norm, 1.0)[..., None]
+    grad = (sym[:, None] @ x[..., :, None])[..., 0]
+    value = ((x[..., None, :] @ sym[:, None]) @ x[..., :, None])[..., 0, 0]
+    tol = kkt_tol[:, None, None]
+    min_ok = valid & np.all((grad >= -tol) | ~off, axis=-1)
+    max_ok = valid & np.all((grad <= tol) | ~off, axis=-1)
+    lo = np.argmin(np.where(min_ok, value, np.inf), axis=-1)
+    hi = np.argmax(np.where(max_ok, value, -np.inf), axis=-1)
+    each = np.arange(len(sym))
+    lead = m.shape[:-2]
+    min_val, max_val = value[each, lo].reshape(lead), value[each, hi].reshape(lead)
+    argmin, argmax = x[each, lo].reshape(lead + (n,)), x[each, hi].reshape(lead + (n,))
+    certificate = [(slot_faces[a], slot_faces[b]) for a, b in zip(lo.tolist(), hi.tolist())]
+    if not lead:
+        return OrthantExtremum(float(min_val), float(max_val), argmin, argmax, certificate[0])
+    return OrthantExtremum(min_val, max_val, argmin, argmax, certificate)
 
 
 # ---------------------------------------------------------------------------
@@ -315,72 +325,162 @@ class RbcBounds:
     heuristic: bool
 
 
-def _generator_from_params(params, n):
-    """Skew-Hermitian matrix from strict-upper-triangle real parameters.
+@functools.lru_cache(maxsize=None)
+def _upper_triangle(n):
+    """Row and column indices of the strict upper triangle of an n x n matrix."""
+    return np.triu_indices(n, 1)
+
+
+def _generators(params, n):
+    """Skew-Hermitian matrices ``(K, n, n)`` from a stack ``(K, n(n-1))`` of
+    strict-upper-triangle real parameters, (re, im) per entry in row order.
 
     Diagonal phase generators are omitted: column phases cancel in the
     diagonal-pair curvature components.
     """
-    a = np.zeros((n, n), dtype=complex)
-    idx = 0
-    for p in range(n):
-        for q in range(p + 1, n):
-            a[p, q] = params[idx] + 1j * params[idx + 1]
-            a[q, p] = -np.conj(a[p, q])
-            idx += 2
+    rows, cols = _upper_triangle(n)
+    a = np.zeros((len(params), n, n), dtype=complex)
+    a[:, rows, cols] = params[:, 0::2] + 1j * params[:, 1::2]
+    a[:, cols, rows] = -np.conj(a[:, rows, cols])
     return a
 
 
-def _unitary(params, n):
-    """The unitary ``expm`` of the generator with parameters ``params``."""
-    return scipy.linalg.expm(_generator_from_params(params, n))
+def _descent(start, cfg, sense):
+    """Coordinate descent from one start, as a generator.
 
-
-def _frame_search(value, n, cfg, sense):
-    """Multistart + coordinate descent over unitary-frame generators.
-
-    ``value(params)`` returns ``(objective, frame)`` for the generator
-    parameters ``params``; ``frame`` is what the caller wants back for the
-    best parameters, at least ``_unitary(params, n)``.  ``sense`` is +1 to
-    maximize and -1 to minimize.  An objective of ``sense * inf`` (an
-    unbounded frame) cannot be improved on, so the search returns at the
-    first one.  Returns (best objective, its frame).
+    Yields trial generator parameters and is sent the objective of each;
+    returns ``(params, objective, exhausted)`` for the best parameters it
+    found.  ``sense`` is +1 to maximize and -1 to minimize; an objective of
+    ``sense * inf`` (an unbounded frame) cannot be improved on and ends the
+    descent at once.
     """
-    rng = np.random.default_rng(cfg.seed)
-    n_params = n * (n - 1)
-    if n_params == 0:
-        return value(np.zeros(1))
+    params = start.copy()
+    val = yield params
+    if not len(params) or sense * val == np.inf:
+        return params, val, False
+    step, iters = 0.4, 0
+    while step > cfg.step_tol and iters < cfg.max_iter:
+        improved = False
+        for k in range(len(params)):
+            for delta in (step, -step):
+                trial = params.copy()
+                trial[k] += delta
+                tval = yield trial
+                if sense * tval > sense * val + 1e-14:
+                    params, val, improved = trial, tval, True
+                    if sense * val == np.inf:
+                        return params, val, False
+        if not improved:
+            step *= 0.5
+        iters += 1
+    return params, val, iters >= cfg.max_iter and step > cfg.step_tol
 
+
+def _frame_search(evaluate, n_points, n, cfg, senses, diverges=False):
+    """Multistart coordinate descent over unitary-frame generators, in lockstep.
+
+    There is one search per point and sense (+1 maximizes, -1 minimizes),
+    each from the same ``cfg.n_starts`` seeded starts, and each start is a
+    ``_descent``.  All of them advance together: at every step the frames
+    they wait on are evaluated as one stack, ``evaluate(owners, frames)``
+    with the point index of each frame and the unitaries ``expm`` of their
+    generators (one ``expm`` per distinct frame of a point).  It returns
+    the objectives, one row per frame and one column per sense, and an
+    extra value per frame for the caller.  A point's frames are memoized and shared
+    between its senses, and every search is resumed with its value, so each
+    start visits the frames, and gets the bits, of the starts run in turn.
+
+    An objective of ``sense * inf`` ends its search at the first such frame
+    in start order: later starts are dropped.  When the objective can reach
+    it (``diverges``), a start begins only once the one before it ended, so
+    no frame is evaluated that the starts run in turn would not evaluate.
+
+    Returns, per point, one ``(objective, U, extra)`` per sense, for the
+    first best start.  Every start that ran out of ``cfg.max_iter`` before
+    its step fell below ``cfg.step_tol`` warns SearchBudgetExhausted, in
+    (point, sense, start) order, up to the start that ended its search.
+    """
+    n_params = n * (n - 1)
+    rng = np.random.default_rng(cfg.seed)
     starts = [np.zeros(n_params)]
-    starts += [rng.normal(scale=0.5, size=n_params) for _ in range(cfg.n_starts - 1)]
-    best_val = best_u = None
-    for s0 in starts:
-        params = s0.copy()
-        val, u = value(params)
-        if sense * val == np.inf:
-            return val, u
-        step = 0.4
-        iters = 0
-        while step > cfg.step_tol and iters < cfg.max_iter:
-            improved = False
-            for k in range(n_params):
-                for delta in (step, -step):
-                    trial = params.copy()
-                    trial[k] += delta
-                    tval, tu = value(trial)
-                    if sense * tval > sense * val + 1e-14:
-                        if sense * tval == np.inf:
-                            return tval, tu
-                        params, val, u = trial, tval, tu
-                        improved = True
-            if not improved:
-                step *= 0.5
-            iters += 1
-        if iters >= cfg.max_iter and step > cfg.step_tol:
-            warnings.warn("frame search hit iteration budget", SearchBudgetExhausted)
-        if best_u is None or sense * val > sense * best_val:
-            best_val, best_u = val, u
-    return best_val, best_u
+    if n_params:
+        starts += [rng.normal(scale=0.5, size=n_params) for _ in range(cfg.n_starts - 1)]
+    searches = [(p, j) for p in range(n_points) for j in range(len(senses))]
+    memo = [{} for _ in range(n_points)]  # per point: params bytes -> (U, objectives, extra)
+    ended = {}  # (search, start) -> (params, objective, exhausted)
+    last_start = {}  # search -> the start that ended it on an unbounded frame
+
+    def launch(s, i):
+        run = _descent(starts[i], cfg, senses[searches[s][1]])
+        return s, i, run, next(run)
+
+    waiting = [launch(s, i) for s in range(len(searches))
+               for i in range(1 if diverges else len(starts))]
+    while waiting:
+        fresh = {}
+        for s, _, _, trial in waiting:
+            p = searches[s][0]
+            key = trial.tobytes()
+            if key not in memo[p]:
+                fresh.setdefault((p, key), trial)
+        if fresh:
+            owners = np.array([p for p, _ in fresh])
+            generators = _generators(np.array(list(fresh.values())), n)
+            frames = np.array([scipy.linalg.expm(a) for a in generators])
+            values, extras = evaluate(owners, frames)
+            for (p, key), u, vals, extra in zip(fresh, frames, np.asarray(values).tolist(), extras):
+                memo[p][key] = (u, vals, extra)
+        resumed = []
+        for s, i, run, trial in waiting:  # grows as starts launch
+            p, j = searches[s]
+            if i > last_start.get(s, i):
+                continue
+            while (hit := memo[p].get(trial.tobytes())) is not None:
+                try:
+                    trial = run.send(hit[1][j])
+                except StopIteration as stop:
+                    ended[s, i] = stop.value
+                    if senses[j] * stop.value[1] == np.inf:
+                        last_start[s] = min(i, last_start.get(s, i))
+                    elif diverges and i + 1 < len(starts):
+                        waiting.append(launch(s, i + 1))
+                    break
+            else:
+                resumed.append((s, i, run, trial))
+        waiting = [w for w in resumed if w[1] <= last_start.get(w[0], w[1])]
+
+    found = [[None] * len(senses) for _ in range(n_points)]
+    for s, (p, j) in enumerate(searches):
+        best = None
+        for i in range(last_start.get(s, len(starts) - 1) + 1):
+            params, val, exhausted = ended[s, i]
+            if senses[j] * val == np.inf:
+                best = (params, val)
+                break
+            if exhausted:
+                warnings.warn("frame search hit iteration budget", SearchBudgetExhausted)
+            if best is None or senses[j] * val > senses[j] * best[1]:
+                best = (params, val)
+        u, _, extra = memo[p][best[0].tobytes()]
+        found[p][j] = (best[1], u, extra)
+    return found
+
+
+def _frame_points(r, g):
+    """One point's ``(r, g)``, or stacks ``(P, n, n, n, n)`` and ``(P, n, n)``,
+    as the tensor stack with the Gram frames ``(P, n, n)`` of the metrics:
+    ``(r, e0, single)``."""
+    r = np.asarray(r, dtype=complex)
+    g = np.asarray(g, dtype=complex)
+    single = g.ndim == 2
+    if single:
+        r, g = r[None], g[None]
+    n = g.shape[-1]
+    if g.ndim != 3 or r.shape != g.shape[:1] + (n,) * 4:
+        raise DimensionMismatch(
+            f"tensors of shape {r.shape} do not match metrics of shape {g.shape}"
+        )
+    return r, gram_unitary_frame(g), single
 
 
 def rbc_bounds(r, g, cfg=FrameSearchConfig()):
@@ -393,37 +493,25 @@ def rbc_bounds(r, g, cfg=FrameSearchConfig()):
     each frame are exact; the returned inf/sup are bounds of the search,
     flagged heuristic for n >= 2 (the quantifier over all frames is
     explored, not certified).
+
+    ``r`` and ``g`` are one point's tensor and metric, or stacks
+    ``(P, n, n, n, n)`` and ``(P, n, n)`` whose searches all run in
+    lockstep (``_frame_search``); a stack gives a list of P bounds, each
+    with the bits its point gets alone.
     """
-    r = np.asarray(r, dtype=complex)
-    g = np.asarray(g, dtype=complex)
-    n = g.shape[0]
-    e0 = gram_unitary_frame(g)
-    memo = {}  # generator parameter bytes -> (U, orthant extrema in the frame e0 @ U)
+    r, e0, single = _frame_points(r, g)
+    n = e0.shape[-1]
 
-    def extrema(params):
-        key = params.tobytes()
-        if key not in memo:
-            u = _unitary(params, n)
-            memo[key] = (u, orthant_rayleigh_extrema(curvature_in_frame(r, e0 @ u).r_mat))
-        return memo[key]
+    def evaluate(owners, frames):
+        ext = orthant_rayleigh_extrema(curvature_in_frame(r[owners], e0[owners] @ frames).r_mat)
+        return np.stack([ext.min_val, ext.max_val], axis=-1), [None] * len(frames)
 
-    def min_value(params):
-        u, ext = extrema(params)
-        return ext.min_val, u
-
-    def max_value(params):
-        u, ext = extrema(params)
-        return ext.max_val, u
-
-    inf_val, inf_u = _frame_search(min_value, n, cfg, sense=-1)
-    sup_val, sup_u = _frame_search(max_value, n, cfg, sense=+1)
-    return RbcBounds(
-        inf=inf_val,
-        sup=sup_val,
-        inf_frame=e0 @ inf_u,
-        sup_frame=e0 @ sup_u,
-        heuristic=n >= 2,
-    )
+    found = _frame_search(evaluate, len(e0), n, cfg, senses=(-1, +1))
+    bounds = [
+        RbcBounds(inf=lo, sup=hi, inf_frame=e @ lo_u, sup_frame=e @ hi_u, heuristic=n >= 2)
+        for e, ((lo, lo_u, _), (hi, hi_u, _)) in zip(e0, found)
+    ]
+    return bounds[0] if single else bounds
 
 
 def sbc_bound(r, g, cfg=FrameSearchConfig(), inner_starts=4):
@@ -431,30 +519,19 @@ def sbc_bound(r, g, cfg=FrameSearchConfig(), inner_starts=4):
 
     Unbounded in any visited frame means unbounded overall: the search
     stops at the first such frame and returns it with its divergence
-    certificate.
+    certificate.  Each frame runs its own ``sbc_infimum``.  ``r`` and ``g``
+    are one point or stacks, as for ``rbc_bounds``; a stack gives a list of
+    P results.
     """
-    r = np.asarray(r, dtype=complex)
-    g = np.asarray(g, dtype=complex)
-    n = g.shape[0]
-    e0 = gram_unitary_frame(g)
+    r, e0, single = _frame_points(r, g)
+    n = e0.shape[-1]
 
-    def value(params):
-        u = _unitary(params, n)
-        res = sbc_infimum(curvature_in_frame(r, e0 @ u).r_mat, n_starts=inner_starts, seed=cfg.seed)
-        return (-np.inf if res.status == "unbounded_below" else res.inf_val), (u, res)
+    def evaluate(owners, frames):
+        r_mats = curvature_in_frame(r[owners], e0[owners] @ frames).r_mat
+        inner = [sbc_infimum(rm, n_starts=inner_starts, seed=cfg.seed) for rm in r_mats]
+        values = [[-np.inf if res.status == "unbounded_below" else res.inf_val] for res in inner]
+        return values, inner
 
-    _, (u, res) = _frame_search(value, n, cfg, sense=-1)
-    if res.status == "unbounded_below":
-        return SbcResult(
-            status="unbounded_below",
-            divergence_certificate=res.divergence_certificate,
-            frame=e0 @ u,
-        )
-    return SbcResult(
-        status="finite",
-        inf_val=res.inf_val,
-        arg=res.arg,
-        marginal=res.marginal,
-        margin=res.margin,
-        frame=e0 @ u,
-    )
+    found = _frame_search(evaluate, len(e0), n, cfg, (-1,), diverges=True)
+    results = [replace(res, frame=e @ u) for e, ((_, u, res),) in zip(e0, found)]
+    return results[0] if single else results

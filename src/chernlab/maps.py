@@ -279,7 +279,8 @@ class SingularFrameData:
     ``energy`` is the energy density ``sum(lambdas^2)`` as ``energy_density``
     gives it.  The stored frames satisfy ``e^dag g e = I`` (resp. with the
     target metric), diagonalize the pullback form, and realize the normal
-    form through ``map_in_frames``.
+    form through ``map_in_frames``.  ``jacobian`` and ``image_metric`` (the
+    target metric at ``f(z)``) are the values they were computed from.
     """
 
     lambdas: np.ndarray
@@ -287,6 +288,8 @@ class SingularFrameData:
     source_frame: np.ndarray
     target_frame: np.ndarray
     energy: float | np.ndarray
+    jacobian: np.ndarray
+    image_metric: np.ndarray
 
 
 def map_in_frames(jac, source_frame, target_frame):
@@ -328,7 +331,9 @@ def singular_frames(f, z, source_metric, target_metric, rank_tol=1e-9):
         raise ResidueTooLarge(f"singular values inconsistent with energy at {z[bad]}: "
                               f"{sum_sq[bad]:.12g} vs {np.asarray(energy)[bad]:.12g}")
     rank = np.sum(s > rank_tol * np.maximum(1.0, s[..., :1]), axis=-1)
-    return SingularFrameData(s, int(rank) if rank.ndim == 0 else rank, src_frame, tgt_frame, energy)
+    return SingularFrameData(
+        s, int(rank) if rank.ndim == 0 else rank, src_frame, tgt_frame, energy, jac, h_mat
+    )
 
 
 def _energy_hessian(f, z, source_metric, target_metric, h, field, energy):
@@ -367,24 +372,29 @@ def laplacian_log_energy(f, z, source_metric, target_metric, h=None, critical_to
     return trace_form(source_metric(z), hess)
 
 
-def laplacian_energy(f, z, source_metric, target_metric, h=None, rank_tol=1e-9, energy=None):
+def laplacian_energy(f, z, source_metric, target_metric, h=None, rank_tol=1e-9, energy=None,
+                     jac=None, image_metric=None):
     """Target-trace Laplacian ``Delta_eta |df|^2`` at ``z``, one point or each
     point of a stack ``(..., n)``.
 
     For a local biholomorphism ``(Delta_eta u) o f = Delta_{f* eta} (u o f)``,
     so this is the same source-coordinate stencil as ``laplacian_log_energy``,
     on the energy itself and traced with the pullback form ``f* eta`` in
-    place of ``g``; ``energy`` at ``z``, when the caller has it, spares the
-    stencil centres.  Requires equal dimensions and a full-rank Jacobian at
-    every point.
+    place of ``g``.  What the caller has at ``z`` is not evaluated again:
+    ``energy`` spares the stencil centres, and ``jac`` and ``image_metric``
+    (the target metric at ``f(z)``, as ``singular_frames`` keeps them) the
+    pullback.  Requires equal dimensions and a full-rank Jacobian at every
+    point.
     """
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     if f.source_dim != f.target_dim:
         raise RankDeficient("target-trace Laplacian needs equal dimensions")
-    jac0 = jacobian(f, z)
+    jac0 = jacobian(f, z) if jac is None else jac
     s = np.linalg.svd(jac0, compute_uv=False)
     deficient = s[..., -1] <= rank_tol * np.maximum(1.0, s[..., 0])
     if np.any(deficient):
         raise RankDeficient(f"differential is rank-deficient at {z[_first(deficient)]}")
     hess = _energy_hessian(f, z, source_metric, target_metric, h, np.asarray, energy)
-    return trace_form(_pullback(jac0, _image_metric(f, z, target_metric)), hess)
+    if image_metric is None:
+        image_metric = _image_metric(f, z, target_metric)
+    return trace_form(_pullback(jac0, image_metric), hess)

@@ -11,11 +11,13 @@ The verifiers and ``estimate_hypotheses`` make each map-side quantity of a
 ``(P, n)`` grid stack (energy, exact Jacobians and their inverses, singular
 frames, Laplacian stencils, pullbacks) one call; every point keeps the bits
 it gets alone, and a failing check names the first failing point in grid
-order.  Curvature (``chern_curvature``, so the loops of
-``estimate_hypotheses`` and the mu curvature of ``family_verify``) stays one
-point at a time: its stencils call the metric once per sample, a count the
-benchmark's evaluation check pins, and exact Wirtinger jets are to replace
-those stencils rather than stack them.
+order.  The frame-searched kappas of ``estimate_hypotheses`` search all
+grid points in one lockstep ``rbc_bounds`` or ``sbc_bound`` call.
+Curvature (``chern_curvature``, so the loops of ``estimate_hypotheses`` and
+the mu curvature of ``family_verify``) stays one point at a time: its
+stencils call the metric once per sample, a count the benchmark's
+evaluation check pins, and exact Wirtinger jets are to replace those
+stencils rather than stack them.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ from .errors import (
 )
 from .maps import (
     energy_density,
-    jacobian,
     laplacian_energy,
     laplacian_log_energy,
     pullback_metric,
@@ -144,24 +145,24 @@ def _ric2(metric, points):
 
 
 def _kappa_rbc(target_metric, image_points, cfg):
-    """kappa with RBC <= -kappa: minus the largest frame-searched sup."""
+    """kappa with RBC <= -kappa: minus the largest frame-searched sup, the
+    searches of every image point run as one ``rbc_bounds`` call."""
+    tensors = np.array([chern_curvature(target_metric, w) for w in image_points])
     worst = (-np.inf, None)
-    for w in image_points:
-        tensor = chern_curvature(target_metric, w)
-        bounds = rbc_bounds(tensor, target_metric(w), cfg)
+    for w, bounds in zip(image_points, rbc_bounds(tensors, target_metric(image_points), cfg)):
         if bounds.sup > worst[0]:
             worst = (bounds.sup, w)
     return -worst[0], worst[1]
 
 
-def _kappa_sbc_along_map(f, source_metric, target_metric, points):
+def _kappa_sbc_along_map(sf, source_metric, points):
     """kappa with SBC_omega >= -kappa along the map: the sup over the grid
-    of minus the pointwise curvature sum at the map's singular values, in
-    the source singular frame."""
+    of minus the pointwise curvature sum at the map's singular values
+    (``sf``, the map's singular frames on the grid), in the source singular
+    frame."""
     worst = (-np.inf, None)
-    sf = singular_frames(f, points, source_metric, target_metric)
     for z, rank, frame, lambdas in zip(points, sf.rank, sf.source_frame, sf.lambdas):
-        if rank < f.source_dim:
+        if rank < len(z):
             raise RankDeficient(f"map is rank-deficient at {z}")
         fm = curvature_in_frame(chern_curvature(source_metric, z), frame)
         value = -sbc_along_map(fm.r_mat, lambdas)
@@ -171,12 +172,13 @@ def _kappa_sbc_along_map(f, source_metric, target_metric, points):
 
 
 def _kappa_sbc_full_cone(source_metric, points, cfg):
-    """kappa with SBC_omega >= -kappa over the full ordered cone; raises
-    UnboundedSbc with the divergence certificate when the infimum is -inf."""
+    """kappa with SBC_omega >= -kappa over the full ordered cone, the
+    searches of every grid point run as one ``sbc_bound`` call; raises
+    UnboundedSbc with the divergence certificate of the first point, in
+    grid order, where the infimum is -inf."""
+    tensors = np.array([chern_curvature(source_metric, z) for z in points])
     worst = (-np.inf, None)
-    for z in points:
-        tensor = chern_curvature(source_metric, z)
-        res = sbc_bound(tensor, source_metric(z), cfg)
+    for z, res in zip(points, sbc_bound(tensors, source_metric(points), cfg)):
         if res.status == "unbounded_below":
             raise UnboundedSbc(
                 f"SBC unbounded below at {z}", certificate=res.divergence_certificate
@@ -255,11 +257,18 @@ def estimate_hypotheses(
     if theorem == "aubin_yau":
         c2 = fixed.get("c2", 0.0)
         fit("c2", c2, None)
+        if f.source_dim != f.target_dim:
+            raise RankDeficient(
+                f"Aubin-Yau needs equal dimensions, got a map C^{f.source_dim} -> C^{f.target_dim}"
+            )
+        sf = singular_frames(f, stack, source_metric, target_metric)
+        deficient = sf.rank < n
+        if np.any(deficient):
+            raise RankDeficient(f"map is rank-deficient at {stack[np.argmax(deficient)]}")
         worst = (np.inf, None)
-        images = f(stack)
-        jinvs = np.linalg.inv(jacobian(f, stack))
+        jinvs = np.linalg.inv(sf.jacobian)
         backs = np.swapaxes(jinvs, -1, -2) @ source_metric(stack) @ np.conj(jinvs)
-        for z, w, h_w, back in zip(points, images, target_metric(images), backs):
+        for z, w, h_w, back in zip(points, f(stack), sf.image_metric, backs):
             ric2_h = ricci(chern_curvature(target_metric, w), h_w, 2)[0]
             c_here = float(np.min(_gen_eigs(c2 * back - ric2_h, h_w)))
             if c_here < worst[0]:
@@ -271,9 +280,9 @@ def estimate_hypotheses(
         fit("c1", worst[0], worst[1])
         if "kappa" not in fixed:
             if kappa_mode == "along_map":
-                kappa, at = _kappa_sbc_along_map(f, source_metric, target_metric, stack)
+                kappa, at = _kappa_sbc_along_map(sf, source_metric, stack)
             else:
-                kappa, at = _kappa_sbc_full_cone(source_metric, points, frame_cfg)
+                kappa, at = _kappa_sbc_full_cone(source_metric, stack, frame_cfg)
             fit("kappa", kappa, at)
         constants.r = f.source_dim
         return constants
@@ -288,7 +297,7 @@ def estimate_hypotheses(
         fit("c2", c2, None)
         fit("c4", c4, None)
         lo_worst, hi_worst = (-np.inf, None), (np.inf, None)
-        ranks = singular_frames(f, stack, source_metric, target_metric).rank
+        sf = singular_frames(f, stack, source_metric, target_metric)
         pulls, g_omegas = pullback_metric(f, stack, target_metric), source_metric(stack)
         for (z, ric2_mu, g_mu), pull, g_omega in zip(_ric2(mu, points), pulls, g_omegas):
             lo_here = float(np.max(_gen_eigs(c2 * pull - ric2_mu, g_mu)))
@@ -304,7 +313,7 @@ def estimate_hypotheses(
             )
         fit("c3", hi_worst[0], hi_worst[1])
         if "kappa1" not in fixed:
-            kappa1, at1 = _kappa_sbc_along_map(f, source_metric, target_metric, stack)
+            kappa1, at1 = _kappa_sbc_along_map(sf, source_metric, stack)
             fit("kappa1", kappa1, at1)
         if "kappa2" not in fixed:
             kappa2, at2 = _kappa_rbc(target_metric, f(stack), frame_cfg)
@@ -313,7 +322,7 @@ def estimate_hypotheses(
                     f"RBC sup of the target is positive ({-kappa2:.6g}); kappa2 >= 0 is demanded"
                 )
             fit("kappa2", kappa2, at2)
-        constants.r = int(np.max(ranks))
+        constants.r = int(np.max(sf.rank))
         if constants.kappa2 + constants.c2 <= 0:
             raise InfeasibleHypothesis("kappa2 + C2 > 0 is required")
         return constants
@@ -333,7 +342,7 @@ def estimate_hypotheses(
             )
         fit("c1", worst[0], worst[1])
         if "kappa" not in fixed:
-            kappa, at = _kappa_sbc_full_cone(source_metric, points, frame_cfg)
+            kappa, at = _kappa_sbc_full_cone(source_metric, stack, frame_cfg)
             fit("kappa", kappa, at)
         constants.r = constants.n
         return constants
@@ -400,7 +409,8 @@ def aubin_yau_verify(source_metric, target_metric, f, constants, grid, tol=1e-6)
     deficient = sf.rank < n
     if np.any(deficient):
         raise RankDeficient(f"map is rank-deficient at {z[np.argmax(deficient)]}")
-    lhss = laplacian_energy(f, z, source_metric, target_metric, energy=sf.energy)
+    lhss = laplacian_energy(f, z, source_metric, target_metric, energy=sf.energy,
+                            jac=sf.jacobian, image_metric=sf.image_metric)
     records = []
     for point, energy, lhs in zip(z, sf.energy.tolist(), lhss.tolist()):
         rhs = c1 * energy - n * (c2 + kappa)
@@ -610,6 +620,7 @@ def fs_moment_check(n, indices, n_samples=1_000_000, seed=0, batch=250_000):
         total += np.sum(vals)
         total_sq += float(np.sum(np.abs(vals) ** 2))
         done += m
+        del w, vals  # the next batch is drawn without this one held
     estimate = total / n_samples
     var = max(total_sq / n_samples - abs(estimate) ** 2, 0.0)
     std_error = float(np.sqrt(var / n_samples))
@@ -680,9 +691,10 @@ def random_pair_antisymmetric_tensor(n, rng, diagonal="zero"):
 
 
 def _row_forms(v, m):
-    """``v_k @ m @ v_k`` for each row ``v_k`` of ``v``, with the bits of that
-    row alone (a vector-matrix product, then a dot product, per row)."""
-    return ((v[:, None, :] @ m) @ v[:, :, None])[:, 0, 0]
+    """``v_k @ m @ v_k`` for each row ``v_k`` of ``v``, ``(..., K, n)`` rows
+    against ``(..., n, n)`` matrices, with the bits of that row alone (a
+    vector-matrix product, then a dot product, per row)."""
+    return ((v[..., None, :] @ m[..., None, :, :]) @ v[..., :, None])[..., 0, 0]
 
 
 def theorem23_check(n, trials=100, seed=0, tol=1e-10, diagonal="zero"):
@@ -695,25 +707,30 @@ def theorem23_check(n, trials=100, seed=0, tol=1e-10, diagonal="zero"):
     ``v^t R_mat v = v^t Sigma v / 2``.  With the default zero-diagonal
     construction all three vanish and the acceptance quantity
     ``|v^t(P+R)v - v^t R v|`` is checked directly.
+
+    Each trial draws a tensor and then its 100 vectors; all trials are
+    contracted and evaluated as one stack.
     """
     if n < 2:
         raise BadParams("theorem23_check needs n >= 2")
+    if trials < 1:
+        raise BadParams("theorem23_check needs at least one trial")
     if diagonal not in ("zero", "random"):
         raise BadParams(f"unknown diagonal {diagonal!r} (expected 'zero' or 'random')")
     rng = np.random.default_rng(seed)
-    eye = np.eye(n, dtype=complex)
-    max_equal = 0.0
-    max_sigma = 0.0
-    max_half = 0.0
+    tensors, v = [], []
     for _ in range(trials):
-        tensor = random_pair_antisymmetric_tensor(n, rng, diagonal=diagonal)
-        fm = curvature_in_frame(tensor, eye, imag_tol=1e-8)
-        sigma = np.diag(2.0 * np.real(np.einsum("kkkk->k", tensor)))
-        v = rng.random((100, n))
-        q1, q2, q3 = (_row_forms(v, m) for m in (fm.q_mat(), fm.r_mat, sigma))
-        max_equal = max(max_equal, float(np.max(np.abs(q1 - q2))))
-        max_sigma = max(max_sigma, float(np.max(np.abs(q1 - q3))))
-        max_half = max(max_half, float(np.max(np.abs(q2 - q3 / 2.0))))
+        tensors.append(random_pair_antisymmetric_tensor(n, rng, diagonal=diagonal))
+        v.append(rng.random((100, n)))
+    tensors, v = np.array(tensors), np.array(v)
+    fm = curvature_in_frame(tensors, np.eye(n, dtype=complex), imag_tol=1e-8)
+    k = np.arange(n)
+    sigma = np.zeros((trials, n, n))
+    sigma[:, k, k] = 2.0 * np.real(tensors[:, k, k, k, k])
+    q1, q2, q3 = (_row_forms(v, m) for m in (fm.q_mat(), fm.r_mat, sigma))
+    max_equal = float(np.max(np.abs(q1 - q2)))
+    max_sigma = float(np.max(np.abs(q1 - q3)))
+    max_half = float(np.max(np.abs(q2 - q3 / 2.0)))
     return {
         "n": n,
         "trials": trials,

@@ -13,6 +13,7 @@ import pytest
 import oracles
 from chernlab.cones import FrameSearchConfig, orthant_rayleigh_extrema, rbc_bounds, sbc_bound, sbc_value
 from chernlab.curvature import chern_curvature, kahler_symmetry_check, ricci
+from chernlab.errors import SearchBudgetExhausted
 from chernlab.maps import map_identity
 from chernlab.metrics import catalog_metric, scale_metric
 from chernlab.scenario import run_scenario
@@ -265,7 +266,9 @@ def test_criterion_9_determinism(tmp_path):
     }
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(scenario))
-    first = run_scenario(str(path)).to_json().encode()
-    second = run_scenario(str(path)).to_json().encode()
+    with pytest.warns(SearchBudgetExhausted) as budget:
+        first = run_scenario(str(path)).to_json().encode()
+        second = run_scenario(str(path)).to_json().encode()
+    assert len(budget) == 8  # every start of the rbc task's two searches, in each run
     ok = first == second and json.loads(first)["passed"]
     report(9, ok, f"two runs produced {len(first)} identical bytes")

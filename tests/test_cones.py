@@ -1,14 +1,17 @@
+import dataclasses
 import itertools
+import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.optimize
 
 from chernlab import cones
 from chernlab.cones import (
     FrameSearchConfig,
+    RbcBounds,
     _frame_search,
-    _unitary,
     orthant_rayleigh_extrema,
     rbc_bounds,
     sbc_along_map,
@@ -218,25 +221,32 @@ class TestFrameSearch:
     def test_rbc_euclidean(self):
         m = catalog_metric("euclidean", (2,))
         r = chern_curvature(m, [0.1, 0.2j])
-        res = rbc_bounds(r, m([0.1, 0.2j]), FrameSearchConfig(n_starts=2, max_iter=10))
+        with pytest.warns(SearchBudgetExhausted) as budget:
+            res = rbc_bounds(r, m([0.1, 0.2j]), FrameSearchConfig(n_starts=2, max_iter=10))
+        assert len(budget) == 4  # every start of both searches
         assert abs(res.inf) < 1e-8 and abs(res.sup) < 1e-8
 
     def test_rbc_model_values(self):
         cfg = FrameSearchConfig(n_starts=3, max_iter=15, seed=0)
         fs = catalog_metric("fubini_study", (2,))
-        res = rbc_bounds(chern_curvature(fs, [0.0, 0.0]), np.eye(2), cfg)
+        with pytest.warns(SearchBudgetExhausted) as budget:
+            res = rbc_bounds(chern_curvature(fs, [0.0, 0.0]), np.eye(2), cfg)
+        assert len(budget) == 1
         assert abs(res.inf - 2.0) < 1e-4 and abs(res.sup - 3.0) < 1e-4
         assert res.heuristic
         ch = catalog_metric("complex_hyperbolic", (2,))
-        res = rbc_bounds(chern_curvature(ch, [0.0, 0.0]), np.eye(2), cfg)
+        with pytest.warns(SearchBudgetExhausted) as budget:
+            res = rbc_bounds(chern_curvature(ch, [0.0, 0.0]), np.eye(2), cfg)
+        assert len(budget) == 1
         assert abs(res.inf + 3.0) < 1e-4 and abs(res.sup + 2.0) < 1e-4
 
     def test_rbc_fs_closed_form_n5(self):
         # fubini_study(5) at the origin: inf c = 2, sup c (n + 1) / 2 = 6
         fs = catalog_metric("fubini_study", (5,))
         z = np.zeros(5)
-        with pytest.warns(SearchBudgetExhausted):
+        with pytest.warns(SearchBudgetExhausted) as budget:
             res = rbc_bounds(chern_curvature(fs, z), fs(z), FrameSearchConfig(n_starts=1, max_iter=1))
+        assert len(budget) == 2
         assert abs(res.inf - 2.0) < 1e-4 and abs(res.sup - 6.0) < 1e-4
 
     def test_frame_invariance_spread(self):
@@ -263,6 +273,19 @@ class TestFrameSearch:
         res = sbc_bound(chern_curvature(ch, [0.0, 0.0]), np.eye(2), cfg)
         assert res.status == "unbounded_below"
         assert res.divergence_certificate is not None
+
+
+def _unitary(params, n):
+    """``expm`` of the skew-Hermitian generator with parameters ``params``,
+    built one entry at a time as the sequential search built it."""
+    a = np.zeros((n, n), dtype=complex)
+    idx = 0
+    for p in range(n):
+        for q in range(p + 1, n):
+            a[p, q] = params[idx] + 1j * params[idx + 1]
+            a[q, p] = -np.conj(a[p, q])
+            idx += 2
+    return scipy.linalg.expm(a)
 
 
 def fresh_value(objective, n):
@@ -292,8 +315,8 @@ class TestFrameSearchWork:
         def extrema(u):
             return orthant_rayleigh_extrema(curvature_in_frame(r, e0 @ u).r_mat)
 
-        inf_val, inf_u = _frame_search(fresh_value(lambda u: extrema(u).min_val, 2), 2, self.cfg, -1)
-        sup_val, sup_u = _frame_search(fresh_value(lambda u: extrema(u).max_val, 2), 2, self.cfg, +1)
+        inf_val, inf_u = _sequential_frame_search(fresh_value(lambda u: extrema(u).min_val, 2), 2, self.cfg, -1)
+        sup_val, sup_u = _sequential_frame_search(fresh_value(lambda u: extrema(u).max_val, 2), 2, self.cfg, +1)
         res = rbc_bounds(r, g, self.cfg)
         assert res.inf == inf_val and res.sup == sup_val
         assert np.array_equal(res.inf_frame, e0 @ inf_u)
@@ -325,10 +348,269 @@ class TestFrameSearchWork:
                 return -1e300
             return inner.inf_val
 
-        _frame_search(fresh_value(objective, 2), 2, self.cfg, -1)
+        _sequential_frame_search(fresh_value(objective, 2), 2, self.cfg, -1)
         assert len(hits) > 1
         cert, u = hits[0]
         assert res.status == "unbounded_below"
         assert res.divergence_certificate.gap_index == cert.gap_index
         assert np.array_equal(res.divergence_certificate.base, cert.base)
         assert np.array_equal(res.frame, e0 @ u)
+
+
+# ---------------------------------------------------------------------------
+# the frame search as it ran one start after another, kept for reference
+# ---------------------------------------------------------------------------
+
+
+def _sequential_frame_search(value, n, cfg, sense):
+    """One start after another: ``value(params)`` gives ``(objective, frame)``."""
+    rng = np.random.default_rng(cfg.seed)
+    n_params = n * (n - 1)
+    if n_params == 0:
+        return value(np.zeros(1))
+
+    starts = [np.zeros(n_params)]
+    starts += [rng.normal(scale=0.5, size=n_params) for _ in range(cfg.n_starts - 1)]
+    best_val = best_u = None
+    for s0 in starts:
+        params = s0.copy()
+        val, u = value(params)
+        if sense * val == np.inf:
+            return val, u
+        step = 0.4
+        iters = 0
+        while step > cfg.step_tol and iters < cfg.max_iter:
+            improved = False
+            for k in range(n_params):
+                for delta in (step, -step):
+                    trial = params.copy()
+                    trial[k] += delta
+                    tval, tu = value(trial)
+                    if sense * tval > sense * val + 1e-14:
+                        if sense * tval == np.inf:
+                            return tval, tu
+                        params, val, u = trial, tval, tu
+                        improved = True
+            if not improved:
+                step *= 0.5
+            iters += 1
+        if iters >= cfg.max_iter and step > cfg.step_tol:
+            warnings.warn("frame search hit iteration budget", SearchBudgetExhausted)
+        if best_u is None or sense * val > sense * best_val:
+            best_val, best_u = val, u
+    return best_val, best_u
+
+
+def _orthant_loop(m):
+    """Orthant extrema one face and one eigenvector at a time: (min, max)."""
+    sym = (m + m.T) / 2.0
+    n = sym.shape[0]
+    kkt_tol = 1e-10 * max(1.0, float(np.max(np.abs(sym))))
+    mins, maxs = [], []
+    for mask in range(1, 1 << n):
+        face = [i for i in range(n) if mask >> i & 1]
+        off = [i for i in range(n) if not mask >> i & 1]
+        vecs = np.linalg.eigh(sym[np.ix_(face, face)])[1]
+        for k in range(len(face)):
+            w = vecs[:, k]
+            if np.all(w >= -1e-12):
+                pass
+            elif np.all(w <= 1e-12):
+                w = -w
+            else:
+                continue
+            x = np.zeros(n)
+            x[face] = np.clip(w, 0.0, None)
+            nrm = np.linalg.norm(x)
+            if nrm == 0.0:
+                continue
+            x /= nrm
+            grad_off = (sym @ x)[off]
+            value = float(x @ sym @ x)
+            if grad_off.size == 0 or np.all(grad_off >= -kkt_tol):
+                mins.append((value, x, tuple(face)))
+            if grad_off.size == 0 or np.all(grad_off <= kkt_tol):
+                maxs.append((value, x, tuple(face)))
+    return min(mins, key=lambda t: t[0]), max(maxs, key=lambda t: t[0])
+
+
+def _rbc_reference(r, g, cfg):
+    """``rbc_bounds`` of one point with the sequential search and face loop."""
+    n = g.shape[0]
+    e0 = gram_unitary_frame(g)
+    memo = {}
+
+    def extrema(params):
+        key = params.tobytes()
+        if key not in memo:
+            u = _unitary(params, n)
+            memo[key] = (u, _orthant_loop(curvature_in_frame(r, e0 @ u).r_mat))
+        return memo[key]
+
+    inf_val, inf_u = _sequential_frame_search(lambda p: (extrema(p)[1][0][0], extrema(p)[0]), n, cfg, -1)
+    sup_val, sup_u = _sequential_frame_search(lambda p: (extrema(p)[1][1][0], extrema(p)[0]), n, cfg, +1)
+    return RbcBounds(inf_val, sup_val, e0 @ inf_u, e0 @ sup_u, n >= 2)
+
+
+def _sbc_reference(r, g, cfg, inner_starts):
+    """``sbc_bound`` of one point with the sequential search."""
+    n = g.shape[0]
+    e0 = gram_unitary_frame(g)
+
+    def value(params):
+        u = _unitary(params, n)
+        res = sbc_infimum(curvature_in_frame(r, e0 @ u).r_mat, n_starts=inner_starts, seed=cfg.seed)
+        return (-np.inf if res.status == "unbounded_below" else res.inf_val), (u, res)
+
+    _, (u, res) = _sequential_frame_search(value, n, cfg, -1)
+    return dataclasses.replace(res, frame=e0 @ u)
+
+
+def _budget_warnings(fn):
+    """``fn()`` and the number of SearchBudgetExhausted warnings it gave."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", SearchBudgetExhausted)
+        out = fn()
+    return out, sum(issubclass(w.category, SearchBudgetExhausted) for w in caught)
+
+
+def _same(a, b):
+    """Bit-identical field by field (arrays, floats, nested dataclasses)."""
+    if dataclasses.is_dataclass(a):
+        return type(a) is type(b) and all(
+            _same(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a)
+        )
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return np.shape(a) == np.shape(b) and np.asarray(a).tobytes() == np.asarray(b).tobytes()
+    return type(a) is type(b) and (a == b or np.asarray(a).tobytes() == np.asarray(b).tobytes())
+
+
+MODELS = {
+    "fubini_study": lambda n: (n,),
+    "complex_hyperbolic": lambda n: (n,),
+    "hopf": lambda n: (n,),
+    "polydisk": lambda n: (1.0,) * n,
+}
+
+
+def _two_points(name, n, seed):
+    """Tensors and metrics of ``name`` at two seeded points, as stacks."""
+    metric = catalog_metric(name, MODELS[name](n))
+    rng = np.random.default_rng(seed)
+    z = 0.3 * (rng.random((2, n)) + 1j * rng.random((2, n)))
+    if name == "hopf":
+        z += 0.5
+    return np.array([chern_curvature(metric, p) for p in z]), metric(z)
+
+
+class TestOrthantStack:
+    def test_matches_face_loop(self):
+        rng = np.random.default_rng(12)
+        for n in (1, 2, 3, 4):
+            ms = rng.standard_normal((40, n, n))
+            ms[::5] = np.round(ms[::5])  # ties between faces
+            ms[::9] = 0.0
+            stacked = orthant_rayleigh_extrema(ms)
+            for k, m in enumerate(ms):
+                (lo, lo_x, lo_face), (hi, hi_x, hi_face) = _orthant_loop(m)
+                alone = orthant_rayleigh_extrema(m)
+                assert _same(alone.min_val, lo) and _same(alone.max_val, hi)
+                assert _same(alone.argmin, lo_x) and _same(alone.argmax, hi_x)
+                assert alone.certificate == (lo_face, hi_face) == stacked.certificate[k]
+                assert _same(stacked.min_val[k], np.float64(lo))
+                assert _same(stacked.max_val[k], np.float64(hi))
+                assert _same(stacked.argmin[k], lo_x) and _same(stacked.argmax[k], hi_x)
+
+
+class TestLockstepSearch:
+    """The lockstep search against the sequential search it replaced."""
+
+    @pytest.mark.parametrize("seed", [3, 11])
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_rbc_matches_sequential(self, name, n, seed):
+        r, g = _two_points(name, n, seed)
+        cfg = FrameSearchConfig(n_starts=3, max_iter=12 if n == 2 else 5, seed=seed)
+        stacked, warned = _budget_warnings(lambda: rbc_bounds(r, g, cfg))
+        alone = [_budget_warnings(lambda p=p: rbc_bounds(r[p], g[p], cfg)) for p in range(2)]
+        ref = [_budget_warnings(lambda p=p: _rbc_reference(r[p], g[p], cfg)) for p in range(2)]
+        for p in range(2):
+            assert _same(stacked[p], ref[p][0]) and _same(alone[p][0], ref[p][0])
+            assert alone[p][1] == ref[p][1]
+        assert warned == ref[0][1] + ref[1][1]
+
+    @pytest.mark.parametrize("seed", [3, 11])
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_sbc_matches_sequential(self, name, n, seed):
+        r, g = _two_points(name, n, seed)
+        cfg = FrameSearchConfig(n_starts=2, max_iter=4 if n == 2 else 1, seed=seed)
+        stacked, warned = _budget_warnings(lambda: sbc_bound(r, g, cfg, inner_starts=2))
+        ref = [_budget_warnings(lambda p=p: _sbc_reference(r[p], g[p], cfg, 2)) for p in range(2)]
+        for p in range(2):
+            assert _same(stacked[p], ref[p][0])
+        alone, alone_warned = _budget_warnings(lambda: sbc_bound(r[1], g[1], cfg, inner_starts=2))
+        assert _same(alone, stacked[1]) and alone_warned == ref[1][1]
+        assert warned == ref[0][1] + ref[1][1]
+
+    def test_one_expm_per_distinct_frame(self, monkeypatch):
+        # the traced frame-evaluation count is the number of expm calls:
+        # the distinct frames of each point, shared by its min and max searches
+        r, g = _two_points("hopf", 2, 4)
+        cfg = FrameSearchConfig(n_starts=3, max_iter=10, seed=4)
+        calls = []
+
+        def counted(a, _expm=scipy.linalg.expm):
+            calls.append(a.tobytes())
+            return _expm(a)
+
+        monkeypatch.setattr(scipy.linalg, "expm", counted)
+        for p in range(2):
+            _budget_warnings(lambda p=p: _rbc_reference(r[p], g[p], cfg))
+        sequential, calls[:] = len(calls), []
+        _budget_warnings(lambda: rbc_bounds(r, g, cfg))
+        # the two points visit the same generators, each exponentiated per point
+        assert len(calls) == sequential and len(set(calls)) < len(calls)
+
+    @pytest.mark.parametrize("diverges", [False, True])
+    def test_later_start_diverging_first_loses_to_earlier_start(self, diverges):
+        # each start visits 25 frames under this finite objective; making
+        # frame 2 of start 2 and frame 20 of start 1 unbounded, start 2 hits
+        # first in lockstep, but start 1's hit is the one sequential order
+        # returns
+        cfg = FrameSearchConfig(n_starts=3, max_iter=6, seed=5)
+
+        def objective(u):
+            return float(np.real(u[0, 1]) + np.imag(u[1, 0]) ** 2)
+
+        visits = []
+        _, warned = _budget_warnings(lambda: _sequential_frame_search(
+            lambda p: (objective(_unitary(p, 2)), visits.append(p)), 2, cfg, -1))
+        assert len(visits) == 75 and warned == 3
+        marked = {_unitary(visits[25 + 20], 2).tobytes(), _unitary(visits[50 + 2], 2).tobytes()}
+
+        def value(params):
+            u = _unitary(params, 2)
+            return (-np.inf if u.tobytes() in marked else objective(u)), u
+
+        seen = []
+
+        def evaluate(owners, frames):
+            seen.extend(u.tobytes() for u in frames)
+            values = [[-np.inf if u.tobytes() in marked else objective(u)] for u in frames]
+            return values, [None] * len(frames)
+
+        want_val, want_u = value(visits[45])
+        # start 0 runs out of budget before start 1 diverges, in both orders
+        got, warned = _budget_warnings(lambda: _sequential_frame_search(value, 2, cfg, -1))
+        assert got[1].tobytes() == want_u.tobytes() and warned == 1
+        found, warned = _budget_warnings(lambda: _frame_search(evaluate, 1, 2, cfg, (-1,), diverges))
+        ((val, u, _),) = found[0]
+        assert warned == 1
+        assert val == want_val == -np.inf and _same(u, want_u)
+        # lockstep saw start 2 diverge; with diverging objectives the starts
+        # run in turn and evaluate only what the sequential search did
+        sequential = {_unitary(p, 2).tobytes() for p in visits[:46]}
+        assert (_unitary(visits[52], 2).tobytes() in seen) is not diverges
+        if diverges:
+            assert sorted(seen) == sorted(sequential)

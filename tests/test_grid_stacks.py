@@ -290,11 +290,12 @@ class TestEvaluatorCalls:
         # less their centres, and the source metric for the trace (1, 0); so
         # the energy is evaluated once per point for the record, the
         # critical-point check and the stencil centre.  aubin_yau: singular
-        # frames (2, 1), the stencils, and the pullback for the trace (1, 1).
+        # frames (2, 1) and the stencils; the pullback for the trace takes
+        # the Jacobian and image metric of the singular frames.
         energy = (2, 1)
         expected = {
             "chern_lu": (2 * energy[0] + 1, 2 * energy[1]),
-            "aubin_yau": (2 + energy[0] + 1, 1 + energy[1] + 1),
+            "aubin_yau": (2 + energy[0], 1 + energy[1]),
             "trace_bound": (2, 0),
         }[theorem]
         assert (seen[0]["metric"], seen[0]["map"] // 3) == expected

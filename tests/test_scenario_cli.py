@@ -268,6 +268,26 @@ class TestTasks:
         assert report.tasks[1]["status"] == "ok"
         assert not report.passed
 
+    @pytest.mark.parametrize(
+        "map_spec, target, message",
+        [
+            # z^2 has a zero derivative at the grid centre 0
+            ({"kind": "power", "k": 2}, "p1", "map is rank-deficient at"),
+            ({"kind": "linear", "matrix": [[[1, 0]], [[0.5, 0]]]}, "pd", "needs equal dimensions"),
+        ],
+    )
+    def test_aubin_yau_estimate_on_a_singular_map_is_a_task_error(self, map_spec, target, message):
+        doc = base_scenario()
+        doc["metrics"]["pd"] = {"catalog": "polydisk", "params": [1.0, 1.0]}
+        doc["maps"] = {"f": map_spec}
+        doc["tasks"][0].update(theorem="aubin_yau", map="f", target=target)
+        report = run_scenario(doc)
+        assert report.tasks[0]["status"] == "error"
+        assert report.tasks[0]["error"].startswith("RankDeficient: ")
+        assert message in report.tasks[0]["error"]
+        doc["tasks"].append(THEOREM23)
+        assert run_scenario(doc).tasks[1]["status"] == "ok"
+
     @pytest.mark.parametrize("per_axis", [2, 3])
     def test_image_outside_target_domain_is_a_task_error(self, per_axis):
         # every grid point lies in the hole |z| < 0.5 of the target's annulus,

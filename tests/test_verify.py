@@ -9,6 +9,7 @@ from chernlab.errors import (
     FormInequalityViolated,
     HypothesisSignError,
     InfeasibleHypothesis,
+    SearchBudgetExhausted,
     UnboundedSbc,
 )
 from chernlab.maps import map_identity
@@ -59,8 +60,9 @@ class TestEstimateHypotheses:
 
     def test_positive_rbc_infeasible(self):
         fs = catalog_metric("fubini_study", (2,))
-        with pytest.raises(InfeasibleHypothesis):
+        with pytest.raises(InfeasibleHypothesis), pytest.warns(SearchBudgetExhausted) as budget:
             estimate_hypotheses(fs, fs, map_identity(2), [np.zeros(2)], "chern_lu", frame_cfg=CFG)
+        assert len(budget) == 1
 
     def test_full_cone_kappa_unbounded(self):
         ch = catalog_metric("complex_hyperbolic", (2,))
@@ -309,7 +311,9 @@ class TestNonIdentityMaps:
         ch = catalog_metric("complex_hyperbolic", (2,))
         f = map_identity(2)
         grid = [np.array([x + 0.1j * y, 0.05 * y - 0.1j * x]) for x in (-0.2, 0.0, 0.2) for y in (-1.0, 1.0)]
-        c = estimate_hypotheses(ch, ch, f, grid, "family", mu=ch, frame_cfg=CFG)
+        with pytest.warns(SearchBudgetExhausted) as budget:
+            c = estimate_hypotheses(ch, ch, f, grid, "family", mu=ch, frame_cfg=CFG)
+        assert len(budget) == 14
         assert abs(c.c1 - 3.0) < 1e-3  # Ric2 = -(n+1) mu for this model
         assert abs(c.c3 - 3.0) < 1e-3
         assert abs(c.kappa2 - 2.0) < 1e-3
@@ -398,6 +402,10 @@ class TestTheorem23:
     def test_unknown_diagonal(self):
         with pytest.raises(BadParams):
             theorem23_check(3, trials=1, diagonal="bogus")
+
+    def test_no_trials(self):
+        with pytest.raises(BadParams):
+            theorem23_check(3, trials=0)
 
     def test_random_diagonal_structure(self):
         rep = theorem23_check(3, trials=50, seed=1, diagonal="random")

@@ -9,20 +9,22 @@ coordinate descent on skew-Hermitian generators.
 
 The frame search runs in lockstep: every start, sense (min, max) and
 point of one ``rbc_bounds`` or ``sbc_bound`` call advances together, and
-the frames they wait on are contracted and extremized as one stack (one
-``expm`` per distinct frame).  Each start visits the frames of the starts
-run one after another, with the same bits.
+the frames they wait on are exponentiated, contracted and extremized as one
+stack (the unitaries from one stacked ``eigh`` of their generators).  Each
+start visits the frames of the starts run one after another, with the same
+bits.  The module needs numpy only: the orthant extrema enumerate KKT
+points, and the SBC inner problem is decided at the vertices of its gap box
+and solved by exact coordinate minimization.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
-import scipy.optimize
 
 from .errors import BadParams, DimensionMismatch, SearchBudgetExhausted, ZeroSingularValue
 from .tensors import curvature_in_frame, gram_unitary_frame
@@ -42,6 +44,10 @@ __all__ = [
 ]
 
 _GAP_MAX = 40.0  # cap on gap coordinates: exp(40) ratios are past any double-precision need
+_ZERO_TOL = 1e-8  # frame-matrix entries within this share of max|R| of zero are zero
+_MARGINAL_TOL = 1e-6  # a finite SBC whose least gap coefficient is below this is marginal
+_SWEEPS = 1000  # cap on the coordinate sweeps of the SBC inner solve
+_STEP_TOL = 1e-12  # the sweeps stop once no gap coordinate moves by more
 
 
 @dataclass(frozen=True)
@@ -197,65 +203,64 @@ def sbc_value(rm, v):
 
 
 def _gaps_to_v(s):
-    """Ordered vector from gap coordinates: v_i = exp(sum_{j>=i} s_j), v_n = 1."""
-    tail = np.concatenate([np.cumsum(s[::-1])[::-1], [0.0]])
-    return np.exp(tail)
+    """Ordered vectors from gap coordinates ``(..., n-1)``: v_i = exp(sum_{j>=i} s_j), v_n = 1."""
+    tail = np.cumsum(s[..., ::-1], axis=-1)[..., ::-1]
+    return np.exp(np.concatenate([tail, np.zeros(tail.shape[:-1] + (1,))], axis=-1))
 
 
-def _objective_and_grad(rm, s):
-    n = rm.shape[0]
-    v = _gaps_to_v(s)
-    ratio = rm * (v[None, :] / v[:, None])  # entry (a, g) carries weight v_g / v_a
-    val = float(np.sum(ratio))
-    grad = np.empty(n - 1)
-    for j in range(n - 1):
-        # d/ds_j multiplies entries with g <= j < a by +1 and a <= j < g by -1
-        grad[j] = float(np.sum(ratio[j + 1 :, : j + 1]) - np.sum(ratio[: j + 1, j + 1 :]))
-    return val, grad
+def _gap_coefficients(rm, v):
+    """``c_j(v) = sum_{g<=j<a} R[a,g] v_g/v_a`` of every gap j, ``(n-1, ...)``
+    for one vector or a stack ``(..., n)``."""
+    ratio = rm * (v[..., None, :] / v[..., :, None])
+    return np.array([np.sum(ratio[..., j + 1 :, : j + 1], axis=(-2, -1)) for j in range(len(rm) - 1)])
 
 
-def _gap_coefficient_and_grad(rm, s, j):
-    n = rm.shape[0]
-    v = _gaps_to_v(s)
-    ratio = rm * (v[None, :] / v[:, None])
-    block = ratio[j + 1 :, : j + 1]  # rows a > j, cols g <= j
-    val = float(np.sum(block))
-    grad = np.empty(n - 1)
-    for k in range(n - 1):
-        plus = np.sum(ratio[j + 1 :, : min(k + 1, j + 1)])
-        minus = np.sum(ratio[j + 1 : k + 1, : j + 1])
-        grad[k] = float(plus - minus)
-    return val, grad
+def _coordinate_minimum(rm, s):
+    """Gap coordinates of a minimum of ``u_v^t R v`` by exact coordinate
+    minimization from the gaps ``s``.
+
+    Scaling gap j by ``e^t`` leaves ``A e^t + B e^-t + C`` with ``A = c_j(v)``
+    and ``B`` the same sum of ``R^t`` at ``1/v``.  Each step takes the least
+    of its values at ``t = 0``, at both ends of the box and, when A and B
+    are positive, at ``e^t = sqrt(B / A)`` clipped to the box.  The sweeps
+    stop when no gap moves.
+    """
+    s = s.copy()
+    for _ in range(_SWEEPS):
+        moved = 0.0
+        for j in range(len(s)):
+            v = _gaps_to_v(s)
+            a, b = _gap_coefficients(rm, v)[j], _gap_coefficients(rm.T, 1.0 / v)[j]
+            steps = [0.0, -s[j], _GAP_MAX - s[j]]
+            if a > 0.0 and b > 0.0:
+                steps.append(np.clip(0.5 * np.log(b / a), -s[j], _GAP_MAX - s[j]))
+            t = min(steps, key=lambda t: a * np.exp(t) + b * np.exp(-t))
+            s[j] = np.clip(s[j] + t, 0.0, _GAP_MAX)
+            moved = max(moved, abs(t))
+        if moved <= _STEP_TOL:
+            break
+    return s
 
 
-def _multistart_lbfgs(fun, n_vars, rng, n_starts):
-    starts = [np.zeros(n_vars)]
-    starts += [rng.exponential(scale=1.0, size=n_vars) for _ in range(n_starts - 1)]
-    best = None
-    for s0 in starts:
-        res = scipy.optimize.minimize(
-            fun,
-            np.clip(s0, 0.0, _GAP_MAX),
-            jac=True,
-            method="L-BFGS-B",
-            bounds=[(0.0, _GAP_MAX)] * n_vars,
-        )
-        if best is None or res.fun < best.fun:
-            best = res
-    return best
-
-
-def sbc_infimum(rm, n_starts=8, seed=0, unbounded_tol=1e-8, marginal_tol=1e-6):
+def sbc_infimum(rm):
     """Infimum of ``u_v^t R v`` over the ordered cone, with divergence detection.
 
     Scale invariance fixes ``v_n = 1``; gap coordinates ``s_j >= 0`` with
-    ``v_i = exp(sum_{j>=i} s_j)`` turn the cone into a box.  Scaling gap j by
-    ``exp(t)`` splits the objective into ``A e^t + B e^-t + C`` with leading
-    coefficient ``A = c_j(v) = sum_{g<=j<a} R[a,g] v_g/v_a``; if descent over
-    bases drives any ``c_j`` below ``-unbounded_tol`` the objective is
-    unbounded below and the certificate ``(j, v)`` is returned.  Otherwise a
-    bounded multistart descent returns the best infimum found; a smallest gap
-    coefficient below ``marginal_tol`` flags the result "finite (marginal)".
+    ``v_i = exp(sum_{j>=i} s_j)`` turn the cone into a box, capped at
+    ``_GAP_MAX``.  Scaling gap j by ``exp(t)`` splits the objective into
+    ``A e^t + B e^-t + C`` with leading coefficient
+    ``A = c_j(v) = sum_{g<=j<a} R[a,g] v_g/v_a``.
+
+    Entries of ``R`` within ``_ZERO_TOL * max|R|`` of zero are taken as zero
+    (the noise of a vanishing curvature component).  Each ``c_j`` is
+    multilinear in the ``e^{s_k}``, so its minimum over the box lies at a
+    vertex.  A vertex coefficient below ``-_ZERO_TOL * max|R|`` times its
+    weights (the ``v_g/v_a`` it sums) certifies the objective unbounded
+    below; the most negative is returned as the certificate ``(j, v)``.
+    Otherwise ``_coordinate_minimum`` runs from ``v = 1``, and from every
+    vertex when a negative entry off the diagonal leaves the objective
+    nonconvex in the gaps; ``margin`` is the least vertex coefficient, and
+    one below ``_MARGINAL_TOL`` flags the result "finite (marginal)".
     """
     rm = np.asarray(rm, dtype=float)
     if rm.ndim != 2 or rm.shape[0] != rm.shape[1] or rm.shape[0] < 1:
@@ -264,29 +269,23 @@ def sbc_infimum(rm, n_starts=8, seed=0, unbounded_tol=1e-8, marginal_tol=1e-6):
     if n == 1:
         return SbcResult(status="finite", inf_val=float(rm[0, 0]), arg=np.array([1.0]))
 
-    rng = np.random.default_rng(seed)
-    worst = (np.inf, None, None)  # (coefficient, gap index, base)
-    for j in range(n - 1):
-        res = _multistart_lbfgs(
-            lambda s, _j=j: _gap_coefficient_and_grad(rm, s, _j), n - 1, rng, n_starts
-        )
-        if res.fun < worst[0]:
-            worst = (res.fun, j, _gaps_to_v(res.x))
-    if worst[0] < -unbounded_tol:
-        cert = DivergenceCertificate(
-            gap_index=worst[1], base=worst[2], leading_coefficient=float(worst[0])
-        )
+    tol = _ZERO_TOL * float(np.max(np.abs(rm)))
+    rm = np.where(np.abs(rm) <= tol, 0.0, rm)
+    gaps = np.array(list(itertools.product((0.0, _GAP_MAX), repeat=n - 1)))  # v = 1 first
+    v = _gaps_to_v(gaps)
+    coef = _gap_coefficients(rm, v)
+    certified = np.where(coef < -tol * _gap_coefficients(np.ones((n, n)), v), coef, np.inf)
+    if np.isfinite(np.min(certified)):
+        j, k = np.unravel_index(np.argmin(certified), certified.shape)
+        cert = DivergenceCertificate(gap_index=int(j), base=v[k], leading_coefficient=float(coef[j, k]))
         return SbcResult(status="unbounded_below", divergence_certificate=cert)
 
-    res = _multistart_lbfgs(lambda s: _objective_and_grad(rm, s), n - 1, rng, n_starts)
-    arg = _gaps_to_v(res.x)
-    return SbcResult(
-        status="finite",
-        inf_val=sbc_value(rm, arg),
-        arg=arg,
-        marginal=bool(worst[0] < marginal_tol),
-        margin=float(worst[0]),
-    )
+    margin = float(np.min(coef))
+    convex = np.all(rm[~np.eye(n, dtype=bool)] >= 0.0)
+    args = [_gaps_to_v(_coordinate_minimum(rm, s)) for s in (gaps[:1] if convex else gaps)]
+    arg = min(args, key=lambda u: sbc_value(rm, u))
+    return SbcResult(status="finite", inf_val=sbc_value(rm, arg), arg=arg,
+                     marginal=margin < _MARGINAL_TOL, margin=margin)
 
 
 def sbc_along_map(rm, lambdas):
@@ -345,6 +344,14 @@ def _generators(params, n):
     return a
 
 
+def _exp_skew(generators):
+    """``exp`` of each skew-Hermitian matrix ``A`` of a stack ``(K, n, n)``:
+    ``V diag(e^{i lam}) V^dag`` from the eigenpairs of the Hermitian ``-iA``.
+    Each matrix of the stack gets the bits it gets alone."""
+    lam, vecs = np.linalg.eigh(-1j * generators)
+    return (vecs * np.exp(1j * lam)[..., None, :]) @ np.conj(np.swapaxes(vecs, -1, -2))
+
+
 def _descent(start, cfg, sense):
     """Coordinate descent from one start, as a generator.
 
@@ -383,12 +390,13 @@ def _frame_search(evaluate, n_points, n, cfg, senses, diverges=False):
     each from the same ``cfg.n_starts`` seeded starts, and each start is a
     ``_descent``.  All of them advance together: at every step the frames
     they wait on are evaluated as one stack, ``evaluate(owners, frames)``
-    with the point index of each frame and the unitaries ``expm`` of their
-    generators (one ``expm`` per distinct frame of a point).  It returns
-    the objectives, one row per frame and one column per sense, and an
-    extra value per frame for the caller.  A point's frames are memoized and shared
-    between its senses, and every search is resumed with its value, so each
-    start visits the frames, and gets the bits, of the starts run in turn.
+    with the point index of each frame and the unitaries of their
+    generators (one ``_exp_skew`` of the step's distinct frames of each
+    point).  It returns the objectives, one row per frame and one column
+    per sense, and an extra value per frame for the caller.  A point's
+    frames are memoized and shared between its senses, and every search is
+    resumed with its value, so each start visits the frames, and gets the
+    bits, of the starts run in turn.
 
     An objective of ``sense * inf`` ends its search at the first such frame
     in start order: later starts are dropped.  When the objective can reach
@@ -425,8 +433,7 @@ def _frame_search(evaluate, n_points, n, cfg, senses, diverges=False):
                 fresh.setdefault((p, key), trial)
         if fresh:
             owners = np.array([p for p, _ in fresh])
-            generators = _generators(np.array(list(fresh.values())), n)
-            frames = np.array([scipy.linalg.expm(a) for a in generators])
+            frames = _exp_skew(_generators(np.array(list(fresh.values())), n))
             values, extras = evaluate(owners, frames)
             for (p, key), u, vals, extra in zip(fresh, frames, np.asarray(values).tolist(), extras):
                 memo[p][key] = (u, vals, extra)
@@ -514,7 +521,7 @@ def rbc_bounds(r, g, cfg=FrameSearchConfig()):
     return bounds[0] if single else bounds
 
 
-def sbc_bound(r, g, cfg=FrameSearchConfig(), inner_starts=4):
+def sbc_bound(r, g, cfg=FrameSearchConfig()):
     """Frame-searched infimum of the SBC.
 
     Unbounded in any visited frame means unbounded overall: the search
@@ -528,7 +535,7 @@ def sbc_bound(r, g, cfg=FrameSearchConfig(), inner_starts=4):
 
     def evaluate(owners, frames):
         r_mats = curvature_in_frame(r[owners], e0[owners] @ frames).r_mat
-        inner = [sbc_infimum(rm, n_starts=inner_starts, seed=cfg.seed) for rm in r_mats]
+        inner = [sbc_infimum(rm) for rm in r_mats]
         values = [[-np.inf if res.status == "unbounded_below" else res.inf_val] for res in inner]
         return values, inner
 

@@ -226,14 +226,14 @@ def jacobian(f: HolomorphicMapModel, z):
     return _differential(f, z)
 
 
-def _image_metric(f, z, target_metric):
-    """The target metric at ``f(z)``; DomainMarginError if ``f(z)`` leaves the
-    target's domain at any point of the stack."""
+def _image(f, z, target_metric):
+    """``f(z)`` and the target metric there; DomainMarginError if ``f(z)``
+    leaves the target's domain at any point of the stack."""
     w = f(z)
     outside = ~target_metric.domain.contains(w)
     if np.any(outside):
         raise DomainMarginError(f"image point {w[_first(outside)]} is outside the target's domain")
-    return target_metric(w)
+    return w, target_metric(w)
 
 
 def _pullback(jac, h_w):
@@ -255,7 +255,7 @@ def pullback_metric(f, z, target_metric):
     at any point of the stack.
     """
     z = np.atleast_1d(np.asarray(z, dtype=complex))
-    return _pullback(jacobian(f, z), _image_metric(f, z, target_metric))
+    return _pullback(jacobian(f, z), _image(f, z, target_metric)[1])
 
 
 def energy_density(f, z, source_metric, target_metric):
@@ -279,8 +279,10 @@ class SingularFrameData:
     ``energy`` is the energy density ``sum(lambdas^2)`` as ``energy_density``
     gives it.  The stored frames satisfy ``e^dag g e = I`` (resp. with the
     target metric), diagonalize the pullback form, and realize the normal
-    form through ``map_in_frames``.  ``jacobian`` and ``image_metric`` (the
-    target metric at ``f(z)``) are the values they were computed from.
+    form through ``map_in_frames``.  ``jacobian``, ``image`` (the map's
+    values ``f(z)``) and ``image_metric`` (the target metric there) are the
+    values they were computed from, and ``pullback`` the form ``f* eta``
+    as ``pullback_metric`` gives it.
     """
 
     lambdas: np.ndarray
@@ -289,7 +291,9 @@ class SingularFrameData:
     target_frame: np.ndarray
     energy: float | np.ndarray
     jacobian: np.ndarray
+    image: np.ndarray
     image_metric: np.ndarray
+    pullback: np.ndarray
 
 
 def map_in_frames(jac, source_frame, target_frame):
@@ -313,7 +317,7 @@ def singular_frames(f, z, source_metric, target_metric, rank_tol=1e-9):
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     jac = jacobian(f, z)
     g = source_metric(z)
-    h_mat = _image_metric(f, z, target_metric)
+    image, h_mat = _image(f, z, target_metric)
     low_g = cholesky_factor(g, "source metric")
     low_h = cholesky_factor(h_mat, "target metric")
     inv_low_g = np.linalg.inv(low_g)
@@ -323,7 +327,8 @@ def singular_frames(f, z, source_metric, target_metric, rank_tol=1e-9):
     src_frame = np.conj(np.swapaxes(inv_low_g, -1, -2)) @ np.swapaxes(vh, -1, -2)
     tgt_frame = np.conj(np.swapaxes(np.linalg.inv(low_h), -1, -2)) @ np.conj(u)
 
-    energy = _energy(g, _pullback(jac, h_mat))
+    pull = _pullback(jac, h_mat)
+    energy = _energy(g, pull)
     sum_sq = np.sum(s**2, axis=-1)
     off = np.abs(sum_sq - energy) > 1e-8 * np.maximum(1.0, energy)
     if np.any(off):
@@ -332,7 +337,7 @@ def singular_frames(f, z, source_metric, target_metric, rank_tol=1e-9):
                               f"{sum_sq[bad]:.12g} vs {np.asarray(energy)[bad]:.12g}")
     rank = np.sum(s > rank_tol * np.maximum(1.0, s[..., :1]), axis=-1)
     return SingularFrameData(
-        s, int(rank) if rank.ndim == 0 else rank, src_frame, tgt_frame, energy, jac, h_mat
+        s, int(rank) if rank.ndim == 0 else rank, src_frame, tgt_frame, energy, jac, image, h_mat, pull
     )
 
 
@@ -396,5 +401,5 @@ def laplacian_energy(f, z, source_metric, target_metric, h=None, rank_tol=1e-9, 
         raise RankDeficient(f"differential is rank-deficient at {z[_first(deficient)]}")
     hess = _energy_hessian(f, z, source_metric, target_metric, h, np.asarray, energy)
     if image_metric is None:
-        image_metric = _image_metric(f, z, target_metric)
+        image_metric = _image(f, z, target_metric)[1]
     return trace_form(_pullback(jac0, image_metric), hess)

@@ -11,8 +11,12 @@ The verifiers and ``estimate_hypotheses`` make each map-side quantity of a
 ``(P, n)`` grid stack (energy, exact Jacobians and their inverses, singular
 frames, Laplacian stencils, pullbacks) one call; every point keeps the bits
 it gets alone, and a failing check names the first failing point in grid
-order.  The frame-searched kappas of ``estimate_hypotheses`` search all
-grid points in one lockstep ``rbc_bounds`` or ``sbc_bound`` call.
+order.  ``estimate_hypotheses`` takes the map's values, Jacobians,
+pullbacks and the target metric at ``f(z)`` from one ``singular_frames``
+call per grid, and its frame-searched kappas search all grid points in one
+lockstep ``rbc_bounds`` or ``sbc_bound`` call.  Hermitian eigenvalues are
+numpy's ``eigvalsh``; those of a pencil ``(a, b)`` are taken after whitening
+by the Cholesky factor of b.
 Curvature (``chern_curvature``, so the loops of ``estimate_hypotheses`` and
 the mu curvature of ``family_verify``) stays one point at a time: its
 stencils call the metric once per sample, a count the benchmark's
@@ -25,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .cones import FrameSearchConfig, rbc_bounds, sbc_along_map, sbc_bound
 from .curvature import chern_curvature, ricci
@@ -45,7 +48,7 @@ from .maps import (
     pullback_metric,
     singular_frames,
 )
-from .tensors import FrameCurvatureMatrices, curvature_in_frame, trace_form
+from .tensors import FrameCurvatureMatrices, cholesky_factor, curvature_in_frame, trace_form
 
 __all__ = [
     "HypothesisConstants",
@@ -126,33 +129,34 @@ def _z_list(z):
     return [[float(np.real(c)), float(np.imag(c))] for c in np.atleast_1d(z)]
 
 
-def _min_eig(form):
-    return float(np.min(scipy.linalg.eigvalsh(form)))
-
-
 def _gen_eigs(a, b):
-    """Eigenvalues of the pencil (a, b) with b Hermitian positive-definite."""
-    return scipy.linalg.eigh(a, b, eigvals_only=True)
+    """Eigenvalues of the pencil (a, b) with b Hermitian positive-definite:
+    those of ``L^-1 a L^-dag`` with ``L`` the Cholesky factor of b."""
+    inv_low = np.linalg.inv(cholesky_factor(b))
+    return np.linalg.eigvalsh(inv_low @ a @ np.conj(np.swapaxes(inv_low, -1, -2)))
 
 
-def _ric2(metric, points):
-    """``(z, Ric2, g)`` at each grid point, one curvature stencil per point."""
-    out = []
-    for z in points:
-        tensor, g = chern_curvature(metric, z), metric(z)
-        out.append((z, ricci(tensor, g, 2)[0], g))
-    return out
+def _ric2(metric, stack):
+    """Ric2 and the metric at each grid point, as stacks; one curvature
+    stencil per point."""
+    g = [metric(z) for z in stack]
+    return np.array([ricci(chern_curvature(metric, z), gz, 2)[0] for z, gz in zip(stack, g)]), np.array(g)
 
 
-def _kappa_rbc(target_metric, image_points, cfg):
-    """kappa with RBC <= -kappa: minus the largest frame-searched sup, the
-    searches of every image point run as one ``rbc_bounds`` call."""
-    tensors = np.array([chern_curvature(target_metric, w) for w in image_points])
-    worst = (-np.inf, None)
-    for w, bounds in zip(image_points, rbc_bounds(tensors, target_metric(image_points), cfg)):
-        if bounds.sup > worst[0]:
-            worst = (bounds.sup, w)
-    return -worst[0], worst[1]
+def _first_extreme(values, points, sense=+1):
+    """The largest (``sense`` +1) or least (-1) of the per-point ``values``
+    and the first point that takes it."""
+    k = int(np.argmax(sense * np.asarray(values)))
+    return float(values[k]), points[k]
+
+
+def _kappa_rbc(target_metric, sf, cfg):
+    """kappa with RBC <= -kappa: minus the largest frame-searched sup over
+    the image points of the singular frames ``sf``, the searches of every
+    image point run as one ``rbc_bounds`` call."""
+    tensors = np.array([chern_curvature(target_metric, w) for w in sf.image])
+    sup, at = _first_extreme([b.sup for b in rbc_bounds(tensors, sf.image_metric, cfg)], sf.image)
+    return -sup, at
 
 
 def _kappa_sbc_along_map(sf, source_metric, points):
@@ -160,15 +164,14 @@ def _kappa_sbc_along_map(sf, source_metric, points):
     of minus the pointwise curvature sum at the map's singular values
     (``sf``, the map's singular frames on the grid), in the source singular
     frame."""
-    worst = (-np.inf, None)
+    values = []
     for z, rank, frame, lambdas in zip(points, sf.rank, sf.source_frame, sf.lambdas):
         if rank < len(z):
             raise RankDeficient(f"map is rank-deficient at {z}")
         fm = curvature_in_frame(chern_curvature(source_metric, z), frame)
-        value = -sbc_along_map(fm.r_mat, lambdas)
-        if value > worst[0]:
-            worst = (value, z)
-    return max(0.0, worst[0]), worst[1]
+        values.append(-sbc_along_map(fm.r_mat, lambdas))
+    value, at = _first_extreme(values, points)
+    return max(0.0, value), at
 
 
 def _kappa_sbc_full_cone(source_metric, points, cfg):
@@ -177,15 +180,12 @@ def _kappa_sbc_full_cone(source_metric, points, cfg):
     UnboundedSbc with the divergence certificate of the first point, in
     grid order, where the infimum is -inf."""
     tensors = np.array([chern_curvature(source_metric, z) for z in points])
-    worst = (-np.inf, None)
-    for z, res in zip(points, sbc_bound(tensors, source_metric(points), cfg)):
+    results = sbc_bound(tensors, source_metric(points), cfg)
+    for z, res in zip(points, results):
         if res.status == "unbounded_below":
-            raise UnboundedSbc(
-                f"SBC unbounded below at {z}", certificate=res.divergence_certificate
-            )
-        if -res.inf_val > worst[0]:
-            worst = (-res.inf_val, z)
-    return max(0.0, worst[0]), worst[1]
+            raise UnboundedSbc(f"SBC unbounded below at {z}", certificate=res.divergence_certificate)
+    value, at = _first_extreme([-res.inf_val for res in results], points)
+    return max(0.0, value), at
 
 
 def estimate_hypotheses(
@@ -214,7 +214,6 @@ def estimate_hypotheses(
         raise BadParams(f"unknown kappa_mode {kappa_mode!r} (expected 'along_map' or 'full_cone')")
     fixed = dict(fixed or {})
     stack = _grid_stack(grid)
-    points = list(stack)
     n = f.source_dim
     constants = HypothesisConstants(n=n)
     for name, value in fixed.items():
@@ -235,21 +234,16 @@ def estimate_hypotheses(
         if c2 < 0:
             raise HypothesisSignError("C2 must be nonnegative")
         fit("c2", c2, None)
-        worst = (-np.inf, None)
-        ranks = singular_frames(f, stack, source_metric, target_metric).rank
-        pulls = pullback_metric(f, stack, target_metric)
-        for (z, ric2_w, g), pull in zip(_ric2(source_metric, points), pulls):
-            c_here = -float(np.min(_gen_eigs(ric2_w - c2 * pull, g)))
-            if c_here > worst[0]:
-                worst = (c_here, z)
-        fit("c1", worst[0], worst[1])
-        kappa, at = _kappa_rbc(target_metric, f(stack), frame_cfg)
+        sf = singular_frames(f, stack, source_metric, target_metric)
+        ric2, g = _ric2(source_metric, stack)
+        fit("c1", *_first_extreme(-np.min(_gen_eigs(ric2 - c2 * sf.pullback, g), axis=-1), stack))
+        kappa, at = _kappa_rbc(target_metric, sf, frame_cfg)
         if kappa < 0:
             raise InfeasibleHypothesis(
                 f"RBC sup of the target is positive ({-kappa:.6g}); kappa >= 0 is demanded"
             )
         fit("kappa", kappa, at)
-        constants.r = int(np.max(ranks))
+        constants.r = int(np.max(sf.rank))
         if constants.kappa + constants.c2 <= 0:
             raise InfeasibleHypothesis("kappa + C2 > 0 is required for the bound")
         return constants
@@ -265,19 +259,17 @@ def estimate_hypotheses(
         deficient = sf.rank < n
         if np.any(deficient):
             raise RankDeficient(f"map is rank-deficient at {stack[np.argmax(deficient)]}")
-        worst = (np.inf, None)
         jinvs = np.linalg.inv(sf.jacobian)
         backs = np.swapaxes(jinvs, -1, -2) @ source_metric(stack) @ np.conj(jinvs)
-        for z, w, h_w, back in zip(points, f(stack), sf.image_metric, backs):
-            ric2_h = ricci(chern_curvature(target_metric, w), h_w, 2)[0]
-            c_here = float(np.min(_gen_eigs(c2 * back - ric2_h, h_w)))
-            if c_here < worst[0]:
-                worst = (c_here, z)
-        if worst[0] <= 0:
+        ric2_h = np.array([ricci(chern_curvature(target_metric, w), h_w, 2)[0]
+                           for w, h_w in zip(sf.image, sf.image_metric)])
+        eigs = _gen_eigs(c2 * backs - ric2_h, sf.image_metric)
+        c1, at = _first_extreme(np.min(eigs, axis=-1), stack, -1)
+        if c1 <= 0:
             raise InfeasibleHypothesis(
-                f"no C1 > 0 satisfies Ric2 <= -C1 eta + C2 (f^-1)* omega (best {worst[0]:.6g})"
+                f"no C1 > 0 satisfies Ric2 <= -C1 eta + C2 (f^-1)* omega (best {c1:.6g})"
             )
-        fit("c1", worst[0], worst[1])
+        fit("c1", c1, at)
         if "kappa" not in fixed:
             if kappa_mode == "along_map":
                 kappa, at = _kappa_sbc_along_map(sf, source_metric, stack)
@@ -296,27 +288,21 @@ def estimate_hypotheses(
             raise HypothesisSignError("C2 must be nonnegative")
         fit("c2", c2, None)
         fit("c4", c4, None)
-        lo_worst, hi_worst = (-np.inf, None), (np.inf, None)
         sf = singular_frames(f, stack, source_metric, target_metric)
-        pulls, g_omegas = pullback_metric(f, stack, target_metric), source_metric(stack)
-        for (z, ric2_mu, g_mu), pull, g_omega in zip(_ric2(mu, points), pulls, g_omegas):
-            lo_here = float(np.max(_gen_eigs(c2 * pull - ric2_mu, g_mu)))
-            hi_here = float(np.min(_gen_eigs(c4 * g_omega - ric2_mu, g_mu)))
-            if lo_here > lo_worst[0]:
-                lo_worst = (lo_here, z)
-            if hi_here < hi_worst[0]:
-                hi_worst = (hi_here, z)
-        fit("c1", lo_worst[0], lo_worst[1])
-        if hi_worst[0] <= 0:
+        ric2_mu, g_mu = _ric2(mu, stack)
+        fit("c1", *_first_extreme(np.max(_gen_eigs(c2 * sf.pullback - ric2_mu, g_mu), axis=-1), stack))
+        eigs = _gen_eigs(c4 * source_metric(stack) - ric2_mu, g_mu)
+        c3, at = _first_extreme(np.min(eigs, axis=-1), stack, -1)
+        if c3 <= 0:
             raise InfeasibleHypothesis(
-                f"no C3 > 0 satisfies Ric2_mu <= -C3 mu + C4 omega (best {hi_worst[0]:.6g})"
+                f"no C3 > 0 satisfies Ric2_mu <= -C3 mu + C4 omega (best {c3:.6g})"
             )
-        fit("c3", hi_worst[0], hi_worst[1])
+        fit("c3", c3, at)
         if "kappa1" not in fixed:
             kappa1, at1 = _kappa_sbc_along_map(sf, source_metric, stack)
             fit("kappa1", kappa1, at1)
         if "kappa2" not in fixed:
-            kappa2, at2 = _kappa_rbc(target_metric, f(stack), frame_cfg)
+            kappa2, at2 = _kappa_rbc(target_metric, sf, frame_cfg)
             if kappa2 < 0:
                 raise InfeasibleHypothesis(
                     f"RBC sup of the target is positive ({-kappa2:.6g}); kappa2 >= 0 is demanded"
@@ -330,17 +316,14 @@ def estimate_hypotheses(
     if theorem == "trace_bound":
         c2 = fixed.get("c2", 0.0)
         fit("c2", c2, None)
-        worst = (np.inf, None)
-        for z, ric2_h, g_eta in _ric2(target_metric, points):
-            g_omega = source_metric(z)
-            c_here = float(np.min(_gen_eigs(c2 * g_omega - ric2_h, g_eta)))
-            if c_here < worst[0]:
-                worst = (c_here, z)
-        if worst[0] <= 0:
+        ric2_h, g_eta = _ric2(target_metric, stack)
+        eigs = _gen_eigs(c2 * source_metric(stack) - ric2_h, g_eta)
+        c1, at = _first_extreme(np.min(eigs, axis=-1), stack, -1)
+        if c1 <= 0:
             raise InfeasibleHypothesis(
-                f"no C1 > 0 satisfies Ric2 <= -C1 eta + C2 omega (best {worst[0]:.6g})"
+                f"no C1 > 0 satisfies Ric2 <= -C1 eta + C2 omega (best {c1:.6g})"
             )
-        fit("c1", worst[0], worst[1])
+        fit("c1", c1, at)
         if "kappa" not in fixed:
             kappa, at = _kappa_sbc_full_cone(source_metric, stack, frame_cfg)
             fit("kappa", kappa, at)
@@ -508,8 +491,8 @@ def family_verify(source_metric, target_metric, mu, f, constants, grid, tol=1e-6
     for point, pull, g_omega, energy in zip(z, pulls, source_metric(z), energies.tolist()):
         g_mu = mu(point)
         ric2_mu = ricci(chern_curvature(mu, point), g_mu, 2)[0]
-        lo_eig = _min_eig(ric2_mu + c.c1 * g_mu - c.c2 * pull)
-        hi_eig = _min_eig(c.c4 * g_omega - c.c3 * g_mu - ric2_mu)
+        lo_eig = float(np.min(np.linalg.eigvalsh(ric2_mu + c.c1 * g_mu - c.c2 * pull)))
+        hi_eig = float(np.min(np.linalg.eigvalsh(c.c4 * g_omega - c.c3 * g_mu - ric2_mu)))
         slack = min(lo_eig, hi_eig)
         if slack < worst_eig[0]:
             worst_eig = (slack, point)

@@ -164,7 +164,7 @@ class TestSbcInfimum:
         hits = 0
         for _ in range(30):
             rm = rng.standard_normal((3, 3))
-            res = sbc_infimum(rm, seed=0)
+            res = sbc_infimum(rm)
             if res.status == "unbounded_below":
                 hits += 1
                 assert sbc_value(rm, res.divergence_certificate.family(20.0)) < -1e6
@@ -185,10 +185,134 @@ class TestSbcInfimum:
         rng = np.random.default_rng(6)
         for _ in range(10):
             rm = rng.standard_normal((3, 3)) + 3.0 * np.eye(3)
-            res = sbc_infimum(rm, seed=0)
+            res = sbc_infimum(rm)
             if res.status == "finite":
                 assert np.all(np.diff(res.arg) <= 1e-12)
                 assert res.arg[-1] == pytest.approx(1.0)
+
+
+# ---------------------------------------------------------------------------
+# the multistart L-BFGS-B inner solve that the exact one replaced, kept for reference
+# ---------------------------------------------------------------------------
+
+
+def _lbfgs_gaps_to_v(s):
+    return np.exp(np.concatenate([np.cumsum(s[::-1])[::-1], [0.0]]))
+
+
+def _lbfgs_objective_and_grad(rm, s):
+    v = _lbfgs_gaps_to_v(s)
+    ratio = rm * (v[None, :] / v[:, None])
+    grad = [np.sum(ratio[j + 1 :, : j + 1]) - np.sum(ratio[: j + 1, j + 1 :]) for j in range(len(s))]
+    return float(np.sum(ratio)), np.array(grad)
+
+
+def _lbfgs_gap_coefficient_and_grad(rm, s, j):
+    v = _lbfgs_gaps_to_v(s)
+    ratio = rm * (v[None, :] / v[:, None])
+    grad = [np.sum(ratio[j + 1 :, : min(k + 1, j + 1)]) - np.sum(ratio[j + 1 : k + 1, : j + 1])
+            for k in range(len(s))]
+    return float(np.sum(ratio[j + 1 :, : j + 1])), np.array(grad)
+
+
+def _lbfgs_reference(rm, n_starts=8, seed=0):
+    """``(status, inf_val)`` of the ordered-cone infimum by multistart L-BFGS-B
+    over the gap box: unbounded when a gap coefficient reaches -1e-8."""
+    n = rm.shape[0]
+    rng = np.random.default_rng(seed)
+
+    def minimize(fun):
+        starts = [np.zeros(n - 1)] + [rng.exponential(size=n - 1) for _ in range(n_starts - 1)]
+        runs = [scipy.optimize.minimize(fun, np.clip(s0, 0.0, 40.0), jac=True, method="L-BFGS-B",
+                                        bounds=[(0.0, 40.0)] * (n - 1)) for s0 in starts]
+        return min(runs, key=lambda res: res.fun)
+
+    coefficient = min(minimize(lambda s, j=j: _lbfgs_gap_coefficient_and_grad(rm, s, j)).fun
+                      for j in range(n - 1))
+    if coefficient < -1e-8:
+        return "unbounded_below", None
+    return "finite", minimize(lambda s: _lbfgs_objective_and_grad(rm, s)).fun
+
+
+class TestExactInnerSolve:
+    def test_two_by_two_closed_form(self):
+        # v = (1, x) up to scale: c + R01 x + R10 / x over x in [e^-40, 1]
+        rng = np.random.default_rng(20)
+        hits = 0
+        for k in range(200):
+            rm = rng.standard_normal((2, 2))
+            if k % 4 == 0:
+                rm[rng.integers(2), 1 - rng.integers(2)] = 0.0
+            res = sbc_infimum(rm)
+            if rm[1, 0] < 0.0:
+                assert res.status == "unbounded_below"
+                hits += 1
+                continue
+            xs = [np.exp(-40.0), 1.0]
+            if rm[0, 1] > 0.0 and rm[1, 0] > 0.0:
+                xs.append(min(max(np.sqrt(rm[1, 0] / rm[0, 1]), np.exp(-40.0)), 1.0))
+            want = min(np.trace(rm) + rm[0, 1] * x + rm[1, 0] / x for x in xs)
+            assert res.status == "finite"
+            assert abs(res.inf_val - want) <= 1e-12 * max(1.0, abs(want))
+        assert 0 < hits < 200
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_matches_lbfgs_reference(self, n):
+        # plain, diagonally shifted and entrywise nonnegative matrices
+        rng = np.random.default_rng(21 + n)
+        unbounded = finite = 0
+        for k in range(75):
+            rm = rng.standard_normal((n, n))
+            rm = [rm, rm + 3.0 * np.eye(n), np.abs(rm)][k % 3]
+            res = sbc_infimum(rm)
+            status, value = _lbfgs_reference(rm)
+            assert res.status == status
+            if status == "finite":
+                finite += 1
+                assert res.inf_val <= value + 1e-10 * max(1.0, abs(value))
+                assert abs(sbc_value(rm, res.arg) - res.inf_val) <= 1e-12 * max(1.0, abs(value))
+            else:
+                unbounded += 1
+                assert sbc_value(rm, res.divergence_certificate.family(20.0)) < -1e6
+        assert unbounded and finite
+
+    def test_noise_below_the_zero_tolerance_certifies_nothing(self):
+        # hopf-like rows alpha_a with alpha_3 = 0, and noise of 1e-10 on the
+        # last row: its gap coefficients vanish, so the infimum is finite and
+        # marginal, at the boundary value (sum sqrt alpha)^2 = 4
+        rm = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, 1.0], [-1e-10, 1e-10, -1e-10]])
+        res = sbc_infimum(rm)
+        assert res.status == "finite" and res.marginal and res.margin == 0.0
+        assert abs(res.inf_val - 4.0) < 1e-12
+
+
+class TestSbcOracles:
+    """SBC of the homogeneous models, closed forms of ``tests/oracles.py``."""
+
+    def test_hopf3_is_four_and_marginal(self):
+        # SBC(hopf(n)) = (n - 1)^2, approached but not attained: in a unitary
+        # frame R[a, g] = alpha_a with sum alpha = n - 1, and the bound is
+        # reached as alpha -> (1, ..., 1, 0) and v_n -> 0
+        metric = catalog_metric("hopf", (3,))
+        z = np.array([[1.0, 0.0, 0.0], [0.5, 0.5, 0.5], [0.3j, 0.7, -0.2]])
+        r = np.array([chern_curvature(metric, p) for p in z])
+        warned = 0
+        for seed in range(3):
+            cfg = FrameSearchConfig(n_starts=6, seed=seed)
+            found, count = _budget_warnings(lambda: sbc_bound(r, metric(z), cfg))
+            warned += count
+            for res in found:
+                assert res.status == "finite" and res.marginal
+                assert abs(res.inf_val - 4.0) < 1e-6
+        assert warned == 1
+
+    def test_fubini_study3_is_twelve(self):
+        # SBC(fubini_study(n)) = n (n + 1), attained at v = 1 in every frame
+        metric = catalog_metric("fubini_study", (3,))
+        z = np.zeros(3)
+        res = sbc_bound(chern_curvature(metric, z), metric(z))
+        assert res.status == "finite" and not res.marginal
+        assert abs(res.inf_val - 12.0) < 1e-8
 
 
 class TestSbcAlongMap:
@@ -276,8 +400,9 @@ class TestFrameSearch:
 
 
 def _unitary(params, n):
-    """``expm`` of the skew-Hermitian generator with parameters ``params``,
-    built one entry at a time as the sequential search built it."""
+    """The package's exponential of the skew-Hermitian generator with
+    parameters ``params``, built one entry at a time as the sequential
+    search built it."""
     a = np.zeros((n, n), dtype=complex)
     idx = 0
     for p in range(n):
@@ -285,7 +410,7 @@ def _unitary(params, n):
             a[p, q] = params[idx] + 1j * params[idx + 1]
             a[q, p] = -np.conj(a[p, q])
             idx += 2
-    return scipy.linalg.expm(a)
+    return cones._exp_skew(a[None])[0]
 
 
 def fresh_value(objective, n):
@@ -342,7 +467,7 @@ class TestFrameSearchWork:
         hits = []
 
         def objective(u):
-            inner = sbc_infimum(curvature_in_frame(r, e0 @ u).r_mat, n_starts=4, seed=self.cfg.seed)
+            inner = sbc_infimum(curvature_in_frame(r, e0 @ u).r_mat)
             if inner.status == "unbounded_below":
                 hits.append((inner.divergence_certificate, u))
                 return -1e300
@@ -452,14 +577,14 @@ def _rbc_reference(r, g, cfg):
     return RbcBounds(inf_val, sup_val, e0 @ inf_u, e0 @ sup_u, n >= 2)
 
 
-def _sbc_reference(r, g, cfg, inner_starts):
+def _sbc_reference(r, g, cfg):
     """``sbc_bound`` of one point with the sequential search."""
     n = g.shape[0]
     e0 = gram_unitary_frame(g)
 
     def value(params):
         u = _unitary(params, n)
-        res = sbc_infimum(curvature_in_frame(r, e0 @ u).r_mat, n_starts=inner_starts, seed=cfg.seed)
+        res = sbc_infimum(curvature_in_frame(r, e0 @ u).r_mat)
         return (-np.inf if res.status == "unbounded_below" else res.inf_val), (u, res)
 
     _, (u, res) = _sequential_frame_search(value, n, cfg, -1)
@@ -501,6 +626,18 @@ def _two_points(name, n, seed):
     if name == "hopf":
         z += 0.5
     return np.array([chern_curvature(metric, p) for p in z]), metric(z)
+
+
+class TestExpSkew:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_matches_expm_and_is_unitary(self, n):
+        rng = np.random.default_rng(30 + n)
+        a = cones._generators(rng.normal(size=(50, n * (n - 1))), n)
+        u = cones._exp_skew(a)
+        for ak, uk in zip(a, u):
+            assert np.max(np.abs(uk - scipy.linalg.expm(ak))) < 1e-14
+            assert np.max(np.abs(np.conj(uk.T) @ uk - np.eye(n))) < 1e-14
+            assert np.array_equal(cones._exp_skew(ak[None])[0], uk)
 
 
 class TestOrthantStack:
@@ -545,26 +682,26 @@ class TestLockstepSearch:
     def test_sbc_matches_sequential(self, name, n, seed):
         r, g = _two_points(name, n, seed)
         cfg = FrameSearchConfig(n_starts=2, max_iter=4 if n == 2 else 1, seed=seed)
-        stacked, warned = _budget_warnings(lambda: sbc_bound(r, g, cfg, inner_starts=2))
-        ref = [_budget_warnings(lambda p=p: _sbc_reference(r[p], g[p], cfg, 2)) for p in range(2)]
+        stacked, warned = _budget_warnings(lambda: sbc_bound(r, g, cfg))
+        ref = [_budget_warnings(lambda p=p: _sbc_reference(r[p], g[p], cfg)) for p in range(2)]
         for p in range(2):
             assert _same(stacked[p], ref[p][0])
-        alone, alone_warned = _budget_warnings(lambda: sbc_bound(r[1], g[1], cfg, inner_starts=2))
+        alone, alone_warned = _budget_warnings(lambda: sbc_bound(r[1], g[1], cfg))
         assert _same(alone, stacked[1]) and alone_warned == ref[1][1]
         assert warned == ref[0][1] + ref[1][1]
 
     def test_one_expm_per_distinct_frame(self, monkeypatch):
-        # the traced frame-evaluation count is the number of expm calls:
-        # the distinct frames of each point, shared by its min and max searches
+        # one exponentiated generator per distinct frame of each point,
+        # shared by its min and max searches
         r, g = _two_points("hopf", 2, 4)
         cfg = FrameSearchConfig(n_starts=3, max_iter=10, seed=4)
         calls = []
 
-        def counted(a, _expm=scipy.linalg.expm):
-            calls.append(a.tobytes())
-            return _expm(a)
+        def counted(generators, _exp=cones._exp_skew):
+            calls.extend(a.tobytes() for a in generators)
+            return _exp(generators)
 
-        monkeypatch.setattr(scipy.linalg, "expm", counted)
+        monkeypatch.setattr(cones, "_exp_skew", counted)
         for p in range(2):
             _budget_warnings(lambda p=p: _rbc_reference(r[p], g[p], cfg))
         sequential, calls[:] = len(calls), []

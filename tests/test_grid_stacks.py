@@ -35,6 +35,7 @@ from chernlab.verify import (
     HypothesisConstants,
     aubin_yau_verify,
     chern_lu_verify,
+    estimate_hypotheses,
     family_verify,
     theorem23_check,
     trace_bound_verify,
@@ -299,6 +300,15 @@ class TestEvaluatorCalls:
             "trace_bound": (2, 0),
         }[theorem]
         assert (seen[0]["metric"], seen[0]["map"] // 3) == expected
+
+    @pytest.mark.parametrize("theorem", ["chern_lu", "aubin_yau", "family"])
+    def test_estimate_evaluates_the_map_once(self, calls, theorem):
+        # the singular frames of the grid give every constant its Jacobians,
+        # pullbacks, image points and target metric at f(z)
+        grid = (0.05 * np.arange(6) + 0.02j)[:, None]
+        estimate_hypotheses(DISK, scale_metric(DISK, 3.0), map_identity(1), grid,
+                            theorem=theorem, mu=DISK if theorem == "family" else None)
+        assert calls["map"] == 1
 
 
 def _theorem23_loop(n, trials, seed, diagonal):

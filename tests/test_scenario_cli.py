@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import chernlab
 from chernlab.cli import main
 from chernlab.errors import BadParams, SchemaError
 from chernlab.maps import catalog_map, map_identity, map_power
@@ -558,3 +562,12 @@ class TestCli:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["tasks"][0]["result"]["max_discrepancy"] < 1e-10
+
+
+def test_import_loads_no_scipy():
+    # the package needs numpy only; scipy is a dependency of the tests
+    src = str(Path(chernlab.__file__).resolve().parents[1])
+    code = "import sys, chernlab.scenario; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

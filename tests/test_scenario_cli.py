@@ -125,8 +125,9 @@ class TestSchema:
                 id="negative-half",
             ),
             pytest.param(
-                lambda d: d.update(tasks=[dict(AVERAGED_HSC, samples=100)]), "$.tasks[0].samples", False,
-                id="few-samples",
+                # the identity checks are exact cubatures: a sample count is an unknown key
+                lambda d: d.update(tasks=[dict(AVERAGED_HSC, samples=200000)]), "$.tasks[0]", False,
+                id="samples-key",
             ),
             pytest.param(
                 lambda d: d.update(tasks=[{"kind": "curvature", "point": [[0.1, 0.0]]}]), "$.tasks[0]", False,
@@ -185,11 +186,24 @@ class TestDeterminism:
     def test_byte_identical_reports(self):
         doc = base_scenario()
         doc["tasks"].append(
-            {"kind": "identity", "check": "fs-moment", "n": 2, "indices": [1, 1, 2, 2], "samples": 20000}
+            {"kind": "identity", "check": "fs-moment", "n": 2, "indices": [1, 1, 2, 2]}
         )
         a = run_scenario(doc).to_json()
         b = run_scenario(doc).to_json()
         assert a == b
+
+    def test_identity_results_do_not_depend_on_the_seed(self):
+        doc = {
+            "version": 1,
+            "metrics": {"fs": {"catalog": "fubini_study", "params": [2]}},
+            "tasks": [
+                {"kind": "identity", "check": "fs-moment", "n": 3, "indices": [1, 2, 2, 1]},
+                {"kind": "identity", "check": "averaged-hsc", "metric": "fs",
+                 "point": [[0.1, 0.2], [-0.3, 0.0]], "b": [1.0, 0.5]},
+            ],
+        }
+        at_7, at_8 = run_scenario(doc, seed=7), run_scenario(doc, seed=8)
+        assert at_7.passed and at_7.tasks == at_8.tasks
 
     def test_parallel_matches_sequential(self):
         doc = base_scenario()
@@ -236,8 +250,8 @@ class TestTasks:
 
     def test_integral_floats_are_integers(self):
         # JSON does not tell 2 from 2.0: the schema types both as integers
-        task = {"kind": "identity", "check": "fs-moment", "n": 2, "indices": [1, 2, 2, 1], "samples": 20000}
-        floats = dict(task, n=2.0, indices=[1.0, 2.0, 2.0, 1.0], samples=2e4)
+        task = {"kind": "identity", "check": "fs-moment", "n": 2, "indices": [1, 2, 2, 1]}
+        floats = dict(task, n=2.0, indices=[1.0, 2.0, 2.0, 1.0])
         report = run_scenario({"version": 1, "seed": 5.0, "tasks": [floats]})
         assert report.seed == 5 and report.tasks[0]["status"] == "ok"
         assert report.tasks == run_scenario({"version": 1, "seed": 5, "tasks": [task]}).tasks
@@ -334,13 +348,13 @@ class TestTasks:
                     "metric": "fs",
                     "point": [[0.0, 0.0], [0.0, 0.0]],
                     "b": [1.0, 1.0],
-                    "samples": 20000,
                 }
             ],
         }
         report = run_scenario(doc)
         result = report.tasks[0]["result"]
-        assert result["within_3se"]
+        assert result["passed"] and result["abs_err"] <= result["std_error"]
+        assert result["nodes"] == 2 and "T:2-1" in result["rule"]
         assert abs(result["rhs"] - 2.0) < 1e-6
 
     def test_sbc_task_unbounded(self):
@@ -563,11 +577,36 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["tasks"][0]["result"]["max_discrepancy"] < 1e-10
 
+    def test_identity_fs_moment_subcommand(self, capsys):
+        code = main(["identity", "--check", "fs-moment", "--n", "3", "--indices", "1,2,1,2"])
+        assert code == 0
+        result = json.loads(capsys.readouterr().out)["tasks"][0]["result"]
+        assert result["passed"] and result["abs_err"] <= result["std_error"]
+        assert result["nodes"] == 9  # 3 simplex nodes x 3 phases on the one free coordinate
+
+    def test_identity_has_no_samples_option(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["identity", "--check", "fs-moment", "--samples", "1000000"])
+        assert exc.value.code == 2
+        assert "--samples" in capsys.readouterr().err
+
 
 def test_import_loads_no_scipy():
-    # the package needs numpy only; scipy is a dependency of the tests
+    # the package needs numpy only; scipy is a dependency of the tests.  Import
+    # does no numerical set-up either: no numpy.polynomial (Gauss rules), and the
+    # identity checks build their cubature rules per call
     src = str(Path(chernlab.__file__).resolve().parents[1])
-    code = "import sys, chernlab.scenario; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    code = """if True:
+        import sys
+        built = []
+        sys.setprofile(lambda frame, event, arg: event == "call"
+                       and frame.f_code.co_name == "_simplex_nodes" and built.append(1))
+        import chernlab.scenario
+        sys.setprofile(None)
+        assert callable(chernlab.verify._simplex_nodes)
+        print(len(built), [m for m in sys.modules if m.split(".")[0] == "scipy"
+                           or m.startswith("numpy.polynomial")])
+    """
     out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
                          capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.strip() == "0 []"

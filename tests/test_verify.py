@@ -1,3 +1,6 @@
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
 
@@ -17,6 +20,7 @@ from chernlab.metrics import catalog_metric, scale_metric
 from chernlab.tensors import curvature_in_frame
 from chernlab.verify import (
     HypothesisConstants,
+    _grid_verdict,
     aubin_yau_verify,
     averaged_hsc_check,
     chern_lu_verify,
@@ -258,6 +262,21 @@ class TestNegativeDiscipline:
         worst = v.worst()
         assert worst["margin"] < 0
 
+    def test_worst_point_ignores_margin_noise(self, poincare):
+        # margins equal in exact arithmetic, jittered by FD-sized noise: the
+        # worst point stays the first grid point; a margin lower by more than
+        # tol is still found
+        grid = disk_grid()
+        c = estimate_hypotheses(poincare, poincare, map_identity(1), grid, "trace_bound", frame_cfg=CFG)
+        jitter = np.random.default_rng(0).uniform(-1e-9, 1e-9, len(grid))
+        assert np.argmin(jitter) != 0
+        records = [{"z": [[k, 0.0]], "energy": 1.0, "margin": 0.5 + e} for k, e in enumerate(jitter)]
+        v = _grid_verdict("trace_bound", records, 1.0, 1e-6, c, sup_checked=False)
+        assert v.notes["worst_point"] == [[0, 0.0]]
+        records[4]["margin"] = 0.5 - 1e-5
+        v = _grid_verdict("trace_bound", records, 1.0, 1e-6, c, sup_checked=False)
+        assert v.notes["worst_point"] == [[4, 0.0]]
+
     def test_monotonicity_under_refit(self, poincare):
         # scaling eta -> c*eta scales energy by c; after refit the ratio
         # energy/bound is invariant
@@ -325,31 +344,45 @@ class TestNonIdentityMaps:
 
 class TestFsMoment:
     def test_model_values(self):
-        res = fs_moment_check(2, (1, 1, 1, 1), n_samples=200_000, seed=0)
-        assert abs(res.target - 1.0 / 3.0) < 1e-15
-        assert res.abs_err <= 3 * res.std_error
-        res = fs_moment_check(2, (1, 1, 2, 2), n_samples=200_000, seed=0)
-        assert abs(res.target - 1.0 / 6.0) < 1e-15
-        assert res.abs_err <= 3 * res.std_error
+        res = fs_moment_check(2, (1, 1, 1, 1))
+        assert abs(res.rhs - 1.0 / 3.0) < 1e-15
+        assert res.abs_err <= res.std_error and res.passed
+        res = fs_moment_check(2, (1, 1, 2, 2))
+        assert abs(res.rhs - 1.0 / 6.0) < 1e-15
+        assert res.abs_err <= res.std_error and res.passed
 
     def test_phase_symmetric_zero(self):
-        res = fs_moment_check(3, (1, 2, 1, 2), n_samples=100_000, seed=1)
-        assert res.target == 0.0
-        assert res.abs_err <= 4 * res.std_error
+        res = fs_moment_check(3, (1, 2, 1, 2))
+        assert res.rhs == 0.0
+        assert res.abs_err <= res.std_error and res.passed
 
-    def test_mc_convergence_rate(self):
-        # quadrupling samples halves the error on average across seeds
-        errs_small, errs_big = [], []
-        for seed in range(20):
-            errs_small.append(fs_moment_check(2, (1, 1, 1, 1), n_samples=10_000, seed=seed).abs_err)
-            errs_big.append(fs_moment_check(2, (1, 1, 1, 1), n_samples=40_000, seed=seed).abs_err)
-        assert np.mean(errs_big) < 0.75 * np.mean(errs_small)
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_every_index_tuple_is_exact(self, n):
+        for indices in itertools.product(range(1, n + 1), repeat=4):
+            res = fs_moment_check(n, indices)
+            i, j, k, l = indices
+            closed = ((i == j) * (k == l) + (i == l) * (k == j)) / (n * (n + 1))
+            assert res.rhs == closed
+            assert abs(res.lhs - closed) < 1e-14, indices
+            assert 0.0 < res.std_error <= 1e-13 and res.passed, indices
+
+    def test_shifted_target_fails(self):
+        # the check resolves a wrong closed form far below the old Monte Carlo
+        # standard error (3e-4 at 1e6 samples)
+        for res in (fs_moment_check(2, (1, 1, 1, 1)), fs_moment_check(3, (1, 2, 2, 1))):
+            shifted = dataclasses.replace(res, rhs=res.rhs + 1e-6)
+            assert not shifted.passed
+            assert shifted.abs_err > 5 * shifted.std_error
+
+    def test_node_count(self):
+        # a count, not a timing: 3 phases on 3 free touched coordinates per simplex node
+        assert fs_moment_check(64, (1, 2, 3, 4)).nodes == 27 * 64
+        assert fs_moment_check(64, (5, 5, 5, 5)).nodes == 64
+        assert fs_moment_check(2, (1, 2, 2, 1)).nodes == 6
 
     def test_bad_inputs(self):
         with pytest.raises(BadParams):
             fs_moment_check(1, (1, 1, 1, 1))
-        with pytest.raises(BadParams):
-            fs_moment_check(2, (1, 1, 1, 1), n_samples=100)
         with pytest.raises(BadIndices):
             fs_moment_check(2, (1, 1, 3, 1))
         with pytest.raises(BadIndices):
@@ -359,23 +392,37 @@ class TestFsMoment:
 class TestAveragedHsc:
     def test_zero_tensor(self):
         fm = curvature_in_frame(np.zeros((2, 2, 2, 2)), np.eye(2))
-        res = averaged_hsc_check(fm, np.array([1.0, 1.0]), n_samples=10_000, seed=0)
+        res = averaged_hsc_check(fm, np.array([1.0, 1.0]))
         assert res.lhs == 0.0 and res.rhs == 0.0
 
     def test_fs_normal_form(self):
         fs = catalog_metric("fubini_study", (2,))
         fm = curvature_in_frame(chern_curvature(fs, [0.0, 0.0]), np.eye(2))
-        res = averaged_hsc_check(fm, np.array([1.0, 1.0]), n_samples=50_000, seed=0)
+        res = averaged_hsc_check(fm, np.array([1.0, 1.0]))
         assert abs(res.rhs - 2.0) < 1e-6
-        assert res.abs_err <= 3 * res.std_error + 1e-9
+        assert res.abs_err <= res.std_error and res.passed
 
     def test_single_axis_reduction(self):
         # b = e1: both sides reduce to 2 R_1111 / (n(n+1))
         fs = catalog_metric("fubini_study", (2,))
         fm = curvature_in_frame(chern_curvature(fs, [0.0, 0.0]), np.eye(2))
-        res = averaged_hsc_check(fm, np.array([1.0, 0.0]), n_samples=100_000, seed=3)
+        res = averaged_hsc_check(fm, np.array([1.0, 0.0]))
         assert abs(res.rhs - 2.0 / 3.0) < 1e-6
-        assert res.abs_err <= 3 * res.std_error
+        assert res.abs_err <= res.std_error and res.passed
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_random_conjugation_symmetric_tensors(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(20):
+            t = rng.standard_normal((n,) * 4) + 1j * rng.standard_normal((n,) * 4)
+            fm = curvature_in_frame((t + np.conj(np.transpose(t, (1, 0, 3, 2)))) / 2.0, np.eye(n))
+            b2 = rng.random(n) * 2.0
+            res = averaged_hsc_check(fm, np.sqrt(b2))
+            closed = b2 @ fm.q_mat() @ b2 / (n * (n + 1))
+            assert abs(res.lhs - closed) < 1e-13
+            assert 0.0 < res.std_error <= 1e-13 and res.passed
+            shifted = dataclasses.replace(res, rhs=res.rhs + 1e-6)
+            assert not shifted.passed and shifted.abs_err > 5 * shifted.std_error
 
 
 class TestTheorem23:

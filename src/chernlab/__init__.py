@@ -47,6 +47,7 @@ from .tensors import (
 )
 from .verify import (
     HypothesisConstants,
+    SchwarzPass,
     SchwarzVerdict,
     aubin_yau_verify,
     averaged_hsc_check,

@@ -91,7 +91,7 @@ def _run_single_task(task, metrics, maps, args):
         "maps": maps,
         "tasks": [task],
     }
-    report = run_scenario(scenario, seed=args.seed, parallel=False)
+    report = run_scenario(scenario, seed=args.seed)
     code = _emit(report, args)
     if getattr(args, "grid_out", None):
         _write_grids(report, args.grid_out)
@@ -182,7 +182,7 @@ def _cmd_identity(args):
 
 
 def _cmd_run(args):
-    report = run_scenario(args.scenario, seed=args.seed, parallel=args.parallel)
+    report = run_scenario(args.scenario, seed=args.seed)
     code = _emit(report, args)
     if args.grid_out:
         _write_grids(report, args.grid_out)
@@ -252,7 +252,6 @@ def build_parser():
 
     p = sub.add_parser("run", help="run a scenario file")
     p.add_argument("--scenario", required=True)
-    p.add_argument("--parallel", action="store_true", help="task-level parallelism")
     common(p, grid=True, seed=None, seed_help="master random seed (default: the scenario's own seed)")
     p.set_defaults(func=_cmd_run)
 

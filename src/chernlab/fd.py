@@ -6,11 +6,13 @@ into Wirtinger derivatives ``d/dz = (d/dx - i d/dy)/2`` and ``d/dzbar =
 (d/dx + i d/dy)/2``; the fields depend on z and zbar, so complex steps do
 not apply.  Map differentials are each map's closed form, not stencils.
 
-``wirtinger_hessian`` samples the stencils of a whole stack of points in one
-call of its field (the Schwarz Laplacians of a grid); ``wirtinger_derivatives``
-samples a ``StencilField`` one offset at a time (the curvature stencils, whose
-metric calls stay one per sample).  Both difference the samples with the
-same array code, so a point gets the same bits either way.
+``wirtinger_hessian`` takes the field at a whole stack of points from its
+caller (the Schwarz Laplacians of a grid, whose energies the map's singular
+frames hold) and samples the rest of their stencils in one call of the
+field; ``wirtinger_derivatives`` samples a ``StencilField`` one offset at a
+time (the curvature stencils, whose metric calls stay one per sample).  Both
+difference the samples with the same array code, so a point gets the same
+bits either way.
 """
 
 from __future__ import annotations
@@ -115,30 +117,26 @@ def _differences(values, n, h):
     return dz, dzbar, dzzbar
 
 
-def wirtinger_hessian(fun, z, h, centre=None):
+def wirtinger_hessian(fun, z, h, centre):
     """Complex Hessian ``d^2 u / dz_i dzbar_j`` of a scalar field at one point
     or at each point of a stack ``(..., n)``, with step ``h`` per point.
 
-    ``fun`` maps a stack of points ``(..., k, n)`` to ``(..., k)`` values; it
-    is called once, on the stencils of every point (113 samples each for
-    n = 2).  ``centre``, the field at ``z`` when the caller has it, is not
-    evaluated again.  Each point gets the bits of ``wirtinger_derivatives``
-    at that point alone; a non-finite sample raises NonFiniteSample naming
-    the first such point.
+    ``centre`` is the field at ``z``.  ``fun`` maps a stack of points
+    ``(..., k, n)`` to ``(..., k)`` values; it is called once, on the other
+    stencil samples of every point (112 each for n = 2).  Each point gets the
+    bits of ``wirtinger_derivatives`` at that point alone; a non-finite
+    sample raises NonFiniteSample naming the first such point.
     """
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     n = z.shape[-1]
     keys, _ = _stencil(n)
     rows, axes, offsets = zip(*[(k, axis, off) for k, key in enumerate(keys) for axis, off in key])
     h = np.asarray(h, dtype=float)
-    x = np.repeat(np.concatenate([z.real, z.imag], axis=-1)[..., None, :], len(keys), axis=-2)
-    x[..., rows, axes] += np.array(offsets, dtype=float) * h[..., None]
+    x = np.repeat(np.concatenate([z.real, z.imag], axis=-1)[..., None, :], len(keys) - 1, axis=-2)
+    x[..., np.array(rows) - 1, axes] += np.array(offsets, dtype=float) * h[..., None]
     points = x[..., :n] + 1j * x[..., n:]
     del x  # freed before the field runs: on a grid's stencils its temporaries are the peak
-    if centre is None:
-        values = np.asarray(fun(points))
-    else:
-        values = np.concatenate([np.asarray(centre)[..., None], fun(points[..., 1:, :])], axis=-1)
+    values = np.concatenate([np.asarray(centre)[..., None], fun(points)], axis=-1)
     finite = np.isfinite(values)
     if not np.all(finite):
         bad = tuple(np.argwhere(~finite)[0])

@@ -8,9 +8,11 @@ energy, taken by ``fd.wirtinger_hessian`` in source coordinates.
 
 Map evaluators, differentials, energy densities, singular frames and both
 Laplacians act on stacks of points ``(..., n)``; a single point is the stack
-of one.  Each point of a stack gets the bits it gets alone, and the
-Laplacians of a whole grid take one energy call on the stencils of all its
-points.  A check that fails on a stack names its first failing point.
+of one.  Each point of a stack gets the bits it gets alone.  The Laplacians
+take the singular frames of their points, whose energies are the stencil
+centres and whose metric values and pullbacks are the traces, and make one
+energy call on the stencils of all the other samples.  A check that fails on
+a stack names its first failing point.
 """
 
 from __future__ import annotations
@@ -279,10 +281,10 @@ class SingularFrameData:
     ``energy`` is the energy density ``sum(lambdas^2)`` as ``energy_density``
     gives it.  The stored frames satisfy ``e^dag g e = I`` (resp. with the
     target metric), diagonalize the pullback form, and realize the normal
-    form through ``map_in_frames``.  ``jacobian``, ``image`` (the map's
-    values ``f(z)``) and ``image_metric`` (the target metric there) are the
-    values they were computed from, and ``pullback`` the form ``f* eta``
-    as ``pullback_metric`` gives it.
+    form through ``map_in_frames``.  ``jacobian``, ``metric`` (the source
+    metric at z), ``image`` (the map's values ``f(z)``) and ``image_metric``
+    (the target metric there) are the values they were computed from, and
+    ``pullback`` the form ``f* eta`` as ``pullback_metric`` gives it.
     """
 
     lambdas: np.ndarray
@@ -291,6 +293,7 @@ class SingularFrameData:
     target_frame: np.ndarray
     energy: float | np.ndarray
     jacobian: np.ndarray
+    metric: np.ndarray
     image: np.ndarray
     image_metric: np.ndarray
     pullback: np.ndarray
@@ -319,6 +322,7 @@ def singular_frames(f, z, source_metric, target_metric, rank_tol=1e-9):
     g = source_metric(z)
     image, h_mat = _image(f, z, target_metric)
     low_g = cholesky_factor(g, "source metric")
+    pull = _pullback(jac, h_mat)  # before the target's factor: a non-finite pullback is NonFiniteSample
     low_h = cholesky_factor(h_mat, "target metric")
     inv_low_g = np.linalg.inv(low_g)
     white = np.swapaxes(low_h, -1, -2) @ jac @ np.swapaxes(inv_low_g, -1, -2)
@@ -327,7 +331,6 @@ def singular_frames(f, z, source_metric, target_metric, rank_tol=1e-9):
     src_frame = np.conj(np.swapaxes(inv_low_g, -1, -2)) @ np.swapaxes(vh, -1, -2)
     tgt_frame = np.conj(np.swapaxes(np.linalg.inv(low_h), -1, -2)) @ np.conj(u)
 
-    pull = _pullback(jac, h_mat)
     energy = _energy(g, pull)
     sum_sq = np.sum(s**2, axis=-1)
     off = np.abs(sum_sq - energy) > 1e-8 * np.maximum(1.0, energy)
@@ -337,69 +340,57 @@ def singular_frames(f, z, source_metric, target_metric, rank_tol=1e-9):
                               f"{sum_sq[bad]:.12g} vs {np.asarray(energy)[bad]:.12g}")
     rank = np.sum(s > rank_tol * np.maximum(1.0, s[..., :1]), axis=-1)
     return SingularFrameData(
-        s, int(rank) if rank.ndim == 0 else rank, src_frame, tgt_frame, energy, jac, image, h_mat, pull
+        s, int(rank) if rank.ndim == 0 else rank, src_frame, tgt_frame, energy, jac, g, image, h_mat, pull
     )
 
 
 def _energy_hessian(f, z, source_metric, target_metric, h, field, energy):
-    """Complex Hessian of ``field(|df|^2)`` at each point of ``z``, at the
-    default step ``5e-3 max(1, |z|)`` per point: one energy call on the
-    stencils of every point."""
+    """Complex Hessian of ``field(|df|^2)`` at each point of ``z``, where the
+    energy is ``energy``, at the default step ``5e-3 max(1, |z|)`` per point:
+    one energy call on the other stencil samples of every point."""
     if h is None:
         h = 5e-3 * np.maximum(1.0, point_norms(z))
 
     def stencil(zz):
         return field(energy_density(f, zz, source_metric, target_metric))
 
-    return wirtinger_hessian(stencil, z, h, None if energy is None else field(energy))
+    return wirtinger_hessian(stencil, z, h, field(energy))
 
 
-def laplacian_log_energy(f, z, source_metric, target_metric, h=None, critical_tol=1e-10, energy=None):
+def laplacian_log_energy(f, z, source_metric, target_metric, frames, h=None, critical_tol=1e-10):
     """Source-trace Laplacian ``Delta_omega log |df|^2`` at ``z``, one point or
-    each point of a stack ``(..., n)``.
+    each point of a stack ``(..., n)``, whose ``singular_frames`` are ``frames``.
 
-    The Hessian stencils of all points are evaluated together, in one
-    energy call; ``energy``, the energy density at ``z`` when the caller has
-    it, is not evaluated again.  Away from critical points only: energy
-    below ``critical_tol`` raises NearCriticalPoint naming the first such
-    point.
+    The energy and the source metric at ``z`` are those of ``frames``; the
+    other Hessian stencil samples of all points are evaluated together, in
+    one energy call.  Away from critical points only: energy below
+    ``critical_tol`` raises NearCriticalPoint naming the first such point.
     """
     z = np.atleast_1d(np.asarray(z, dtype=complex))
-    if energy is None:
-        energy = energy_density(f, z, source_metric, target_metric)
-    low = np.asarray(energy) <= critical_tol
+    energy = np.asarray(frames.energy)
+    low = energy <= critical_tol
     if np.any(low):
         bad = _first(low)
-        raise NearCriticalPoint(
-            f"energy {np.asarray(energy)[bad]:.3e} at {z[bad]} is below {critical_tol:.1e}"
-        )
-    hess = _energy_hessian(f, z, source_metric, target_metric, h, np.log, energy)
-    return trace_form(source_metric(z), hess)
+        raise NearCriticalPoint(f"energy {energy[bad]:.3e} at {z[bad]} is below {critical_tol:.1e}")
+    hess = _energy_hessian(f, z, source_metric, target_metric, h, np.log, frames.energy)
+    return trace_form(frames.metric, hess)
 
 
-def laplacian_energy(f, z, source_metric, target_metric, h=None, rank_tol=1e-9, energy=None,
-                     jac=None, image_metric=None):
+def laplacian_energy(f, z, source_metric, target_metric, frames, h=None):
     """Target-trace Laplacian ``Delta_eta |df|^2`` at ``z``, one point or each
-    point of a stack ``(..., n)``.
+    point of a stack ``(..., n)``, whose ``singular_frames`` are ``frames``.
 
     For a local biholomorphism ``(Delta_eta u) o f = Delta_{f* eta} (u o f)``,
     so this is the same source-coordinate stencil as ``laplacian_log_energy``,
-    on the energy itself and traced with the pullback form ``f* eta`` in
-    place of ``g``.  What the caller has at ``z`` is not evaluated again:
-    ``energy`` spares the stencil centres, and ``jac`` and ``image_metric``
-    (the target metric at ``f(z)``, as ``singular_frames`` keeps them) the
-    pullback.  Requires equal dimensions and a full-rank Jacobian at every
-    point.
+    on the energy itself and traced with the pullback form ``f* eta`` of
+    ``frames`` in place of ``g``.  Requires equal dimensions and full rank at
+    every point.
     """
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     if f.source_dim != f.target_dim:
         raise RankDeficient("target-trace Laplacian needs equal dimensions")
-    jac0 = jacobian(f, z) if jac is None else jac
-    s = np.linalg.svd(jac0, compute_uv=False)
-    deficient = s[..., -1] <= rank_tol * np.maximum(1.0, s[..., 0])
+    deficient = np.asarray(frames.rank) < f.source_dim
     if np.any(deficient):
         raise RankDeficient(f"differential is rank-deficient at {z[_first(deficient)]}")
-    hess = _energy_hessian(f, z, source_metric, target_metric, h, np.asarray, energy)
-    if image_metric is None:
-        image_metric = _image(f, z, target_metric)[1]
-    return trace_form(_pullback(jac0, image_metric), hess)
+    hess = _energy_hessian(f, z, source_metric, target_metric, h, np.asarray, frames.energy)
+    return trace_form(frames.pullback, hess)

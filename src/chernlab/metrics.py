@@ -44,6 +44,8 @@ class Domain:
     def __post_init__(self):
         if self.norm not in ("l2", "max"):
             raise BadParams(f"unknown norm type {self.norm!r} (expected 'l2' or 'max')")
+        if not 0.0 <= self.inner_radius < self.radius:
+            raise BadParams(f"domain holds no point: inner_radius {self.inner_radius}, radius {self.radius}")
 
     def _dist(self, z):
         d = np.asarray(z, dtype=complex) - np.asarray(self.center, dtype=complex)

@@ -24,11 +24,12 @@ from .cones import FrameSearchConfig, rbc_bounds, sbc_bound
 from .curvature import chern_curvature, curvature_report
 from .errors import BadParams, ChernLabError, SchemaError
 from .exprparse import parse_metric_expression
-from .maps import catalog_map, map_identity
+from .maps import catalog_map
 from .metrics import Domain, catalog_metric, scale_metric
 from .tensors import curvature_in_frame, gram_unitary_frame
 from .verify import (
     HypothesisConstants,
+    SchwarzPass,
     averaged_hsc_check,
     aubin_yau_verify,
     chern_lu_verify,
@@ -366,39 +367,26 @@ def _run_schwarz(task, metrics, maps, loc, seed):
     grid = box_grid(_as_point(task["grid"]["center"]), task["grid"]["half"], task["grid"]["per_axis"])
     tol = task.get("tol", 1e-6)
     cfg = _search_cfg(task.get("search"), seed)
+    sp = SchwarzPass(source, target, fmap, grid, mu)
 
     if "constants" in task:
         constants = HypothesisConstants(**task["constants"])
         for key in task["constants"]:
             constants.provenance[key] = "user"
-        constants.n = constants.n or (source.dim if fmap is None else fmap.source_dim)
+        constants.n = constants.n or source.dim
         constants.r = constants.r or constants.n
-    elif theorem == "trace_bound":
-        constants = estimate_hypotheses(
-            source, target, map_identity(source.dim), grid, "trace_bound", frame_cfg=cfg
-        )
     else:
-        constants = estimate_hypotheses(
-            source,
-            target,
-            fmap,
-            grid,
-            theorem,
-            mu=mu,
-            frame_cfg=cfg,
-            kappa_mode=task.get("kappa_mode", "along_map"),
-        )
+        constants = estimate_hypotheses(sp, theorem, frame_cfg=cfg,
+                                        kappa_mode=task.get("kappa_mode", "along_map"))
 
     if theorem == "chern_lu":
-        verdict = chern_lu_verify(source, target, fmap, constants, grid, tol=tol)
+        verdict = chern_lu_verify(sp, constants, tol=tol)
     elif theorem == "aubin_yau":
-        verdict = aubin_yau_verify(source, target, fmap, constants, grid, tol=tol)
+        verdict = aubin_yau_verify(sp, constants, tol=tol)
     elif theorem == "family":
-        verdict = family_verify(
-            source, target, mu, fmap, constants, grid, tol=tol, preset=task.get("preset")
-        )
+        verdict = family_verify(sp, constants, tol=tol, preset=task.get("preset"))
     else:
-        verdict = trace_bound_verify(source, target, constants, grid, tol=tol)
+        verdict = trace_bound_verify(sp, constants, tol=tol)
     return _verdict_payload(verdict)
 
 
@@ -474,11 +462,13 @@ def run_scenario(source, seed=None, parallel=False):
     A document the schema rejects outside its task list raises SchemaError,
     and so does a ``seed`` argument the schema would reject as the
     document's seed; a task the schema rejects, or one that fails, is
-    recorded on that task and the run continues.  Tasks run in order (or
-    task-parallel with ``parallel=True``; results are still collected in
-    order so the report is identical).  The report passes only if every task succeeded and
-    every verdict passed.
+    recorded on that task and the run continues.  Tasks run in order; the
+    report passes only if every task succeeded and every verdict passed.
+    ``parallel`` is accepted only as False, the sequential run; any other
+    value is BadParams.
     """
+    if parallel is not False:
+        raise BadParams("tasks run in order; parallel must be False")
     if isinstance(source, (str, bytes)):
         with open(source, "r", encoding="utf-8") as fh:
             try:
@@ -515,16 +505,8 @@ def run_scenario(source, seed=None, parallel=False):
 
     results = [None] * len(tasks)
     timings = {}
-    if parallel and len(tasks) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor() as pool:
-            futures = [pool.submit(execute, i, t) for i, t in enumerate(tasks)]
-            for i, fut in enumerate(futures):
-                results[i], timings[str(i)] = fut.result()
-    else:
-        for i, task in enumerate(tasks):
-            results[i], timings[str(i)] = execute(i, task)
+    for i, task in enumerate(tasks):
+        results[i], timings[str(i)] = execute(i, task)
 
     effective = {
         "version": 1,

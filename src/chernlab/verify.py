@@ -7,27 +7,23 @@ its theorem.  Verification is pointwise-on-grids: the charts are open sets,
 so "global" means the sup over the sampled grid, and every verdict records
 that, the constants used, and their provenance (user-given or estimated).
 
-The verifiers and ``estimate_hypotheses`` make each map-side quantity of a
-``(P, n)`` grid stack (energy, exact Jacobians and their inverses, singular
-frames, Laplacian stencils, pullbacks) one call; every point keeps the bits
-it gets alone, and a failing check names the first failing point in grid
-order.  ``estimate_hypotheses`` takes the map's values, Jacobians,
-pullbacks and the target metric at ``f(z)`` from one ``singular_frames``
-call per grid, and its frame-searched kappas search all grid points in one
-lockstep ``rbc_bounds`` or ``sbc_bound`` call.  Hermitian eigenvalues are
-numpy's ``eigvalsh``; those of a pencil ``(a, b)`` are taken after whitening
-by the Cholesky factor of b.
-Curvature (``chern_curvature``, so the loops of ``estimate_hypotheses`` and
-the mu curvature of ``family_verify``) stays one point at a time: its
-stencils call the metric once per sample, a count the benchmark's
-evaluation check pins, and exact Wirtinger jets are to replace those
-stencils rather than stack them.
+A Schwarz task is one ``SchwarzPass``, shared by ``estimate_hypotheses`` and
+the verifier: the ``(P, n)`` grid stack and every metric, map and curvature
+value read there, each evaluated once and only when first read.  Every point
+keeps the bits it gets alone, a failing check names the first failing point
+in grid order, and the frame-searched kappas search all points in one
+lockstep ``rbc_bounds`` or ``sbc_bound`` call.  Pencil eigenvalues are taken
+after whitening by a Cholesky factor.  All curvature goes through
+``SchwarzPass.curvature``, one point at a time: its stencils call the metric
+once per sample, a count the benchmark's evaluation check pins, so stacking
+them waits for that check to change.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -36,23 +32,20 @@ from .curvature import chern_curvature, ricci
 from .errors import (
     BadIndices,
     BadParams,
+    DimensionMismatch,
     FormInequalityViolated,
     HypothesisSignError,
     InfeasibleHypothesis,
     RankDeficient,
     UnboundedSbc,
 )
-from .maps import (
-    energy_density,
-    laplacian_energy,
-    laplacian_log_energy,
-    pullback_metric,
-    singular_frames,
-)
+from .maps import HolomorphicMapModel, laplacian_energy, laplacian_log_energy, singular_frames
+from .metrics import ChartedHermitianMetric
 from .tensors import FrameCurvatureMatrices, cholesky_factor, curvature_in_frame, trace_form
 
 __all__ = [
     "HypothesisConstants",
+    "SchwarzPass",
     "SchwarzVerdict",
     "aubin_yau_verify",
     "averaged_hsc_check",
@@ -121,12 +114,95 @@ class SchwarzVerdict:
         return next(rec for rec in self.records if rec["margin"] <= least + self.tol)
 
 
-def _grid_stack(grid):
-    """The sample grid as one ``(P, n)`` stack of points."""
-    points = np.asarray(grid, dtype=complex)
-    if points.size == 0:
-        raise BadParams("sample grid is empty")
-    return points.reshape(len(points), -1)
+@dataclass(frozen=True, eq=False)
+class SchwarzPass:
+    """One grid pass of a Schwarz task: the sample grid ``points`` as a
+    ``(P, n)`` stack, the ``source`` and ``target`` metrics, the holomorphic
+    ``map`` between them (None for the trace bound, which compares the two
+    metrics at one point) and the family theorem's auxiliary metric ``mu``.
+
+    Each property is evaluated when first read and kept, so estimation and
+    verification share every metric, map and curvature value.  Construction
+    raises DimensionMismatch on dimensions that disagree and BadParams on an
+    empty grid.
+    """
+
+    source: ChartedHermitianMetric
+    target: ChartedHermitianMetric
+    map: HolomorphicMapModel | None
+    points: np.ndarray
+    mu: ChartedHermitianMetric | None = None
+    _curvature: dict = field(default_factory=dict, init=False, repr=False)
+
+    def __post_init__(self):
+        points = np.asarray(self.points, dtype=complex)
+        if points.size == 0:
+            raise BadParams("sample grid is empty")
+        object.__setattr__(self, "points", points.reshape(len(points), -1))
+        n, m, k = self.source.dim, self.target.dim, self.points.shape[1]
+        if self.map is None and m != n:
+            raise DimensionMismatch(f"target has dim {m}, but the trace bound needs the source dim {n}")
+        if self.map is not None and (self.map.source_dim, self.map.target_dim) != (n, m):
+            raise DimensionMismatch(f"map is C^{self.map.source_dim} -> C^{self.map.target_dim}, but source "
+                                    f"has dim {n} and target dim {m}")
+        if self.mu is not None and self.mu.dim != n:
+            raise DimensionMismatch(f"mu has dim {self.mu.dim}, but source has dim {n}")
+        if k != n:
+            raise DimensionMismatch(f"grid points have {k} coordinates, but source has dim {n}")
+
+    @cached_property
+    def frames(self):
+        """The map's ``singular_frames`` on the grid."""
+        if self.map is None:
+            raise BadParams("this theorem needs a map")
+        return singular_frames(self.map, self.points, self.source, self.target)
+
+    @cached_property
+    def g(self):
+        """The source metric on the grid."""
+        return self.source(self.points) if self.map is None else self.frames.metric
+
+    @cached_property
+    def image(self):
+        """The map's values on the grid (without a map, the grid) and the target metric there."""
+        if self.map is None:
+            return self.points, self.target(self.points)
+        return self.frames.image, self.frames.image_metric
+
+    @cached_property
+    def mu_metric(self):
+        """The auxiliary metric on the grid."""
+        if self.mu is None:
+            raise BadParams("the family theorem needs the auxiliary metric mu")
+        return self.mu(self.points)
+
+    def curvature(self, metric, points):
+        """The Chern curvature tensors of ``metric``, one of the pass's
+        metrics, at each of ``points``: one ``chern_curvature`` call per
+        (metric, point) pair the pass has not seen yet."""
+        tensors = []
+        for z in points:
+            key = (id(metric), z.tobytes())
+            if key not in self._curvature:
+                self._curvature[key] = chern_curvature(metric, z)
+            tensors.append(self._curvature[key])
+        return np.array(tensors)
+
+    @cached_property
+    def source_ric2(self):
+        """Ric2 of the source on the grid."""
+        return ricci(self.curvature(self.source, self.points), self.g, 2)[0]
+
+    @cached_property
+    def target_ric2(self):
+        """Ric2 of the target at the image points."""
+        return ricci(self.curvature(self.target, self.image[0]), self.image[1], 2)[0]
+
+    @cached_property
+    def mu_ric2(self):
+        """Ric2 of mu on the grid (BadParams without mu)."""
+        g_mu = self.mu_metric
+        return ricci(self.curvature(self.mu, self.points), g_mu, 2)[0]
 
 
 def _z_list(z):
@@ -140,13 +216,6 @@ def _gen_eigs(a, b):
     return np.linalg.eigvalsh(inv_low @ a @ np.conj(np.swapaxes(inv_low, -1, -2)))
 
 
-def _ric2(metric, stack):
-    """Ric2 and the metric at each grid point, as stacks; one curvature
-    stencil per point."""
-    g = [metric(z) for z in stack]
-    return np.array([ricci(chern_curvature(metric, z), gz, 2)[0] for z, gz in zip(stack, g)]), np.array(g)
-
-
 def _first_extreme(values, points, sense=+1):
     """The largest (``sense`` +1) or least (-1) of the per-point ``values``
     and the first point that takes it."""
@@ -154,56 +223,46 @@ def _first_extreme(values, points, sense=+1):
     return float(values[k]), points[k]
 
 
-def _kappa_rbc(target_metric, sf, cfg):
+def _kappa_rbc(sp, cfg):
     """kappa with RBC <= -kappa: minus the largest frame-searched sup over
-    the image points of the singular frames ``sf``, the searches of every
-    image point run as one ``rbc_bounds`` call."""
-    tensors = np.array([chern_curvature(target_metric, w) for w in sf.image])
-    sup, at = _first_extreme([b.sup for b in rbc_bounds(tensors, sf.image_metric, cfg)], sf.image)
+    the image points of the pass ``sp``, searched in one ``rbc_bounds`` call."""
+    image, image_metric = sp.image
+    bounds = rbc_bounds(sp.curvature(sp.target, image), image_metric, cfg)
+    sup, at = _first_extreme([b.sup for b in bounds], image)
     return -sup, at
 
 
-def _kappa_sbc_along_map(sf, source_metric, points):
+def _kappa_sbc_along_map(sp):
     """kappa with SBC_omega >= -kappa along the map: the sup over the grid
-    of minus the pointwise curvature sum at the map's singular values
-    (``sf``, the map's singular frames on the grid), in the source singular
-    frame."""
-    values = []
-    for z, rank, frame, lambdas in zip(points, sf.rank, sf.source_frame, sf.lambdas):
-        if rank < len(z):
-            raise RankDeficient(f"map is rank-deficient at {z}")
-        fm = curvature_in_frame(chern_curvature(source_metric, z), frame)
-        values.append(-sbc_along_map(fm.r_mat, lambdas))
-    value, at = _first_extreme(values, points)
+    of minus the pointwise curvature sum at the map's singular values, in
+    the source singular frame."""
+    sf = sp.frames
+    deficient = sf.rank < sp.points.shape[1]
+    if np.any(deficient):
+        raise RankDeficient(f"map is rank-deficient at {sp.points[np.argmax(deficient)]}")
+    fm = curvature_in_frame(sp.curvature(sp.source, sp.points), sf.source_frame)
+    values = [-sbc_along_map(r_mat, lambdas) for r_mat, lambdas in zip(fm.r_mat, sf.lambdas)]
+    value, at = _first_extreme(values, sp.points)
     return max(0.0, value), at
 
 
-def _kappa_sbc_full_cone(source_metric, points, cfg):
+def _kappa_sbc_full_cone(sp, cfg):
     """kappa with SBC_omega >= -kappa over the full ordered cone, the
     searches of every grid point run as one ``sbc_bound`` call; raises
     UnboundedSbc with the divergence certificate of the first point, in
     grid order, where the infimum is -inf."""
-    tensors = np.array([chern_curvature(source_metric, z) for z in points])
-    results = sbc_bound(tensors, source_metric(points), cfg)
-    for z, res in zip(points, results):
+    results = sbc_bound(sp.curvature(sp.source, sp.points), sp.g, cfg)
+    for z, res in zip(sp.points, results):
         if res.status == "unbounded_below":
             raise UnboundedSbc(f"SBC unbounded below at {z}", certificate=res.divergence_certificate)
-    value, at = _first_extreme([-res.inf_val for res in results], points)
+    value, at = _first_extreme([-res.inf_val for res in results], sp.points)
     return max(0.0, value), at
 
 
-def estimate_hypotheses(
-    source_metric,
-    target_metric,
-    f,
-    grid,
-    theorem="chern_lu",
-    mu=None,
-    fixed=None,
-    frame_cfg=FrameSearchConfig(),
-    kappa_mode="along_map",
-):
-    """Fit the tightest constants valid on the sampled grid for a theorem.
+def estimate_hypotheses(sp, theorem="chern_lu", fixed=None, frame_cfg=FrameSearchConfig(),
+                        kappa_mode="along_map"):
+    """Fit the tightest constants valid on the grid of the pass ``sp`` for a
+    theorem.
 
     ``fixed`` supplies user-chosen constants (recorded with provenance
     "user"); the remaining ones are fitted so the defining form
@@ -217,8 +276,8 @@ def estimate_hypotheses(
     if kappa_mode not in ("along_map", "full_cone"):
         raise BadParams(f"unknown kappa_mode {kappa_mode!r} (expected 'along_map' or 'full_cone')")
     fixed = dict(fixed or {})
-    stack = _grid_stack(grid)
-    n = f.source_dim
+    stack = sp.points
+    n = sp.source.dim
     constants = HypothesisConstants(n=n)
     for name, value in fixed.items():
         setattr(constants, name, value)
@@ -238,10 +297,10 @@ def estimate_hypotheses(
         if c2 < 0:
             raise HypothesisSignError("C2 must be nonnegative")
         fit("c2", c2, None)
-        sf = singular_frames(f, stack, source_metric, target_metric)
-        ric2, g = _ric2(source_metric, stack)
-        fit("c1", *_first_extreme(-np.min(_gen_eigs(ric2 - c2 * sf.pullback, g), axis=-1), stack))
-        kappa, at = _kappa_rbc(target_metric, sf, frame_cfg)
+        sf = sp.frames
+        eigs = _gen_eigs(sp.source_ric2 - c2 * sf.pullback, sp.g)
+        fit("c1", *_first_extreme(-np.min(eigs, axis=-1), stack))
+        kappa, at = _kappa_rbc(sp, frame_cfg)
         if kappa < 0:
             raise InfeasibleHypothesis(
                 f"RBC sup of the target is positive ({-kappa:.6g}); kappa >= 0 is demanded"
@@ -252,50 +311,40 @@ def estimate_hypotheses(
             raise InfeasibleHypothesis("kappa + C2 > 0 is required for the bound")
         return constants
 
-    if theorem == "aubin_yau":
+    if theorem in ("aubin_yau", "trace_bound"):
         c2 = fixed.get("c2", 0.0)
         fit("c2", c2, None)
-        if f.source_dim != f.target_dim:
-            raise RankDeficient(
-                f"Aubin-Yau needs equal dimensions, got a map C^{f.source_dim} -> C^{f.target_dim}"
-            )
-        sf = singular_frames(f, stack, source_metric, target_metric)
-        deficient = sf.rank < n
-        if np.any(deficient):
-            raise RankDeficient(f"map is rank-deficient at {stack[np.argmax(deficient)]}")
-        jinvs = np.linalg.inv(sf.jacobian)
-        backs = np.swapaxes(jinvs, -1, -2) @ source_metric(stack) @ np.conj(jinvs)
-        ric2_h = np.array([ricci(chern_curvature(target_metric, w), h_w, 2)[0]
-                           for w, h_w in zip(sf.image, sf.image_metric)])
-        eigs = _gen_eigs(c2 * backs - ric2_h, sf.image_metric)
+        back, form = sp.g, "omega"  # (f^-1)* omega, the identity's for the trace bound
+        if theorem == "aubin_yau":
+            if sp.target.dim != n:
+                raise RankDeficient(f"Aubin-Yau needs equal dimensions, got a map C^{n} -> C^{sp.target.dim}")
+            deficient = sp.frames.rank < n
+            if np.any(deficient):
+                raise RankDeficient(f"map is rank-deficient at {stack[np.argmax(deficient)]}")
+            jinvs = np.linalg.inv(sp.frames.jacobian)
+            back, form = np.swapaxes(jinvs, -1, -2) @ sp.g @ np.conj(jinvs), "(f^-1)* omega"
+        eigs = _gen_eigs(c2 * back - sp.target_ric2, sp.image[1])
         c1, at = _first_extreme(np.min(eigs, axis=-1), stack, -1)
         if c1 <= 0:
-            raise InfeasibleHypothesis(
-                f"no C1 > 0 satisfies Ric2 <= -C1 eta + C2 (f^-1)* omega (best {c1:.6g})"
-            )
+            raise InfeasibleHypothesis(f"no C1 > 0 satisfies Ric2 <= -C1 eta + C2 {form} (best {c1:.6g})")
         fit("c1", c1, at)
         if "kappa" not in fixed:
-            if kappa_mode == "along_map":
-                kappa, at = _kappa_sbc_along_map(sf, source_metric, stack)
-            else:
-                kappa, at = _kappa_sbc_full_cone(source_metric, stack, frame_cfg)
-            fit("kappa", kappa, at)
-        constants.r = f.source_dim
+            along_map = theorem == "aubin_yau" and kappa_mode == "along_map"
+            fit("kappa", *(_kappa_sbc_along_map(sp) if along_map else _kappa_sbc_full_cone(sp, frame_cfg)))
+        constants.r = n
         return constants
 
     if theorem == "family":
-        if mu is None:
-            raise BadParams("the family theorem needs the auxiliary metric mu")
         c2 = fixed.get("c2", 0.0)
         c4 = fixed.get("c4", 0.0)
         if c2 < 0:
             raise HypothesisSignError("C2 must be nonnegative")
         fit("c2", c2, None)
         fit("c4", c4, None)
-        sf = singular_frames(f, stack, source_metric, target_metric)
-        ric2_mu, g_mu = _ric2(mu, stack)
+        sf = sp.frames
+        ric2_mu, g_mu = sp.mu_ric2, sp.mu_metric
         fit("c1", *_first_extreme(np.max(_gen_eigs(c2 * sf.pullback - ric2_mu, g_mu), axis=-1), stack))
-        eigs = _gen_eigs(c4 * source_metric(stack) - ric2_mu, g_mu)
+        eigs = _gen_eigs(c4 * sp.g - ric2_mu, g_mu)
         c3, at = _first_extreme(np.min(eigs, axis=-1), stack, -1)
         if c3 <= 0:
             raise InfeasibleHypothesis(
@@ -303,10 +352,10 @@ def estimate_hypotheses(
             )
         fit("c3", c3, at)
         if "kappa1" not in fixed:
-            kappa1, at1 = _kappa_sbc_along_map(sf, source_metric, stack)
+            kappa1, at1 = _kappa_sbc_along_map(sp)
             fit("kappa1", kappa1, at1)
         if "kappa2" not in fixed:
-            kappa2, at2 = _kappa_rbc(target_metric, sf, frame_cfg)
+            kappa2, at2 = _kappa_rbc(sp, frame_cfg)
             if kappa2 < 0:
                 raise InfeasibleHypothesis(
                     f"RBC sup of the target is positive ({-kappa2:.6g}); kappa2 >= 0 is demanded"
@@ -315,23 +364,6 @@ def estimate_hypotheses(
         constants.r = int(np.max(sf.rank))
         if constants.kappa2 + constants.c2 <= 0:
             raise InfeasibleHypothesis("kappa2 + C2 > 0 is required")
-        return constants
-
-    if theorem == "trace_bound":
-        c2 = fixed.get("c2", 0.0)
-        fit("c2", c2, None)
-        ric2_h, g_eta = _ric2(target_metric, stack)
-        eigs = _gen_eigs(c2 * source_metric(stack) - ric2_h, g_eta)
-        c1, at = _first_extreme(np.min(eigs, axis=-1), stack, -1)
-        if c1 <= 0:
-            raise InfeasibleHypothesis(
-                f"no C1 > 0 satisfies Ric2 <= -C1 eta + C2 omega (best {c1:.6g})"
-            )
-        fit("c1", c1, at)
-        if "kappa" not in fixed:
-            kappa, at = _kappa_sbc_full_cone(source_metric, stack, frame_cfg)
-            fit("kappa", kappa, at)
-        constants.r = constants.n
         return constants
 
     raise BadParams(f"unknown theorem {theorem!r}")
@@ -349,9 +381,9 @@ def _grid_verdict(theorem, records, bound, tol, constants, sup_checked=True):
     return verdict
 
 
-def chern_lu_verify(source_metric, target_metric, f, constants, grid, tol=1e-6):
-    """Chern-Lu check: pointwise ``Delta_omega log|df|^2 >= -C1 +
-    (kappa + C2)|df|^2 / r`` plus the sup bound ``|df|^2 <= C1 r /
+def chern_lu_verify(sp, constants, tol=1e-6):
+    """Chern-Lu check on the pass ``sp``: pointwise ``Delta_omega log|df|^2 >=
+    -C1 + (kappa + C2)|df|^2 / r`` plus the sup bound ``|df|^2 <= C1 r /
     (kappa + C2)``."""
     c1, c2, kappa = constants.c1, constants.c2 or 0.0, constants.kappa
     if c1 is None or kappa is None:
@@ -360,24 +392,22 @@ def chern_lu_verify(source_metric, target_metric, f, constants, grid, tol=1e-6):
         raise HypothesisSignError("C2 must be nonnegative")
     if kappa + c2 <= 0:
         raise HypothesisSignError("kappa + C2 > 0 is required for the bound")
-    r = constants.r or f.source_dim
-    z = _grid_stack(grid)
-    energies = energy_density(f, z, source_metric, target_metric)
-    lhss = laplacian_log_energy(f, z, source_metric, target_metric, energy=energies)
+    r = constants.r or sp.source.dim
+    sf = sp.frames
+    lhss = laplacian_log_energy(sp.map, sp.points, sp.source, sp.target, sf)
     records = []
-    for point, energy, lhs in zip(z, energies.tolist(), lhss.tolist()):
+    for point, energy, lhs in zip(sp.points, sf.energy.tolist(), lhss.tolist()):
         rhs = -c1 + (kappa + c2) * energy / r
-        records.append(
-            {"z": _z_list(point), "energy": energy, "lhs": lhs, "rhs": rhs, "margin": lhs - rhs}
-        )
+        records.append({"z": _z_list(point), "energy": energy, "lhs": lhs, "rhs": rhs, "margin": lhs - rhs})
     verdict = _grid_verdict("chern_lu", records, c1 * r / (kappa + c2), tol, constants)
     verdict.notes["bound_slack"] = verdict.bound - verdict.sup_energy
     return verdict
 
 
-def aubin_yau_verify(source_metric, target_metric, f, constants, grid, tol=1e-6):
-    """Aubin-Yau check: pointwise ``Delta_eta |df|^2 >= C1 |df|^2 -
-    n(C2 + kappa)`` plus the sup bound ``|df|^2 <= n(C2 + kappa)/C1``.
+def aubin_yau_verify(sp, constants, tol=1e-6):
+    """Aubin-Yau check on the pass ``sp``: pointwise ``Delta_eta |df|^2 >=
+    C1 |df|^2 - n(C2 + kappa)`` plus the sup bound ``|df|^2 <= n(C2 +
+    kappa)/C1``.
 
     The margin is against the displayed (weaker) right-hand side; the
     margin against the stricter in-proof form ``C1|df|^2 - n C2 - kappa``
@@ -390,16 +420,14 @@ def aubin_yau_verify(source_metric, target_metric, f, constants, grid, tol=1e-6)
         raise HypothesisSignError("kappa must be nonnegative")
     if c1 <= 0:
         raise HypothesisSignError("C1 must be positive")
-    n = f.source_dim
-    z = _grid_stack(grid)
-    sf = singular_frames(f, z, source_metric, target_metric)
+    n = sp.source.dim
+    sf = sp.frames
     deficient = sf.rank < n
     if np.any(deficient):
-        raise RankDeficient(f"map is rank-deficient at {z[np.argmax(deficient)]}")
-    lhss = laplacian_energy(f, z, source_metric, target_metric, energy=sf.energy,
-                            jac=sf.jacobian, image_metric=sf.image_metric)
+        raise RankDeficient(f"map is rank-deficient at {sp.points[np.argmax(deficient)]}")
+    lhss = laplacian_energy(sp.map, sp.points, sp.source, sp.target, sf)
     records = []
-    for point, energy, lhs in zip(z, sf.energy.tolist(), lhss.tolist()):
+    for point, energy, lhs in zip(sp.points, sf.energy.tolist(), lhss.tolist()):
         rhs = c1 * energy - n * (c2 + kappa)
         rhs_strict = c1 * energy - n * c2 - kappa
         records.append({"z": _z_list(point), "energy": energy, "lhs": lhs, "rhs": rhs,
@@ -456,10 +484,11 @@ def _apply_family_preset(constants, preset, tol):
     raise BadParams(f"unknown family preset {preset!r}")
 
 
-def family_verify(source_metric, target_metric, mu, f, constants, grid, tol=1e-6, preset=None):
-    """Family-of-Schwarz-lemmas check: both form inequalities
-    ``-C1 mu + C2 f*eta <= Ric2_mu <= -C3 mu + C4 omega`` pointwise, then
-    the sup bound ``|df|^2 <= C1 n r (kappa1+C4) / (C3 (kappa2+C2))``.
+def family_verify(sp, constants, tol=1e-6, preset=None):
+    """Family-of-Schwarz-lemmas check on the pass ``sp``: both form
+    inequalities ``-C1 mu + C2 f*eta <= Ric2_mu <= -C3 mu + C4 omega``
+    pointwise, then the sup bound ``|df|^2 <= C1 n r (kappa1+C4) / (C3
+    (kappa2+C2))``.
 
     Presets configure the corollary instances: ``chen_cheng_lu`` (bound
     kappa1/kappa2), ``ricci_only`` (bound C1/C3), and ``liouville`` (the
@@ -483,31 +512,25 @@ def family_verify(source_metric, target_metric, mu, f, constants, grid, tol=1e-6
         raise HypothesisSignError("kappa1, kappa2 must be nonnegative")
     if c.kappa2 + c.c2 <= 0:
         raise HypothesisSignError("kappa2 + C2 > 0 is required")
-    c.n = c.n or f.source_dim
-    c.r = c.r or f.source_dim
+    c.n = c.n or sp.source.dim
+    c.r = c.r or sp.source.dim
     bound, preset_notes = _apply_family_preset(c, preset, tol)
 
-    z = _grid_stack(grid)
-    pulls = pullback_metric(f, z, target_metric)
-    energies = energy_density(f, z, source_metric, target_metric)
-    records = []
-    worst_eig = (np.inf, None)
-    for point, pull, g_omega, energy in zip(z, pulls, source_metric(z), energies.tolist()):
-        g_mu = mu(point)
-        ric2_mu = ricci(chern_curvature(mu, point), g_mu, 2)[0]
-        lo_eig = float(np.min(np.linalg.eigvalsh(ric2_mu + c.c1 * g_mu - c.c2 * pull)))
-        hi_eig = float(np.min(np.linalg.eigvalsh(c.c4 * g_omega - c.c3 * g_mu - ric2_mu)))
-        slack = min(lo_eig, hi_eig)
-        if slack < worst_eig[0]:
-            worst_eig = (slack, point)
-        records.append(
-            {"z": _z_list(point), "energy": energy, "lhs": slack, "rhs": 0.0, "margin": slack}
-        )
-    if worst_eig[0] < -EIG_TOL:
+    sf = sp.frames
+    g_mu, ric2_mu = sp.mu_metric, sp.mu_ric2
+    lo_eigs = np.min(np.linalg.eigvalsh(ric2_mu + c.c1 * g_mu - c.c2 * sf.pullback), axis=-1)
+    hi_eigs = np.min(np.linalg.eigvalsh(c.c4 * sp.g - c.c3 * g_mu - ric2_mu), axis=-1)
+    slacks = [min(lo, hi) for lo, hi in zip(lo_eigs.tolist(), hi_eigs.tolist())]
+    records = [
+        {"z": _z_list(point), "energy": energy, "lhs": slack, "rhs": 0.0, "margin": slack}
+        for point, energy, slack in zip(sp.points, sf.energy.tolist(), slacks)
+    ]
+    worst, at = _first_extreme(slacks, sp.points, -1)
+    if worst < -EIG_TOL:
         raise FormInequalityViolated(
-            f"Ric2_mu form inequality violated: min eigenvalue {worst_eig[0]:.6g} at {worst_eig[1]}",
-            point=_z_list(worst_eig[1]),
-            eigenvalue=worst_eig[0],
+            f"Ric2_mu form inequality violated: min eigenvalue {worst:.6g} at {at}",
+            point=_z_list(at),
+            eigenvalue=worst,
         )
     sup_energy = max(rec["energy"] for rec in records)
     if preset == "liouville":
@@ -524,8 +547,8 @@ def family_verify(source_metric, target_metric, mu, f, constants, grid, tol=1e-6
         constants=c,
     )
     verdict.notes.update(preset_notes)
-    verdict.notes["min_form_eigenvalue"] = worst_eig[0]
-    verdict.notes["worst_point"] = _z_list(worst_eig[1])
+    verdict.notes["min_form_eigenvalue"] = worst
+    verdict.notes["worst_point"] = _z_list(at)
     verdict.notes["grid_semantics"] = "sup over sampled grid"
     if not passed and preset != "liouville":
         over = max(records, key=lambda rec: rec["energy"])
@@ -533,23 +556,25 @@ def family_verify(source_metric, target_metric, mu, f, constants, grid, tol=1e-6
     return verdict
 
 
-def trace_bound_verify(source_metric, target_metric, constants, grid, tol=1e-6):
-    """Trace bound for the identity map: ``tr_omega(eta) <= (kappa + n C2)/C1``
-    at each grid point.  When the certified constants satisfy
-    ``kappa <= -C2`` the automorphism-triviality flag is set (informational;
-    no group computation is attempted)."""
+def trace_bound_verify(sp, constants, tol=1e-6):
+    """Trace bound for the identity map on the pass ``sp`` (which has no
+    map): ``tr_omega(eta) <= (kappa + n C2)/C1`` at each grid point.  When
+    the certified constants satisfy ``kappa <= -C2`` the
+    automorphism-triviality flag is set (informational; no group
+    computation is attempted)."""
     c1, c2, kappa = constants.c1, constants.c2 or 0.0, constants.kappa
     if c1 is None or c1 <= 0:
         raise HypothesisSignError("trace bound needs C1 > 0")
     if kappa is None or kappa < 0:
         raise HypothesisSignError("trace bound needs a finite kappa >= 0")
-    z = _grid_stack(grid)
-    n = constants.n or z.shape[1]
+    if sp.map is not None:
+        raise BadParams("the trace bound compares the two metrics at one point; its pass has no map")
+    n = constants.n or sp.source.dim
     bound = (kappa + n * c2) / c1
-    traces = trace_form(source_metric(z), target_metric(z))
+    traces = trace_form(sp.g, sp.image[1])
     records = [
         {"z": _z_list(point), "energy": tr, "lhs": tr, "rhs": bound, "margin": bound - tr}
-        for point, tr in zip(z, traces.tolist())
+        for point, tr in zip(sp.points, traces.tolist())
     ]
     verdict = _grid_verdict("trace_bound", records, bound, tol, constants, sup_checked=False)
     verdict.notes["aut_trivial_flag"] = bool(kappa <= -c2 + 1e-12)

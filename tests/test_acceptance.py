@@ -19,6 +19,7 @@ from chernlab.metrics import catalog_metric, scale_metric
 from chernlab.scenario import run_scenario
 from chernlab.tensors import curvature_in_frame
 from chernlab.verify import (
+    SchwarzPass,
     aubin_yau_verify,
     chern_lu_verify,
     estimate_hypotheses,
@@ -186,14 +187,14 @@ def test_criterion_7_schwarz_sharpness():
     ok = True
     for c_scale in (0.5, 1.0, 3.0):
         target = scale_metric(p1, c_scale)
-        constants = estimate_hypotheses(p1, target, f, grid, "chern_lu", frame_cfg=cfg)
-        verdict = chern_lu_verify(p1, target, f, constants, grid, tol=1e-5)
+        constants = estimate_hypotheses(SchwarzPass(p1, target, f, grid), "chern_lu", frame_cfg=cfg)
+        verdict = chern_lu_verify(SchwarzPass(p1, target, f, grid), constants, tol=1e-5)
         gap = abs(verdict.bound - verdict.sup_energy)
         min_margin = min(rec["margin"] for rec in verdict.records)
         ok = ok and verdict.passed and gap < 1e-4 and min_margin >= -1e-5
         details.append(f"c={c_scale}: |bound-energy|={gap:.2e}, min margin {min_margin:.2e}")
-    constants = estimate_hypotheses(p1, p1, f, grid, "aubin_yau")
-    verdict = aubin_yau_verify(p1, p1, f, constants, grid, tol=1e-5)
+    constants = estimate_hypotheses(SchwarzPass(p1, p1, f, grid), "aubin_yau")
+    verdict = aubin_yau_verify(SchwarzPass(p1, p1, f, grid), constants, tol=1e-5)
     ay_gap = abs(verdict.bound - verdict.sup_energy)
     ok = ok and verdict.passed and ay_gap < 1e-4
     details.append(f"AY |bound-energy|={ay_gap:.2e}")
@@ -209,25 +210,25 @@ def test_criterion_8_negative_tests():
     outcomes = []
 
     # (a) Chern-Lu constants fitted for the unscaled target, target rescaled 4x
-    stale = estimate_hypotheses(p1, p1, f, grid, "chern_lu", frame_cfg=cfg)
-    v = chern_lu_verify(p1, scale_metric(p1, 4.0), f, stale, grid)
+    stale = estimate_hypotheses(SchwarzPass(p1, p1, f, grid), "chern_lu", frame_cfg=cfg)
+    v = chern_lu_verify(SchwarzPass(p1, scale_metric(p1, 4.0), f, grid), stale)
     outcomes.append((not v.passed) and v.notes["worst_point"] is not None and v.sup_energy > v.bound)
 
     # (b) Aubin-Yau with a kappa that is too small for the rescaled source
-    stale_ay = estimate_hypotheses(p1, p1, f, grid, "aubin_yau")
-    v = aubin_yau_verify(scale_metric(p1, 0.25), p1, f, stale_ay, grid)
+    stale_ay = estimate_hypotheses(SchwarzPass(p1, p1, f, grid), "aubin_yau")
+    v = aubin_yau_verify(SchwarzPass(scale_metric(p1, 0.25), p1, f, grid), stale_ay)
     outcomes.append((not v.passed) and v.worst()["margin"] is not None)
 
     # (c) family bound violated after target rescale with stale constants
     from chernlab.verify import HypothesisConstants
 
     const = HypothesisConstants(c1=2.0, c2=0.0, c3=2.0, c4=0.0, kappa1=2.0, kappa2=2.0, n=1, r=1)
-    v = family_verify(p1, scale_metric(p1, 4.0), p1, f, const, grid)
+    v = family_verify(SchwarzPass(p1, scale_metric(p1, 4.0), f, grid, p1), const)
     outcomes.append((not v.passed) and "bound_violation" in v.notes)
 
     # (d) trace bound with a doubled target and stale constants
-    stale_tr = estimate_hypotheses(p1, p1, f, grid, "trace_bound", frame_cfg=cfg)
-    v = trace_bound_verify(p1, scale_metric(p1, 2.0), stale_tr, grid)
+    stale_tr = estimate_hypotheses(SchwarzPass(p1, p1, None, grid), "trace_bound", frame_cfg=cfg)
+    v = trace_bound_verify(SchwarzPass(p1, scale_metric(p1, 2.0), None, grid), stale_tr)
     outcomes.append((not v.passed) and v.worst()["margin"] < 0)
 
     ok = all(outcomes)

@@ -33,6 +33,7 @@ from chernlab.scenario import box_grid
 from chernlab.tensors import trace_form
 from chernlab.verify import (
     HypothesisConstants,
+    SchwarzPass,
     aubin_yau_verify,
     chern_lu_verify,
     estimate_hypotheses,
@@ -112,17 +113,17 @@ class TestStackedKernels:
             return np.log(energy_density(f, zz, src, tgt))
 
         h = 5e-3 * np.maximum(1.0, point_norms(grid))
-        stacked = wirtinger_hessian(u, grid, h)
+        stacked = wirtinger_hessian(u, grid, h, u(grid))
         # the per-point reference is the loop over the samples of StencilField
         ref = [_derivatives_loop(StencilField(u, z), float(hz))[2] for z, hz in zip(grid, h)]
         assert _same(stacked, _stacked(ref))
-        assert _same(stacked, _stacked(wirtinger_hessian(u, z, float(hz)) for z, hz in zip(grid, h)))
+        assert _same(stacked, _stacked(wirtinger_hessian(u, z, float(hz), u(z)) for z, hz in zip(grid, h)))
         centre = np.log(energy_density(f, grid, src, tgt))
         assert _same(wirtinger_hessian(u, grid, h, centre), stacked)
         # steps whose square h * h rounds differently from h**2
         odd = np.resize([0.00140125, 0.00143325], len(grid))
         ref = [_derivatives_loop(StencilField(u, z), float(hz))[2] for z, hz in zip(grid, odd)]
-        assert _same(wirtinger_hessian(u, grid, odd), _stacked(ref))
+        assert _same(wirtinger_hessian(u, grid, odd, u(grid)), _stacked(ref))
 
     def test_metric_derivatives_match_the_loop(self, name):
         # the curvature path: a matrix-valued field sampled one offset at a time
@@ -135,13 +136,11 @@ class TestStackedKernels:
 
     def test_laplacians(self, name):
         f, src, tgt, grid = CASES[name]
-        log_lap = laplacian_log_energy(f, grid, src, tgt)
-        assert _same(log_lap, [laplacian_log_energy(f, z, src, tgt) for z in grid])
-        energy = energy_density(f, grid, src, tgt)
-        assert _same(laplacian_log_energy(f, grid, src, tgt, energy=energy), log_lap)
-        lap = laplacian_energy(f, grid, src, tgt)
-        assert _same(lap, [laplacian_energy(f, z, src, tgt) for z in grid])
-        assert _same(laplacian_energy(f, grid, src, tgt, energy=energy), lap)
+        log_lap = laplacian_log_energy(f, grid, src, tgt, singular_frames(f, grid, src, tgt))
+        assert _same(log_lap, [laplacian_log_energy(f, z, src, tgt, singular_frames(f, z, src, tgt))
+                               for z in grid])
+        lap = laplacian_energy(f, grid, src, tgt, singular_frames(f, grid, src, tgt))
+        assert _same(lap, [laplacian_energy(f, z, src, tgt, singular_frames(f, z, src, tgt)) for z in grid])
 
     def test_singular_frames(self, name):
         f, src, tgt, grid = CASES[name]
@@ -170,17 +169,17 @@ def test_verifier_records_match_per_point_runs(name):
     n = f.source_dim
     runs = {
         "chern_lu": lambda g: chern_lu_verify(
-            src, tgt, f, HypothesisConstants(c1=2.0, c2=0.0, kappa=0.5, r=n, n=n), g
+            SchwarzPass(src, tgt, f, g), HypothesisConstants(c1=2.0, c2=0.0, kappa=0.5, r=n, n=n),
         ),
         "aubin_yau": lambda g: aubin_yau_verify(
-            src, tgt, f, HypothesisConstants(c1=1.0, c2=0.5, kappa=0.3, r=n, n=n), g
+            SchwarzPass(src, tgt, f, g), HypothesisConstants(c1=1.0, c2=0.5, kappa=0.3, r=n, n=n),
         ),
         "trace_bound": lambda g: trace_bound_verify(
-            src, tgt, HypothesisConstants(c1=1.0, c2=0.0, kappa=3.0, n=n), g
+            SchwarzPass(src, tgt, None, g), HypothesisConstants(c1=1.0, c2=0.0, kappa=3.0, n=n),
         ),
         "family": lambda g: family_verify(
-            src, tgt, src, f,
-            HypothesisConstants(c1=5.0, c2=0.0, c3=0.1, c4=5.0, kappa1=0.0, kappa2=1.0), g,
+            SchwarzPass(src, tgt, f, g, src),
+            HypothesisConstants(c1=5.0, c2=0.0, c3=0.1, c4=5.0, kappa1=0.0, kappa2=1.0),
         ),
     }
     for theorem, run in runs.items():
@@ -207,26 +206,32 @@ FAILING_GRID = [np.array([0.3 + 0.0j]), np.array([0.1 + 0.0j]), np.array([-0.2 +
 class TestFirstFailingPoint:
     def test_near_critical_point(self):
         with pytest.raises(NearCriticalPoint, match=r"at \[0\.1\+0\.j\]"):
-            laplacian_log_energy(TWO_CRITICAL, FAILING_GRID, EU1, EU1)
+            laplacian_log_energy(TWO_CRITICAL, FAILING_GRID, EU1, EU1,
+                                 singular_frames(TWO_CRITICAL, FAILING_GRID, EU1, EU1))
         with pytest.raises(NearCriticalPoint, match=r"at \[0\.1\+0\.j\]"):
-            chern_lu_verify(EU1, EU1, TWO_CRITICAL, HypothesisConstants(c1=1.0, kappa=1.0), FAILING_GRID)
+            chern_lu_verify(SchwarzPass(EU1, EU1, TWO_CRITICAL, FAILING_GRID),
+                            HypothesisConstants(c1=1.0, kappa=1.0))
         # the identity from the disk into C^1 has energy (1 - |z|^2)^2: 1, 0.5625, 0.4096
         with pytest.raises(NearCriticalPoint, match=r"at \[0\.5\+0\.j\]"):
-            laplacian_log_energy(map_identity(1), [[0.0], [0.5], [0.6]], DISK, EU1, critical_tol=0.6)
+            laplacian_log_energy(map_identity(1), [[0.0], [0.5], [0.6]], DISK, EU1,
+                                 singular_frames(map_identity(1), [[0.0], [0.5], [0.6]], DISK, EU1),
+                                 critical_tol=0.6)
 
     def test_rank_deficient(self):
         with pytest.raises(RankDeficient, match=r"at \[0\.1\+0\.j\]"):
-            laplacian_energy(TWO_CRITICAL, FAILING_GRID, EU1, EU1)
+            laplacian_energy(TWO_CRITICAL, FAILING_GRID, EU1, EU1,
+                             singular_frames(TWO_CRITICAL, FAILING_GRID, EU1, EU1))
         with pytest.raises(RankDeficient, match=r"at \[0\.1\+0\.j\]"):
-            aubin_yau_verify(EU1, EU1, TWO_CRITICAL, HypothesisConstants(c1=1.0, kappa=1.0), FAILING_GRID)
+            aubin_yau_verify(SchwarzPass(EU1, EU1, TWO_CRITICAL, FAILING_GRID),
+                             HypothesisConstants(c1=1.0, kappa=1.0))
 
     def test_non_finite_sample(self):
         def u(zz):
             return np.where(zz[..., 0].real > 0.4, np.inf, np.abs(zz[..., 0]) ** 2)
 
         with pytest.raises(NonFiniteSample, match=r"of \[0\.5\+0\.j\]"):
-            wirtinger_hessian(u, [[0.0], [0.5], [0.7]], 1e-3)
-        assert np.allclose(wirtinger_hessian(u, [[0.0], [0.1]], 1e-3), 1.0)
+            wirtinger_hessian(u, [[0.0], [0.5], [0.7]], 1e-3, u(np.array([[0.0], [0.5], [0.7]])))
+        assert np.allclose(wirtinger_hessian(u, [[0.0], [0.1]], 1e-3, u(np.array([[0.0], [0.1]]))), 1.0)
 
 
 class TestEmptyGrid:
@@ -234,10 +239,10 @@ class TestEmptyGrid:
         c = HypothesisConstants(c1=2.0, c2=0.0, kappa=2.0, c3=1.0, kappa1=0.0, kappa2=1.0)
         f = map_identity(1)
         for run in (
-            lambda: chern_lu_verify(DISK, DISK, f, c, []),
-            lambda: aubin_yau_verify(DISK, DISK, f, c, []),
-            lambda: trace_bound_verify(DISK, DISK, c, []),
-            lambda: family_verify(DISK, DISK, DISK, f, c, []),
+            lambda: chern_lu_verify(SchwarzPass(DISK, DISK, f, []), c),
+            lambda: aubin_yau_verify(SchwarzPass(DISK, DISK, f, []), c),
+            lambda: trace_bound_verify(SchwarzPass(DISK, DISK, None, []), c),
+            lambda: family_verify(SchwarzPass(DISK, DISK, f, [], DISK), c),
         ):
             with pytest.raises(BadParams, match="sample grid is empty"):
                 run()
@@ -272,9 +277,9 @@ class TestEvaluatorCalls:
         f = MOBIUS2
         c = HypothesisConstants(c1=1.0, c2=0.0, kappa=1.0, r=2, n=2)
         runs = {
-            "chern_lu": lambda g: chern_lu_verify(PD, PD, f, c, g),
-            "aubin_yau": lambda g: aubin_yau_verify(PD, PD, f, c, g),
-            "trace_bound": lambda g: trace_bound_verify(PD, PD_EXPR, c, g),
+            "chern_lu": lambda g: chern_lu_verify(SchwarzPass(PD, PD, f, g), c),
+            "aubin_yau": lambda g: aubin_yau_verify(SchwarzPass(PD, PD, f, g), c),
+            "trace_bound": lambda g: trace_bound_verify(SchwarzPass(PD, PD_EXPR, None, g), c),
         }
         grid = box_grid([0.05 - 0.1j, 0.1 + 0.02j], 0.25, 2)
         seen = []
@@ -287,15 +292,13 @@ class TestEvaluatorCalls:
         # factors too, and its closed-form differential calls neither.  An
         # energy evaluation is (2, 1): the source metric, the map at z and
         # the target metric at f(z); the 112 stencil samples of every point
-        # are one of them.  chern_lu: the energy at the grid, the stencils
-        # less their centres, and the source metric for the trace (1, 0); so
-        # the energy is evaluated once per point for the record, the
-        # critical-point check and the stencil centre.  aubin_yau: singular
-        # frames (2, 1) and the stencils; the pullback for the trace takes
-        # the Jacobian and image metric of the singular frames.
+        # are one of them.  chern_lu and aubin_yau: the singular frames of
+        # the pass (2, 1), whose energies are the record, the critical-point
+        # check and the stencil centres, and whose source metric and pullback
+        # are the traces, and the stencils less their centres.
         energy = (2, 1)
         expected = {
-            "chern_lu": (2 * energy[0] + 1, 2 * energy[1]),
+            "chern_lu": (2 + energy[0], 1 + energy[1]),
             "aubin_yau": (2 + energy[0], 1 + energy[1]),
             "trace_bound": (2, 0),
         }[theorem]
@@ -306,8 +309,8 @@ class TestEvaluatorCalls:
         # the singular frames of the grid give every constant its Jacobians,
         # pullbacks, image points and target metric at f(z)
         grid = (0.05 * np.arange(6) + 0.02j)[:, None]
-        estimate_hypotheses(DISK, scale_metric(DISK, 3.0), map_identity(1), grid,
-                            theorem=theorem, mu=DISK if theorem == "family" else None)
+        estimate_hypotheses(SchwarzPass(DISK, scale_metric(DISK, 3.0), map_identity(1), grid,
+                                        DISK if theorem == "family" else None), theorem=theorem)
         assert calls["map"] == 1
 
 

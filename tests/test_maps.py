@@ -181,34 +181,37 @@ class TestLaplacians:
     def test_log_energy_conformal_identity(self):
         p1 = catalog_metric("poincare_disk", (1.0,))
         pk = scale_metric(p1, 2.0)
-        val = laplacian_log_energy(map_identity(1), [0.2 + 0.1j], p1, pk)
+        val = laplacian_log_energy(map_identity(1), [0.2 + 0.1j], p1, pk,
+                                   singular_frames(map_identity(1), [0.2 + 0.1j], p1, pk))
         assert abs(val) < 1e-5
 
     def test_log_energy_power_map_harmonic(self):
         eu = catalog_metric("euclidean", (1,))
-        val = laplacian_log_energy(map_power(2), [0.5], eu, eu)
+        val = laplacian_log_energy(map_power(2), [0.5], eu, eu, singular_frames(map_power(2), [0.5], eu, eu))
         assert abs(val) < 1e-5
 
     def test_log_energy_scaling_flat(self):
         eu = catalog_metric("euclidean", (2,))
-        val = laplacian_log_energy(map_scaling(3.0, 2), [0.1, 0.2], eu, eu)
+        val = laplacian_log_energy(map_scaling(3.0, 2), [0.1, 0.2], eu, eu,
+                                   singular_frames(map_scaling(3.0, 2), [0.1, 0.2], eu, eu))
         assert abs(val) < 1e-8
 
     def test_near_critical_guard(self):
         eu = catalog_metric("euclidean", (1,))
         tiny = map_linear(np.array([[1e-9]]))
         with pytest.raises(NearCriticalPoint):
-            laplacian_log_energy(tiny, [0.0], eu, eu)
+            laplacian_log_energy(tiny, [0.0], eu, eu, singular_frames(tiny, [0.0], eu, eu))
 
     def test_target_trace_identity_poincare(self):
         p1 = catalog_metric("poincare_disk", (1.0,))
-        val = laplacian_energy(map_identity(1), [0.2 - 0.3j], p1, p1)
+        val = laplacian_energy(map_identity(1), [0.2 - 0.3j], p1, p1,
+                               singular_frames(map_identity(1), [0.2 - 0.3j], p1, p1))
         assert abs(val) < 1e-5
 
     def test_target_trace_rank_deficient(self):
         eu = catalog_metric("euclidean", (1,))
         with pytest.raises(RankDeficient):
-            laplacian_energy(map_power(2), [0.0], eu, eu)
+            laplacian_energy(map_power(2), [0.0], eu, eu, singular_frames(map_power(2), [0.0], eu, eu))
 
     def test_target_trace_closed_form_power_mobius(self):
         # power(2) x mobius(a), polydisk(1, 1) -> euclidean(2): in target
@@ -222,7 +225,7 @@ class TestLaplacians:
         w2 = (z[1] + a) / (1.0 + np.conj(a) * z[1])
         expected = -3.75 + 4.0 * abs(w2) ** 2
         assert abs(expected + 3.35099750623) < 1e-10
-        assert abs(laplacian_energy(f, z, pd, eu) - expected) < 1e-7
+        assert abs(laplacian_energy(f, z, pd, eu, singular_frames(f, z, pd, eu)) - expected) < 1e-7
 
 
 class TestProductMap:

@@ -205,12 +205,12 @@ class TestDeterminism:
         at_7, at_8 = run_scenario(doc, seed=7), run_scenario(doc, seed=8)
         assert at_7.passed and at_7.tasks == at_8.tasks
 
-    def test_parallel_matches_sequential(self):
+    def test_parallel_is_refused(self):
         doc = base_scenario()
-        doc["tasks"].append({"kind": "curvature", "metric": "p1", "point": [[0.1, 0.1]]})
-        seq = run_scenario(doc, parallel=False).to_json()
-        par = run_scenario(doc, parallel=True).to_json()
-        assert seq == par
+        assert run_scenario(doc, parallel=False).to_json() == run_scenario(doc).to_json()
+        for value in (True, 2, None):
+            with pytest.raises(BadParams, match="parallel must be False"):
+                run_scenario(doc, parallel=value)
 
     def test_round_trip(self):
         report = run_scenario(base_scenario())
@@ -374,6 +374,82 @@ class TestTasks:
         result = report.tasks[0]["result"]
         assert result["status"] == "unbounded_below"
         assert "certificate" in result
+
+
+# Schwarz tasks whose map, metrics or grid disagree in dimension, with the
+# task fields the error names: poincare_disk p1 has dim 1, polydisk pd dim 2
+DIMENSION_MISMATCHES = {
+    "map_vs_source": ({"map": "id1", "source": "pd", "target": "pd"}, "map is C^1 -> C^1, but source"),
+    "map_vs_target": ({"map": "id1", "target": "pd"},
+                      "map is C^1 -> C^1, but source has dim 1 and target dim 2"),
+    "mu_vs_source": ({"theorem": "family", "mu": "pd"}, "mu has dim 2, but source has dim 1"),
+    "grid_vs_source": ({"grid": {"center": [[0.0, 0.0], [0.1, 0.0]], "half": 0.2, "per_axis": 1}},
+                       "grid points have 2 coordinates, but source has dim 1"),
+    "trace_bound_target": ({"theorem": "trace_bound", "target": "pd"},
+                           "target has dim 2, but the trace bound needs the source dim 1"),
+}
+USER_CONSTANTS = {"c1": 2.0, "c2": 0.0, "c3": 1.0, "kappa": 0.5, "kappa1": 0.0, "kappa2": 1.0}
+
+
+def mismatched_scenario(case, theorem, constants):
+    fields, _ = DIMENSION_MISMATCHES[case]
+    doc = base_scenario()
+    doc["metrics"]["pd"] = {"catalog": "polydisk", "params": [1.0, 1.0]}
+    task = doc["tasks"][0]
+    task.update({"theorem": theorem, **fields})  # the mu and trace-bound cases set their theorem
+    if task["theorem"] == "trace_bound":
+        del task["map"]
+    if constants:
+        task["constants"] = dict(USER_CONSTANTS)
+    doc["tasks"].append(THEOREM23)
+    return doc
+
+
+class TestDimensionMismatch:
+    @pytest.mark.parametrize("constants", [False, True])
+    @pytest.mark.parametrize("theorem", ["chern_lu", "aubin_yau"])
+    @pytest.mark.parametrize("case", sorted(DIMENSION_MISMATCHES))
+    def test_is_a_task_error(self, case, theorem, constants):
+        report = run_scenario(mismatched_scenario(case, theorem, constants))
+        assert report.tasks[0]["status"] == "error"
+        assert report.tasks[0]["error"].startswith("DimensionMismatch: ")
+        assert DIMENSION_MISMATCHES[case][1] in report.tasks[0]["error"]
+        assert report.tasks[1]["status"] == "ok" and not report.passed
+
+    @pytest.mark.parametrize("case", sorted(DIMENSION_MISMATCHES))
+    def test_run_exits_1(self, case, tmp_path, capsys):
+        scen = tmp_path / "s.json"
+        scen.write_text(json.dumps(mismatched_scenario(case, "chern_lu", False)))
+        out = tmp_path / "r.json"
+        assert main(["run", "--scenario", str(scen), "--out", str(out)]) == 1
+        assert "Traceback" not in capsys.readouterr().err
+        error = json.loads(out.read_text())["tasks"][0]["error"]
+        assert error.startswith("DimensionMismatch: ") and DIMENSION_MISMATCHES[case][1] in error
+
+
+EMPTY_DOMAINS = [{"radius": 0.5, "inner_radius": 0.5}, {"radius": 0.5, "inner_radius": 1.0},
+                 {"radius": 0.0}, {"radius": -1.0}, {"radius": 1.0, "inner_radius": -0.5}]
+
+
+def empty_domain_scenario(domain):
+    doc = base_scenario()
+    doc["metrics"]["e"] = {"expression": "1 + abs2(z1)", "dim": 1, "domain": {"center": [0.0], **domain}}
+    return doc
+
+
+class TestEmptyDomain:
+    @pytest.mark.parametrize("domain", EMPTY_DOMAINS)
+    def test_is_bad_params(self, domain):
+        with pytest.raises(BadParams, match="domain holds no point"):
+            run_scenario(empty_domain_scenario(domain))
+
+    @pytest.mark.parametrize("domain", EMPTY_DOMAINS)
+    def test_run_exits_2(self, domain, tmp_path, capsys):
+        scen = tmp_path / "s.json"
+        scen.write_text(json.dumps(empty_domain_scenario(domain)))
+        assert main(["run", "--scenario", str(scen)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: BadParams: domain holds no point") and "Traceback" not in err
 
 
 class TestGrids:
@@ -583,6 +659,14 @@ class TestCli:
         result = json.loads(capsys.readouterr().out)["tasks"][0]["result"]
         assert result["passed"] and result["abs_err"] <= result["std_error"]
         assert result["nodes"] == 9  # 3 simplex nodes x 3 phases on the one free coordinate
+
+    def test_run_has_no_parallel_option(self, tmp_path, capsys):
+        scen = tmp_path / "s.json"
+        scen.write_text(json.dumps(base_scenario()))
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--scenario", str(scen), "--parallel"])
+        assert exc.value.code == 2
+        assert "--parallel" in capsys.readouterr().err
 
     def test_identity_has_no_samples_option(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -20,6 +20,7 @@ from chernlab.metrics import catalog_metric, scale_metric
 from chernlab.tensors import curvature_in_frame
 from chernlab.verify import (
     HypothesisConstants,
+    SchwarzPass,
     _grid_verdict,
     aubin_yau_verify,
     averaged_hsc_check,
@@ -49,7 +50,8 @@ def poincare():
 
 class TestEstimateHypotheses:
     def test_chern_lu_poincare(self, poincare):
-        c = estimate_hypotheses(poincare, poincare, map_identity(1), disk_grid(), "chern_lu", frame_cfg=CFG)
+        c = estimate_hypotheses(SchwarzPass(poincare, poincare, map_identity(1), disk_grid()), "chern_lu",
+                                frame_cfg=CFG)
         assert abs(c.c1 - 2.0) < 1e-6
         assert c.c2 == 0.0
         assert abs(c.kappa - 2.0) < 1e-6
@@ -60,34 +62,36 @@ class TestEstimateHypotheses:
     def test_flat_case_infeasible(self):
         eu = catalog_metric("euclidean", (1,))
         with pytest.raises(InfeasibleHypothesis):
-            estimate_hypotheses(eu, eu, map_identity(1), disk_grid(), "chern_lu", frame_cfg=CFG)
+            estimate_hypotheses(SchwarzPass(eu, eu, map_identity(1), disk_grid()), "chern_lu", frame_cfg=CFG)
 
     def test_positive_rbc_infeasible(self):
         fs = catalog_metric("fubini_study", (2,))
         with pytest.raises(InfeasibleHypothesis), pytest.warns(SearchBudgetExhausted) as budget:
-            estimate_hypotheses(fs, fs, map_identity(2), [np.zeros(2)], "chern_lu", frame_cfg=CFG)
+            estimate_hypotheses(SchwarzPass(fs, fs, map_identity(2), [np.zeros(2)]), "chern_lu",
+                                frame_cfg=CFG)
         assert len(budget) == 1
 
     def test_full_cone_kappa_unbounded(self):
         ch = catalog_metric("complex_hyperbolic", (2,))
         with pytest.raises(UnboundedSbc):
             estimate_hypotheses(
-                ch, ch, map_identity(2), [np.zeros(2)], "aubin_yau",
+                SchwarzPass(ch, ch, map_identity(2), [np.zeros(2)]), "aubin_yau",
                 frame_cfg=CFG, kappa_mode="full_cone",
             )
 
     def test_unknown_kappa_mode(self, poincare):
         with pytest.raises(BadParams):
-            estimate_hypotheses(poincare, poincare, map_identity(1), disk_grid(), "aubin_yau", kappa_mode="auto")
+            estimate_hypotheses(SchwarzPass(poincare, poincare, map_identity(1), disk_grid()), "aubin_yau",
+                                kappa_mode="auto")
 
     def test_aubin_yau_along_map_kappa(self, poincare):
-        c = estimate_hypotheses(poincare, poincare, map_identity(1), disk_grid(), "aubin_yau")
+        c = estimate_hypotheses(SchwarzPass(poincare, poincare, map_identity(1), disk_grid()), "aubin_yau")
         assert abs(c.c1 - 2.0) < 1e-6
         assert abs(c.kappa - 2.0) < 1e-6
 
     def test_user_constants_kept(self, poincare):
         c = estimate_hypotheses(
-            poincare, poincare, map_identity(1), disk_grid(), "chern_lu",
+            SchwarzPass(poincare, poincare, map_identity(1), disk_grid()), "chern_lu",
             fixed={"c2": 0.0, "kappa": 2.0}, frame_cfg=CFG,
         )
         assert c.provenance["kappa"] == "user"
@@ -98,8 +102,8 @@ class TestChernLu:
     def test_conformal_equality_case(self, poincare):
         p3 = scale_metric(poincare, 3.0)
         grid = disk_grid()
-        c = estimate_hypotheses(poincare, p3, map_identity(1), grid, "chern_lu", frame_cfg=CFG)
-        v = chern_lu_verify(poincare, p3, map_identity(1), c, grid)
+        c = estimate_hypotheses(SchwarzPass(poincare, p3, map_identity(1), grid), "chern_lu", frame_cfg=CFG)
+        v = chern_lu_verify(SchwarzPass(poincare, p3, map_identity(1), grid), c)
         assert v.passed
         assert abs(v.bound - 3.0) < 1e-4
         assert abs(v.sup_energy - 3.0) < 1e-8
@@ -107,8 +111,9 @@ class TestChernLu:
 
     def test_same_metric(self, poincare):
         grid = disk_grid()
-        c = estimate_hypotheses(poincare, poincare, map_identity(1), grid, "chern_lu", frame_cfg=CFG)
-        v = chern_lu_verify(poincare, poincare, map_identity(1), c, grid)
+        c = estimate_hypotheses(SchwarzPass(poincare, poincare, map_identity(1), grid), "chern_lu",
+                                frame_cfg=CFG)
+        v = chern_lu_verify(SchwarzPass(poincare, poincare, map_identity(1), grid), c)
         assert v.passed and abs(v.bound - 1.0) < 1e-4
 
     def test_critical_point_guard(self, poincare):
@@ -119,26 +124,26 @@ class TestChernLu:
         near_constant = map_linear(np.array([[1e-9]]))
         c = HypothesisConstants(c1=2.0, c2=0.0, kappa=2.0, r=1, n=1)
         with pytest.raises(NearCriticalPoint):
-            chern_lu_verify(eu, poincare, near_constant, c, disk_grid())
+            chern_lu_verify(SchwarzPass(eu, poincare, near_constant, disk_grid()), c)
 
     def test_sign_errors(self, poincare):
         with pytest.raises(HypothesisSignError):
             chern_lu_verify(
-                poincare, poincare, map_identity(1),
-                HypothesisConstants(c1=2.0, c2=-1.0, kappa=2.0), disk_grid(),
+                SchwarzPass(poincare, poincare, map_identity(1), disk_grid()),
+                HypothesisConstants(c1=2.0, c2=-1.0, kappa=2.0),
             )
         with pytest.raises(HypothesisSignError):
             chern_lu_verify(
-                poincare, poincare, map_identity(1),
-                HypothesisConstants(c1=2.0, c2=0.0, kappa=0.0), disk_grid(),
+                SchwarzPass(poincare, poincare, map_identity(1), disk_grid()),
+                HypothesisConstants(c1=2.0, c2=0.0, kappa=0.0),
             )
 
 
 class TestAubinYau:
     def test_equality_case(self, poincare):
         grid = disk_grid()
-        c = estimate_hypotheses(poincare, poincare, map_identity(1), grid, "aubin_yau")
-        v = aubin_yau_verify(poincare, poincare, map_identity(1), c, grid)
+        c = estimate_hypotheses(SchwarzPass(poincare, poincare, map_identity(1), grid), "aubin_yau")
+        v = aubin_yau_verify(SchwarzPass(poincare, poincare, map_identity(1), grid), c)
         assert v.passed
         assert abs(v.bound - 1.0) < 1e-4
         assert abs(v.sup_energy - 1.0) < 1e-8
@@ -149,7 +154,7 @@ class TestAubinYau:
     def test_flat_infeasible(self):
         eu = catalog_metric("euclidean", (1,))
         with pytest.raises(InfeasibleHypothesis):
-            estimate_hypotheses(eu, eu, map_identity(1), disk_grid(), "aubin_yau")
+            estimate_hypotheses(SchwarzPass(eu, eu, map_identity(1), disk_grid()), "aubin_yau")
 
     def test_flat_source_with_c2(self, poincare):
         # flat source: kappa = 0; constants fit with C2 > 0 against the omega
@@ -158,10 +163,11 @@ class TestAubinYau:
         # verdict reports honestly)
         eu2 = scale_metric(catalog_metric("euclidean", (1,)), 2.0)
         grid = disk_grid()
-        c = estimate_hypotheses(eu2, poincare, map_identity(1), grid, "aubin_yau", fixed={"c2": 1.0})
+        c = estimate_hypotheses(SchwarzPass(eu2, poincare, map_identity(1), grid), "aubin_yau",
+                                fixed={"c2": 1.0})
         assert abs(c.kappa) < 1e-8
         assert c.c1 > 0
-        v = aubin_yau_verify(eu2, poincare, map_identity(1), c, grid)
+        v = aubin_yau_verify(SchwarzPass(eu2, poincare, map_identity(1), grid), c)
         assert all(rec["margin"] >= -1e-5 for rec in v.records)
         assert all(rec["margin_strict"] >= -1e-5 for rec in v.records)
         assert v.notes["grid_semantics"] == "sup over sampled grid"
@@ -171,16 +177,17 @@ class TestFamily:
     def test_poincare_equality(self, poincare):
         grid = disk_grid()
         c = estimate_hypotheses(
-            poincare, poincare, map_identity(1), grid, "family", mu=poincare, frame_cfg=CFG
+            SchwarzPass(poincare, poincare, map_identity(1), grid, poincare), "family", frame_cfg=CFG,
         )
-        v = family_verify(poincare, poincare, poincare, map_identity(1), c, grid)
+        v = family_verify(SchwarzPass(poincare, poincare, map_identity(1), grid, poincare), c)
         assert v.passed
         assert abs(v.bound - 1.0) < 1e-4
 
     def test_chen_cheng_lu_preset(self, poincare):
         c = HypothesisConstants(c2=0.0, c3=2.0, kappa1=2.0, kappa2=2.0, n=1, r=1)
         v = family_verify(
-            poincare, poincare, poincare, map_identity(1), c, disk_grid(), preset="chen_cheng_lu"
+            SchwarzPass(poincare, poincare, map_identity(1), disk_grid(), poincare), c,
+            preset="chen_cheng_lu",
         )
         assert v.passed
         assert abs(v.bound - 1.0) < 1e-12
@@ -189,7 +196,7 @@ class TestFamily:
     def test_ricci_only_preset(self, poincare):
         c = HypothesisConstants(c1=2.0, c2=0.0, c3=2.0, c4=0.0, kappa1=2.0, kappa2=2.0, n=1, r=1)
         v = family_verify(
-            poincare, poincare, poincare, map_identity(1), c, disk_grid(), preset="ricci_only"
+            SchwarzPass(poincare, poincare, map_identity(1), disk_grid(), poincare), c, preset="ricci_only",
         )
         assert v.passed and abs(v.bound - 1.0) < 1e-12
 
@@ -197,13 +204,14 @@ class TestFamily:
         c = HypothesisConstants(c1=2.0, c2=0.0, c3=2.0, c4=5.0, kappa1=2.0, kappa2=2.0, n=1, r=1)
         with pytest.raises(HypothesisSignError):
             family_verify(
-                poincare, poincare, poincare, map_identity(1), c, disk_grid(), preset="ricci_only"
+                SchwarzPass(poincare, poincare, map_identity(1), disk_grid(), poincare), c,
+                preset="ricci_only",
             )
 
     def test_liouville_contradiction_flag(self, poincare):
         c = HypothesisConstants(c1=2.0, c2=0.0, c3=1.0, c4=-1.0, kappa1=1.0, kappa2=2.0, n=1, r=1)
         v = family_verify(
-            poincare, poincare, poincare, map_identity(1), c, disk_grid(), preset="liouville"
+            SchwarzPass(poincare, poincare, map_identity(1), disk_grid(), poincare), c, preset="liouville",
         )
         assert v.passed
         assert v.bound <= 0.0
@@ -213,7 +221,7 @@ class TestFamily:
         # C3 too large: Ric2_mu <= -C3 mu fails pointwise
         c = HypothesisConstants(c1=2.0, c2=0.0, c3=5.0, c4=0.0, kappa1=2.0, kappa2=2.0, n=1, r=1)
         with pytest.raises(FormInequalityViolated) as info:
-            family_verify(poincare, poincare, poincare, map_identity(1), c, disk_grid())
+            family_verify(SchwarzPass(poincare, poincare, map_identity(1), disk_grid(), poincare), c)
         assert info.value.point is not None
         assert info.value.eigenvalue < 0
 
@@ -221,8 +229,8 @@ class TestFamily:
 class TestTraceBound:
     def test_equality_case(self, poincare):
         grid = disk_grid()
-        c = estimate_hypotheses(poincare, poincare, map_identity(1), grid, "trace_bound", frame_cfg=CFG)
-        v = trace_bound_verify(poincare, poincare, c, grid)
+        c = estimate_hypotheses(SchwarzPass(poincare, poincare, None, grid), "trace_bound", frame_cfg=CFG)
+        v = trace_bound_verify(SchwarzPass(poincare, poincare, None, grid), c)
         assert v.passed
         assert abs(v.bound - 1.0) < 1e-4
         assert abs(v.sup_energy - 1.0) < 1e-10
@@ -230,15 +238,15 @@ class TestTraceBound:
     def test_half_target(self, poincare):
         half = scale_metric(poincare, 0.5)
         grid = disk_grid()
-        c = estimate_hypotheses(poincare, half, map_identity(1), grid, "trace_bound", frame_cfg=CFG)
-        v = trace_bound_verify(poincare, half, c, grid)
+        c = estimate_hypotheses(SchwarzPass(poincare, half, None, grid), "trace_bound", frame_cfg=CFG)
+        v = trace_bound_verify(SchwarzPass(poincare, half, None, grid), c)
         assert v.passed
         assert abs(v.sup_energy - 0.5) < 1e-10
 
     def test_flat_target_infeasible(self, poincare):
         eu = catalog_metric("euclidean", (1,))
         with pytest.raises(InfeasibleHypothesis):
-            estimate_hypotheses(poincare, eu, map_identity(1), disk_grid(), "trace_bound", frame_cfg=CFG)
+            estimate_hypotheses(SchwarzPass(poincare, eu, None, disk_grid()), "trace_bound", frame_cfg=CFG)
 
 
 class TestNegativeDiscipline:
@@ -247,17 +255,18 @@ class TestNegativeDiscipline:
     def test_stale_constants_after_rescale(self, poincare):
         grid = disk_grid()
         c = estimate_hypotheses(
-            poincare, scale_metric(poincare, 1.0), map_identity(1), grid, "chern_lu", frame_cfg=CFG
+            SchwarzPass(poincare, scale_metric(poincare, 1.0), map_identity(1), grid), "chern_lu",
+            frame_cfg=CFG,
         )
-        v = chern_lu_verify(poincare, scale_metric(poincare, 4.0), map_identity(1), c, grid)
+        v = chern_lu_verify(SchwarzPass(poincare, scale_metric(poincare, 4.0), map_identity(1), grid), c)
         assert not v.passed
         assert v.sup_energy > v.bound
         assert v.notes["worst_point"] is not None
 
     def test_stale_trace_bound(self, poincare):
         grid = disk_grid()
-        c = estimate_hypotheses(poincare, poincare, map_identity(1), grid, "trace_bound", frame_cfg=CFG)
-        v = trace_bound_verify(poincare, scale_metric(poincare, 2.0), c, grid)
+        c = estimate_hypotheses(SchwarzPass(poincare, poincare, None, grid), "trace_bound", frame_cfg=CFG)
+        v = trace_bound_verify(SchwarzPass(poincare, scale_metric(poincare, 2.0), None, grid), c)
         assert not v.passed
         worst = v.worst()
         assert worst["margin"] < 0
@@ -267,7 +276,7 @@ class TestNegativeDiscipline:
         # worst point stays the first grid point; a margin lower by more than
         # tol is still found
         grid = disk_grid()
-        c = estimate_hypotheses(poincare, poincare, map_identity(1), grid, "trace_bound", frame_cfg=CFG)
+        c = estimate_hypotheses(SchwarzPass(poincare, poincare, None, grid), "trace_bound", frame_cfg=CFG)
         jitter = np.random.default_rng(0).uniform(-1e-9, 1e-9, len(grid))
         assert np.argmin(jitter) != 0
         records = [{"z": [[k, 0.0]], "energy": 1.0, "margin": 0.5 + e} for k, e in enumerate(jitter)]
@@ -285,8 +294,8 @@ class TestNegativeDiscipline:
         ratios = []
         for c_scale in (1.0, 2.0):
             target = scale_metric(poincare, c_scale)
-            c = estimate_hypotheses(poincare, target, f, grid, "chern_lu", frame_cfg=CFG)
-            v = chern_lu_verify(poincare, target, f, c, grid)
+            c = estimate_hypotheses(SchwarzPass(poincare, target, f, grid), "chern_lu", frame_cfg=CFG)
+            v = chern_lu_verify(SchwarzPass(poincare, target, f, grid), c)
             assert v.passed
             ratios.append(v.sup_energy / v.bound)
         assert abs(ratios[0] - ratios[1]) < 1e-6
@@ -300,13 +309,13 @@ class TestNonIdentityMaps:
 
         f = map_mobius(0.3 + 0.1j)
         grid = disk_grid(half=0.25)
-        c = estimate_hypotheses(poincare, poincare, f, grid, "chern_lu", frame_cfg=CFG)
-        v = chern_lu_verify(poincare, poincare, f, c, grid)
+        c = estimate_hypotheses(SchwarzPass(poincare, poincare, f, grid), "chern_lu", frame_cfg=CFG)
+        v = chern_lu_verify(SchwarzPass(poincare, poincare, f, grid), c)
         assert v.passed
         assert abs(v.sup_energy - 1.0) < 1e-8
         assert abs(v.bound - 1.0) < 1e-4
-        c_ay = estimate_hypotheses(poincare, poincare, f, grid, "aubin_yau")
-        v_ay = aubin_yau_verify(poincare, poincare, f, c_ay, grid)
+        c_ay = estimate_hypotheses(SchwarzPass(poincare, poincare, f, grid), "aubin_yau")
+        v_ay = aubin_yau_verify(SchwarzPass(poincare, poincare, f, grid), c_ay)
         assert v_ay.passed
         assert abs(v_ay.bound - 1.0) < 1e-4
 
@@ -317,8 +326,8 @@ class TestNonIdentityMaps:
 
         f = map_power(2)
         grid = [np.array([0.35 + x * 0.05 + 1j * y * 0.05]) for x in range(3) for y in range(3)]
-        c = estimate_hypotheses(poincare, poincare, f, grid, "chern_lu", frame_cfg=CFG)
-        v = chern_lu_verify(poincare, poincare, f, c, grid)
+        c = estimate_hypotheses(SchwarzPass(poincare, poincare, f, grid), "chern_lu", frame_cfg=CFG)
+        v = chern_lu_verify(SchwarzPass(poincare, poincare, f, grid), c)
         assert v.passed
         assert v.sup_energy < 1.0
         assert abs(v.bound - 1.0) < 1e-4
@@ -331,13 +340,13 @@ class TestNonIdentityMaps:
         f = map_identity(2)
         grid = [np.array([x + 0.1j * y, 0.05 * y - 0.1j * x]) for x in (-0.2, 0.0, 0.2) for y in (-1.0, 1.0)]
         with pytest.warns(SearchBudgetExhausted) as budget:
-            c = estimate_hypotheses(ch, ch, f, grid, "family", mu=ch, frame_cfg=CFG)
+            c = estimate_hypotheses(SchwarzPass(ch, ch, f, grid, ch), "family", frame_cfg=CFG)
         assert len(budget) == 14
         assert abs(c.c1 - 3.0) < 1e-3  # Ric2 = -(n+1) mu for this model
         assert abs(c.c3 - 3.0) < 1e-3
         assert abs(c.kappa2 - 2.0) < 1e-3
         assert c.kappa1 >= 0
-        v = family_verify(ch, ch, ch, f, c, grid)
+        v = family_verify(SchwarzPass(ch, ch, f, grid, ch), c)
         assert v.passed
         assert v.sup_energy <= v.bound
 

@@ -151,7 +151,10 @@ def _cmd_schwarz(args):
     if args.preset:
         task["preset"] = args.preset
     if args.constants:
-        task["constants"] = json.loads(args.constants)
+        try:
+            task["constants"] = json.loads(args.constants)
+        except ValueError as exc:
+            raise SchemaError(f"invalid JSON: {exc}", "--constants") from exc
     if args.tol is not None:
         task["tol"] = args.tol
     if args.kappa_mode:

@@ -7,14 +7,14 @@ of ``v`` over the ordered cone ``v_1 >= ... >= v_n > 0`` (SBC).  Both are
 further extremized over the unitary frame bundle by a seeded multistart
 coordinate descent on skew-Hermitian generators.
 
-The frame search runs in lockstep: every start, sense (min, max) and
-point of one ``rbc_bounds`` or ``sbc_bound`` call advances together, and
-the frames they wait on are exponentiated, contracted and extremized as one
-stack (the unitaries from one stacked ``eigh`` of their generators).  Each
-start visits the frames of the starts run one after another, with the same
-bits.  The module needs numpy only: the orthant extrema enumerate KKT
-points, and the SBC inner problem is decided at the vertices of its gap box
-and solved by exact coordinate minimization.
+The frame search of one ``rbc_bounds`` or ``sbc_bound`` call is one array
+descent: every (point, sense, start) is a row, all rows walk the same sweep
+schedule, and the trial frames of the running rows are exponentiated,
+contracted and extremized as one stack (the unitaries from one stacked
+``eigh`` of their generators).  Each start visits the frames, with the same
+bits, that it visits alone.  The module needs numpy only: the orthant
+extrema enumerate KKT points, and the SBC inner problem is decided at the
+vertices of its gap box and solved by exact coordinate minimization.
 """
 
 from __future__ import annotations
@@ -352,124 +352,86 @@ def _exp_skew(generators):
     return (vecs * np.exp(1j * lam)[..., None, :]) @ np.conj(np.swapaxes(vecs, -1, -2))
 
 
-def _descent(start, cfg, sense):
-    """Coordinate descent from one start, as a generator.
-
-    Yields trial generator parameters and is sent the objective of each;
-    returns ``(params, objective, exhausted)`` for the best parameters it
-    found.  ``sense`` is +1 to maximize and -1 to minimize; an objective of
-    ``sense * inf`` (an unbounded frame) cannot be improved on and ends the
-    descent at once.
-    """
-    params = start.copy()
-    val = yield params
-    if not len(params) or sense * val == np.inf:
-        return params, val, False
-    step, iters = 0.4, 0
-    while step > cfg.step_tol and iters < cfg.max_iter:
-        improved = False
-        for k in range(len(params)):
-            for delta in (step, -step):
-                trial = params.copy()
-                trial[k] += delta
-                tval = yield trial
-                if sense * tval > sense * val + 1e-14:
-                    params, val, improved = trial, tval, True
-                    if sense * val == np.inf:
-                        return params, val, False
-        if not improved:
-            step *= 0.5
-        iters += 1
-    return params, val, iters >= cfg.max_iter and step > cfg.step_tol
-
-
-def _frame_search(evaluate, n_points, n, cfg, senses, diverges=False):
-    """Multistart coordinate descent over unitary-frame generators, in lockstep.
+def _frame_search(evaluate, n_points, n, cfg, senses):
+    """Multistart coordinate descent over unitary-frame generators, as one
+    masked array descent.
 
     There is one search per point and sense (+1 maximizes, -1 minimizes),
-    each from the same ``cfg.n_starts`` seeded starts, and each start is a
-    ``_descent``.  All of them advance together: at every step the frames
-    they wait on are evaluated as one stack, ``evaluate(owners, frames)``
-    with the point index of each frame and the unitaries of their
-    generators (one ``_exp_skew`` of the step's distinct frames of each
-    point).  It returns the objectives, one row per frame and one column
-    per sense, and an extra value per frame for the caller.  A point's
-    frames are memoized and shared between its senses, and every search is
-    resumed with its value, so each start visits the frames, and gets the
-    bits, of the starts run in turn.
+    each from the same ``cfg.n_starts`` seeded starts, and every (point,
+    sense, start) is a row of ``params``/``val``/``step``/``iters``.  A sweep
+    walks the parameters in order, trying ``+step`` then ``-step`` on each;
+    at every such micro-step the running rows' trial frames are evaluated as
+    one stack, ``evaluate(owners, frames)`` with the point index of each
+    frame and the unitaries of their generators (one ``_exp_skew``), which
+    returns the objectives, one row per frame and one column per sense.  A
+    row keeps a trial that improves on it by more than 1e-14, halves its
+    step after a sweep without one, and stops once its step falls to
+    ``cfg.step_tol`` or after ``cfg.max_iter`` sweeps.  A row's descent only
+    reads its own values, so it gets the bits of its start run alone.
 
-    An objective of ``sense * inf`` ends its search at the first such frame
-    in start order: later starts are dropped.  When the objective can reach
-    it (``diverges``), a start begins only once the one before it ended, so
-    no frame is evaluated that the starts run in turn would not evaluate.
+    An objective of ``sense * inf`` (an unbounded frame) cannot be improved
+    on: it stops its row, and the later starts of its point and sense, whose
+    answer is then the first start in start order to reach one.
 
-    Returns, per point, one ``(objective, U, extra)`` per sense, for the
-    first best start.  Every start that ran out of ``cfg.max_iter`` before
-    its step fell below ``cfg.step_tol`` warns SearchBudgetExhausted, in
-    (point, sense, start) order, up to the start that ended its search.
+    Returns, per point, one ``(objective, U)`` per sense, for the first best
+    start.  Every start that ran out of ``cfg.max_iter`` before its step fell
+    below ``cfg.step_tol`` warns SearchBudgetExhausted, in (point, sense,
+    start) order, up to the start that ended its search.
     """
     n_params = n * (n - 1)
     rng = np.random.default_rng(cfg.seed)
     starts = [np.zeros(n_params)]
     if n_params:
         starts += [rng.normal(scale=0.5, size=n_params) for _ in range(cfg.n_starts - 1)]
-    searches = [(p, j) for p in range(n_points) for j in range(len(senses))]
-    memo = [{} for _ in range(n_points)]  # per point: params bytes -> (U, objectives, extra)
-    ended = {}  # (search, start) -> (params, objective, exhausted)
-    last_start = {}  # search -> the start that ended it on an unbounded frame
+    n_starts, n_senses = len(starts), len(senses)
+    point, column, start = (a.ravel() for a in np.indices((n_points, n_senses, n_starts)))
+    search = point * n_senses + column
+    sense = np.asarray(senses, dtype=float)[column]
+    cut = np.full(n_points * n_senses, n_starts)  # per search: the first start at sense * inf
 
-    def launch(s, i):
-        run = _descent(starts[i], cfg, senses[searches[s][1]])
-        return s, i, run, next(run)
+    def objectives(rows, trial):
+        frames = _exp_skew(_generators(trial, n))
+        return np.asarray(evaluate(point[rows], frames))[np.arange(len(rows)), column[rows]], frames
 
-    waiting = [launch(s, i) for s in range(len(searches))
-               for i in range(1 if diverges else len(starts))]
-    while waiting:
-        fresh = {}
-        for s, _, _, trial in waiting:
-            p = searches[s][0]
-            key = trial.tobytes()
-            if key not in memo[p]:
-                fresh.setdefault((p, key), trial)
-        if fresh:
-            owners = np.array([p for p, _ in fresh])
-            frames = _exp_skew(_generators(np.array(list(fresh.values())), n))
-            values, extras = evaluate(owners, frames)
-            for (p, key), u, vals, extra in zip(fresh, frames, np.asarray(values).tolist(), extras):
-                memo[p][key] = (u, vals, extra)
-        resumed = []
-        for s, i, run, trial in waiting:  # grows as starts launch
-            p, j = searches[s]
-            if i > last_start.get(s, i):
-                continue
-            while (hit := memo[p].get(trial.tobytes())) is not None:
-                try:
-                    trial = run.send(hit[1][j])
-                except StopIteration as stop:
-                    ended[s, i] = stop.value
-                    if senses[j] * stop.value[1] == np.inf:
-                        last_start[s] = min(i, last_start.get(s, i))
-                    elif diverges and i + 1 < len(starts):
-                        waiting.append(launch(s, i + 1))
-                    break
-            else:
-                resumed.append((s, i, run, trial))
-        waiting = [w for w in resumed if w[1] <= last_start.get(w[0], w[1])]
+    def running(rows):
+        """The rows still running; a row at ``sense * inf`` cuts its later starts."""
+        hit = rows[sense[rows] * val[rows] == np.inf]
+        np.minimum.at(cut, search[hit], start[hit])
+        return rows[(sense[rows] * val[rows] != np.inf) & (start[rows] <= cut[search[rows]])]
 
-    found = [[None] * len(senses) for _ in range(n_points)]
-    for s, (p, j) in enumerate(searches):
-        best = None
-        for i in range(last_start.get(s, len(starts) - 1) + 1):
-            params, val, exhausted = ended[s, i]
-            if senses[j] * val == np.inf:
-                best = (params, val)
+    params = np.array(starts)[start]
+    val, frames = objectives(np.arange(len(start)), params)
+    step, iters = np.full(len(start), 0.4), np.zeros(len(start), dtype=int)
+    rows = running(np.arange(len(start)))
+    while n_params and len(rows := rows[(step[rows] > cfg.step_tol) & (iters[rows] < cfg.max_iter)]):
+        improved = np.zeros(len(start), dtype=bool)
+        for k, sign in itertools.product(range(n_params), (1.0, -1.0)):
+            if not len(rows):
                 break
-            if exhausted:
+            trial = params[rows]
+            trial[:, k] += sign * step[rows]
+            tval, tframes = objectives(rows, trial)
+            better = sense[rows] * tval > sense[rows] * val[rows] + 1e-14
+            kept = rows[better]
+            params[kept], val[kept], frames[kept] = trial[better], tval[better], tframes[better]
+            improved[kept] = True
+            rows = running(rows)
+        step[rows[~improved[rows]]] *= 0.5
+        iters[rows] += 1
+
+    exhausted = (iters >= cfg.max_iter) & (step > cfg.step_tol)
+    found = [[None] * n_senses for _ in range(n_points)]
+    for s, (p, j) in enumerate(itertools.product(range(n_points), range(n_senses))):
+        best = None
+        for r in range(s * n_starts, (s + 1) * n_starts):  # up to the first start at sense * inf
+            if senses[j] * val[r] == np.inf:
+                best = r
+                break
+            if exhausted[r]:
                 warnings.warn("frame search hit iteration budget", SearchBudgetExhausted)
-            if best is None or senses[j] * val > senses[j] * best[1]:
-                best = (params, val)
-        u, _, extra = memo[p][best[0].tobytes()]
-        found[p][j] = (best[1], u, extra)
+            if best is None or senses[j] * val[r] > senses[j] * val[best]:
+                best = r
+        found[p][j] = (float(val[best]), frames[best])
     return found
 
 
@@ -494,29 +456,27 @@ def rbc_bounds(r, g, cfg=FrameSearchConfig()):
     """Search bounds on the real bisectional curvature of a tensor.
 
     Extremizes the orthant Rayleigh extrema of the frame matrix over
-    unitary frames ``e0 @ exp(skew)``.  The min and max searches share
-    their frame evaluations: each generator visited by either search is
-    exponentiated, contracted and extremized once.  The orthant extrema in
-    each frame are exact; the returned inf/sup are bounds of the search,
-    flagged heuristic for n >= 2 (the quantifier over all frames is
-    explored, not certified).
+    unitary frames ``e0 @ exp(skew)``, one search for the min and one for
+    the max.  The orthant extrema in each frame are exact; the returned
+    inf/sup are bounds of the search, flagged heuristic for n >= 2 (the
+    quantifier over all frames is explored, not certified).
 
     ``r`` and ``g`` are one point's tensor and metric, or stacks
-    ``(P, n, n, n, n)`` and ``(P, n, n)`` whose searches all run in
-    lockstep (``_frame_search``); a stack gives a list of P bounds, each
-    with the bits its point gets alone.
+    ``(P, n, n, n, n)`` and ``(P, n, n)`` whose searches all run as one
+    array descent (``_frame_search``); a stack gives a list of P bounds,
+    each with the bits its point gets alone.
     """
     r, e0, single = _frame_points(r, g)
     n = e0.shape[-1]
 
     def evaluate(owners, frames):
         ext = orthant_rayleigh_extrema(curvature_in_frame(r[owners], e0[owners] @ frames).r_mat)
-        return np.stack([ext.min_val, ext.max_val], axis=-1), [None] * len(frames)
+        return np.stack([ext.min_val, ext.max_val], axis=-1)
 
     found = _frame_search(evaluate, len(e0), n, cfg, senses=(-1, +1))
     bounds = [
         RbcBounds(inf=lo, sup=hi, inf_frame=e @ lo_u, sup_frame=e @ hi_u, heuristic=n >= 2)
-        for e, ((lo, lo_u, _), (hi, hi_u, _)) in zip(e0, found)
+        for e, ((lo, lo_u), (hi, hi_u)) in zip(e0, found)
     ]
     return bounds[0] if single else bounds
 
@@ -524,21 +484,25 @@ def rbc_bounds(r, g, cfg=FrameSearchConfig()):
 def sbc_bound(r, g, cfg=FrameSearchConfig()):
     """Frame-searched infimum of the SBC.
 
-    Unbounded in any visited frame means unbounded overall: the search
-    stops at the first such frame and returns it with its divergence
-    certificate.  Each frame runs its own ``sbc_infimum``.  ``r`` and ``g``
-    are one point or stacks, as for ``rbc_bounds``; a stack gives a list of
-    P results.
+    Each visited frame runs its own ``sbc_infimum``.  Unbounded in any
+    visited frame means unbounded overall: the search stops at the first
+    such frame in start order and returns it with its divergence
+    certificate.  ``r`` and ``g`` are one point or stacks, as for
+    ``rbc_bounds``; a stack gives a list of P results.
     """
     r, e0, single = _frame_points(r, g)
     n = e0.shape[-1]
 
-    def evaluate(owners, frames):
-        r_mats = curvature_in_frame(r[owners], e0[owners] @ frames).r_mat
-        inner = [sbc_infimum(rm) for rm in r_mats]
-        values = [[-np.inf if res.status == "unbounded_below" else res.inf_val] for res in inner]
-        return values, inner
+    def r_mats(owners, frames):
+        return curvature_in_frame(r[owners], e0[owners] @ frames).r_mat
 
-    found = _frame_search(evaluate, len(e0), n, cfg, (-1,), diverges=True)
-    results = [replace(res, frame=e @ u) for e, ((_, u, res),) in zip(e0, found)]
+    def evaluate(owners, frames):
+        inner = (sbc_infimum(rm) for rm in r_mats(owners, frames))
+        return [[-np.inf if res.status == "unbounded_below" else res.inf_val] for res in inner]
+
+    best = np.array([u for ((_, u),) in _frame_search(evaluate, len(e0), n, cfg, (-1,))])
+    results = [
+        replace(sbc_infimum(rm), frame=e @ u)
+        for rm, e, u in zip(r_mats(np.arange(len(e0)), best), e0, best)
+    ]
     return results[0] if single else results

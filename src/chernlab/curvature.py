@@ -41,7 +41,7 @@ def assemble_chern_tensor(g, dg, dbar_g, ddbar_g):
     return -ddbar_g + second
 
 
-def chern_curvature(metric: ChartedHermitianMetric, z, h=None, return_derivs=False):
+def chern_curvature(metric: ChartedHermitianMetric, z, return_derivs=False):
     """Chern curvature tensor of a charted metric at ``z``.
 
     The raw finite-difference tensor is symmetrized to enforce the
@@ -49,7 +49,7 @@ def chern_curvature(metric: ChartedHermitianMetric, z, h=None, return_derivs=Fal
     finite-difference error estimate fails loudly (it indicates a wrong
     stencil, not noise).
     """
-    md = metric_derivatives(metric, z, h=h)
+    md = metric_derivatives(metric, z)
     raw = assemble_chern_tensor(md.g, md.dg, md.dbar_g, md.ddbar_g)
     tensor, residue = symmetrize_curvature(raw)
     scale = max(1.0, float(np.max(np.abs(tensor))))

@@ -308,14 +308,15 @@ def map_in_frames(jac, source_frame, target_frame):
     return np.linalg.solve(np.conj(target_frame), jac @ np.conj(source_frame))
 
 
-def singular_frames(f, z, source_metric, target_metric, rank_tol=1e-9):
+def singular_frames(f, z, source_metric, target_metric):
     """Generalized SVD of the differential with respect to the two metrics,
     at one point or at each point of a stack ``(..., n)``.
 
     Whitens by the transposed Cholesky factors, takes an ordinary SVD, and
     un-whitens.  ``sum(lambdas^2)`` equals the energy density (enforced at
     every point), which comes from the same Jacobian and metric values: one
-    map and two metric calls in all.
+    map and two metric calls in all.  The rank counts the singular values
+    above ``1e-9 max(1, lambda_1)``.
     """
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     jac = jacobian(f, z)
@@ -338,26 +339,24 @@ def singular_frames(f, z, source_metric, target_metric, rank_tol=1e-9):
         bad = _first(off)
         raise ResidueTooLarge(f"singular values inconsistent with energy at {z[bad]}: "
                               f"{sum_sq[bad]:.12g} vs {np.asarray(energy)[bad]:.12g}")
-    rank = np.sum(s > rank_tol * np.maximum(1.0, s[..., :1]), axis=-1)
+    rank = np.sum(s > 1e-9 * np.maximum(1.0, s[..., :1]), axis=-1)
     return SingularFrameData(
         s, int(rank) if rank.ndim == 0 else rank, src_frame, tgt_frame, energy, jac, g, image, h_mat, pull
     )
 
 
-def _energy_hessian(f, z, source_metric, target_metric, h, field, energy):
+def _energy_hessian(f, z, source_metric, target_metric, field, energy):
     """Complex Hessian of ``field(|df|^2)`` at each point of ``z``, where the
-    energy is ``energy``, at the default step ``5e-3 max(1, |z|)`` per point:
-    one energy call on the other stencil samples of every point."""
-    if h is None:
-        h = 5e-3 * np.maximum(1.0, point_norms(z))
+    energy is ``energy``, at the step ``5e-3 max(1, |z|)`` per point: one
+    energy call on the other stencil samples of every point."""
 
     def stencil(zz):
         return field(energy_density(f, zz, source_metric, target_metric))
 
-    return wirtinger_hessian(stencil, z, h, field(energy))
+    return wirtinger_hessian(stencil, z, 5e-3 * np.maximum(1.0, point_norms(z)), field(energy))
 
 
-def laplacian_log_energy(f, z, source_metric, target_metric, frames, h=None, critical_tol=1e-10):
+def laplacian_log_energy(f, z, source_metric, target_metric, frames, critical_tol=1e-10):
     """Source-trace Laplacian ``Delta_omega log |df|^2`` at ``z``, one point or
     each point of a stack ``(..., n)``, whose ``singular_frames`` are ``frames``.
 
@@ -372,11 +371,11 @@ def laplacian_log_energy(f, z, source_metric, target_metric, frames, h=None, cri
     if np.any(low):
         bad = _first(low)
         raise NearCriticalPoint(f"energy {energy[bad]:.3e} at {z[bad]} is below {critical_tol:.1e}")
-    hess = _energy_hessian(f, z, source_metric, target_metric, h, np.log, frames.energy)
+    hess = _energy_hessian(f, z, source_metric, target_metric, np.log, frames.energy)
     return trace_form(frames.metric, hess)
 
 
-def laplacian_energy(f, z, source_metric, target_metric, frames, h=None):
+def laplacian_energy(f, z, source_metric, target_metric, frames):
     """Target-trace Laplacian ``Delta_eta |df|^2`` at ``z``, one point or each
     point of a stack ``(..., n)``, whose ``singular_frames`` are ``frames``.
 
@@ -392,5 +391,5 @@ def laplacian_energy(f, z, source_metric, target_metric, frames, h=None):
     deficient = np.asarray(frames.rank) < f.source_dim
     if np.any(deficient):
         raise RankDeficient(f"differential is rank-deficient at {z[_first(deficient)]}")
-    hess = _energy_hessian(f, z, source_metric, target_metric, h, np.asarray, frames.energy)
+    hess = _energy_hessian(f, z, source_metric, target_metric, np.asarray, frames.energy)
     return trace_form(frames.pullback, hess)

@@ -256,14 +256,15 @@ class MetricDerivatives:
     error_estimate: float
 
 
-def metric_derivatives(metric, z, h=None):
+def metric_derivatives(metric, z):
     """Wirtinger derivatives of the metric field at ``z``.
 
     First derivatives use 4th-order central differences in each of the 2n
     real coordinates; mixed second derivatives use nested 4th-order stencils.
-    The returned values are taken at step ``h/2`` and ``error_estimate``
-    comes from the Richardson comparison of the ``h`` and ``h/2`` passes
-    (with a small safety factor and a roundoff floor).
+    With ``h = 1e-3 max(1, |z|)``, the returned values are taken at step
+    ``h/2`` and ``error_estimate`` comes from the Richardson comparison of
+    the ``h`` and ``h/2`` passes (with a small safety factor and a roundoff
+    floor).
 
     Raises DomainMarginError unless ``z`` is interior with margin ``4*h`` and
     NonFiniteSample if the evaluator blows up on a stencil point.
@@ -271,8 +272,7 @@ def metric_derivatives(metric, z, h=None):
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     if z.shape != (metric.dim,):
         raise DimensionMismatch(f"point shape {z.shape} does not match dim {metric.dim}")
-    if h is None:
-        h = 1e-3 * max(1.0, float(np.linalg.norm(z)))
+    h = 1e-3 * max(1.0, float(np.linalg.norm(z)))
     if not metric.domain.contains(z, margin=4.0 * h):
         raise DomainMarginError(
             f"point {z} is not interior to the domain with margin {4 * h:.2e}"

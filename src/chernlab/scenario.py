@@ -14,6 +14,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import json
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from time import perf_counter
@@ -56,15 +57,20 @@ def scenario_schema():
     return json.loads(Path(__file__).with_name("scenario.schema.json").read_text(encoding="utf-8"))
 
 
-# JSON types of values as Python's json module loads them: true is not a
-# number, and 2.0 is an integer (JSON does not tell 2 from 2.0)
+def _finite(v):
+    """A JSON number within the range of a double: true, NaN, Infinity (which
+    Python's json module parses) and larger integers are not."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
+
+
+# JSON types of values as Python's json module loads them: numbers are
+# finite, and 2.0 is an integer (JSON does not tell 2 from 2.0)
 _TYPES = {
     "object": lambda v: isinstance(v, dict),
     "array": lambda v: isinstance(v, list),
     "string": lambda v: isinstance(v, str),
-    "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
-    "integer": lambda v: (isinstance(v, int) and not isinstance(v, bool))
-    or (isinstance(v, float) and v.is_integer()),
+    "number": _finite,
+    "integer": lambda v: _finite(v) and (isinstance(v, int) or v.is_integer()),
 }
 
 
@@ -473,7 +479,7 @@ def run_scenario(source, seed=None, parallel=False):
         with open(source, "r", encoding="utf-8") as fh:
             try:
                 doc = json.load(fh)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # a JSONDecodeError, or an integer too long to convert
                 raise SchemaError(f"invalid JSON: {exc}", "$") from exc
     else:
         doc = source

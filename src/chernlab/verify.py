@@ -22,6 +22,7 @@ them waits for that check to change.
 from __future__ import annotations
 
 import itertools
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -381,10 +382,22 @@ def _grid_verdict(theorem, records, bound, tol, constants, sup_checked=True):
     return verdict
 
 
+def _require_finite(constants, tol):
+    """HypothesisSignError naming the constants that are NaN or past the range
+    of a double, and BadParams for such a ``tol``."""
+    bad = [f"{name} = {value!r}" for name, value in constants.as_dict().items()
+           if not abs(value) <= sys.float_info.max]
+    if bad:
+        raise HypothesisSignError(f"constants must be finite, got {', '.join(bad)}")
+    if not abs(tol) <= sys.float_info.max:
+        raise BadParams(f"tol must be finite, got {tol!r}")
+
+
 def chern_lu_verify(sp, constants, tol=1e-6):
     """Chern-Lu check on the pass ``sp``: pointwise ``Delta_omega log|df|^2 >=
     -C1 + (kappa + C2)|df|^2 / r`` plus the sup bound ``|df|^2 <= C1 r /
     (kappa + C2)``."""
+    _require_finite(constants, tol)
     c1, c2, kappa = constants.c1, constants.c2 or 0.0, constants.kappa
     if c1 is None or kappa is None:
         raise HypothesisSignError("Chern-Lu needs C1 and kappa")
@@ -413,6 +426,7 @@ def aubin_yau_verify(sp, constants, tol=1e-6):
     margin against the stricter in-proof form ``C1|df|^2 - n C2 - kappa``
     is recorded alongside as ``margin_strict``.
     """
+    _require_finite(constants, tol)
     c1, c2, kappa = constants.c1, constants.c2 or 0.0, constants.kappa
     if c1 is None or kappa is None:
         raise HypothesisSignError("Aubin-Yau needs C1 and kappa")
@@ -495,6 +509,7 @@ def family_verify(sp, constants, tol=1e-6, preset=None):
     forced bound is <= 0, so any map with positive energy certifies the
     no-map contradiction).
     """
+    _require_finite(constants, tol)
     c = constants
     needed = ("c2", "c3", "kappa1", "kappa2") if preset == "chen_cheng_lu" else (
         "c1", "c2", "c3", "kappa1", "kappa2"
@@ -562,6 +577,7 @@ def trace_bound_verify(sp, constants, tol=1e-6):
     the certified constants satisfy ``kappa <= -C2`` the
     automorphism-triviality flag is set (informational; no group
     computation is attempted)."""
+    _require_finite(constants, tol)
     c1, c2, kappa = constants.c1, constants.c2 or 0.0, constants.kappa
     if c1 is None or c1 <= 0:
         raise HypothesisSignError("trace bound needs C1 > 0")

@@ -22,6 +22,7 @@ from chernlab.cones import (
 from chernlab.curvature import chern_curvature
 from chernlab.errors import BadParams, DimensionMismatch, SearchBudgetExhausted, ZeroSingularValue
 from chernlab.metrics import catalog_metric
+from chernlab.scenario import box_grid
 from chernlab.tensors import curvature_in_frame, gram_unitary_frame
 from test_tensors import fs_normal_form, rand_unitary
 
@@ -460,7 +461,9 @@ class TestFrameSearchWork:
         monkeypatch.setattr(cones, "sbc_infimum", counted)
         res = sbc_bound(r, g, self.cfg)
         monkeypatch.undo()
-        assert len(calls) == 1
+        # every start's first frame, then the answer's frame once more: the
+        # identity start is unbounded, which stops the later starts at once
+        assert len(calls) <= self.cfg.n_starts + 1
 
         # the search without the early exit: unbounded frames score a finite
         # -1e300, so it runs its whole budget and keeps the first hit
@@ -660,7 +663,7 @@ class TestOrthantStack:
 
 
 class TestLockstepSearch:
-    """The lockstep search against the sequential search it replaced."""
+    """The array descent against the sequential search it replaced."""
 
     @pytest.mark.parametrize("seed", [3, 11])
     @pytest.mark.parametrize("n", [2, 3])
@@ -690,31 +693,53 @@ class TestLockstepSearch:
         assert _same(alone, stacked[1]) and alone_warned == ref[1][1]
         assert warned == ref[0][1] + ref[1][1]
 
-    def test_one_expm_per_distinct_frame(self, monkeypatch):
-        # one exponentiated generator per distinct frame of each point,
-        # shared by its min and max searches
+    def test_grid_stack_matches_each_point_alone(self):
+        # 16 points of n = 2 are 64 RBC rows and 48 SBC rows of one descent
+        metric = catalog_metric("hopf", (2,))
+        z = box_grid([0.6, 0.4j], 0.2, 2)
+        r, g = np.array([chern_curvature(metric, p) for p in z]), metric(z)
+        cfg = FrameSearchConfig(n_starts=3, max_iter=5, seed=2)
+        rbc, rbc_warned = _budget_warnings(lambda: rbc_bounds(r, g, cfg))
+        sbc, sbc_warned = _budget_warnings(lambda: sbc_bound(r, g, cfg))
+        assert len(z) == len(rbc) == len(sbc) == 16
+        rbc_ref = [_budget_warnings(lambda p=p: _rbc_reference(r[p], g[p], cfg)) for p in range(16)]
+        sbc_ref = [_budget_warnings(lambda p=p: _sbc_reference(r[p], g[p], cfg)) for p in range(16)]
+        for p in range(16):
+            assert _same(rbc[p], rbc_ref[p][0]) and _same(sbc[p], sbc_ref[p][0])
+        assert rbc_warned == sum(w for _, w in rbc_ref)
+        assert sbc_warned == sum(w for _, w in sbc_ref)
+
+    def test_one_expm_per_running_row_per_micro_step(self, monkeypatch):
+        # the first evaluation exponentiates every (point, sense, start) row,
+        # each later one at most the rows still running: a stopped row stays
+        # stopped, and a row runs at most max_iter sweeps of 2 n(n-1) steps
         r, g = _two_points("hopf", 2, 4)
         cfg = FrameSearchConfig(n_starts=3, max_iter=10, seed=4)
-        calls = []
+        sizes, owners = [], []
 
         def counted(generators, _exp=cones._exp_skew):
-            calls.extend(a.tobytes() for a in generators)
+            sizes.append(len(generators))
             return _exp(generators)
 
-        monkeypatch.setattr(cones, "_exp_skew", counted)
-        for p in range(2):
-            _budget_warnings(lambda p=p: _rbc_reference(r[p], g[p], cfg))
-        sequential, calls[:] = len(calls), []
-        _budget_warnings(lambda: rbc_bounds(r, g, cfg))
-        # the two points visit the same generators, each exponentiated per point
-        assert len(calls) == sequential and len(set(calls)) < len(calls)
+        def evaluate(points, frames):
+            owners.append(len(points))
+            return np.zeros((len(frames), 2))
 
-    @pytest.mark.parametrize("diverges", [False, True])
-    def test_later_start_diverging_first_loses_to_earlier_start(self, diverges):
+        monkeypatch.setattr(cones, "_exp_skew", counted)
+        _budget_warnings(lambda: rbc_bounds(r, g, cfg))
+        assert sizes[0] == 2 * 2 * 3
+        assert all(a >= b for a, b in zip(sizes, sizes[1:]))
+        assert len(sizes) <= 1 + 2 * 2 * cfg.max_iter
+        # one evaluated frame per exponentiated one
+        sizes[:] = []
+        _budget_warnings(lambda: cones._frame_search(evaluate, 2, 2, cfg, (-1, +1)))
+        assert sizes == owners and sizes[0] == 12
+
+    def test_later_start_diverging_first_loses_to_earlier_start(self):
         # each start visits 25 frames under this finite objective; making
         # frame 2 of start 2 and frame 20 of start 1 unbounded, start 2 hits
-        # first in lockstep, but start 1's hit is the one sequential order
-        # returns
+        # first when the starts run together, but start 1's hit is the one
+        # sequential order returns
         cfg = FrameSearchConfig(n_starts=3, max_iter=6, seed=5)
 
         def objective(u):
@@ -730,24 +755,14 @@ class TestLockstepSearch:
             u = _unitary(params, 2)
             return (-np.inf if u.tobytes() in marked else objective(u)), u
 
-        seen = []
-
         def evaluate(owners, frames):
-            seen.extend(u.tobytes() for u in frames)
-            values = [[-np.inf if u.tobytes() in marked else objective(u)] for u in frames]
-            return values, [None] * len(frames)
+            return [[-np.inf if u.tobytes() in marked else objective(u)] for u in frames]
 
         want_val, want_u = value(visits[45])
         # start 0 runs out of budget before start 1 diverges, in both orders
         got, warned = _budget_warnings(lambda: _sequential_frame_search(value, 2, cfg, -1))
         assert got[1].tobytes() == want_u.tobytes() and warned == 1
-        found, warned = _budget_warnings(lambda: _frame_search(evaluate, 1, 2, cfg, (-1,), diverges))
-        ((val, u, _),) = found[0]
+        found, warned = _budget_warnings(lambda: _frame_search(evaluate, 1, 2, cfg, (-1,)))
+        ((val, u),) = found[0]
         assert warned == 1
         assert val == want_val == -np.inf and _same(u, want_u)
-        # lockstep saw start 2 diverge; with diverging objectives the starts
-        # run in turn and evaluate only what the sequential search did
-        sequential = {_unitary(p, 2).tobytes() for p in visits[:46]}
-        assert (_unitary(visits[52], 2).tobytes() in seen) is not diverges
-        if diverges:
-            assert sorted(seen) == sorted(sequential)

@@ -1,7 +1,9 @@
 import json
 import os
+import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -450,6 +452,83 @@ class TestEmptyDomain:
         assert main(["run", "--scenario", str(scen)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: BadParams: domain holds no point") and "Traceback" not in err
+
+
+def non_finite_scenario(case):
+    """``base_scenario`` with one NaN or infinite number in the field ``case`` names."""
+    doc = base_scenario()
+    doc["metrics"]["fs"] = {"catalog": "fubini_study", "params": [2]}
+    task = doc["tasks"][0]
+    nan, inf = float("nan"), float("inf")
+    if case == "c1 NaN":
+        task["constants"] = {"c1": nan, "kappa": 1.0}
+    elif case == "c1 Infinity":
+        task["constants"] = {"c1": inf, "kappa": 1.0}
+    elif case == "c1 401 digits":
+        task["constants"] = {"c1": 10**400, "kappa": 1.0}
+    elif case == "kappa NaN":
+        task.update(theorem="aubin_yau", target="p1", constants={"c1": 1.0, "kappa": nan})
+    elif case == "tol NaN":
+        task["tol"] = nan
+    elif case == "grid half Infinity":
+        task["grid"]["half"] = inf
+    elif case == "point NaN":
+        doc["tasks"][0] = {**CURVATURE, "point": [[nan, 0.0]]}
+    elif case == "b NaN":
+        doc["tasks"][0] = {**AVERAGED_HSC, "metric": "fs", "point": [[0.0, 0.0], [0.0, 0.0]], "b": [nan, 1.0]}
+    elif case == "scale NaN":
+        doc["metrics"]["p3"]["scale"] = nan
+    elif case == "params -Infinity":
+        doc["metrics"]["p1"]["params"] = [-inf]
+    return doc
+
+
+# Python's json module parses NaN, Infinity and integers of any length; the
+# schema takes none of them past the range of a double as a number
+NON_FINITE_TASK_FIELDS = {
+    "c1 NaN": "$.tasks[0].constants.c1", "c1 Infinity": "$.tasks[0].constants.c1",
+    "c1 401 digits": "$.tasks[0].constants.c1",
+    "kappa NaN": "$.tasks[0].constants.kappa", "tol NaN": "$.tasks[0].tol",
+    "grid half Infinity": "$.tasks[0].grid.half", "point NaN": "$.tasks[0].point[0]",
+    "b NaN": "$.tasks[0].b[0]",
+}
+NON_FINITE_DOCUMENT_FIELDS = {"scale NaN": "$.metrics.p3.scale", "params -Infinity": "$.metrics.p1.params[0]"}
+
+
+class TestNonFiniteNumbers:
+    @pytest.mark.parametrize("case", sorted(NON_FINITE_TASK_FIELDS))
+    def test_task_field_is_a_task_schema_error(self, case):
+        report = run_scenario(non_finite_scenario(case))
+        assert report.tasks[0]["status"] == "error" and not report.passed
+        assert report.tasks[0]["error"].startswith("SchemaError: ")
+        assert f"(at {NON_FINITE_TASK_FIELDS[case]})" in report.tasks[0]["error"]
+
+    @pytest.mark.parametrize("case", sorted(NON_FINITE_DOCUMENT_FIELDS))
+    def test_document_field_is_raised(self, case):
+        with pytest.raises(SchemaError, match=re.escape(f"(at {NON_FINITE_DOCUMENT_FIELDS[case]})")):
+            run_scenario(non_finite_scenario(case))
+
+    @pytest.mark.parametrize("case", sorted(NON_FINITE_TASK_FIELDS) + sorted(NON_FINITE_DOCUMENT_FIELDS))
+    def test_run_exits_without_traceback(self, case, tmp_path, capsys):
+        scen = tmp_path / "s.json"
+        scen.write_text(json.dumps(non_finite_scenario(case)))  # writes NaN and Infinity literally
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["run", "--scenario", str(scen), "--out", str(tmp_path / "r.json")])
+        assert code == (1 if case in NON_FINITE_TASK_FIELDS else 2)
+        assert not caught and "Traceback" not in capsys.readouterr().err
+
+    def test_unparsable_numbers_exit_2(self, tmp_path, capsys):
+        # an integer past Python's 4300-digit conversion limit, and constants that are not JSON
+        scen = tmp_path / "s.json"
+        scen.write_text('{"version": 1, "seed": ' + "1" * 5000 + ', "tasks": []}')
+        assert main(["run", "--scenario", str(scen)]) == 2
+        assert capsys.readouterr().err.startswith("schema error: invalid JSON: ")
+        argv = ["schwarz", "--theorem", "chern_lu", "--source", "poincare_disk:1", "--target", "poincare_disk:2",
+                "--map", "identity:1", "--grid", "box:half=0.2", "--constants", "{bad"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("schema error: invalid JSON: ") and "(at --constants)" in err
 
 
 class TestGrids:

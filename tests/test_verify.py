@@ -468,3 +468,22 @@ class TestTheorem23:
         assert rep["max_vs_sigma"] < 1e-10
         assert rep["max_rbc_vs_half_sigma"] < 1e-10
         assert rep["passed"]
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 10**400], ids=["nan", "inf", "-inf", "10**400"])
+@pytest.mark.parametrize("name", ["c1", "c2", "kappa", "tol"])
+def test_verifiers_refuse_non_finite_constants(poincare, name, value):
+    # each verifier refuses a constant or tol that is NaN or past the
+    # range of a double before it is used
+    sp = SchwarzPass(poincare, poincare, map_identity(1), disk_grid(), poincare)
+    trace = SchwarzPass(poincare, poincare, None, disk_grid())
+    base = dict(c1=2.0, c2=0.0, c3=2.0, c4=0.0, kappa=2.0, kappa1=2.0, kappa2=2.0, n=1, r=1)
+    family = {"kappa": "kappa1"}.get(name, name)
+    for verify, pass_, key in ((chern_lu_verify, sp, name), (aubin_yau_verify, sp, name),
+                               (family_verify, sp, family), (trace_bound_verify, trace, name)):
+        if name == "tol":
+            with pytest.raises(BadParams, match="tol must be finite, got "):
+                verify(pass_, HypothesisConstants(**base), tol=value)
+        else:
+            with pytest.raises(HypothesisSignError, match=f"constants must be finite, got {key} = "):
+                verify(pass_, HypothesisConstants(**{**base, key: value}))

@@ -735,11 +735,13 @@ class TestLockstepSearch:
         _budget_warnings(lambda: cones._frame_search(evaluate, 2, 2, cfg, (-1, +1)))
         assert sizes == owners and sizes[0] == 12
 
-    def test_later_start_diverging_first_loses_to_earlier_start(self):
+    @pytest.mark.parametrize("with_finite_point", [False, True])
+    def test_later_start_diverging_first_loses_to_earlier_start(self, with_finite_point):
         # each start visits 25 frames under this finite objective; making
         # frame 2 of start 2 and frame 20 of start 1 unbounded, start 2 hits
         # first when the starts run together, but start 1's hit is the one
-        # sequential order returns
+        # sequential order returns; a second point whose objective stays
+        # finite, in the same descent, changes neither answer
         cfg = FrameSearchConfig(n_starts=3, max_iter=6, seed=5)
 
         def objective(u):
@@ -756,13 +758,23 @@ class TestLockstepSearch:
             return (-np.inf if u.tobytes() in marked else objective(u)), u
 
         def evaluate(owners, frames):
-            return [[-np.inf if u.tobytes() in marked else objective(u)] for u in frames]
+            return [
+                [-np.inf if p == 0 and u.tobytes() in marked else objective(u)]
+                for p, u in zip(owners, frames)
+            ]
 
         want_val, want_u = value(visits[45])
         # start 0 runs out of budget before start 1 diverges, in both orders
         got, warned = _budget_warnings(lambda: _sequential_frame_search(value, 2, cfg, -1))
         assert got[1].tobytes() == want_u.tobytes() and warned == 1
-        found, warned = _budget_warnings(lambda: _frame_search(evaluate, 1, 2, cfg, (-1,)))
+        n_points = 2 if with_finite_point else 1
+        found, warned = _budget_warnings(lambda: _frame_search(evaluate, n_points, 2, cfg, (-1,)))
         ((val, u),) = found[0]
-        assert warned == 1
         assert val == want_val == -np.inf and _same(u, want_u)
+        if with_finite_point:
+            # the finite point runs all three starts out of budget
+            (plain, plain_warned) = _budget_warnings(lambda: _sequential_frame_search(
+                lambda p: (objective(_unitary(p, 2)), _unitary(p, 2)), 2, cfg, -1))
+            ((val, u),) = found[1]
+            assert plain_warned == 3 and val == plain[0] and _same(u, plain[1])
+        assert warned == 1 + 3 * with_finite_point

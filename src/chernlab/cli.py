@@ -218,7 +218,7 @@ def build_parser():
     p.set_defaults(func=_cmd_curvature)
 
     for kind, help_text in (
-        ("rbc", "real bisectional curvature search bounds at a point"),
+        ("rbc", "real bisectional curvature bounds at a point: exact for n <= 2, searched for n >= 3"),
         ("sbc", "ordered-cone curvature infimum at a point"),
     ):
         p = sub.add_parser(kind, help=help_text)

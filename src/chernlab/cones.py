@@ -4,8 +4,12 @@ Two objects drive the Schwarz-type estimates: the Rayleigh quotient
 ``v^t R v / v^t v`` of the frame matrix over the nonnegative orthant (RBC)
 and the generalized quotient ``u_v^t R v`` with ``u_v`` the Hadamard inverse
 of ``v`` over the ordered cone ``v_1 >= ... >= v_n > 0`` (SBC).  Both are
-further extremized over the unitary frame bundle by a seeded multistart
-coordinate descent on skew-Hermitian generators.
+further extremized over the unitary frame bundle.  At n = 2 the RBC extrema
+over all frames are solved exactly: RBC is a quadratic form on the Lorentz
+cone of PSD 2 x 2 Hermitian matrices, extremized by eigenvectors and a
+secular equation (``_rbc_two``).  RBC for n >= 3 and SBC for every n are
+searched by a seeded multistart coordinate descent on skew-Hermitian
+generators.
 
 The frame search of one ``rbc_bounds`` or ``sbc_bound`` call is one array
 descent: every (point, sense, start) is a row, all rows walk the same sweep
@@ -48,6 +52,8 @@ _ZERO_TOL = 1e-8  # frame-matrix entries within this share of max|R| of zero are
 _MARGINAL_TOL = 1e-6  # a finite SBC whose least gap coefficient is below this is marginal
 _SWEEPS = 1000  # cap on the coordinate sweeps of the SBC inner solve
 _STEP_TOL = 1e-12  # the sweeps stop once no gap coordinate moves by more
+# the Frobenius-orthonormal Hermitian basis (I, sigma_x, sigma_y, sigma_z) / sqrt(2) of 2 x 2 matrices
+_PAULI = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]]) / np.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -62,6 +68,10 @@ class FrameSearchConfig:
     def __post_init__(self):
         if self.n_starts < 1:
             raise BadParams("n_starts must be >= 1")
+        if self.max_iter < 1:
+            raise BadParams("max_iter must be >= 1")
+        if not (np.isfinite(self.step_tol) and self.step_tol > 0.0):
+            raise BadParams(f"step_tol must be finite and positive, got {self.step_tol!r}")
 
 
 @dataclass(frozen=True)
@@ -315,7 +325,8 @@ def sbc_along_map(rm, lambdas):
 
 @dataclass(frozen=True)
 class RbcBounds:
-    """Search bounds for the real bisectional curvature over all frames."""
+    """Bounds for the real bisectional curvature over all frames: exact
+    unless ``heuristic`` (a frame search's), with the frames attaining them."""
 
     inf: float
     sup: float
@@ -452,19 +463,83 @@ def _frame_points(r, g):
     return r, gram_unitary_frame(g), single
 
 
-def rbc_bounds(r, g, cfg=FrameSearchConfig()):
-    """Search bounds on the real bisectional curvature of a tensor.
+def _rbc_two(r, e0):
+    """Exact RBC extrema of a stack ``(P, 2, 2, 2, 2)`` of tensors with Gram
+    frames ``e0``: per point ``((inf, U), (sup, U))`` with the unitaries U
+    that attain them on ``e0``, as ``_frame_search`` gives its answers.
 
-    Extremizes the orthant Rayleigh extrema of the frame matrix over
+    Weights ``v`` on the columns of a frame ``e0 @ U`` are the PSD Hermitian
+    ``A = U diag(v) U^dag``, with ``|A|_F = |v|``, so RBC is ``c^t M c / |c|^2``
+    over the coordinates ``c`` of A in the basis ``_PAULI``, and PSD is the
+    Lorentz cone ``c_0 >= |(c_1, c_2, c_3)|``.  An extremum lies at an
+    eigenvector of M inside the cone, or at an extremum of
+    ``m00 + 2 b.u + u^t C u`` on the sphere ``|u| = 1`` of the cone's
+    boundary ``c = (1, u)``.  On the sphere the least (greatest) value solves
+    ``(C - lam) u = -b`` at ``lam`` below (above) every eigenvalue ``d`` of C,
+    the secular equation ``sum beta_i^2 / (d_i - lam)^2 = 1`` in C's
+    eigenbasis, which is bisected on ``|lam - d| <= |b|``; or, in the hard
+    case, ``lam = d_k`` and the component of u on the k-th eigenvector fills
+    the unit norm, with eigen-gaps of C within ``_ZERO_TOL * max|M|`` taken
+    as zero.  Every candidate is a point of the cone scored by its own
+    quotient, so a missed candidate can only narrow the range, never leave it.
+    """
+    p = len(e0)
+    # v^t R_mat v = sum R[i, j, k, l] X[i, j] X[k, l] with X = conj(e0 A e0^dag)
+    x = np.conj(e0[:, None] @ _PAULI @ np.conj(np.swapaxes(e0, -1, -2))[:, None]).reshape(p, 4, 4)
+    m = (x @ r.reshape(p, 4, 4) @ np.swapaxes(x, -1, -2)).real
+    m = (m + np.swapaxes(m, -1, -2)) / 2.0
+    b, c = m[:, 1:, 0], m[:, 1:, 1:]
+    inner = np.swapaxes(np.linalg.eigh(m)[1], -1, -2)
+    inner *= np.where(inner[..., :1] < 0.0, -1.0, 1.0)
+
+    d, w = np.linalg.eigh(c)
+    beta = (b[:, None, :] @ w)[:, :1]
+    gaps = np.stack([d - d[:, :1], d[:, 2:] - d], axis=1)  # to the least and the greatest d
+    high = np.sqrt(np.sum(b * b, axis=-1))[:, None, None] * np.ones((1, 2, 1))
+    high[high == 0.0] = 1.0
+    low = np.zeros_like(high)
+    for _ in range(64):  # mu = |lam - d| in (0, |b|], to 2^-64 |b|
+        mu = (low + high) / 2.0
+        outside = ((beta / (gaps + mu)) ** 2).sum(axis=-1, keepdims=True) > 1.0
+        low, high = np.where(outside, mu, low), np.where(outside, high, mu)
+    secular = beta / (gaps + mu) * np.array([[-1.0], [1.0]])
+    gap = d[:, None, :] - d[:, :, None]  # [k, i]: d_i - d_k
+    free = np.abs(gap) > _ZERO_TOL * np.max(np.abs(m), axis=(-2, -1))[:, None, None]
+    y = np.where(free, -beta / np.where(free, gap, 1.0), 0.0)
+    fill = np.sqrt(np.clip(1.0 - np.sum(y * y, axis=-1), 0.0, None))[..., None] * np.eye(3)
+    u = np.concatenate([secular, y + fill, y - fill], axis=1) @ np.swapaxes(w, -1, -2)
+    norm = np.sqrt(np.sum(u * u, axis=-1, keepdims=True))
+    boundary = np.concatenate([np.where(norm > 0.0, norm, 1.0), u], axis=-1)  # u = 0: A = I
+    cand = np.concatenate([inner, boundary], axis=1)
+
+    inside = np.ones(cand.shape[:2], dtype=bool)
+    inside[:, :4] = inner[..., 0] > np.sqrt(np.sum(inner[..., 1:] ** 2, axis=-1))
+    value = ((cand[..., None, :] @ m[:, None]) @ cand[..., :, None])[..., 0, 0]
+    value /= np.sum(cand * cand, axis=-1)
+    each = np.arange(p)
+    lo = np.argmin(np.where(inside, value, np.inf), axis=-1)
+    hi = np.argmax(np.where(inside, value, -np.inf), axis=-1)
+    best = np.stack([cand[each, lo], cand[each, hi]], axis=1)
+    frames = np.linalg.eigh(np.sum(best[..., None, None] * _PAULI, axis=-3))[1]
+    return [((float(a), u), (float(b), v)) for a, b, (u, v) in zip(value[each, lo], value[each, hi], frames)]
+
+
+def rbc_bounds(r, g, cfg=FrameSearchConfig()):
+    """Bounds on the real bisectional curvature of a tensor: exact for
+    n <= 2, searched for n >= 3.
+
+    At n = 2 the extrema are solved exactly (``_rbc_two``), with no search
+    and no use of ``cfg``; at n = 1 there is one frame.  For n >= 3 the
+    orthant Rayleigh extrema of the frame matrix are extremized over
     unitary frames ``e0 @ exp(skew)``, one search for the min and one for
     the max.  The orthant extrema in each frame are exact; the returned
-    inf/sup are bounds of the search, flagged heuristic for n >= 2 (the
-    quantifier over all frames is explored, not certified).
+    inf/sup are bounds of the search, flagged heuristic (the quantifier
+    over all frames is explored, not certified).
 
     ``r`` and ``g`` are one point's tensor and metric, or stacks
-    ``(P, n, n, n, n)`` and ``(P, n, n)`` whose searches all run as one
-    array descent (``_frame_search``); a stack gives a list of P bounds,
-    each with the bits its point gets alone.
+    ``(P, n, n, n, n)`` and ``(P, n, n)`` solved as one stack, or searched
+    as one array descent (``_frame_search``); a stack gives a list of P
+    bounds, each with the bits its point gets alone.
     """
     r, e0, single = _frame_points(r, g)
     n = e0.shape[-1]
@@ -473,9 +548,9 @@ def rbc_bounds(r, g, cfg=FrameSearchConfig()):
         ext = orthant_rayleigh_extrema(curvature_in_frame(r[owners], e0[owners] @ frames).r_mat)
         return np.stack([ext.min_val, ext.max_val], axis=-1)
 
-    found = _frame_search(evaluate, len(e0), n, cfg, senses=(-1, +1))
+    found = _rbc_two(r, e0) if n == 2 else _frame_search(evaluate, len(e0), n, cfg, senses=(-1, +1))
     bounds = [
-        RbcBounds(inf=lo, sup=hi, inf_frame=e @ lo_u, sup_frame=e @ hi_u, heuristic=n >= 2)
+        RbcBounds(inf=lo, sup=hi, inf_frame=e @ lo_u, sup_frame=e @ hi_u, heuristic=n >= 3)
         for e, ((lo, lo_u), (hi, hi_u)) in zip(e0, found)
     ]
     return bounds[0] if single else bounds

@@ -11,9 +11,10 @@ A Schwarz task is one ``SchwarzPass``, shared by ``estimate_hypotheses`` and
 the verifier: the ``(P, n)`` grid stack and every metric, map and curvature
 value read there, each evaluated once and only when first read.  Every point
 keeps the bits it gets alone, a failing check names the first failing point
-in grid order, and the frame-searched kappas search all points in one
-lockstep ``rbc_bounds`` or ``sbc_bound`` call.  Pencil eigenvalues are taken
-after whitening by a Cholesky factor.  All curvature goes through
+in grid order, and the cone kappas take all points in one ``rbc_bounds``
+call (exact for n <= 2, a lockstep frame search for n >= 3) or one lockstep
+``sbc_bound`` search.  Pencil eigenvalues are taken after whitening by a
+Cholesky factor.  All curvature goes through
 ``SchwarzPass.curvature``, one point at a time: its stencils call the metric
 once per sample, a count the benchmark's evaluation check pins, so stacking
 them waits for that check to change.
@@ -225,8 +226,9 @@ def _first_extreme(values, points, sense=+1):
 
 
 def _kappa_rbc(sp, cfg):
-    """kappa with RBC <= -kappa: minus the largest frame-searched sup over
-    the image points of the pass ``sp``, searched in one ``rbc_bounds`` call."""
+    """kappa with RBC <= -kappa: minus the largest RBC sup over the image
+    points of the pass ``sp``, from one ``rbc_bounds`` call (exact for
+    n <= 2, searched for n >= 3)."""
     image, image_metric = sp.image
     bounds = rbc_bounds(sp.curvature(sp.target, image), image_metric, cfg)
     sup, at = _first_extreme([b.sup for b in bounds], image)

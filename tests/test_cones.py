@@ -7,6 +7,7 @@ import pytest
 import scipy.linalg
 import scipy.optimize
 
+import oracles
 from chernlab import cones
 from chernlab.cones import (
     FrameSearchConfig,
@@ -21,7 +22,7 @@ from chernlab.cones import (
 )
 from chernlab.curvature import chern_curvature
 from chernlab.errors import BadParams, DimensionMismatch, SearchBudgetExhausted, ZeroSingularValue
-from chernlab.metrics import catalog_metric
+from chernlab.metrics import catalog_metric, scale_metric
 from chernlab.scenario import box_grid
 from chernlab.tensors import curvature_in_frame, gram_unitary_frame
 from test_tensors import fs_normal_form, rand_unitary
@@ -343,27 +344,30 @@ class TestSbcAlongMap:
 
 
 class TestFrameSearch:
+    # RBC searches its frames for n >= 3 only, so its search cases run at n = 3
+
     def test_rbc_euclidean(self):
-        m = catalog_metric("euclidean", (2,))
-        r = chern_curvature(m, [0.1, 0.2j])
+        m = catalog_metric("euclidean", (3,))
+        z = [0.1, 0.2j, -0.3]
         with pytest.warns(SearchBudgetExhausted) as budget:
-            res = rbc_bounds(r, m([0.1, 0.2j]), FrameSearchConfig(n_starts=2, max_iter=10))
+            res = rbc_bounds(chern_curvature(m, z), m(z), FrameSearchConfig(n_starts=2, max_iter=10))
         assert len(budget) == 4  # every start of both searches
         assert abs(res.inf) < 1e-8 and abs(res.sup) < 1e-8
 
     def test_rbc_model_values(self):
+        # at the origin of fubini_study(3) RBC spans [2, 4], of complex_hyperbolic(3) [-4, -2]
         cfg = FrameSearchConfig(n_starts=3, max_iter=15, seed=0)
-        fs = catalog_metric("fubini_study", (2,))
+        fs = catalog_metric("fubini_study", (3,))
         with pytest.warns(SearchBudgetExhausted) as budget:
-            res = rbc_bounds(chern_curvature(fs, [0.0, 0.0]), np.eye(2), cfg)
-        assert len(budget) == 1
-        assert abs(res.inf - 2.0) < 1e-4 and abs(res.sup - 3.0) < 1e-4
+            res = rbc_bounds(chern_curvature(fs, np.zeros(3)), np.eye(3), cfg)
+        assert len(budget) == 2
+        assert abs(res.inf - 2.0) < 1e-4 and abs(res.sup - 4.0) < 1e-4
         assert res.heuristic
-        ch = catalog_metric("complex_hyperbolic", (2,))
+        ch = catalog_metric("complex_hyperbolic", (3,))
         with pytest.warns(SearchBudgetExhausted) as budget:
-            res = rbc_bounds(chern_curvature(ch, [0.0, 0.0]), np.eye(2), cfg)
-        assert len(budget) == 1
-        assert abs(res.inf + 3.0) < 1e-4 and abs(res.sup + 2.0) < 1e-4
+            res = rbc_bounds(chern_curvature(ch, np.zeros(3)), np.eye(3), cfg)
+        assert len(budget) == 2
+        assert abs(res.inf + 4.0) < 1e-4 and abs(res.sup + 2.0) < 1e-4
 
     def test_rbc_fs_closed_form_n5(self):
         # fubini_study(5) at the origin: inf c = 2, sup c (n + 1) / 2 = 6
@@ -400,6 +404,96 @@ class TestFrameSearch:
         assert res.divergence_certificate is not None
 
 
+def _witnessed(r, res):
+    """The orthant extrema in the witness frames of ``res``: (inf, sup)."""
+    lo = orthant_rayleigh_extrema(curvature_in_frame(r, res.inf_frame).r_mat).min_val
+    hi = orthant_rayleigh_extrema(curvature_in_frame(r, res.sup_frame).r_mat).max_val
+    return lo, hi
+
+
+class TestExactRbcTwo:
+    """RBC at n = 2: one Lorentz-cone solve per point, with no frame search."""
+
+    @pytest.mark.parametrize(
+        "tensor, metric, point, want",
+        [
+            # at both fubini_study points the sphere problem is the hard case
+            (oracles.fs_tensor, oracles.fs_metric, [0.0, 0.0], (2.0, 3.0)),
+            (oracles.fs_tensor, oracles.fs_metric, [0.3 + 0.1j, -0.2], (2.0, 3.0)),
+            (oracles.hyperbolic_tensor, oracles.hyperbolic_metric, [0.3 + 0.1j, -0.2], (-3.0, -2.0)),
+            (oracles.hopf_tensor, oracles.hopf_metric, [1.0, 0.5], (0.0, (1.0 + np.sqrt(2.0)) / 2.0)),
+        ],
+    )
+    def test_closed_forms(self, tensor, metric, point, want):
+        z = np.asarray(point, dtype=complex)
+        r = tensor(z)
+        res = rbc_bounds(r, metric(z))
+        assert not res.heuristic
+        assert abs(res.inf - want[0]) < 1e-12 and abs(res.sup - want[1]) < 1e-12
+        lo, hi = _witnessed(r, res)
+        assert abs(lo - res.inf) < 1e-12 and abs(hi - res.sup) < 1e-12
+
+    def test_hard_case_off_the_secular_roots(self):
+        # in the frame coordinates c of A = (c0 I + c.sigma) / sqrt(2), RBC is
+        # c^t M c / |c|^2; on the cone's boundary c = (1, u) with b = (0, .2, .3)
+        # orthogonal to the least eigenvector of C = diag(0, 1, 2), the least
+        # value 1/2 (m00 - .2^2 / 1 - .3^2 / 2) lies at u = (+-sqrt(.9375), -.2, -.15),
+        # which no root of the secular equation gives
+        pauli = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+        m = np.array([[1.0, 0.0, 0.2, 0.3], [0.0, 0.0, 0.0, 0.0], [0.2, 0.0, 1.0, 0.0], [0.3, 0.0, 0.0, 2.0]])
+        r = np.einsum("ab,aij,bkl->ijkl", m, pauli, pauli) / 2.0
+        res = rbc_bounds(r, np.eye(2))
+        assert abs(res.inf - 0.4575) < 1e-12
+        assert abs(_witnessed(r, res)[0] - res.inf) < 1e-12
+
+    def test_scaled_polydisk(self):
+        # 3 polydisk(1, 1): RBC spans [-2/3, -1/3]; the tensor comes from the FD stencils
+        metric = scale_metric(catalog_metric("polydisk", (1.0, 1.0)), 3.0)
+        z = [0.1, -0.2j]
+        res = rbc_bounds(chern_curvature(metric, z), metric(z))
+        assert abs(res.inf + 2.0 / 3.0) < 1e-8 and abs(res.sup + 1.0 / 3.0) < 1e-8
+
+    def test_random_tensors_bracket_the_search(self):
+        # conjugation-symmetric tensors with random metrics: the search only
+        # reaches values the exact solve brackets, and comes within 1e-7
+        rng = np.random.default_rng(16)
+        shape = (300, 2, 2, 2, 2)
+        r = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        r = (r + np.conj(np.transpose(r, (0, 2, 1, 4, 3)))) / 2.0
+        a = rng.standard_normal((300, 2, 2)) + 1j * rng.standard_normal((300, 2, 2))
+        g = a @ np.conj(np.swapaxes(a, -1, -2)) + 0.5 * np.eye(2)
+        exact = rbc_bounds(r, g)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", SearchBudgetExhausted)
+            searched = _searched_rbc(r, g, FrameSearchConfig())
+        for tensor, res, found in zip(r, exact, searched):
+            scale = np.max(np.abs(tensor))
+            assert -1e-12 * scale <= found.inf - res.inf <= 1e-7 * scale
+            assert -1e-12 * scale <= res.sup - found.sup <= 1e-7 * scale
+            lo, hi = _witnessed(tensor, res)
+            assert abs(lo - res.inf) <= 1e-12 * scale and abs(hi - res.sup) <= 1e-12 * scale
+
+    def test_stack_matches_each_point_alone(self):
+        metric = catalog_metric("hopf", (2,))
+        z = box_grid([0.6, 0.4j], 0.2, 2)
+        r, g = np.array([chern_curvature(metric, p) for p in z]), metric(z)
+        stacked = rbc_bounds(r, g)
+        assert len(stacked) == 16
+        for p in range(16):
+            assert _same(stacked[p], rbc_bounds(r[p], g[p]))
+
+    def test_heuristic_only_where_searched(self):
+        # the exact solve takes no search budget; n = 3 still searches
+        z = np.array([0.3 + 0.1j, -0.2])
+        r, g = oracles.fs_tensor(z), oracles.fs_metric(z)
+        res = rbc_bounds(r, g, FrameSearchConfig(n_starts=1, max_iter=1))
+        assert not res.heuristic and _same(res, rbc_bounds(r, g))
+        z = np.append(z, 0.1j)
+        with pytest.warns(SearchBudgetExhausted):
+            res = rbc_bounds(oracles.fs_tensor(z), oracles.fs_metric(z), FrameSearchConfig(n_starts=1, max_iter=1))
+        assert res.heuristic
+
+
 def _unitary(params, n):
     """The package's exponential of the skew-Hermitian generator with
     parameters ``params``, built one entry at a time as the sequential
@@ -431,19 +525,21 @@ class TestFrameSearchWork:
 
     @pytest.mark.parametrize(
         "name, point",
-        [("fubini_study", [0.0, 0.0]), ("hopf", [1.0, 0.5]), ("complex_hyperbolic", [0.0, 0.0])],
+        [("fubini_study", [0.0, 0.0, 0.0]), ("hopf", [1.0, 0.5, 0.2j]), ("complex_hyperbolic", [0.0, 0.0, 0.0])],
     )
     def test_rbc_bounds_match_independent_searches(self, name, point):
-        metric = catalog_metric(name, (2,))
+        metric = catalog_metric(name, (3,))
         r, g = chern_curvature(metric, point), metric(point)
         e0 = gram_unitary_frame(g)
 
         def extrema(u):
             return orthant_rayleigh_extrema(curvature_in_frame(r, e0 @ u).r_mat)
 
-        inf_val, inf_u = _sequential_frame_search(fresh_value(lambda u: extrema(u).min_val, 2), 2, self.cfg, -1)
-        sup_val, sup_u = _sequential_frame_search(fresh_value(lambda u: extrema(u).max_val, 2), 2, self.cfg, +1)
-        res = rbc_bounds(r, g, self.cfg)
+        with warnings.catch_warnings():  # the hopf searches run out of budget
+            warnings.simplefilter("ignore", SearchBudgetExhausted)
+            inf_val, inf_u = _sequential_frame_search(fresh_value(lambda u: extrema(u).min_val, 3), 3, self.cfg, -1)
+            sup_val, sup_u = _sequential_frame_search(fresh_value(lambda u: extrema(u).max_val, 3), 3, self.cfg, +1)
+            res = rbc_bounds(r, g, self.cfg)
         assert res.inf == inf_val and res.sup == sup_val
         assert np.array_equal(res.inf_frame, e0 @ inf_u)
         assert np.array_equal(res.sup_frame, e0 @ sup_u)
@@ -580,6 +676,20 @@ def _rbc_reference(r, g, cfg):
     return RbcBounds(inf_val, sup_val, e0 @ inf_u, e0 @ sup_u, n >= 2)
 
 
+def _searched_rbc(r, g, cfg):
+    """RBC bounds by the frame search at any n >= 2: ``cones._frame_search``
+    over the orthant extrema, as ``rbc_bounds`` runs it for n >= 3."""
+    r, e0, single = cones._frame_points(r, g)
+
+    def evaluate(owners, frames):
+        ext = orthant_rayleigh_extrema(curvature_in_frame(r[owners], e0[owners] @ frames).r_mat)
+        return np.stack([ext.min_val, ext.max_val], axis=-1)
+
+    found = _frame_search(evaluate, len(e0), e0.shape[-1], cfg, (-1, +1))
+    bounds = [RbcBounds(lo, hi, e @ lo_u, e @ hi_u, True) for e, ((lo, lo_u), (hi, hi_u)) in zip(e0, found)]
+    return bounds[0] if single else bounds
+
+
 def _sbc_reference(r, g, cfg):
     """``sbc_bound`` of one point with the sequential search."""
     n = g.shape[0]
@@ -669,15 +779,22 @@ class TestLockstepSearch:
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("name", sorted(MODELS))
     def test_rbc_matches_sequential(self, name, n, seed):
+        # rbc_bounds searches at n = 3; at n = 2, where it is exact, the same
+        # descent runs as _searched_rbc and stays within the exact bounds
+        search = rbc_bounds if n >= 3 else _searched_rbc
         r, g = _two_points(name, n, seed)
         cfg = FrameSearchConfig(n_starts=3, max_iter=12 if n == 2 else 5, seed=seed)
-        stacked, warned = _budget_warnings(lambda: rbc_bounds(r, g, cfg))
-        alone = [_budget_warnings(lambda p=p: rbc_bounds(r[p], g[p], cfg)) for p in range(2)]
+        stacked, warned = _budget_warnings(lambda: search(r, g, cfg))
+        alone = [_budget_warnings(lambda p=p: search(r[p], g[p], cfg)) for p in range(2)]
         ref = [_budget_warnings(lambda p=p: _rbc_reference(r[p], g[p], cfg)) for p in range(2)]
         for p in range(2):
             assert _same(stacked[p], ref[p][0]) and _same(alone[p][0], ref[p][0])
             assert alone[p][1] == ref[p][1]
         assert warned == ref[0][1] + ref[1][1]
+        if n == 2:
+            for exact, found, tensor in zip(rbc_bounds(r, g), stacked, r):
+                slack = 1e-12 * np.max(np.abs(tensor))
+                assert exact.inf <= found.inf + slack and exact.sup >= found.sup - slack
 
     @pytest.mark.parametrize("seed", [3, 11])
     @pytest.mark.parametrize("n", [2, 3])
@@ -694,16 +811,20 @@ class TestLockstepSearch:
         assert warned == ref[0][1] + ref[1][1]
 
     def test_grid_stack_matches_each_point_alone(self):
-        # 16 points of n = 2 are 64 RBC rows and 48 SBC rows of one descent
-        metric = catalog_metric("hopf", (2,))
-        z = box_grid([0.6, 0.4j], 0.2, 2)
-        r, g = np.array([chern_curvature(metric, p) for p in z]), metric(z)
+        # 16 points of n = 3 are 96 RBC rows, and 16 points of n = 2 are 48
+        # SBC rows, of one descent each
         cfg = FrameSearchConfig(n_starts=3, max_iter=5, seed=2)
+        hopf3 = catalog_metric("hopf", (3,))
+        z = box_grid([0.6, 0.4j, 0.3], 0.2, 2)[::4]
+        r, g = np.array([chern_curvature(hopf3, p) for p in z]), hopf3(z)
         rbc, rbc_warned = _budget_warnings(lambda: rbc_bounds(r, g, cfg))
-        sbc, sbc_warned = _budget_warnings(lambda: sbc_bound(r, g, cfg))
-        assert len(z) == len(rbc) == len(sbc) == 16
         rbc_ref = [_budget_warnings(lambda p=p: _rbc_reference(r[p], g[p], cfg)) for p in range(16)]
+        hopf2 = catalog_metric("hopf", (2,))
+        z = box_grid([0.6, 0.4j], 0.2, 2)
+        r, g = np.array([chern_curvature(hopf2, p) for p in z]), hopf2(z)
+        sbc, sbc_warned = _budget_warnings(lambda: sbc_bound(r, g, cfg))
         sbc_ref = [_budget_warnings(lambda p=p: _sbc_reference(r[p], g[p], cfg)) for p in range(16)]
+        assert len(rbc) == len(sbc) == 16
         for p in range(16):
             assert _same(rbc[p], rbc_ref[p][0]) and _same(sbc[p], sbc_ref[p][0])
         assert rbc_warned == sum(w for _, w in rbc_ref)
@@ -713,7 +834,8 @@ class TestLockstepSearch:
         # the first evaluation exponentiates every (point, sense, start) row,
         # each later one at most the rows still running: a stopped row stays
         # stopped, and a row runs at most max_iter sweeps of 2 n(n-1) steps
-        r, g = _two_points("hopf", 2, 4)
+        n = 3
+        r, g = _two_points("hopf", n, 4)
         cfg = FrameSearchConfig(n_starts=3, max_iter=10, seed=4)
         sizes, owners = [], []
 
@@ -729,10 +851,10 @@ class TestLockstepSearch:
         _budget_warnings(lambda: rbc_bounds(r, g, cfg))
         assert sizes[0] == 2 * 2 * 3
         assert all(a >= b for a, b in zip(sizes, sizes[1:]))
-        assert len(sizes) <= 1 + 2 * 2 * cfg.max_iter
+        assert len(sizes) <= 1 + 2 * n * (n - 1) * cfg.max_iter
         # one evaluated frame per exponentiated one
         sizes[:] = []
-        _budget_warnings(lambda: cones._frame_search(evaluate, 2, 2, cfg, (-1, +1)))
+        _budget_warnings(lambda: cones._frame_search(evaluate, 2, n, cfg, (-1, +1)))
         assert sizes == owners and sizes[0] == 12
 
     @pytest.mark.parametrize("with_finite_point", [False, True])

@@ -92,6 +92,24 @@ def test_frame_search_config_rejects_no_starts():
         FrameSearchConfig(n_starts=0)
 
 
+@pytest.mark.parametrize(
+    "budget, message",
+    [
+        ({"max_iter": 0}, "max_iter must be >= 1"),
+        ({"max_iter": -3}, "max_iter must be >= 1"),
+        ({"step_tol": 0.0}, "step_tol must be finite and positive"),
+        ({"step_tol": -1.0}, "step_tol must be finite and positive"),
+        ({"step_tol": float("nan")}, "step_tol must be finite and positive"),
+        ({"step_tol": float("inf")}, "step_tol must be finite and positive"),
+    ],
+)
+def test_frame_search_config_rejects_a_budget_that_runs_no_search(budget, message):
+    # max_iter < 1 ran no sweep and warned for every start; a NaN step_tol ran
+    # no sweep and returned the start frames' values as bounds
+    with pytest.raises(BadParams, match=message):
+        FrameSearchConfig(**budget)
+
+
 def test_domain_rejects_an_unknown_norm():
     with pytest.raises(BadParams, match="unknown norm type 'l1'"):
         Domain(center=(0.0,), radius=1.0, norm="l1")

@@ -359,6 +359,26 @@ class TestTasks:
         assert result["nodes"] == 2 and "T:2-1" in result["rule"]
         assert abs(result["rhs"] - 2.0) < 1e-6
 
+    @pytest.mark.parametrize(
+        "kind, catalog, search, field",
+        [
+            ("rbc", "fubini_study", {"step_tol": -1}, "step_tol"),
+            ("rbc", "fubini_study", {"step_tol": 0}, "step_tol"),
+            ("sbc", "complex_hyperbolic", {"step_tol": -1}, "step_tol"),
+            ("sbc", "complex_hyperbolic", {"max_iter": 0}, "max_iter"),
+        ],
+    )
+    def test_search_budget_that_runs_no_search_is_a_task_schema_error(self, kind, catalog, search, field):
+        # rbc at n = 3 and sbc at n = 2 search their frames
+        n = 3 if kind == "rbc" else 2
+        doc = {
+            "version": 1,
+            "metrics": {"m": {"catalog": catalog, "params": [n]}},
+            "tasks": [{"kind": kind, "metric": "m", "point": [[0.0, 0.0]] * n, "search": search}],
+        }
+        error = run_scenario(doc).tasks[0]["error"]
+        assert error.startswith("SchemaError:") and f"(at $.tasks[0].search.{field})" in error
+
     def test_sbc_task_unbounded(self):
         doc = {
             "version": 1,
@@ -659,6 +679,23 @@ class TestCli:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["tasks"][0]["result"]["tensor_max_abs"] < 1e-10
+
+    def test_rbc_subcommand_is_exact_at_n2(self, capsys):
+        assert main(["rbc", "--metric", "fubini_study:2", "--point", "0,0,0,0"]) == 0
+        result = json.loads(capsys.readouterr().out)["tasks"][0]["result"]
+        assert abs(result["inf"] - 2.0) < 1e-8 and abs(result["sup"] - 3.0) < 1e-8
+        assert result["heuristic"] is False
+
+    def test_rbc_subcommand_outside_the_domain_exit_1(self, capsys):
+        # hopf(2) lives on C^2 minus the origin
+        assert main(["rbc", "--metric", "hopf:2", "--point", "0,0,0,0"]) == 1
+        task = json.loads(capsys.readouterr().out)["tasks"][0]
+        assert task["status"] == "error" and task["error"].startswith("DomainMarginError:")
+
+    def test_sbc_subcommand_unbounded(self, capsys):
+        assert main(["sbc", "--metric", "complex_hyperbolic:2", "--point", "0,0,0,0"]) == 0
+        result = json.loads(capsys.readouterr().out)["tasks"][0]["result"]
+        assert result["status"] == "unbounded_below" and result["certificate"]["leading_coefficient"] < 0
 
     def test_schwarz_subcommand_with_grid_out(self, tmp_path, capsys):
         csv_path = tmp_path / "g.csv"

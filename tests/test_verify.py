@@ -12,7 +12,6 @@ from chernlab.errors import (
     FormInequalityViolated,
     HypothesisSignError,
     InfeasibleHypothesis,
-    SearchBudgetExhausted,
     UnboundedSbc,
 )
 from chernlab.maps import map_identity
@@ -66,10 +65,9 @@ class TestEstimateHypotheses:
 
     def test_positive_rbc_infeasible(self):
         fs = catalog_metric("fubini_study", (2,))
-        with pytest.raises(InfeasibleHypothesis), pytest.warns(SearchBudgetExhausted) as budget:
+        with pytest.raises(InfeasibleHypothesis):
             estimate_hypotheses(SchwarzPass(fs, fs, map_identity(2), [np.zeros(2)]), "chern_lu",
                                 frame_cfg=CFG)
-        assert len(budget) == 1
 
     def test_full_cone_kappa_unbounded(self):
         ch = catalog_metric("complex_hyperbolic", (2,))
@@ -335,13 +333,11 @@ class TestNonIdentityMaps:
 
     def test_family_two_dimensional(self):
         # identity of the complex-hyperbolic ball: kappa1 from the along-map
-        # certification, kappa2 from the frame search, bound not sharp
+        # certification, kappa2 from the exact n = 2 RBC, bound not sharp
         ch = catalog_metric("complex_hyperbolic", (2,))
         f = map_identity(2)
         grid = [np.array([x + 0.1j * y, 0.05 * y - 0.1j * x]) for x in (-0.2, 0.0, 0.2) for y in (-1.0, 1.0)]
-        with pytest.warns(SearchBudgetExhausted) as budget:
-            c = estimate_hypotheses(SchwarzPass(ch, ch, f, grid, ch), "family", frame_cfg=CFG)
-        assert len(budget) == 14
+        c = estimate_hypotheses(SchwarzPass(ch, ch, f, grid, ch), "family", frame_cfg=CFG)
         assert abs(c.c1 - 3.0) < 1e-3  # Ric2 = -(n+1) mu for this model
         assert abs(c.c3 - 3.0) < 1e-3
         assert abs(c.kappa2 - 2.0) < 1e-3

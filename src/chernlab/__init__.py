@@ -49,14 +49,11 @@ from .verify import (
     HypothesisConstants,
     SchwarzPass,
     SchwarzVerdict,
-    aubin_yau_verify,
     averaged_hsc_check,
-    chern_lu_verify,
     estimate_hypotheses,
-    family_verify,
     fs_moment_check,
+    schwarz_verify,
     theorem23_check,
-    trace_bound_verify,
 )
 
 __version__ = "0.1.0"

@@ -199,6 +199,8 @@ def build_parser():
         "pointwise verification of Schwarz-type inequalities.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # the names a task field takes, as the scenario schema lists them
+    task = scenario_schema()["$defs"]["task"]["properties"]
 
     def common(p, grid=False, seed=0, seed_help="master random seed"):
         p.add_argument("--seed", type=int, default=seed, help=seed_help)
@@ -228,21 +230,21 @@ def build_parser():
         p.set_defaults(func=lambda a, _k=kind: _cmd_cone(a, _k))
 
     p = sub.add_parser("schwarz", help="verify a Schwarz-type inequality on a grid")
-    p.add_argument("--theorem", required=True, choices=["chern_lu", "aubin_yau", "family", "trace_bound"])
+    p.add_argument("--theorem", required=True, choices=task["theorem"]["enum"])
     p.add_argument("--source", required=True, help="source metric spec")
     p.add_argument("--target", required=True, help="target metric spec")
     p.add_argument("--map", default="identity", help="map spec (identity, scaling:c, power:k, mobius:a)")
     p.add_argument("--mu", default=None, help="auxiliary metric for the family theorem")
-    p.add_argument("--preset", default=None, choices=["chen_cheng_lu", "ricci_only", "liouville"])
+    p.add_argument("--preset", default=None, choices=task["preset"]["enum"])
     p.add_argument("--grid", required=True, help="box:center=..;half=..;per-axis=..")
-    p.add_argument("--constants", default=None, help="JSON object of user constants")
+    p.add_argument("--constants", default=None, help="JSON object of user constants; the others are estimated")
     p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--kappa-mode", dest="kappa_mode", default=None, choices=["along_map", "full_cone"])
+    p.add_argument("--kappa-mode", dest="kappa_mode", default=None, choices=task["kappa_mode"]["enum"])
     common(p, grid=True)
     p.set_defaults(func=_cmd_schwarz)
 
     p = sub.add_parser("identity", help="standalone identity checks")
-    p.add_argument("--check", required=True, choices=["fs-moment", "theorem23", "averaged-hsc"])
+    p.add_argument("--check", required=True, choices=task["check"]["enum"])
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--indices", default="1,1,1,1")
     p.add_argument("--trials", type=int, default=100)

@@ -72,6 +72,8 @@ class FrameSearchConfig:
             raise BadParams("max_iter must be >= 1")
         if not (np.isfinite(self.step_tol) and self.step_tol > 0.0):
             raise BadParams(f"step_tol must be finite and positive, got {self.step_tol!r}")
+        if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
+            raise BadParams(f"seed must be an integer >= 0, got {self.seed!r}")
 
 
 @dataclass(frozen=True)

@@ -29,16 +29,12 @@ from .maps import catalog_map
 from .metrics import Domain, catalog_metric, scale_metric
 from .tensors import curvature_in_frame, gram_unitary_frame
 from .verify import (
-    HypothesisConstants,
     SchwarzPass,
     averaged_hsc_check,
-    aubin_yau_verify,
-    chern_lu_verify,
     estimate_hypotheses,
-    family_verify,
     fs_moment_check,
+    schwarz_verify,
     theorem23_check,
-    trace_bound_verify,
 )
 
 __all__ = ["Report", "box_grid", "emit_grid", "parse_grid_spec", "parse_point_spec", "run_scenario"]
@@ -296,7 +292,7 @@ def _verdict_payload(verdict):
         "bound": verdict.bound,
         "sup_energy": verdict.sup_energy,
         "tol": verdict.tol,
-        "constants": _jsonify(verdict.constants.as_dict()),
+        "constants": _jsonify(verdict.constants.values),
         "provenance": dict(verdict.constants.provenance),
         "achieved_at": _jsonify(verdict.constants.achieved_at),
         "records": _jsonify(verdict.records),
@@ -365,35 +361,17 @@ def _run_task(task, metrics, maps, loc, seed):
 
 
 def _run_schwarz(task, metrics, maps, loc, seed):
-    theorem = task["theorem"]
     source = _lookup(metrics, "metric", task["source"], f"{loc}.source")
     target = _lookup(metrics, "metric", task["target"], f"{loc}.target")
     mu = _lookup(metrics, "metric", task["mu"], f"{loc}.mu") if "mu" in task else None
-    fmap = None if theorem == "trace_bound" else _lookup(maps, "map", task["map"], f"{loc}.map")
+    fmap = None if task["theorem"] == "trace_bound" else _lookup(maps, "map", task["map"], f"{loc}.map")
     grid = box_grid(_as_point(task["grid"]["center"]), task["grid"]["half"], task["grid"]["per_axis"])
-    tol = task.get("tol", 1e-6)
-    cfg = _search_cfg(task.get("search"), seed)
     sp = SchwarzPass(source, target, fmap, grid, mu)
-
-    if "constants" in task:
-        constants = HypothesisConstants(**task["constants"])
-        for key in task["constants"]:
-            constants.provenance[key] = "user"
-        constants.n = constants.n or source.dim
-        constants.r = constants.r or constants.n
-    else:
-        constants = estimate_hypotheses(sp, theorem, frame_cfg=cfg,
-                                        kappa_mode=task.get("kappa_mode", "along_map"))
-
-    if theorem == "chern_lu":
-        verdict = chern_lu_verify(sp, constants, tol=tol)
-    elif theorem == "aubin_yau":
-        verdict = aubin_yau_verify(sp, constants, tol=tol)
-    elif theorem == "family":
-        verdict = family_verify(sp, constants, tol=tol, preset=task.get("preset"))
-    else:
-        verdict = trace_bound_verify(sp, constants, tol=tol)
-    return _verdict_payload(verdict)
+    # the document's constants are kept; only those it leaves out are estimated
+    constants = estimate_hypotheses(sp, task["theorem"], task.get("constants"),
+                                    _search_cfg(task.get("search"), seed),
+                                    task.get("kappa_mode", "along_map"), task.get("preset"))
+    return _verdict_payload(schwarz_verify(sp, constants, tol=task.get("tol", 1e-6)))
 
 
 def _run_identity(task, metrics, loc, seed):

@@ -1,31 +1,31 @@
 """Pointwise verification of Schwarz-type inequalities and the standalone
 identities behind them.
 
-Each verifier checks a differential or trace inequality on a sample grid and
-a global sup-energy bound against the closed-form constant combination of
-its theorem.  Verification is pointwise-on-grids: the charts are open sets,
-so "global" means the sup over the sampled grid, and every verdict records
-that, the constants used, and their provenance (user-given or estimated).
+Each Schwarz theorem is one row of ``THEOREMS``: its constants with every
+sign rule stated once, the form inequalities (pencils) and cone hypotheses
+that fit them, its pointwise left- and right-hand sides and its sup-energy
+bound.  ``estimate_hypotheses`` reads a row to fit the constants a caller
+leaves out, and ``schwarz_verify`` to check the inequality on a sample grid;
+"global" means the sup over that grid, as every verdict records.
 
-A Schwarz task is one ``SchwarzPass``, shared by ``estimate_hypotheses`` and
-the verifier: the ``(P, n)`` grid stack and every metric, map and curvature
-value read there, each evaluated once and only when first read.  Every point
-keeps the bits it gets alone, a failing check names the first failing point
-in grid order, and the cone kappas take all points in one ``rbc_bounds``
-call (exact for n <= 2, a lockstep frame search for n >= 3) or one lockstep
-``sbc_bound`` search.  Pencil eigenvalues are taken after whitening by a
-Cholesky factor.  All curvature goes through
-``SchwarzPass.curvature``, one point at a time: its stencils call the metric
-once per sample, a count the benchmark's evaluation check pins, so stacking
-them waits for that check to change.
+A Schwarz task is one ``SchwarzPass``, shared by both: the ``(P, n)`` grid
+stack and every metric, map and curvature value read there, each evaluated
+once and only when first read.  Every point keeps the bits it gets alone, a
+failing check names the first failing point in grid order, and the cone
+kappas take all points in one ``rbc_bounds`` or ``sbc_bound`` call.  All
+curvature goes through ``SchwarzPass.curvature``, one point at a time: its
+stencils call the metric once per sample, a count the benchmark's
+evaluation check pins, so stacking them waits for that check to change.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 import sys
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -49,46 +49,38 @@ __all__ = [
     "HypothesisConstants",
     "SchwarzPass",
     "SchwarzVerdict",
-    "aubin_yau_verify",
+    "THEOREMS",
     "averaged_hsc_check",
-    "chern_lu_verify",
     "estimate_hypotheses",
-    "family_verify",
     "fs_moment_check",
+    "schwarz_verify",
     "theorem23_check",
-    "trace_bound_verify",
 ]
 
 EIG_TOL = 1e-7  # absolute tolerance on eigenvalues of difference forms
 _EPS = np.finfo(float).eps  # 2 u, twice the unit roundoff
+CONSTANT_NAMES = ("c1", "c2", "c3", "c4", "kappa", "kappa1", "kappa2", "r", "n")
 
 
 @dataclass
 class HypothesisConstants:
-    """Constants entering the Schwarz hypotheses; which are active depends
-    on the theorem.  ``provenance`` maps constant names to "user" or
-    "estimated"; ``achieved_at`` records the grid point where an estimated
-    constant is tight."""
+    """The constants (``values`` by name) of the Schwarz theorem ``theorem``,
+    a key of ``THEOREMS``, with its family ``preset`` if any.  ``provenance``
+    is "user" (given), "estimated" (fitted, or the shift constant of a fitted
+    pencil, taken as 0) or "preset"; n, r and other shift constants have none.
+    ``achieved_at`` holds the grid point where an estimated constant is tight."""
 
-    c1: float | None = None
-    c2: float | None = None
-    c3: float | None = None
-    c4: float | None = None
-    kappa: float | None = None
-    kappa1: float | None = None
-    kappa2: float | None = None
-    r: int | None = None
-    n: int | None = None
+    theorem: str
+    preset: str | None = None
+    values: dict = field(default_factory=dict)
     provenance: dict = field(default_factory=dict)
     achieved_at: dict = field(default_factory=dict)
 
-    def as_dict(self):
-        out = {}
-        for name in ("c1", "c2", "c3", "c4", "kappa", "kappa1", "kappa2", "r", "n"):
-            value = getattr(self, name)
-            if value is not None:
-                out[name] = value
-        return out
+    def _set(self, name, value, how, at=None):
+        self.values[name] = value
+        self.provenance[name] = how
+        if at is not None:
+            self.achieved_at[name] = _z_list(at)
 
 
 @dataclass
@@ -159,17 +151,40 @@ class SchwarzPass:
             raise BadParams("this theorem needs a map")
         return singular_frames(self.map, self.points, self.source, self.target)
 
+    def full_rank_frames(self):
+        """``frames``, after checking that the map has rank n at every grid
+        point (RankDeficient names the first that does not)."""
+        deficient = self.frames.rank < self.points.shape[1]
+        if np.any(deficient):
+            raise RankDeficient(f"map is rank-deficient at {self.points[np.argmax(deficient)]}")
+        return self.frames
+
     @cached_property
     def g(self):
         """The source metric on the grid."""
         return self.source(self.points) if self.map is None else self.frames.metric
 
     @cached_property
-    def image(self):
-        """The map's values on the grid (without a map, the grid) and the target metric there."""
+    def image_points(self):
+        """The map's values on the grid (without a map, the grid)."""
+        return self.points if self.map is None else self.frames.image
+
+    @cached_property
+    def image_metric(self):
+        """The target metric at the image points."""
+        return self.target(self.points) if self.map is None else self.frames.image_metric
+
+    @cached_property
+    def inverse_pullback(self):
+        """``(f^-1)* omega`` at the image points (without a map, the source
+        metric); RankDeficient unless the map has rank n into dimension n."""
         if self.map is None:
-            return self.points, self.target(self.points)
-        return self.frames.image, self.frames.image_metric
+            return self.g
+        n, m = self.points.shape[1], self.target.dim
+        if m != n:
+            raise RankDeficient(f"(f^-1)* omega needs equal dimensions, got a map C^{n} -> C^{m}")
+        jinvs = np.linalg.inv(self.full_rank_frames().jacobian)
+        return np.swapaxes(jinvs, -1, -2) @ self.g @ np.conj(jinvs)
 
     @cached_property
     def mu_metric(self):
@@ -198,7 +213,7 @@ class SchwarzPass:
     @cached_property
     def target_ric2(self):
         """Ric2 of the target at the image points."""
-        return ricci(self.curvature(self.target, self.image[0]), self.image[1], 2)[0]
+        return ricci(self.curvature(self.target, self.image_points), self.image_metric, 2)[0]
 
     @cached_property
     def mu_ric2(self):
@@ -225,24 +240,58 @@ def _first_extreme(values, points, sense=+1):
     return float(values[k]), points[k]
 
 
+# ---------------------------------------------------------------------------
+# hypotheses: form pencils and cones
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Pencil:
+    """The form inequality ``ricci >= -K base + S shifted`` (``<=`` when
+    ``upper``) between forms of a ``SchwarzPass``, named by attribute paths,
+    that fits the constant ``fits`` (K) for a ``shift`` constant (S)."""
+
+    fits: str
+    shift: str
+    ricci: str
+    shifted: str
+    base: str
+    upper: bool
+    text: str
+
+    def _forms(self, sp):
+        shifted = operator.attrgetter(self.shifted)(sp)  # first: the map's frames and their checks
+        return getattr(sp, self.ricci), shifted, getattr(sp, self.base)
+
+    def fit(self, sp, s):
+        """The tightest K on the grid of ``sp`` for ``S = s``, and the first point where it is tight."""
+        ricci_form, shifted, base = self._forms(sp)
+        if self.upper:
+            return _first_extreme(np.min(_gen_eigs(s * shifted - ricci_form, base), axis=-1), sp.points, -1)
+        return _first_extreme(-np.min(_gen_eigs(ricci_form - s * shifted, base), axis=-1), sp.points)
+
+    def slack(self, sp, k, s):
+        """The least eigenvalue at each grid point of the form that the
+        inequality with ``K = k`` and ``S = s`` says is semidefinite."""
+        ricci_form, shifted, base = self._forms(sp)
+        form = s * shifted - k * base - ricci_form if self.upper else ricci_form + k * base - s * shifted
+        return np.min(np.linalg.eigvalsh(form), axis=-1)
+
+
 def _kappa_rbc(sp, cfg):
     """kappa with RBC <= -kappa: minus the largest RBC sup over the image
     points of the pass ``sp``, from one ``rbc_bounds`` call (exact for
     n <= 2, searched for n >= 3)."""
-    image, image_metric = sp.image
-    bounds = rbc_bounds(sp.curvature(sp.target, image), image_metric, cfg)
-    sup, at = _first_extreme([b.sup for b in bounds], image)
+    bounds = rbc_bounds(sp.curvature(sp.target, sp.image_points), sp.image_metric, cfg)
+    sup, at = _first_extreme([b.sup for b in bounds], sp.image_points)
     return -sup, at
 
 
-def _kappa_sbc_along_map(sp):
+def _kappa_sbc_along_map(sp, cfg):
     """kappa with SBC_omega >= -kappa along the map: the sup over the grid
     of minus the pointwise curvature sum at the map's singular values, in
     the source singular frame."""
-    sf = sp.frames
-    deficient = sf.rank < sp.points.shape[1]
-    if np.any(deficient):
-        raise RankDeficient(f"map is rank-deficient at {sp.points[np.argmax(deficient)]}")
+    sf = sp.full_rank_frames()
     fm = curvature_in_frame(sp.curvature(sp.source, sp.points), sf.source_frame)
     values = [-sbc_along_map(r_mat, lambdas) for r_mat, lambdas in zip(fm.r_mat, sf.lambdas)]
     value, at = _first_extreme(values, sp.points)
@@ -262,342 +311,313 @@ def _kappa_sbc_full_cone(sp, cfg):
     return max(0.0, value), at
 
 
-def estimate_hypotheses(sp, theorem="chern_lu", fixed=None, frame_cfg=FrameSearchConfig(),
-                        kappa_mode="along_map"):
-    """Fit the tightest constants valid on the grid of the pass ``sp`` for a
-    theorem.
-
-    ``fixed`` supplies user-chosen constants (recorded with provenance
-    "user"); the remaining ones are fitted so the defining form
-    inequalities hold with equality at their achieving points.  Raises
-    InfeasibleHypothesis when a sign constraint cannot be met (e.g. the
-    RBC sup is positive where kappa >= 0 is demanded) and UnboundedSbc
-    when a full-cone kappa certification fails.  ``kappa_mode`` picks the
-    Aubin-Yau kappa: the SBC along the map (``"along_map"``) or over the
-    full cone (``"full_cone"``).
-    """
-    if kappa_mode not in ("along_map", "full_cone"):
-        raise BadParams(f"unknown kappa_mode {kappa_mode!r} (expected 'along_map' or 'full_cone')")
-    fixed = dict(fixed or {})
-    stack = sp.points
-    n = sp.source.dim
-    constants = HypothesisConstants(n=n)
-    for name, value in fixed.items():
-        setattr(constants, name, value)
-        constants.provenance[name] = "user"
-
-    def fit(name, value, at):
-        if name in fixed:
-            return getattr(constants, name)
-        setattr(constants, name, float(value))
-        constants.provenance[name] = "estimated"
-        if at is not None:
-            constants.achieved_at[name] = _z_list(at)
-        return float(value)
-
-    if theorem == "chern_lu":
-        c2 = fixed.get("c2", 0.0)
-        if c2 < 0:
-            raise HypothesisSignError("C2 must be nonnegative")
-        fit("c2", c2, None)
-        sf = sp.frames
-        eigs = _gen_eigs(sp.source_ric2 - c2 * sf.pullback, sp.g)
-        fit("c1", *_first_extreme(-np.min(eigs, axis=-1), stack))
-        kappa, at = _kappa_rbc(sp, frame_cfg)
-        if kappa < 0:
-            raise InfeasibleHypothesis(
-                f"RBC sup of the target is positive ({-kappa:.6g}); kappa >= 0 is demanded"
-            )
-        fit("kappa", kappa, at)
-        constants.r = int(np.max(sf.rank))
-        if constants.kappa + constants.c2 <= 0:
-            raise InfeasibleHypothesis("kappa + C2 > 0 is required for the bound")
-        return constants
-
-    if theorem in ("aubin_yau", "trace_bound"):
-        c2 = fixed.get("c2", 0.0)
-        fit("c2", c2, None)
-        back, form = sp.g, "omega"  # (f^-1)* omega, the identity's for the trace bound
-        if theorem == "aubin_yau":
-            if sp.target.dim != n:
-                raise RankDeficient(f"Aubin-Yau needs equal dimensions, got a map C^{n} -> C^{sp.target.dim}")
-            deficient = sp.frames.rank < n
-            if np.any(deficient):
-                raise RankDeficient(f"map is rank-deficient at {stack[np.argmax(deficient)]}")
-            jinvs = np.linalg.inv(sp.frames.jacobian)
-            back, form = np.swapaxes(jinvs, -1, -2) @ sp.g @ np.conj(jinvs), "(f^-1)* omega"
-        eigs = _gen_eigs(c2 * back - sp.target_ric2, sp.image[1])
-        c1, at = _first_extreme(np.min(eigs, axis=-1), stack, -1)
-        if c1 <= 0:
-            raise InfeasibleHypothesis(f"no C1 > 0 satisfies Ric2 <= -C1 eta + C2 {form} (best {c1:.6g})")
-        fit("c1", c1, at)
-        if "kappa" not in fixed:
-            along_map = theorem == "aubin_yau" and kappa_mode == "along_map"
-            fit("kappa", *(_kappa_sbc_along_map(sp) if along_map else _kappa_sbc_full_cone(sp, frame_cfg)))
-        constants.r = n
-        return constants
-
-    if theorem == "family":
-        c2 = fixed.get("c2", 0.0)
-        c4 = fixed.get("c4", 0.0)
-        if c2 < 0:
-            raise HypothesisSignError("C2 must be nonnegative")
-        fit("c2", c2, None)
-        fit("c4", c4, None)
-        sf = sp.frames
-        ric2_mu, g_mu = sp.mu_ric2, sp.mu_metric
-        fit("c1", *_first_extreme(np.max(_gen_eigs(c2 * sf.pullback - ric2_mu, g_mu), axis=-1), stack))
-        eigs = _gen_eigs(c4 * sp.g - ric2_mu, g_mu)
-        c3, at = _first_extreme(np.min(eigs, axis=-1), stack, -1)
-        if c3 <= 0:
-            raise InfeasibleHypothesis(
-                f"no C3 > 0 satisfies Ric2_mu <= -C3 mu + C4 omega (best {c3:.6g})"
-            )
-        fit("c3", c3, at)
-        if "kappa1" not in fixed:
-            kappa1, at1 = _kappa_sbc_along_map(sp)
-            fit("kappa1", kappa1, at1)
-        if "kappa2" not in fixed:
-            kappa2, at2 = _kappa_rbc(sp, frame_cfg)
-            if kappa2 < 0:
-                raise InfeasibleHypothesis(
-                    f"RBC sup of the target is positive ({-kappa2:.6g}); kappa2 >= 0 is demanded"
-                )
-            fit("kappa2", kappa2, at2)
-        constants.r = int(np.max(sf.rank))
-        if constants.kappa2 + constants.c2 <= 0:
-            raise InfeasibleHypothesis("kappa2 + C2 > 0 is required")
-        return constants
-
-    raise BadParams(f"unknown theorem {theorem!r}")
+# cone hypothesis -> (kappa fit, its text); "sbc" is either SBC one, by kappa_mode
+_CONES = {
+    "rbc": (_kappa_rbc, "RBC_eta <= -kappa"),
+    "sbc_along_map": (_kappa_sbc_along_map, "SBC_omega >= -kappa along the map"),
+    "sbc_full_cone": (_kappa_sbc_full_cone, "SBC_omega >= -kappa on the full cone"),
+}
+_OPS = {">": operator.gt, ">=": operator.ge, "<": operator.lt, "<=": operator.le}
 
 
-def _grid_verdict(theorem, records, bound, tol, constants, sup_checked=True):
-    """Verdict on the per-point ``records``: passed when every margin is at
-    least ``-tol`` and, if ``sup_checked``, the sup energy is within ``bound``."""
-    sup_energy = max(rec["energy"] for rec in records)
-    passed = all(rec["margin"] >= -tol for rec in records)
-    passed = passed and (not sup_checked or sup_energy <= bound * (1 + tol))
-    verdict = SchwarzVerdict(theorem, records, bound, sup_energy, passed, tol, constants)
-    verdict.notes["worst_point"] = verdict.worst()["z"]
-    verdict.notes["grid_semantics"] = "sup over sampled grid"
-    return verdict
+def _check_rules(c, rules, fitted_by):
+    """Check every sign rule, like ``"kappa + c2 > 0"``, whose constants ``c``
+    holds.  A broken rule is InfeasibleHypothesis when an estimated constant
+    enters it and HypothesisSignError otherwise; ``fitted_by`` names the
+    hypothesis each estimated constant was fitted to."""
+    for rule in rules:
+        *terms, op, _ = rule.split()
+        names = terms[0::2]
+        if not c.values.keys() >= set(names) or _OPS[op](sum(c.values[name] for name in names), 0):
+            continue
+        got = ", ".join(f"{name} = {c.values[name]:.6g}" for name in names)
+        estimated = [name for name in names if c.provenance.get(name) == "estimated"]
+        if estimated:
+            sources = "; ".join(f"{name} from {fitted_by.get(name, 'a fit')}" for name in estimated)
+            raise InfeasibleHypothesis(f"{c.theorem} needs {rule}, got {got} ({sources})")
+        raise HypothesisSignError(f"{c.theorem} needs {rule}, got {got}")
 
 
-def _require_finite(constants, tol):
-    """HypothesisSignError naming the constants that are NaN or past the range
-    of a double, and BadParams for such a ``tol``."""
-    bad = [f"{name} = {value!r}" for name, value in constants.as_dict().items()
-           if not abs(value) <= sys.float_info.max]
+def _require_finite(values):
+    """HypothesisSignError naming the constants that are NaN or past the range of a double."""
+    bad = [f"{name} = {value!r}" for name, value in values.items() if not abs(value) <= sys.float_info.max]
     if bad:
         raise HypothesisSignError(f"constants must be finite, got {', '.join(bad)}")
-    if not abs(tol) <= sys.float_info.max:
-        raise BadParams(f"tol must be finite, got {tol!r}")
 
 
-def chern_lu_verify(sp, constants, tol=1e-6):
-    """Chern-Lu check on the pass ``sp``: pointwise ``Delta_omega log|df|^2 >=
-    -C1 + (kappa + C2)|df|^2 / r`` plus the sup bound ``|df|^2 <= C1 r /
-    (kappa + C2)``."""
-    _require_finite(constants, tol)
-    c1, c2, kappa = constants.c1, constants.c2 or 0.0, constants.kappa
-    if c1 is None or kappa is None:
-        raise HypothesisSignError("Chern-Lu needs C1 and kappa")
-    if c2 < 0:
-        raise HypothesisSignError("C2 must be nonnegative")
-    if kappa + c2 <= 0:
-        raise HypothesisSignError("kappa + C2 > 0 is required for the bound")
-    r = constants.r or sp.source.dim
-    sf = sp.frames
-    lhss = laplacian_log_energy(sp.map, sp.points, sp.source, sp.target, sf)
-    records = []
-    for point, energy, lhs in zip(sp.points, sf.energy.tolist(), lhss.tolist()):
-        rhs = -c1 + (kappa + c2) * energy / r
-        records.append({"z": _z_list(point), "energy": energy, "lhs": lhs, "rhs": rhs, "margin": lhs - rhs})
-    verdict = _grid_verdict("chern_lu", records, c1 * r / (kappa + c2), tol, constants)
-    verdict.notes["bound_slack"] = verdict.bound - verdict.sup_energy
-    return verdict
+# ---------------------------------------------------------------------------
+# the theorems
+# ---------------------------------------------------------------------------
 
 
-def aubin_yau_verify(sp, constants, tol=1e-6):
-    """Aubin-Yau check on the pass ``sp``: pointwise ``Delta_eta |df|^2 >=
-    C1 |df|^2 - n(C2 + kappa)`` plus the sup bound ``|df|^2 <= n(C2 +
-    kappa)/C1``.
+@dataclass(frozen=True)
+class Preset:
+    """A corollary: constants it ``fixes`` before fitting and ``derives``
+    after, its own sign ``rules``, ``checks`` ``(text, test(values, tol))``,
+    the ``bound`` replacing the theorem's, and whether that bound is a
+    ``contradiction`` (at most 0: no map has positive energy)."""
 
-    The margin is against the displayed (weaker) right-hand side; the
-    margin against the stricter in-proof form ``C1|df|^2 - n C2 - kappa``
-    is recorded alongside as ``margin_strict``.
-    """
-    _require_finite(constants, tol)
-    c1, c2, kappa = constants.c1, constants.c2 or 0.0, constants.kappa
-    if c1 is None or kappa is None:
-        raise HypothesisSignError("Aubin-Yau needs C1 and kappa")
-    if kappa < 0:
-        raise HypothesisSignError("kappa must be nonnegative")
-    if c1 <= 0:
-        raise HypothesisSignError("C1 must be positive")
-    n = sp.source.dim
-    sf = sp.frames
-    deficient = sf.rank < n
-    if np.any(deficient):
-        raise RankDeficient(f"map is rank-deficient at {sp.points[np.argmax(deficient)]}")
-    lhss = laplacian_energy(sp.map, sp.points, sp.source, sp.target, sf)
-    records = []
-    for point, energy, lhs in zip(sp.points, sf.energy.tolist(), lhss.tolist()):
-        rhs = c1 * energy - n * (c2 + kappa)
-        rhs_strict = c1 * energy - n * c2 - kappa
-        records.append({"z": _z_list(point), "energy": energy, "lhs": lhs, "rhs": rhs,
-                        "margin": lhs - rhs, "margin_strict": lhs - rhs_strict})
-    verdict = _grid_verdict("aubin_yau", records, n * (c2 + kappa) / c1, tol, constants)
-    verdict.notes["min_margin_strict"] = min(rec["margin_strict"] for rec in records)
-    return verdict
+    fixes: dict = field(default_factory=dict)
+    derives: dict = field(default_factory=dict)
+    rules: tuple = ()
+    checks: tuple = ()
+    bound: Callable | None = None
+    contradiction: bool = False
 
 
-def _family_bound(constants):
-    return (
-        constants.c1
-        * constants.n
-        * constants.r
-        * (constants.kappa1 + constants.c4)
-        / (constants.c3 * (constants.kappa2 + constants.c2))
-    )
+@dataclass(frozen=True)
+class Theorem:
+    """One Schwarz theorem as data.  ``pencils`` and ``cones`` (kappa name
+    -> key of ``_CONES``, or "sbc") fit its constants; ``rules`` are its sign
+    rules, ``"<name> [+ <name>...] <op> 0"``; r is the map's greatest rank
+    when ``rank_of_map``, else n.  ``lhs(sp, values)`` gives per-point
+    energies and left-hand sides, ``rhs(values, energy)`` the right-hand
+    side of ``lhs >= rhs``, and ``strict_rhs`` a stronger one recorded beside
+    it.  A verdict passes when every margin is within tol and the sup energy
+    within ``bound``, unless ``upper``: then ``lhs <= rhs`` with ``rhs`` the
+    bound itself, which the margins check alone."""
+
+    pencils: tuple
+    cones: dict
+    rules: tuple
+    rank_of_map: bool
+    lhs: Callable
+    rhs: Callable
+    bound: Callable
+    notes: Callable
+    upper: bool = False
+    strict_rhs: Callable | None = None
+    presets: dict = field(default_factory=dict)
 
 
-def _apply_family_preset(constants, preset, tol):
-    """Validate/derive constants for the corollary presets of the family."""
-    c = constants
-    if preset is None:
-        return _family_bound(c), {}
-    if preset == "chen_cheng_lu":
-        if c.kappa2 is None or c.kappa2 <= 0:
-            raise HypothesisSignError("chen_cheng_lu needs kappa2 > 0")
-        if c.c4 not in (None, 0, 0.0):
-            raise HypothesisSignError("chen_cheng_lu requires C4 = 0")
-        c.c4 = 0.0
-        target_c1 = (c.kappa2 + c.c2) / (c.kappa2 * c.n * c.r) * c.c3
-        if c.c1 is None:
-            c.c1 = target_c1
-            c.provenance["c1"] = "preset"
-        elif abs(c.c1 - target_c1) > tol * max(1.0, abs(target_c1)):
-            raise HypothesisSignError(
-                f"chen_cheng_lu requires C1 = (kappa2+C2)/(kappa2 n r) C3 = {target_c1:.6g}"
-            )
-        if c.c2 < c.kappa2 * (c.n * c.r - 1) - tol:
-            raise HypothesisSignError("chen_cheng_lu requires C2 >= kappa2 (n r - 1)")
-        return c.kappa1 / c.kappa2, {"preset": "chen_cheng_lu"}
-    if preset == "ricci_only":
-        if c.n * c.r * (c.kappa1 + c.c4) > c.kappa2 + c.c2 + tol:
-            raise HypothesisSignError("ricci_only requires n r (kappa1 + C4) <= kappa2 + C2")
-        return c.c1 / c.c3, {"preset": "ricci_only"}
-    if preset == "liouville":
-        if c.c1 is None or c.c1 <= 0 or c.c3 is None or c.c3 <= 0:
-            raise HypothesisSignError("liouville requires C1, C3 > 0")
-        if c.c4 is None or c.c4 >= 0:
-            raise HypothesisSignError("liouville requires C4 < 0")
-        if not 0 <= c.kappa1 <= -c.c4:
-            raise HypothesisSignError("liouville requires 0 <= kappa1 <= -C4")
-        return _family_bound(c), {"preset": "liouville", "liouville_contradiction": True}
-    raise BadParams(f"unknown family preset {preset!r}")
-
-
-def family_verify(sp, constants, tol=1e-6, preset=None):
-    """Family-of-Schwarz-lemmas check on the pass ``sp``: both form
-    inequalities ``-C1 mu + C2 f*eta <= Ric2_mu <= -C3 mu + C4 omega``
-    pointwise, then the sup bound ``|df|^2 <= C1 n r (kappa1+C4) / (C3
-    (kappa2+C2))``.
-
-    Presets configure the corollary instances: ``chen_cheng_lu`` (bound
-    kappa1/kappa2), ``ricci_only`` (bound C1/C3), and ``liouville`` (the
-    forced bound is <= 0, so any map with positive energy certifies the
-    no-map contradiction).
-    """
-    _require_finite(constants, tol)
-    c = constants
-    needed = ("c2", "c3", "kappa1", "kappa2") if preset == "chen_cheng_lu" else (
-        "c1", "c2", "c3", "kappa1", "kappa2"
-    )
-    for name in needed:
-        if getattr(c, name) is None:
-            raise HypothesisSignError(f"family theorem needs {name}")
-    if c.c4 is None:
-        c.c4 = 0.0
-    if c.c2 < 0:
-        raise HypothesisSignError("C2 must be nonnegative")
-    if c.c3 <= 0:
-        raise HypothesisSignError("C3 must be positive")
-    if c.kappa1 < 0 or c.kappa2 < 0:
-        raise HypothesisSignError("kappa1, kappa2 must be nonnegative")
-    if c.kappa2 + c.c2 <= 0:
-        raise HypothesisSignError("kappa2 + C2 > 0 is required")
-    c.n = c.n or sp.source.dim
-    c.r = c.r or sp.source.dim
-    bound, preset_notes = _apply_family_preset(c, preset, tol)
-
-    sf = sp.frames
-    g_mu, ric2_mu = sp.mu_metric, sp.mu_ric2
-    lo_eigs = np.min(np.linalg.eigvalsh(ric2_mu + c.c1 * g_mu - c.c2 * sf.pullback), axis=-1)
-    hi_eigs = np.min(np.linalg.eigvalsh(c.c4 * sp.g - c.c3 * g_mu - ric2_mu), axis=-1)
-    slacks = [min(lo, hi) for lo, hi in zip(lo_eigs.tolist(), hi_eigs.tolist())]
-    records = [
-        {"z": _z_list(point), "energy": energy, "lhs": slack, "rhs": 0.0, "margin": slack}
-        for point, energy, slack in zip(sp.points, sf.energy.tolist(), slacks)
-    ]
-    worst, at = _first_extreme(slacks, sp.points, -1)
-    if worst < -EIG_TOL:
-        raise FormInequalityViolated(
-            f"Ric2_mu form inequality violated: min eigenvalue {worst:.6g} at {at}",
-            point=_z_list(at),
-            eigenvalue=worst,
-        )
-    sup_energy = max(rec["energy"] for rec in records)
-    if preset == "liouville":
-        passed = bound <= tol
-    else:
-        passed = sup_energy <= bound * (1 + tol)
-    verdict = SchwarzVerdict(
-        theorem="family" if preset is None else f"family:{preset}",
-        records=records,
-        bound=bound,
-        sup_energy=sup_energy,
-        passed=passed,
-        tol=tol,
-        constants=c,
-    )
-    verdict.notes.update(preset_notes)
-    verdict.notes["min_form_eigenvalue"] = worst
-    verdict.notes["worst_point"] = _z_list(at)
-    verdict.notes["grid_semantics"] = "sup over sampled grid"
-    if not passed and preset != "liouville":
-        over = max(records, key=lambda rec: rec["energy"])
-        verdict.notes["bound_violation"] = {"point": over["z"], "energy": over["energy"], "bound": bound}
-    return verdict
-
-
-def trace_bound_verify(sp, constants, tol=1e-6):
-    """Trace bound for the identity map on the pass ``sp`` (which has no
-    map): ``tr_omega(eta) <= (kappa + n C2)/C1`` at each grid point.  When
-    the certified constants satisfy ``kappa <= -C2`` the
-    automorphism-triviality flag is set (informational; no group
-    computation is attempted)."""
-    _require_finite(constants, tol)
-    c1, c2, kappa = constants.c1, constants.c2 or 0.0, constants.kappa
-    if c1 is None or c1 <= 0:
-        raise HypothesisSignError("trace bound needs C1 > 0")
-    if kappa is None or kappa < 0:
-        raise HypothesisSignError("trace bound needs a finite kappa >= 0")
+def _trace_lhs(sp, c):
     if sp.map is not None:
         raise BadParams("the trace bound compares the two metrics at one point; its pass has no map")
-    n = constants.n or sp.source.dim
-    bound = (kappa + n * c2) / c1
-    traces = trace_form(sp.g, sp.image[1])
-    records = [
-        {"z": _z_list(point), "energy": tr, "lhs": tr, "rhs": bound, "margin": bound - tr}
-        for point, tr in zip(sp.points, traces.tolist())
-    ]
-    verdict = _grid_verdict("trace_bound", records, bound, tol, constants, sup_checked=False)
-    verdict.notes["aut_trivial_flag"] = bool(kappa <= -c2 + 1e-12)
-    return verdict
+    traces = trace_form(sp.g, sp.image_metric).tolist()
+    return traces, traces
 
+
+_FAMILY_PENCILS = (
+    Pencil("c1", "c2", "mu_ric2", "frames.pullback", "mu_metric", False, "Ric2_mu >= -C1 mu + C2 f*eta"),
+    Pencil("c3", "c4", "mu_ric2", "g", "mu_metric", True, "Ric2_mu <= -C3 mu + C4 omega"),
+)
+
+
+def _family_lhs(sp, c):
+    """Both family form inequalities at each grid point: the least
+    eigenvalue of either; FormInequalityViolated if one is below -EIG_TOL."""
+    lo, hi = (p.slack(sp, c[p.fits], c[p.shift]) for p in _FAMILY_PENCILS)
+    slacks = [min(a, b) for a, b in zip(lo.tolist(), hi.tolist())]
+    worst, at = _first_extreme(slacks, sp.points, -1)
+    if worst < -EIG_TOL:
+        raise FormInequalityViolated(f"Ric2_mu form inequality violated: min eigenvalue {worst:.6g} at {at}",
+                                     point=_z_list(at), eigenvalue=worst)
+    return sp.frames.energy.tolist(), slacks
+
+
+def _family_notes(c, verdict):
+    worst, at = _first_extreme([rec["margin"] for rec in verdict.records], verdict.records, -1)
+    notes = {"min_form_eigenvalue": worst, "worst_point": at["z"]}
+    if verdict.constants.preset:
+        notes["preset"] = verdict.constants.preset
+    if verdict.constants.preset == "liouville":
+        notes["liouville_contradiction"] = True
+    elif not verdict.passed:
+        over = max(verdict.records, key=lambda rec: rec["energy"])
+        notes["bound_violation"] = {"point": over["z"], "energy": over["energy"], "bound": verdict.bound}
+    return notes
+
+
+def _chen_cheng_lu_c1(c):
+    return (c["kappa2"] + c["c2"]) / (c["kappa2"] * c["n"] * c["r"]) * c["c3"]
+
+
+_RANKS = ("n > 0", "r > 0")
+
+THEOREMS = {
+    # Delta_omega log|df|^2 >= -C1 + (kappa + C2)|df|^2 / r, so |df|^2 <= C1 r / (kappa + C2);
+    # the /r step uses sum lambda^4 >= (sum lambda^2)^2 / r, which needs kappa >= 0
+    "chern_lu": Theorem(
+        pencils=(Pencil("c1", "c2", "source_ric2", "frames.pullback", "g", False,
+                        "Ric2 >= -C1 omega + C2 f*eta"),),
+        cones={"kappa": "rbc"},
+        rules=("c2 >= 0", "kappa >= 0", "kappa + c2 > 0", *_RANKS),
+        rank_of_map=True,
+        lhs=lambda sp, c: (sp.frames.energy.tolist(),
+                           laplacian_log_energy(sp.map, sp.points, sp.source, sp.target, sp.frames).tolist()),
+        rhs=lambda c, e: -c["c1"] + (c["kappa"] + c["c2"]) * e / c["r"],
+        bound=lambda c: c["c1"] * c["r"] / (c["kappa"] + c["c2"]),
+        notes=lambda c, v: {"bound_slack": v.bound - v.sup_energy},
+    ),
+    # Delta_eta |df|^2 >= C1 |df|^2 - n (C2 + kappa), so |df|^2 <= n (C2 + kappa) / C1; the
+    # in-proof form C1 |df|^2 - n C2 - kappa is recorded beside it as margin_strict
+    "aubin_yau": Theorem(
+        pencils=(Pencil("c1", "c2", "target_ric2", "inverse_pullback", "image_metric", True,
+                        "Ric2_eta <= -C1 eta + C2 (f^-1)* omega"),),
+        cones={"kappa": "sbc"},
+        rules=("c1 > 0", "kappa >= 0", *_RANKS),
+        rank_of_map=False,
+        lhs=lambda sp, c: (sp.frames.energy.tolist(),
+                           laplacian_energy(sp.map, sp.points, sp.source, sp.target, sp.frames).tolist()),
+        rhs=lambda c, e: c["c1"] * e - c["n"] * (c["c2"] + c["kappa"]),
+        strict_rhs=lambda c, e: c["c1"] * e - c["n"] * c["c2"] - c["kappa"],
+        bound=lambda c: c["n"] * (c["c2"] + c["kappa"]) / c["c1"],
+        notes=lambda c, v: {"min_margin_strict": min(rec["margin_strict"] for rec in v.records)},
+    ),
+    # the identity between two metrics: tr_omega(eta) <= (kappa + n C2) / C1 at each point;
+    # kappa <= -C2 flags that automorphisms are trivial (informational)
+    "trace_bound": Theorem(
+        pencils=(Pencil("c1", "c2", "target_ric2", "inverse_pullback", "image_metric", True,
+                        "Ric2_eta <= -C1 eta + C2 omega"),),
+        cones={"kappa": "sbc_full_cone"},
+        rules=("c1 > 0", "kappa >= 0", *_RANKS),
+        rank_of_map=False,
+        lhs=_trace_lhs,
+        rhs=lambda c, e: THEOREMS["trace_bound"].bound(c),
+        bound=lambda c: (c["kappa"] + c["n"] * c["c2"]) / c["c1"],
+        upper=True,
+        notes=lambda c, v: {"aut_trivial_flag": bool(c["kappa"] <= -c["c2"] + 1e-12)},
+    ),
+    # -C1 mu + C2 f*eta <= Ric2_mu <= -C3 mu + C4 omega pointwise (the records' margins), then
+    # |df|^2 <= C1 n r (kappa1 + C4) / (C3 (kappa2 + C2))
+    "family": Theorem(
+        pencils=_FAMILY_PENCILS,
+        cones={"kappa1": "sbc_along_map", "kappa2": "rbc"},
+        rules=("c2 >= 0", "c3 > 0", "kappa1 >= 0", "kappa2 >= 0", "kappa2 + c2 > 0", *_RANKS),
+        rank_of_map=True,
+        lhs=_family_lhs,
+        rhs=lambda c, e: 0.0,
+        bound=lambda c: (c["c1"] * c["n"] * c["r"] * (c["kappa1"] + c["c4"])
+                         / (c["c3"] * (c["kappa2"] + c["c2"]))),
+        notes=_family_notes,
+        presets={
+            # C1 = (kappa2 + C2) / (kappa2 n r) C3 and C4 = 0: |df|^2 <= kappa1 / kappa2
+            "chen_cheng_lu": Preset(
+                fixes={"c4": 0.0},
+                derives={"c1": _chen_cheng_lu_c1},
+                rules=("kappa2 > 0",),
+                checks=(
+                    ("C1 = (kappa2 + C2) / (kappa2 n r) C3", lambda c, tol: abs(
+                        c["c1"] - _chen_cheng_lu_c1(c)) <= tol * max(1.0, abs(_chen_cheng_lu_c1(c)))),
+                    ("C2 >= kappa2 (n r - 1)",
+                     lambda c, tol: c["c2"] >= c["kappa2"] * (c["n"] * c["r"] - 1) - tol),
+                ),
+                bound=lambda c: c["kappa1"] / c["kappa2"],
+            ),
+            # n r (kappa1 + C4) <= kappa2 + C2: |df|^2 <= C1 / C3
+            "ricci_only": Preset(
+                checks=(("n r (kappa1 + C4) <= kappa2 + C2", lambda c, tol: c["n"] * c["r"] * (
+                    c["kappa1"] + c["c4"]) <= c["kappa2"] + c["c2"] + tol),),
+                bound=lambda c: c["c1"] / c["c3"],
+            ),
+            # C4 < 0 and kappa1 <= -C4 force the bound to be <= 0: no map has positive energy
+            "liouville": Preset(rules=("c1 > 0", "c4 < 0", "kappa1 + c4 <= 0"), contradiction=True),
+        },
+    ),
+}
+
+
+def _row(theorem, preset):
+    """The ``THEOREMS`` row and the ``Preset`` (an empty one for None), or BadParams."""
+    if theorem not in THEOREMS:
+        raise BadParams(f"unknown theorem {theorem!r} (expected one of {sorted(THEOREMS)})")
+    row = THEOREMS[theorem]
+    if preset is not None and preset not in row.presets:
+        raise BadParams(f"theorem {theorem!r} has no preset {preset!r} (it has {sorted(row.presets)})")
+    return row, row.presets[preset] if preset is not None else Preset()
+
+
+def estimate_hypotheses(sp, theorem, fixed=None, frame_cfg=FrameSearchConfig(), kappa_mode="along_map",
+                        preset=None):
+    """The constants of ``theorem`` (a key of ``THEOREMS``) on the pass
+    ``sp``: ``fixed`` ones as given, those a ``preset`` fixes or derives, and
+    the others fitted, tightest on the grid, so given constants evaluate
+    nothing.  Shift constants (C2, C4) left out are 0, n is the source
+    dimension and r the map's greatest rank (Chern-Lu, family) or n.
+    ``kappa_mode`` takes the Aubin-Yau kappa ``"along_map"`` or on the
+    ``"full_cone"``.  Broken sign rules raise HypothesisSignError for given
+    constants and InfeasibleHypothesis for fitted ones; a full-cone kappa
+    raises UnboundedSbc where the SBC is -inf."""
+    row, spec = _row(theorem, preset)
+    if kappa_mode not in ("along_map", "full_cone"):
+        raise BadParams(f"unknown kappa_mode {kappa_mode!r} (expected 'along_map' or 'full_cone')")
+    c = HypothesisConstants(theorem, preset)
+    for name, value in (fixed or {}).items():
+        if name not in CONSTANT_NAMES:
+            raise BadParams(f"unknown constant {name!r} (expected one of {CONSTANT_NAMES})")
+        c._set(name, value, "user")
+    _require_finite(c.values)
+    for name, value in spec.fixes.items():
+        if c.values.setdefault(name, value) != value:
+            raise HypothesisSignError(f"{theorem}:{preset} needs {name} = {value}, got {c.values[name]}")
+        c.provenance.setdefault(name, "preset")
+    rules, fitted_by = row.rules + spec.rules, {}
+    _check_rules(c, rules, fitted_by)
+    for pencil in row.pencils:
+        if pencil.fits in c.values or pencil.fits in spec.derives:
+            continue
+        if pencil.shift not in c.values:
+            c._set(pencil.shift, 0.0, "estimated")
+        value, at = pencil.fit(sp, c.values[pencil.shift])
+        c._set(pencil.fits, value, "estimated", at)
+        fitted_by[pencil.fits] = fitted_by[pencil.shift] = pencil.text
+        _check_rules(c, rules, fitted_by)
+    for name, cone in row.cones.items():
+        if name not in c.values:
+            fit, fitted_by[name] = _CONES[f"sbc_{kappa_mode}" if cone == "sbc" else cone]
+            value, at = fit(sp, frame_cfg)
+            c._set(name, value, "estimated", at)
+            _check_rules(c, rules, fitted_by)
+    for pencil in row.pencils:
+        c.values.setdefault(pencil.shift, 0.0)
+    c.values.setdefault("n", sp.source.dim)
+    c.values.setdefault("r", max(1, int(np.max(sp.frames.rank))) if row.rank_of_map else c.values["n"])
+    for name, derive in spec.derives.items():
+        if name not in c.values:
+            c._set(name, derive(c.values), "preset")
+    return c
+
+
+def schwarz_verify(sp, constants, tol=1e-6):
+    """The verdict of the theorem of ``constants`` (from
+    ``estimate_hypotheses``) on the pass ``sp``: one record per grid point
+    and the sup-energy bound.  HypothesisSignError when a constant is
+    missing, not finite or breaks a rule, BadParams for a non-finite tol."""
+    row, spec = _row(constants.theorem, constants.preset)
+    c = constants.values
+    _require_finite(c)
+    if not abs(tol) <= sys.float_info.max:
+        raise BadParams(f"tol must be finite, got {tol!r}")
+    missing = {"n", "r", *row.cones, *(name for p in row.pencils for name in (p.fits, p.shift))} - c.keys()
+    if missing:
+        raise HypothesisSignError(f"{constants.theorem} needs the constants {sorted(missing)}")
+    _check_rules(constants, row.rules + spec.rules, {})
+    for text, holds in spec.checks:
+        if not holds(c, tol):
+            raise HypothesisSignError(f"{constants.theorem}:{constants.preset} needs {text}")
+
+    energies, lhss = row.lhs(sp, c)
+    records = []
+    for point, energy, lhs in zip(sp.points, energies, lhss):
+        rhs = row.rhs(c, energy)
+        rec = {"z": _z_list(point), "energy": energy, "lhs": lhs, "rhs": rhs,
+               "margin": rhs - lhs if row.upper else lhs - rhs}
+        if row.strict_rhs is not None:
+            rec["margin_strict"] = lhs - row.strict_rhs(c, energy)
+        records.append(rec)
+    bound = (spec.bound or row.bound)(c)
+    sup_energy = max(rec["energy"] for rec in records)
+    passed = all(rec["margin"] >= -tol for rec in records)
+    if spec.contradiction:
+        passed = passed and bound <= tol
+    elif not row.upper:
+        passed = passed and sup_energy <= bound * (1 + tol)
+    name = constants.theorem if constants.preset is None else f"{constants.theorem}:{constants.preset}"
+    verdict = SchwarzVerdict(name, records, bound, sup_energy, passed, tol, constants)
+    verdict.notes["worst_point"] = verdict.worst()["z"]
+    verdict.notes["grid_semantics"] = "sup over sampled grid"
+    verdict.notes.update(row.notes(c, verdict))
+    return verdict
 
 # ---------------------------------------------------------------------------
 # standalone identities

@@ -16,16 +16,7 @@ from chernlab.maps import map_identity
 from chernlab.metrics import catalog_metric, scale_metric
 from chernlab.scenario import run_scenario
 from chernlab.tensors import curvature_in_frame
-from chernlab.verify import (
-    SchwarzPass,
-    aubin_yau_verify,
-    chern_lu_verify,
-    estimate_hypotheses,
-    family_verify,
-    fs_moment_check,
-    theorem23_check,
-    trace_bound_verify,
-)
+from chernlab.verify import SchwarzPass, estimate_hypotheses, fs_moment_check, schwarz_verify, theorem23_check
 from test_metrics import interior_points
 
 
@@ -186,13 +177,13 @@ def test_criterion_7_schwarz_sharpness():
     for c_scale in (0.5, 1.0, 3.0):
         target = scale_metric(p1, c_scale)
         constants = estimate_hypotheses(SchwarzPass(p1, target, f, grid), "chern_lu", frame_cfg=cfg)
-        verdict = chern_lu_verify(SchwarzPass(p1, target, f, grid), constants, tol=1e-5)
+        verdict = schwarz_verify(SchwarzPass(p1, target, f, grid), constants, tol=1e-5)
         gap = abs(verdict.bound - verdict.sup_energy)
         min_margin = min(rec["margin"] for rec in verdict.records)
         ok = ok and verdict.passed and gap < 1e-4 and min_margin >= -1e-5
         details.append(f"c={c_scale}: |bound-energy|={gap:.2e}, min margin {min_margin:.2e}")
     constants = estimate_hypotheses(SchwarzPass(p1, p1, f, grid), "aubin_yau")
-    verdict = aubin_yau_verify(SchwarzPass(p1, p1, f, grid), constants, tol=1e-5)
+    verdict = schwarz_verify(SchwarzPass(p1, p1, f, grid), constants, tol=1e-5)
     ay_gap = abs(verdict.bound - verdict.sup_energy)
     ok = ok and verdict.passed and ay_gap < 1e-4
     details.append(f"AY |bound-energy|={ay_gap:.2e}")
@@ -209,24 +200,24 @@ def test_criterion_8_negative_tests():
 
     # (a) Chern-Lu constants fitted for the unscaled target, target rescaled 4x
     stale = estimate_hypotheses(SchwarzPass(p1, p1, f, grid), "chern_lu", frame_cfg=cfg)
-    v = chern_lu_verify(SchwarzPass(p1, scale_metric(p1, 4.0), f, grid), stale)
+    v = schwarz_verify(SchwarzPass(p1, scale_metric(p1, 4.0), f, grid), stale)
     outcomes.append((not v.passed) and v.notes["worst_point"] is not None and v.sup_energy > v.bound)
 
     # (b) Aubin-Yau with a kappa that is too small for the rescaled source
     stale_ay = estimate_hypotheses(SchwarzPass(p1, p1, f, grid), "aubin_yau")
-    v = aubin_yau_verify(SchwarzPass(scale_metric(p1, 0.25), p1, f, grid), stale_ay)
+    v = schwarz_verify(SchwarzPass(scale_metric(p1, 0.25), p1, f, grid), stale_ay)
     outcomes.append((not v.passed) and v.worst()["margin"] is not None)
 
     # (c) family bound violated after target rescale with stale constants
-    from chernlab.verify import HypothesisConstants
-
-    const = HypothesisConstants(c1=2.0, c2=0.0, c3=2.0, c4=0.0, kappa1=2.0, kappa2=2.0, n=1, r=1)
-    v = family_verify(SchwarzPass(p1, scale_metric(p1, 4.0), f, grid, p1), const)
+    sp = SchwarzPass(p1, scale_metric(p1, 4.0), f, grid, p1)
+    const = estimate_hypotheses(sp, "family", dict(c1=2.0, c2=0.0, c3=2.0, c4=0.0, kappa1=2.0, kappa2=2.0,
+                                                   n=1, r=1))
+    v = schwarz_verify(sp, const)
     outcomes.append((not v.passed) and "bound_violation" in v.notes)
 
     # (d) trace bound with a doubled target and stale constants
     stale_tr = estimate_hypotheses(SchwarzPass(p1, p1, None, grid), "trace_bound", frame_cfg=cfg)
-    v = trace_bound_verify(SchwarzPass(p1, scale_metric(p1, 2.0), None, grid), stale_tr)
+    v = schwarz_verify(SchwarzPass(p1, scale_metric(p1, 2.0), None, grid), stale_tr)
     outcomes.append((not v.passed) and v.worst()["margin"] < 0)
 
     ok = all(outcomes)

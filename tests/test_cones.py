@@ -346,6 +346,19 @@ class TestSbcAlongMap:
 class TestFrameSearch:
     # RBC searches its frames for n >= 3 only, so its search cases run at n = 3
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, "0", None])
+    def test_config_rejects_a_bad_seed(self, seed):
+        # a negative seed used to pass the config and fail in numpy's
+        # generator, as a bare ValueError, once a search started
+        with pytest.raises(BadParams, match="seed must be an integer >= 0"):
+            FrameSearchConfig(seed=seed)
+        assert FrameSearchConfig(seed=np.int64(3)).seed == 3
+
+    def test_negative_seed_never_reaches_a_search(self):
+        fs = catalog_metric("fubini_study", (3,))
+        with pytest.raises(BadParams):
+            sbc_bound(chern_curvature(fs, np.zeros(3)), fs(np.zeros(3)), FrameSearchConfig(seed=-1))
+
     def test_rbc_euclidean(self):
         m = catalog_metric("euclidean", (3,))
         z = [0.1, 0.2j, -0.3]

@@ -31,16 +31,7 @@ from chernlab.maps import (
 from chernlab.metrics import ChartedHermitianMetric, catalog_metric, point_norms, scale_metric
 from chernlab.scenario import box_grid
 from chernlab.tensors import trace_form
-from chernlab.verify import (
-    HypothesisConstants,
-    SchwarzPass,
-    aubin_yau_verify,
-    chern_lu_verify,
-    estimate_hypotheses,
-    family_verify,
-    theorem23_check,
-    trace_bound_verify,
-)
+from chernlab.verify import SchwarzPass, estimate_hypotheses, schwarz_verify, theorem23_check
 
 DISK = catalog_metric("poincare_disk", (1.0,))
 PD = catalog_metric("polydisk", (1.0, 1.0))
@@ -159,6 +150,11 @@ class TestStackedKernels:
         assert isinstance(trace_form(src(grid[0]), other(grid[0])), float)
 
 
+def _verify(sp, theorem, constants):
+    """The verdict on the pass ``sp`` with the given constants, estimating the ones left out."""
+    return schwarz_verify(sp, estimate_hypotheses(sp, theorem, constants))
+
+
 def _records_json(verdict):
     return json.dumps(verdict.records)
 
@@ -168,18 +164,18 @@ def test_verifier_records_match_per_point_runs(name):
     f, src, tgt, grid = CASES[name]
     n = f.source_dim
     runs = {
-        "chern_lu": lambda g: chern_lu_verify(
-            SchwarzPass(src, tgt, f, g), HypothesisConstants(c1=2.0, c2=0.0, kappa=0.5, r=n, n=n),
+        "chern_lu": lambda g: _verify(
+            SchwarzPass(src, tgt, f, g), "chern_lu", dict(c1=2.0, c2=0.0, kappa=0.5, r=n, n=n),
         ),
-        "aubin_yau": lambda g: aubin_yau_verify(
-            SchwarzPass(src, tgt, f, g), HypothesisConstants(c1=1.0, c2=0.5, kappa=0.3, r=n, n=n),
+        "aubin_yau": lambda g: _verify(
+            SchwarzPass(src, tgt, f, g), "aubin_yau", dict(c1=1.0, c2=0.5, kappa=0.3, r=n, n=n),
         ),
-        "trace_bound": lambda g: trace_bound_verify(
-            SchwarzPass(src, tgt, None, g), HypothesisConstants(c1=1.0, c2=0.0, kappa=3.0, n=n),
+        "trace_bound": lambda g: _verify(
+            SchwarzPass(src, tgt, None, g), "trace_bound", dict(c1=1.0, c2=0.0, kappa=3.0, n=n),
         ),
-        "family": lambda g: family_verify(
-            SchwarzPass(src, tgt, f, g, src),
-            HypothesisConstants(c1=5.0, c2=0.0, c3=0.1, c4=5.0, kappa1=0.0, kappa2=1.0),
+        "family": lambda g: _verify(
+            SchwarzPass(src, tgt, f, g, src), "family",
+            dict(c1=5.0, c2=0.0, c3=0.1, c4=5.0, kappa1=0.0, kappa2=1.0),
         ),
     }
     for theorem, run in runs.items():
@@ -209,8 +205,7 @@ class TestFirstFailingPoint:
             laplacian_log_energy(TWO_CRITICAL, FAILING_GRID, EU1, EU1,
                                  singular_frames(TWO_CRITICAL, FAILING_GRID, EU1, EU1))
         with pytest.raises(NearCriticalPoint, match=r"at \[0\.1\+0\.j\]"):
-            chern_lu_verify(SchwarzPass(EU1, EU1, TWO_CRITICAL, FAILING_GRID),
-                            HypothesisConstants(c1=1.0, kappa=1.0))
+            _verify(SchwarzPass(EU1, EU1, TWO_CRITICAL, FAILING_GRID), "chern_lu", {"c1": 1.0, "kappa": 1.0})
         # the identity from the disk into C^1 has energy (1 - |z|^2)^2: 1, 0.5625, 0.4096
         with pytest.raises(NearCriticalPoint, match=r"at \[0\.5\+0\.j\]"):
             laplacian_log_energy(map_identity(1), [[0.0], [0.5], [0.6]], DISK, EU1,
@@ -222,8 +217,7 @@ class TestFirstFailingPoint:
             laplacian_energy(TWO_CRITICAL, FAILING_GRID, EU1, EU1,
                              singular_frames(TWO_CRITICAL, FAILING_GRID, EU1, EU1))
         with pytest.raises(RankDeficient, match=r"at \[0\.1\+0\.j\]"):
-            aubin_yau_verify(SchwarzPass(EU1, EU1, TWO_CRITICAL, FAILING_GRID),
-                             HypothesisConstants(c1=1.0, kappa=1.0))
+            _verify(SchwarzPass(EU1, EU1, TWO_CRITICAL, FAILING_GRID), "aubin_yau", {"c1": 1.0, "kappa": 1.0})
 
     def test_non_finite_sample(self):
         def u(zz):
@@ -236,13 +230,13 @@ class TestFirstFailingPoint:
 
 class TestEmptyGrid:
     def test_verifiers_refuse_an_empty_grid(self):
-        c = HypothesisConstants(c1=2.0, c2=0.0, kappa=2.0, c3=1.0, kappa1=0.0, kappa2=1.0)
+        c = dict(c1=2.0, c2=0.0, kappa=2.0, c3=1.0, kappa1=0.0, kappa2=1.0)
         f = map_identity(1)
         for run in (
-            lambda: chern_lu_verify(SchwarzPass(DISK, DISK, f, []), c),
-            lambda: aubin_yau_verify(SchwarzPass(DISK, DISK, f, []), c),
-            lambda: trace_bound_verify(SchwarzPass(DISK, DISK, None, []), c),
-            lambda: family_verify(SchwarzPass(DISK, DISK, f, [], DISK), c),
+            lambda: _verify(SchwarzPass(DISK, DISK, f, []), "chern_lu", c),
+            lambda: _verify(SchwarzPass(DISK, DISK, f, []), "aubin_yau", c),
+            lambda: _verify(SchwarzPass(DISK, DISK, None, []), "trace_bound", c),
+            lambda: _verify(SchwarzPass(DISK, DISK, f, [], DISK), "family", c),
         ):
             with pytest.raises(BadParams, match="sample grid is empty"):
                 run()
@@ -275,11 +269,11 @@ class TestEvaluatorCalls:
     @pytest.mark.parametrize("theorem", ["chern_lu", "aubin_yau", "trace_bound"])
     def test_verifier_calls_do_not_grow_with_the_grid(self, calls, theorem):
         f = MOBIUS2
-        c = HypothesisConstants(c1=1.0, c2=0.0, kappa=1.0, r=2, n=2)
+        c = dict(c1=1.0, c2=0.0, kappa=1.0, r=2, n=2)
         runs = {
-            "chern_lu": lambda g: chern_lu_verify(SchwarzPass(PD, PD, f, g), c),
-            "aubin_yau": lambda g: aubin_yau_verify(SchwarzPass(PD, PD, f, g), c),
-            "trace_bound": lambda g: trace_bound_verify(SchwarzPass(PD, PD_EXPR, None, g), c),
+            "chern_lu": lambda g: _verify(SchwarzPass(PD, PD, f, g), "chern_lu", c),
+            "aubin_yau": lambda g: _verify(SchwarzPass(PD, PD, f, g), "aubin_yau", c),
+            "trace_bound": lambda g: _verify(SchwarzPass(PD, PD_EXPR, None, g), "trace_bound", c),
         }
         grid = box_grid([0.05 - 0.1j, 0.1 + 0.02j], 0.25, 2)
         seen = []

@@ -10,11 +10,12 @@ import numpy as np
 import pytest
 
 import chernlab
-from chernlab.cli import main
+from chernlab.cli import build_parser, main
 from chernlab.errors import BadParams, SchemaError
 from chernlab.maps import catalog_map, map_identity, map_power
 from chernlab.metrics import catalog_metric
-from chernlab.scenario import box_grid, emit_grid, parse_grid_spec, run_scenario
+from chernlab.scenario import box_grid, emit_grid, parse_grid_spec, run_scenario, scenario_schema
+from chernlab.verify import CONSTANT_NAMES, THEOREMS
 
 
 def base_scenario():
@@ -762,6 +763,32 @@ class TestCli:
             assert catalog_metric(name, params).label == name
         for kind, params in map_params.items():
             catalog_map(kind, **params)
+
+    @pytest.mark.parametrize("argv, key", [
+        (["schwarz", "--theorem"], "theorem"), (["schwarz", "--preset"], "preset"),
+        (["schwarz", "--kappa-mode"], "kappa_mode"), (["identity", "--check"], "check"),
+    ])
+    def test_choices_are_the_schema_enums(self, argv, key, capsys):
+        enum = scenario_schema()["$defs"]["task"]["properties"][key]["enum"]
+        actions = {a.dest: a for sub in build_parser()._subparsers._group_actions
+                   for a in sub.choices[argv[0]]._actions}
+        assert actions[argv[1].lstrip("-").replace("-", "_")].choices == enum
+        with pytest.raises(SystemExit) as info:
+            main([*argv, "bogus"])
+        assert info.value.code == 2 and "invalid choice: 'bogus'" in capsys.readouterr().err
+
+    def test_schema_names_the_theorem_table(self):
+        task = scenario_schema()["$defs"]["task"]["properties"]
+        assert sorted(task["theorem"]["enum"]) == sorted(THEOREMS)
+        assert sorted(task["preset"]["enum"]) == sorted(THEOREMS["family"].presets)
+        assert list(task["constants"]["properties"]) == list(CONSTANT_NAMES)
+
+    def test_schwarz_subcommand_with_partial_constants(self, capsys):
+        argv = ["schwarz", "--theorem", "chern_lu", "--source", "poincare_disk:1", "--target", "3*poincare_disk:1",
+                "--grid", "box:half=0.2;per-axis=2", "--constants", '{"kappa": 0.25}']
+        assert main(argv) == 0
+        result = json.loads(capsys.readouterr().out)["tasks"][0]["result"]
+        assert result["provenance"] == {"kappa": "user", "c1": "estimated", "c2": "estimated"}
 
     def test_identity_subcommand(self, capsys):
         code = main(["identity", "--check", "theorem23", "--n", "3", "--trials", "20"])

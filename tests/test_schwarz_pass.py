@@ -102,3 +102,51 @@ def test_demo_evaluations_do_not_grow(evaluations):
     assert report.passed
     assert evaluations["chern_curvature"] <= 74
     assert evaluations["metric"] <= 3807
+
+
+def _constants_doc(tasks):
+    metrics = {"disk": {"catalog": "poincare_disk", "params": [1.0]},
+               "disk3": {"catalog": "poincare_disk", "params": [1.0], "scale": 3.0}}
+    grid = {"center": [[0.1, 0.0]], "half": 0.2, "per_axis": 2}
+    return {"version": 1, "seed": 5, "metrics": metrics, "maps": {"id1": {"kind": "identity", "dim": 1}},
+            "tasks": [{"kind": "schwarz", "source": "disk", "grid": grid, **task} for task in tasks]}
+
+
+def test_given_constants_evaluate_no_curvature(evaluations):
+    # a document's constants are the estimator's fixed ones: when it gives
+    # every constant a theorem fits, no curvature is evaluated for them
+    report = run_scenario(_constants_doc([
+        {"theorem": "chern_lu", "map": "id1", "target": "disk3", "constants": {"c1": 2.0, "c2": 0.0, "kappa": 2 / 3}},
+        {"theorem": "aubin_yau", "map": "id1", "target": "disk", "constants": {"c1": 2.0, "kappa": 2.0}},
+        {"theorem": "trace_bound", "target": "disk", "constants": {"c1": 2.0, "c2": 0.0, "kappa": 2.0}},
+    ]))
+    assert [entry["status"] for entry in report.tasks] == ["ok"] * 3
+    assert evaluations["chern_curvature"] == 0
+    for entry in report.tasks:
+        assert set(entry["result"]["provenance"].values()) == {"user"}
+        assert entry["result"]["achieved_at"] == {}
+
+
+def test_partial_constants_estimate_the_rest(evaluations):
+    # a Chern-Lu document that gives kappa alone gets C1 fitted on the grid
+    # and C2 = 0 with it; kappa is not estimated, so the target's curvature
+    # is never evaluated: 4 source points, none of the target
+    report = run_scenario(_constants_doc([
+        {"theorem": "chern_lu", "map": "id1", "target": "disk3", "constants": {"kappa": 0.25}},
+    ]))
+    result = report.tasks[0]["result"]
+    assert result["provenance"] == {"kappa": "user", "c1": "estimated", "c2": "estimated"}
+    assert result["constants"]["kappa"] == 0.25 and abs(result["constants"]["c1"] - 2.0) < 1e-6
+    assert set(result["achieved_at"]) == {"c1"}
+    assert evaluations["chern_curvature"] == 4
+    # the bound C1 r / (kappa + C2) = 8 holds for the energy 3
+    assert report.tasks[0]["status"] == "ok" and abs(result["bound"] - 8.0) < 1e-5
+
+
+def test_negative_user_kappa_is_a_sign_error():
+    # kappa + C2 > 0 is not enough: the /r step of Chern-Lu needs kappa >= 0
+    report = run_scenario(_constants_doc([
+        {"theorem": "chern_lu", "map": "id1", "target": "disk3", "constants": {"c1": 2.0, "c2": 1.0, "kappa": -0.5}},
+    ]))
+    assert report.tasks[0]["status"] == "error"
+    assert report.tasks[0]["error"] == "HypothesisSignError: chern_lu needs kappa >= 0, got kappa = -0.5"

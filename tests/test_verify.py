@@ -14,21 +14,17 @@ from chernlab.errors import (
     InfeasibleHypothesis,
     UnboundedSbc,
 )
-from chernlab.maps import map_identity
+from chernlab.maps import map_identity, map_linear
 from chernlab.metrics import catalog_metric, scale_metric
 from chernlab.tensors import curvature_in_frame
 from chernlab.verify import (
-    HypothesisConstants,
     SchwarzPass,
-    _grid_verdict,
-    aubin_yau_verify,
+    SchwarzVerdict,
     averaged_hsc_check,
-    chern_lu_verify,
     estimate_hypotheses,
-    family_verify,
     fs_moment_check,
+    schwarz_verify,
     theorem23_check,
-    trace_bound_verify,
 )
 
 CFG = FrameSearchConfig(n_starts=3, max_iter=15, seed=0)
@@ -51,10 +47,10 @@ class TestEstimateHypotheses:
     def test_chern_lu_poincare(self, poincare):
         c = estimate_hypotheses(SchwarzPass(poincare, poincare, map_identity(1), disk_grid()), "chern_lu",
                                 frame_cfg=CFG)
-        assert abs(c.c1 - 2.0) < 1e-6
-        assert c.c2 == 0.0
-        assert abs(c.kappa - 2.0) < 1e-6
-        assert c.r == 1
+        assert abs(c.values["c1"] - 2.0) < 1e-6
+        assert c.values["c2"] == 0.0
+        assert abs(c.values["kappa"] - 2.0) < 1e-6
+        assert c.values["r"] == 1
         assert c.provenance["c1"] == "estimated"
         assert "c1" in c.achieved_at
 
@@ -84,8 +80,8 @@ class TestEstimateHypotheses:
 
     def test_aubin_yau_along_map_kappa(self, poincare):
         c = estimate_hypotheses(SchwarzPass(poincare, poincare, map_identity(1), disk_grid()), "aubin_yau")
-        assert abs(c.c1 - 2.0) < 1e-6
-        assert abs(c.kappa - 2.0) < 1e-6
+        assert abs(c.values["c1"] - 2.0) < 1e-6
+        assert abs(c.values["kappa"] - 2.0) < 1e-6
 
     def test_user_constants_kept(self, poincare):
         c = estimate_hypotheses(
@@ -93,7 +89,40 @@ class TestEstimateHypotheses:
             fixed={"c2": 0.0, "kappa": 2.0}, frame_cfg=CFG,
         )
         assert c.provenance["kappa"] == "user"
-        assert abs(c.c1 - 2.0) < 1e-6
+        assert abs(c.values["c1"] - 2.0) < 1e-6
+
+    def test_given_r_is_kept(self):
+        # r and n given are kept; r left out is the map's greatest rank on the grid
+        pd = catalog_metric("polydisk", (1.0, 1.0))
+        grid = [np.array([0.1, -0.2j]), np.array([0.2j, 0.1])]
+        for theorem, mu in (("chern_lu", None), ("family", pd)):
+            c = estimate_hypotheses(SchwarzPass(pd, pd, map_identity(2), grid, mu), theorem,
+                                    fixed={"r": 1, "n": 3}, frame_cfg=CFG)
+            assert (c.values["r"], c.values["n"]) == (1, 3)
+            assert c.provenance["r"] == c.provenance["n"] == "user"
+            c = estimate_hypotheses(SchwarzPass(pd, pd, map_identity(2), grid, mu), theorem, frame_cfg=CFG)
+            assert (c.values["r"], c.values["n"]) == (2, 2) and "r" not in c.provenance
+
+    def test_r_of_a_map_of_rank_one(self):
+        # (z1, z2) -> (z1, 0) has rank 1 at every point: r = 1, not n = 2
+        pd = catalog_metric("polydisk", (1.0, 1.0))
+        grid = [np.array([0.1, -0.2j]), np.array([0.2j, 0.1])]
+        sp = SchwarzPass(pd, pd, map_linear(np.array([[1.0, 0.0], [0.0, 0.0]])), grid)
+        c = estimate_hypotheses(sp, "chern_lu", fixed={"c1": 2.0, "c2": 0.0, "kappa": 1.0})
+        assert c.values["r"] == 1 and c.values["n"] == 2
+        v = schwarz_verify(sp, c)
+        assert abs(v.bound - 2.0) < 1e-12 and v.passed
+
+    def test_unknown_names(self, poincare):
+        sp = SchwarzPass(poincare, poincare, map_identity(1), disk_grid())
+        for args, message in (
+            (("bogus",), "unknown theorem 'bogus'"),
+            (("chern_lu", {"c5": 1.0}), "unknown constant 'c5'"),
+            (("chern_lu", None, CFG, "along_map", "liouville"), "theorem 'chern_lu' has no preset 'liouville'"),
+            (("family", None, CFG, "along_map", "bogus"), "theorem 'family' has no preset 'bogus'"),
+        ):
+            with pytest.raises(BadParams, match=message):
+                estimate_hypotheses(sp, *args)
 
 
 class TestChernLu:
@@ -101,7 +130,7 @@ class TestChernLu:
         p3 = scale_metric(poincare, 3.0)
         grid = disk_grid()
         c = estimate_hypotheses(SchwarzPass(poincare, p3, map_identity(1), grid), "chern_lu", frame_cfg=CFG)
-        v = chern_lu_verify(SchwarzPass(poincare, p3, map_identity(1), grid), c)
+        v = schwarz_verify(SchwarzPass(poincare, p3, map_identity(1), grid), c)
         assert v.passed
         assert abs(v.bound - 3.0) < 1e-4
         assert abs(v.sup_energy - 3.0) < 1e-8
@@ -111,7 +140,7 @@ class TestChernLu:
         grid = disk_grid()
         c = estimate_hypotheses(SchwarzPass(poincare, poincare, map_identity(1), grid), "chern_lu",
                                 frame_cfg=CFG)
-        v = chern_lu_verify(SchwarzPass(poincare, poincare, map_identity(1), grid), c)
+        v = schwarz_verify(SchwarzPass(poincare, poincare, map_identity(1), grid), c)
         assert v.passed and abs(v.bound - 1.0) < 1e-4
 
     def test_critical_point_guard(self, poincare):
@@ -120,28 +149,35 @@ class TestChernLu:
 
         eu = catalog_metric("euclidean", (1,))
         near_constant = map_linear(np.array([[1e-9]]))
-        c = HypothesisConstants(c1=2.0, c2=0.0, kappa=2.0, r=1, n=1)
+        sp = SchwarzPass(eu, poincare, near_constant, disk_grid())
+        c = estimate_hypotheses(sp, "chern_lu", {"c1": 2.0, "c2": 0.0, "kappa": 2.0, "r": 1, "n": 1})
         with pytest.raises(NearCriticalPoint):
-            chern_lu_verify(SchwarzPass(eu, poincare, near_constant, disk_grid()), c)
+            schwarz_verify(sp, c)
 
     def test_sign_errors(self, poincare):
-        with pytest.raises(HypothesisSignError):
-            chern_lu_verify(
-                SchwarzPass(poincare, poincare, map_identity(1), disk_grid()),
-                HypothesisConstants(c1=2.0, c2=-1.0, kappa=2.0),
-            )
-        with pytest.raises(HypothesisSignError):
-            chern_lu_verify(
-                SchwarzPass(poincare, poincare, map_identity(1), disk_grid()),
-                HypothesisConstants(c1=2.0, c2=0.0, kappa=0.0),
-            )
+        sp = SchwarzPass(poincare, poincare, map_identity(1), disk_grid())
+        with pytest.raises(HypothesisSignError, match="needs c2 >= 0"):
+            estimate_hypotheses(sp, "chern_lu", {"c1": 2.0, "c2": -1.0, "kappa": 2.0})
+        with pytest.raises(HypothesisSignError, match="needs kappa \\+ c2 > 0"):
+            estimate_hypotheses(sp, "chern_lu", {"c1": 2.0, "c2": 0.0, "kappa": 0.0})
+        # the /r step of the right-hand side needs kappa >= 0, whatever C2 is
+        with pytest.raises(HypothesisSignError, match="needs kappa >= 0, got kappa = -0.5"):
+            estimate_hypotheses(sp, "chern_lu", {"c1": 2.0, "c2": 1.0, "kappa": -0.5})
+        # the verifier states the same rules for constants changed after the estimate
+        c = estimate_hypotheses(sp, "chern_lu", {"c1": 2.0, "c2": 1.0, "kappa": 0.5})
+        c.values["kappa"] = -0.5
+        with pytest.raises(HypothesisSignError, match="needs kappa >= 0"):
+            schwarz_verify(sp, c)
+        del c.values["kappa"]
+        with pytest.raises(HypothesisSignError, match="needs the constants \\['kappa'\\]"):
+            schwarz_verify(sp, c)
 
 
 class TestAubinYau:
     def test_equality_case(self, poincare):
         grid = disk_grid()
         c = estimate_hypotheses(SchwarzPass(poincare, poincare, map_identity(1), grid), "aubin_yau")
-        v = aubin_yau_verify(SchwarzPass(poincare, poincare, map_identity(1), grid), c)
+        v = schwarz_verify(SchwarzPass(poincare, poincare, map_identity(1), grid), c)
         assert v.passed
         assert abs(v.bound - 1.0) < 1e-4
         assert abs(v.sup_energy - 1.0) < 1e-8
@@ -163,9 +199,9 @@ class TestAubinYau:
         grid = disk_grid()
         c = estimate_hypotheses(SchwarzPass(eu2, poincare, map_identity(1), grid), "aubin_yau",
                                 fixed={"c2": 1.0})
-        assert abs(c.kappa) < 1e-8
-        assert c.c1 > 0
-        v = aubin_yau_verify(SchwarzPass(eu2, poincare, map_identity(1), grid), c)
+        assert abs(c.values["kappa"]) < 1e-8
+        assert c.values["c1"] > 0
+        v = schwarz_verify(SchwarzPass(eu2, poincare, map_identity(1), grid), c)
         assert all(rec["margin"] >= -1e-5 for rec in v.records)
         assert all(rec["margin_strict"] >= -1e-5 for rec in v.records)
         assert v.notes["grid_semantics"] == "sup over sampled grid"
@@ -177,58 +213,76 @@ class TestFamily:
         c = estimate_hypotheses(
             SchwarzPass(poincare, poincare, map_identity(1), grid, poincare), "family", frame_cfg=CFG,
         )
-        v = family_verify(SchwarzPass(poincare, poincare, map_identity(1), grid, poincare), c)
+        v = schwarz_verify(SchwarzPass(poincare, poincare, map_identity(1), grid, poincare), c)
         assert v.passed
         assert abs(v.bound - 1.0) < 1e-4
 
     def test_chen_cheng_lu_preset(self, poincare):
-        c = HypothesisConstants(c2=0.0, c3=2.0, kappa1=2.0, kappa2=2.0, n=1, r=1)
-        v = family_verify(
-            SchwarzPass(poincare, poincare, map_identity(1), disk_grid(), poincare), c,
-            preset="chen_cheng_lu",
-        )
-        assert v.passed
+        # the preset derives C1 = (kappa2 + C2) / (kappa2 n r) C3 and fixes C4 = 0
+        sp = SchwarzPass(poincare, poincare, map_identity(1), disk_grid(), poincare)
+        c = _family(sp, "chen_cheng_lu", c2=0.0, c3=2.0, kappa1=2.0, kappa2=2.0, n=1, r=1)
+        v = schwarz_verify(sp, c)
+        assert v.passed and v.theorem == "family:chen_cheng_lu"
         assert abs(v.bound - 1.0) < 1e-12
-        assert abs(v.constants.c1 - 2.0) < 1e-12
+        assert abs(v.constants.values["c1"] - 2.0) < 1e-12
+        assert c.provenance["c1"] == c.provenance["c4"] == "preset"
+        with pytest.raises(HypothesisSignError, match="needs c4 = 0.0"):
+            _family(sp, "chen_cheng_lu", c2=0.0, c3=2.0, c4=1.0, kappa1=2.0, kappa2=2.0)
+        with pytest.raises(HypothesisSignError, match="needs C1 = "):
+            schwarz_verify(sp, _family(sp, "chen_cheng_lu", c1=1.0, c2=0.0, c3=2.0, kappa1=2.0, kappa2=2.0))
+
+    def test_chen_cheng_lu_fits_what_is_left_out(self, poincare):
+        # C3, kappa1 and kappa2 are fitted with C4 = 0, then C1 derived, not
+        # fitted; C2, the shift of C1's pencil, is 0 and was not fitted either
+        sp = SchwarzPass(poincare, poincare, map_identity(1), disk_grid(), poincare)
+        c = estimate_hypotheses(sp, "family", frame_cfg=CFG, preset="chen_cheng_lu")
+        assert c.provenance == {"c1": "preset", "c3": "estimated", "c4": "preset",
+                                "kappa1": "estimated", "kappa2": "estimated"}
+        assert c.values["c2"] == 0.0
+        assert abs(c.values["c1"] - 2.0) < 1e-6
+        assert schwarz_verify(sp, c).passed
 
     def test_ricci_only_preset(self, poincare):
-        c = HypothesisConstants(c1=2.0, c2=0.0, c3=2.0, c4=0.0, kappa1=2.0, kappa2=2.0, n=1, r=1)
-        v = family_verify(
-            SchwarzPass(poincare, poincare, map_identity(1), disk_grid(), poincare), c, preset="ricci_only",
-        )
+        sp = SchwarzPass(poincare, poincare, map_identity(1), disk_grid(), poincare)
+        v = schwarz_verify(sp, _family(sp, "ricci_only", c1=2.0, c2=0.0, c3=2.0, c4=0.0, kappa1=2.0,
+                                       kappa2=2.0, n=1, r=1))
         assert v.passed and abs(v.bound - 1.0) < 1e-12
 
     def test_ricci_only_constraint_violated(self, poincare):
-        c = HypothesisConstants(c1=2.0, c2=0.0, c3=2.0, c4=5.0, kappa1=2.0, kappa2=2.0, n=1, r=1)
-        with pytest.raises(HypothesisSignError):
-            family_verify(
-                SchwarzPass(poincare, poincare, map_identity(1), disk_grid(), poincare), c,
-                preset="ricci_only",
-            )
+        sp = SchwarzPass(poincare, poincare, map_identity(1), disk_grid(), poincare)
+        c = _family(sp, "ricci_only", c1=2.0, c2=0.0, c3=2.0, c4=5.0, kappa1=2.0, kappa2=2.0, n=1, r=1)
+        with pytest.raises(HypothesisSignError, match="needs n r"):
+            schwarz_verify(sp, c)
 
     def test_liouville_contradiction_flag(self, poincare):
-        c = HypothesisConstants(c1=2.0, c2=0.0, c3=1.0, c4=-1.0, kappa1=1.0, kappa2=2.0, n=1, r=1)
-        v = family_verify(
-            SchwarzPass(poincare, poincare, map_identity(1), disk_grid(), poincare), c, preset="liouville",
-        )
+        sp = SchwarzPass(poincare, poincare, map_identity(1), disk_grid(), poincare)
+        v = schwarz_verify(sp, _family(sp, "liouville", c1=2.0, c2=0.0, c3=1.0, c4=-1.0, kappa1=1.0,
+                                       kappa2=2.0, n=1, r=1))
         assert v.passed
         assert v.bound <= 0.0
         assert v.notes["liouville_contradiction"]
+        with pytest.raises(HypothesisSignError, match="needs kappa1 \\+ c4 <= 0"):
+            _family(sp, "liouville", c1=2.0, c2=0.0, c3=1.0, c4=-1.0, kappa1=1.5, kappa2=2.0)
 
     def test_form_inequality_violated(self, poincare):
         # C3 too large: Ric2_mu <= -C3 mu fails pointwise
-        c = HypothesisConstants(c1=2.0, c2=0.0, c3=5.0, c4=0.0, kappa1=2.0, kappa2=2.0, n=1, r=1)
+        sp = SchwarzPass(poincare, poincare, map_identity(1), disk_grid(), poincare)
+        c = _family(sp, None, c1=2.0, c2=0.0, c3=5.0, c4=0.0, kappa1=2.0, kappa2=2.0, n=1, r=1)
         with pytest.raises(FormInequalityViolated) as info:
-            family_verify(SchwarzPass(poincare, poincare, map_identity(1), disk_grid(), poincare), c)
+            schwarz_verify(sp, c)
         assert info.value.point is not None
         assert info.value.eigenvalue < 0
+
+
+def _family(sp, preset, **fixed):
+    return estimate_hypotheses(sp, "family", fixed, frame_cfg=CFG, preset=preset)
 
 
 class TestTraceBound:
     def test_equality_case(self, poincare):
         grid = disk_grid()
         c = estimate_hypotheses(SchwarzPass(poincare, poincare, None, grid), "trace_bound", frame_cfg=CFG)
-        v = trace_bound_verify(SchwarzPass(poincare, poincare, None, grid), c)
+        v = schwarz_verify(SchwarzPass(poincare, poincare, None, grid), c)
         assert v.passed
         assert abs(v.bound - 1.0) < 1e-4
         assert abs(v.sup_energy - 1.0) < 1e-10
@@ -237,7 +291,7 @@ class TestTraceBound:
         half = scale_metric(poincare, 0.5)
         grid = disk_grid()
         c = estimate_hypotheses(SchwarzPass(poincare, half, None, grid), "trace_bound", frame_cfg=CFG)
-        v = trace_bound_verify(SchwarzPass(poincare, half, None, grid), c)
+        v = schwarz_verify(SchwarzPass(poincare, half, None, grid), c)
         assert v.passed
         assert abs(v.sup_energy - 0.5) < 1e-10
 
@@ -256,7 +310,7 @@ class TestNegativeDiscipline:
             SchwarzPass(poincare, scale_metric(poincare, 1.0), map_identity(1), grid), "chern_lu",
             frame_cfg=CFG,
         )
-        v = chern_lu_verify(SchwarzPass(poincare, scale_metric(poincare, 4.0), map_identity(1), grid), c)
+        v = schwarz_verify(SchwarzPass(poincare, scale_metric(poincare, 4.0), map_identity(1), grid), c)
         assert not v.passed
         assert v.sup_energy > v.bound
         assert v.notes["worst_point"] is not None
@@ -264,7 +318,7 @@ class TestNegativeDiscipline:
     def test_stale_trace_bound(self, poincare):
         grid = disk_grid()
         c = estimate_hypotheses(SchwarzPass(poincare, poincare, None, grid), "trace_bound", frame_cfg=CFG)
-        v = trace_bound_verify(SchwarzPass(poincare, scale_metric(poincare, 2.0), None, grid), c)
+        v = schwarz_verify(SchwarzPass(poincare, scale_metric(poincare, 2.0), None, grid), c)
         assert not v.passed
         worst = v.worst()
         assert worst["margin"] < 0
@@ -278,11 +332,13 @@ class TestNegativeDiscipline:
         jitter = np.random.default_rng(0).uniform(-1e-9, 1e-9, len(grid))
         assert np.argmin(jitter) != 0
         records = [{"z": [[k, 0.0]], "energy": 1.0, "margin": 0.5 + e} for k, e in enumerate(jitter)]
-        v = _grid_verdict("trace_bound", records, 1.0, 1e-6, c, sup_checked=False)
-        assert v.notes["worst_point"] == [[0, 0.0]]
+        v = SchwarzVerdict("trace_bound", records, 1.0, 1.0, True, 1e-6, c)
+        assert v.worst()["z"] == [[0, 0.0]]
         records[4]["margin"] = 0.5 - 1e-5
-        v = _grid_verdict("trace_bound", records, 1.0, 1e-6, c, sup_checked=False)
-        assert v.notes["worst_point"] == [[4, 0.0]]
+        assert v.worst()["z"] == [[4, 0.0]]
+        # the verdict's worst_point note is that record
+        v = schwarz_verify(SchwarzPass(poincare, scale_metric(poincare, 1.5), None, grid), c)
+        assert v.notes["worst_point"] == v.worst()["z"]
 
     def test_monotonicity_under_refit(self, poincare):
         # scaling eta -> c*eta scales energy by c; after refit the ratio
@@ -293,7 +349,7 @@ class TestNegativeDiscipline:
         for c_scale in (1.0, 2.0):
             target = scale_metric(poincare, c_scale)
             c = estimate_hypotheses(SchwarzPass(poincare, target, f, grid), "chern_lu", frame_cfg=CFG)
-            v = chern_lu_verify(SchwarzPass(poincare, target, f, grid), c)
+            v = schwarz_verify(SchwarzPass(poincare, target, f, grid), c)
             assert v.passed
             ratios.append(v.sup_energy / v.bound)
         assert abs(ratios[0] - ratios[1]) < 1e-6
@@ -308,12 +364,12 @@ class TestNonIdentityMaps:
         f = map_mobius(0.3 + 0.1j)
         grid = disk_grid(half=0.25)
         c = estimate_hypotheses(SchwarzPass(poincare, poincare, f, grid), "chern_lu", frame_cfg=CFG)
-        v = chern_lu_verify(SchwarzPass(poincare, poincare, f, grid), c)
+        v = schwarz_verify(SchwarzPass(poincare, poincare, f, grid), c)
         assert v.passed
         assert abs(v.sup_energy - 1.0) < 1e-8
         assert abs(v.bound - 1.0) < 1e-4
         c_ay = estimate_hypotheses(SchwarzPass(poincare, poincare, f, grid), "aubin_yau")
-        v_ay = aubin_yau_verify(SchwarzPass(poincare, poincare, f, grid), c_ay)
+        v_ay = schwarz_verify(SchwarzPass(poincare, poincare, f, grid), c_ay)
         assert v_ay.passed
         assert abs(v_ay.bound - 1.0) < 1e-4
 
@@ -325,7 +381,7 @@ class TestNonIdentityMaps:
         f = map_power(2)
         grid = [np.array([0.35 + x * 0.05 + 1j * y * 0.05]) for x in range(3) for y in range(3)]
         c = estimate_hypotheses(SchwarzPass(poincare, poincare, f, grid), "chern_lu", frame_cfg=CFG)
-        v = chern_lu_verify(SchwarzPass(poincare, poincare, f, grid), c)
+        v = schwarz_verify(SchwarzPass(poincare, poincare, f, grid), c)
         assert v.passed
         assert v.sup_energy < 1.0
         assert abs(v.bound - 1.0) < 1e-4
@@ -338,11 +394,11 @@ class TestNonIdentityMaps:
         f = map_identity(2)
         grid = [np.array([x + 0.1j * y, 0.05 * y - 0.1j * x]) for x in (-0.2, 0.0, 0.2) for y in (-1.0, 1.0)]
         c = estimate_hypotheses(SchwarzPass(ch, ch, f, grid, ch), "family", frame_cfg=CFG)
-        assert abs(c.c1 - 3.0) < 1e-3  # Ric2 = -(n+1) mu for this model
-        assert abs(c.c3 - 3.0) < 1e-3
-        assert abs(c.kappa2 - 2.0) < 1e-3
-        assert c.kappa1 >= 0
-        v = family_verify(SchwarzPass(ch, ch, f, grid, ch), c)
+        assert abs(c.values["c1"] - 3.0) < 1e-3  # Ric2 = -(n+1) mu for this model
+        assert abs(c.values["c3"] - 3.0) < 1e-3
+        assert abs(c.values["kappa2"] - 2.0) < 1e-3
+        assert c.values["kappa1"] >= 0
+        v = schwarz_verify(SchwarzPass(ch, ch, f, grid, ch), c)
         assert v.passed
         assert v.sup_energy <= v.bound
 
@@ -469,17 +525,21 @@ class TestTheorem23:
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 10**400], ids=["nan", "inf", "-inf", "10**400"])
 @pytest.mark.parametrize("name", ["c1", "c2", "kappa", "tol"])
 def test_verifiers_refuse_non_finite_constants(poincare, name, value):
-    # each verifier refuses a constant or tol that is NaN or past the
-    # range of a double before it is used
+    # the estimator refuses a given constant, and the verifier a constant or
+    # tol, that is NaN or past the range of a double before it is used
     sp = SchwarzPass(poincare, poincare, map_identity(1), disk_grid(), poincare)
     trace = SchwarzPass(poincare, poincare, None, disk_grid())
     base = dict(c1=2.0, c2=0.0, c3=2.0, c4=0.0, kappa=2.0, kappa1=2.0, kappa2=2.0, n=1, r=1)
     family = {"kappa": "kappa1"}.get(name, name)
-    for verify, pass_, key in ((chern_lu_verify, sp, name), (aubin_yau_verify, sp, name),
-                               (family_verify, sp, family), (trace_bound_verify, trace, name)):
+    for theorem, pass_, key in (("chern_lu", sp, name), ("aubin_yau", sp, name),
+                                ("family", sp, family), ("trace_bound", trace, name)):
         if name == "tol":
             with pytest.raises(BadParams, match="tol must be finite, got "):
-                verify(pass_, HypothesisConstants(**base), tol=value)
+                schwarz_verify(pass_, estimate_hypotheses(pass_, theorem, base), tol=value)
         else:
             with pytest.raises(HypothesisSignError, match=f"constants must be finite, got {key} = "):
-                verify(pass_, HypothesisConstants(**{**base, key: value}))
+                estimate_hypotheses(pass_, theorem, {**base, key: value})
+            c = estimate_hypotheses(pass_, theorem, base)
+            c.values[key] = value
+            with pytest.raises(HypothesisSignError, match=f"constants must be finite, got {key} = "):
+                schwarz_verify(pass_, c)

@@ -74,10 +74,11 @@ def _emit(report, args):
 
 def _write_grids(report, prefix):
     written = []
-    for entry in report.tasks:
+    tasks = report.tasks  # parsed from the report text on each read
+    for entry in tasks:
         records = (entry.get("result") or {}).get("records")
         if records:
-            path = f"{prefix}_task{entry['index']}.csv" if len(report.tasks) > 1 else prefix
+            path = f"{prefix}_task{entry['index']}.csv" if len(tasks) > 1 else prefix
             emit_grid(records, path)
             written.append(path)
     return written

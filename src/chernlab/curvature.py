@@ -42,22 +42,30 @@ def assemble_chern_tensor(g, dg, dbar_g, ddbar_g):
 
 
 def chern_curvature(metric: ChartedHermitianMetric, z, return_derivs=False):
-    """Chern curvature tensor of a charted metric at ``z``.
+    """Chern curvature tensor of a charted metric at ``z``, one point or
+    each point of a stack ``(P, n)`` (one metric call per stencil offset
+    for the whole stack, each point with the bits it gets alone).
 
     The raw finite-difference tensor is symmetrized to enforce the
     conjugation symmetry; a symmetrization residue above 100x the
     finite-difference error estimate fails loudly (it indicates a wrong
-    stencil, not noise).
+    stencil, not noise).  A stack raises what its first failing point
+    raises alone.
     """
-    md = metric_derivatives(metric, z)
+    md = metric_derivatives(metric, z, partial=True)
     raw = assemble_chern_tensor(md.g, md.dg, md.dbar_g, md.ddbar_g)
     tensor, residue = symmetrize_curvature(raw)
-    scale = max(1.0, float(np.max(np.abs(tensor))))
-    if residue > 100.0 * md.error_estimate * scale:
+    scale = np.maximum(1.0, np.max(np.abs(tensor), axis=(-4, -3, -2, -1)))
+    loud = np.atleast_1d(residue > 100.0 * md.error_estimate * scale)
+    if np.any(loud):
+        k = int(np.argmax(loud))
+        residue, estimate, scale = (np.atleast_1d(a)[k] for a in (residue, md.error_estimate, scale))
         raise ResidueTooLarge(
             f"conjugation-symmetry residue {residue:.3e} exceeds "
-            f"100x FD error estimate {md.error_estimate:.3e} (scale {scale:.1e})"
+            f"100x FD error estimate {estimate:.3e} (scale {scale:.1e})"
         )
+    if md.error is not None:
+        raise md.error
     if return_derivs:
         return tensor, md
     return tensor

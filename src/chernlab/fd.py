@@ -6,13 +6,15 @@ into Wirtinger derivatives ``d/dz = (d/dx - i d/dy)/2`` and ``d/dzbar =
 (d/dx + i d/dy)/2``; the fields depend on z and zbar, so complex steps do
 not apply.  Map differentials are each map's closed form, not stencils.
 
-``wirtinger_hessian`` takes the field at a whole stack of points from its
-caller (the Schwarz Laplacians of a grid, whose energies the map's singular
-frames hold) and samples the rest of their stencils in one call of the
-field; ``wirtinger_derivatives`` samples a ``StencilField`` one offset at a
-time (the curvature stencils, whose metric calls stay one per sample).  Both
-difference the samples with the same array code, so a point gets the same
-bits either way.
+Both work on a point or a stack of points, each with its own step.
+``wirtinger_derivatives`` samples a ``StencilField`` one stencil offset at a
+time, each offset on every point of the stack in one call of the field (the
+curvature stencils: one metric call per offset, however many points);
+``wirtinger_hessian`` takes the field at its points from its caller (the
+Schwarz Laplacians of a grid, whose energies the map's singular frames hold)
+and samples the rest of their stencils in one call.  Both difference the
+samples with the same array code, so a point gets the same bits alone or in
+a stack.
 """
 
 from __future__ import annotations
@@ -33,28 +35,39 @@ D2_WEIGHTS = (-1.0 / 12.0, 16.0 / 12.0, -30.0 / 12.0, 16.0 / 12.0, -1.0 / 12.0)
 
 
 class StencilField:
-    """Caches evaluations of ``fun: C^n -> array`` at real-coordinate
-    offsets, one offset per call of ``fun``."""
+    """Caches evaluations of ``fun`` at real-coordinate offsets of a point
+    ``(n,)`` or of each point of a stack ``(P, n)``: one call of ``fun`` per
+    offset, on every point at once.  An offset ``((axis, delta), ...)`` moves
+    real coordinate ``axis`` by ``delta``, one number or one per point.
+
+    A point with a non-finite value does not stop the others: ``bad`` maps
+    its index to the NonFiniteSample it raises alone, naming its first such
+    offset, and non-finite values are kept as zeros so that no arithmetic on
+    them warns."""
 
     def __init__(self, fun, z):
         z = np.atleast_1d(np.asarray(z, dtype=complex))
         self.fun = fun
-        self.n = z.shape[0]
-        self.x0 = np.concatenate([np.real(z), np.imag(z)])
+        self.n = z.shape[-1]
+        self.x0 = np.concatenate([z.real, z.imag], axis=-1)
         self.cache = {}
-
-    def _point(self, offsets):
-        x = self.x0.copy()
-        for axis, delta in offsets:
-            x[axis] += delta
-        return x[: self.n] + 1j * x[self.n :]
+        self.bad = {}
 
     def at(self, offsets=()):
-        key = tuple(offsets)
+        key = tuple((axis, np.asarray(delta, dtype=float).tobytes()) for axis, delta in offsets)
         if key not in self.cache:
-            value = np.asarray(self.fun(self._point(key)))
-            if not np.all(np.isfinite(value)):
-                raise NonFiniteSample(f"field evaluation not finite at offset {key}")
+            x = self.x0.copy()
+            for axis, delta in offsets:
+                x[..., axis] += delta
+            value = np.asarray(self.fun(x[..., : self.n] + 1j * x[..., self.n :]))
+            finite = np.isfinite(value)
+            if not np.all(finite):
+                points = ~finite.reshape(x.shape[:-1] + (-1,)).all(axis=-1)
+                for p in np.flatnonzero(points):
+                    where = tuple((axis, float(np.ravel(np.broadcast_to(delta, points.shape))[p]))
+                                  for axis, delta in offsets)
+                    self.bad.setdefault(int(p), NonFiniteSample(f"field evaluation not finite at offset {where}"))
+                value = np.where(finite, value, 0)
             self.cache[key] = value
         return self.cache[key]
 
@@ -63,11 +76,15 @@ def wirtinger_derivatives(field: StencilField, h):
     """First and mixed-second Wirtinger derivatives of an array field.
 
     Returns ``(dz, dzbar, dz_dzbar)`` with derivative axes prepended:
-    ``dz[i] = d(field)/dz_i`` etc.  The field is sampled one offset at a
-    time, in the order of ``_stencil``.
+    ``dz[i] = d(field)/dz_i`` etc.; for a stacked field, those of each point
+    (point axis first).  ``h`` is one step or one per point.  The field is
+    sampled one offset at a time, in the order of ``_stencil``.
     """
+    h = np.asarray(h, dtype=float)
     keys = [tuple((axis, off * h) for axis, off in key) for key in _stencil(field.n)[0]]
-    return _differences(np.stack([field.at(key) for key in keys]), field.n, h)
+    values = np.stack([field.at(key) for key in keys])
+    derivs = _differences(values, field.n, h.reshape(h.shape + (1,) * (values.ndim - 1 - h.ndim)))
+    return tuple(d if field.x0.ndim == 1 else np.moveaxis(d, d.ndim - values.ndim + 1, 0) for d in derivs)
 
 
 @functools.cache

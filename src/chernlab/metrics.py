@@ -241,57 +241,79 @@ def _dim_param(params):
 
 @dataclass(frozen=True)
 class MetricDerivatives:
-    """Metric value and Wirtinger derivatives at a point.
+    """Metric value and Wirtinger derivatives at a point, or at each point
+    of a stack (a leading point axis on every field; ``step`` and
+    ``error_estimate`` then hold one value per point).
 
     ``dg[i, k, l] = d g_{k lbar} / d z_i``,
     ``dbar_g[j, k, l] = d g_{k lbar} / d zbar_j``,
     ``ddbar_g[i, j, k, l] = d^2 g_{k lbar} / d z_i d zbar_j``.
+    ``error`` is the error of the first failing point of a ``partial``
+    stack, whose leading points the other fields hold.
     """
 
     g: np.ndarray
     dg: np.ndarray
     dbar_g: np.ndarray
     ddbar_g: np.ndarray
-    step: float
-    error_estimate: float
+    step: float | np.ndarray
+    error_estimate: float | np.ndarray
+    error: Exception | None = None
 
 
-def metric_derivatives(metric, z):
-    """Wirtinger derivatives of the metric field at ``z``.
+def metric_derivatives(metric, z, partial=False):
+    """Wirtinger derivatives of the metric field at ``z``, one point ``(n,)``
+    or a stack ``(P, n)``.
 
     First derivatives use 4th-order central differences in each of the 2n
     real coordinates; mixed second derivatives use nested 4th-order stencils.
-    With ``h = 1e-3 max(1, |z|)``, the returned values are taken at step
-    ``h/2`` and ``error_estimate`` comes from the Richardson comparison of
-    the ``h`` and ``h/2`` passes (with a small safety factor and a roundoff
-    floor).
+    With ``h = 1e-3 max(1, |z|)`` per point, the returned values are taken at
+    step ``h/2`` and ``error_estimate`` comes from the Richardson comparison
+    of the ``h`` and ``h/2`` passes (with a small safety factor and a
+    roundoff floor).  A stack costs one metric call per distinct stencil
+    offset, 41, 193, 457 and 833 for n = 1..4 whatever its size, and each
+    point gets the bits it gets alone.
 
-    Raises DomainMarginError unless ``z`` is interior with margin ``4*h`` and
-    NonFiniteSample if the evaluator blows up on a stencil point.
+    Raises DomainMarginError unless a point is interior with margin ``4*h``
+    and NonFiniteSample if the evaluator blows up on a stencil point; a
+    stack raises what its first failing point raises alone.  With
+    ``partial``, a stack whose first failing point is not its first returns
+    the points before it and that point's error in ``error`` instead.
     """
     z = np.atleast_1d(np.asarray(z, dtype=complex))
-    if z.shape != (metric.dim,):
+    if z.ndim > 2 or z.shape[-1] != metric.dim:
         raise DimensionMismatch(f"point shape {z.shape} does not match dim {metric.dim}")
-    h = 1e-3 * max(1.0, float(np.linalg.norm(z)))
-    if not metric.domain.contains(z, margin=4.0 * h):
-        raise DomainMarginError(
-            f"point {z} is not interior to the domain with margin {4 * h:.2e}"
+    points = z.reshape(-1, metric.dim)
+    h = 1e-3 * np.maximum(1.0, point_norms(points))
+    inside = metric.domain.contains(points, margin=4.0 * h)
+    good, error = len(points), None  # the points before the first failing one, and its error
+    if not np.all(inside):
+        good = int(np.argmin(inside))
+        error = DomainMarginError(
+            f"point {points[good]} is not interior to the domain with margin {4 * h[good]:.2e}"
         )
+    if good:
+        # one point goes to the evaluator alone, as it came
+        field = StencilField(metric if z.ndim == 2 else lambda x: metric(x[0])[None], points[:good])
+        g = field.at(())
+        coarse = wirtinger_derivatives(field, h[:good])
+        fine = wirtinger_derivatives(field, h[:good] / 2.0)
+        if field.bad:
+            good = min(field.bad)
+            error = field.bad[good]
+    if error is not None and not (partial and good):
+        raise error
 
-    field = StencilField(metric, z)
-    g = field.at(())
-    coarse = wirtinger_derivatives(field, h)
-    fine = wirtinger_derivatives(field, h / 2.0)
-
-    gscale = max(1.0, float(np.max(np.abs(g))))
+    g, h = g[:good], h[:good]
+    gscale = np.maximum(1.0, np.max(np.abs(g), axis=(-2, -1)))
     eps = np.finfo(float).eps
     est = 0.0
     for c, f, order in zip(coarse, fine, (1, 1, 2)):
-        diff = float(np.max(np.abs(c - f))) / 15.0
-        floor = 100.0 * eps * gscale / (h / 2.0) ** order
-        est = max(est, 1.5 * diff + floor)
+        diff = np.max(np.abs(c[:good] - f[:good]).reshape(good, -1), axis=1) / 15.0
+        floor = 100.0 * eps * gscale / np.float_power(h / 2.0, order)
+        est = np.maximum(est, 1.5 * diff + floor)
 
-    dg, dbg, ddg = fine
-    return MetricDerivatives(
-        g=g, dg=dg, dbar_g=dbg, ddbar_g=ddg, step=h / 2.0, error_estimate=est
-    )
+    dg, dbar_g, ddbar_g = (f[:good] for f in fine)
+    if z.ndim == 1:
+        return MetricDerivatives(g[0], dg[0], dbar_g[0], ddbar_g[0], float(h[0] / 2.0), float(est[0]))
+    return MetricDerivatives(g, dg, dbar_g, ddbar_g, h / 2.0, est, error)

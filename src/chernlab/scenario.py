@@ -15,7 +15,6 @@ import contextlib
 import functools
 import json
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 from time import perf_counter
 
@@ -370,7 +369,7 @@ def _run_schwarz(task, metrics, maps, loc, seed):
     # the document's constants are kept; only those it leaves out are estimated
     constants = estimate_hypotheses(sp, task["theorem"], task.get("constants"),
                                     _search_cfg(task.get("search"), seed),
-                                    task.get("kappa_mode", "along_map"), task.get("preset"))
+                                    task.get("kappa_mode"), task.get("preset"))
     return _verdict_payload(schwarz_verify(sp, constants, tol=task.get("tol", 1e-6)))
 
 
@@ -412,28 +411,40 @@ def _cubature_payload(res, lhs, rhs):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class Report:
-    """Machine-readable scenario outcome; deterministic given (scenario, seed)."""
+def _report_text(payload):
+    """A report as compact JSON: sorted keys, no spaces, one line."""
+    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
 
-    format_version: int
-    seed: int
-    scenario: dict
-    tasks: list
-    passed: bool
-    timing_ms: dict = field(default_factory=dict)
+
+def _parsed(key):
+    return property(lambda self: json.loads(self._text)[key], doc=f"``{key}``, parsed from the report text.")
+
+
+class Report:
+    """Machine-readable scenario outcome; deterministic given (scenario, seed).
+
+    A report is its JSON text, serialized once, and the wall time of each
+    task; ``format_version``, ``seed``, ``scenario``, ``tasks`` and
+    ``passed`` are parsed from the text on each read.
+    """
+
+    __slots__ = ("_text", "timing_ms")
+
+    def __init__(self, text, timing_ms):
+        self._text = text
+        self.timing_ms = timing_ms
+
+    format_version = _parsed("format_version")
+    seed = _parsed("seed")
+    scenario = _parsed("scenario")
+    tasks = _parsed("tasks")
+    passed = _parsed("passed")
 
     def to_json(self, include_timing=False):
-        payload = {
-            "format_version": self.format_version,
-            "seed": self.seed,
-            "scenario": self.scenario,
-            "tasks": self.tasks,
-            "passed": self.passed,
-        }
+        """The report text (the same string on every call), or a new text with ``timing_ms`` added."""
         if include_timing:
-            payload["timing_ms"] = self.timing_ms
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+            return _report_text({**json.loads(self._text), "timing_ms": self.timing_ms})
+        return self._text
 
 
 def _task_passed(result):
@@ -500,14 +511,9 @@ def run_scenario(source, seed=None, parallel=False):
         "tasks": tasks,
     }
     passed = all(entry["status"] == "ok" for entry in results)
-    return Report(
-        format_version=FORMAT_VERSION,
-        seed=seed,
-        scenario=effective,
-        tasks=results,
-        passed=passed,
-        timing_ms=timings,
-    )
+    payload = {"format_version": FORMAT_VERSION, "seed": seed, "scenario": effective, "tasks": results,
+               "passed": passed}
+    return Report(_report_text(payload), timings)
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,6 @@ __all__ = [
     "FrameCurvatureMatrices",
     "check_finite",
     "curvature_in_frame",
-    "curvature_symmetry_residue",
     "frame_residue",
     "gram_unitary_frame",
     "hermitian_inverse",
@@ -127,20 +126,17 @@ def frame_residue(e, g):
     return float(np.max(np.abs(e.conj().T @ g @ e - np.eye(n))))
 
 
-def curvature_symmetry_residue(r):
-    """max|R[i,j,k,l] - conj(R[j,i,l,k])| over all indices."""
-    r = np.asarray(r, dtype=complex)
-    return float(np.max(np.abs(r - np.conj(np.transpose(r, (1, 0, 3, 2))))))
-
-
 def symmetrize_curvature(r):
-    """Enforce conjugation symmetry on a rank-4 array; return (tensor, residue)."""
+    """Enforce conjugation symmetry on a rank-4 array, or on each of a stack
+    ``(..., n, n, n, n)``; return (tensor, residue), the residue
+    ``max|R[i,j,k,l] - conj(R[j,i,l,k])|`` a float for one array and one per
+    array of a stack."""
     r = check_finite(np.asarray(r, dtype=complex), "curvature tensor")
-    if r.ndim != 4 or len(set(r.shape)) != 1:
+    if r.ndim < 4 or len(set(r.shape[-4:])) != 1:
         raise DimensionMismatch(f"expected an n^4 array, got shape {r.shape}")
-    residue = curvature_symmetry_residue(r)
-    sym = (r + np.conj(np.transpose(r, (1, 0, 3, 2)))) / 2.0
-    return sym, residue
+    swapped = np.conj(np.swapaxes(np.swapaxes(r, -4, -3), -2, -1))  # conj(R[j, i, l, k]) at [i, j, k, l]
+    residue = np.max(np.abs(r - swapped), axis=(-4, -3, -2, -1))
+    return (r + swapped) / 2.0, float(residue) if residue.ndim == 0 else residue
 
 
 @dataclass(frozen=True)

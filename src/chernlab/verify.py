@@ -13,9 +13,9 @@ stack and every metric, map and curvature value read there, each evaluated
 once and only when first read.  Every point keeps the bits it gets alone, a
 failing check names the first failing point in grid order, and the cone
 kappas take all points in one ``rbc_bounds`` or ``sbc_bound`` call.  All
-curvature goes through ``SchwarzPass.curvature``, one point at a time: its
-stencils call the metric once per sample, a count the benchmark's
-evaluation check pins, so stacking them waits for that check to change.
+curvature goes through ``SchwarzPass.curvature``: one ``chern_curvature``
+call per metric on the stack of points not seen yet, whose stencils call
+the metric once per offset for all of them.
 """
 
 from __future__ import annotations
@@ -195,15 +195,13 @@ class SchwarzPass:
 
     def curvature(self, metric, points):
         """The Chern curvature tensors of ``metric``, one of the pass's
-        metrics, at each of ``points``: one ``chern_curvature`` call per
-        (metric, point) pair the pass has not seen yet."""
-        tensors = []
-        for z in points:
-            key = (id(metric), z.tobytes())
-            if key not in self._curvature:
-                self._curvature[key] = chern_curvature(metric, z)
-            tensors.append(self._curvature[key])
-        return np.array(tensors)
+        metrics, at each of ``points``: one ``chern_curvature`` call on the
+        stack of the points the pass has not seen with that metric."""
+        keys = [(id(metric), z.tobytes()) for z in points]
+        unseen = {key: z for key, z in zip(keys, points) if key not in self._curvature}
+        if unseen:
+            self._curvature.update(zip(unseen, chern_curvature(metric, np.array(list(unseen.values())))))
+        return np.array([self._curvature[key] for key in keys])
 
     @cached_property
     def source_ric2(self):
@@ -527,18 +525,25 @@ def _row(theorem, preset):
     return row, row.presets[preset] if preset is not None else Preset()
 
 
-def estimate_hypotheses(sp, theorem, fixed=None, frame_cfg=FrameSearchConfig(), kappa_mode="along_map",
+def estimate_hypotheses(sp, theorem, fixed=None, frame_cfg=FrameSearchConfig(), kappa_mode=None,
                         preset=None):
     """The constants of ``theorem`` (a key of ``THEOREMS``) on the pass
     ``sp``: ``fixed`` ones as given, those a ``preset`` fixes or derives, and
     the others fitted, tightest on the grid, so given constants evaluate
     nothing.  Shift constants (C2, C4) left out are 0, n is the source
     dimension and r the map's greatest rank (Chern-Lu, family) or n.
-    ``kappa_mode`` takes the Aubin-Yau kappa ``"along_map"`` or on the
-    ``"full_cone"``.  Broken sign rules raise HypothesisSignError for given
-    constants and InfeasibleHypothesis for fitted ones; a full-cone kappa
-    raises UnboundedSbc where the SBC is -inf."""
+    ``kappa_mode`` takes the kappa of an ``"sbc"`` cone (Aubin-Yau's)
+    ``"along_map"`` (None: the default) or on the ``"full_cone"``; it is
+    BadParams for a theorem without one.  Broken sign rules raise
+    HypothesisSignError for given constants and InfeasibleHypothesis for
+    fitted ones; a full-cone kappa raises UnboundedSbc where the SBC is
+    -inf."""
     row, spec = _row(theorem, preset)
+    if kappa_mode is not None and "sbc" not in row.cones.values():
+        readers = sorted(name for name, t in THEOREMS.items() if "sbc" in t.cones.values())
+        raise BadParams(f"kappa_mode is read only by {', '.join(readers)}; {theorem} does not read it")
+    if kappa_mode is None:
+        kappa_mode = "along_map"
     if kappa_mode not in ("along_map", "full_cone"):
         raise BadParams(f"unknown kappa_mode {kappa_mode!r} (expected 'along_map' or 'full_cone')")
     c = HypothesisConstants(theorem, preset)

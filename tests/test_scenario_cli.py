@@ -227,6 +227,21 @@ class TestDeterminism:
         with_timing = json.loads(report.to_json(include_timing=True))
         assert "timing_ms" in with_timing
 
+    def test_report_is_its_compact_text(self):
+        # a finished report keeps its text alone: compact, sorted, the same object on each call
+        report = run_scenario(base_scenario())
+        text = report.to_json()
+        assert text is report.to_json()
+        payload = json.loads(text)
+        assert text == json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+        assert sorted(payload) == ["format_version", "passed", "scenario", "seed", "tasks"]
+        assert (report.tasks, report.passed, report.seed) == (payload["tasks"], payload["passed"], 7)
+        assert (report.scenario, report.format_version) == (payload["scenario"], payload["format_version"])
+        timed = report.to_json(include_timing=True)
+        assert timed == json.dumps({**payload, "timing_ms": report.timing_ms}, sort_keys=True,
+                                   separators=(",", ":")) + "\n"
+        assert list(json.loads(timed)["timing_ms"]) == ["0"]
+
 
 class TestTasks:
     def test_flat_curvature_task(self):
@@ -692,6 +707,22 @@ class TestCli:
         assert main(["rbc", "--metric", "hopf:2", "--point", "0,0,0,0"]) == 1
         task = json.loads(capsys.readouterr().out)["tasks"][0]
         assert task["status"] == "error" and task["error"].startswith("DomainMarginError:")
+
+    @pytest.mark.parametrize("theorem", ["chern_lu", "trace_bound", "family"])
+    def test_kappa_mode_on_a_theorem_that_does_not_read_it(self, theorem, capsys):
+        # only a theorem with an "sbc" cone in THEOREMS (Aubin-Yau) reads kappa_mode
+        assert "sbc" not in THEOREMS[theorem].cones.values() and "sbc" in THEOREMS["aubin_yau"].cones.values()
+        args = ["schwarz", "--theorem", theorem, "--source", "poincare_disk:1", "--target", "3*poincare_disk:1",
+                "--grid", "box:center=0.1,0;half=0.2;per-axis=2"]
+        if theorem != "trace_bound":
+            args += ["--map", "identity"]
+        if theorem == "family":
+            args += ["--mu", "poincare_disk:1"]
+        assert main(args + ["--kappa-mode", "along_map"]) == 1
+        task = json.loads(capsys.readouterr().out)["tasks"][0]
+        assert task["status"] == "error"
+        assert task["error"] == f"BadParams: kappa_mode is read only by aubin_yau; {theorem} does not read it"
+        assert main(args) == 0
 
     def test_sbc_subcommand_unbounded(self, capsys):
         assert main(["sbc", "--metric", "complex_hyperbolic:2", "--point", "0,0,0,0"]) == 0

@@ -97,11 +97,12 @@ def evaluations(monkeypatch):
 def test_demo_evaluations_do_not_grow(evaluations):
     # estimation and verification share one pass per Schwarz task: the
     # Aubin-Yau and trace-bound tasks of the demo read the curvature of the
-    # disk at 9 points once, not twice
+    # disk at 9 points once, not twice; each metric's unseen points of a
+    # pass are one stacked chern_curvature call
     report = run_scenario(str(DEMO))
     assert report.passed
-    assert evaluations["chern_curvature"] <= 74
-    assert evaluations["metric"] <= 3807
+    assert evaluations["chern_curvature"] <= 10
+    assert evaluations["metric"] <= 1183
 
 
 def _constants_doc(tasks):
@@ -130,7 +131,8 @@ def test_given_constants_evaluate_no_curvature(evaluations):
 def test_partial_constants_estimate_the_rest(evaluations):
     # a Chern-Lu document that gives kappa alone gets C1 fitted on the grid
     # and C2 = 0 with it; kappa is not estimated, so the target's curvature
-    # is never evaluated: 4 source points, none of the target
+    # is never evaluated: the 4 source points in one stacked call, none of
+    # the target
     report = run_scenario(_constants_doc([
         {"theorem": "chern_lu", "map": "id1", "target": "disk3", "constants": {"kappa": 0.25}},
     ]))
@@ -138,7 +140,7 @@ def test_partial_constants_estimate_the_rest(evaluations):
     assert result["provenance"] == {"kappa": "user", "c1": "estimated", "c2": "estimated"}
     assert result["constants"]["kappa"] == 0.25 and abs(result["constants"]["c1"] - 2.0) < 1e-6
     assert set(result["achieved_at"]) == {"c1"}
-    assert evaluations["chern_curvature"] == 4
+    assert evaluations["chern_curvature"] == 1
     # the bound C1 r / (kappa + C2) = 8 holds for the energy 3
     assert report.tasks[0]["status"] == "ok" and abs(result["bound"] - 8.0) < 1e-5
 

@@ -171,9 +171,6 @@ def _cmd_identity(args):
         task["indices"] = [int(v) for v in args.indices.split(",")]
     elif args.check == "theorem23":
         task["n"] = args.n
-        task["trials"] = args.trials
-        if args.tol is not None:
-            task["tol"] = args.tol
     else:
         if not args.metric or not args.point:
             raise SchemaError("averaged-hsc needs --metric and --point", "--check")
@@ -248,8 +245,6 @@ def build_parser():
     p.add_argument("--check", required=True, choices=task["check"]["enum"])
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--indices", default="1,1,1,1")
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--tol", type=float, default=None)
     p.add_argument("--metric", default=None)
     p.add_argument("--point", default=None)
     p.add_argument("--b", default=None)

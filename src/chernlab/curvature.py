@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadParams, DimensionMismatch, ResidueTooLarge, ZeroVector
-from .metrics import ChartedHermitianMetric, metric_derivatives
+from .metrics import ChartedHermitianMetric, first_failing_point, metric_derivatives
 from .tensors import hermitian_inverse, hermitize, pair_matrix, symmetrize_curvature, trace_form
 
 __all__ = [
@@ -41,6 +41,7 @@ def assemble_chern_tensor(g, dg, dbar_g, ddbar_g):
     return -ddbar_g + second
 
 
+@first_failing_point
 def chern_curvature(metric: ChartedHermitianMetric, z, return_derivs=False):
     """Chern curvature tensor of a charted metric at ``z``, one point or
     each point of a stack ``(P, n)`` (one metric call per stencil offset
@@ -52,7 +53,7 @@ def chern_curvature(metric: ChartedHermitianMetric, z, return_derivs=False):
     stencil, not noise).  A stack raises what its first failing point
     raises alone.
     """
-    md = metric_derivatives(metric, z, partial=True)
+    md = metric_derivatives(metric, z)
     raw = assemble_chern_tensor(md.g, md.dg, md.dbar_g, md.ddbar_g)
     tensor, residue = symmetrize_curvature(raw)
     scale = np.maximum(1.0, np.max(np.abs(tensor), axis=(-4, -3, -2, -1)))
@@ -64,8 +65,6 @@ def chern_curvature(metric: ChartedHermitianMetric, z, return_derivs=False):
             f"conjugation-symmetry residue {residue:.3e} exceeds "
             f"100x FD error estimate {estimate:.3e} (scale {scale:.1e})"
         )
-    if md.error is not None:
-        raise md.error
     if return_derivs:
         return tensor, md
     return tensor

@@ -40,10 +40,8 @@ class StencilField:
     offset, on every point at once.  An offset ``((axis, delta), ...)`` moves
     real coordinate ``axis`` by ``delta``, one number or one per point.
 
-    A point with a non-finite value does not stop the others: ``bad`` maps
-    its index to the NonFiniteSample it raises alone, naming its first such
-    offset, and non-finite values are kept as zeros so that no arithmetic on
-    them warns."""
+    A non-finite value raises NonFiniteSample at once, naming the offset of
+    the first point that has one."""
 
     def __init__(self, fun, z):
         z = np.atleast_1d(np.asarray(z, dtype=complex))
@@ -51,7 +49,6 @@ class StencilField:
         self.n = z.shape[-1]
         self.x0 = np.concatenate([z.real, z.imag], axis=-1)
         self.cache = {}
-        self.bad = {}
 
     def at(self, offsets=()):
         key = tuple((axis, np.asarray(delta, dtype=float).tobytes()) for axis, delta in offsets)
@@ -62,12 +59,9 @@ class StencilField:
             value = np.asarray(self.fun(x[..., : self.n] + 1j * x[..., self.n :]))
             finite = np.isfinite(value)
             if not np.all(finite):
-                points = ~finite.reshape(x.shape[:-1] + (-1,)).all(axis=-1)
-                for p in np.flatnonzero(points):
-                    where = tuple((axis, float(np.ravel(np.broadcast_to(delta, points.shape))[p]))
-                                  for axis, delta in offsets)
-                    self.bad.setdefault(int(p), NonFiniteSample(f"field evaluation not finite at offset {where}"))
-                value = np.where(finite, value, 0)
+                p = tuple(np.argwhere(~finite)[0][: x.ndim - 1])  # () for one point
+                where = tuple((axis, float(np.broadcast_to(delta, x.shape[:-1])[p])) for axis, delta in offsets)
+                raise NonFiniteSample(f"field evaluation not finite at offset {where}")
             self.cache[key] = value
         return self.cache[key]
 

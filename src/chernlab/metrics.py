@@ -8,13 +8,14 @@ with a Richardson step-halving error estimate.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .errors import BadParams, DimensionMismatch, DomainMarginError, UnknownCatalogName
+from .errors import BadParams, ChernLabError, DimensionMismatch, DomainMarginError, UnknownCatalogName
 from .fd import StencilField, wirtinger_derivatives
 
 __all__ = [
@@ -248,8 +249,6 @@ class MetricDerivatives:
     ``dg[i, k, l] = d g_{k lbar} / d z_i``,
     ``dbar_g[j, k, l] = d g_{k lbar} / d zbar_j``,
     ``ddbar_g[i, j, k, l] = d^2 g_{k lbar} / d z_i d zbar_j``.
-    ``error`` is the error of the first failing point of a ``partial``
-    stack, whose leading points the other fields hold.
     """
 
     g: np.ndarray
@@ -258,10 +257,31 @@ class MetricDerivatives:
     ddbar_g: np.ndarray
     step: float | np.ndarray
     error_estimate: float | np.ndarray
-    error: Exception | None = None
 
 
-def metric_derivatives(metric, z, partial=False):
+def first_failing_point(fn):
+    """Make ``fn(metric, z, ...)`` on a ``(P, n)`` stack raise what its first
+    failing point raises alone: when the stack raises a ChernLabError, the
+    points run again one at a time, in order, and the first error is raised.
+    This path runs only when the stack fails."""
+
+    @functools.wraps(fn)
+    def replayed(metric, z, *args, **kwargs):
+        try:
+            return fn(metric, z, *args, **kwargs)
+        except ChernLabError:
+            points = np.asarray(z, dtype=complex)
+            if points.ndim != 2 or points.shape[1] != metric.dim:
+                raise
+            for point in points:
+                fn(metric, point, *args, **kwargs)
+            raise
+
+    return replayed
+
+
+@first_failing_point
+def metric_derivatives(metric, z):
     """Wirtinger derivatives of the metric field at ``z``, one point ``(n,)``
     or a stack ``(P, n)``.
 
@@ -276,9 +296,7 @@ def metric_derivatives(metric, z, partial=False):
 
     Raises DomainMarginError unless a point is interior with margin ``4*h``
     and NonFiniteSample if the evaluator blows up on a stencil point; a
-    stack raises what its first failing point raises alone.  With
-    ``partial``, a stack whose first failing point is not its first returns
-    the points before it and that point's error in ``error`` instead.
+    stack raises what its first failing point raises alone.
     """
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     if z.ndim > 2 or z.shape[-1] != metric.dim:
@@ -286,34 +304,24 @@ def metric_derivatives(metric, z, partial=False):
     points = z.reshape(-1, metric.dim)
     h = 1e-3 * np.maximum(1.0, point_norms(points))
     inside = metric.domain.contains(points, margin=4.0 * h)
-    good, error = len(points), None  # the points before the first failing one, and its error
     if not np.all(inside):
-        good = int(np.argmin(inside))
-        error = DomainMarginError(
-            f"point {points[good]} is not interior to the domain with margin {4 * h[good]:.2e}"
-        )
-    if good:
-        # one point goes to the evaluator alone, as it came
-        field = StencilField(metric if z.ndim == 2 else lambda x: metric(x[0])[None], points[:good])
-        g = field.at(())
-        coarse = wirtinger_derivatives(field, h[:good])
-        fine = wirtinger_derivatives(field, h[:good] / 2.0)
-        if field.bad:
-            good = min(field.bad)
-            error = field.bad[good]
-    if error is not None and not (partial and good):
-        raise error
+        k = int(np.argmin(inside))
+        raise DomainMarginError(f"point {points[k]} is not interior to the domain with margin {4 * h[k]:.2e}")
+    # one point goes to the evaluator alone, as it came
+    field = StencilField(metric if z.ndim == 2 else lambda x: metric(x[0])[None], points)
+    g = field.at(())
+    coarse = wirtinger_derivatives(field, h)
+    fine = wirtinger_derivatives(field, h / 2.0)
 
-    g, h = g[:good], h[:good]
     gscale = np.maximum(1.0, np.max(np.abs(g), axis=(-2, -1)))
     eps = np.finfo(float).eps
     est = 0.0
     for c, f, order in zip(coarse, fine, (1, 1, 2)):
-        diff = np.max(np.abs(c[:good] - f[:good]).reshape(good, -1), axis=1) / 15.0
+        diff = np.max(np.abs(c - f).reshape(len(points), -1), axis=1) / 15.0
         floor = 100.0 * eps * gscale / np.float_power(h / 2.0, order)
         est = np.maximum(est, 1.5 * diff + floor)
 
-    dg, dbar_g, ddbar_g = (f[:good] for f in fine)
+    dg, dbar_g, ddbar_g = fine
     if z.ndim == 1:
         return MetricDerivatives(g[0], dg[0], dbar_g[0], ddbar_g[0], float(h[0] / 2.0), float(est[0]))
-    return MetricDerivatives(g, dg, dbar_g, ddbar_g, h / 2.0, est, error)
+    return MetricDerivatives(g, dg, dbar_g, ddbar_g, h / 2.0, est)

@@ -79,7 +79,7 @@ def _conform(value, node, loc):
 
     Interprets the keywords scenario.schema.json uses.  Returns ``value``
     with every float the schema types as an integer made an int, so that
-    ``"trials": 1e2`` reaches the program as 100.
+    ``"n": 3.0`` reaches the program as 3.
     """
     if node is True:
         return value
@@ -313,7 +313,7 @@ def _run_task(task, metrics, maps, loc, seed):
     if kind == "schwarz":
         return _run_schwarz(task, metrics, maps, loc, seed)
     if kind == "identity":
-        return _run_identity(task, metrics, loc, seed)
+        return _run_identity(task, metrics, loc)
 
     metric = _lookup(metrics, "metric", task["metric"], f"{loc}.metric")
     point = _as_point(task["point"])
@@ -332,18 +332,19 @@ def _run_task(task, metrics, maps, loc, seed):
             "tensor_max_abs": float(np.max(np.abs(report.tensor))),
         }
 
+    if kind == "rbc" and metric.dim <= 2 and "search" in task:
+        raise BadParams(f"search is read only by rbc at n >= 3 and by sbc; rbc at n = {metric.dim} is exact")
     cfg = _search_cfg(task.get("search"), seed)
-    tensor = chern_curvature(metric, point)
-    g = metric(point)
+    tensor, md = chern_curvature(metric, point, return_derivs=True)
     if kind == "rbc":
-        res = rbc_bounds(tensor, g, cfg)
+        res = rbc_bounds(tensor, md.g, cfg)
         return {
             "point": _jsonify(list(point)),
             "inf": res.inf,
             "sup": res.sup,
             "heuristic": res.heuristic,
         }
-    res = sbc_bound(tensor, g, cfg)
+    res = sbc_bound(tensor, md.g, cfg)
     payload = {"point": _jsonify(list(point)), "status": res.status}
     if res.status == "finite":
         payload.update(
@@ -373,28 +374,17 @@ def _run_schwarz(task, metrics, maps, loc, seed):
     return _verdict_payload(schwarz_verify(sp, constants, tol=task.get("tol", 1e-6)))
 
 
-def _run_identity(task, metrics, loc, seed):
+def _run_identity(task, metrics, loc):
     check = task["check"]
     if check == "fs-moment":
         res = fs_moment_check(task.get("n", 2), tuple(task.get("indices", (1, 1, 1, 1))))
         return {"check": check, **_cubature_payload(res, "estimate", "target")}
     if check == "theorem23":
-        return {
-            "check": check,
-            **_jsonify(
-                theorem23_check(
-                    task.get("n", 3),
-                    trials=task.get("trials", 100),
-                    seed=seed,
-                    tol=task.get("tol", 1e-10),
-                    diagonal=task.get("diagonal", "zero"),
-                )
-            ),
-        }
+        return {"check": check, **theorem23_check(task.get("n", 3))}
     metric = _lookup(metrics, "metric", task["metric"], f"{loc}.metric")
     point = _as_point(task["point"])
-    tensor = chern_curvature(metric, point)
-    frame = gram_unitary_frame(metric(point))
+    tensor, md = chern_curvature(metric, point, return_derivs=True)
+    frame = gram_unitary_frame(md.g)
     fm = curvature_in_frame(tensor, frame)
     res = averaged_hsc_check(fm, np.asarray(task.get("b", [1.0] * metric.dim), dtype=float))
     return {"check": check, **_cubature_payload(res, "lhs", "rhs")}

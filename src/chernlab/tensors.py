@@ -26,6 +26,10 @@ import numpy as np
 
 from .errors import DimensionMismatch, NonFiniteSample, NotPositiveDefinite, ResidueTooLarge
 
+# loud-failure threshold of ``curvature_in_frame`` on the imaginary residue of
+# the diagonal-pair components (real in exact arithmetic)
+IMAG_TOL = 1e-6
+
 __all__ = [
     "FrameCurvatureMatrices",
     "check_finite",
@@ -160,7 +164,7 @@ class FrameCurvatureMatrices:
         return self.r_mat + self.p_mat
 
 
-def curvature_in_frame(r, e, imag_tol=1e-6):
+def curvature_in_frame(r, e):
     """Contract a curvature tensor into its frame matrices.
 
     Parameters
@@ -169,9 +173,9 @@ def curvature_in_frame(r, e, imag_tol=1e-6):
     e : (..., n,n) complex frame matrix, columns are frame vectors,
         normalized by ``e^dag g e = I``.  Stacks of ``r`` and ``e``
         broadcast against each other.
-    imag_tol : loud-failure threshold on the imaginary residue of the
-        diagonal-pair components (they are real in exact arithmetic),
-        taken over the whole stack.
+
+    Raises ResidueTooLarge if the imaginary residue of the diagonal-pair
+    components, taken over the whole stack, exceeds ``IMAG_TOL``.
 
     Notes
     -----
@@ -204,9 +208,9 @@ def curvature_in_frame(r, e, imag_tol=1e-6):
             np.max(np.abs(np.diagonal(p_full, axis1=-2, axis2=-1).imag)),
         )
     )
-    if residue > imag_tol:
+    if residue > IMAG_TOL:
         raise ResidueTooLarge(
-            f"frame components have imaginary residue {residue:.3e} > {imag_tol:.1e}"
+            f"frame components have imaginary residue {residue:.3e} > {IMAG_TOL:.1e}"
         )
     return FrameCurvatureMatrices(
         r_mat=np.ascontiguousarray(r_full.real),

@@ -31,7 +31,7 @@ from chernlab.maps import (
 from chernlab.metrics import ChartedHermitianMetric, catalog_metric, point_norms, scale_metric
 from chernlab.scenario import box_grid
 from chernlab.tensors import trace_form
-from chernlab.verify import SchwarzPass, estimate_hypotheses, schwarz_verify, theorem23_check
+from chernlab.verify import SchwarzPass, estimate_hypotheses, schwarz_verify
 
 DISK = catalog_metric("poincare_disk", (1.0,))
 PD = catalog_metric("polydisk", (1.0, 1.0))
@@ -307,36 +307,3 @@ class TestEvaluatorCalls:
                                         DISK if theorem == "family" else None), theorem=theorem)
         assert calls["map"] == 1
 
-
-def _theorem23_loop(n, trials, seed, diagonal):
-    """The per-vector loop of ``theorem23_check`` as it was, for reference."""
-    from chernlab.tensors import curvature_in_frame
-    from chernlab.verify import random_pair_antisymmetric_tensor
-
-    rng = np.random.default_rng(seed)
-    eye = np.eye(n, dtype=complex)
-    max_equal = max_sigma = max_half = 0.0
-    for _ in range(trials):
-        tensor = random_pair_antisymmetric_tensor(n, rng, diagonal=diagonal)
-        fm = curvature_in_frame(tensor, eye, imag_tol=1e-8)
-        sigma = np.diag(2.0 * np.real(np.einsum("kkkk->k", tensor)))
-        q = fm.q_mat()
-        for _ in range(100):
-            v = rng.random(n)
-            q1 = float(v @ q @ v)
-            q2 = float(v @ fm.r_mat @ v)
-            q3 = float(v @ sigma @ v)
-            max_equal = max(max_equal, abs(q1 - q2))
-            max_sigma = max(max_sigma, abs(q1 - q3))
-            max_half = max(max_half, abs(q2 - q3 / 2.0))
-    return max_equal, max_sigma, max_half
-
-
-@pytest.mark.parametrize("n", [2, 3, 4])
-@pytest.mark.parametrize("diagonal", ["zero", "random"])
-def test_theorem23_matches_the_per_vector_loop(n, diagonal):
-    for seed in range(3):
-        res = theorem23_check(n, trials=10, seed=seed, diagonal=diagonal)
-        got = (res["max_discrepancy"], res["max_vs_sigma"], res["max_rbc_vs_half_sigma"])
-        want = _theorem23_loop(n, 10, seed, diagonal)
-        assert [float(x).hex() for x in got] == [float(x).hex() for x in want]

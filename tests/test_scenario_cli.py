@@ -41,7 +41,7 @@ def base_scenario():
 
 
 CURVATURE = {"kind": "curvature", "metric": "p1", "point": [[0.1, 0.0]]}
-THEOREM23 = {"kind": "identity", "check": "theorem23", "n": 3, "trials": 5}
+THEOREM23 = {"kind": "identity", "check": "theorem23", "n": 3}
 AVERAGED_HSC = {"kind": "identity", "check": "averaged-hsc", "metric": "p1", "point": [[0.1, 0.0]]}
 
 
@@ -97,12 +97,17 @@ class TestSchema:
                 id="identity-n",
             ),
             pytest.param(
-                lambda d: d.update(tasks=[dict(THEOREM23, trials="x")]), "$.tasks[0].trials", False,
+                # theorem23 is exact on a spanning set: a trial count or a diagonal mode is an unknown key
+                lambda d: d.update(tasks=[dict(THEOREM23, trials=100)]), "$.tasks[0]", False,
                 id="trials",
             ),
             pytest.param(
-                lambda d: d.update(tasks=[dict(THEOREM23, diagonal="bogus")]), "$.tasks[0].diagonal", False,
+                lambda d: d.update(tasks=[dict(THEOREM23, diagonal="zero")]), "$.tasks[0]", False,
                 id="diagonal",
+            ),
+            pytest.param(
+                lambda d: d.update(tasks=[dict(THEOREM23, tol=1e-10)]), "$.tasks[0]", False,
+                id="theorem23-tol",
             ),
             pytest.param(
                 lambda d: d.update(tasks=[dict(CURVATURE, tol="x")]), "$.tasks[0].tol", False,
@@ -708,6 +713,19 @@ class TestCli:
         task = json.loads(capsys.readouterr().out)["tasks"][0]
         assert task["status"] == "error" and task["error"].startswith("DomainMarginError:")
 
+    @pytest.mark.parametrize("catalog, params, n", [("poincare_disk", [1.0], 1), ("fubini_study", [2], 2)])
+    def test_search_on_an_exact_rbc_task(self, catalog, params, n):
+        # rbc at n <= 2 is solved exactly: only rbc at n >= 3 and sbc read a search block
+        task = {"kind": "rbc", "metric": "m", "point": [[0.0, 0.0]] * n}
+        searched = dict(task, search={"n_starts": 4, "max_iter": 25})
+        doc = {"version": 1, "metrics": {"m": {"catalog": catalog, "params": params}},
+               "tasks": [searched, task, dict(searched, kind="sbc")]}
+        tasks = run_scenario(doc).tasks
+        assert tasks[0]["status"] == "error"
+        assert tasks[0]["error"] == (f"BadParams: search is read only by rbc at n >= 3 and by sbc; "
+                                     f"rbc at n = {n} is exact")
+        assert tasks[1]["status"] == "ok" and tasks[2]["status"] == "ok"
+
     @pytest.mark.parametrize("theorem", ["chern_lu", "trace_bound", "family"])
     def test_kappa_mode_on_a_theorem_that_does_not_read_it(self, theorem, capsys):
         # only a theorem with an "sbc" cone in THEOREMS (Aubin-Yau) reads kappa_mode
@@ -822,10 +840,17 @@ class TestCli:
         assert result["provenance"] == {"kappa": "user", "c1": "estimated", "c2": "estimated"}
 
     def test_identity_subcommand(self, capsys):
-        code = main(["identity", "--check", "theorem23", "--n", "3", "--trials", "20"])
+        code = main(["identity", "--check", "theorem23", "--n", "3"])
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["tasks"][0]["result"]["max_discrepancy"] < 1e-10
+        assert payload["tasks"][0]["result"] == {
+            "check": "theorem23", "n": 3, "tensors": 33, "max_discrepancy": 0.0, "passed": True}
+
+    @pytest.mark.parametrize("flag", ["--trials", "--tol"])
+    def test_identity_subcommand_has_no_trials_or_tol(self, flag, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["identity", "--check", "theorem23", "--n", "3", flag, "20"])
+        assert info.value.code == 2 and "unrecognized arguments" in capsys.readouterr().err
 
     def test_identity_fs_moment_subcommand(self, capsys):
         code = main(["identity", "--check", "fs-moment", "--n", "3", "--indices", "1,2,1,2"])

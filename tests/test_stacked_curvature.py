@@ -63,7 +63,6 @@ def test_stack_matches_each_point_alone(name):
     metric, radius, inner = CASES[name]
     points = _points(metric, radius, inner)
     tensors, md = chern_curvature(metric, points, return_derivs=True)
-    assert md.error is None
     for k, z in enumerate(points):
         tensor, alone = chern_curvature(metric, z, return_derivs=True)
         assert _same(tensors[k], tensor)
@@ -110,15 +109,19 @@ def _infinite_beyond(threshold):
     return ChartedHermitianMetric(1, Domain(center=(0.0,), radius=10.0), evaluator, "singular")
 
 
-def _skewed_right():
+def _skewed_right(indefinite_beyond=None):
     """On the bidisk: the polydisk metric plus the non-Hermitian term
     ``[[0, max(Re z1, 0)^3], [0, 0]]``, whose curvature fails the conjugation
-    symmetry where Re z1 > 0 and is the disk's where Re z1 < -0.01."""
+    symmetry where Re z1 > 0 and is the disk's where Re z1 < -0.01; with
+    ``indefinite_beyond``, also ``g_22 - 10`` (not positive-definite) where
+    Re z2 exceeds it."""
     disk = catalog_metric("polydisk", (1.0, 1.0))
 
     def evaluator(z):
         g = disk.evaluator(z)
         g[..., 0, 1] += np.maximum(z[..., 0].real, 0.0) ** 3
+        if indefinite_beyond is not None:
+            g[..., 1, 1] -= 10.0 * (z[..., 1].real > indefinite_beyond)
         return g
 
     return ChartedHermitianMetric(2, disk.domain, evaluator, "skewed")
@@ -144,6 +147,9 @@ FAILING_STACKS = {
     "non_finite_before_domain": (_infinite_beyond(0.5), [[0.4995], [9.9999], [0.0]], 0, NonFiniteSample),
     # the margin of point 1 before the non-finite sample of point 2
     "domain_before_non_finite": (_infinite_beyond(0.5), [[0.0], [9.9999], [0.6]], 1, DomainMarginError),
+    # the residue of point 0 before the indefinite metric of point 1, which
+    # the stacked inverse of every point's metric meets first
+    "residue_before_indefinite": (_skewed_right(0.5), [[0.3, 0.1], [0.0, 0.7]], 0, ResidueTooLarge),
 }
 
 

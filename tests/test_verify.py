@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 
 import numpy as np
+import oracles
 import pytest
 
 from chernlab.cones import FrameSearchConfig
@@ -26,6 +27,7 @@ from chernlab.verify import (
     schwarz_verify,
     theorem23_check,
 )
+from chernlab.verify import _theorem23_discrepancy, _theorem23_spanning_set
 
 CFG = FrameSearchConfig(n_starts=3, max_iter=15, seed=0)
 
@@ -499,27 +501,73 @@ class TestTheorem23:
             assert abs(q_sum - q_sigma) < 1e-12
 
     def test_zero_tensor(self):
-        rep = theorem23_check(2, trials=1, seed=0)
-        assert rep["passed"]
+        assert _theorem23_discrepancy(np.zeros((2, 2, 2, 2))) == 0.0
 
     def test_property_batch(self):
-        rep = theorem23_check(3, trials=100, seed=0)
-        assert rep["max_discrepancy"] < 1e-10
-        assert rep["passed"]
+        rep = theorem23_check(3)
+        assert rep == {"n": 3, "tensors": 33, "max_discrepancy": 0.0, "passed": True}
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_exact_on_the_spanning_set(self, n):
+        rep = theorem23_check(n)
+        assert rep["tensors"] == 4 * n * n - n
+        assert rep["max_discrepancy"] == 0.0 and rep["passed"]
+
+    def test_spanning_set_is_admissible(self):
+        # conjugation-symmetric, and pair-swap antisymmetric but for the real
+        # diagonal quartics, which are its last n tensors
+        n = 3
+        t = _theorem23_spanning_set(n)
+        assert np.array_equal(t, np.conj(np.transpose(t, (0, 2, 1, 4, 3))))
+        k = np.arange(n)
+        quartics = np.zeros_like(t)
+        quartics[:, k, k, k, k] = t[:, k, k, k, k]
+        assert np.array_equal(t - quartics, -np.transpose(t - quartics, (0, 3, 4, 1, 2)))
+        assert np.array_equal(quartics[-n:], t[-n:]) and not np.any(quartics[:-n])
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_a_tensor_without_the_antisymmetry_fails(self, n):
+        # Fubini-Study at 0 is pair-swap symmetric: sym(R_mat + P_mat) = 2 (J + I) is not Sigma = 4 I
+        assert _theorem23_discrepancy(oracles.fs_tensor(np.zeros(n))) == 2.0
+        # nor are the entrywise moduli of the spanning set, which are pair-swap symmetric
+        t = _theorem23_spanning_set(n)
+        assert _theorem23_discrepancy(np.abs(t)) > 0.0
+
+    def test_each_statement_is_checked(self):
+        # pair-swap symmetric (a, a, g, g) entries cancelled by (a, g, g, a) ones
+        # break only sym(R_mat) = Sigma/2, and (a, g, g, a) ones alone only
+        # sym(R_mat + P_mat) = Sigma
+        swapped = np.zeros((2, 2, 2, 2))
+        swapped[0, 1, 1, 0] = swapped[1, 0, 0, 1] = 1.0
+        cancelled = -swapped
+        cancelled[0, 0, 1, 1] = cancelled[1, 1, 0, 0] = 1.0
+        assert _theorem23_discrepancy(cancelled) == 1.0
+        assert _theorem23_discrepancy(swapped) == 1.0
 
     def test_unknown_diagonal(self):
+        # the construction's settings are gone: the check takes n alone
+        with pytest.raises(TypeError):
+            theorem23_check(3, diagonal="random")
         with pytest.raises(BadParams):
-            theorem23_check(3, trials=1, diagonal="bogus")
+            theorem23_check(1)
 
     def test_no_trials(self):
-        with pytest.raises(BadParams):
-            theorem23_check(3, trials=0)
+        # no random draws: one deterministic set, whatever the seed of a run
+        with pytest.raises(TypeError):
+            theorem23_check(3, trials=100)
+        assert theorem23_check(4) == theorem23_check(4)
 
     def test_random_diagonal_structure(self):
-        rep = theorem23_check(3, trials=50, seed=1, diagonal="random")
-        assert rep["max_vs_sigma"] < 1e-10
-        assert rep["max_rbc_vs_half_sigma"] < 1e-10
-        assert rep["passed"]
+        # random admissible tensors with random real diagonal quartics, the
+        # old construction, agree with the spanning set to rounding
+        rng = np.random.default_rng(1)
+        n = 3
+        t = rng.standard_normal((50,) + (n,) * 4) + 1j * rng.standard_normal((50,) + (n,) * 4)
+        t = (t + np.conj(np.transpose(t, (0, 2, 1, 4, 3)))) / 2.0
+        t = (t - np.transpose(t, (0, 3, 4, 1, 2))) / 2.0
+        k = np.arange(n)
+        t[:, k, k, k, k] = rng.standard_normal((50, n))
+        assert _theorem23_discrepancy(t) < 1e-12
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 10**400], ids=["nan", "inf", "-inf", "10**400"])

@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import BadParams, ChernLabError, DimensionMismatch, DomainMarginError, UnknownCatalogName
-from .fd import StencilField, wirtinger_derivatives
+from .fd import wirtinger_derivatives
 
 __all__ = [
     "ChartedHermitianMetric",
@@ -151,17 +151,19 @@ def _euclidean(n):
 
 
 def _fubini_study(n):
+    eye = np.eye(n, dtype=complex)
     def ev(z):
         q = (1.0 + _sq_norm(z))[..., None, None]
-        return np.eye(n, dtype=complex) / q - _outer(z) / np.float_power(q, 2)
+        return eye / q - _outer(z) / np.float_power(q, 2)
 
     return ev
 
 
 def _complex_hyperbolic(n):
+    eye = np.eye(n, dtype=complex)
     def ev(z):
         u = (1.0 - _sq_norm(z))[..., None, None]
-        return np.eye(n, dtype=complex) / u + _outer(z) / np.float_power(u, 2)
+        return eye / u + _outer(z) / np.float_power(u, 2)
 
     return ev
 
@@ -185,9 +187,10 @@ def _polydisk(scales):
 
 
 def _hopf(n):
+    eye = np.eye(n, dtype=complex)
     def ev(z):
         s = _sq_norm(z)[..., None, None]
-        return np.eye(n, dtype=complex) / s
+        return eye / s
 
     return ev
 
@@ -290,9 +293,9 @@ def metric_derivatives(metric, z):
     With ``h = 1e-3 max(1, |z|)`` per point, the returned values are taken at
     step ``h/2`` and ``error_estimate`` comes from the Richardson comparison
     of the ``h`` and ``h/2`` passes (with a small safety factor and a
-    roundoff floor).  A stack costs one metric call per distinct stencil
-    offset, 41, 193, 457 and 833 for n = 1..4 whatever its size, and each
-    point gets the bits it gets alone.
+    roundoff floor), both from one ``fd.wirtinger_derivatives`` call: one
+    metric call per distinct offset of the two stencils, 41, 193, 457 and
+    833 for n = 1..4 whatever the stack, each point with its bits alone.
 
     Raises DomainMarginError unless a point is interior with margin ``4*h``
     and NonFiniteSample if the evaluator blows up on a stencil point; a
@@ -307,11 +310,7 @@ def metric_derivatives(metric, z):
     if not np.all(inside):
         k = int(np.argmin(inside))
         raise DomainMarginError(f"point {points[k]} is not interior to the domain with margin {4 * h[k]:.2e}")
-    # one point goes to the evaluator alone, as it came
-    field = StencilField(metric if z.ndim == 2 else lambda x: metric(x[0])[None], points)
-    g = field.at(())
-    coarse = wirtinger_derivatives(field, h)
-    fine = wirtinger_derivatives(field, h / 2.0)
+    g, coarse, fine = wirtinger_derivatives(metric, z, h.reshape(z.shape[:-1]))
 
     gscale = np.maximum(1.0, np.max(np.abs(g), axis=(-2, -1)))
     eps = np.finfo(float).eps
@@ -323,5 +322,5 @@ def metric_derivatives(metric, z):
 
     dg, dbar_g, ddbar_g = fine
     if z.ndim == 1:
-        return MetricDerivatives(g[0], dg[0], dbar_g[0], ddbar_g[0], float(h[0] / 2.0), float(est[0]))
+        return MetricDerivatives(g, dg, dbar_g, ddbar_g, float(h[0] / 2.0), float(est[0]))
     return MetricDerivatives(g, dg, dbar_g, ddbar_g, h / 2.0, est)

@@ -183,6 +183,15 @@ class TestSchema:
             error = run_scenario(doc).tasks[0]["error"]
             assert error.startswith("SchemaError:") and f"(at {location})" in error
 
+    @pytest.mark.parametrize("task", [CURVATURE, THEOREM23, AVERAGED_HSC], ids=["curvature", "theorem23", "averaged-hsc"])
+    def test_task_seed_that_nothing_reads_is_a_schema_error(self, task):
+        # only the frame searches of rbc, sbc and schwarz tasks read a task's seed
+        doc = base_scenario()
+        doc["tasks"] = [dict(task, seed=3), dict(CURVATURE, kind="rbc", seed=3)]
+        report = run_scenario(doc)
+        assert report.tasks[0]["error"] == "SchemaError: unknown key 'seed' (at $.tasks[0])"
+        assert report.tasks[1]["status"] == "ok"
+
     def test_exclusive_metric_source(self):
         doc = base_scenario()
         doc["metrics"]["p1"] = {"catalog": "euclidean", "expression": "1", "params": [1]}

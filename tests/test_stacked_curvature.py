@@ -9,7 +9,7 @@ import pytest
 from chernlab.curvature import chern_curvature
 from chernlab.errors import DomainMarginError, NonFiniteSample, ResidueTooLarge
 from chernlab.exprparse import parse_metric_expression
-from chernlab.fd import StencilField, wirtinger_derivatives
+from chernlab.fd import wirtinger_derivatives
 from chernlab.metrics import ChartedHermitianMetric, Domain, catalog_metric, metric_derivatives
 from test_grid_stacks import _derivatives_loop
 
@@ -77,14 +77,17 @@ def test_stack_matches_each_point_alone(name):
 @pytest.mark.parametrize("name", ["polydisk(2)", "hopf(3)", "expression(2)"])
 def test_stacked_field_matches_the_sample_loop(name):
     # each point of a stacked field, with its own step, against the loop over
-    # its samples alone; h * h rounds differently from h**2 at these steps
+    # its samples alone at steps h and h/2; h * h rounds differently from
+    # h**2 at these steps
     metric, radius, inner = CASES[name]
     points = _points(metric, radius, inner, count=4)
     steps = np.array([0.00140125, 0.00143325, 1e-3, 5e-4])
-    got = wirtinger_derivatives(StencilField(metric, points), steps)
+    centre, coarse, fine = wirtinger_derivatives(metric, points, steps)
+    assert _same(centre, metric(points))
     for k, z in enumerate(points):
-        want = _derivatives_loop(StencilField(metric, z), float(steps[k]))
-        assert all(_same(a[k], b) for a, b in zip(got, want))
+        for got, h in ((coarse, steps[k]), (fine, steps[k] / 2.0)):
+            want = _derivatives_loop(metric, z, float(h))
+            assert all(_same(a[k], b) for a, b in zip(got, want))
 
 
 @pytest.mark.parametrize("n", sorted(ONE_POINT_CALLS))
@@ -99,14 +102,24 @@ def test_metric_calls_do_not_grow_with_the_stack(n, count):
     assert len(calls) == ONE_POINT_CALLS[n]
 
 
-def _infinite_beyond(threshold):
-    """A flat metric on the disk of radius 10 whose value is inf where Re z1 > threshold."""
+def _infinite_where(bad):
+    """A flat metric on the disk of radius 10 whose value is inf where ``bad(Re z1)``."""
     def evaluator(z):
         g = np.ones(z.shape[:-1] + (1, 1), dtype=complex)
-        g[z[..., 0].real > threshold] = np.inf
+        g[bad(z[..., 0].real)] = np.inf
         return g
 
     return ChartedHermitianMetric(1, Domain(center=(0.0,), radius=10.0), evaluator, "singular")
+
+
+def _infinite_beyond(threshold):
+    """A flat metric on the disk of radius 10 whose value is inf where Re z1 > threshold."""
+    return _infinite_where(lambda x: x > threshold)
+
+
+# inf at Re z1 = 0.2005, the sample (0, +h/2) of the point 0.2 (h = 1e-3)
+# that the step-h stencil does not share, and beyond 0.5
+FINE_ONLY = _infinite_where(lambda x: (0.2003 < x) & (x < 0.2007) | (x > 0.5))
 
 
 def _skewed_right(indefinite_beyond=None):
@@ -145,6 +158,8 @@ FAILING_STACKS = {
     "residue_before_domain": (_skewed_right(), [[-0.2, 0.0], [0.3, 0.1], [0.9999, 0.0]], 1, ResidueTooLarge),
     # and the non-finite sample of point 0 before the margin of point 1
     "non_finite_before_domain": (_infinite_beyond(0.5), [[0.4995], [9.9999], [0.0]], 0, NonFiniteSample),
+    # a non-finite h/2 sample of point 1 after the non-finite centre of point 2
+    "non_finite_fine_only": (FINE_ONLY, [[0.0], [0.2], [0.6]], 1, NonFiniteSample),
     # the margin of point 1 before the non-finite sample of point 2
     "domain_before_non_finite": (_infinite_beyond(0.5), [[0.0], [9.9999], [0.6]], 1, DomainMarginError),
     # the residue of point 0 before the indefinite metric of point 1, which
@@ -168,3 +183,18 @@ def test_stack_raises_the_first_failing_point(name):
         with pytest.raises(kind) as derivs:
             metric_derivatives(metric, points)
         assert str(derivs.value) == str(expected)
+
+
+def test_non_finite_at_a_sample_of_the_fine_step_alone():
+    # the point 0.2 fails only at its h/2 sample (0, +h/2): alone, and as the
+    # first failing point of a stack whose point 0.6 fails at its centre,
+    # which the stack samples first
+    message = "field evaluation not finite at offset ((0, 0.0005),)"
+    points = np.array([[0.0], [0.2], [0.6]], dtype=complex)
+    for z in (points[1], points[:2], points):
+        with pytest.raises(NonFiniteSample) as derivs:
+            metric_derivatives(FINE_ONLY, z)
+        assert str(derivs.value) == message
+    with pytest.raises(NonFiniteSample) as sampled:
+        wirtinger_derivatives(FINE_ONLY, points[:2], np.array([1e-3, 1e-3]))
+    assert str(sampled.value) == message

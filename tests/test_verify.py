@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import tracemalloc
 
 import numpy as np
 import oracles
@@ -512,6 +513,24 @@ class TestTheorem23:
         rep = theorem23_check(n)
         assert rep["tensors"] == 4 * n * n - n
         assert rep["max_discrepancy"] == 0.0 and rep["passed"]
+
+    def test_memory_grows_like_n4(self):
+        # the spanning set is contracted in batches of at most 2^18 entries: all 564 tensors of
+        # n = 12 at once would hold 187 MB, and their contraction more
+        tracemalloc.start()
+        try:
+            rep = theorem23_check(12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep == {"n": 12, "tensors": 564, "max_discrepancy": 0.0, "passed": True}
+        assert peak < 32 * 2**20
+
+    def test_batches_cover_the_spanning_set(self):
+        n = 4
+        whole = _theorem23_spanning_set(n)
+        batches = [_theorem23_spanning_set(n, slice(k, k + 16)) for k in range(0, len(whole), 16)]
+        assert np.array_equal(np.concatenate(batches), whole)
 
     def test_spanning_set_is_admissible(self):
         # conjugation-symmetric, and pair-swap antisymmetric but for the real

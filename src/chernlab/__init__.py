@@ -3,9 +3,7 @@ Schwarz-type inequalities on Hermitian coordinate charts."""
 
 from .cones import (
     FrameSearchConfig,
-    OrthantExtremum,
     SbcResult,
-    orthant_rayleigh_extrema,
     rbc_bounds,
     sbc_along_map,
     sbc_bound,

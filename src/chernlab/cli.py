@@ -3,7 +3,9 @@
 Single-shot subcommands (``curvature``, ``rbc``, ``sbc``, ``schwarz``,
 ``identity``) are sugar: each builds a one-task scenario and runs it
 through the same engine as ``run``, so outputs are identical to scenario
-runs and deterministic given the seed.
+runs and deterministic given the seed.  Only the subcommands whose tasks
+read a seed (``sbc``, ``schwarz`` and ``run``) take ``--seed``; the others
+run at seed 0.
 """
 
 from __future__ import annotations
@@ -85,14 +87,15 @@ def _write_grids(report, prefix):
 
 
 def _run_single_task(task, metrics, maps, args):
+    seed = getattr(args, "seed", 0)
     scenario = {
         "version": 1,
-        "seed": args.seed,
+        "seed": seed,
         "metrics": metrics,
         "maps": maps,
         "tasks": [task],
     }
-    report = run_scenario(scenario, seed=args.seed)
+    report = run_scenario(scenario, seed=seed)
     code = _emit(report, args)
     if getattr(args, "grid_out", None):
         _write_grids(report, args.grid_out)
@@ -200,12 +203,14 @@ def build_parser():
     # the names a task field takes, as the scenario schema lists them
     task = scenario_schema()["$defs"]["task"]["properties"]
 
-    def common(p, grid=False, seed=0, seed_help="master random seed"):
-        p.add_argument("--seed", type=int, default=seed, help=seed_help)
+    def common(p, grid=False):
         p.add_argument("--out", default=None, help="write the report JSON here")
         p.add_argument("--timing", action="store_true", help="include wall-clock timing (breaks byte determinism)")
         if grid:
             p.add_argument("--grid-out", default=None, help="write per-point CSV grid(s) here")
+
+    def seeded(p, default=0, help_text="master random seed"):
+        p.add_argument("--seed", type=int, default=default, help=help_text)
 
     p = sub.add_parser("catalog", help="list the model metric and map catalogs")
     p.set_defaults(func=_cmd_catalog)
@@ -218,13 +223,15 @@ def build_parser():
     p.set_defaults(func=_cmd_curvature)
 
     for kind, help_text in (
-        ("rbc", "real bisectional curvature bounds at a point: exact for n <= 2, searched for n >= 3"),
+        ("rbc", "real bisectional curvature bounds at a point: exact for n <= 2, a PSD-cone ascent for n >= 3"),
         ("sbc", "ordered-cone curvature infimum at a point"),
     ):
         p = sub.add_parser(kind, help=help_text)
         p.add_argument("--metric", required=True)
         p.add_argument("--point", required=True)
         common(p)
+        if kind == "sbc":  # only the SBC frame search reads a seed
+            seeded(p)
         p.set_defaults(func=lambda a, _k=kind: _cmd_cone(a, _k))
 
     p = sub.add_parser("schwarz", help="verify a Schwarz-type inequality on a grid")
@@ -239,6 +246,7 @@ def build_parser():
     p.add_argument("--tol", type=float, default=None)
     p.add_argument("--kappa-mode", dest="kappa_mode", default=None, choices=task["kappa_mode"]["enum"])
     common(p, grid=True)
+    seeded(p)
     p.set_defaults(func=_cmd_schwarz)
 
     p = sub.add_parser("identity", help="standalone identity checks")
@@ -253,7 +261,8 @@ def build_parser():
 
     p = sub.add_parser("run", help="run a scenario file")
     p.add_argument("--scenario", required=True)
-    common(p, grid=True, seed=None, seed_help="master random seed (default: the scenario's own seed)")
+    common(p, grid=True)
+    seeded(p, None, "master random seed (default: the scenario's own seed)")
     p.set_defaults(func=_cmd_run)
 
     return parser

@@ -1,24 +1,24 @@
 """Cone-constrained extrema of curvature quadratic forms.
 
-Two objects drive the Schwarz-type estimates: the Rayleigh quotient
-``v^t R v / v^t v`` of the frame matrix over the nonnegative orthant (RBC)
-and the generalized quotient ``u_v^t R v`` with ``u_v`` the Hadamard inverse
-of ``v`` over the ordered cone ``v_1 >= ... >= v_n > 0`` (SBC).  Both are
-further extremized over the unitary frame bundle.  At n = 2 the RBC extrema
-over all frames are solved exactly: RBC is a quadratic form on the Lorentz
-cone of PSD 2 x 2 Hermitian matrices, extremized by eigenvectors and a
-secular equation (``_rbc_two``).  RBC for n >= 3 and SBC for every n are
-searched by a seeded multistart coordinate descent on skew-Hermitian
-generators.
+Two objects drive the Schwarz-type estimates: the real bisectional
+curvature (RBC), the Rayleigh quotient ``v^t R v / v^t v`` of the frame
+matrix over the nonnegative orthant, and the SBC, the generalized quotient
+``u_v^t R v`` with ``u_v`` the Hadamard inverse of ``v`` over the ordered
+cone ``v_1 >= ... >= v_n > 0``.  Both are further extremized over the
+unitary frame bundle.
 
-The frame search of one ``rbc_bounds`` or ``sbc_bound`` call is one array
-descent: every (point, sense, start) is a row, all rows walk the same sweep
-schedule, and the trial frames of the running rows are exponentiated,
-contracted and extremized as one stack (the unitaries from one stacked
-``eigh`` of their generators).  Each start visits the frames, with the same
-bits, that it visits alone.  The module needs numpy only: the orthant
-extrema enumerate KKT points, and the SBC inner problem is decided at the
-vertices of its gap box and solved by exact coordinate minimization.
+Weights ``v`` on the columns of a frame ``e0 @ U`` are the PSD Hermitian
+matrix ``X = U diag(v) U^dag``, with ``|X|_F = |v|``, so the RBC extrema
+over all frames are those of one real quadratic form over the PSD cone.  At
+n = 2 that cone is a Lorentz cone and the extrema are solved exactly
+(``_rbc_two``); at every other n a shifted projected power ascent
+(``_rbc_ascent``) climbs the form from fixed starts.  The SBC is searched by
+a seeded multistart coordinate descent on skew-Hermitian generators, one
+array descent over every (point, start) row whose trial frames are
+exponentiated, contracted and solved as one stack; each start visits the
+frames, with the same bits, that it visits alone.  The module needs numpy
+only: the SBC inner problem is decided at the vertices of its gap box and
+solved by exact coordinate minimization.
 """
 
 from __future__ import annotations
@@ -36,10 +36,8 @@ from .tensors import curvature_in_frame, gram_unitary_frame
 __all__ = [
     "DivergenceCertificate",
     "FrameSearchConfig",
-    "OrthantExtremum",
     "RbcBounds",
     "SbcResult",
-    "orthant_rayleigh_extrema",
     "rbc_bounds",
     "sbc_along_map",
     "sbc_bound",
@@ -52,13 +50,13 @@ _ZERO_TOL = 1e-8  # frame-matrix entries within this share of max|R| of zero are
 _MARGINAL_TOL = 1e-6  # a finite SBC whose least gap coefficient is below this is marginal
 _SWEEPS = 1000  # cap on the coordinate sweeps of the SBC inner solve
 _STEP_TOL = 1e-12  # the sweeps stop once no gap coordinate moves by more
-# the Frobenius-orthonormal Hermitian basis (I, sigma_x, sigma_y, sigma_z) / sqrt(2) of 2 x 2 matrices
-_PAULI = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]]) / np.sqrt(2.0)
+_ASCENT_TOL = 1e-10  # an RBC ascent row stops once its unit iterate moves by no more
+_ASCENT_CAP = 1000  # ... or after this many steps
 
 
 @dataclass(frozen=True)
 class FrameSearchConfig:
-    """Multistart budget for the unitary frame search."""
+    """Multistart budget for the SBC frame search."""
 
     n_starts: int = 8
     max_iter: int = 40
@@ -74,100 +72,6 @@ class FrameSearchConfig:
             raise BadParams(f"step_tol must be finite and positive, got {self.step_tol!r}")
         if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
             raise BadParams(f"seed must be an integer >= 0, got {self.seed!r}")
-
-
-@dataclass(frozen=True)
-class OrthantExtremum:
-    """Extrema of ``v^t M v`` over unit vectors in the nonnegative orthant.
-
-    ``certificate`` holds the active-face index sets of the arg points
-    (coordinates with nonzero entries), ``(min_face, max_face)``.
-    """
-
-    min_val: float
-    max_val: float
-    argmin: np.ndarray
-    argmax: np.ndarray
-    certificate: tuple
-
-
-@functools.lru_cache(maxsize=None)
-def _face_slots(n):
-    """Index data of the KKT candidate slots of R^n, one per (face, eigenvector).
-
-    Slots run over the nonempty coordinate faces in the order of their
-    bitmasks 1 .. 2^n - 1 and, within a face, over its eigenvectors in
-    ``eigh`` order.  Returns the faces of each size as ``(rows, cols,
-    slots)`` index arrays: ``cols[f, 0, :]`` (and ``rows[f, :, 0]``) the
-    coordinates of face f, ``slots[f, :, 0]`` its slots; the off-face
-    coordinate mask of every slot; and the face tuple of every slot.
-    """
-    faces = [tuple(i for i in range(n) if mask >> i & 1) for mask in range(1, 1 << n)]
-    first = np.cumsum([0] + [len(face) for face in faces])
-    by_size = []
-    for size in range(1, n + 1):
-        index = [k for k, face in enumerate(faces) if len(face) == size]
-        cols = np.array([faces[k] for k in index])[:, None, :]
-        slots = np.array([first[k] + np.arange(size) for k in index])[:, :, None]
-        by_size.append((np.swapaxes(cols, 1, 2), cols, slots))
-    slot_faces = tuple(face for face in faces for _ in face)
-    off = np.array([[i not in face for i in range(n)] for face in slot_faces])
-    return tuple(by_size), off, slot_faces
-
-
-def orthant_rayleigh_extrema(m):
-    """Extrema of the Rayleigh quotient of ``m`` over the nonnegative orthant.
-
-    Only the symmetric part of ``m`` matters (the quotient annihilates the
-    antisymmetric part).  The answer is exact for every n, by facial
-    enumeration of KKT points: every extremum is a uniform-sign eigenvector
-    of the matrix restricted to some coordinate face, and the KKT sign of
-    the off-face gradient decides min vs max feasibility.  The cost is one
-    symmetric eigendecomposition per nonempty face, 2^n - 1 of them, taken
-    as one ``eigh`` per face size.
-
-    ``m`` is one matrix or a stack ``(..., n, n)``; each matrix of a stack
-    gets the bits it gets alone.  For a stack the values are arrays over
-    the stack, the arg points ``(..., n)``, and ``certificate`` holds one
-    ``(min_face, max_face)`` pair per matrix, in the stack's C order.
-    """
-    m = np.asarray(m, dtype=float)
-    if m.ndim < 2 or m.shape[-1] != m.shape[-2] or m.shape[-1] < 1:
-        raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
-    n = m.shape[-1]
-    sym = ((m + np.swapaxes(m, -1, -2)) / 2.0).reshape(-1, n, n)
-    kkt_tol = 1e-10 * np.maximum(1.0, np.max(np.abs(sym), axis=(-2, -1)))
-    by_size, off, slot_faces = _face_slots(n)
-
-    # every candidate as a vector of R^n, zero off its face: an eigenvector
-    # of the face's sub-matrix, sign-flipped into the orthant if it can be
-    x = np.zeros((len(sym), len(slot_faces), n))
-    uniform = np.zeros(x.shape[:2], dtype=bool)
-    for rows, cols, slots in by_size:
-        w = np.swapaxes(np.linalg.eigh(sym[:, rows, cols])[1], -1, -2)
-        pos, neg = np.all(w >= -1e-12, axis=-1), np.all(w <= 1e-12, axis=-1)
-        x[:, slots, cols] = np.clip(np.where((neg & ~pos)[..., None], -w, w), 0.0, None)
-        uniform[:, slots[..., 0]] = pos | neg
-    # norms, gradients and values row by row, as numpy's 1-d dot and
-    # matrix-vector products round them
-    norm = np.sqrt(x[..., None, :] @ x[..., :, None])[..., 0, 0]
-    valid = uniform & (norm != 0.0)
-    x /= np.where(valid, norm, 1.0)[..., None]
-    grad = (sym[:, None] @ x[..., :, None])[..., 0]
-    value = ((x[..., None, :] @ sym[:, None]) @ x[..., :, None])[..., 0, 0]
-    tol = kkt_tol[:, None, None]
-    min_ok = valid & np.all((grad >= -tol) | ~off, axis=-1)
-    max_ok = valid & np.all((grad <= tol) | ~off, axis=-1)
-    lo = np.argmin(np.where(min_ok, value, np.inf), axis=-1)
-    hi = np.argmax(np.where(max_ok, value, -np.inf), axis=-1)
-    each = np.arange(len(sym))
-    lead = m.shape[:-2]
-    min_val, max_val = value[each, lo].reshape(lead), value[each, hi].reshape(lead)
-    argmin, argmax = x[each, lo].reshape(lead + (n,)), x[each, hi].reshape(lead + (n,))
-    certificate = [(slot_faces[a], slot_faces[b]) for a, b in zip(lo.tolist(), hi.tolist())]
-    if not lead:
-        return OrthantExtremum(float(min_val), float(max_val), argmin, argmax, certificate[0])
-    return OrthantExtremum(min_val, max_val, argmin, argmax, certificate)
 
 
 # ---------------------------------------------------------------------------
@@ -321,14 +225,15 @@ def sbc_along_map(rm, lambdas):
 
 
 # ---------------------------------------------------------------------------
-# frame search over the unitary bundle
+# RBC over all frames: one quadratic form on the PSD cone
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class RbcBounds:
     """Bounds for the real bisectional curvature over all frames: exact
-    unless ``heuristic`` (a frame search's), with the frames attaining them."""
+    unless ``heuristic`` (an ascent's, for n >= 3), with the frames
+    attaining them."""
 
     inf: float
     sup: float
@@ -337,115 +242,26 @@ class RbcBounds:
     heuristic: bool
 
 
-@functools.lru_cache(maxsize=None)
-def _upper_triangle(n):
-    """Row and column indices of the strict upper triangle of an n x n matrix."""
-    return np.triu_indices(n, 1)
-
-
-def _generators(params, n):
-    """Skew-Hermitian matrices ``(K, n, n)`` from a stack ``(K, n(n-1))`` of
-    strict-upper-triangle real parameters, (re, im) per entry in row order.
-
-    Diagonal phase generators are omitted: column phases cancel in the
-    diagonal-pair curvature components.
-    """
-    rows, cols = _upper_triangle(n)
-    a = np.zeros((len(params), n, n), dtype=complex)
-    a[:, rows, cols] = params[:, 0::2] + 1j * params[:, 1::2]
-    a[:, cols, rows] = -np.conj(a[:, rows, cols])
-    return a
-
-
-def _exp_skew(generators):
-    """``exp`` of each skew-Hermitian matrix ``A`` of a stack ``(K, n, n)``:
-    ``V diag(e^{i lam}) V^dag`` from the eigenpairs of the Hermitian ``-iA``.
-    Each matrix of the stack gets the bits it gets alone."""
-    lam, vecs = np.linalg.eigh(-1j * generators)
-    return (vecs * np.exp(1j * lam)[..., None, :]) @ np.conj(np.swapaxes(vecs, -1, -2))
-
-
-def _frame_search(evaluate, n_points, n, cfg, senses):
-    """Multistart coordinate descent over unitary-frame generators, as one
-    masked array descent.
-
-    There is one search per point and sense (+1 maximizes, -1 minimizes),
-    each from the same ``cfg.n_starts`` seeded starts, and every (point,
-    sense, start) is a row of ``params``/``val``/``step``/``iters``.  A sweep
-    walks the parameters in order, trying ``+step`` then ``-step`` on each;
-    at every such micro-step the running rows' trial frames are evaluated as
-    one stack, ``evaluate(owners, frames)`` with the point index of each
-    frame and the unitaries of their generators (one ``_exp_skew``), which
-    returns the objectives, one row per frame and one column per sense.  A
-    row keeps a trial that improves on it by more than 1e-14, halves its
-    step after a sweep without one, and stops once its step falls to
-    ``cfg.step_tol`` or after ``cfg.max_iter`` sweeps.  A row's descent only
-    reads its own values, so it gets the bits of its start run alone.
-
-    An objective of ``sense * inf`` (an unbounded frame) cannot be improved
-    on: it stops its row, and the later starts of its point and sense, whose
-    answer is then the first start in start order to reach one.
-
-    Returns, per point, one ``(objective, U)`` per sense, for the first best
-    start.  Every start that ran out of ``cfg.max_iter`` before its step fell
-    below ``cfg.step_tol`` warns SearchBudgetExhausted, in (point, sense,
-    start) order, up to the start that ended its search.
-    """
-    n_params = n * (n - 1)
-    rng = np.random.default_rng(cfg.seed)
-    starts = [np.zeros(n_params)]
-    if n_params:
-        starts += [rng.normal(scale=0.5, size=n_params) for _ in range(cfg.n_starts - 1)]
-    n_starts, n_senses = len(starts), len(senses)
-    point, column, start = (a.ravel() for a in np.indices((n_points, n_senses, n_starts)))
-    search = point * n_senses + column
-    sense = np.asarray(senses, dtype=float)[column]
-    cut = np.full(n_points * n_senses, n_starts)  # per search: the first start at sense * inf
-
-    def objectives(rows, trial):
-        frames = _exp_skew(_generators(trial, n))
-        return np.asarray(evaluate(point[rows], frames))[np.arange(len(rows)), column[rows]], frames
-
-    def running(rows):
-        """The rows still running; a row at ``sense * inf`` cuts its later starts."""
-        hit = rows[sense[rows] * val[rows] == np.inf]
-        np.minimum.at(cut, search[hit], start[hit])
-        return rows[(sense[rows] * val[rows] != np.inf) & (start[rows] <= cut[search[rows]])]
-
-    params = np.array(starts)[start]
-    val, frames = objectives(np.arange(len(start)), params)
-    step, iters = np.full(len(start), 0.4), np.zeros(len(start), dtype=int)
-    rows = running(np.arange(len(start)))
-    while n_params and len(rows := rows[(step[rows] > cfg.step_tol) & (iters[rows] < cfg.max_iter)]):
-        improved = np.zeros(len(start), dtype=bool)
-        for k, sign in itertools.product(range(n_params), (1.0, -1.0)):
-            if not len(rows):
-                break
-            trial = params[rows]
-            trial[:, k] += sign * step[rows]
-            tval, tframes = objectives(rows, trial)
-            better = sense[rows] * tval > sense[rows] * val[rows] + 1e-14
-            kept = rows[better]
-            params[kept], val[kept], frames[kept] = trial[better], tval[better], tframes[better]
-            improved[kept] = True
-            rows = running(rows)
-        step[rows[~improved[rows]]] *= 0.5
-        iters[rows] += 1
-
-    exhausted = (iters >= cfg.max_iter) & (step > cfg.step_tol)
-    found = [[None] * n_senses for _ in range(n_points)]
-    for s, (p, j) in enumerate(itertools.product(range(n_points), range(n_senses))):
-        best = None
-        for r in range(s * n_starts, (s + 1) * n_starts):  # up to the first start at sense * inf
-            if senses[j] * val[r] == np.inf:
-                best = r
-                break
-            if exhausted[r]:
-                warnings.warn("frame search hit iteration budget", SearchBudgetExhausted)
-            if best is None or senses[j] * val[r] > senses[j] * val[best]:
-                best = r
-        found[p][j] = (float(val[best]), frames[best])
-    return found
+@functools.cache
+def _hermitian_basis(n):
+    """A Frobenius-orthonormal basis ``(n^2, n, n)`` of the n x n Hermitian
+    matrices: I / sqrt(n); for each pair p < q, (E_pq + E_qp) / sqrt(2) and
+    i (E_qp - E_pq) / sqrt(2); then diag(1, ..., 1, -k, 0, ...) / sqrt(k (k+1))
+    with k ones, for k = 1 .. n-1.  At n = 2 it is (I, sigma_x, sigma_y,
+    sigma_z) / sqrt(2)."""
+    basis = [np.eye(n) / np.sqrt(n)]
+    for p, q in itertools.combinations(range(n), 2):
+        for upper, lower in ((1, 1), (-1j, 1j)):
+            b = np.zeros((n, n), dtype=complex)
+            b[p, q], b[q, p] = upper, lower
+            basis.append(b / np.sqrt(2.0))
+    for k in range(1, n):
+        b = np.zeros((n, n), dtype=complex)
+        b[range(k), range(k)], b[k, k] = 1, -k
+        basis.append(b / np.sqrt(k * (k + 1.0)))
+    basis = np.array(basis)
+    basis.flags.writeable = False  # one cached array for every caller
+    return basis
 
 
 def _frame_points(r, g):
@@ -465,31 +281,41 @@ def _frame_points(r, g):
     return r, gram_unitary_frame(g), single
 
 
-def _rbc_two(r, e0):
-    """Exact RBC extrema of a stack ``(P, 2, 2, 2, 2)`` of tensors with Gram
-    frames ``e0``: per point ``((inf, U), (sup, U))`` with the unitaries U
-    that attain them on ``e0``, as ``_frame_search`` gives its answers.
+def _rbc_form(r, e0):
+    """The RBC of a stack ``(P, n, n, n, n)`` of tensors with Gram frames
+    ``e0`` as real symmetric forms M ``(P, n^2, n^2)``.
 
     Weights ``v`` on the columns of a frame ``e0 @ U`` are the PSD Hermitian
     ``A = U diag(v) U^dag``, with ``|A|_F = |v|``, so RBC is ``c^t M c / |c|^2``
-    over the coordinates ``c`` of A in the basis ``_PAULI``, and PSD is the
-    Lorentz cone ``c_0 >= |(c_1, c_2, c_3)|``.  An extremum lies at an
-    eigenvector of M inside the cone, or at an extremum of
-    ``m00 + 2 b.u + u^t C u`` on the sphere ``|u| = 1`` of the cone's
-    boundary ``c = (1, u)``.  On the sphere the least (greatest) value solves
-    ``(C - lam) u = -b`` at ``lam`` below (above) every eigenvalue ``d`` of C,
-    the secular equation ``sum beta_i^2 / (d_i - lam)^2 = 1`` in C's
-    eigenbasis, which is bisected on ``|lam - d| <= |b|``; or, in the hard
-    case, ``lam = d_k`` and the component of u on the k-th eigenvector fills
-    the unit norm, with eigen-gaps of C within ``_ZERO_TOL * max|M|`` taken
-    as zero.  Every candidate is a point of the cone scored by its own
-    quotient, so a missed candidate can only narrow the range, never leave it.
+    over the coordinates ``c`` of A in ``_hermitian_basis(n)``.
     """
-    p = len(e0)
+    p, n = e0.shape[:2]
     # v^t R_mat v = sum R[i, j, k, l] X[i, j] X[k, l] with X = conj(e0 A e0^dag)
-    x = np.conj(e0[:, None] @ _PAULI @ np.conj(np.swapaxes(e0, -1, -2))[:, None]).reshape(p, 4, 4)
-    m = (x @ r.reshape(p, 4, 4) @ np.swapaxes(x, -1, -2)).real
-    m = (m + np.swapaxes(m, -1, -2)) / 2.0
+    x = np.conj(e0[:, None] @ _hermitian_basis(n) @ np.conj(np.swapaxes(e0, -1, -2))[:, None])
+    x = x.reshape(p, n * n, n * n)
+    m = (x @ r.reshape(p, n * n, n * n) @ np.swapaxes(x, -1, -2)).real
+    return (m + np.swapaxes(m, -1, -2)) / 2.0
+
+
+def _rbc_two(m):
+    """Exact RBC extrema of a stack ``(P, 4, 4)`` of n = 2 forms
+    (``_rbc_form``): per point ``((inf, U), (sup, U))`` with the unitaries U
+    that attain them on the Gram frame.
+
+    PSD is the Lorentz cone ``c_0 >= |(c_1, c_2, c_3)|`` in the coordinates
+    of ``_hermitian_basis(2)``.  An extremum lies at an eigenvector of M
+    inside the cone, or at an extremum of ``m00 + 2 b.u + u^t C u`` on the
+    sphere ``|u| = 1`` of the cone's boundary ``c = (1, u)``.  On the sphere
+    the least (greatest) value solves ``(C - lam) u = -b`` at ``lam`` below
+    (above) every eigenvalue ``d`` of C, the secular equation
+    ``sum beta_i^2 / (d_i - lam)^2 = 1`` in C's eigenbasis, which is bisected
+    on ``|lam - d| <= |b|``; or, in the hard case, ``lam = d_k`` and the
+    component of u on the k-th eigenvector fills the unit norm, with
+    eigen-gaps of C within ``_ZERO_TOL * max|M|`` taken as zero.  Every
+    candidate is a point of the cone scored by its own quotient, so a missed
+    candidate can only narrow the range, never leave it.
+    """
+    p = len(m)
     b, c = m[:, 1:, 0], m[:, 1:, 1:]
     inner = np.swapaxes(np.linalg.eigh(m)[1], -1, -2)
     inner *= np.where(inner[..., :1] < 0.0, -1.0, 1.0)
@@ -522,40 +348,201 @@ def _rbc_two(r, e0):
     lo = np.argmin(np.where(inside, value, np.inf), axis=-1)
     hi = np.argmax(np.where(inside, value, -np.inf), axis=-1)
     best = np.stack([cand[each, lo], cand[each, hi]], axis=1)
-    frames = np.linalg.eigh(np.sum(best[..., None, None] * _PAULI, axis=-3))[1]
+    frames = np.linalg.eigh(np.sum(best[..., None, None] * _hermitian_basis(2), axis=-3))[1]
     return [((float(a), u), (float(b), v)) for a, b, (u, v) in zip(value[each, lo], value[each, hi], frames)]
 
 
-def rbc_bounds(r, g, cfg=FrameSearchConfig()):
-    """Bounds on the real bisectional curvature of a tensor: exact for
-    n <= 2, searched for n >= 3.
+def _rbc_ascent(r, e0, m):
+    """RBC extrema of a stack of tensors ``r`` with Gram frames ``e0`` and
+    forms ``m`` (``_rbc_form``) by a shifted projected power ascent: per
+    point ``((inf, U), (sup, U))``, as ``_rbc_two`` gives them.
 
-    At n = 2 the extrema are solved exactly (``_rbc_two``), with no search
-    and no use of ``cfg``; at n = 1 there is one frame.  For n >= 3 the
-    orthant Rayleigh extrema of the frame matrix are extremized over
-    unitary frames ``e0 @ exp(skew)``, one search for the min and one for
-    the max.  The orthant extrema in each frame are exact; the returned
-    inf/sup are bounds of the search, flagged heuristic (the quantifier
-    over all frames is explored, not certified).
+    The sup maximizes ``c^t S c`` over unit coordinates c of PSD matrices,
+    with ``S = M + sigma I`` and ``sigma = max(0, -lambda_min(M))``, which
+    makes the form convex; the inf does the same with -M.  A step
+    ``c <- Pi(S c) / |Pi(S c)|`` maximizes the form's linear minorant at c
+    over the cone and the unit ball: the PSD cone is self-dual, so that
+    maximizer is the normalized projection Pi onto the cone, one ``eigh``.
+    The value therefore never decreases; a projection of 0 leaves c where it
+    is.  Every point runs from I / sqrt(n) and each E_kk, for both senses,
+    as one stack of rows.  A row stops once a step moves c by at most
+    ``_ASCENT_TOL``, or after ``_ASCENT_CAP`` steps, and reads only its own
+    values, so a point gets the bits it gets alone.
+
+    A sense takes the first best start.  Its value is the RBC on the frame
+    of the eigenvectors U of the final matrix, weighted by its eigenvalues:
+    a feasible point, so a row that stops at the cap still gives a bound.
+    """
+    p, k = m.shape[:2]
+    n = e0.shape[-1]
+    flat = _hermitian_basis(n).reshape(k, k)  # row b: the entries of basis matrix b
+    starts = np.concatenate([np.eye(k)[:1], _hermitian_basis(n)[:, range(n), range(n)].real.T])
+    point, sense, start = (a.ravel() for a in np.indices((p, 2, n + 1)))
+    signed = m[:, None] * np.array([-1.0, 1.0])[:, None, None]
+    shift = np.maximum(0.0, -np.linalg.eigvalsh(signed)[..., 0])
+    forms = (signed + shift[..., None, None] * np.eye(k)).reshape(2 * p, k, k)[2 * point + sense]
+
+    c = starts[start]
+    rows = np.arange(len(c))
+    for _ in range(_ASCENT_CAP):
+        y = forms[rows] @ c[rows, :, None]
+        w, v = np.linalg.eigh((np.swapaxes(y, -1, -2) @ flat).reshape(-1, n, n))
+        proj = (v * np.maximum(w, 0.0)[..., None, :]) @ np.conj(np.swapaxes(v, -1, -2))
+        y = (np.conj(flat) @ proj.reshape(-1, k, 1)).real  # the projection's coordinates
+        norm = np.sqrt(np.swapaxes(y, -1, -2) @ y)[:, 0]
+        new = np.where(norm > 0.0, y[..., 0] / np.where(norm > 0.0, norm, 1.0), c[rows])
+        moved = new - c[rows]
+        c[rows] = new
+        rows = rows[np.sqrt(moved[:, None, :] @ moved[:, :, None])[:, 0, 0] > _ASCENT_TOL]
+        if not len(rows):
+            break
+
+    w, u = np.linalg.eigh((c[:, None, :] @ flat).reshape(-1, n, n))
+    lam = np.maximum(w, 0.0)[:, None, :]
+    rm = curvature_in_frame(r[point], e0[point] @ u).r_mat
+    value = ((lam @ rm @ np.swapaxes(lam, -1, -2)) / (lam @ np.swapaxes(lam, -1, -2)))[:, 0, 0]
+    value, u = value.reshape(p, 2, n + 1), u.reshape(p, 2, n + 1, n, n)
+    lo, hi = np.argmin(value[:, 0], axis=-1), np.argmax(value[:, 1], axis=-1)
+    return [((float(v[0, a]), f[0, a]), (float(v[1, b]), f[1, b])) for v, f, a, b in zip(value, u, lo, hi)]
+
+
+def rbc_bounds(r, g):
+    """Bounds on the real bisectional curvature of a tensor over all frames.
+
+    At n = 2 the extrema are solved exactly (``_rbc_two``); at every other n
+    they are climbed by the projected power ascent over the PSD cone
+    (``_rbc_ascent``), exact at n = 1, where the cone is a ray, and flagged
+    heuristic for n >= 3, where the ascent may stop short of the extremum
+    (the answer is still a value attained on the returned frame).  No call
+    takes a budget or warns.
 
     ``r`` and ``g`` are one point's tensor and metric, or stacks
-    ``(P, n, n, n, n)`` and ``(P, n, n)`` solved as one stack, or searched
-    as one array descent (``_frame_search``); a stack gives a list of P
-    bounds, each with the bits its point gets alone.
+    ``(P, n, n, n, n)`` and ``(P, n, n)`` solved as one stack; a stack gives
+    a list of P bounds, each with the bits its point gets alone.
     """
     r, e0, single = _frame_points(r, g)
     n = e0.shape[-1]
-
-    def evaluate(owners, frames):
-        ext = orthant_rayleigh_extrema(curvature_in_frame(r[owners], e0[owners] @ frames).r_mat)
-        return np.stack([ext.min_val, ext.max_val], axis=-1)
-
-    found = _rbc_two(r, e0) if n == 2 else _frame_search(evaluate, len(e0), n, cfg, senses=(-1, +1))
+    m = _rbc_form(r, e0)
+    found = _rbc_two(m) if n == 2 else _rbc_ascent(r, e0, m)
     bounds = [
         RbcBounds(inf=lo, sup=hi, inf_frame=e @ lo_u, sup_frame=e @ hi_u, heuristic=n >= 3)
         for e, ((lo, lo_u), (hi, hi_u)) in zip(e0, found)
     ]
     return bounds[0] if single else bounds
+
+
+# ---------------------------------------------------------------------------
+# SBC over all frames: a frame search over the unitary bundle
+# ---------------------------------------------------------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def _upper_triangle(n):
+    """Row and column indices of the strict upper triangle of an n x n matrix."""
+    return np.triu_indices(n, 1)
+
+
+def _generators(params, n):
+    """Skew-Hermitian matrices ``(K, n, n)`` from a stack ``(K, n(n-1))`` of
+    strict-upper-triangle real parameters, (re, im) per entry in row order.
+
+    Diagonal phase generators are omitted: column phases cancel in the
+    diagonal-pair curvature components.
+    """
+    rows, cols = _upper_triangle(n)
+    a = np.zeros((len(params), n, n), dtype=complex)
+    a[:, rows, cols] = params[:, 0::2] + 1j * params[:, 1::2]
+    a[:, cols, rows] = -np.conj(a[:, rows, cols])
+    return a
+
+
+def _exp_skew(generators):
+    """``exp`` of each skew-Hermitian matrix ``A`` of a stack ``(K, n, n)``:
+    ``V diag(e^{i lam}) V^dag`` from the eigenpairs of the Hermitian ``-iA``.
+    Each matrix of the stack gets the bits it gets alone."""
+    lam, vecs = np.linalg.eigh(-1j * generators)
+    return (vecs * np.exp(1j * lam)[..., None, :]) @ np.conj(np.swapaxes(vecs, -1, -2))
+
+
+def _frame_search(evaluate, n_points, n, cfg):
+    """Multistart coordinate descent over unitary-frame generators that
+    minimizes an objective, as one masked array descent.
+
+    There is one search per point, each from the same ``cfg.n_starts``
+    seeded starts, and every (point, start) is a row of
+    ``params``/``val``/``step``/``iters``.  A sweep walks the parameters in
+    order, trying ``+step`` then ``-step`` on each; at every such micro-step
+    the running rows' trial frames are evaluated as one stack,
+    ``evaluate(owners, frames)`` with the point index of each frame and the
+    unitaries of their generators (one ``_exp_skew``), which returns one
+    objective per frame.  A row keeps a trial that improves on it by more
+    than 1e-14, halves its step after a sweep without one, and stops once its
+    step falls to ``cfg.step_tol`` or after ``cfg.max_iter`` sweeps.  A row's
+    descent only reads its own values, so it gets the bits of its start run
+    alone.
+
+    An objective of ``-inf`` (an unbounded frame) cannot be improved on: it
+    stops its row, and the later starts of its point, whose answer is then
+    the first start in start order to reach one.
+
+    Returns, per point, ``(objective, U)`` for the first best start.  Every
+    start that ran out of ``cfg.max_iter`` before its step fell below
+    ``cfg.step_tol`` warns SearchBudgetExhausted, in (point, start) order,
+    up to the start that ended its search.
+    """
+    n_params = n * (n - 1)
+    rng = np.random.default_rng(cfg.seed)
+    starts = [np.zeros(n_params)]
+    if n_params:
+        starts += [rng.normal(scale=0.5, size=n_params) for _ in range(cfg.n_starts - 1)]
+    n_starts = len(starts)
+    point, start = (a.ravel() for a in np.indices((n_points, n_starts)))
+    cut = np.full(n_points, n_starts)  # per point: the first start at -inf
+
+    def objectives(rows, trial):
+        frames = _exp_skew(_generators(trial, n))
+        return np.asarray(evaluate(point[rows], frames), dtype=float), frames
+
+    def running(rows):
+        """The rows still running; a row at -inf cuts its later starts."""
+        hit = rows[val[rows] == -np.inf]
+        np.minimum.at(cut, point[hit], start[hit])
+        return rows[(val[rows] != -np.inf) & (start[rows] <= cut[point[rows]])]
+
+    params = np.array(starts)[start]
+    val, frames = objectives(np.arange(len(start)), params)
+    step, iters = np.full(len(start), 0.4), np.zeros(len(start), dtype=int)
+    rows = running(np.arange(len(start)))
+    while n_params and len(rows := rows[(step[rows] > cfg.step_tol) & (iters[rows] < cfg.max_iter)]):
+        improved = np.zeros(len(start), dtype=bool)
+        for k, sign in itertools.product(range(n_params), (1.0, -1.0)):
+            if not len(rows):
+                break
+            trial = params[rows]
+            trial[:, k] += sign * step[rows]
+            tval, tframes = objectives(rows, trial)
+            better = tval < val[rows] - 1e-14
+            kept = rows[better]
+            params[kept], val[kept], frames[kept] = trial[better], tval[better], tframes[better]
+            improved[kept] = True
+            rows = running(rows)
+        step[rows[~improved[rows]]] *= 0.5
+        iters[rows] += 1
+
+    exhausted = (iters >= cfg.max_iter) & (step > cfg.step_tol)
+    found = []
+    for p in range(n_points):
+        best = None
+        for r in range(p * n_starts, (p + 1) * n_starts):  # up to the first start at -inf
+            if val[r] == -np.inf:
+                best = r
+                break
+            if exhausted[r]:
+                warnings.warn("frame search hit iteration budget", SearchBudgetExhausted)
+            if best is None or val[r] < val[best]:
+                best = r
+        found.append((float(val[best]), frames[best]))
+    return found
 
 
 def sbc_bound(r, g, cfg=FrameSearchConfig()):
@@ -575,9 +562,9 @@ def sbc_bound(r, g, cfg=FrameSearchConfig()):
 
     def evaluate(owners, frames):
         inner = (sbc_infimum(rm) for rm in r_mats(owners, frames))
-        return [[-np.inf if res.status == "unbounded_below" else res.inf_val] for res in inner]
+        return [-np.inf if res.status == "unbounded_below" else res.inf_val for res in inner]
 
-    best = np.array([u for ((_, u),) in _frame_search(evaluate, len(e0), n, cfg, (-1,))])
+    best = np.array([u for _, u in _frame_search(evaluate, len(e0), n, cfg)])
     results = [
         replace(sbc_infimum(rm), frame=e @ u)
         for rm, e, u in zip(r_mats(np.arange(len(e0)), best), e0, best)

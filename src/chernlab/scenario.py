@@ -332,19 +332,16 @@ def _run_task(task, metrics, maps, loc, seed):
             "tensor_max_abs": float(np.max(np.abs(report.tensor))),
         }
 
-    if kind == "rbc" and metric.dim <= 2 and "search" in task:
-        raise BadParams(f"search is read only by rbc at n >= 3 and by sbc; rbc at n = {metric.dim} is exact")
-    cfg = _search_cfg(task.get("search"), seed)
     tensor, md = chern_curvature(metric, point, return_derivs=True)
     if kind == "rbc":
-        res = rbc_bounds(tensor, md.g, cfg)
+        res = rbc_bounds(tensor, md.g)
         return {
             "point": _jsonify(list(point)),
             "inf": res.inf,
             "sup": res.sup,
             "heuristic": res.heuristic,
         }
-    res = sbc_bound(tensor, md.g, cfg)
+    res = sbc_bound(tensor, md.g, _search_cfg(task.get("search"), seed))
     payload = {"point": _jsonify(list(point)), "status": res.status}
     if res.status == "finite":
         payload.update(

@@ -12,10 +12,13 @@ A Schwarz task is one ``SchwarzPass``, shared by both: the ``(P, n)`` grid
 stack and every metric, map and curvature value read there, each evaluated
 once and only when first read.  Every point keeps the bits it gets alone, a
 failing check names the first failing point in grid order, and the cone
-kappas take all points in one ``rbc_bounds`` or ``sbc_bound`` call.  All
+kappas take all points in one ``rbc_bounds`` call (exact for n <= 2, a
+PSD-cone ascent with no budget above) or one ``sbc_bound`` call (a seeded
+frame search, the only reader of a task's ``search`` and ``seed``).  All
 curvature goes through ``SchwarzPass.curvature``: one ``chern_curvature``
 call per metric on the stack of points not seen yet, whose stencils call
-the metric once per offset for all of them.
+the metric once per offset for all of them.  Every verdict's worst point,
+the family's included, is ``SchwarzVerdict.worst()``.
 """
 
 from __future__ import annotations
@@ -279,8 +282,8 @@ class Pencil:
 def _kappa_rbc(sp, cfg):
     """kappa with RBC <= -kappa: minus the largest RBC sup over the image
     points of the pass ``sp``, from one ``rbc_bounds`` call (exact for
-    n <= 2, searched for n >= 3)."""
-    bounds = rbc_bounds(sp.curvature(sp.target, sp.image_points), sp.image_metric, cfg)
+    n <= 2, a PSD-cone ascent for n >= 3, neither reading ``cfg``)."""
+    bounds = rbc_bounds(sp.curvature(sp.target, sp.image_points), sp.image_metric)
     sup, at = _first_extreme([b.sup for b in bounds], sp.image_points)
     return -sup, at
 
@@ -414,8 +417,7 @@ def _family_lhs(sp, c):
 
 
 def _family_notes(c, verdict):
-    worst, at = _first_extreme([rec["margin"] for rec in verdict.records], verdict.records, -1)
-    notes = {"min_form_eigenvalue": worst, "worst_point": at["z"]}
+    notes = {"min_form_eigenvalue": float(np.min([rec["margin"] for rec in verdict.records]))}
     if verdict.constants.preset:
         notes["preset"] = verdict.constants.preset
     if verdict.constants.preset == "liouville":

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import itertools
 import warnings
@@ -11,9 +12,7 @@ import oracles
 from chernlab import cones
 from chernlab.cones import (
     FrameSearchConfig,
-    RbcBounds,
     _frame_search,
-    orthant_rayleigh_extrema,
     rbc_bounds,
     sbc_along_map,
     sbc_bound,
@@ -21,11 +20,52 @@ from chernlab.cones import (
     sbc_value,
 )
 from chernlab.curvature import chern_curvature
-from chernlab.errors import BadParams, DimensionMismatch, SearchBudgetExhausted, ZeroSingularValue
+from chernlab.errors import BadParams, SearchBudgetExhausted, ZeroSingularValue
 from chernlab.metrics import catalog_metric, scale_metric
 from chernlab.scenario import box_grid
 from chernlab.tensors import curvature_in_frame, gram_unitary_frame
 from test_tensors import fs_normal_form, rand_unitary
+
+
+Extremum = collections.namedtuple("Extremum", "min_val max_val argmin argmax")
+
+
+def orthant_extrema(m):
+    """Extrema of the Rayleigh quotient of ``m`` over the nonnegative orthant,
+    by face enumeration one face and one eigenvector at a time: every
+    extremum is a uniform-sign eigenvector of the symmetric part restricted
+    to some coordinate face, whose off-face gradient has the KKT sign.  The
+    reference for the orthant extrema of a frame matrix, as RBC in one frame."""
+    sym = (m + m.T) / 2.0
+    n = sym.shape[0]
+    kkt_tol = 1e-10 * max(1.0, float(np.max(np.abs(sym))))
+    mins, maxs = [], []
+    for mask in range(1, 1 << n):
+        face = [i for i in range(n) if mask >> i & 1]
+        off = [i for i in range(n) if not mask >> i & 1]
+        vecs = np.linalg.eigh(sym[np.ix_(face, face)])[1]
+        for k in range(len(face)):
+            w = vecs[:, k]
+            if np.all(w >= -1e-12):
+                pass
+            elif np.all(w <= 1e-12):
+                w = -w
+            else:
+                continue
+            x = np.zeros(n)
+            x[face] = np.clip(w, 0.0, None)
+            nrm = np.linalg.norm(x)
+            if nrm == 0.0:
+                continue
+            x /= nrm
+            grad_off = (sym @ x)[off]
+            value = float(x @ sym @ x)
+            if grad_off.size == 0 or np.all(grad_off >= -kkt_tol):
+                mins.append((value, x))
+            if grad_off.size == 0 or np.all(grad_off <= kkt_tol):
+                maxs.append((value, x))
+    (lo, argmin), (hi, argmax) = min(mins, key=lambda t: t[0]), max(maxs, key=lambda t: t[0])
+    return Extremum(lo, hi, argmin, argmax)
 
 
 def simplex_lattice(n, resolution):
@@ -59,20 +99,23 @@ def polished_min(sym, x0):
 
 
 class TestOrthantExtrema:
+    """The face-enumeration reference of the RBC witness checks against
+    brute force, SLSQP polish and closed forms."""
+
     def test_diagonal(self):
-        ext = orthant_rayleigh_extrema(np.diag([1.0, -1.0]))
+        ext = orthant_extrema(np.diag([1.0, -1.0]))
         assert ext.min_val == -1.0 and ext.max_val == 1.0
         assert np.allclose(ext.argmin, [0, 1]) and np.allclose(ext.argmax, [1, 0])
 
     def test_fs_frame_matrix(self):
-        ext = orthant_rayleigh_extrema(np.array([[2.0, 1.0], [1.0, 2.0]]))
+        ext = orthant_extrema(np.array([[2.0, 1.0], [1.0, 2.0]]))
         assert abs(ext.min_val - 2.0) < 1e-12
         assert abs(ext.max_val - 3.0) < 1e-12
         assert np.allclose(np.abs(ext.argmax), [1, 1] / np.sqrt(2))
 
     def test_negative_offdiagonal(self):
         # orthant min is -3 at (1,1)/sqrt2; max 0 on the axes (eigenvalue 3 unreachable)
-        ext = orthant_rayleigh_extrema(np.array([[0.0, -3.0], [-3.0, 0.0]]))
+        ext = orthant_extrema(np.array([[0.0, -3.0], [-3.0, 0.0]]))
         assert abs(ext.min_val + 3.0) < 1e-12
         assert abs(ext.max_val) < 1e-12
 
@@ -82,8 +125,8 @@ class TestOrthantExtrema:
             m = rng.standard_normal((3, 3))
             a = rng.standard_normal((3, 3))
             a = a - a.T
-            base = orthant_rayleigh_extrema(m)
-            shifted = orthant_rayleigh_extrema(m + a)
+            base = orthant_extrema(m)
+            shifted = orthant_extrema(m + a)
             assert abs(base.min_val - shifted.min_val) < 1e-12
             assert abs(base.max_val - shifted.max_val) < 1e-12
 
@@ -92,7 +135,7 @@ class TestOrthantExtrema:
         for _ in range(25):
             m = rng.standard_normal((3, 3))
             sym = (m + m.T) / 2
-            ext = orthant_rayleigh_extrema(sym)
+            ext = orthant_extrema(sym)
             grid_min, grid_max = simplex_grid_extrema(sym)
             assert ext.min_val <= grid_min + 1e-12
             assert ext.max_val >= grid_max - 1e-12
@@ -103,7 +146,7 @@ class TestOrthantExtrema:
         rng = np.random.default_rng(2)
         for _ in range(10):
             m = rng.standard_normal((4, 4))
-            ext = orthant_rayleigh_extrema(m)
+            ext = orthant_extrema(m)
             sym = (m + m.T) / 2
             assert abs(float(ext.argmin @ sym @ ext.argmin) - ext.min_val) < 1e-10
             assert abs(float(ext.argmax @ sym @ ext.argmax) - ext.max_val) < 1e-10
@@ -118,7 +161,7 @@ class TestOrthantExtrema:
             m = rng.standard_normal((n, n))
             # a negative all-ones shift pulls the minimizer onto the full face
             sym = (m + m.T) / 2 - (3.0 if k % 2 else 0.0) * np.ones((n, n))
-            ext = orthant_rayleigh_extrema(sym)
+            ext = orthant_extrema(sym)
             for val, arg in ((ext.min_val, ext.argmin), (ext.max_val, ext.argmax)):
                 assert abs(float(arg @ sym @ arg) - val) < 1e-10
                 assert abs(np.linalg.norm(arg) - 1.0) < 1e-12 and np.all(arg >= 0)
@@ -131,10 +174,6 @@ class TestOrthantExtrema:
             assert ext.min_val <= np.min(vals) + 1e-12 and ext.max_val >= np.max(vals) - 1e-12
             assert abs(polished_min(sym, lattice[np.argmin(vals)]) - ext.min_val) < 1e-9
             assert abs(-polished_min(-sym, lattice[np.argmax(vals)]) - ext.max_val) < 1e-9
-
-    def test_dimension_error(self):
-        with pytest.raises(DimensionMismatch):
-            orthant_rayleigh_extrema(np.zeros((2, 3)))
 
 
 class TestSbcInfimum:
@@ -344,7 +383,8 @@ class TestSbcAlongMap:
 
 
 class TestFrameSearch:
-    # RBC searches its frames for n >= 3 only, so its search cases run at n = 3
+    # the frame search is the SBC's; the RBC cases check the PSD-cone ascent
+    # on FD tensors at n >= 3, where no budget is given and none warns
 
     @pytest.mark.parametrize("seed", [-1, 1.5, "0", None])
     def test_config_rejects_a_bad_seed(self, seed):
@@ -360,36 +400,30 @@ class TestFrameSearch:
             sbc_bound(chern_curvature(fs, np.zeros(3)), fs(np.zeros(3)), FrameSearchConfig(seed=-1))
 
     def test_rbc_euclidean(self):
+        # a flat tensor: every step of the ascent projects to 0, so every row
+        # stays at its start, with no budget and no warning
         m = catalog_metric("euclidean", (3,))
         z = [0.1, 0.2j, -0.3]
-        with pytest.warns(SearchBudgetExhausted) as budget:
-            res = rbc_bounds(chern_curvature(m, z), m(z), FrameSearchConfig(n_starts=2, max_iter=10))
-        assert len(budget) == 4  # every start of both searches
+        res = _no_warnings(lambda: rbc_bounds(chern_curvature(m, z), m(z)))
         assert abs(res.inf) < 1e-8 and abs(res.sup) < 1e-8
 
     def test_rbc_model_values(self):
-        # at the origin of fubini_study(3) RBC spans [2, 4], of complex_hyperbolic(3) [-4, -2]
-        cfg = FrameSearchConfig(n_starts=3, max_iter=15, seed=0)
+        # at the origin of fubini_study(3) RBC spans [2, 4], of
+        # complex_hyperbolic(3) [-4, -2]; the FD tensors are good to about 1e-9
         fs = catalog_metric("fubini_study", (3,))
-        with pytest.warns(SearchBudgetExhausted) as budget:
-            res = rbc_bounds(chern_curvature(fs, np.zeros(3)), np.eye(3), cfg)
-        assert len(budget) == 2
-        assert abs(res.inf - 2.0) < 1e-4 and abs(res.sup - 4.0) < 1e-4
+        res = _no_warnings(lambda: rbc_bounds(chern_curvature(fs, np.zeros(3)), np.eye(3)))
+        assert abs(res.inf - 2.0) < 1e-8 and abs(res.sup - 4.0) < 1e-8
         assert res.heuristic
         ch = catalog_metric("complex_hyperbolic", (3,))
-        with pytest.warns(SearchBudgetExhausted) as budget:
-            res = rbc_bounds(chern_curvature(ch, np.zeros(3)), np.eye(3), cfg)
-        assert len(budget) == 2
-        assert abs(res.inf + 4.0) < 1e-4 and abs(res.sup + 2.0) < 1e-4
+        res = _no_warnings(lambda: rbc_bounds(chern_curvature(ch, np.zeros(3)), np.eye(3)))
+        assert abs(res.inf + 4.0) < 1e-8 and abs(res.sup + 2.0) < 1e-8
 
     def test_rbc_fs_closed_form_n5(self):
         # fubini_study(5) at the origin: inf c = 2, sup c (n + 1) / 2 = 6
         fs = catalog_metric("fubini_study", (5,))
         z = np.zeros(5)
-        with pytest.warns(SearchBudgetExhausted) as budget:
-            res = rbc_bounds(chern_curvature(fs, z), fs(z), FrameSearchConfig(n_starts=1, max_iter=1))
-        assert len(budget) == 2
-        assert abs(res.inf - 2.0) < 1e-4 and abs(res.sup - 6.0) < 1e-4
+        res = _no_warnings(lambda: rbc_bounds(chern_curvature(fs, z), fs(z)))
+        assert abs(res.inf - 2.0) < 1e-8 and abs(res.sup - 6.0) < 1e-8
 
     def test_frame_invariance_spread(self):
         # U(n)-invariant tensor: extrema identical across 50 random frames
@@ -398,7 +432,7 @@ class TestFrameSearch:
         vals = []
         for _ in range(50):
             fm = curvature_in_frame(r, rand_unitary(2, rng))
-            ext = orthant_rayleigh_extrema(fm.r_mat)
+            ext = orthant_extrema(fm.r_mat)
             vals.append((ext.min_val, ext.max_val))
         vals = np.array(vals)
         assert np.ptp(vals[:, 0]) < 1e-6 and np.ptp(vals[:, 1]) < 1e-6
@@ -418,9 +452,10 @@ class TestFrameSearch:
 
 
 def _witnessed(r, res):
-    """The orthant extrema in the witness frames of ``res``: (inf, sup)."""
-    lo = orthant_rayleigh_extrema(curvature_in_frame(r, res.inf_frame).r_mat).min_val
-    hi = orthant_rayleigh_extrema(curvature_in_frame(r, res.sup_frame).r_mat).max_val
+    """The orthant extrema in the witness frames of ``res``, by face
+    enumeration: (inf, sup)."""
+    lo = orthant_extrema(curvature_in_frame(r, res.inf_frame).r_mat).min_val
+    hi = orthant_extrema(curvature_in_frame(r, res.sup_frame).r_mat).max_val
     return lo, hi
 
 
@@ -467,22 +502,15 @@ class TestExactRbcTwo:
         assert abs(res.inf + 2.0 / 3.0) < 1e-8 and abs(res.sup + 1.0 / 3.0) < 1e-8
 
     def test_random_tensors_bracket_the_search(self):
-        # conjugation-symmetric tensors with random metrics: the search only
-        # reaches values the exact solve brackets, and comes within 1e-7
-        rng = np.random.default_rng(16)
-        shape = (300, 2, 2, 2, 2)
-        r = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        r = (r + np.conj(np.transpose(r, (0, 2, 1, 4, 3)))) / 2.0
-        a = rng.standard_normal((300, 2, 2)) + 1j * rng.standard_normal((300, 2, 2))
-        g = a @ np.conj(np.swapaxes(a, -1, -2)) + 0.5 * np.eye(2)
+        # conjugation-symmetric tensors with random metrics: the PSD-cone
+        # ascent, run at n = 2 where rbc_bounds solves exactly, only reaches
+        # values the exact solve brackets, and comes within 1e-12
+        r, g = _random_tensors(np.random.default_rng(16), 300, 2)
         exact = rbc_bounds(r, g)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", SearchBudgetExhausted)
-            searched = _searched_rbc(r, g, FrameSearchConfig())
-        for tensor, res, found in zip(r, exact, searched):
+        for tensor, res, (lo, hi) in zip(r, exact, _ascended_rbc(r, g)):
             scale = np.max(np.abs(tensor))
-            assert -1e-12 * scale <= found.inf - res.inf <= 1e-7 * scale
-            assert -1e-12 * scale <= res.sup - found.sup <= 1e-7 * scale
+            assert -1e-12 * scale <= lo - res.inf <= 1e-12 * scale
+            assert -1e-12 * scale <= res.sup - hi <= 1e-12 * scale
             lo, hi = _witnessed(tensor, res)
             assert abs(lo - res.inf) <= 1e-12 * scale and abs(hi - res.sup) <= 1e-12 * scale
 
@@ -496,15 +524,123 @@ class TestExactRbcTwo:
             assert _same(stacked[p], rbc_bounds(r[p], g[p]))
 
     def test_heuristic_only_where_searched(self):
-        # the exact solve takes no search budget; n = 3 still searches
-        z = np.array([0.3 + 0.1j, -0.2])
-        r, g = oracles.fs_tensor(z), oracles.fs_metric(z)
-        res = rbc_bounds(r, g, FrameSearchConfig(n_starts=1, max_iter=1))
-        assert not res.heuristic and _same(res, rbc_bounds(r, g))
+        # n = 1 (one ray) and n = 2 (the Lorentz cone) are exact; the ascent
+        # at n = 3 may stop short of the extremum
+        z = np.array([0.3 + 0.1j])
+        assert not rbc_bounds(oracles.poincare_tensor(z), oracles.poincare_metric(z)).heuristic
+        z = np.append(z, -0.2)
+        assert not rbc_bounds(oracles.fs_tensor(z), oracles.fs_metric(z)).heuristic
         z = np.append(z, 0.1j)
-        with pytest.warns(SearchBudgetExhausted):
-            res = rbc_bounds(oracles.fs_tensor(z), oracles.fs_metric(z), FrameSearchConfig(n_starts=1, max_iter=1))
-        assert res.heuristic
+        assert rbc_bounds(oracles.fs_tensor(z), oracles.fs_metric(z)).heuristic
+
+
+def _ascended_rbc(r, g):
+    """RBC bounds by the PSD-cone ascent at any n, as ``rbc_bounds`` runs it
+    for n != 2: (inf, sup) per point of the stacks ``r`` and ``g``."""
+    r, e0, _ = cones._frame_points(r, g)
+    return [(lo, hi) for (lo, _), (hi, _) in cones._rbc_ascent(r, e0, cones._rbc_form(r, e0))]
+
+
+def _no_warnings(fn):
+    """``fn()``, failing on any warning it gives (the RBC never warns)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = fn()
+    assert not caught, [str(w.message) for w in caught]
+    return out
+
+
+def _random_tensors(rng, count, n):
+    """Conjugation-symmetric tensors ``(count, n, n, n, n)`` and random metrics."""
+    shape = (count,) + (n,) * 4
+    r = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    r = (r + np.conj(np.transpose(r, (0, 2, 1, 4, 3)))) / 2.0
+    a = rng.standard_normal((count, n, n)) + 1j * rng.standard_normal((count, n, n))
+    return r, a @ np.conj(np.swapaxes(a, -1, -2)) + 0.5 * np.eye(n)
+
+
+class TestRbcAscent:
+    """RBC at every n != 2: a shifted projected power ascent on the PSD cone."""
+
+    def test_hermitian_basis(self):
+        # orthonormal Hermitian at every n, I / sqrt(n) first; at n = 2 the
+        # Pauli basis bit for bit
+        pauli = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]]) / np.sqrt(2.0)
+        assert cones._hermitian_basis(2).tobytes() == pauli.tobytes()
+        for n in (1, 2, 3, 4):
+            basis = cones._hermitian_basis(n)
+            flat = basis.reshape(n * n, n * n)
+            assert np.max(np.abs(np.conj(flat) @ flat.T - np.eye(n * n))) < 1e-15
+            assert np.array_equal(basis, np.conj(np.swapaxes(basis, -1, -2)))
+            assert np.array_equal(basis[0], np.eye(n) / np.sqrt(n))
+
+    @pytest.mark.parametrize(
+        "tensor, metric, n, want",
+        [
+            (oracles.fs_tensor, oracles.fs_metric, 3, (2.0, 4.0)),
+            (oracles.fs_tensor, oracles.fs_metric, 4, (2.0, 5.0)),
+            (oracles.hyperbolic_tensor, oracles.hyperbolic_metric, 3, (-4.0, -2.0)),
+            # 3 B^3: the metric of complex_hyperbolic(3) scaled by 3
+            (lambda z: 3.0 * oracles.hyperbolic_tensor(z), lambda z: 3.0 * oracles.hyperbolic_metric(z), 3,
+             (-4.0 / 3.0, -2.0 / 3.0)),
+        ],
+        ids=["fubini_study3", "fubini_study4", "complex_hyperbolic3", "3B3"],
+    )
+    def test_closed_forms(self, tensor, metric, n, want):
+        rng = np.random.default_rng(n)
+        for z in (np.zeros(n, dtype=complex), 0.3 * (rng.random(n) + 1j * rng.random(n))):
+            r = tensor(z)
+            res = _no_warnings(lambda: rbc_bounds(r, metric(z)))
+            assert abs(res.inf - want[0]) < 1e-12 and abs(res.sup - want[1]) < 1e-12
+            lo, hi = _witnessed(r, res)
+            assert abs(lo - res.inf) < 1e-12 and abs(hi - res.sup) < 1e-12
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_random_psd_points_are_bracketed(self, n):
+        # RBC at 2000 random PSD matrices, each a random frame with random
+        # nonnegative weights, lies within the bounds of each of 100 tensors
+        rng = np.random.default_rng(40 + n)
+        r, g = _random_tensors(rng, 100, n)
+        bounds = _no_warnings(lambda: rbc_bounds(r, g))
+        e0 = gram_unitary_frame(g)
+        for tensor, e, res in zip(r, e0, bounds):
+            q, _ = np.linalg.qr(rng.standard_normal((2000, n, n)) + 1j * rng.standard_normal((2000, n, n)))
+            lam = rng.random((2000, n)) * (rng.random((2000, n)) < 0.8)
+            lam[:, 0] += 1e-3  # no zero weight vector
+            rm = curvature_in_frame(tensor, e @ q).r_mat
+            value = np.einsum("pa,pab,pb->p", lam, rm, lam) / np.sum(lam * lam, axis=-1)
+            slack = 1e-12 * np.max(np.abs(tensor))
+            assert res.inf - slack <= np.min(value) and np.max(value) <= res.sup + slack
+
+    @pytest.mark.parametrize("n", [1, 3, 4])
+    def test_witness_frames_attain_the_bounds(self, n):
+        # in the frames rbc_bounds returns, the orthant extrema of the frame
+        # matrix (by face enumeration) are the bounds themselves
+        r, g = _random_tensors(np.random.default_rng(50 + n), 20, n)
+        for tensor, res in zip(r, rbc_bounds(r, g)):
+            lo, hi = _witnessed(tensor, res)
+            scale = np.max(np.abs(tensor))
+            assert abs(lo - res.inf) <= 1e-12 * scale and abs(hi - res.sup) <= 1e-12 * scale
+
+    def test_n1_is_the_frame_matrix(self):
+        # at n = 1 the cone is a ray: both bounds are the one frame-matrix
+        # entry, with the bits curvature_in_frame gives it in the Gram frame
+        z = box_grid([0.0], 0.4, 5)
+        r, g = oracles.poincare_tensor(z[0]), oracles.poincare_metric(z[0])
+        res = rbc_bounds(r, g)
+        want = curvature_in_frame(r, gram_unitary_frame(g)).r_mat[0, 0]
+        assert res.inf == res.sup == want and not res.heuristic
+
+    def test_no_call_warns(self):
+        # rows that reach the step cap (polydisk(3), whose extrema are not
+        # isolated) leave feasible witnesses and give no warning either
+        pd = catalog_metric("polydisk", (1.0, 1.0, 1.0))
+        z = np.array([[0.1, 0.2j, -0.1], [0.3, 0.0, 0.2j]])
+        res = _no_warnings(lambda: rbc_bounds(chern_curvature(pd, z), pd(z)))
+        for tensor, bounds in zip(chern_curvature(pd, z), res):
+            assert abs(bounds.inf + 2.0) < 1e-8 and abs(bounds.sup + 2.0 / 3.0) < 1e-8
+        r, g = _random_tensors(np.random.default_rng(60), 10, 4)
+        _no_warnings(lambda: rbc_bounds(r, g))
 
 
 def _unitary(params, n):
@@ -532,7 +668,8 @@ def fresh_value(objective, n):
 
 
 class TestFrameSearchWork:
-    """Shared RBC evaluations and the SBC early exit give the same answers."""
+    """The RBC ascent against an independent frame search, and the SBC early
+    exit, give the same answers."""
 
     cfg = FrameSearchConfig(n_starts=4, max_iter=25, seed=7)
 
@@ -541,21 +678,24 @@ class TestFrameSearchWork:
         [("fubini_study", [0.0, 0.0, 0.0]), ("hopf", [1.0, 0.5, 0.2j]), ("complex_hyperbolic", [0.0, 0.0, 0.0])],
     )
     def test_rbc_bounds_match_independent_searches(self, name, point):
+        # the sequential frame search over face-enumerated orthant extrema, as
+        # RBC was searched before the ascent: the ascent's bounds are at least
+        # as wide, up to the FD noise that the search's frames sample
         metric = catalog_metric(name, (3,))
         r, g = chern_curvature(metric, point), metric(point)
         e0 = gram_unitary_frame(g)
 
         def extrema(u):
-            return orthant_rayleigh_extrema(curvature_in_frame(r, e0 @ u).r_mat)
+            return orthant_extrema(curvature_in_frame(r, e0 @ u).r_mat)
 
         with warnings.catch_warnings():  # the hopf searches run out of budget
             warnings.simplefilter("ignore", SearchBudgetExhausted)
-            inf_val, inf_u = _sequential_frame_search(fresh_value(lambda u: extrema(u).min_val, 3), 3, self.cfg, -1)
-            sup_val, sup_u = _sequential_frame_search(fresh_value(lambda u: extrema(u).max_val, 3), 3, self.cfg, +1)
-            res = rbc_bounds(r, g, self.cfg)
-        assert res.inf == inf_val and res.sup == sup_val
-        assert np.array_equal(res.inf_frame, e0 @ inf_u)
-        assert np.array_equal(res.sup_frame, e0 @ sup_u)
+            inf_val, _ = _sequential_frame_search(fresh_value(lambda u: extrema(u).min_val, 3), 3, self.cfg, -1)
+            sup_val, _ = _sequential_frame_search(fresh_value(lambda u: extrema(u).max_val, 3), 3, self.cfg, +1)
+        res = _no_warnings(lambda: rbc_bounds(r, g))
+        assert res.inf <= inf_val + 1e-9 and res.sup >= sup_val - 1e-9
+        lo, hi = _witnessed(r, res)
+        assert abs(lo - res.inf) < 1e-9 and abs(hi - res.sup) < 1e-9
 
     def test_sbc_bound_stops_at_first_unbounded_frame(self, monkeypatch):
         metric = catalog_metric("complex_hyperbolic", (2,))
@@ -638,71 +778,6 @@ def _sequential_frame_search(value, n, cfg, sense):
     return best_val, best_u
 
 
-def _orthant_loop(m):
-    """Orthant extrema one face and one eigenvector at a time: (min, max)."""
-    sym = (m + m.T) / 2.0
-    n = sym.shape[0]
-    kkt_tol = 1e-10 * max(1.0, float(np.max(np.abs(sym))))
-    mins, maxs = [], []
-    for mask in range(1, 1 << n):
-        face = [i for i in range(n) if mask >> i & 1]
-        off = [i for i in range(n) if not mask >> i & 1]
-        vecs = np.linalg.eigh(sym[np.ix_(face, face)])[1]
-        for k in range(len(face)):
-            w = vecs[:, k]
-            if np.all(w >= -1e-12):
-                pass
-            elif np.all(w <= 1e-12):
-                w = -w
-            else:
-                continue
-            x = np.zeros(n)
-            x[face] = np.clip(w, 0.0, None)
-            nrm = np.linalg.norm(x)
-            if nrm == 0.0:
-                continue
-            x /= nrm
-            grad_off = (sym @ x)[off]
-            value = float(x @ sym @ x)
-            if grad_off.size == 0 or np.all(grad_off >= -kkt_tol):
-                mins.append((value, x, tuple(face)))
-            if grad_off.size == 0 or np.all(grad_off <= kkt_tol):
-                maxs.append((value, x, tuple(face)))
-    return min(mins, key=lambda t: t[0]), max(maxs, key=lambda t: t[0])
-
-
-def _rbc_reference(r, g, cfg):
-    """``rbc_bounds`` of one point with the sequential search and face loop."""
-    n = g.shape[0]
-    e0 = gram_unitary_frame(g)
-    memo = {}
-
-    def extrema(params):
-        key = params.tobytes()
-        if key not in memo:
-            u = _unitary(params, n)
-            memo[key] = (u, _orthant_loop(curvature_in_frame(r, e0 @ u).r_mat))
-        return memo[key]
-
-    inf_val, inf_u = _sequential_frame_search(lambda p: (extrema(p)[1][0][0], extrema(p)[0]), n, cfg, -1)
-    sup_val, sup_u = _sequential_frame_search(lambda p: (extrema(p)[1][1][0], extrema(p)[0]), n, cfg, +1)
-    return RbcBounds(inf_val, sup_val, e0 @ inf_u, e0 @ sup_u, n >= 2)
-
-
-def _searched_rbc(r, g, cfg):
-    """RBC bounds by the frame search at any n >= 2: ``cones._frame_search``
-    over the orthant extrema, as ``rbc_bounds`` runs it for n >= 3."""
-    r, e0, single = cones._frame_points(r, g)
-
-    def evaluate(owners, frames):
-        ext = orthant_rayleigh_extrema(curvature_in_frame(r[owners], e0[owners] @ frames).r_mat)
-        return np.stack([ext.min_val, ext.max_val], axis=-1)
-
-    found = _frame_search(evaluate, len(e0), e0.shape[-1], cfg, (-1, +1))
-    bounds = [RbcBounds(lo, hi, e @ lo_u, e @ hi_u, True) for e, ((lo, lo_u), (hi, hi_u)) in zip(e0, found)]
-    return bounds[0] if single else bounds
-
-
 def _sbc_reference(r, g, cfg):
     """``sbc_bound`` of one point with the sequential search."""
     n = g.shape[0]
@@ -766,48 +841,26 @@ class TestExpSkew:
             assert np.array_equal(cones._exp_skew(ak[None])[0], uk)
 
 
-class TestOrthantStack:
-    def test_matches_face_loop(self):
-        rng = np.random.default_rng(12)
-        for n in (1, 2, 3, 4):
-            ms = rng.standard_normal((40, n, n))
-            ms[::5] = np.round(ms[::5])  # ties between faces
-            ms[::9] = 0.0
-            stacked = orthant_rayleigh_extrema(ms)
-            for k, m in enumerate(ms):
-                (lo, lo_x, lo_face), (hi, hi_x, hi_face) = _orthant_loop(m)
-                alone = orthant_rayleigh_extrema(m)
-                assert _same(alone.min_val, lo) and _same(alone.max_val, hi)
-                assert _same(alone.argmin, lo_x) and _same(alone.argmax, hi_x)
-                assert alone.certificate == (lo_face, hi_face) == stacked.certificate[k]
-                assert _same(stacked.min_val[k], np.float64(lo))
-                assert _same(stacked.max_val[k], np.float64(hi))
-                assert _same(stacked.argmin[k], lo_x) and _same(stacked.argmax[k], hi_x)
-
-
 class TestLockstepSearch:
-    """The array descent against the sequential search it replaced."""
+    """Stacks of points, and the SBC's array descent, against one point or
+    one start at a time."""
 
     @pytest.mark.parametrize("seed", [3, 11])
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("name", sorted(MODELS))
     def test_rbc_matches_sequential(self, name, n, seed):
-        # rbc_bounds searches at n = 3; at n = 2, where it is exact, the same
-        # descent runs as _searched_rbc and stays within the exact bounds
-        search = rbc_bounds if n >= 3 else _searched_rbc
+        # two points stacked get the bits each gets alone, from the exact
+        # solve at n = 2 and the ascent at n = 3; the ascent run at n = 2
+        # stays within the exact bounds
         r, g = _two_points(name, n, seed)
-        cfg = FrameSearchConfig(n_starts=3, max_iter=12 if n == 2 else 5, seed=seed)
-        stacked, warned = _budget_warnings(lambda: search(r, g, cfg))
-        alone = [_budget_warnings(lambda p=p: search(r[p], g[p], cfg)) for p in range(2)]
-        ref = [_budget_warnings(lambda p=p: _rbc_reference(r[p], g[p], cfg)) for p in range(2)]
+        stacked = _no_warnings(lambda: rbc_bounds(r, g))
         for p in range(2):
-            assert _same(stacked[p], ref[p][0]) and _same(alone[p][0], ref[p][0])
-            assert alone[p][1] == ref[p][1]
-        assert warned == ref[0][1] + ref[1][1]
+            assert _same(stacked[p], rbc_bounds(r[p], g[p]))
         if n == 2:
-            for exact, found, tensor in zip(rbc_bounds(r, g), stacked, r):
+            for exact, (lo, hi), tensor in zip(stacked, _ascended_rbc(r, g), r):
                 slack = 1e-12 * np.max(np.abs(tensor))
-                assert exact.inf <= found.inf + slack and exact.sup >= found.sup - slack
+                assert exact.inf - slack <= lo <= exact.inf + 1e-9
+                assert exact.sup - 1e-9 <= hi <= exact.sup + slack
 
     @pytest.mark.parametrize("seed", [3, 11])
     @pytest.mark.parametrize("n", [2, 3])
@@ -824,14 +877,14 @@ class TestLockstepSearch:
         assert warned == ref[0][1] + ref[1][1]
 
     def test_grid_stack_matches_each_point_alone(self):
-        # 16 points of n = 3 are 96 RBC rows, and 16 points of n = 2 are 48
-        # SBC rows, of one descent each
-        cfg = FrameSearchConfig(n_starts=3, max_iter=5, seed=2)
+        # 16 points of n = 3 are 128 RBC ascent rows of one stack, and 16
+        # points of n = 2 are 48 SBC rows of one descent
         hopf3 = catalog_metric("hopf", (3,))
         z = box_grid([0.6, 0.4j, 0.3], 0.2, 2)[::4]
         r, g = np.array([chern_curvature(hopf3, p) for p in z]), hopf3(z)
-        rbc, rbc_warned = _budget_warnings(lambda: rbc_bounds(r, g, cfg))
-        rbc_ref = [_budget_warnings(lambda p=p: _rbc_reference(r[p], g[p], cfg)) for p in range(16)]
+        rbc = _no_warnings(lambda: rbc_bounds(r, g))
+        rbc_alone = [rbc_bounds(r[p], g[p]) for p in range(16)]
+        cfg = FrameSearchConfig(n_starts=3, max_iter=5, seed=2)
         hopf2 = catalog_metric("hopf", (2,))
         z = box_grid([0.6, 0.4j], 0.2, 2)
         r, g = np.array([chern_curvature(hopf2, p) for p in z]), hopf2(z)
@@ -839,17 +892,16 @@ class TestLockstepSearch:
         sbc_ref = [_budget_warnings(lambda p=p: _sbc_reference(r[p], g[p], cfg)) for p in range(16)]
         assert len(rbc) == len(sbc) == 16
         for p in range(16):
-            assert _same(rbc[p], rbc_ref[p][0]) and _same(sbc[p], sbc_ref[p][0])
-        assert rbc_warned == sum(w for _, w in rbc_ref)
+            assert _same(rbc[p], rbc_alone[p]) and _same(sbc[p], sbc_ref[p][0])
         assert sbc_warned == sum(w for _, w in sbc_ref)
 
     def test_one_expm_per_running_row_per_micro_step(self, monkeypatch):
-        # the first evaluation exponentiates every (point, sense, start) row,
-        # each later one at most the rows still running: a stopped row stays
+        # the first evaluation exponentiates every (point, start) row, each
+        # later one at most the rows still running: a stopped row stays
         # stopped, and a row runs at most max_iter sweeps of 2 n(n-1) steps
         n = 3
         r, g = _two_points("hopf", n, 4)
-        cfg = FrameSearchConfig(n_starts=3, max_iter=10, seed=4)
+        cfg = FrameSearchConfig(n_starts=3, max_iter=3, seed=4)
         sizes, owners = [], []
 
         def counted(generators, _exp=cones._exp_skew):
@@ -858,17 +910,17 @@ class TestLockstepSearch:
 
         def evaluate(points, frames):
             owners.append(len(points))
-            return np.zeros((len(frames), 2))
+            return np.zeros(len(frames))
 
         monkeypatch.setattr(cones, "_exp_skew", counted)
-        _budget_warnings(lambda: rbc_bounds(r, g, cfg))
-        assert sizes[0] == 2 * 2 * 3
+        _budget_warnings(lambda: sbc_bound(r, g, cfg))
+        assert sizes[0] == 2 * 3
         assert all(a >= b for a, b in zip(sizes, sizes[1:]))
         assert len(sizes) <= 1 + 2 * n * (n - 1) * cfg.max_iter
         # one evaluated frame per exponentiated one
         sizes[:] = []
-        _budget_warnings(lambda: cones._frame_search(evaluate, 2, n, cfg, (-1, +1)))
-        assert sizes == owners and sizes[0] == 12
+        _budget_warnings(lambda: cones._frame_search(evaluate, 2, n, cfg))
+        assert sizes == owners and sizes[0] == 6
 
     @pytest.mark.parametrize("with_finite_point", [False, True])
     def test_later_start_diverging_first_loses_to_earlier_start(self, with_finite_point):
@@ -893,23 +945,20 @@ class TestLockstepSearch:
             return (-np.inf if u.tobytes() in marked else objective(u)), u
 
         def evaluate(owners, frames):
-            return [
-                [-np.inf if p == 0 and u.tobytes() in marked else objective(u)]
-                for p, u in zip(owners, frames)
-            ]
+            return [-np.inf if p == 0 and u.tobytes() in marked else objective(u) for p, u in zip(owners, frames)]
 
         want_val, want_u = value(visits[45])
         # start 0 runs out of budget before start 1 diverges, in both orders
         got, warned = _budget_warnings(lambda: _sequential_frame_search(value, 2, cfg, -1))
         assert got[1].tobytes() == want_u.tobytes() and warned == 1
         n_points = 2 if with_finite_point else 1
-        found, warned = _budget_warnings(lambda: _frame_search(evaluate, n_points, 2, cfg, (-1,)))
-        ((val, u),) = found[0]
+        found, warned = _budget_warnings(lambda: _frame_search(evaluate, n_points, 2, cfg))
+        val, u = found[0]
         assert val == want_val == -np.inf and _same(u, want_u)
         if with_finite_point:
             # the finite point runs all three starts out of budget
             (plain, plain_warned) = _budget_warnings(lambda: _sequential_frame_search(
                 lambda p: (objective(_unitary(p, 2)), _unitary(p, 2)), 2, cfg, -1))
-            ((val, u),) = found[1]
+            val, u = found[1]
             assert plain_warned == 3 and val == plain[0] and _same(u, plain[1])
         assert warned == 1 + 3 * with_finite_point

@@ -183,11 +183,14 @@ class TestSchema:
             error = run_scenario(doc).tasks[0]["error"]
             assert error.startswith("SchemaError:") and f"(at {location})" in error
 
-    @pytest.mark.parametrize("task", [CURVATURE, THEOREM23, AVERAGED_HSC], ids=["curvature", "theorem23", "averaged-hsc"])
+    @pytest.mark.parametrize(
+        "task", [CURVATURE, THEOREM23, AVERAGED_HSC, dict(CURVATURE, kind="rbc")],
+        ids=["curvature", "theorem23", "averaged-hsc", "rbc"],
+    )
     def test_task_seed_that_nothing_reads_is_a_schema_error(self, task):
-        # only the frame searches of rbc, sbc and schwarz tasks read a task's seed
+        # only the frame searches of sbc and schwarz tasks read a task's seed
         doc = base_scenario()
-        doc["tasks"] = [dict(task, seed=3), dict(CURVATURE, kind="rbc", seed=3)]
+        doc["tasks"] = [dict(task, seed=3), dict(CURVATURE, kind="sbc", seed=3)]
         report = run_scenario(doc)
         assert report.tasks[0]["error"] == "SchemaError: unknown key 'seed' (at $.tasks[0])"
         assert report.tasks[1]["status"] == "ok"
@@ -399,15 +402,17 @@ class TestTasks:
         ],
     )
     def test_search_budget_that_runs_no_search_is_a_task_schema_error(self, kind, catalog, search, field):
-        # rbc at n = 3 and sbc at n = 2 search their frames
+        # the schema checks a search block's values for every task kind; sbc
+        # at n = 2 searches its frames, and rbc at n = 3, which climbs the
+        # PSD cone, takes no search block even with a budget that would run
         n = 3 if kind == "rbc" else 2
-        doc = {
-            "version": 1,
-            "metrics": {"m": {"catalog": catalog, "params": [n]}},
-            "tasks": [{"kind": kind, "metric": "m", "point": [[0.0, 0.0]] * n, "search": search}],
-        }
-        error = run_scenario(doc).tasks[0]["error"]
-        assert error.startswith("SchemaError:") and f"(at $.tasks[0].search.{field})" in error
+        task = {"kind": kind, "metric": "m", "point": [[0.0, 0.0]] * n, "search": search}
+        tasks = [task] + ([dict(task, search={"n_starts": 1})] if kind == "rbc" else [])
+        doc = {"version": 1, "metrics": {"m": {"catalog": catalog, "params": [n]}}, "tasks": tasks}
+        errors = [entry["error"] for entry in run_scenario(doc).tasks]
+        assert errors[0].startswith("SchemaError:") and f"(at $.tasks[0].search.{field})" in errors[0]
+        if kind == "rbc":
+            assert errors[1] == "SchemaError: unknown key 'search' (at $.tasks[1])"
 
     def test_sbc_task_unbounded(self):
         doc = {
@@ -722,18 +727,42 @@ class TestCli:
         task = json.loads(capsys.readouterr().out)["tasks"][0]
         assert task["status"] == "error" and task["error"].startswith("DomainMarginError:")
 
-    @pytest.mark.parametrize("catalog, params, n", [("poincare_disk", [1.0], 1), ("fubini_study", [2], 2)])
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["curvature", "--metric", "fubini_study:2", "--point", "0,0,0,0"],
+            ["rbc", "--metric", "fubini_study:3", "--point", "0,0,0,0,0,0"],
+            ["identity", "--check", "theorem23", "--n", "3"],
+        ],
+        ids=["curvature", "rbc", "identity"],
+    )
+    def test_seed_on_a_subcommand_that_reads_none_exit_2(self, args, capsys):
+        # nothing a curvature, rbc or identity task runs reads a seed, so
+        # argparse refuses --seed; sbc, schwarz and run keep it
+        with pytest.raises(SystemExit) as exc:
+            main(args + ["--seed", "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+        parser = build_parser()
+        for kept in (["sbc", "--metric", "m", "--point", "0"], ["run", "--scenario", "s.json"],
+                     ["schwarz", "--theorem", "chern_lu", "--source", "s", "--target", "t", "--grid", "g"]):
+            assert parser.parse_args(kept + ["--seed", "1"]).seed == 1
+
+    @pytest.mark.parametrize(
+        "catalog, params, n",
+        [("poincare_disk", [1.0], 1), ("fubini_study", [2], 2), ("fubini_study", [3], 3)],
+    )
     def test_search_on_an_exact_rbc_task(self, catalog, params, n):
-        # rbc at n <= 2 is solved exactly: only rbc at n >= 3 and sbc read a search block
+        # rbc takes no budget at any n (exact for n <= 2, a PSD-cone ascent
+        # for n >= 3): a search block or a seed is an unknown key; sbc reads both
         task = {"kind": "rbc", "metric": "m", "point": [[0.0, 0.0]] * n}
         searched = dict(task, search={"n_starts": 4, "max_iter": 25})
         doc = {"version": 1, "metrics": {"m": {"catalog": catalog, "params": params}},
-               "tasks": [searched, task, dict(searched, kind="sbc")]}
+               "tasks": [searched, dict(task, seed=3), task, dict(searched, kind="sbc", seed=3)]}
         tasks = run_scenario(doc).tasks
-        assert tasks[0]["status"] == "error"
-        assert tasks[0]["error"] == (f"BadParams: search is read only by rbc at n >= 3 and by sbc; "
-                                     f"rbc at n = {n} is exact")
-        assert tasks[1]["status"] == "ok" and tasks[2]["status"] == "ok"
+        assert tasks[0]["error"] == "SchemaError: unknown key 'search' (at $.tasks[0])"
+        assert tasks[1]["error"] == "SchemaError: unknown key 'seed' (at $.tasks[1])"
+        assert tasks[2]["status"] == "ok" and tasks[3]["status"] == "ok"
 
     @pytest.mark.parametrize("theorem", ["chern_lu", "trace_bound", "family"])
     def test_kappa_mode_on_a_theorem_that_does_not_read_it(self, theorem, capsys):

@@ -18,6 +18,7 @@ from chernlab.errors import (
 )
 from chernlab.maps import map_identity, map_linear
 from chernlab.metrics import catalog_metric, scale_metric
+from chernlab.scenario import box_grid
 from chernlab.tensors import curvature_in_frame
 from chernlab.verify import (
     SchwarzPass,
@@ -342,6 +343,20 @@ class TestNegativeDiscipline:
         # the verdict's worst_point note is that record
         v = schwarz_verify(SchwarzPass(poincare, scale_metric(poincare, 1.5), None, grid), c)
         assert v.notes["worst_point"] == v.worst()["z"]
+
+    def test_family_worst_point_ignores_margin_noise(self):
+        # the family margins of the identity polydisk(1,1) -> 3 polydisk(1,1)
+        # (mu = polydisk(1,1)) are equal in exact arithmetic and differ by FD
+        # noise: the worst point is the first grid point, by the rule every
+        # theorem shares, and min_form_eigenvalue is still the least margin
+        pd = catalog_metric("polydisk", (1.0, 1.0))
+        sp = SchwarzPass(pd, scale_metric(pd, 3.0), map_identity(2), box_grid([0.1, -0.1j], 0.2, 2), pd)
+        c = estimate_hypotheses(sp, "family", {"c1": 2.0, "c2": 0.0, "c3": 1.0, "kappa1": 0.0, "kappa2": 1.0})
+        v = schwarz_verify(sp, c)
+        margins = [rec["margin"] for rec in v.records]
+        assert np.argmin(margins) != 0 and max(margins) - min(margins) < v.tol
+        assert v.notes["worst_point"] == v.worst()["z"] == v.records[0]["z"]
+        assert v.notes["min_form_eigenvalue"] == min(margins)
 
     def test_monotonicity_under_refit(self, poincare):
         # scaling eta -> c*eta scales energy by c; after refit the ratio

@@ -364,10 +364,14 @@ def _rbc_ascent(r, e0, m):
     over the cone and the unit ball: the PSD cone is self-dual, so that
     maximizer is the normalized projection Pi onto the cone, one ``eigh``.
     The value therefore never decreases; a projection of 0 leaves c where it
-    is.  Every point runs from I / sqrt(n) and each E_kk, for both senses,
-    as one stack of rows.  A row stops once a step moves c by at most
-    ``_ASCENT_TOL``, or after ``_ASCENT_CAP`` steps, and reads only its own
-    values, so a point gets the bits it gets alone.
+    is.  Every point runs from I / sqrt(n), each E_kk and the rank-one
+    11^t / n and w w^dag, ``w_k = (k + 2) e^{ik}``, for both senses, as one
+    stack of rows.  A start in a subspace that the form and the projection
+    keep (the diagonal matrices of a product of discs, the real matrices of
+    a real form) never leaves it; the last two lie in neither.  Each step
+    normalizes, so the starts need not.  A row stops once a step moves c by
+    at most ``_ASCENT_TOL``, or after ``_ASCENT_CAP`` steps, and reads only
+    its own values, so a point gets the bits it gets alone.
 
     A sense takes the first best start.  Its value is the RBC on the frame
     of the eigenvectors U of the final matrix, weighted by its eigenvalues:
@@ -376,8 +380,10 @@ def _rbc_ascent(r, e0, m):
     p, k = m.shape[:2]
     n = e0.shape[-1]
     flat = _hermitian_basis(n).reshape(k, k)  # row b: the entries of basis matrix b
-    starts = np.concatenate([np.eye(k)[:1], _hermitian_basis(n)[:, range(n), range(n)].real.T])
-    point, sense, start = (a.ravel() for a in np.indices((p, 2, n + 1)))
+    w = np.array([np.ones(n), (np.arange(n) + 2.0) * np.exp(1j * np.arange(n))])
+    rank_one = (np.conj(flat) @ (w[:, :, None] * np.conj(w[:, None])).reshape(2, k, 1))[..., 0].real
+    starts = np.concatenate([np.eye(k)[:1], _hermitian_basis(n)[:, range(n), range(n)].real.T, rank_one])
+    point, sense, start = (a.ravel() for a in np.indices((p, 2, len(starts))))
     signed = m[:, None] * np.array([-1.0, 1.0])[:, None, None]
     shift = np.maximum(0.0, -np.linalg.eigvalsh(signed)[..., 0])
     forms = (signed + shift[..., None, None] * np.eye(k)).reshape(2 * p, k, k)[2 * point + sense]
@@ -401,7 +407,7 @@ def _rbc_ascent(r, e0, m):
     lam = np.maximum(w, 0.0)[:, None, :]
     rm = curvature_in_frame(r[point], e0[point] @ u).r_mat
     value = ((lam @ rm @ np.swapaxes(lam, -1, -2)) / (lam @ np.swapaxes(lam, -1, -2)))[:, 0, 0]
-    value, u = value.reshape(p, 2, n + 1), u.reshape(p, 2, n + 1, n, n)
+    value, u = value.reshape(p, 2, len(starts)), u.reshape(p, 2, len(starts), n, n)
     lo, hi = np.argmin(value[:, 0], axis=-1), np.argmax(value[:, 1], axis=-1)
     return [((float(v[0, a]), f[0, a]), (float(v[1, b]), f[1, b])) for v, f, a, b in zip(value, u, lo, hi)]
 

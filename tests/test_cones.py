@@ -595,6 +595,30 @@ class TestRbcAscent:
             lo, hi = _witnessed(r, res)
             assert abs(lo - res.inf) < 1e-12 and abs(hi - res.sup) < 1e-12
 
+    @pytest.mark.parametrize(
+        "scales", [(1.0, 1.0, 1.0), (1.0, 1.0, 1.0, 1.0), (1.0, 2.0, 3.0), (1.0, 2.0, 3.0, 0.5)]
+    )
+    def test_polydisk_closed_forms(self, scales):
+        # a product of discs of scales c_a: the tensor has only its R[a, a, a, a]
+        # entries, -2/c_a in a unit frame, so the form never couples diagonal
+        # and off-diagonal matrices and an ascent from a diagonal start stays
+        # diagonal, at -2 / max c_a; the sup -2 / sum c_a lies at the rank-one
+        # weights |v_a|^2 = c_a, off the diagonal.  The negated tensor has
+        # [2 / sum c_a, 2 / min c_a]
+        n = len(scales)
+        for z in (np.zeros(n), 0.3 * np.exp(1j * np.arange(n))):
+            r = np.zeros((n,) * 4, dtype=complex)
+            g = np.zeros((n, n), dtype=complex)
+            for a, (za, c) in enumerate(zip(z, scales)):
+                r[a, a, a, a] = oracles.poincare_tensor([za], c)[0, 0, 0, 0]
+                g[a, a] = oracles.poincare_metric([za], c)[0, 0]
+            for sign in (1.0, -1.0):
+                res = _no_warnings(lambda: rbc_bounds(sign * r, g))
+                want = sorted((-2.0 * sign / min(scales), -2.0 * sign / sum(scales)))
+                assert abs(res.inf - want[0]) < 1e-12 and abs(res.sup - want[1]) < 1e-12
+                lo, hi = _witnessed(sign * r, res)
+                assert abs(lo - res.inf) < 1e-12 and abs(hi - res.sup) < 1e-12
+
     @pytest.mark.parametrize("n", [3, 4])
     def test_random_psd_points_are_bracketed(self, n):
         # RBC at 2000 random PSD matrices, each a random frame with random

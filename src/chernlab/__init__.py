@@ -2,7 +2,6 @@
 Schwarz-type inequalities on Hermitian coordinate charts."""
 
 from .cones import (
-    FrameSearchConfig,
     SbcResult,
     rbc_bounds,
     sbc_along_map,

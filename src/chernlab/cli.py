@@ -3,9 +3,8 @@
 Single-shot subcommands (``curvature``, ``rbc``, ``sbc``, ``schwarz``,
 ``identity``) are sugar: each builds a one-task scenario and runs it
 through the same engine as ``run``, so outputs are identical to scenario
-runs and deterministic given the seed.  Only the subcommands whose tasks
-read a seed (``sbc``, ``schwarz`` and ``run``) take ``--seed``; the others
-run at seed 0.
+runs, byte for byte on every call.  No task reads a seed: ``run --seed``
+only sets the seed that the report echoes, and the others echo seed 0.
 """
 
 from __future__ import annotations
@@ -87,15 +86,8 @@ def _write_grids(report, prefix):
 
 
 def _run_single_task(task, metrics, maps, args):
-    seed = getattr(args, "seed", 0)
-    scenario = {
-        "version": 1,
-        "seed": seed,
-        "metrics": metrics,
-        "maps": maps,
-        "tasks": [task],
-    }
-    report = run_scenario(scenario, seed=seed)
+    scenario = {"version": 1, "metrics": metrics, "maps": maps, "tasks": [task]}
+    report = run_scenario(scenario)
     code = _emit(report, args)
     if getattr(args, "grid_out", None):
         _write_grids(report, args.grid_out)
@@ -209,9 +201,6 @@ def build_parser():
         if grid:
             p.add_argument("--grid-out", default=None, help="write per-point CSV grid(s) here")
 
-    def seeded(p, default=0, help_text="master random seed"):
-        p.add_argument("--seed", type=int, default=default, help=help_text)
-
     p = sub.add_parser("catalog", help="list the model metric and map catalogs")
     p.set_defaults(func=_cmd_catalog)
 
@@ -224,14 +213,13 @@ def build_parser():
 
     for kind, help_text in (
         ("rbc", "real bisectional curvature bounds at a point: exact for n <= 2, a PSD-cone ascent for n >= 3"),
-        ("sbc", "ordered-cone curvature infimum at a point"),
+        ("sbc", "ordered-cone curvature infimum over all frames at a point: the Gram frame, an "
+                "orthonormal-pair test for unboundedness, then a descent over positive-definite weights"),
     ):
-        p = sub.add_parser(kind, help=help_text)
+        p = sub.add_parser(kind, help=help_text, description=help_text)
         p.add_argument("--metric", required=True)
         p.add_argument("--point", required=True)
         common(p)
-        if kind == "sbc":  # only the SBC frame search reads a seed
-            seeded(p)
         p.set_defaults(func=lambda a, _k=kind: _cmd_cone(a, _k))
 
     p = sub.add_parser("schwarz", help="verify a Schwarz-type inequality on a grid")
@@ -246,7 +234,6 @@ def build_parser():
     p.add_argument("--tol", type=float, default=None)
     p.add_argument("--kappa-mode", dest="kappa_mode", default=None, choices=task["kappa_mode"]["enum"])
     common(p, grid=True)
-    seeded(p)
     p.set_defaults(func=_cmd_schwarz)
 
     p = sub.add_parser("identity", help="standalone identity checks")
@@ -262,7 +249,8 @@ def build_parser():
     p = sub.add_parser("run", help="run a scenario file")
     p.add_argument("--scenario", required=True)
     common(p, grid=True)
-    seeded(p, None, "master random seed (default: the scenario's own seed)")
+    p.add_argument("--seed", type=int, default=None,
+                   help="the seed the report echoes (default: the scenario's own); no task reads it")
     p.set_defaults(func=_cmd_run)
 
     return parser

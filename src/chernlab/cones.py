@@ -12,30 +12,29 @@ matrix ``X = U diag(v) U^dag``, with ``|X|_F = |v|``, so the RBC extrema
 over all frames are those of one real quadratic form over the PSD cone.  At
 n = 2 that cone is a Lorentz cone and the extrema are solved exactly
 (``_rbc_two``); at every other n a shifted projected power ascent
-(``_rbc_ascent``) climbs the form from fixed starts.  The SBC is searched by
-a seeded multistart coordinate descent on skew-Hermitian generators, one
-array descent over every (point, start) row whose trial frames are
-exponentiated, contracted and solved as one stack; each start visits the
-frames, with the same bits, that it visits alone.  The module needs numpy
-only: the SBC inner problem is decided at the vertices of its gap box and
-solved by exact coordinate minimization.
+(``_rbc_ascent``) climbs the form from fixed starts.  The SBC over all
+frames is unbounded exactly when some orthonormal pair has ``R(u, ubar, w,
+wbar) < 0``, and otherwise is the infimum of ``B(A^-1, A)`` over
+positive-definite A; one Armijo descent (``_descend``) finds each, with
+every (point, start) of a stack a row that gets the bits it gets alone.
+The module needs numpy only: the SBC in one frame is decided at the
+vertices of its gap box and solved by exact coordinate minimization.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import warnings
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import BadParams, DimensionMismatch, SearchBudgetExhausted, ZeroSingularValue
-from .tensors import curvature_in_frame, gram_unitary_frame
+from .errors import BadParams, DimensionMismatch, ZeroSingularValue
+from .tensors import curvature_in_frame, gram_unitary_frame, pair_matrix
 
 __all__ = [
     "DivergenceCertificate",
-    "FrameSearchConfig",
     "RbcBounds",
     "SbcResult",
     "rbc_bounds",
@@ -51,27 +50,11 @@ _MARGINAL_TOL = 1e-6  # a finite SBC whose least gap coefficient is below this i
 _SWEEPS = 1000  # cap on the coordinate sweeps of the SBC inner solve
 _STEP_TOL = 1e-12  # the sweeps stop once no gap coordinate moves by more
 _ASCENT_TOL = 1e-10  # an RBC ascent row stops once its unit iterate moves by no more
+_ASCENT_GAIN = 1e-15  # ... or once a step raises its value by no more than this share
 _ASCENT_CAP = 1000  # ... or after this many steps
-
-
-@dataclass(frozen=True)
-class FrameSearchConfig:
-    """Multistart budget for the SBC frame search."""
-
-    n_starts: int = 8
-    max_iter: int = 40
-    step_tol: float = 1e-4
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.n_starts < 1:
-            raise BadParams("n_starts must be >= 1")
-        if self.max_iter < 1:
-            raise BadParams("max_iter must be >= 1")
-        if not (np.isfinite(self.step_tol) and self.step_tol > 0.0):
-            raise BadParams(f"step_tol must be finite and positive, got {self.step_tol!r}")
-        if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
-            raise BadParams(f"seed must be an integer >= 0, got {self.seed!r}")
+_DESCENT_TOL = 1e-12  # an SBC descent row stops once a step lowers it by no more than this share
+_DESCENT_STEP = 1e-14  # ... once a trial moves it by less
+_DESCENT_CAP = 2000  # ... or after this many trials
 
 
 # ---------------------------------------------------------------------------
@@ -352,6 +335,13 @@ def _rbc_two(m):
     return [((float(a), u), (float(b), v)) for a, b, (u, v) in zip(value[each, lo], value[each, hi], frames)]
 
 
+def _fixed_vectors(n):
+    """Four unit vectors ``(k + j + 2) e^{i (j + 1) k}``, j < 4: none real or in a coordinate subspace."""
+    j, k = np.indices((4, n))
+    w = (k + j + 2.0) * np.exp(1j * (j + 1.0) * k)
+    return w / np.linalg.norm(w, axis=-1, keepdims=True)
+
+
 def _rbc_ascent(r, e0, m):
     """RBC extrema of a stack of tensors ``r`` with Gram frames ``e0`` and
     forms ``m`` (``_rbc_form``) by a shifted projected power ascent: per
@@ -365,13 +355,15 @@ def _rbc_ascent(r, e0, m):
     maximizer is the normalized projection Pi onto the cone, one ``eigh``.
     The value therefore never decreases; a projection of 0 leaves c where it
     is.  Every point runs from I / sqrt(n), each E_kk and the rank-one
-    11^t / n and w w^dag, ``w_k = (k + 2) e^{ik}``, for both senses, as one
-    stack of rows.  A start in a subspace that the form and the projection
+    11^t / n and w w^dag (w the first ``_fixed_vectors`` vector), for both
+    senses, as one stack of rows.  A start in a subspace that the form and the projection
     keep (the diagonal matrices of a product of discs, the real matrices of
     a real form) never leaves it; the last two lie in neither.  Each step
     normalizes, so the starts need not.  A row stops once a step moves c by
-    at most ``_ASCENT_TOL``, or after ``_ASCENT_CAP`` steps, and reads only
-    its own values, so a point gets the bits it gets alone.
+    at most ``_ASCENT_TOL`` or raises the form's quotient by at most
+    ``_ASCENT_GAIN`` of it (as on an extremal orbit), or after
+    ``_ASCENT_CAP`` steps, and reads only its own values, so a point gets
+    the bits it gets alone.
 
     A sense takes the first best start.  Its value is the RBC on the frame
     of the eigenvectors U of the final matrix, weighted by its eigenvalues:
@@ -380,7 +372,7 @@ def _rbc_ascent(r, e0, m):
     p, k = m.shape[:2]
     n = e0.shape[-1]
     flat = _hermitian_basis(n).reshape(k, k)  # row b: the entries of basis matrix b
-    w = np.array([np.ones(n), (np.arange(n) + 2.0) * np.exp(1j * np.arange(n))])
+    w = np.array([np.ones(n), _fixed_vectors(n)[0]])
     rank_one = (np.conj(flat) @ (w[:, :, None] * np.conj(w[:, None])).reshape(2, k, 1))[..., 0].real
     starts = np.concatenate([np.eye(k)[:1], _hermitian_basis(n)[:, range(n), range(n)].real.T, rank_one])
     point, sense, start = (a.ravel() for a in np.indices((p, 2, len(starts))))
@@ -390,8 +382,15 @@ def _rbc_ascent(r, e0, m):
 
     c = starts[start]
     rows = np.arange(len(c))
+    value = np.full(len(c), -np.inf)
     for _ in range(_ASCENT_CAP):
         y = forms[rows] @ c[rows, :, None]
+        gained = (c[rows, None, :] @ y)[:, 0, 0] / np.sum(c[rows] * c[rows], axis=-1)  # the form's quotient at c
+        climbing = gained - value[rows] > _ASCENT_GAIN * np.abs(gained)
+        value[rows] = gained
+        rows, y = rows[climbing], y[climbing]
+        if not len(rows):
+            break
         w, v = np.linalg.eigh((np.swapaxes(y, -1, -2) @ flat).reshape(-1, n, n))
         proj = (v * np.maximum(w, 0.0)[..., None, :]) @ np.conj(np.swapaxes(v, -1, -2))
         y = (np.conj(flat) @ proj.reshape(-1, k, 1)).real  # the projection's coordinates
@@ -438,141 +437,153 @@ def rbc_bounds(r, g):
 
 
 # ---------------------------------------------------------------------------
-# SBC over all frames: a frame search over the unitary bundle
+# SBC over all frames: an orthonormal-pair test, then a descent over PD matrices
 # ---------------------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=None)
-def _upper_triangle(n):
-    """Row and column indices of the strict upper triangle of an n x n matrix."""
-    return np.triu_indices(n, 1)
+def _frame_tensor(t, u):
+    """Pair matrices ``t`` ``(P, n^2, n^2)`` of tensors in the frames ``u``,
+    contracted as ``curvature_in_frame`` does: ``T[(a, a), (g, g)]`` is its
+    ``r_mat[a, g]``."""
+    n = u.shape[-1]
+    k = (np.conj(u)[..., :, None, :, None] * u[..., None, :, None, :]).reshape(-1, n * n, n * n)
+    return np.swapaxes(k, -1, -2) @ t @ k
 
 
-def _generators(params, n):
-    """Skew-Hermitian matrices ``(K, n, n)`` from a stack ``(K, n(n-1))`` of
-    strict-upper-triangle real parameters, (re, im) per entry in row order.
-
-    Diagonal phase generators are omitted: column phases cancel in the
-    diagonal-pair curvature components.
-    """
-    rows, cols = _upper_triangle(n)
-    a = np.zeros((len(params), n, n), dtype=complex)
-    a[:, rows, cols] = params[:, 0::2] + 1j * params[:, 1::2]
-    a[:, cols, rows] = -np.conj(a[:, rows, cols])
-    return a
+def _outer(v):
+    return v[..., :, None] * np.conj(v[..., None, :])
 
 
-def _exp_skew(generators):
-    """``exp`` of each skew-Hermitian matrix ``A`` of a stack ``(K, n, n)``:
-    ``V diag(e^{i lam}) V^dag`` from the eigenpairs of the Hermitian ``-iA``.
-    Each matrix of the stack gets the bits it gets alone."""
-    lam, vecs = np.linalg.eigh(-1j * generators)
-    return (vecs * np.exp(1j * lam)[..., None, :]) @ np.conj(np.swapaxes(vecs, -1, -2))
+def _descend(values, retract, x, cap, scale):
+    """Armijo descent of each row of ``x``: ``values(rows, x)`` gives
+    (value, gradient, feasible), ``retract(x, d)`` moves x by -d.  A trial
+    moves a row by step times gradient, at most ``cap``; a trial that lowers
+    the value by less than 1e-4 of the first-order decrease, or is not
+    feasible, halves the step, and an accepted one takes the Barzilai-Borwein
+    step (or doubles it).  A row stops once a step lowers it by at most
+    ``_DESCENT_TOL`` of its value or ``scale``, once a trial moves it by less
+    than ``_DESCENT_STEP``, or after ``_DESCENT_CAP`` trials."""
+    rows = np.arange(len(x))
+    value, grad, _ = values(rows, x)
+    step = np.ones(len(x))
+    for _ in range(_DESCENT_CAP):
+        size = np.sqrt(np.sum(np.abs(grad[rows]) ** 2, axis=(-2, -1)))
+        move = np.minimum(step[rows] * size, cap)
+        d = (move / np.where(size > 0.0, size, 1.0))[:, None, None] * grad[rows]
+        trial = retract(x[rows], d)
+        new, new_grad, feasible = values(rows, trial)
+        accept = (new <= value[rows] - 1e-4 * move * size) & feasible
+        settled = accept & (value[rows] - new <= _DESCENT_TOL * np.maximum(np.abs(value[rows]), scale[rows]))
+        curve = np.sum(np.real(np.conj(d) * (grad[rows] - new_grad)), axis=(-2, -1))
+        bb = np.sum(np.abs(d) ** 2, axis=(-2, -1)) / np.where(curve > 0.0, curve, 1.0)
+        step[rows] = np.where(accept, np.where(curve > 0.0, bb, 2.0 * step[rows]), step[rows] / 2.0)
+        kept = rows[accept]
+        x[kept], value[kept], grad[kept] = trial[accept], new[accept], new_grad[accept]
+        rows = rows[~settled & (move >= _DESCENT_STEP)]
+        if not len(rows):
+            break
+    return x, value
 
 
-def _frame_search(evaluate, n_points, n, cfg):
-    """Multistart coordinate descent over unitary-frame generators that
-    minimizes an objective, as one masked array descent.
-
-    There is one search per point, each from the same ``cfg.n_starts``
-    seeded starts, and every (point, start) is a row of
-    ``params``/``val``/``step``/``iters``.  A sweep walks the parameters in
-    order, trying ``+step`` then ``-step`` on each; at every such micro-step
-    the running rows' trial frames are evaluated as one stack,
-    ``evaluate(owners, frames)`` with the point index of each frame and the
-    unitaries of their generators (one ``_exp_skew``), which returns one
-    objective per frame.  A row keeps a trial that improves on it by more
-    than 1e-14, halves its step after a sweep without one, and stops once its
-    step falls to ``cfg.step_tol`` or after ``cfg.max_iter`` sweeps.  A row's
-    descent only reads its own values, so it gets the bits of its start run
-    alone.
-
-    An objective of ``-inf`` (an unbounded frame) cannot be improved on: it
-    stops its row, and the later starts of its point, whose answer is then
-    the first start in start order to reach one.
-
-    Returns, per point, ``(objective, U)`` for the first best start.  Every
-    start that ran out of ``cfg.max_iter`` before its step fell below
-    ``cfg.step_tol`` warns SearchBudgetExhausted, in (point, start) order,
-    up to the start that ended its search.
-    """
-    n_params = n * (n - 1)
-    rng = np.random.default_rng(cfg.seed)
-    starts = [np.zeros(n_params)]
-    if n_params:
-        starts += [rng.normal(scale=0.5, size=n_params) for _ in range(cfg.n_starts - 1)]
-    n_starts = len(starts)
-    point, start = (a.ravel() for a in np.indices((n_points, n_starts)))
-    cut = np.full(n_points, n_starts)  # per point: the first start at -inf
-
-    def objectives(rows, trial):
-        frames = _exp_skew(_generators(trial, n))
-        return np.asarray(evaluate(point[rows], frames), dtype=float), frames
-
-    def running(rows):
-        """The rows still running; a row at -inf cuts its later starts."""
-        hit = rows[val[rows] == -np.inf]
-        np.minimum.at(cut, point[hit], start[hit])
-        return rows[(val[rows] != -np.inf) & (start[rows] <= cut[point[rows]])]
-
-    params = np.array(starts)[start]
-    val, frames = objectives(np.arange(len(start)), params)
-    step, iters = np.full(len(start), 0.4), np.zeros(len(start), dtype=int)
-    rows = running(np.arange(len(start)))
-    while n_params and len(rows := rows[(step[rows] > cfg.step_tol) & (iters[rows] < cfg.max_iter)]):
-        improved = np.zeros(len(start), dtype=bool)
-        for k, sign in itertools.product(range(n_params), (1.0, -1.0)):
-            if not len(rows):
-                break
-            trial = params[rows]
-            trial[:, k] += sign * step[rows]
-            tval, tframes = objectives(rows, trial)
-            better = tval < val[rows] - 1e-14
-            kept = rows[better]
-            params[kept], val[kept], frames[kept] = trial[better], tval[better], tframes[better]
-            improved[kept] = True
-            rows = running(rows)
-        step[rows[~improved[rows]]] *= 0.5
-        iters[rows] += 1
-
-    exhausted = (iters >= cfg.max_iter) & (step > cfg.step_tol)
-    found = []
-    for p in range(n_points):
-        best = None
-        for r in range(p * n_starts, (p + 1) * n_starts):  # up to the first start at -inf
-            if val[r] == -np.inf:
-                best = r
-                break
-            if exhausted[r]:
-                warnings.warn("frame search hit iteration budget", SearchBudgetExhausted)
-            if best is None or val[r] < val[best]:
-                best = r
-        found.append((float(val[best]), frames[best]))
-    return found
+def _pair_values(t, x):
+    """``R(u, ubar, w, wbar) = u^dag G_w u`` of orthonormal pairs ``x = [w, u]``
+    ``(P, n, 2)`` for Gram-frame pair matrices ``t``, with ``G_w[a, b] =
+    sum T[(a, b), (c, d)] conj(w_c) w_d``, and its gradient Z in the
+    rotations ``x -> e^{-iZ} x``: ``i ([u u^dag, G_w] + [w w^dag, G_u])``."""
+    n = x.shape[1]
+    pw, pu = _outer(x[..., 0]), _outer(x[..., 1])
+    gw = (t @ np.conj(pw).reshape(-1, n * n, 1)).reshape(-1, n, n)
+    gu = (np.swapaxes(t, -1, -2) @ np.conj(pu).reshape(-1, n * n, 1)).reshape(-1, n, n)
+    value = np.sum(np.conj(x[..., 1]) * (gw @ x[..., 1:])[..., 0], axis=-1).real
+    return value, 1j * (pu @ gw - gw @ pu + pw @ gu - gu @ pw), True
 
 
-def sbc_bound(r, g, cfg=FrameSearchConfig()):
-    """Frame-searched infimum of the SBC.
+def _rotated(x, z):
+    """``e^{-iZ} x`` for a stack of Hermitian Z."""
+    lam, vec = np.linalg.eigh(z)
+    return (vec * np.exp(-1j * lam)[:, None, :]) @ (np.conj(np.swapaxes(vec, -1, -2)) @ x)
 
-    Each visited frame runs its own ``sbc_infimum``.  Unbounded in any
-    visited frame means unbounded overall: the search stops at the first
-    such frame in start order and returns it with its divergence
-    certificate.  ``r`` and ``g`` are one point or stacks, as for
-    ``rbc_bounds``; a stack gives a list of P results.
+
+def _least_pairs(t):
+    """Frames ``(P, n, n)``, w first and u last, of the least ``R(u, ubar, w,
+    wbar)`` over orthonormal pairs for Gram-frame pair matrices ``t``: the
+    first least row of a descent over rotations of the pair, by at most pi,
+    from every ordered pair of Gram-frame vectors and the QR pairs of
+    consecutive ``_fixed_vectors``."""
+    p, k = t.shape[:2]
+    n = math.isqrt(k)
+    u = _fixed_vectors(n)
+    starts = np.concatenate([np.eye(n)[:, list(itertools.permutations(range(n), 2))].transpose(1, 0, 2),
+                             np.linalg.qr(np.stack([np.roll(u, -1, axis=0), u], axis=-1))[0]])
+    point = np.repeat(np.arange(p), len(starts))
+    pairs, value = _descend(lambda rows, x: _pair_values(t[point[rows]], x), _rotated, np.tile(starts, (p, 1, 1)),
+                            np.pi, np.max(np.abs(t), axis=(-2, -1))[point])
+    best = np.argmin(value.reshape(p, -1), axis=-1) + np.arange(p) * len(starts)
+    return np.linalg.eigh(_outer(pairs[best, :, 0]) - _outer(pairs[best, :, 1]))[1][..., ::-1]
+
+
+def _descent_values(t, h):
+    """``F(H) = B(e^{-H}, e^{H}) = sum_{a, g} r_mat[a, g] e^{l_g - l_a}`` in
+    H's eigenframe V, for Gram-frame pair matrices ``t`` and Hermitian H;
+    its gradient, Daleckii-Krein's ``V (D_- o G_- + D_+ o G_+) V^dag`` with the
+    divided differences ``D_+-[a, b] = +-e^{+-m} sinh(d) / d`` of ``e^{+-x}``
+    at ``m +- d = l_a, l_b`` (every weight the exponential of a difference
+    of eigenvalues, so no large terms cancel); and whether H's eigenvalues
+    spread by at most the gap box, ``(n-1) _GAP_MAX``."""
+    n = h.shape[-1]
+    lam, vec = np.linalg.eigh(h)
+    ends = _frame_tensor(t, vec).reshape((-1,) + (n,) * 4)
+    right = np.diagonal(ends, axis1=3, axis2=4)  # [a, b, g]: R(a, b, g, g)
+    left = np.moveaxis(np.diagonal(ends, axis1=1, axis2=2), -1, 1)  # [g, a, b]: R(g, g, a, b)
+    across = np.diagonal(right, axis1=1, axis2=2).real  # [g, a]: r_mat[a, g]
+    value = np.sum(across * np.exp(lam[:, :, None] - lam[:, None, :]), axis=(-2, -1))
+    mid, half = (lam[:, :, None] + lam[:, None, :]) / 2.0, (lam[:, :, None] - lam[:, None, :]) / 2.0
+    sinhc = np.where(half == 0.0, 1.0, np.sinh(half) / np.where(half == 0.0, 1.0, half))
+    grad = sinhc * (np.sum(left * np.exp(mid[:, None] - lam[:, :, None, None]), axis=1)
+                    - np.sum(right * np.exp(lam[:, None, None, :] - mid[..., None]), axis=-1))
+    grad = vec @ ((grad + np.conj(np.swapaxes(grad, -1, -2))) / 2.0) @ np.conj(np.swapaxes(vec, -1, -2))
+    return value, grad, lam[:, -1] - lam[:, 0] <= (n - 1) * _GAP_MAX
+
+
+def sbc_bound(r, g):
+    """Infimum of the SBC over all frames, with no budget and no warning.
+
+    ``sbc_infimum`` solves the Gram frame, the answer at n = 1.  Above, the
+    SBC is unbounded in some frame exactly when an orthonormal pair has
+    ``R(u, ubar, w, wbar) < 0`` beyond the zero tolerance: in the frame of w
+    first and u last it leads the gap-0 coefficient at the vertex of every
+    gap at ``_GAP_MAX``, and no frame is certified while every such entry is
+    >= 0.  So the least pair's frame (``_least_pairs``) is solved next.
+    Weights v on a frame U are the PD matrix ``A = U diag(v) U^dag``, where
+    the SBC is ``B(A^-1, A)`` for the curvature's bilinear form B.  Where
+    both frames are finite, a descent over ``A = e^H`` from H = 0,
+    +-diag(0, ..., n-1), 2 w w^dag and -2 11^t / n finds the infimum, and
+    ``sbc_infimum`` solves each final eigenframe.  A point takes the first
+    least of its frames, an unbounded one first; ``r`` and ``g`` are one
+    point or stacks, as for ``rbc_bounds``, each point with its bits alone.
     """
     r, e0, single = _frame_points(r, g)
     n = e0.shape[-1]
+    results = [None] * len(e0)
 
-    def r_mats(owners, frames):
-        return curvature_in_frame(r[owners], e0[owners] @ frames).r_mat
+    def keep_least(points, frames):
+        for p, rm, f in zip(points, curvature_in_frame(r[points], frames).r_mat, frames):
+            res, best = replace(sbc_infimum(rm), frame=f), results[p]
+            if best is None or best.status == "finite" and (res.status != "finite" or res.inf_val < best.inf_val):
+                results[p] = res
 
-    def evaluate(owners, frames):
-        inner = (sbc_infimum(rm) for rm in r_mats(owners, frames))
-        return [-np.inf if res.status == "unbounded_below" else res.inf_val for res in inner]
-
-    best = np.array([u for _, u in _frame_search(evaluate, len(e0), n, cfg)])
-    results = [
-        replace(sbc_infimum(rm), frame=e @ u)
-        for rm, e, u in zip(r_mats(np.arange(len(e0)), best), e0, best)
-    ]
+    keep_least(np.arange(len(e0)), e0)
+    todo = np.array([p for p, res in enumerate(results) if n > 1 and res.status == "finite"], dtype=int)
+    if len(todo):
+        t = _frame_tensor(pair_matrix(r[todo]), e0[todo])
+        keep_least(todo, e0[todo] @ _least_pairs(t))
+        finite = np.array([results[p].status == "finite" for p in todo], dtype=bool)
+        todo, t = todo[finite], t[finite]
+    if len(todo):
+        w, ramp = _outer(_fixed_vectors(n)[0]), np.diag(np.arange(n, dtype=complex))
+        starts = np.array([np.zeros_like(ramp), ramp, -ramp, 2.0 * w, -2.0 * np.ones((n, n)) / n])
+        point = np.repeat(np.arange(len(todo)), len(starts))
+        h, _ = _descend(lambda rows, h: _descent_values(t[point[rows]], h), lambda h, d: h - d,
+                        np.tile(starts, (len(todo), 1, 1)), _GAP_MAX, np.max(np.abs(t), axis=(-2, -1))[point])
+        keep_least(todo[point], e0[todo[point]] @ np.linalg.eigh(h)[1][..., ::-1])  # by decreasing eigenvalue
     return results[0] if single else results

@@ -104,4 +104,5 @@ class ResidueTooLarge(ChernLabError):
 
 
 class SearchBudgetExhausted(Warning):
-    """Frame/multistart search hit its budget; best found is returned."""
+    """Raised by nothing: no solver takes a budget.  Kept because
+    ``bench/run.py`` imports it and the pytest configuration names it."""

@@ -4,9 +4,9 @@ A scenario is one JSON document declaring named metrics and maps plus a
 task list.  ``scenario.schema.json`` next to this module is the one
 definition of a valid document (unknown keys rejected, allowed and required
 keys per task and map kind); the code checks only the names a document
-refers to.  Reports are deterministic given (scenario, seed): all randomness
-flows from the seed, key order is sorted, and wall-clock timing is excluded
-unless explicitly requested.
+refers to.  Reports are deterministic given (scenario, seed): no task draws
+a random number, the seed is only echoed, key order is sorted, and
+wall-clock timing is excluded unless explicitly requested.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from time import perf_counter
 
 import numpy as np
 
-from .cones import FrameSearchConfig, rbc_bounds, sbc_bound
+from .cones import rbc_bounds, sbc_bound
 from .curvature import chern_curvature, curvature_report
 from .errors import BadParams, ChernLabError, SchemaError
 from .exprparse import parse_metric_expression
@@ -304,14 +304,10 @@ def _verdict_payload(verdict):
 # ---------------------------------------------------------------------------
 
 
-def _search_cfg(spec, seed):
-    return FrameSearchConfig(**{"seed": seed, **(spec or {})})
-
-
-def _run_task(task, metrics, maps, loc, seed):
+def _run_task(task, metrics, maps, loc):
     kind = task["kind"]
     if kind == "schwarz":
-        return _run_schwarz(task, metrics, maps, loc, seed)
+        return _run_schwarz(task, metrics, maps, loc)
     if kind == "identity":
         return _run_identity(task, metrics, loc)
 
@@ -341,7 +337,7 @@ def _run_task(task, metrics, maps, loc, seed):
             "sup": res.sup,
             "heuristic": res.heuristic,
         }
-    res = sbc_bound(tensor, md.g, _search_cfg(task.get("search"), seed))
+    res = sbc_bound(tensor, md.g)
     payload = {"point": _jsonify(list(point)), "status": res.status}
     if res.status == "finite":
         payload.update(
@@ -357,7 +353,7 @@ def _run_task(task, metrics, maps, loc, seed):
     return payload
 
 
-def _run_schwarz(task, metrics, maps, loc, seed):
+def _run_schwarz(task, metrics, maps, loc):
     source = _lookup(metrics, "metric", task["source"], f"{loc}.source")
     target = _lookup(metrics, "metric", task["target"], f"{loc}.target")
     mu = _lookup(metrics, "metric", task["mu"], f"{loc}.mu") if "mu" in task else None
@@ -366,7 +362,6 @@ def _run_schwarz(task, metrics, maps, loc, seed):
     sp = SchwarzPass(source, target, fmap, grid, mu)
     # the document's constants are kept; only those it leaves out are estimated
     constants = estimate_hypotheses(sp, task["theorem"], task.get("constants"),
-                                    _search_cfg(task.get("search"), seed),
                                     task.get("kappa_mode"), task.get("preset"))
     return _verdict_payload(schwarz_verify(sp, constants, tol=task.get("tol", 1e-6)))
 
@@ -479,7 +474,7 @@ def run_scenario(source, seed=None, parallel=False):
         start = perf_counter()
         try:
             checked = _conform(task, schema["$defs"]["task"], loc)
-            result = _run_task(checked, metrics, maps, loc, checked.get("seed", seed + index))
+            result = _run_task(checked, metrics, maps, loc)
             entry.update(status="ok" if _task_passed(result) else "fail", result=result)
         except ChernLabError as exc:
             entry.update(status="error", error=f"{type(exc).__name__}: {exc}")

@@ -13,8 +13,8 @@ stack and every metric, map and curvature value read there, each evaluated
 once and only when first read.  Every point keeps the bits it gets alone, a
 failing check names the first failing point in grid order, and the cone
 kappas take all points in one ``rbc_bounds`` call (exact for n <= 2, a
-PSD-cone ascent with no budget above) or one ``sbc_bound`` call (a seeded
-frame search, the only reader of a task's ``search`` and ``seed``).  All
+PSD-cone ascent above) or one ``sbc_bound`` call (a pair test and a descent
+over PD matrices); neither takes a budget or a seed.  All
 curvature goes through ``SchwarzPass.curvature``: one ``chern_curvature``
 call per metric on the stack of points not seen yet, whose stencils call
 the metric once per offset for all of them.  Every verdict's worst point,
@@ -32,7 +32,7 @@ from typing import Callable
 
 import numpy as np
 
-from .cones import FrameSearchConfig, rbc_bounds, sbc_along_map, sbc_bound
+from .cones import rbc_bounds, sbc_along_map, sbc_bound
 from .curvature import chern_curvature, ricci
 from .errors import (
     BadIndices,
@@ -279,16 +279,16 @@ class Pencil:
         return np.min(np.linalg.eigvalsh(form), axis=-1)
 
 
-def _kappa_rbc(sp, cfg):
+def _kappa_rbc(sp):
     """kappa with RBC <= -kappa: minus the largest RBC sup over the image
     points of the pass ``sp``, from one ``rbc_bounds`` call (exact for
-    n <= 2, a PSD-cone ascent for n >= 3, neither reading ``cfg``)."""
+    n <= 2, a PSD-cone ascent for n >= 3)."""
     bounds = rbc_bounds(sp.curvature(sp.target, sp.image_points), sp.image_metric)
     sup, at = _first_extreme([b.sup for b in bounds], sp.image_points)
     return -sup, at
 
 
-def _kappa_sbc_along_map(sp, cfg):
+def _kappa_sbc_along_map(sp):
     """kappa with SBC_omega >= -kappa along the map: the sup over the grid
     of minus the pointwise curvature sum at the map's singular values, in
     the source singular frame."""
@@ -299,12 +299,12 @@ def _kappa_sbc_along_map(sp, cfg):
     return max(0.0, value), at
 
 
-def _kappa_sbc_full_cone(sp, cfg):
-    """kappa with SBC_omega >= -kappa over the full ordered cone, the
-    searches of every grid point run as one ``sbc_bound`` call; raises
+def _kappa_sbc_full_cone(sp):
+    """kappa with SBC_omega >= -kappa over the full ordered cone, every
+    grid point solved in one ``sbc_bound`` call; raises
     UnboundedSbc with the divergence certificate of the first point, in
     grid order, where the infimum is -inf."""
-    results = sbc_bound(sp.curvature(sp.source, sp.points), sp.g, cfg)
+    results = sbc_bound(sp.curvature(sp.source, sp.points), sp.g)
     for z, res in zip(sp.points, results):
         if res.status == "unbounded_below":
             raise UnboundedSbc(f"SBC unbounded below at {z}", certificate=res.divergence_certificate)
@@ -527,8 +527,7 @@ def _row(theorem, preset):
     return row, row.presets[preset] if preset is not None else Preset()
 
 
-def estimate_hypotheses(sp, theorem, fixed=None, frame_cfg=FrameSearchConfig(), kappa_mode=None,
-                        preset=None):
+def estimate_hypotheses(sp, theorem, fixed=None, kappa_mode=None, preset=None):
     """The constants of ``theorem`` (a key of ``THEOREMS``) on the pass
     ``sp``: ``fixed`` ones as given, those a ``preset`` fixes or derives, and
     the others fitted, tightest on the grid, so given constants evaluate
@@ -572,7 +571,7 @@ def estimate_hypotheses(sp, theorem, fixed=None, frame_cfg=FrameSearchConfig(), 
     for name, cone in row.cones.items():
         if name not in c.values:
             fit, fitted_by[name] = _CONES[f"sbc_{kappa_mode}" if cone == "sbc" else cone]
-            value, at = fit(sp, frame_cfg)
+            value, at = fit(sp)
             c._set(name, value, "estimated", at)
             _check_rules(c, rules, fitted_by)
     for pencil in row.pencils:

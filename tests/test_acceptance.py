@@ -10,7 +10,7 @@ import time
 import numpy as np
 
 import oracles
-from chernlab.cones import FrameSearchConfig, rbc_bounds, sbc_bound, sbc_value
+from chernlab.cones import rbc_bounds, sbc_bound, sbc_value
 from chernlab.curvature import chern_curvature, kahler_symmetry_check, ricci
 from chernlab.maps import map_identity
 from chernlab.metrics import catalog_metric, scale_metric
@@ -128,14 +128,13 @@ def test_criterion_5_orthant_exactness():
 
 def test_criterion_6_rbc_sbc_model_values():
     """FS: RBC in [2,3] and SBC = 6 (1e-3); hyperbolic: certified unbounded."""
-    cfg = FrameSearchConfig(n_starts=4, max_iter=25, seed=107)
     fs = catalog_metric("fubini_study", (2,))
     tensor_fs = chern_curvature(fs, [0.0, 0.0])
     rb = rbc_bounds(tensor_fs, np.eye(2))
-    sb = sbc_bound(tensor_fs, np.eye(2), cfg)
+    sb = sbc_bound(tensor_fs, np.eye(2))
     ch = catalog_metric("complex_hyperbolic", (2,))
     tensor_ch = chern_curvature(ch, [0.0, 0.0])
-    sb_ch = sbc_bound(tensor_ch, np.eye(2), cfg)
+    sb_ch = sbc_bound(tensor_ch, np.eye(2))
     cert_ok = False
     if sb_ch.status == "unbounded_below":
         fm = curvature_in_frame(tensor_ch, sb_ch.frame)
@@ -173,12 +172,11 @@ def test_criterion_7_schwarz_sharpness():
     p1 = catalog_metric("poincare_disk", (1.0,))
     f = map_identity(1)
     grid = grid_9x9()
-    cfg = FrameSearchConfig(n_starts=2, max_iter=10, seed=108)
     details = []
     ok = True
     for c_scale in (0.5, 1.0, 3.0):
         target = scale_metric(p1, c_scale)
-        constants = estimate_hypotheses(SchwarzPass(p1, target, f, grid), "chern_lu", frame_cfg=cfg)
+        constants = estimate_hypotheses(SchwarzPass(p1, target, f, grid), "chern_lu")
         verdict = schwarz_verify(SchwarzPass(p1, target, f, grid), constants, tol=1e-5)
         gap = abs(verdict.bound - verdict.sup_energy)
         min_margin = min(rec["margin"] for rec in verdict.records)
@@ -197,11 +195,10 @@ def test_criterion_8_negative_tests():
     p1 = catalog_metric("poincare_disk", (1.0,))
     f = map_identity(1)
     grid = [np.array([x + 1j * y]) for x in (-0.3, 0.0, 0.3) for y in (-0.3, 0.0, 0.3)]
-    cfg = FrameSearchConfig(n_starts=2, max_iter=10, seed=109)
     outcomes = []
 
     # (a) Chern-Lu constants fitted for the unscaled target, target rescaled 4x
-    stale = estimate_hypotheses(SchwarzPass(p1, p1, f, grid), "chern_lu", frame_cfg=cfg)
+    stale = estimate_hypotheses(SchwarzPass(p1, p1, f, grid), "chern_lu")
     v = schwarz_verify(SchwarzPass(p1, scale_metric(p1, 4.0), f, grid), stale)
     outcomes.append((not v.passed) and v.notes["worst_point"] is not None and v.sup_energy > v.bound)
 
@@ -218,7 +215,7 @@ def test_criterion_8_negative_tests():
     outcomes.append((not v.passed) and "bound_violation" in v.notes)
 
     # (d) trace bound with a doubled target and stale constants
-    stale_tr = estimate_hypotheses(SchwarzPass(p1, p1, None, grid), "trace_bound", frame_cfg=cfg)
+    stale_tr = estimate_hypotheses(SchwarzPass(p1, p1, None, grid), "trace_bound")
     v = schwarz_verify(SchwarzPass(p1, scale_metric(p1, 2.0), None, grid), stale_tr)
     outcomes.append((not v.passed) and v.worst()["margin"] < 0)
 

@@ -11,8 +11,6 @@ import scipy.optimize
 import oracles
 from chernlab import cones
 from chernlab.cones import (
-    FrameSearchConfig,
-    _frame_search,
     rbc_bounds,
     sbc_along_map,
     sbc_bound,
@@ -20,14 +18,17 @@ from chernlab.cones import (
     sbc_value,
 )
 from chernlab.curvature import chern_curvature
-from chernlab.errors import BadParams, SearchBudgetExhausted, ZeroSingularValue
+from chernlab.errors import BadParams, ZeroSingularValue
 from chernlab.metrics import catalog_metric, scale_metric
 from chernlab.scenario import box_grid
-from chernlab.tensors import curvature_in_frame, gram_unitary_frame
+from chernlab.tensors import curvature_in_frame, frame_residue, gram_unitary_frame, pair_matrix
 from test_tensors import fs_normal_form, rand_unitary
 
 
 Extremum = collections.namedtuple("Extremum", "min_val max_val argmin argmax")
+# the budget of the seeded frame search that sbc_bound ran before its pair test
+# and PD-cone descent, kept as a reference (``_sequential_frame_search``)
+Budget = collections.namedtuple("Budget", "n_starts max_iter step_tol seed", defaults=(8, 40, 1e-4, 0))
 
 
 def orthant_extrema(m):
@@ -327,6 +328,30 @@ class TestExactInnerSolve:
         assert abs(res.inf_val - 4.0) < 1e-12
 
 
+def _polydisk(z, scales=None):
+    """The exact tensor and metric at z of a product of Poincare discs of
+    ``scales`` (all 1 by default): the tensor has only its R[a, a, a, a]
+    entries, -2 / c_a in a unit frame."""
+    n = len(z)
+    r = np.zeros((n,) * 4, dtype=complex)
+    g = np.zeros((n, n), dtype=complex)
+    for a, (za, c) in enumerate(zip(z, scales or (1.0,) * n)):
+        r[a, a, a, a] = oracles.poincare_tensor([za], c)[0, 0, 0, 0]
+        g[a, a] = oracles.poincare_metric([za], c)[0, 0]
+    return r, g
+
+
+def _assert_in_frame(r, g, res, status):
+    """``res`` has ``status`` and is the ``sbc_infimum`` of its frame, a
+    g-unitary one; an unbounded one decreases along its certified family."""
+    assert res.status == status and frame_residue(res.frame, g) < 1e-10
+    rm = curvature_in_frame(r, res.frame).r_mat
+    assert _same(sbc_infimum(rm), dataclasses.replace(res, frame=None))
+    if status == "unbounded_below":
+        cert = res.divergence_certificate
+        assert sbc_value(rm, cert.family(20.0)) < sbc_value(rm, cert.family(10.0)) < sbc_value(rm, cert.base)
+
+
 class TestSbcOracles:
     """SBC of the homogeneous models, closed forms of ``tests/oracles.py``."""
 
@@ -337,15 +362,9 @@ class TestSbcOracles:
         metric = catalog_metric("hopf", (3,))
         z = np.array([[1.0, 0.0, 0.0], [0.5, 0.5, 0.5], [0.3j, 0.7, -0.2]])
         r = np.array([chern_curvature(metric, p) for p in z])
-        warned = 0
-        for seed in range(3):
-            cfg = FrameSearchConfig(n_starts=6, seed=seed)
-            found, count = _budget_warnings(lambda: sbc_bound(r, metric(z), cfg))
-            warned += count
-            for res in found:
-                assert res.status == "finite" and res.marginal
-                assert abs(res.inf_val - 4.0) < 1e-6
-        assert warned == 1
+        for tensor, metric_z, res in zip(r, metric(z), _no_warnings(lambda: sbc_bound(r, metric(z)))):
+            assert res.marginal and abs(res.inf_val - 4.0) < 1e-7
+            _assert_in_frame(tensor, metric_z, res, "finite")
 
     def test_fubini_study3_is_twelve(self):
         # SBC(fubini_study(n)) = n (n + 1), attained at v = 1 in every frame
@@ -354,6 +373,100 @@ class TestSbcOracles:
         res = sbc_bound(chern_curvature(metric, z), metric(z))
         assert res.status == "finite" and not res.marginal
         assert abs(res.inf_val - 12.0) < 1e-8
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_closed_forms(self, n):
+        # on the exact tensors: fubini_study(n) is n (n + 1), not marginal;
+        # hopf(n) is (n - 1)^2, marginal; complex_hyperbolic(n) and
+        # polydisk(n) are unbounded, certified in the frame returned
+        rng = np.random.default_rng(n)
+        for z in (np.zeros(n, dtype=complex), 0.3 * (rng.random(n) + 1j * rng.random(n))):
+            r, g = oracles.fs_tensor(z), oracles.fs_metric(z)
+            res = _no_warnings(lambda: sbc_bound(r, g))
+            assert not res.marginal and abs(res.inf_val - n * (n + 1)) < 1e-10
+            _assert_in_frame(r, g, res, "finite")
+            r, g = oracles.hopf_tensor(z + 0.5), oracles.hopf_metric(z + 0.5)
+            res = _no_warnings(lambda: sbc_bound(r, g))
+            assert res.marginal and abs(res.inf_val - (n - 1) ** 2) < 1e-7
+            _assert_in_frame(r, g, res, "finite")
+            for r, g in ((oracles.hyperbolic_tensor(z), oracles.hyperbolic_metric(z)), _polydisk(z)):
+                _assert_in_frame(r, g, _no_warnings(lambda: sbc_bound(r, g)), "unbounded_below")
+
+
+def _fourier(n):
+    """The unitary discrete Fourier matrix: every entry of modulus 1 / sqrt(n)."""
+    k = np.arange(n)
+    return np.exp(2j * np.pi * np.outer(k, k) / n) / np.sqrt(n)
+
+
+class TestSbcPairs:
+    """The SBC is unbounded in some frame exactly when some orthonormal pair
+    has R(u, ubar, w, wbar) < 0."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_planted_negative_pair_is_unbounded(self, n):
+        # fubini_study(n) at 0 is 1 on every orthonormal pair; -3 u u^dag (x)
+        # w w^dag on the first two Fourier vectors takes 3 |u^dag u'|^2
+        # |w^dag w'|^2 off the pair (u', w'), so the least pair is (u, w) at
+        # -2, while every Gram-frame entry stays >= 1 - 3 / n^2 > 0 and the
+        # Gram frame is finite
+        u, w = _fourier(n)[:, 0], _fourier(n)[:, 1]
+        r = oracles.fs_tensor(np.zeros(n)) - 3.0 * np.einsum("i,j,k,l->ijkl", u, np.conj(u), w, np.conj(w))
+        g = np.eye(n)
+        assert sbc_infimum(curvature_in_frame(r, gram_unitary_frame(g)).r_mat).status == "finite"
+        frame = cones._least_pairs(cones._frame_tensor(pair_matrix(r)[None], gram_unitary_frame(g)[None]))[0]
+        assert abs(curvature_in_frame(r, frame).r_mat[-1, 0] + 2.0) < 1e-12
+        _assert_in_frame(r, g, _no_warnings(lambda: sbc_bound(r, g)), "unbounded_below")
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_nonnegative_pairs_are_finite(self, n):
+        # sum_m s_m x_m x_m^dag (x) y_m y_m^dag with s_m > 0 is sum_m s_m
+        # |x_m^dag u|^2 |y_m^dag w|^2 >= 0 on every pair, and -2 g_il g_kj adds
+        # -2 |u^dag w|^2: 0 on orthonormal pairs, -2 on u = w.  No entry off
+        # the diagonal is negative in any frame, so the SBC is finite
+        rng = np.random.default_rng(80 + n)
+        x, y = rng.standard_normal((2, 5, n)) + 1j * rng.standard_normal((2, 5, n))
+        r = np.einsum("m,mi,mj,mk,ml->ijkl", rng.random(5), x, np.conj(x), y, np.conj(y))
+        r -= 2.0 * np.einsum("il,kj->ijkl", np.eye(n), np.eye(n))
+        g = np.eye(n)
+        res = _no_warnings(lambda: sbc_bound(r, g))
+        _assert_in_frame(r, g, res, "finite")
+        ref = _sbc_reference(r, g, Budget(n_starts=3, max_iter=10))
+        assert ref.status == "finite" and res.inf_val <= ref.inf_val + 1e-10 * max(1.0, abs(ref.inf_val))
+
+
+def _random_sbc_set(n, mix):
+    """Conjugation-symmetric tensors ``mix S + (g (x) g + g (x) g)``, with S
+    complex Gaussian and g = a a^dag + I / 2 (``R[i, j, k, l] = mix S[i, j, k,
+    l] + g_ij g_kl + g_il g_kj``), and their metrics g: 60, 40 and 8 tensors at
+    n = 2, 3 and 4, seeded by 7 n + 10 mix."""
+    count = {2: 60, 3: 40, 4: 8}[n]
+    rng = np.random.default_rng(int(7 * n + 10 * mix))
+    shape = (count,) + (n,) * 4
+    s = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    s = (s + np.conj(np.transpose(s, (0, 2, 1, 4, 3)))) / 2.0
+    a = rng.standard_normal((count, n, n)) + 1j * rng.standard_normal((count, n, n))
+    g = a @ np.conj(np.swapaxes(a, -1, -2)) + 0.5 * np.eye(n)
+    fs = g[:, :, :, None, None] * g[:, None, None] + np.einsum("pil,pkj->pijkl", g, g)
+    return mix * s + fs, g
+
+
+class TestSbcRandom:
+    @pytest.mark.parametrize("n, mix", list(itertools.product((2, 3, 4), (0.5, 1.0, 2.0))))
+    def test_against_the_reference_search(self, n, mix):
+        # every point the sequential frame search finds unbounded is
+        # unbounded, and no finite value is above the search's; the search
+        # runs a small budget here (at its default one, the new values were
+        # never above it either, and were below it by up to 4.6e-2)
+        r, g = _random_sbc_set(n, mix)
+        found = _no_warnings(lambda: sbc_bound(r, g))
+        budget = Budget(n_starts=2, max_iter={2: 6, 3: 2, 4: 1}[n])
+        for tensor, metric, res in zip(r, g, found):
+            ref = _sbc_reference(tensor, metric, budget)
+            _assert_in_frame(tensor, metric, res, res.status)
+            if res.status == "finite":
+                assert ref.status == "finite"
+                assert res.inf_val <= ref.inf_val + 1e-10 * max(1.0, abs(ref.inf_val))
 
 
 class TestSbcAlongMap:
@@ -383,21 +496,8 @@ class TestSbcAlongMap:
 
 
 class TestFrameSearch:
-    # the frame search is the SBC's; the RBC cases check the PSD-cone ascent
-    # on FD tensors at n >= 3, where no budget is given and none warns
-
-    @pytest.mark.parametrize("seed", [-1, 1.5, "0", None])
-    def test_config_rejects_a_bad_seed(self, seed):
-        # a negative seed used to pass the config and fail in numpy's
-        # generator, as a bare ValueError, once a search started
-        with pytest.raises(BadParams, match="seed must be an integer >= 0"):
-            FrameSearchConfig(seed=seed)
-        assert FrameSearchConfig(seed=np.int64(3)).seed == 3
-
-    def test_negative_seed_never_reaches_a_search(self):
-        fs = catalog_metric("fubini_study", (3,))
-        with pytest.raises(BadParams):
-            sbc_bound(chern_curvature(fs, np.zeros(3)), fs(np.zeros(3)), FrameSearchConfig(seed=-1))
+    # RBC and SBC over all frames on FD tensors, where no budget is given and
+    # no call warns: the PSD-cone ascent at n >= 3 and the SBC at n = 2
 
     def test_rbc_euclidean(self):
         # a flat tensor: every step of the ascent projects to 0, so every row
@@ -438,15 +538,14 @@ class TestFrameSearch:
         assert np.ptp(vals[:, 0]) < 1e-6 and np.ptp(vals[:, 1]) < 1e-6
 
     def test_sbc_bound_values(self):
-        cfg = FrameSearchConfig(n_starts=3, max_iter=15, seed=0)
         eu = catalog_metric("euclidean", (2,))
-        res = sbc_bound(chern_curvature(eu, [0.0, 0.0]), np.eye(2), cfg)
+        res = _no_warnings(lambda: sbc_bound(chern_curvature(eu, [0.0, 0.0]), np.eye(2)))
         assert res.status == "finite" and abs(res.inf_val) < 1e-6
         fs = catalog_metric("fubini_study", (2,))
-        res = sbc_bound(chern_curvature(fs, [0.0, 0.0]), np.eye(2), cfg)
-        assert res.status == "finite" and abs(res.inf_val - 6.0) < 1e-3
+        res = _no_warnings(lambda: sbc_bound(chern_curvature(fs, [0.0, 0.0]), np.eye(2)))
+        assert res.status == "finite" and abs(res.inf_val - 6.0) < 1e-8
         ch = catalog_metric("complex_hyperbolic", (2,))
-        res = sbc_bound(chern_curvature(ch, [0.0, 0.0]), np.eye(2), cfg)
+        res = _no_warnings(lambda: sbc_bound(chern_curvature(ch, [0.0, 0.0]), np.eye(2)))
         assert res.status == "unbounded_below"
         assert res.divergence_certificate is not None
 
@@ -607,11 +706,7 @@ class TestRbcAscent:
         # [2 / sum c_a, 2 / min c_a]
         n = len(scales)
         for z in (np.zeros(n), 0.3 * np.exp(1j * np.arange(n))):
-            r = np.zeros((n,) * 4, dtype=complex)
-            g = np.zeros((n, n), dtype=complex)
-            for a, (za, c) in enumerate(zip(z, scales)):
-                r[a, a, a, a] = oracles.poincare_tensor([za], c)[0, 0, 0, 0]
-                g[a, a] = oracles.poincare_metric([za], c)[0, 0]
+            r, g = _polydisk(z, scales)
             for sign in (1.0, -1.0):
                 res = _no_warnings(lambda: rbc_bounds(sign * r, g))
                 want = sorted((-2.0 * sign / min(scales), -2.0 * sign / sum(scales)))
@@ -667,10 +762,9 @@ class TestRbcAscent:
         _no_warnings(lambda: rbc_bounds(r, g))
 
 
-def _unitary(params, n):
-    """The package's exponential of the skew-Hermitian generator with
-    parameters ``params``, built one entry at a time as the sequential
-    search built it."""
+def _skew(params, n):
+    """The skew-Hermitian generator with strict-upper-triangle parameters
+    ``params``, (re, im) per entry in row order, built one entry at a time."""
     a = np.zeros((n, n), dtype=complex)
     idx = 0
     for p in range(n):
@@ -678,7 +772,20 @@ def _unitary(params, n):
             a[p, q] = params[idx] + 1j * params[idx + 1]
             a[q, p] = -np.conj(a[p, q])
             idx += 2
-    return cones._exp_skew(a[None])[0]
+    return a
+
+
+def _exp_skew(generators):
+    """``exp`` of each skew-Hermitian matrix A of a stack ``(K, n, n)``:
+    ``V diag(e^{i lam}) V^dag`` from the eigenpairs of the Hermitian ``-iA``."""
+    lam, vecs = np.linalg.eigh(-1j * generators)
+    return (vecs * np.exp(1j * lam)[..., None, :]) @ np.conj(np.swapaxes(vecs, -1, -2))
+
+
+def _unitary(params, n):
+    """The unitary frame of the parameters ``params``, as the sequential
+    search exponentiated them."""
+    return _exp_skew(_skew(params, n)[None])[0]
 
 
 def fresh_value(objective, n):
@@ -695,7 +802,7 @@ class TestFrameSearchWork:
     """The RBC ascent against an independent frame search, and the SBC early
     exit, give the same answers."""
 
-    cfg = FrameSearchConfig(n_starts=4, max_iter=25, seed=7)
+    budget = Budget(n_starts=4, max_iter=25, seed=7)
 
     @pytest.mark.parametrize(
         "name, point",
@@ -712,19 +819,20 @@ class TestFrameSearchWork:
         def extrema(u):
             return orthant_extrema(curvature_in_frame(r, e0 @ u).r_mat)
 
-        with warnings.catch_warnings():  # the hopf searches run out of budget
-            warnings.simplefilter("ignore", SearchBudgetExhausted)
-            inf_val, _ = _sequential_frame_search(fresh_value(lambda u: extrema(u).min_val, 3), 3, self.cfg, -1)
-            sup_val, _ = _sequential_frame_search(fresh_value(lambda u: extrema(u).max_val, 3), 3, self.cfg, +1)
+        inf_val, _ = _sequential_frame_search(fresh_value(lambda u: extrema(u).min_val, 3), 3, self.budget, -1)
+        sup_val, _ = _sequential_frame_search(fresh_value(lambda u: extrema(u).max_val, 3), 3, self.budget, +1)
         res = _no_warnings(lambda: rbc_bounds(r, g))
         assert res.inf <= inf_val + 1e-9 and res.sup >= sup_val - 1e-9
         lo, hi = _witnessed(r, res)
         assert abs(lo - res.inf) < 1e-9 and abs(hi - res.sup) < 1e-9
 
     def test_sbc_bound_stops_at_first_unbounded_frame(self, monkeypatch):
+        # complex_hyperbolic(2) is unbounded in its Gram frame, the first
+        # frame sbc_bound solves: it returns that frame after one sbc_infimum
+        # call, with the certificate that the sequential search returned from
+        # the first frame of its first start
         metric = catalog_metric("complex_hyperbolic", (2,))
         r, g = chern_curvature(metric, [0.0, 0.0]), metric([0.0, 0.0])
-        e0 = gram_unitary_frame(g)
         calls = []
 
         def counted(*args, **kwargs):
@@ -732,39 +840,28 @@ class TestFrameSearchWork:
             return sbc_infimum(*args, **kwargs)
 
         monkeypatch.setattr(cones, "sbc_infimum", counted)
-        res = sbc_bound(r, g, self.cfg)
+        res = sbc_bound(r, g)
         monkeypatch.undo()
-        # every start's first frame, then the answer's frame once more: the
-        # identity start is unbounded, which stops the later starts at once
-        assert len(calls) <= self.cfg.n_starts + 1
-
-        # the search without the early exit: unbounded frames score a finite
-        # -1e300, so it runs its whole budget and keeps the first hit
-        hits = []
-
-        def objective(u):
-            inner = sbc_infimum(curvature_in_frame(r, e0 @ u).r_mat)
-            if inner.status == "unbounded_below":
-                hits.append((inner.divergence_certificate, u))
-                return -1e300
-            return inner.inf_val
-
-        _sequential_frame_search(fresh_value(objective, 2), 2, self.cfg, -1)
-        assert len(hits) > 1
-        cert, u = hits[0]
-        assert res.status == "unbounded_below"
-        assert res.divergence_certificate.gap_index == cert.gap_index
-        assert np.array_equal(res.divergence_certificate.base, cert.base)
-        assert np.array_equal(res.frame, e0 @ u)
+        assert len(calls) == 1 and np.array_equal(res.frame, gram_unitary_frame(g))
+        ref = _sbc_reference(r, g, self.budget)
+        assert res.status == ref.status == "unbounded_below"
+        assert res.divergence_certificate.gap_index == ref.divergence_certificate.gap_index
+        assert np.array_equal(res.divergence_certificate.base, ref.divergence_certificate.base)
 
 
 # ---------------------------------------------------------------------------
-# the frame search as it ran one start after another, kept for reference
+# the seeded frame search that sbc_bound ran before its pair test and PD-cone
+# descent, one start after another, kept for reference
 # ---------------------------------------------------------------------------
-
 
 def _sequential_frame_search(value, n, cfg, sense):
-    """One start after another: ``value(params)`` gives ``(objective, frame)``."""
+    """Multistart coordinate descent over unitary-frame generators, one start
+    after another from ``cfg.n_starts`` seeded starts (a ``Budget``): each
+    sweep tries +-step on every parameter, keeps a trial better by more than
+    1e-14, halves its step after a sweep without one, and stops once the
+    step falls to ``cfg.step_tol`` or after ``cfg.max_iter`` sweeps; an
+    objective of +-inf in the direction of ``sense`` ends the search.
+    ``value(params)`` gives ``(objective, frame)``."""
     rng = np.random.default_rng(cfg.seed)
     n_params = n * (n - 1)
     if n_params == 0:
@@ -795,15 +892,15 @@ def _sequential_frame_search(value, n, cfg, sense):
             if not improved:
                 step *= 0.5
             iters += 1
-        if iters >= cfg.max_iter and step > cfg.step_tol:
-            warnings.warn("frame search hit iteration budget", SearchBudgetExhausted)
         if best_u is None or sense * val > sense * best_val:
             best_val, best_u = val, u
     return best_val, best_u
 
 
 def _sbc_reference(r, g, cfg):
-    """``sbc_bound`` of one point with the sequential search."""
+    """The SBC of one point as the sequential frame search found it, with
+    the budget ``cfg``: what ``sbc_bound`` returned before its pair test and
+    PD-cone descent."""
     n = g.shape[0]
     e0 = gram_unitary_frame(g)
 
@@ -814,14 +911,6 @@ def _sbc_reference(r, g, cfg):
 
     _, (u, res) = _sequential_frame_search(value, n, cfg, -1)
     return dataclasses.replace(res, frame=e0 @ u)
-
-
-def _budget_warnings(fn):
-    """``fn()`` and the number of SearchBudgetExhausted warnings it gave."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", SearchBudgetExhausted)
-        out = fn()
-    return out, sum(issubclass(w.category, SearchBudgetExhausted) for w in caught)
 
 
 def _same(a, b):
@@ -856,18 +945,20 @@ def _two_points(name, n, seed):
 class TestExpSkew:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_matches_expm_and_is_unitary(self, n):
+        # the reference search's frames: exp of the generator, unitary, and
+        # the same bits in a stack as alone
         rng = np.random.default_rng(30 + n)
-        a = cones._generators(rng.normal(size=(50, n * (n - 1))), n)
-        u = cones._exp_skew(a)
+        a = np.array([_skew(p, n) for p in rng.normal(size=(50, n * (n - 1)))])
+        u = _exp_skew(a)
         for ak, uk in zip(a, u):
             assert np.max(np.abs(uk - scipy.linalg.expm(ak))) < 1e-14
             assert np.max(np.abs(np.conj(uk.T) @ uk - np.eye(n))) < 1e-14
-            assert np.array_equal(cones._exp_skew(ak[None])[0], uk)
+            assert np.array_equal(_exp_skew(ak[None])[0], uk)
 
 
 class TestLockstepSearch:
-    """Stacks of points, and the SBC's array descent, against one point or
-    one start at a time."""
+    """Stacks of points against one point at a time, and the SBC against the
+    sequential frame search it replaced."""
 
     @pytest.mark.parametrize("seed", [3, 11])
     @pytest.mark.parametrize("n", [2, 3])
@@ -890,99 +981,44 @@ class TestLockstepSearch:
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("name", sorted(MODELS))
     def test_sbc_matches_sequential(self, name, n, seed):
+        # two points stacked get the bits each gets alone; each is unbounded
+        # where the sequential search finds it unbounded, and otherwise no
+        # higher than the search, up to the FD error of these tensors
         r, g = _two_points(name, n, seed)
-        cfg = FrameSearchConfig(n_starts=2, max_iter=4 if n == 2 else 1, seed=seed)
-        stacked, warned = _budget_warnings(lambda: sbc_bound(r, g, cfg))
-        ref = [_budget_warnings(lambda p=p: _sbc_reference(r[p], g[p], cfg)) for p in range(2)]
+        stacked = _no_warnings(lambda: sbc_bound(r, g))
         for p in range(2):
-            assert _same(stacked[p], ref[p][0])
-        alone, alone_warned = _budget_warnings(lambda: sbc_bound(r[1], g[1], cfg))
-        assert _same(alone, stacked[1]) and alone_warned == ref[1][1]
-        assert warned == ref[0][1] + ref[1][1]
+            assert _same(stacked[p], sbc_bound(r[p], g[p]))
+            ref = _sbc_reference(r[p], g[p], Budget(n_starts=2, max_iter=4 if n == 2 else 1, seed=seed))
+            if ref.status == "unbounded_below":
+                _assert_in_frame(r[p], g[p], stacked[p], "unbounded_below")
+            elif stacked[p].status == "finite":
+                assert stacked[p].inf_val <= ref.inf_val + 1e-7
 
     def test_grid_stack_matches_each_point_alone(self):
-        # 16 points of n = 3 are 128 RBC ascent rows of one stack, and 16
-        # points of n = 2 are 48 SBC rows of one descent
+        # 16 points of hopf(3) are 128 RBC ascent rows of one stack, and 80
+        # SBC descent rows of another
         hopf3 = catalog_metric("hopf", (3,))
         z = box_grid([0.6, 0.4j, 0.3], 0.2, 2)[::4]
         r, g = np.array([chern_curvature(hopf3, p) for p in z]), hopf3(z)
         rbc = _no_warnings(lambda: rbc_bounds(r, g))
-        rbc_alone = [rbc_bounds(r[p], g[p]) for p in range(16)]
-        cfg = FrameSearchConfig(n_starts=3, max_iter=5, seed=2)
-        hopf2 = catalog_metric("hopf", (2,))
-        z = box_grid([0.6, 0.4j], 0.2, 2)
-        r, g = np.array([chern_curvature(hopf2, p) for p in z]), hopf2(z)
-        sbc, sbc_warned = _budget_warnings(lambda: sbc_bound(r, g, cfg))
-        sbc_ref = [_budget_warnings(lambda p=p: _sbc_reference(r[p], g[p], cfg)) for p in range(16)]
+        sbc = _no_warnings(lambda: sbc_bound(r, g))
         assert len(rbc) == len(sbc) == 16
         for p in range(16):
-            assert _same(rbc[p], rbc_alone[p]) and _same(sbc[p], sbc_ref[p][0])
-        assert sbc_warned == sum(w for _, w in sbc_ref)
+            assert _same(rbc[p], rbc_bounds(r[p], g[p])) and _same(sbc[p], sbc_bound(r[p], g[p]))
 
     def test_one_expm_per_running_row_per_micro_step(self, monkeypatch):
-        # the first evaluation exponentiates every (point, start) row, each
-        # later one at most the rows still running: a stopped row stays
-        # stopped, and a row runs at most max_iter sweeps of 2 n(n-1) steps
-        n = 3
-        r, g = _two_points("hopf", n, 4)
-        cfg = FrameSearchConfig(n_starts=3, max_iter=3, seed=4)
-        sizes, owners = [], []
+        # the descent's first evaluation exponentiates every (point, start)
+        # row, each later one at most the rows still running: a stopped row
+        # stays stopped, and no row runs past _DESCENT_CAP trials
+        r, g = _two_points("hopf", 3, 4)
+        sizes = []
 
-        def counted(generators, _exp=cones._exp_skew):
-            sizes.append(len(generators))
-            return _exp(generators)
+        def counted(t, h, _values=cones._descent_values):
+            sizes.append(len(h))
+            return _values(t, h)
 
-        def evaluate(points, frames):
-            owners.append(len(points))
-            return np.zeros(len(frames))
-
-        monkeypatch.setattr(cones, "_exp_skew", counted)
-        _budget_warnings(lambda: sbc_bound(r, g, cfg))
-        assert sizes[0] == 2 * 3
+        monkeypatch.setattr(cones, "_descent_values", counted)
+        _no_warnings(lambda: sbc_bound(r, g))
+        assert sizes[0] == 2 * 5
         assert all(a >= b for a, b in zip(sizes, sizes[1:]))
-        assert len(sizes) <= 1 + 2 * n * (n - 1) * cfg.max_iter
-        # one evaluated frame per exponentiated one
-        sizes[:] = []
-        _budget_warnings(lambda: cones._frame_search(evaluate, 2, n, cfg))
-        assert sizes == owners and sizes[0] == 6
-
-    @pytest.mark.parametrize("with_finite_point", [False, True])
-    def test_later_start_diverging_first_loses_to_earlier_start(self, with_finite_point):
-        # each start visits 25 frames under this finite objective; making
-        # frame 2 of start 2 and frame 20 of start 1 unbounded, start 2 hits
-        # first when the starts run together, but start 1's hit is the one
-        # sequential order returns; a second point whose objective stays
-        # finite, in the same descent, changes neither answer
-        cfg = FrameSearchConfig(n_starts=3, max_iter=6, seed=5)
-
-        def objective(u):
-            return float(np.real(u[0, 1]) + np.imag(u[1, 0]) ** 2)
-
-        visits = []
-        _, warned = _budget_warnings(lambda: _sequential_frame_search(
-            lambda p: (objective(_unitary(p, 2)), visits.append(p)), 2, cfg, -1))
-        assert len(visits) == 75 and warned == 3
-        marked = {_unitary(visits[25 + 20], 2).tobytes(), _unitary(visits[50 + 2], 2).tobytes()}
-
-        def value(params):
-            u = _unitary(params, 2)
-            return (-np.inf if u.tobytes() in marked else objective(u)), u
-
-        def evaluate(owners, frames):
-            return [-np.inf if p == 0 and u.tobytes() in marked else objective(u) for p, u in zip(owners, frames)]
-
-        want_val, want_u = value(visits[45])
-        # start 0 runs out of budget before start 1 diverges, in both orders
-        got, warned = _budget_warnings(lambda: _sequential_frame_search(value, 2, cfg, -1))
-        assert got[1].tobytes() == want_u.tobytes() and warned == 1
-        n_points = 2 if with_finite_point else 1
-        found, warned = _budget_warnings(lambda: _frame_search(evaluate, n_points, 2, cfg))
-        val, u = found[0]
-        assert val == want_val == -np.inf and _same(u, want_u)
-        if with_finite_point:
-            # the finite point runs all three starts out of budget
-            (plain, plain_warned) = _budget_warnings(lambda: _sequential_frame_search(
-                lambda p: (objective(_unitary(p, 2)), _unitary(p, 2)), 2, cfg, -1))
-            val, u = found[1]
-            assert plain_warned == 3 and val == plain[0] and _same(u, plain[1])
-        assert warned == 1 + 3 * with_finite_point
+        assert len(sizes) <= 1 + cones._DESCENT_CAP

@@ -12,7 +12,6 @@ from pathlib import Path
 import pytest
 
 import chernlab
-from chernlab.cones import FrameSearchConfig
 from chernlab.errors import BadParams
 from chernlab.metrics import Domain
 
@@ -22,7 +21,6 @@ ALLOWED = set()
 
 # warnings reach stderr rather than the report, so no new site may appear
 WARN_SITES = {
-    ("cones", "_frame_search"),
     ("exprparse", "parse_metric_expression"),
 }
 
@@ -85,29 +83,6 @@ def test_warnings_only_at_listed_sites():
     new, stale = _new_and_stale(_package_sites(_is_warn_call), WARN_SITES)
     assert not new, f"record the condition in the report instead of warning: {new}"
     assert not stale, f"no warnings.warn left here; drop from WARN_SITES: {stale}"
-
-
-def test_frame_search_config_rejects_no_starts():
-    with pytest.raises(BadParams, match="n_starts must be >= 1"):
-        FrameSearchConfig(n_starts=0)
-
-
-@pytest.mark.parametrize(
-    "budget, message",
-    [
-        ({"max_iter": 0}, "max_iter must be >= 1"),
-        ({"max_iter": -3}, "max_iter must be >= 1"),
-        ({"step_tol": 0.0}, "step_tol must be finite and positive"),
-        ({"step_tol": -1.0}, "step_tol must be finite and positive"),
-        ({"step_tol": float("nan")}, "step_tol must be finite and positive"),
-        ({"step_tol": float("inf")}, "step_tol must be finite and positive"),
-    ],
-)
-def test_frame_search_config_rejects_a_budget_that_runs_no_search(budget, message):
-    # max_iter < 1 ran no sweep and warned for every start; a NaN step_tol ran
-    # no sweep and returned the start frames' values as bounds
-    with pytest.raises(BadParams, match=message):
-        FrameSearchConfig(**budget)
 
 
 def test_domain_rejects_an_unknown_norm():

@@ -83,13 +83,16 @@ class TestSchema:
                 True,
             ),
             (lambda d: d["maps"].update(p={"kind": "power", "k": "x"}), "$.maps.p.k", True),
-            (lambda d: d["tasks"][0].update(search={"n_starts": 0}), "$.tasks[0].search.n_starts", False),
+            # no task takes a search budget or a seed: each is an unknown key of the task
+            pytest.param(
+                lambda d: d["tasks"][0].update(search={"n_starts": 0}), "$.tasks[0]", False, id="search-budget"
+            ),
             (lambda d: d["tasks"][0]["grid"].update(half="a"), "$.tasks[0].grid.half", False),
             pytest.param(
-                lambda d: d["tasks"][0].update(seed="x"), "$.tasks[0].seed", False, id="task-seed"
+                lambda d: d["tasks"][0].update(seed="x"), "$.tasks[0]", False, id="task-seed"
             ),
             pytest.param(
-                lambda d: d["tasks"][0].update(search={"seed": "x"}), "$.tasks[0].search.seed", False,
+                lambda d: d["tasks"][0].update(search={"seed": "x"}), "$.tasks[0]", False,
                 id="search-seed",
             ),
             pytest.param(
@@ -184,16 +187,18 @@ class TestSchema:
             assert error.startswith("SchemaError:") and f"(at {location})" in error
 
     @pytest.mark.parametrize(
-        "task", [CURVATURE, THEOREM23, AVERAGED_HSC, dict(CURVATURE, kind="rbc")],
-        ids=["curvature", "theorem23", "averaged-hsc", "rbc"],
+        "task", [CURVATURE, THEOREM23, AVERAGED_HSC, dict(CURVATURE, kind="rbc"), dict(CURVATURE, kind="sbc"),
+                 "schwarz"],
+        ids=["curvature", "theorem23", "averaged-hsc", "rbc", "sbc", "schwarz"],
     )
     def test_task_seed_that_nothing_reads_is_a_schema_error(self, task):
-        # only the frame searches of sbc and schwarz tasks read a task's seed
+        # no task reads a seed, the SBC's included: a task's seed is an unknown key
         doc = base_scenario()
-        doc["tasks"] = [dict(task, seed=3), dict(CURVATURE, kind="sbc", seed=3)]
+        task = doc["tasks"][0] if task == "schwarz" else task
+        doc["tasks"] = [dict(task, seed=3), task]
         report = run_scenario(doc)
         assert report.tasks[0]["error"] == "SchemaError: unknown key 'seed' (at $.tasks[0])"
-        assert report.tasks[1]["status"] == "ok"
+        assert report.tasks[1]["status"] != "error"
 
     def test_exclusive_metric_source(self):
         doc = base_scenario()
@@ -402,17 +407,18 @@ class TestTasks:
         ],
     )
     def test_search_budget_that_runs_no_search_is_a_task_schema_error(self, kind, catalog, search, field):
-        # the schema checks a search block's values for every task kind; sbc
-        # at n = 2 searches its frames, and rbc at n = 3, which climbs the
-        # PSD cone, takes no search block even with a budget that would run
+        # neither rbc (exact for n <= 2, a PSD-cone ascent above) nor sbc (a
+        # pair test and a PD-cone descent) takes a budget: a search block is
+        # an unknown key, with values that would run no search or with one
+        # that would, and the task without it runs
         n = 3 if kind == "rbc" else 2
-        task = {"kind": kind, "metric": "m", "point": [[0.0, 0.0]] * n, "search": search}
-        tasks = [task] + ([dict(task, search={"n_starts": 1})] if kind == "rbc" else [])
+        task = {"kind": kind, "metric": "m", "point": [[0.0, 0.0]] * n}
+        tasks = [dict(task, search=search), dict(task, search={"n_starts": 1, field: 1}), task]
         doc = {"version": 1, "metrics": {"m": {"catalog": catalog, "params": [n]}}, "tasks": tasks}
-        errors = [entry["error"] for entry in run_scenario(doc).tasks]
-        assert errors[0].startswith("SchemaError:") and f"(at $.tasks[0].search.{field})" in errors[0]
-        if kind == "rbc":
-            assert errors[1] == "SchemaError: unknown key 'search' (at $.tasks[1])"
+        entries = run_scenario(doc).tasks
+        for i in range(2):
+            assert entries[i]["error"] == f"SchemaError: unknown key 'search' (at $.tasks[{i}])"
+        assert entries[2]["status"] == "ok"
 
     def test_sbc_task_unbounded(self):
         doc = {
@@ -423,7 +429,6 @@ class TestTasks:
                     "kind": "sbc",
                     "metric": "ch",
                     "point": [[0.0, 0.0], [0.0, 0.0]],
-                    "search": {"n_starts": 2, "max_iter": 8},
                 }
             ],
         }
@@ -733,36 +738,37 @@ class TestCli:
             ["curvature", "--metric", "fubini_study:2", "--point", "0,0,0,0"],
             ["rbc", "--metric", "fubini_study:3", "--point", "0,0,0,0,0,0"],
             ["identity", "--check", "theorem23", "--n", "3"],
+            ["sbc", "--metric", "complex_hyperbolic:2", "--point", "0,0,0,0"],
+            ["schwarz", "--theorem", "trace_bound", "--source", "poincare_disk:1", "--target", "poincare_disk:1",
+             "--grid", "box:half=0.2;per-axis=2"],
         ],
-        ids=["curvature", "rbc", "identity"],
+        ids=["curvature", "rbc", "identity", "sbc", "schwarz"],
     )
     def test_seed_on_a_subcommand_that_reads_none_exit_2(self, args, capsys):
-        # nothing a curvature, rbc or identity task runs reads a seed, so
-        # argparse refuses --seed; sbc, schwarz and run keep it
+        # no task reads a seed, so argparse refuses --seed on every one-task
+        # subcommand; run keeps it for the seed its report echoes
         with pytest.raises(SystemExit) as exc:
             main(args + ["--seed", "1"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
-        parser = build_parser()
-        for kept in (["sbc", "--metric", "m", "--point", "0"], ["run", "--scenario", "s.json"],
-                     ["schwarz", "--theorem", "chern_lu", "--source", "s", "--target", "t", "--grid", "g"]):
-            assert parser.parse_args(kept + ["--seed", "1"]).seed == 1
+        assert build_parser().parse_args(["run", "--scenario", "s.json", "--seed", "1"]).seed == 1
 
     @pytest.mark.parametrize(
         "catalog, params, n",
         [("poincare_disk", [1.0], 1), ("fubini_study", [2], 2), ("fubini_study", [3], 3)],
     )
     def test_search_on_an_exact_rbc_task(self, catalog, params, n):
-        # rbc takes no budget at any n (exact for n <= 2, a PSD-cone ascent
-        # for n >= 3): a search block or a seed is an unknown key; sbc reads both
+        # neither rbc nor sbc takes a budget or a seed at any n: a search
+        # block or a seed is an unknown key of either
         task = {"kind": "rbc", "metric": "m", "point": [[0.0, 0.0]] * n}
         searched = dict(task, search={"n_starts": 4, "max_iter": 25})
         doc = {"version": 1, "metrics": {"m": {"catalog": catalog, "params": params}},
-               "tasks": [searched, dict(task, seed=3), task, dict(searched, kind="sbc", seed=3)]}
+               "tasks": [searched, dict(task, seed=3), task, dict(searched, kind="sbc"), dict(task, kind="sbc")]}
         tasks = run_scenario(doc).tasks
         assert tasks[0]["error"] == "SchemaError: unknown key 'search' (at $.tasks[0])"
         assert tasks[1]["error"] == "SchemaError: unknown key 'seed' (at $.tasks[1])"
-        assert tasks[2]["status"] == "ok" and tasks[3]["status"] == "ok"
+        assert tasks[3]["error"] == "SchemaError: unknown key 'search' (at $.tasks[3])"
+        assert tasks[2]["status"] == "ok" and tasks[4]["status"] == "ok"
 
     @pytest.mark.parametrize("theorem", ["chern_lu", "trace_bound", "family"])
     def test_kappa_mode_on_a_theorem_that_does_not_read_it(self, theorem, capsys):

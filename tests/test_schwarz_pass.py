@@ -3,14 +3,13 @@ metrics and grids, and a ratchet on the evaluations of the shipped demo."""
 
 import itertools
 import sys
-import warnings
 from pathlib import Path
 
 import pytest
 
 import chernlab
 from chernlab.curvature import chern_curvature
-from chernlab.errors import ChernLabError, SearchBudgetExhausted
+from chernlab.errors import ChernLabError
 from chernlab.metrics import ChartedHermitianMetric
 from chernlab.scenario import run_scenario
 
@@ -42,7 +41,6 @@ def _sweep_tasks():
         if theorem == "trace_bound" and fmap != "id1":
             continue  # the trace bound has no map
         task = {"kind": "schwarz", "theorem": theorem, "source": source, "target": target,
-                "search": {"n_starts": 2, "max_iter": 5},
                 "grid": {"center": SWEEP_CENTRES[dim], "half": 0.2, "per_axis": 1 + len(tasks) % 2}}
         if theorem != "trace_bound":
             task["map"] = fmap
@@ -56,10 +54,8 @@ def _sweep_tasks():
 
 def test_sweep_ends_every_task_typed():
     doc = {"version": 1, "seed": 3, "metrics": SWEEP_METRICS, "maps": SWEEP_MAPS, "tasks": _sweep_tasks()}
-    # budget warnings are expected of this small search; any exception must be a task error
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", SearchBudgetExhausted)
-        report = run_scenario(doc)
+    # any exception must be a task error
+    report = run_scenario(doc)
     typed = {cls.__name__ for cls in vars(chernlab.errors).values()
              if isinstance(cls, type) and issubclass(cls, ChernLabError)}
     statuses = {"ok": 0, "fail": 0, "error": 0}

@@ -6,7 +6,6 @@ import numpy as np
 import oracles
 import pytest
 
-from chernlab.cones import FrameSearchConfig
 from chernlab.curvature import chern_curvature
 from chernlab.errors import (
     BadIndices,
@@ -31,7 +30,6 @@ from chernlab.verify import (
 )
 from chernlab.verify import _theorem23_discrepancy, _theorem23_spanning_set
 
-CFG = FrameSearchConfig(n_starts=3, max_iter=15, seed=0)
 
 
 def disk_grid(half=0.3, per_axis=3):
@@ -49,8 +47,7 @@ def poincare():
 
 class TestEstimateHypotheses:
     def test_chern_lu_poincare(self, poincare):
-        c = estimate_hypotheses(SchwarzPass(poincare, poincare, map_identity(1), disk_grid()), "chern_lu",
-                                frame_cfg=CFG)
+        c = estimate_hypotheses(SchwarzPass(poincare, poincare, map_identity(1), disk_grid()), "chern_lu")
         assert abs(c.values["c1"] - 2.0) < 1e-6
         assert c.values["c2"] == 0.0
         assert abs(c.values["kappa"] - 2.0) < 1e-6
@@ -61,20 +58,19 @@ class TestEstimateHypotheses:
     def test_flat_case_infeasible(self):
         eu = catalog_metric("euclidean", (1,))
         with pytest.raises(InfeasibleHypothesis):
-            estimate_hypotheses(SchwarzPass(eu, eu, map_identity(1), disk_grid()), "chern_lu", frame_cfg=CFG)
+            estimate_hypotheses(SchwarzPass(eu, eu, map_identity(1), disk_grid()), "chern_lu")
 
     def test_positive_rbc_infeasible(self):
         fs = catalog_metric("fubini_study", (2,))
         with pytest.raises(InfeasibleHypothesis):
-            estimate_hypotheses(SchwarzPass(fs, fs, map_identity(2), [np.zeros(2)]), "chern_lu",
-                                frame_cfg=CFG)
+            estimate_hypotheses(SchwarzPass(fs, fs, map_identity(2), [np.zeros(2)]), "chern_lu")
 
     def test_full_cone_kappa_unbounded(self):
         ch = catalog_metric("complex_hyperbolic", (2,))
         with pytest.raises(UnboundedSbc):
             estimate_hypotheses(
                 SchwarzPass(ch, ch, map_identity(2), [np.zeros(2)]), "aubin_yau",
-                frame_cfg=CFG, kappa_mode="full_cone",
+                kappa_mode="full_cone",
             )
 
     def test_unknown_kappa_mode(self, poincare):
@@ -90,7 +86,7 @@ class TestEstimateHypotheses:
     def test_user_constants_kept(self, poincare):
         c = estimate_hypotheses(
             SchwarzPass(poincare, poincare, map_identity(1), disk_grid()), "chern_lu",
-            fixed={"c2": 0.0, "kappa": 2.0}, frame_cfg=CFG,
+            fixed={"c2": 0.0, "kappa": 2.0},
         )
         assert c.provenance["kappa"] == "user"
         assert abs(c.values["c1"] - 2.0) < 1e-6
@@ -101,10 +97,10 @@ class TestEstimateHypotheses:
         grid = [np.array([0.1, -0.2j]), np.array([0.2j, 0.1])]
         for theorem, mu in (("chern_lu", None), ("family", pd)):
             c = estimate_hypotheses(SchwarzPass(pd, pd, map_identity(2), grid, mu), theorem,
-                                    fixed={"r": 1, "n": 3}, frame_cfg=CFG)
+                                    fixed={"r": 1, "n": 3})
             assert (c.values["r"], c.values["n"]) == (1, 3)
             assert c.provenance["r"] == c.provenance["n"] == "user"
-            c = estimate_hypotheses(SchwarzPass(pd, pd, map_identity(2), grid, mu), theorem, frame_cfg=CFG)
+            c = estimate_hypotheses(SchwarzPass(pd, pd, map_identity(2), grid, mu), theorem)
             assert (c.values["r"], c.values["n"]) == (2, 2) and "r" not in c.provenance
 
     def test_r_of_a_map_of_rank_one(self):
@@ -122,8 +118,8 @@ class TestEstimateHypotheses:
         for args, message in (
             (("bogus",), "unknown theorem 'bogus'"),
             (("chern_lu", {"c5": 1.0}), "unknown constant 'c5'"),
-            (("chern_lu", None, CFG, "along_map", "liouville"), "theorem 'chern_lu' has no preset 'liouville'"),
-            (("family", None, CFG, "along_map", "bogus"), "theorem 'family' has no preset 'bogus'"),
+            (("chern_lu", None, "along_map", "liouville"), "theorem 'chern_lu' has no preset 'liouville'"),
+            (("family", None, "along_map", "bogus"), "theorem 'family' has no preset 'bogus'"),
         ):
             with pytest.raises(BadParams, match=message):
                 estimate_hypotheses(sp, *args)
@@ -133,7 +129,7 @@ class TestChernLu:
     def test_conformal_equality_case(self, poincare):
         p3 = scale_metric(poincare, 3.0)
         grid = disk_grid()
-        c = estimate_hypotheses(SchwarzPass(poincare, p3, map_identity(1), grid), "chern_lu", frame_cfg=CFG)
+        c = estimate_hypotheses(SchwarzPass(poincare, p3, map_identity(1), grid), "chern_lu")
         v = schwarz_verify(SchwarzPass(poincare, p3, map_identity(1), grid), c)
         assert v.passed
         assert abs(v.bound - 3.0) < 1e-4
@@ -142,8 +138,7 @@ class TestChernLu:
 
     def test_same_metric(self, poincare):
         grid = disk_grid()
-        c = estimate_hypotheses(SchwarzPass(poincare, poincare, map_identity(1), grid), "chern_lu",
-                                frame_cfg=CFG)
+        c = estimate_hypotheses(SchwarzPass(poincare, poincare, map_identity(1), grid), "chern_lu")
         v = schwarz_verify(SchwarzPass(poincare, poincare, map_identity(1), grid), c)
         assert v.passed and abs(v.bound - 1.0) < 1e-4
 
@@ -214,9 +209,7 @@ class TestAubinYau:
 class TestFamily:
     def test_poincare_equality(self, poincare):
         grid = disk_grid()
-        c = estimate_hypotheses(
-            SchwarzPass(poincare, poincare, map_identity(1), grid, poincare), "family", frame_cfg=CFG,
-        )
+        c = estimate_hypotheses(SchwarzPass(poincare, poincare, map_identity(1), grid, poincare), "family")
         v = schwarz_verify(SchwarzPass(poincare, poincare, map_identity(1), grid, poincare), c)
         assert v.passed
         assert abs(v.bound - 1.0) < 1e-4
@@ -239,7 +232,7 @@ class TestFamily:
         # C3, kappa1 and kappa2 are fitted with C4 = 0, then C1 derived, not
         # fitted; C2, the shift of C1's pencil, is 0 and was not fitted either
         sp = SchwarzPass(poincare, poincare, map_identity(1), disk_grid(), poincare)
-        c = estimate_hypotheses(sp, "family", frame_cfg=CFG, preset="chen_cheng_lu")
+        c = estimate_hypotheses(sp, "family", preset="chen_cheng_lu")
         assert c.provenance == {"c1": "preset", "c3": "estimated", "c4": "preset",
                                 "kappa1": "estimated", "kappa2": "estimated"}
         assert c.values["c2"] == 0.0
@@ -279,13 +272,13 @@ class TestFamily:
 
 
 def _family(sp, preset, **fixed):
-    return estimate_hypotheses(sp, "family", fixed, frame_cfg=CFG, preset=preset)
+    return estimate_hypotheses(sp, "family", fixed, preset=preset)
 
 
 class TestTraceBound:
     def test_equality_case(self, poincare):
         grid = disk_grid()
-        c = estimate_hypotheses(SchwarzPass(poincare, poincare, None, grid), "trace_bound", frame_cfg=CFG)
+        c = estimate_hypotheses(SchwarzPass(poincare, poincare, None, grid), "trace_bound")
         v = schwarz_verify(SchwarzPass(poincare, poincare, None, grid), c)
         assert v.passed
         assert abs(v.bound - 1.0) < 1e-4
@@ -294,7 +287,7 @@ class TestTraceBound:
     def test_half_target(self, poincare):
         half = scale_metric(poincare, 0.5)
         grid = disk_grid()
-        c = estimate_hypotheses(SchwarzPass(poincare, half, None, grid), "trace_bound", frame_cfg=CFG)
+        c = estimate_hypotheses(SchwarzPass(poincare, half, None, grid), "trace_bound")
         v = schwarz_verify(SchwarzPass(poincare, half, None, grid), c)
         assert v.passed
         assert abs(v.sup_energy - 0.5) < 1e-10
@@ -302,7 +295,7 @@ class TestTraceBound:
     def test_flat_target_infeasible(self, poincare):
         eu = catalog_metric("euclidean", (1,))
         with pytest.raises(InfeasibleHypothesis):
-            estimate_hypotheses(SchwarzPass(poincare, eu, None, disk_grid()), "trace_bound", frame_cfg=CFG)
+            estimate_hypotheses(SchwarzPass(poincare, eu, None, disk_grid()), "trace_bound")
 
 
 class TestNegativeDiscipline:
@@ -310,10 +303,7 @@ class TestNegativeDiscipline:
 
     def test_stale_constants_after_rescale(self, poincare):
         grid = disk_grid()
-        c = estimate_hypotheses(
-            SchwarzPass(poincare, scale_metric(poincare, 1.0), map_identity(1), grid), "chern_lu",
-            frame_cfg=CFG,
-        )
+        c = estimate_hypotheses(SchwarzPass(poincare, scale_metric(poincare, 1.0), map_identity(1), grid), "chern_lu")
         v = schwarz_verify(SchwarzPass(poincare, scale_metric(poincare, 4.0), map_identity(1), grid), c)
         assert not v.passed
         assert v.sup_energy > v.bound
@@ -321,7 +311,7 @@ class TestNegativeDiscipline:
 
     def test_stale_trace_bound(self, poincare):
         grid = disk_grid()
-        c = estimate_hypotheses(SchwarzPass(poincare, poincare, None, grid), "trace_bound", frame_cfg=CFG)
+        c = estimate_hypotheses(SchwarzPass(poincare, poincare, None, grid), "trace_bound")
         v = schwarz_verify(SchwarzPass(poincare, scale_metric(poincare, 2.0), None, grid), c)
         assert not v.passed
         worst = v.worst()
@@ -332,7 +322,7 @@ class TestNegativeDiscipline:
         # worst point stays the first grid point; a margin lower by more than
         # tol is still found
         grid = disk_grid()
-        c = estimate_hypotheses(SchwarzPass(poincare, poincare, None, grid), "trace_bound", frame_cfg=CFG)
+        c = estimate_hypotheses(SchwarzPass(poincare, poincare, None, grid), "trace_bound")
         jitter = np.random.default_rng(0).uniform(-1e-9, 1e-9, len(grid))
         assert np.argmin(jitter) != 0
         records = [{"z": [[k, 0.0]], "energy": 1.0, "margin": 0.5 + e} for k, e in enumerate(jitter)]
@@ -366,7 +356,7 @@ class TestNegativeDiscipline:
         ratios = []
         for c_scale in (1.0, 2.0):
             target = scale_metric(poincare, c_scale)
-            c = estimate_hypotheses(SchwarzPass(poincare, target, f, grid), "chern_lu", frame_cfg=CFG)
+            c = estimate_hypotheses(SchwarzPass(poincare, target, f, grid), "chern_lu")
             v = schwarz_verify(SchwarzPass(poincare, target, f, grid), c)
             assert v.passed
             ratios.append(v.sup_energy / v.bound)
@@ -381,7 +371,7 @@ class TestNonIdentityMaps:
 
         f = map_mobius(0.3 + 0.1j)
         grid = disk_grid(half=0.25)
-        c = estimate_hypotheses(SchwarzPass(poincare, poincare, f, grid), "chern_lu", frame_cfg=CFG)
+        c = estimate_hypotheses(SchwarzPass(poincare, poincare, f, grid), "chern_lu")
         v = schwarz_verify(SchwarzPass(poincare, poincare, f, grid), c)
         assert v.passed
         assert abs(v.sup_energy - 1.0) < 1e-8
@@ -398,7 +388,7 @@ class TestNonIdentityMaps:
 
         f = map_power(2)
         grid = [np.array([0.35 + x * 0.05 + 1j * y * 0.05]) for x in range(3) for y in range(3)]
-        c = estimate_hypotheses(SchwarzPass(poincare, poincare, f, grid), "chern_lu", frame_cfg=CFG)
+        c = estimate_hypotheses(SchwarzPass(poincare, poincare, f, grid), "chern_lu")
         v = schwarz_verify(SchwarzPass(poincare, poincare, f, grid), c)
         assert v.passed
         assert v.sup_energy < 1.0
@@ -411,7 +401,7 @@ class TestNonIdentityMaps:
         ch = catalog_metric("complex_hyperbolic", (2,))
         f = map_identity(2)
         grid = [np.array([x + 0.1j * y, 0.05 * y - 0.1j * x]) for x in (-0.2, 0.0, 0.2) for y in (-1.0, 1.0)]
-        c = estimate_hypotheses(SchwarzPass(ch, ch, f, grid, ch), "family", frame_cfg=CFG)
+        c = estimate_hypotheses(SchwarzPass(ch, ch, f, grid, ch), "family")
         assert abs(c.values["c1"] - 3.0) < 1e-3  # Ric2 = -(n+1) mu for this model
         assert abs(c.values["c3"] - 3.0) < 1e-3
         assert abs(c.values["kappa2"] - 2.0) < 1e-3

@@ -11,6 +11,7 @@ from .cones import (
 )
 from .curvature import (
     CurvatureReport,
+    CurvatureStore,
     chern_curvature,
     curvature_report,
     hsc,

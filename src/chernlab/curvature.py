@@ -5,11 +5,14 @@ The curvature of the Chern connection in chart coordinates is
     R_{i jbar k lbar} = - d^2 g_{k lbar} / dz_i dzbar_j
                         + g^{p qbar} (d g_{k qbar} / dz_i)(d g_{p lbar} / dzbar_j)
 
-assembled from finite-difference metric derivatives.
+assembled from finite-difference metric derivatives.  A ``CurvatureStore``
+keeps the tensor, metric value and FD error estimate of each (metric, point)
+it has computed, so that a scenario run computes each of them once.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +23,8 @@ from .tensors import hermitian_inverse, hermitize, pair_matrix, symmetrize_curva
 
 __all__ = [
     "CurvatureReport",
+    "CurvatureStore",
+    "PointCurvature",
     "chern_curvature",
     "curvature_report",
     "hsc",
@@ -68,6 +73,42 @@ def chern_curvature(metric: ChartedHermitianMetric, z, return_derivs=False):
     if return_derivs:
         return tensor, md
     return tensor
+
+
+PointCurvature = namedtuple("PointCurvature", "tensor g error_estimate")
+PointCurvature.__doc__ = """The Chern curvature tensor of a metric at a point, the metric value there
+and the FD error estimate, as ``chern_curvature(..., return_derivs=True)`` gives them."""
+
+
+class CurvatureStore:
+    """The curvature of each (metric, point) it is asked for, computed once.
+
+    Keyed by the metric object and the bytes of the point; the store holds
+    each metric it has seen, so no key outlives its metric.  It keeps only
+    successes, as read-only arrays: a point whose curvature fails raises
+    again when asked again.
+    """
+
+    def __init__(self):
+        self._held = {}  # id(metric) -> (metric, {point bytes: PointCurvature})
+
+    def at(self, metric, points):
+        """The ``PointCurvature`` of ``metric`` at each point of the stack
+        ``points`` ``(P, n)``: one ``chern_curvature`` call on the stack of
+        the points not seen yet, each with the bits it gets alone.  A failing
+        stack raises what its first failing point raises alone."""
+        points = np.asarray(points, dtype=complex)
+        if points.shape[-1] != metric.dim:
+            raise DimensionMismatch(f"point shape {points.shape[1:]} does not match dim {metric.dim}")
+        _, held = self._held.setdefault(id(metric), (metric, {}))
+        keys = [z.tobytes() for z in points]
+        unseen = {key: z for key, z in zip(keys, points) if key not in held}
+        if unseen:
+            tensor, md = chern_curvature(metric, np.array(list(unseen.values())), return_derivs=True)
+            for a in (tensor, md.g, md.error_estimate):
+                a.setflags(write=False)
+            held.update(zip(unseen, map(PointCurvature, tensor, md.g, md.error_estimate)))
+        return [held[key] for key in keys]
 
 
 def ricci(r, g, kind):
@@ -153,23 +194,26 @@ class CurvatureReport:
     hermitian_residues: tuple
 
 
-def curvature_report(metric: ChartedHermitianMetric, z, kahler_tol=1e-6):
+def curvature_report(metric: ChartedHermitianMetric, z, kahler_tol=1e-6, store=None):
     """Full curvature report at a point: tensor, three Ricci traces,
-    both scalar curvatures, and the Kaehler-symmetry classification."""
+    both scalar curvatures, and the Kaehler-symmetry classification.
+
+    The curvature comes from ``store``, a ``CurvatureStore`` that computes it
+    unless it holds it already (a fresh store when None)."""
     z = np.atleast_1d(np.asarray(z, dtype=complex))
-    tensor, md = chern_curvature(metric, z, return_derivs=True)
+    tensor, g, error_estimate = (store or CurvatureStore()).at(metric, z[None])[0]
     ric = {}
     residues = []
     for kind in (1, 2, 3):
-        ric[kind], res = ricci(tensor, md.g, kind)
+        ric[kind], res = ricci(tensor, g, kind)
         residues.append(res)
-    scal = trace_form(md.g, ric[1])
-    scal_tilde = trace_form(md.g, ric[3])
+    scal = trace_form(g, ric[1])
+    scal_tilde = trace_form(g, ric[3])
     is_kahler, k_res = kahler_symmetry_check(tensor, kahler_tol)
     return CurvatureReport(
         point=z,
         tensor=tensor,
-        g=md.g,
+        g=g,
         ric1=ric[1],
         ric2=ric[2],
         ric3=ric[3],
@@ -177,6 +221,6 @@ def curvature_report(metric: ChartedHermitianMetric, z, kahler_tol=1e-6):
         scal_tilde=scal_tilde,
         kahler_symmetric=is_kahler,
         kahler_residue=k_res,
-        fd_error_estimate=md.error_estimate,
+        fd_error_estimate=float(error_estimate),
         hermitian_residues=tuple(residues),
     )

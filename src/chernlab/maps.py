@@ -11,8 +11,9 @@ Laplacians act on stacks of points ``(..., n)``; a single point is the stack
 of one.  Each point of a stack gets the bits it gets alone.  The Laplacians
 take the singular frames of their points, whose energies are the stencil
 centres and whose metric values and pullbacks are the traces, and make one
-energy call on the stencils of all the other samples.  A check that fails on
-a stack names its first failing point.
+energy call on the other samples of all the stencils that the complex
+Hessian reads (80 a point for n = 2).  A check that fails on a stack names
+its first failing point.
 """
 
 from __future__ import annotations
@@ -348,7 +349,8 @@ def singular_frames(f, z, source_metric, target_metric):
 def _energy_hessian(f, z, source_metric, target_metric, field, energy):
     """Complex Hessian of ``field(|df|^2)`` at each point of ``z``, where the
     energy is ``energy``, at the step ``5e-3 max(1, |z|)`` per point: one
-    energy call on the other stencil samples of every point."""
+    energy call on the other stencil samples of every point that the
+    Hessian reads."""
 
     def stencil(zz):
         return field(energy_density(f, zz, source_metric, target_metric))

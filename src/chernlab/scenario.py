@@ -6,7 +6,9 @@ definition of a valid document (unknown keys rejected, allowed and required
 keys per task and map kind); the code checks only the names a document
 refers to.  Reports are deterministic given (scenario, seed): no task draws
 a random number, the seed is only echoed, key order is sorted, and
-wall-clock timing is excluded unless explicitly requested.
+wall-clock timing is excluded unless explicitly requested.  The tasks of a
+run share one ``CurvatureStore``, so each (metric, point) curvature is
+computed once per run, with the bits it gets alone.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from time import perf_counter
 import numpy as np
 
 from .cones import rbc_bounds, sbc_bound
-from .curvature import chern_curvature, curvature_report
+from .curvature import CurvatureStore, curvature_report
 from .errors import BadParams, ChernLabError, SchemaError
 from .exprparse import parse_metric_expression
 from .maps import catalog_map
@@ -304,17 +306,17 @@ def _verdict_payload(verdict):
 # ---------------------------------------------------------------------------
 
 
-def _run_task(task, metrics, maps, loc):
+def _run_task(task, metrics, maps, loc, store):
     kind = task["kind"]
     if kind == "schwarz":
-        return _run_schwarz(task, metrics, maps, loc)
+        return _run_schwarz(task, metrics, maps, loc, store)
     if kind == "identity":
-        return _run_identity(task, metrics, loc)
+        return _run_identity(task, metrics, loc, store)
 
     metric = _lookup(metrics, "metric", task["metric"], f"{loc}.metric")
     point = _as_point(task["point"])
     if kind == "curvature":
-        report = curvature_report(metric, point, kahler_tol=task.get("tol", 1e-6))
+        report = curvature_report(metric, point, kahler_tol=task.get("tol", 1e-6), store=store)
         return {
             "point": _jsonify(list(point)),
             "scal": report.scal,
@@ -328,16 +330,16 @@ def _run_task(task, metrics, maps, loc):
             "tensor_max_abs": float(np.max(np.abs(report.tensor))),
         }
 
-    tensor, md = chern_curvature(metric, point, return_derivs=True)
+    tensor, g, _ = store.at(metric, point[None])[0]
     if kind == "rbc":
-        res = rbc_bounds(tensor, md.g)
+        res = rbc_bounds(tensor, g)
         return {
             "point": _jsonify(list(point)),
             "inf": res.inf,
             "sup": res.sup,
             "heuristic": res.heuristic,
         }
-    res = sbc_bound(tensor, md.g)
+    res = sbc_bound(tensor, g)
     payload = {"point": _jsonify(list(point)), "status": res.status}
     if res.status == "finite":
         payload.update(
@@ -353,20 +355,20 @@ def _run_task(task, metrics, maps, loc):
     return payload
 
 
-def _run_schwarz(task, metrics, maps, loc):
+def _run_schwarz(task, metrics, maps, loc, store):
     source = _lookup(metrics, "metric", task["source"], f"{loc}.source")
     target = _lookup(metrics, "metric", task["target"], f"{loc}.target")
     mu = _lookup(metrics, "metric", task["mu"], f"{loc}.mu") if "mu" in task else None
     fmap = None if task["theorem"] == "trace_bound" else _lookup(maps, "map", task["map"], f"{loc}.map")
     grid = box_grid(_as_point(task["grid"]["center"]), task["grid"]["half"], task["grid"]["per_axis"])
-    sp = SchwarzPass(source, target, fmap, grid, mu)
+    sp = SchwarzPass(source, target, fmap, grid, mu, curvatures=store)
     # the document's constants are kept; only those it leaves out are estimated
     constants = estimate_hypotheses(sp, task["theorem"], task.get("constants"),
                                     task.get("kappa_mode"), task.get("preset"))
     return _verdict_payload(schwarz_verify(sp, constants, tol=task.get("tol", 1e-6)))
 
 
-def _run_identity(task, metrics, loc):
+def _run_identity(task, metrics, loc, store):
     check = task["check"]
     if check == "fs-moment":
         res = fs_moment_check(task.get("n", 2), tuple(task.get("indices", (1, 1, 1, 1))))
@@ -375,8 +377,8 @@ def _run_identity(task, metrics, loc):
         return {"check": check, **theorem23_check(task.get("n", 3))}
     metric = _lookup(metrics, "metric", task["metric"], f"{loc}.metric")
     point = _as_point(task["point"])
-    tensor, md = chern_curvature(metric, point, return_derivs=True)
-    frame = gram_unitary_frame(md.g)
+    tensor, g, _ = store.at(metric, point[None])[0]
+    frame = gram_unitary_frame(g)
     fm = curvature_in_frame(tensor, frame)
     res = averaged_hsc_check(fm, np.asarray(task.get("b", [1.0] * metric.dim), dtype=float))
     return {"check": check, **_cubature_payload(res, "lhs", "rhs")}
@@ -467,6 +469,7 @@ def run_scenario(source, seed=None, parallel=False):
     for name, spec in top.get("maps", {}).items():
         maps[name] = _load_map(spec, f"$.maps.{name}", maps)
     tasks = doc["tasks"]
+    store = CurvatureStore()
 
     def execute(index, task):
         loc = f"$.tasks[{index}]"
@@ -474,7 +477,7 @@ def run_scenario(source, seed=None, parallel=False):
         start = perf_counter()
         try:
             checked = _conform(task, schema["$defs"]["task"], loc)
-            result = _run_task(checked, metrics, maps, loc)
+            result = _run_task(checked, metrics, maps, loc, store)
             entry.update(status="ok" if _task_passed(result) else "fail", result=result)
         except ChernLabError as exc:
             entry.update(status="error", error=f"{type(exc).__name__}: {exc}")

@@ -15,10 +15,12 @@ failing check names the first failing point in grid order, and the cone
 kappas take all points in one ``rbc_bounds`` call (exact for n <= 2, a
 PSD-cone ascent above) or one ``sbc_bound`` call (a pair test and a descent
 over PD matrices); neither takes a budget or a seed.  All
-curvature goes through ``SchwarzPass.curvature``: one ``chern_curvature``
-call per metric on the stack of points not seen yet, whose stencils call
-the metric once per offset for all of them.  Every verdict's worst point,
-the family's included, is ``SchwarzVerdict.worst()``.
+curvature goes through ``SchwarzPass.curvature``, which reads the pass's
+``CurvatureStore`` (a scenario run's, shared by all its tasks): one
+``chern_curvature`` call per metric on the stack of points the store has
+not seen yet, whose stencils call the metric once per offset for all of
+them.  Every verdict's worst point, the family's included, is
+``SchwarzVerdict.worst()``.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from typing import Callable
 import numpy as np
 
 from .cones import rbc_bounds, sbc_along_map, sbc_bound
-from .curvature import chern_curvature, ricci
+from .curvature import CurvatureStore, ricci
 from .errors import (
     BadIndices,
     BadParams,
@@ -119,9 +121,11 @@ class SchwarzPass:
     metrics at one point) and the family theorem's auxiliary metric ``mu``.
 
     Each property is evaluated when first read and kept, so estimation and
-    verification share every metric, map and curvature value.  Construction
-    raises DimensionMismatch on dimensions that disagree and BadParams on an
-    empty grid.
+    verification share every metric, map and curvature value.  Curvature
+    goes through ``curvatures``, the ``CurvatureStore`` of a scenario run
+    (shared by all its tasks) or a fresh one.  Construction raises
+    DimensionMismatch on dimensions that disagree and BadParams on an empty
+    grid.
     """
 
     source: ChartedHermitianMetric
@@ -129,7 +133,7 @@ class SchwarzPass:
     map: HolomorphicMapModel | None
     points: np.ndarray
     mu: ChartedHermitianMetric | None = None
-    _curvature: dict = field(default_factory=dict, init=False, repr=False)
+    curvatures: CurvatureStore = field(default_factory=CurvatureStore, repr=False)
 
     def __post_init__(self):
         points = np.asarray(self.points, dtype=complex)
@@ -198,13 +202,10 @@ class SchwarzPass:
 
     def curvature(self, metric, points):
         """The Chern curvature tensors of ``metric``, one of the pass's
-        metrics, at each of ``points``: one ``chern_curvature`` call on the
-        stack of the points the pass has not seen with that metric."""
-        keys = [(id(metric), z.tobytes()) for z in points]
-        unseen = {key: z for key, z in zip(keys, points) if key not in self._curvature}
-        if unseen:
-            self._curvature.update(zip(unseen, chern_curvature(metric, np.array(list(unseen.values())))))
-        return np.array([self._curvature[key] for key in keys])
+        metrics, at each of ``points``, from the pass's ``curvatures`` store:
+        one ``chern_curvature`` call on the stack of the points that the
+        store has not seen with that metric, as a new stack."""
+        return np.array([c.tensor for c in self.curvatures.at(metric, points)])
 
     @cached_property
     def source_ric2(self):
@@ -720,7 +721,9 @@ def averaged_hsc_check(fm: FrameCurvatureMatrices, b):
     uses the diagonal-pair components, counting the all-equal-index entries
     once: ``q = R_mat + P_mat`` holds each of them twice on its diagonal, so
     half the diagonal is taken off.  It is quadratic in ``t = |w|^2`` alone,
-    so the n nodes of ``_simplex_nodes`` integrate it exactly.
+    so the n nodes of ``_simplex_nodes`` integrate it exactly.  A ``b`` so
+    large that the quartic, its average or their rounding bound is not a
+    finite double raises BadIndices.
     """
     b = np.asarray(b, dtype=float)
     if np.any(b < 0):
@@ -729,21 +732,27 @@ def averaged_hsc_check(fm: FrameCurvatureMatrices, b):
     if b.shape != (n,):
         raise BadIndices(f"b has shape {b.shape}, expected ({n},)")
     q = fm.q_mat()
-    b2 = b**2
-    y = b2 * _simplex_nodes(n)  # per node b_i^2 |w_i|^2
-    half_diag = np.diag(q) / 2.0
-    vals = np.sum((y @ q) * y, axis=1) - (y**2) @ half_diag
-    # Rounding, with q and b^2 given: y is within 8 u, so a node's quadratic
-    # form is within (2n + 16) u of y|q|y and its diagonal term within (n + 17) u
-    # of y^2 |q_ii| / 2, a node value within (2n + 17) u of the sum F of both;
-    # the mean adds n u mean F.  rhs is two n-term dot products and a division,
-    # within (2n + 1) u of G = b^2 |q| b^2 / (n(n+1)): under (4n + 32) u (mean F + G).
-    absq = np.abs(q)
-    scale = np.mean(np.sum((y @ absq) * y, axis=1) + (y**2) @ np.abs(half_diag))
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is checked below, on the results
+        b2 = b**2
+        y = b2 * _simplex_nodes(n)  # per node b_i^2 |w_i|^2
+        half_diag = np.diag(q) / 2.0
+        vals = np.sum((y @ q) * y, axis=1) - (y**2) @ half_diag
+        # Rounding, with q and b^2 given: y is within 8 u, so a node's quadratic
+        # form is within (2n + 16) u of y|q|y and its diagonal term within (n + 17) u
+        # of y^2 |q_ii| / 2, a node value within (2n + 17) u of the sum F of both;
+        # the mean adds n u mean F.  rhs is two n-term dot products and a division,
+        # within (2n + 1) u of G = b^2 |q| b^2 / (n(n+1)): under (4n + 32) u (mean F + G).
+        absq = np.abs(q)
+        scale = np.mean(np.sum((y @ absq) * y, axis=1) + (y**2) @ np.abs(half_diag))
+        lhs = float(np.mean(vals))
+        rhs = float(b2 @ q @ b2) / (n * (n + 1))
+        std_error = float((2 * n + 16) * _EPS * (scale + b2 @ absq @ b2 / (n * (n + 1))))
+    if not np.all(np.isfinite([lhs, rhs, std_error, lhs - rhs])):
+        raise BadIndices(f"the b-weighted curvature quartic is not finite for b = {b.tolist()}")
     return CubatureCheck(
-        lhs=float(np.mean(vals)),
-        rhs=float(b2 @ q @ b2) / (n * (n + 1)),
-        std_error=float((2 * n + 16) * _EPS * (scale + b2 @ absq @ b2 / (n * (n + 1)))),
+        lhs=lhs,
+        rhs=rhs,
+        std_error=std_error,
         nodes=n,
         rule="Stroud T:2-1 in |w|^2: exact to degree 2 in |w|^2",
     )

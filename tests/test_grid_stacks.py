@@ -296,7 +296,7 @@ class TestEvaluatorCalls:
         # (metric, map) calls; each call of the product map calls its two
         # factors too, and its closed-form differential calls neither.  An
         # energy evaluation is (2, 1): the source metric, the map at z and
-        # the target metric at f(z); the 112 stencil samples of every point
+        # the target metric at f(z); the 80 stencil samples of every point
         # are one of them.  chern_lu and aubin_yau: the singular frames of
         # the pass (2, 1), whose energies are the record, the critical-point
         # check and the stencil centres, and whose source metric and pullback

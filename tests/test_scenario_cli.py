@@ -918,6 +918,18 @@ class TestCli:
         assert "--samples" in capsys.readouterr().err
 
 
+def test_averaged_hsc_overflow_is_a_task_error():
+    # run as a user runs it, outside the test configuration's warning filters:
+    # exit 1, strict JSON with the task's typed error, and nothing on stderr
+    src = str(Path(chernlab.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-m", "chernlab.cli", "identity", "--check", "averaged-hsc",
+                          "--metric", "fubini_study:2", "--point", "0,0,0,0", "--b", "1e100,1e100"],
+                         env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True)
+    assert (out.returncode, out.stderr) == (1, "")
+    task = json.loads(out.stdout, parse_constant=lambda name: pytest.fail(f"{name} in the report"))["tasks"][0]
+    assert task["status"] == "error" and task["error"].startswith("BadIndices: ")
+
+
 def test_import_loads_no_scipy():
     # the package needs numpy only; scipy is a dependency of the tests.  Import
     # does no numerical set-up either: no numpy.polynomial (Gauss rules), and the

@@ -10,7 +10,7 @@ import pytest
 import chernlab
 from chernlab.curvature import chern_curvature
 from chernlab.errors import ChernLabError
-from chernlab.metrics import ChartedHermitianMetric
+from chernlab.metrics import ChartedHermitianMetric, metric_derivatives
 from chernlab.scenario import run_scenario
 
 DEMO = Path(__file__).resolve().parent.parent / "scenarios" / "demo.json"
@@ -69,17 +69,19 @@ def test_sweep_ends_every_task_typed():
 
 @pytest.fixture
 def evaluations(monkeypatch):
-    """Counts of ``chern_curvature`` calls (in every chernlab namespace that
-    imported it) and of metric evaluator calls."""
-    counts = {"chern_curvature": 0, "metric": 0}
+    """Counts of ``chern_curvature`` and ``metric_derivatives`` calls (in
+    every chernlab namespace that imported them) and of metric evaluator
+    calls."""
+    counts = {"chern_curvature": 0, "metric_derivatives": 0, "metric": 0}
 
-    def counted_curvature(*args, **kwargs):
-        counts["chern_curvature"] += 1
-        return chern_curvature(*args, **kwargs)
+    for fn in (chern_curvature, metric_derivatives):
+        def wrapped(*args, _fn=fn, **kwargs):
+            counts[_fn.__name__] += 1
+            return _fn(*args, **kwargs)
 
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "chernlab" and getattr(module, "chern_curvature", None) is chern_curvature:
-            monkeypatch.setattr(module, "chern_curvature", counted_curvature)
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "chernlab" and getattr(module, fn.__name__, None) is fn:
+                monkeypatch.setattr(module, fn.__name__, wrapped)
     call = ChartedHermitianMetric.__call__
 
     def counted_call(self, z):
@@ -91,14 +93,15 @@ def evaluations(monkeypatch):
 
 
 def test_demo_evaluations_do_not_grow(evaluations):
-    # estimation and verification share one pass per Schwarz task: the
-    # Aubin-Yau and trace-bound tasks of the demo read the curvature of the
-    # disk at 9 points once, not twice; each metric's unseen points of a
-    # pass are one stacked chern_curvature call
+    # estimation and verification share one pass per Schwarz task, and all
+    # tasks share the run's curvature store: the Aubin-Yau and trace-bound
+    # tasks of the demo read the curvature of the disk at 9 points once, the
+    # curvature, rbc and averaged-hsc tasks that of fubini_study(2) at 0; each
+    # metric's unseen points of a pass are one stacked chern_curvature call
     report = run_scenario(str(DEMO))
     assert report.passed
-    assert evaluations["chern_curvature"] <= 10
-    assert evaluations["metric"] <= 1183
+    assert evaluations["chern_curvature"] <= 7 and evaluations["metric_derivatives"] <= 7
+    assert evaluations["metric"] <= 753
 
 
 def _constants_doc(tasks):

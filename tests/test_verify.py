@@ -479,6 +479,14 @@ class TestAveragedHsc:
         assert abs(res.rhs - 2.0 / 3.0) < 1e-6
         assert res.abs_err <= res.std_error and res.passed
 
+    @pytest.mark.parametrize("b", [[1e100, 1e100], [1e200, 0.0], [0.0, 1e155]])
+    def test_overflow_is_bad_indices(self, b):
+        # a quartic past the largest double is an error, not a NaN verdict;
+        # the test configuration turns any numpy warning into a failure
+        fm = curvature_in_frame(chern_curvature(catalog_metric("fubini_study", (2,)), [0.0, 0.0]), np.eye(2))
+        with pytest.raises(BadIndices, match="not finite"):
+            averaged_hsc_check(fm, np.array(b))
+
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_random_conjugation_symmetric_tensors(self, n):
         rng = np.random.default_rng(n)

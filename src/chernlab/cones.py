@@ -15,8 +15,8 @@ n = 2 that cone is a Lorentz cone and the extrema are solved exactly
 (``_rbc_ascent``) climbs the form from fixed starts.  The SBC over all
 frames is unbounded exactly when some orthonormal pair has ``R(u, ubar, w,
 wbar) < 0``, and otherwise is the infimum of ``B(A^-1, A)`` over
-positive-definite A; one Armijo descent (``_descend``) finds each, with
-every (point, start) of a stack a row that gets the bits it gets alone.
+positive-definite A, convex along their geodesics; one Armijo descent
+(``_descend``) finds each, every point of a stack a row with its bits alone.
 The module needs numpy only: the SBC in one frame is decided at the
 vertices of its gap box and solved by exact coordinate minimization.
 """
@@ -55,6 +55,7 @@ _ASCENT_CAP = 1000  # ... or after this many steps
 _DESCENT_TOL = 1e-12  # an SBC descent row stops once a step lowers it by no more than this share
 _DESCENT_STEP = 1e-14  # ... once a trial moves it by less
 _DESCENT_CAP = 2000  # ... or after this many trials
+_FRAME_CHECK = 20  # the SBC descent solves each running row's eigenframe every this many trials
 
 
 # ---------------------------------------------------------------------------
@@ -454,7 +455,7 @@ def _outer(v):
     return v[..., :, None] * np.conj(v[..., None, :])
 
 
-def _descend(values, retract, x, cap, scale):
+def _descend(values, retract, x, cap, scale, check=None):
     """Armijo descent of each row of ``x``: ``values(rows, x)`` gives
     (value, gradient, feasible), ``retract(x, d)`` moves x by -d.  A trial
     moves a row by step times gradient, at most ``cap``; a trial that lowers
@@ -462,11 +463,12 @@ def _descend(values, retract, x, cap, scale):
     feasible, halves the step, and an accepted one takes the Barzilai-Borwein
     step (or doubles it).  A row stops once a step lowers it by at most
     ``_DESCENT_TOL`` of its value or ``scale``, once a trial moves it by less
-    than ``_DESCENT_STEP``, or after ``_DESCENT_CAP`` trials."""
+    than ``_DESCENT_STEP``, after ``_DESCENT_CAP`` trials, or once
+    ``check(rows, x)`` every ``_FRAME_CHECK`` trials leaves it out."""
     rows = np.arange(len(x))
     value, grad, _ = values(rows, x)
     step = np.ones(len(x))
-    for _ in range(_DESCENT_CAP):
+    for trials in range(1, _DESCENT_CAP + 1):
         size = np.sqrt(np.sum(np.abs(grad[rows]) ** 2, axis=(-2, -1)))
         move = np.minimum(step[rows] * size, cap)
         d = (move / np.where(size > 0.0, size, 1.0))[:, None, None] * grad[rows]
@@ -480,6 +482,8 @@ def _descend(values, retract, x, cap, scale):
         kept = rows[accept]
         x[kept], value[kept], grad[kept] = trial[accept], new[accept], new_grad[accept]
         rows = rows[~settled & (move >= _DESCENT_STEP)]
+        if check is not None and len(rows) and trials % _FRAME_CHECK == 0:
+            rows = rows[check(rows, x[rows])]
         if not len(rows):
             break
     return x, value
@@ -555,35 +559,43 @@ def sbc_bound(r, g):
     gap at ``_GAP_MAX``, and no frame is certified while every such entry is
     >= 0.  So the least pair's frame (``_least_pairs``) is solved next.
     Weights v on a frame U are the PD matrix ``A = U diag(v) U^dag``, where
-    the SBC is ``B(A^-1, A)`` for the curvature's bilinear form B.  Where
-    both frames are finite, a descent over ``A = e^H`` from H = 0,
-    +-diag(0, ..., n-1), 2 w w^dag and -2 11^t / n finds the infimum, and
-    ``sbc_infimum`` solves each final eigenframe.  A point takes the first
-    least of its frames, an unbounded one first; ``r`` and ``g`` are one
-    point or stacks, as for ``rbc_bounds``, each point with its bits alone.
+    the SBC is ``F(A) = B(A^-1, A)`` for the curvature's bilinear form B.
+    Where both frames are finite, F is convex along every geodesic
+    ``A^1/2 e^{tK} A^1/2`` (a sum of exponentials in t weighted by R on
+    orthogonal pairs), so one descent over ``A = e^H`` from H = 0 finds the
+    infimum.  Every ``_FRAME_CHECK`` trials, and at its end, ``sbc_infimum``
+    solves each running row's eigenframe; a row stops once that finds it
+    unbounded or lowers its least by at most ``_DESCENT_TOL``, long before
+    F creeps to an infimum on the cone's boundary (hopf, marginal).  A point
+    takes the first least of its frames, an unbounded one first; ``r`` and
+    ``g`` are one point or stacks, as for ``rbc_bounds``, each point with
+    its bits alone.
     """
     r, e0, single = _frame_points(r, g)
     n = e0.shape[-1]
     results = [None] * len(e0)
 
-    def keep_least(points, frames):
+    def keep_least(points, frames):  # solve the frames: each point's least value after, inf once unbounded
         for p, rm, f in zip(points, curvature_in_frame(r[points], frames).r_mat, frames):
             res, best = replace(sbc_infimum(rm), frame=f), results[p]
             if best is None or best.status == "finite" and (res.status != "finite" or res.inf_val < best.inf_val):
                 results[p] = res
+        return np.array([np.inf if results[p].status != "finite" else results[p].inf_val for p in points])
 
-    keep_least(np.arange(len(e0)), e0)
-    todo = np.array([p for p, res in enumerate(results) if n > 1 and res.status == "finite"], dtype=int)
+    todo = np.flatnonzero(np.isfinite(keep_least(np.arange(len(e0)), e0)) & (n > 1))
     if len(todo):
         t = _frame_tensor(pair_matrix(r[todo]), e0[todo])
-        keep_least(todo, e0[todo] @ _least_pairs(t))
-        finite = np.array([results[p].status == "finite" for p in todo], dtype=bool)
+        finite = np.isfinite(keep_least(todo, e0[todo] @ _least_pairs(t)))
         todo, t = todo[finite], t[finite]
     if len(todo):
-        w, ramp = _outer(_fixed_vectors(n)[0]), np.diag(np.arange(n, dtype=complex))
-        starts = np.array([np.zeros_like(ramp), ramp, -ramp, 2.0 * w, -2.0 * np.ones((n, n)) / n])
-        point = np.repeat(np.arange(len(todo)), len(starts))
-        h, _ = _descend(lambda rows, h: _descent_values(t[point[rows]], h), lambda h, d: h - d,
-                        np.tile(starts, (len(todo), 1, 1)), _GAP_MAX, np.max(np.abs(t), axis=(-2, -1))[point])
-        keep_least(todo[point], e0[todo[point]] @ np.linalg.eigh(h)[1][..., ::-1])  # by decreasing eigenvalue
+        scale = np.max(np.abs(t), axis=(-2, -1))
+
+        def frame_stop(rows, h):  # solve H's eigenframes, by decreasing eigenvalue: where did the least fall?
+            least = np.array([results[p].inf_val for p in todo[rows]])
+            new = keep_least(todo[rows], e0[todo[rows]] @ np.linalg.eigh(h)[1][..., ::-1])
+            return new < least - _DESCENT_TOL * np.maximum(np.abs(least), scale[rows])  # False once unbounded
+
+        h, _ = _descend(lambda rows, h: _descent_values(t[rows], h), lambda h, d: h - d,
+                        np.zeros((len(todo), n, n), dtype=complex), _GAP_MAX, scale, frame_stop)
+        frame_stop(np.arange(len(todo)), h)
     return results[0] if single else results

@@ -51,7 +51,6 @@ __all__ = [
     "map_power",
     "map_product",
     "map_scaling",
-    "map_in_frames",
     "pullback_metric",
     "singular_frames",
 ]
@@ -281,11 +280,11 @@ class SingularFrameData:
     ``lambdas`` are non-increasing; ``rank`` counts those above tolerance;
     ``energy`` is the energy density ``sum(lambdas^2)`` as ``energy_density``
     gives it.  The stored frames satisfy ``e^dag g e = I`` (resp. with the
-    target metric), diagonalize the pullback form, and realize the normal
-    form through ``map_in_frames``.  ``jacobian``, ``metric`` (the source
-    metric at z), ``image`` (the map's values ``f(z)``) and ``image_metric``
-    (the target metric there) are the values they were computed from, and
-    ``pullback`` the form ``f* eta`` as ``pullback_metric`` gives it.
+    target metric) and diagonalize the pullback form.  ``jacobian``,
+    ``metric`` (the source metric at z), ``image`` (the map's values
+    ``f(z)``) and ``image_metric`` (the target metric there) are the values
+    they were computed from, and ``pullback`` the form ``f* eta`` as
+    ``pullback_metric`` gives it.
     """
 
     lambdas: np.ndarray
@@ -298,15 +297,6 @@ class SingularFrameData:
     image: np.ndarray
     image_metric: np.ndarray
     pullback: np.ndarray
-
-
-def map_in_frames(jac, source_frame, target_frame):
-    """Component matrix of the differential in the given unitary frames.
-
-    With frames from ``singular_frames`` this is ``diag(lambdas)`` up to
-    roundoff: ``conj(target_frame)^-1 @ jac @ conj(source_frame)``.
-    """
-    return np.linalg.solve(np.conj(target_frame), jac @ np.conj(source_frame))
 
 
 def singular_frames(f, z, source_metric, target_metric):

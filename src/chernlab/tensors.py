@@ -34,7 +34,6 @@ __all__ = [
     "FrameCurvatureMatrices",
     "check_finite",
     "curvature_in_frame",
-    "frame_residue",
     "gram_unitary_frame",
     "hermitian_inverse",
     "hermitize",
@@ -120,14 +119,6 @@ def gram_unitary_frame(g):
     factor, so ``gram_unitary_frame(diag(d)) = diag(1/sqrt(d))``.
     """
     return _dagger(np.linalg.inv(cholesky_factor(g)))
-
-
-def frame_residue(e, g):
-    """max|e^dag g e - I|, the unitarity defect of a frame."""
-    e = np.asarray(e, dtype=complex)
-    g = np.asarray(g, dtype=complex)
-    n = e.shape[0]
-    return float(np.max(np.abs(e.conj().T @ g @ e - np.eye(n))))
 
 
 def symmetrize_curvature(r):

@@ -776,10 +776,10 @@ def _theorem23_discrepancy(tensors):
     return float(max(np.max(np.abs(sym_q - sigma)), np.max(np.abs(sym_r - sigma / 2.0))))
 
 
-def _theorem23_spanning_set(n, rows=slice(None)):
+def _theorem23_spanning_set(n):
     """Tensors whose real span holds every tensor that Theorem 2.3 is about,
-    as far as ``r_mat``, ``p_mat`` and ``Sigma`` can see it: ``4n^2 - n`` of them,
-    or those that the slice ``rows`` picks, in order.
+    as far as ``r_mat``, ``p_mat`` and ``Sigma`` can see it: ``4n^2 - n`` of
+    them, each on the two indices of its entries, ``(4n^2 - n, 2, 2, 2, 2)``.
 
     Those tensors are the conjugation-symmetric, pair-swap-antisymmetric
     projections of all tensors plus real multiples of the diagonal quartics
@@ -787,18 +787,21 @@ def _theorem23_spanning_set(n, rows=slice(None)):
     that the frame matrices read are closed under both index swaps, so the
     projection of a unit tensor anywhere else is zero there; the set is the
     projections of the real and imaginary unit tensors at those ``2n^2 - n``
-    positions, then the n diagonal quartics."""
+    positions, then the n diagonal quartics.  Each has its (at most 4)
+    entries at indices a and g, the lesser first (and one more when a = g):
+    its frame matrices vanish off that principal 2 x 2 block."""
     positions = sorted({(a, a, g, g) for a in range(n) for g in range(n)}
                        | {(a, g, g, a) for a in range(n) for g in range(n)})
     # (position, value, projected) of the one nonzero entry of each unit tensor
     units = ([(p, 1.0, True) for p in positions] + [(p, 1j, True) for p in positions]
-             + [((k,) * 4, 1.0, False) for k in range(n)])[rows]
-    where, values, projected = zip(*units)
-    t = np.zeros((len(units),) + (n,) * 4, dtype=complex)
-    t[(np.arange(len(units)), *np.array(where).T)] = values
-    s = t[list(projected)]
+             + [((k,) * 4, 1.0, False) for k in range(n)])
+    where, values, projected = (np.array(column) for column in zip(*units))
+    local = (where > np.min(where, axis=-1, keepdims=True)).astype(int)  # the lesser index is 0, the other 1
+    t = np.zeros((len(units),) + (2,) * 4, dtype=complex)
+    t[(np.arange(len(units)), *local.T)] = values
+    s = t[projected]
     s = (s + np.conj(np.transpose(s, (0, 2, 1, 4, 3)))) / 2.0
-    t[list(projected)] = (s - np.transpose(s, (0, 3, 4, 1, 2))) / 2.0
+    t[projected] = (s - np.transpose(s, (0, 3, 4, 1, 2))) / 2.0
     return t
 
 
@@ -811,18 +814,16 @@ def theorem23_check(n):
     ``Sigma = diag(2 R_{k kbar k kbar})`` coincide, and
     ``v^t R_mat v = v^t Sigma v / 2``.  Both statements are linear in R, so
     they hold for every such tensor once they hold on the spanning set of
-    ``_theorem23_spanning_set``: ``4n^2 - n`` tensors of ``n^4`` entries,
-    contracted by ``curvature_in_frame`` in batches of at most 2^18 entries
-    (the whole set up to n = 6), so memory grows like n^4 at most, not n^6.
+    ``_theorem23_spanning_set``: ``4n^2 - n`` tensors, each contracted on the
+    two indices that hold its entries, so memory grows like n^2.
     """
     if n < 2:
         raise BadParams("theorem23_check needs n >= 2")
-    count, batch = 4 * n * n - n, max(1, 2**18 // n**4)
-    discrepancy = max(_theorem23_discrepancy(_theorem23_spanning_set(n, slice(k, k + batch)))
-                      for k in range(0, count, batch))
+    t = _theorem23_spanning_set(n)
+    discrepancy = _theorem23_discrepancy(t)
     # Exact: every entry of the set is 0, +-1, +-1/2 or +-1/4 (times 1 or i)
     # and the frame's are 0 and 1, so each frame-matrix entry is one tensor
     # entry plus exact zeros, and the sums and halvings after it are of
     # dyadic rationals far inside the double range.  No rounding occurs, and
     # the identity holds exactly when the discrepancy is 0.0.
-    return {"n": n, "tensors": count, "max_discrepancy": discrepancy, "passed": discrepancy == 0.0}
+    return {"n": n, "tensors": len(t), "max_discrepancy": discrepancy, "passed": discrepancy == 0.0}

@@ -7,12 +7,17 @@ from chernlab.maps import map_compose, map_linear, map_power, map_product, pullb
 from chernlab.metrics import catalog_metric
 from chernlab.tensors import (
     curvature_in_frame,
-    frame_residue,
     gram_unitary_frame,
     hermitian_inverse,
     hermitize,
     symmetrize_curvature,
 )
+
+
+def frame_residue(e, g):
+    """max|e^dag g e - I|, the unitarity defect of a frame."""
+    e = np.asarray(e, dtype=complex)
+    return float(np.max(np.abs(e.conj().T @ np.asarray(g, dtype=complex) @ e - np.eye(e.shape[0]))))
 
 
 def rand_unitary(n, rng):

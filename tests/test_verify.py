@@ -502,6 +502,22 @@ class TestAveragedHsc:
             assert not shifted.passed and shifted.abs_err > 5 * shifted.std_error
 
 
+def _dense_spanning_set(n):
+    """The spanning set of ``theorem23_check`` as n^4 tensors, as the check
+    built it before it held each tensor on two indices (reference)."""
+    positions = sorted({(a, a, g, g) for a in range(n) for g in range(n)}
+                       | {(a, g, g, a) for a in range(n) for g in range(n)})
+    units = ([(p, 1.0, True) for p in positions] + [(p, 1j, True) for p in positions]
+             + [((k,) * 4, 1.0, False) for k in range(n)])
+    where, values, projected = zip(*units)
+    t = np.zeros((len(units),) + (n,) * 4, dtype=complex)
+    t[(np.arange(len(units)), *np.array(where).T)] = values
+    s = t[list(projected)]
+    s = (s + np.conj(np.transpose(s, (0, 2, 1, 4, 3)))) / 2.0
+    t[list(projected)] = (s - np.transpose(s, (0, 3, 4, 1, 2))) / 2.0
+    return t
+
+
 class TestTheorem23:
     def test_explicit_decomposition_example(self):
         # Sigma = diag(2, -4), antisymmetric Lambda: both quotients coincide
@@ -521,15 +537,16 @@ class TestTheorem23:
         rep = theorem23_check(3)
         assert rep == {"n": 3, "tensors": 33, "max_discrepancy": 0.0, "passed": True}
 
-    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 64])  # the schema puts no upper bound on n
     def test_exact_on_the_spanning_set(self, n):
         rep = theorem23_check(n)
         assert rep["tensors"] == 4 * n * n - n
         assert rep["max_discrepancy"] == 0.0 and rep["passed"]
 
     def test_memory_grows_like_n4(self):
-        # the spanning set is contracted in batches of at most 2^18 entries: all 564 tensors of
-        # n = 12 at once would hold 187 MB, and their contraction more
+        # each spanning tensor is held on its two indices, 16 entries: all 564
+        # tensors of n = 12 as n^4 arrays would hold 187 MB, and their
+        # contraction more
         tracemalloc.start()
         try:
             rep = theorem23_check(12)
@@ -537,13 +554,18 @@ class TestTheorem23:
         finally:
             tracemalloc.stop()
         assert rep == {"n": 12, "tensors": 564, "max_discrepancy": 0.0, "passed": True}
-        assert peak < 32 * 2**20
+        assert peak < 2**20
 
-    def test_batches_cover_the_spanning_set(self):
+    def test_restrictions_embed_as_the_dense_set(self):
+        # each member, put back on its two indices of an n^4 tensor, is the
+        # member of the dense construction the restriction replaced, in order
         n = 4
-        whole = _theorem23_spanning_set(n)
-        batches = [_theorem23_spanning_set(n, slice(k, k + 16)) for k in range(0, len(whole), 16)]
-        assert np.array_equal(np.concatenate(batches), whole)
+        for dense, local in zip(_dense_spanning_set(n), _theorem23_spanning_set(n), strict=True):
+            held = sorted({int(i) for i in np.nonzero(dense)[0]} | {int(i) for i in np.nonzero(dense)[2]})
+            pair = (held + [(held[0] + 1) % n])[:2] if held else [0, 1]
+            embedded = np.zeros_like(dense)
+            embedded[np.ix_(pair, pair, pair, pair)] = local
+            assert np.array_equal(embedded, dense)
 
     def test_spanning_set_is_admissible(self):
         # conjugation-symmetric, and pair-swap antisymmetric but for the real
@@ -551,7 +573,7 @@ class TestTheorem23:
         n = 3
         t = _theorem23_spanning_set(n)
         assert np.array_equal(t, np.conj(np.transpose(t, (0, 2, 1, 4, 3))))
-        k = np.arange(n)
+        k = np.arange(2)
         quartics = np.zeros_like(t)
         quartics[:, k, k, k, k] = t[:, k, k, k, k]
         assert np.array_equal(t - quartics, -np.transpose(t - quartics, (0, 3, 4, 1, 2)))

@@ -37,6 +37,14 @@ def _metric_arg(text):
     return spec
 
 
+def _numbers(text, cast, flag):
+    """Comma-separated numbers of ``flag``, each through ``cast``; SchemaError if one does not parse."""
+    try:
+        return [cast(v) for v in text.split(",")]
+    except ValueError as exc:
+        raise SchemaError(f"expected comma-separated numbers, got {text!r}", flag) from exc
+
+
 def _metric_dim(spec):
     """Complex dimension of a catalog metric entry, from the catalog itself."""
     return catalog_metric(spec["catalog"], spec["params"]).dim
@@ -64,34 +72,28 @@ def _map_arg(text, source_dim):
 
 
 def _emit(report, args):
+    """Write the report, and the grids of its Schwarz tasks if ``--grid-out`` asks; the exit code."""
     text = report.to_json(include_timing=getattr(args, "timing", False))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+    if getattr(args, "grid_out", None):
+        _write_grids(report, args.grid_out)
     return 0 if report.passed else 1
 
 
 def _write_grids(report, prefix):
-    written = []
     tasks = report.tasks  # parsed from the report text on each read
     for entry in tasks:
         records = (entry.get("result") or {}).get("records")
         if records:
-            path = f"{prefix}_task{entry['index']}.csv" if len(tasks) > 1 else prefix
-            emit_grid(records, path)
-            written.append(path)
-    return written
+            emit_grid(records, f"{prefix}_task{entry['index']}.csv" if len(tasks) > 1 else prefix)
 
 
 def _run_single_task(task, metrics, maps, args):
-    scenario = {"version": 1, "metrics": metrics, "maps": maps, "tasks": [task]}
-    report = run_scenario(scenario)
-    code = _emit(report, args)
-    if getattr(args, "grid_out", None):
-        _write_grids(report, args.grid_out)
-    return code
+    return _emit(run_scenario({"version": 1, "metrics": metrics, "maps": maps, "tasks": [task]}), args)
 
 
 def _cmd_catalog(args):
@@ -163,7 +165,7 @@ def _cmd_identity(args):
     metrics = {}
     if args.check == "fs-moment":
         task["n"] = args.n
-        task["indices"] = [int(v) for v in args.indices.split(",")]
+        task["indices"] = _numbers(args.indices, int, "--indices")
     elif args.check == "theorem23":
         task["n"] = args.n
     else:
@@ -173,16 +175,12 @@ def _cmd_identity(args):
         task["metric"] = "m"
         task["point"] = parse_point_spec(args.point, "--point")
         if args.b:
-            task["b"] = [float(v) for v in args.b.split(",")]
+            task["b"] = _numbers(args.b, float, "--b")
     return _run_single_task(task, metrics, {}, args)
 
 
 def _cmd_run(args):
-    report = run_scenario(args.scenario, seed=args.seed)
-    code = _emit(report, args)
-    if args.grid_out:
-        _write_grids(report, args.grid_out)
-    return code
+    return _emit(run_scenario(args.scenario, seed=args.seed), args)
 
 
 def build_parser():
@@ -264,7 +262,7 @@ def main(argv=None):
     except SchemaError as exc:
         print(f"schema error: {exc}", file=sys.stderr)
         return 2
-    except ChernLabError as exc:
+    except (ChernLabError, OSError) as exc:  # OSError: a scenario or --out path that cannot be opened
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

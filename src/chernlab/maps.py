@@ -1,10 +1,10 @@
 """Holomorphic maps between charted Hermitian manifolds.
 
 Every map carries its differential in closed form, so Jacobians are exact;
-the energy density is the metric trace of the pullback ``tr_omega(f* eta)``;
-singular values and frames come from a generalized SVD whitened by the two
-Cholesky factors.  The two Schwarz Laplacians are the complex Hessian of the
-energy, taken by ``fd.wirtinger_hessian`` in source coordinates.
+the energy density ``tr_omega(f* eta)`` is ``Re sum (X h) * conj(X)``, with
+``X = L^-1 J^T`` for ``g = L L^dag``: no pullback form and no ``g^-1``.  Singular
+values and frames come from an SVD whitened by the two Cholesky factors, and
+both Schwarz Laplacians are the energy's complex Hessian in source coordinates.
 
 Map evaluators, differentials, energy densities, singular frames and both
 Laplacians act on stacks of points ``(..., n)``; a single point is the stack
@@ -28,6 +28,7 @@ from .errors import (
     DimensionMismatch,
     DomainMarginError,
     NearCriticalPoint,
+    NonFiniteSample,
     RankDeficient,
     ResidueTooLarge,
     UnknownCatalogName,
@@ -239,13 +240,16 @@ def _image(f, z, target_metric):
 
 
 def _pullback(jac, h_w):
-    form = np.swapaxes(jac, -1, -2) @ h_w @ np.conj(jac)
-    del jac, h_w  # freed before symmetrizing, when the caller holds no other reference
-    return hermitize(form)[0]
+    return hermitize(np.swapaxes(jac, -1, -2) @ h_w @ np.conj(jac))[0]
 
 
-def _energy(g, pull):
-    value = np.maximum(trace_form(g, pull), 0.0)
+def _energy_of(z, inv_low_g, jac, h_w):
+    """``|df|^2 = Re sum (X h) * conj(X)``, ``X = L^-1 J^T``, from ``inv_low_g = L^-1``."""
+    finite = np.all(np.isfinite(jac), axis=(-2, -1)) & np.all(np.isfinite(h_w), axis=(-2, -1))
+    if not np.all(finite):
+        raise NonFiniteSample(f"differential or target metric not finite at {z[_first(~finite)]}")
+    x = inv_low_g @ np.swapaxes(jac, -1, -2)
+    value = np.maximum(np.sum(np.real((x @ h_w) * np.conj(x)), axis=(-2, -1)), 0.0)
     return float(value) if value.ndim == 0 else value
 
 
@@ -264,12 +268,11 @@ def energy_density(f, z, source_metric, target_metric):
     """Energy density ``|df|^2 = tr_omega(f* eta)`` (real, nonnegative): a
     float at one point, an array over a stack ``(..., n)``.
 
-    Raises NotPositiveDefinite if the source metric is not positive-definite
-    at any point.
-    """
+    Raises NonFiniteSample naming the first point of a non-finite differential
+    or target metric, and NotPositiveDefinite where the source metric is not PD."""
     z = np.atleast_1d(np.asarray(z, dtype=complex))
-    pull = pullback_metric(f, z, target_metric)
-    return _energy(source_metric(z), pull)
+    jac, h_w = jacobian(f, z), _image(f, z, target_metric)[1]
+    return _energy_of(z, np.linalg.inv(cholesky_factor(source_metric(z), "source metric")), jac, h_w)
 
 
 @dataclass(frozen=True)
@@ -313,17 +316,15 @@ def singular_frames(f, z, source_metric, target_metric):
     jac = jacobian(f, z)
     g = source_metric(z)
     image, h_mat = _image(f, z, target_metric)
-    low_g = cholesky_factor(g, "source metric")
-    pull = _pullback(jac, h_mat)  # before the target's factor: a non-finite pullback is NonFiniteSample
+    inv_low_g = np.linalg.inv(cholesky_factor(g, "source metric"))
+    energy = _energy_of(z, inv_low_g, jac, h_mat)  # before the target's factor: non-finite is NonFiniteSample
     low_h = cholesky_factor(h_mat, "target metric")
-    inv_low_g = np.linalg.inv(low_g)
     white = np.swapaxes(low_h, -1, -2) @ jac @ np.swapaxes(inv_low_g, -1, -2)
     u, s, vh = np.linalg.svd(white)
 
     src_frame = np.conj(np.swapaxes(inv_low_g, -1, -2)) @ np.swapaxes(vh, -1, -2)
     tgt_frame = np.conj(np.swapaxes(np.linalg.inv(low_h), -1, -2)) @ np.conj(u)
 
-    energy = _energy(g, pull)
     sum_sq = np.sum(s**2, axis=-1)
     off = np.abs(sum_sq - energy) > 1e-8 * np.maximum(1.0, energy)
     if np.any(off):
@@ -332,7 +333,8 @@ def singular_frames(f, z, source_metric, target_metric):
                               f"{sum_sq[bad]:.12g} vs {np.asarray(energy)[bad]:.12g}")
     rank = np.sum(s > 1e-9 * np.maximum(1.0, s[..., :1]), axis=-1)
     return SingularFrameData(
-        s, int(rank) if rank.ndim == 0 else rank, src_frame, tgt_frame, energy, jac, g, image, h_mat, pull
+        s, int(rank) if rank.ndim == 0 else rank, src_frame, tgt_frame, energy, jac, g, image, h_mat,
+        _pullback(jac, h_mat),
     )
 
 

@@ -100,15 +100,14 @@ def hermitian_inverse(g):
     """
     inv = np.linalg.inv(cholesky_factor(g))
     inv = _dagger(inv) @ inv
-    inv += _dagger(inv)  # in place: on a grid's stencils these inverses are the memory peak
-    inv /= 2.0
-    return inv
+    return (inv + _dagger(inv)) / 2.0
 
 
 def trace_form(g, form):
-    """Metric trace ``g^{i jbar} a_{i jbar}`` of a Hermitian form matrix: a
-    float for one matrix, an array over a stack ``(..., n, n)``."""
-    value = np.real(np.trace(hermitian_inverse(g) @ form, axis1=-2, axis2=-1))
+    """Metric trace ``g^{i jbar} a_{i jbar} = Re sum (L^-1 a) * conj(L^-1)``, ``g = L L^dag``, of a
+    Hermitian form matrix: a float for one matrix, an array over a stack ``(..., n, n)``."""
+    inv_low = np.linalg.inv(cholesky_factor(g))
+    value = np.sum(np.real((inv_low @ form) * np.conj(inv_low)), axis=(-2, -1))
     return float(value) if value.ndim == 0 else value
 
 

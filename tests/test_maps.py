@@ -6,6 +6,7 @@ from chernlab.errors import (
     DimensionMismatch,
     DomainMarginError,
     NearCriticalPoint,
+    NonFiniteSample,
     NotPositiveDefinite,
     RankDeficient,
 )
@@ -101,6 +102,55 @@ class TestEnergyDensity:
         eu = catalog_metric("euclidean", (1,))
         f = map_scaling(1.5 + 2.0j)
         assert abs(energy_density(f, [0.3], eu, eu) - abs(1.5 + 2.0j) ** 2) < 1e-10
+
+
+def _energy_reference(f, z, source, target):
+    """``tr(inv(g) @ J^T h conj(J))`` by ``np.linalg.inv`` and einsum: the
+    pullback form and the inverse metric that the energy kernel never forms."""
+    jac = jacobian(f, z)
+    pull = np.einsum("...ai,...ab,...bj->...ij", jac, target(f(z)), np.conj(jac))
+    return np.einsum("...ij,...ji->...", np.linalg.inv(source(z)), pull).real
+
+
+class TestEnergyKernel:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matches_the_inverse_and_the_pullback(self, n):
+        # a non-unitary linear map from the unit ball into Fubini-Study, on a
+        # (3, 4) stack: the complex hyperbolic source metric is not diagonal
+        rng = np.random.default_rng(n)
+        f = map_linear(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) + 2.0 * np.eye(n))
+        source = catalog_metric("complex_hyperbolic", (n,))
+        target = catalog_metric("fubini_study", (n,))
+        z = _points(n, count=12, seed=n).reshape(3, 4, n) / np.sqrt(n)
+        energy = energy_density(f, z, source, target)
+        assert energy.shape == (3, 4)
+        assert np.max(np.abs(energy / _energy_reference(f, z, source, target) - 1.0)) <= 1e-13
+        for idx in np.ndindex(3, 4):
+            alone = energy_density(f, z[idx], source, target)
+            assert isinstance(alone, float) and alone == energy[idx]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("which", ["differential", "target metric"])
+    def test_non_finite_inputs_name_their_point(self, which, capfd):
+        # an infinite differential, or target metric, at the second of three
+        # points: a typed error naming that point, before any arithmetic
+        # could warn; the singular frames check the same values first
+        eu = catalog_metric("euclidean", (1,))
+
+        def one_then_inf(z):  # a 1 x 1 matrix per point, infinite beyond Re z = 0.4
+            return np.where(z.real[..., None] > 0.4, np.inf, 1.0) + 0j
+
+        f, target = map_identity(1), eu
+        if which == "differential":
+            f = HolomorphicMapModel(1, 1, lambda z: z.copy(), one_then_inf)
+        else:
+            target = ChartedHermitianMetric(1, eu.domain, one_then_inf, "inf")
+        z = np.array([[0.1], [0.5], [0.7]])
+        for kernel in (energy_density, singular_frames):
+            with pytest.raises(NonFiniteSample, match=r"differential or target metric not finite at \[0\.5\+0\.j\]"):
+                kernel(f, z, eu, target)
+        assert capfd.readouterr().err == ""
+        assert energy_density(f, z[:1], eu, target)[0] == 1.0
 
 
 class TestPullback:

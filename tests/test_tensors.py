@@ -11,6 +11,7 @@ from chernlab.tensors import (
     hermitian_inverse,
     hermitize,
     symmetrize_curvature,
+    trace_form,
 )
 
 
@@ -76,6 +77,29 @@ class TestHermitianInverse:
         # Cholesky does not reject them by itself
         with pytest.raises(NotPositiveDefinite):
             hermitian_inverse(np.array([[1.0, 0.2], [0.2, bad]]))
+
+
+class TestTraceForm:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_the_inverse(self, n):
+        # Hermitian forms, definite or not, traced by random Hermitian PD
+        # metrics on a (3, 4) stack; each matrix keeps the bits it has alone
+        rng = np.random.default_rng(n)
+        g = np.array([rand_spd(n, rng) for _ in range(12)]).reshape(3, 4, n, n)
+        a = rand_complex(rng, 3, 4, n, n)
+        a = a + np.conj(np.swapaxes(a, -1, -2))
+        got = trace_form(g, a)
+        expected = np.real(np.trace(np.linalg.inv(g) @ a, axis1=-2, axis2=-1))
+        # the sum of the magnitudes of the trace's terms, against which it rounds
+        scale = np.sum(np.abs(np.linalg.inv(g)) * np.abs(np.swapaxes(a, -1, -2)), axis=(-2, -1))
+        assert got.shape == (3, 4) and np.max(np.abs(got - expected) / scale) <= 1e-13
+        for idx in np.ndindex(3, 4):
+            alone = trace_form(g[idx], a[idx])
+            assert isinstance(alone, float) and alone == got[idx]
+
+    def test_not_positive_definite(self):
+        with pytest.raises(NotPositiveDefinite):
+            trace_form(np.array([np.eye(2), np.diag([1.0, -1.0])]), np.zeros((2, 2, 2)))
 
 
 class TestGramUnitaryFrame:

@@ -45,6 +45,14 @@ def _numbers(text, cast, flag):
         raise SchemaError(f"expected comma-separated numbers, got {text!r}", flag) from exc
 
 
+def finite(text, cast=float):
+    """``cast(text)``, a usage error unless it is within the range of a double."""
+    value = cast(text)
+    if not abs(value) <= sys.float_info.max:
+        raise argparse.ArgumentTypeError(f"{text} is not a finite number")
+    return value
+
+
 def _metric_dim(spec):
     """Complex dimension of a catalog metric entry, from the catalog itself."""
     return catalog_metric(spec["catalog"], spec["params"]).dim
@@ -132,31 +140,24 @@ def _cmd_cone(args, kind):
 
 def _cmd_schwarz(args):
     metrics = {"source": _metric_arg(args.source), "target": _metric_arg(args.target)}
+    dim = _metric_dim(metrics["source"])
     maps = {}
-    task = {
-        "kind": "schwarz",
-        "theorem": args.theorem,
-        "source": "source",
-        "target": "target",
-        "grid": parse_grid_spec(args.grid),
-    }
+    task = {"kind": "schwarz", "theorem": args.theorem, "source": "source", "target": "target",
+            "grid": parse_grid_spec(args.grid, dim)}
     if args.theorem != "trace_bound":
-        maps["f"] = _map_arg(args.map, _metric_dim(metrics["source"]))
+        maps["f"] = _map_arg(args.map, dim)
         task["map"] = "f"
     if args.mu:
         metrics["mu"] = _metric_arg(args.mu)
         task["mu"] = "mu"
-    if args.preset:
-        task["preset"] = args.preset
     if args.constants:
         try:
-            task["constants"] = json.loads(args.constants)
-        except ValueError as exc:
+            task["constants"] = json.loads(args.constants, parse_float=finite, parse_constant=finite,
+                                           parse_int=lambda text: finite(text, int))
+        except (ValueError, argparse.ArgumentTypeError) as exc:
             raise SchemaError(f"invalid JSON: {exc}", "--constants") from exc
-    if args.tol is not None:
-        task["tol"] = args.tol
-    if args.kappa_mode:
-        task["kappa_mode"] = args.kappa_mode
+    options = {"preset": args.preset, "tol": args.tol, "kappa_mode": args.kappa_mode}
+    task.update((key, value) for key, value in options.items() if value is not None)
     return _run_single_task(task, metrics, maps, args)
 
 
@@ -205,7 +206,7 @@ def build_parser():
     p = sub.add_parser("curvature", help="curvature report at a point")
     p.add_argument("--metric", required=True, help="e.g. poincare_disk:1 or 3*fubini_study:2")
     p.add_argument("--point", required=True, help="comma-separated reals (re,im pairs)")
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--tol", type=finite, default=None)
     common(p)
     p.set_defaults(func=_cmd_curvature)
 
@@ -229,7 +230,7 @@ def build_parser():
     p.add_argument("--preset", default=None, choices=task["preset"]["enum"])
     p.add_argument("--grid", required=True, help="box:center=..;half=..;per-axis=..")
     p.add_argument("--constants", default=None, help="JSON object of user constants; the others are estimated")
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--tol", type=finite, default=None)
     p.add_argument("--kappa-mode", dest="kappa_mode", default=None, choices=task["kappa_mode"]["enum"])
     common(p, grid=True)
     p.set_defaults(func=_cmd_schwarz)

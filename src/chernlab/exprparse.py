@@ -19,6 +19,7 @@ stack of points, so one evaluator call covers the whole stack.
 
 from __future__ import annotations
 
+import operator
 import re
 import warnings
 
@@ -33,7 +34,15 @@ from .metrics import ChartedHermitianMetric, Domain
 
 __all__ = ["parse_expression", "parse_metric_expression"]
 
-_FUNCTIONS = ("conj", "abs2", "exp", "log", "re", "im")
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+_FUNCTIONS = {
+    "conj": np.conj,
+    "abs2": lambda w: np.asarray(w.real * w.real + w.imag * w.imag, dtype=complex),
+    "exp": np.exp,
+    "log": np.log,
+    "re": lambda w: np.asarray(np.real(w), dtype=complex),
+    "im": lambda w: np.asarray(np.imag(w), dtype=complex),
+}
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)"
@@ -76,6 +85,14 @@ class _Tokenizer:
             self.idx += 1
         return tok
 
+    def accept(self, ops):
+        """The next token's operator, consumed, if it is one of ``ops``; else None."""
+        tok = self.peek()
+        if tok and tok[0] == "op" and tok[1] in ops:
+            self.idx += 1
+            return tok[1]
+        return None
+
     def expect_op(self, op):
         tok = self.next()
         if tok is None or tok[0] != "op" or tok[1] != op:
@@ -89,45 +106,26 @@ class _Tokenizer:
 
 
 def _parse_expr(tz, n):
-    node = None
-    tok = tz.peek()
-    if tok and tok[0] == "op" and tok[1] == "-":
-        tz.next()
-        node = ("neg", _parse_term(tz, n))
-    else:
-        node = _parse_term(tz, n)
-    while True:
-        tok = tz.peek()
-        if tok and tok[0] == "op" and tok[1] in "+-":
-            tz.next()
-            rhs = _parse_term(tz, n)
-            node = ("bin", tok[1], node, rhs)
-        else:
-            return node
+    if tz.accept("-"):
+        return _parse_chain(tz, n, "+-", ("neg", _parse_term(tz, n)), _parse_term)
+    return _parse_chain(tz, n, "+-", _parse_term(tz, n), _parse_term)
 
 
 def _parse_term(tz, n):
-    node = _parse_factor(tz, n)
-    while True:
-        tok = tz.peek()
-        if tok and tok[0] == "op" and tok[1] in "*/":
-            tz.next()
-            rhs = _parse_factor(tz, n)
-            node = ("bin", tok[1], node, rhs)
-        else:
-            return node
+    return _parse_chain(tz, n, "*/", _parse_factor(tz, n), _parse_factor)
+
+
+def _parse_chain(tz, n, ops, node, operand):
+    """``node`` followed by any number of (one of ``ops``, ``operand``), left-associated."""
+    while op := tz.accept(ops):
+        node = ("bin", op, node, operand(tz, n))
+    return node
 
 
 def _parse_factor(tz, n):
     node = _parse_base(tz, n)
-    tok = tz.peek()
-    if tok and tok[0] == "op" and tok[1] == "^":
-        tz.next()
-        sign = 1
-        tok = tz.peek()
-        if tok and tok[0] == "op" and tok[1] == "-":
-            tz.next()
-            sign = -1
+    if tz.accept("^"):
+        sign = -1 if tz.accept("-") else 1
         tok = tz.next()
         if tok is None or tok[0] != "num" or not tok[1].isdigit():
             col = tok[2] if tok else len(tz.text) + 1
@@ -177,28 +175,9 @@ def _eval(node, z):
         return _eval(node[1], z) ** node[2]
     if tag == "bin":
         _, op, lhs, rhs = node
-        a = _eval(lhs, z)
-        b = _eval(rhs, z)
-        if op == "+":
-            return a + b
-        if op == "-":
-            return a - b
-        if op == "*":
-            return a * b
-        return a / b
+        return _BINARY[op](_eval(lhs, z), _eval(rhs, z))
     _, name, arg = node
-    w = _eval(arg, z)
-    if name == "conj":
-        return np.conj(w)
-    if name == "abs2":
-        return np.asarray(w.real * w.real + w.imag * w.imag, dtype=complex)
-    if name == "exp":
-        return np.exp(w)
-    if name == "log":
-        return np.log(w)
-    if name == "re":
-        return np.asarray(np.real(w), dtype=complex)
-    return np.asarray(np.imag(w), dtype=complex)
+    return _FUNCTIONS[name](_eval(arg, z))
 
 
 def parse_expression(text, n, line=1):
@@ -216,12 +195,7 @@ def _probe_points(domain, n):
     center = np.asarray(domain.center, dtype=complex)
     r = domain.radius if np.isfinite(domain.radius) else 1.0
     lo = domain.inner_radius
-    if lo > 0.0:
-        base = 0.5 * (lo + r)
-        span = 0.35 * (r - lo)
-    else:
-        base = 0.0
-        span = 0.45 * r
+    base, span = (0.5 * (lo + r), 0.35 * (r - lo)) if lo > 0.0 else (0.0, 0.45 * r)
     pts = [center + base * _unit(n, 0)] if lo > 0.0 else [center.copy()]
     for axis in range(n):
         for t in (0.4, 0.8):
@@ -268,17 +242,11 @@ def parse_metric_expression(source, n, domain=None, label="custom"):
             raise ParseError("bare expressions are only accepted for n = 1", 1, 1)
         entries[(0, 0)] = parse_expression(source.strip(), n)
 
-    table = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if (i, j) in entries:
-                table[i][j] = ("plain", entries[(i, j)])
-            elif (j, i) in entries:
-                table[i][j] = ("conj", entries[(j, i)])
-            elif i == j:
-                raise ParseError(f"missing diagonal entry g[{i + 1}][{i + 1}]", 1, 1)
-            else:
-                table[i][j] = ("plain", ("num", 0j))
+    missing = [i + 1 for i in range(n) if (i, i) not in entries]
+    if missing:
+        raise ParseError(f"missing diagonal entry g[{missing[0]}][{missing[0]}]", 1, 1)
+    table = [[("plain", entries[i, j]) if (i, j) in entries else ("conj", entries[j, i]) if (j, i) in entries
+              else ("plain", ("num", 0j)) for j in range(n)] for i in range(n)]
 
     # a singular point gives inf or nan, which the callers report
     quiet = np.errstate(divide="ignore", invalid="ignore", over="ignore")

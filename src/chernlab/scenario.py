@@ -13,7 +13,6 @@ computed once per run, with the bits it gets alone.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import json
 import sys
@@ -54,6 +53,13 @@ def scenario_schema():
     return json.loads(Path(__file__).with_name("scenario.schema.json").read_text(encoding="utf-8"))
 
 
+@functools.cache
+def _document_schema():
+    """The schema with the task list left unchecked: each task is checked where it runs."""
+    schema = scenario_schema()
+    return {**schema, "properties": {**schema["properties"], "tasks": {"type": "array"}}}
+
+
 def _finite(v):
     """A JSON number within the range of a double: true, NaN, Infinity (which
     Python's json module parses) and larger integers are not."""
@@ -76,70 +82,96 @@ def _same(a, b):
     return isinstance(a, bool) == isinstance(b, bool) and a == b
 
 
+def _fail(message, loc):
+    raise SchemaError(message, loc)
+
+
+@functools.cache
+def _ref(pointer):
+    """The node of the schema at the JSON pointer ``#/...``."""
+    return functools.reduce(dict.__getitem__, pointer.removeprefix("#/").split("/"), scenario_schema())
+
+
+def _attempt(value, node, loc):
+    """``[_conform(value, node, loc)]``, or [] where that raises SchemaError."""
+    try:
+        return [_conform(value, node, loc)]
+    except SchemaError:
+        return []
+
+
+def _one_of(value, options, loc):
+    matches = [match for option in options for match in _attempt(value, option, loc)]
+    return matches[0] if len(matches) == 1 else _fail(
+        f"matches {len(matches)} of the alternatives {options}, not one", loc)
+
+
+def _members(value, node, loc):
+    """An object's keys against ``properties`` and ``additionalProperties``."""
+    if not isinstance(value, dict):
+        return value
+    properties, others = node.get("properties", {}), node.get("additionalProperties", True)
+    for key in value:
+        if others is False and key not in properties:
+            _fail(f"unknown key {key!r}", loc)
+    return {key: _conform(item, properties.get(key, others), f"{loc}.{key}") if key in properties or others
+            is not True else item for key, item in value.items()}
+
+
+def _dependents(value, node, loc):
+    for key, needed in node["dependentRequired"].items():
+        if isinstance(value, dict) and key in value and not value.keys() >= set(needed):
+            _fail(f"key {key!r} needs the keys {needed}", loc)
+    return value
+
+
+# The keywords scenario.schema.json uses, in the order they are checked: each
+# is a step (value, node, loc) -> value that a node holding one of them runs.
+_STEPS = (
+    (("$ref",), lambda v, node, loc: _conform(v, _ref(node["$ref"]), loc)),
+    (("type",), lambda v, node, loc: (int(v) if node["type"] == "integer" else v) if _TYPES[node["type"]](v)
+     else _fail(f"expected {node['type']}, got {v!r}", loc)),
+    (("const",), lambda v, node, loc: v if _same(v, node["const"])
+     else _fail(f"expected {node['const']!r}, got {v!r}", loc)),
+    (("enum",), lambda v, node, loc: v if any(_same(v, option) for option in node["enum"])
+     else _fail(f"expected one of {node['enum']}, got {v!r}", loc)),
+    (("minimum",), lambda v, node, loc: _fail(f"expected a value >= {node['minimum']}, got {v!r}", loc)
+     if _finite(v) and v < node["minimum"] else v),
+    (("exclusiveMinimum",), lambda v, node, loc: _fail(
+        f"expected a value > {node['exclusiveMinimum']}, got {v!r}", loc)
+     if _finite(v) and v <= node["exclusiveMinimum"] else v),
+    (("minItems",), lambda v, node, loc: _fail(f"expected at least {node['minItems']} items, got {len(v)}", loc)
+     if isinstance(v, list) and len(v) < node["minItems"] else v),
+    (("maxItems",), lambda v, node, loc: _fail(f"expected at most {node['maxItems']} items, got {len(v)}", loc)
+     if isinstance(v, list) and len(v) > node["maxItems"] else v),
+    (("items",), lambda v, node, loc: [_conform(item, node["items"], f"{loc}[{i}]") for i, item in enumerate(v)]
+     if isinstance(v, list) else v),
+    (("required",), lambda v, node, loc: _fail(
+        f"missing required key {next(key for key in node['required'] if key not in v)!r}", loc)
+     if isinstance(v, dict) and not v.keys() >= set(node["required"]) else v),
+    (("properties", "additionalProperties"), _members),
+    (("dependentRequired",), _dependents),
+    (("oneOf",), lambda v, node, loc: _one_of(v, node["oneOf"], loc)),
+    (("allOf",), lambda v, node, loc: functools.reduce(lambda v, option: _conform(v, option, loc), node["allOf"], v)),
+    (("if",), lambda v, node, loc: _conform(v, node["then"], loc) if _attempt(v, node["if"], loc) else v),
+)
+_CHECKERS = {}  # id(node) -> (node, its steps); holding the node keeps its id from being reused
+
+
 def _conform(value, node, loc):
     """Check ``value`` against the schema ``node``; raise SchemaError at the first violation.
 
-    Interprets the keywords scenario.schema.json uses.  Returns ``value``
-    with every float the schema types as an integer made an int, so that
-    ``"n": 3.0`` reaches the program as 3.
+    Runs the steps of the keywords ``node`` holds, listed once, on its first
+    use.  Returns ``value`` with every float the schema types as an integer
+    made an int, so that ``"n": 3.0`` reaches the program as 3.
     """
     if node is True:
         return value
-    if "$ref" in node:
-        path = node["$ref"].removeprefix("#/").split("/")
-        value = _conform(value, functools.reduce(dict.__getitem__, path, scenario_schema()), loc)
-    if "type" in node:
-        if not _TYPES[node["type"]](value):
-            raise SchemaError(f"expected {node['type']}, got {value!r}", loc)
-        if node["type"] == "integer":
-            value = int(value)
-    if "const" in node and not _same(value, node["const"]):
-        raise SchemaError(f"expected {node['const']!r}, got {value!r}", loc)
-    if "enum" in node and not any(_same(value, option) for option in node["enum"]):
-        raise SchemaError(f"expected one of {node['enum']}, got {value!r}", loc)
-    if _TYPES["number"](value):
-        if "minimum" in node and value < node["minimum"]:
-            raise SchemaError(f"expected a value >= {node['minimum']}, got {value!r}", loc)
-        if "exclusiveMinimum" in node and value <= node["exclusiveMinimum"]:
-            raise SchemaError(f"expected a value > {node['exclusiveMinimum']}, got {value!r}", loc)
-    if isinstance(value, list):
-        if len(value) < node.get("minItems", 0):
-            raise SchemaError(f"expected at least {node['minItems']} items, got {len(value)}", loc)
-        if len(value) > node.get("maxItems", len(value)):
-            raise SchemaError(f"expected at most {node['maxItems']} items, got {len(value)}", loc)
-        if "items" in node:
-            value = [_conform(item, node["items"], f"{loc}[{i}]") for i, item in enumerate(value)]
-    if isinstance(value, dict):
-        for key in node.get("required", ()):
-            if key not in value:
-                raise SchemaError(f"missing required key {key!r}", loc)
-        properties = node.get("properties", {})
-        others = node.get("additionalProperties", True)
-        for key in value:
-            if others is False and key not in properties:
-                raise SchemaError(f"unknown key {key!r}", loc)
-        value = {
-            key: _conform(item, properties.get(key, others), f"{loc}.{key}") for key, item in value.items()
-        }
-        for key, needed in node.get("dependentRequired", {}).items():
-            if key in value and not value.keys() >= set(needed):
-                raise SchemaError(f"key {key!r} needs the keys {needed}", loc)
-    if "oneOf" in node:
-        matches = []
-        for option in node["oneOf"]:
-            with contextlib.suppress(SchemaError):
-                matches.append(_conform(value, option, loc))
-        if len(matches) != 1:
-            raise SchemaError(f"matches {len(matches)} of the alternatives {node['oneOf']}, not one", loc)
-        value = matches[0]
-    for option in node.get("allOf", ()):
-        value = _conform(value, option, loc)
-    if "if" in node:
-        try:
-            _conform(value, node["if"], loc)
-        except SchemaError:
-            return value
-        value = _conform(value, node["then"], loc)
+    held = _CHECKERS.get(id(node))
+    if held is None:
+        held = _CHECKERS[id(node)] = (node, [step for keys, step in _STEPS if any(key in node for key in keys)])
+    for step in held[1]:
+        value = step(value, node, loc)
     return value
 
 
@@ -152,15 +184,20 @@ def _as_point(value):
     return np.array([_as_complex(v) for v in value])
 
 
+def _reals(text, loc):
+    """Comma-separated reals; SchemaError at ``loc`` if one does not parse."""
+    try:
+        return [float(v) for v in text.split(",") if v]
+    except ValueError as exc:
+        raise SchemaError(f"coordinates must be numbers, got {text!r}", loc) from exc
+
+
 def parse_point_spec(text, loc):
     """Comma-separated reals as document coordinates ``[[re, im], ...]``.
 
     n reals are n real coordinates; 2n reals are n interleaved (re, im) pairs.
     """
-    try:
-        values = [float(v) for v in text.split(",") if v]
-    except ValueError as exc:
-        raise SchemaError(f"coordinates must be numbers, got {text!r}", loc) from exc
+    values = _reals(text, loc)
     if len(values) % 2 == 0:
         return [[values[i], values[i + 1]] for i in range(0, len(values), 2)]
     return [[v, 0.0] for v in values]
@@ -187,22 +224,22 @@ def box_grid(center, half, per_axis):
     return x[:, 0::2] + 1j * x[:, 1::2]
 
 
-def parse_grid_spec(spec):
-    """Parse a CLI grid spec like ``box:center=0,0;half=0.4;per-axis=5``.
+def parse_grid_spec(spec, dim):
+    """Parse a CLI grid spec like ``box:center=0,0;half=0.4;per-axis=5`` for a
+    source of dimension ``dim``.
 
     Returns the scenario document's grid object ``{"center", "half",
-    "per_axis"}``; omitted fields default to center 0, half 0.25, per-axis 3.
+    "per_axis"}``; omitted fields default to the origin of C^dim, half 0.25
+    and per-axis 3.  ``center`` takes ``dim`` reals (real coordinates) or
+    ``2 dim`` reals (interleaved (re, im) pairs); any other count is SchemaError.
     """
     if not spec.startswith("box:"):
         raise SchemaError(f"unsupported grid spec {spec!r} (expected 'box:...')", "--grid")
-    fields = {}
-    for part in spec[len("box:") :].split(";"):
-        if not part:
-            continue
+    parts = [part for part in spec[len("box:") :].split(";") if part]
+    for part in parts:
         if "=" not in part:
             raise SchemaError(f"malformed grid field {part!r}", "--grid")
-        key, value = part.split("=", 1)
-        fields[key.strip()] = value.strip()
+    fields = {key.strip(): value.strip() for key, value in (part.split("=", 1) for part in parts)}
     unknown = set(fields) - {"center", "half", "per-axis"}
     if unknown:
         raise SchemaError(f"unknown grid fields {sorted(unknown)}", "--grid")
@@ -211,7 +248,11 @@ def parse_grid_spec(spec):
         per_axis = int(fields.get("per-axis", "3"))
     except ValueError as exc:
         raise SchemaError(f"malformed grid spec: {exc}", "--grid") from exc
-    center = parse_point_spec(fields.get("center", "0"), "--grid")
+    reals = _reals(fields["center"], "--grid") if "center" in fields else [0.0] * dim
+    if len(reals) not in (dim, 2 * dim):
+        raise SchemaError(f"center takes {dim} reals (real coordinates) or {2 * dim} (re, im pairs), "
+                          f"got {len(reals)}", "--grid")
+    center = [[v, 0.0] for v in reals] if len(reals) == dim else [reals[i:i + 2] for i in range(0, 2 * dim, 2)]
     return {"center": center, "half": half, "per_axis": per_axis}
 
 
@@ -458,13 +499,15 @@ def run_scenario(source, seed=None, parallel=False):
         doc = source
 
     schema = scenario_schema()
-    # the top level with the tasks left unchecked: each task is checked where it runs
-    top = _conform(doc, {**schema, "properties": {**schema["properties"], "tasks": {"type": "array"}}}, "$")
+    top = _conform(doc, _document_schema(), "$")
     if seed is None:
         seed = top.get("seed", 0)
     else:
         seed = _conform(seed, schema["properties"]["seed"], "seed argument")
-    metrics = {name: _load_metric(name, spec) for name, spec in top.get("metrics", {}).items()}
+    metrics, loaded = {}, {}  # loaded: spec -> metric, so that equal specs share one metric and its curvature
+    for name, spec in top.get("metrics", {}).items():
+        key = json.dumps(spec, sort_keys=True)
+        metrics[name] = loaded[key] = loaded.get(key) or _load_metric(name, spec)
     maps = {}
     for name, spec in top.get("maps", {}).items():
         maps[name] = _load_map(spec, f"$.maps.{name}", maps)
@@ -483,22 +526,14 @@ def run_scenario(source, seed=None, parallel=False):
             entry.update(status="error", error=f"{type(exc).__name__}: {exc}")
         return entry, (perf_counter() - start) * 1000.0
 
-    results = [None] * len(tasks)
-    timings = {}
-    for i, task in enumerate(tasks):
-        results[i], timings[str(i)] = execute(i, task)
-
-    effective = {
-        "version": 1,
-        "seed": seed,
-        "metrics": doc.get("metrics", {}),
-        "maps": doc.get("maps", {}),
-        "tasks": tasks,
-    }
+    runs = [execute(i, task) for i, task in enumerate(tasks)]
+    results = [entry for entry, _ in runs]
+    effective = {"version": 1, "seed": seed, "metrics": doc.get("metrics", {}), "maps": doc.get("maps", {}),
+                 "tasks": tasks}
     passed = all(entry["status"] == "ok" for entry in results)
     payload = {"format_version": FORMAT_VERSION, "seed": seed, "scenario": effective, "tasks": results,
                "passed": passed}
-    return Report(_report_text(payload), timings)
+    return Report(_report_text(payload), {str(i): ms for i, (_, ms) in enumerate(runs)})
 
 
 # ---------------------------------------------------------------------------
@@ -513,26 +548,11 @@ def emit_grid(records, path):
     record in row-major grid order; floats printed with 17 significant
     digits, '.' decimal separator, ',' field separator, LF line ends.
     """
-    if records:
-        n = len(records[0]["z"])
-    else:
-        n = 0
-    header = []
-    for i in range(n):
-        header += [f"re(z_{i + 1})", f"im(z_{i + 1})"]
-    header += ["energy", "lhs", "rhs", "margin"]
-
-    def fmt(x):
-        return f"{float(x):.17g}"
-
-    lines = [",".join(header)]
-    for rec in records:
-        row = []
-        for re_im in rec["z"]:
-            row += [fmt(re_im[0]), fmt(re_im[1])]
-        row += [fmt(rec["energy"]), fmt(rec["lhs"]), fmt(rec["rhs"]), fmt(rec["margin"])]
-        lines.append(",".join(row))
-    text = "\n".join(lines) + "\n"
+    n, columns = (len(records[0]["z"]) if records else 0), ["energy", "lhs", "rhs", "margin"]
+    header = [f"{part}(z_{i + 1})" for i in range(n) for part in ("re", "im")] + columns
+    rows = [[x for re_im in rec["z"] for x in re_im] + [rec[key] for key in columns] for rec in records]
+    lines = [header] + [[f"{float(x):.17g}" for x in row] for row in rows]
+    text = "".join(",".join(line) + "\n" for line in lines)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
     return path

@@ -14,17 +14,18 @@ once and only when first read.  Every point keeps the bits it gets alone, a
 failing check names the first failing point in grid order, and the cone
 kappas take all points in one ``rbc_bounds`` call (exact for n <= 2, a
 PSD-cone ascent above) or one ``sbc_bound`` call (a pair test and a descent
-over PD matrices); neither takes a budget or a seed.  All
-curvature goes through ``SchwarzPass.curvature``, which reads the pass's
-``CurvatureStore`` (a scenario run's, shared by all its tasks): one
-``chern_curvature`` call per metric on the stack of points the store has
-not seen yet, whose stencils call the metric once per offset for all of
-them.  Every verdict's worst point, the family's included, is
+over PD matrices); neither takes a budget or a seed.  ``_READS`` says
+where each hypothesis reads which metric's curvature, and
+``estimate_hypotheses`` groups its reads by metric: one ``chern_curvature``
+call per metric per pass (a self-map's grid and images in one), through
+the pass's ``CurvatureStore`` (a scenario run's, shared by all its tasks).
+Every verdict's worst point, the family's included, is
 ``SchwarzVerdict.worst()``.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import operator
 import sys
@@ -39,6 +40,7 @@ from .curvature import CurvatureStore, ricci
 from .errors import (
     BadIndices,
     BadParams,
+    ChernLabError,
     DimensionMismatch,
     FormInequalityViolated,
     HypothesisSignError,
@@ -134,6 +136,7 @@ class SchwarzPass:
     points: np.ndarray
     mu: ChartedHermitianMetric | None = None
     curvatures: CurvatureStore = field(default_factory=CurvatureStore, repr=False)
+    _ric2: dict = field(default_factory=dict, init=False, repr=False)  # hypothesis -> the Ric2 of its read
 
     def __post_init__(self):
         points = np.asarray(self.points, dtype=complex)
@@ -202,26 +205,50 @@ class SchwarzPass:
 
     def curvature(self, metric, points):
         """The Chern curvature tensors of ``metric``, one of the pass's
-        metrics, at each of ``points``, from the pass's ``curvatures`` store:
-        one ``chern_curvature`` call on the stack of the points that the
-        store has not seen with that metric, as a new stack."""
+        metrics, at each of ``points``, as a new stack, from the pass's
+        ``curvatures`` store; with ``prefetch``, one ``chern_curvature`` call
+        per metric per pass, on the points the store has not seen."""
         return np.array([c.tensor for c in self.curvatures.at(metric, points)])
 
-    @cached_property
-    def source_ric2(self):
-        """Ric2 of the source on the grid."""
-        return ricci(self.curvature(self.source, self.points), self.g, 2)[0]
+    def read(self, hypothesis):
+        """The curvature tensors that ``hypothesis`` (a key of ``_READS``)
+        reads and the metric's values at their points."""
+        metric, points, values = _READS[hypothesis]
+        if getattr(self, metric) is None:  # mu, the one metric a pass may lack
+            raise BadParams("the family theorem needs the auxiliary metric mu")
+        return self.curvature(getattr(self, metric), getattr(self, points)), getattr(self, values)
 
-    @cached_property
-    def target_ric2(self):
-        """Ric2 of the target at the image points."""
-        return ricci(self.curvature(self.target, self.image_points), self.image_metric, 2)[0]
+    def prefetch(self, hypotheses):
+        """Compute the curvature that ``hypotheses`` (keys of ``_READS``) will
+        read: one ``chern_curvature`` call per metric, on its points of all
+        the reads in first-read order.  A ChernLabError is dropped (the store
+        keeps only successes), so each read still raises where it does alone."""
+        stacks = {}  # id(metric) -> (metric, [points of each read])
+        with contextlib.suppress(ChernLabError):
+            for hypothesis in hypotheses:
+                metric, points = (getattr(self, name) for name in _READS[hypothesis][:2])
+                if metric is not None:
+                    stacks.setdefault(id(metric), (metric, []))[1].append(points)
+            for metric, points in stacks.values():
+                self.curvatures.at(metric, np.concatenate(points))
 
-    @cached_property
-    def mu_ric2(self):
-        """Ric2 of mu on the grid (BadParams without mu)."""
-        g_mu = self.mu_metric
-        return ricci(self.curvature(self.mu, self.points), g_mu, 2)[0]
+    def ric2(self, hypothesis):
+        """Ric2 of the curvature that ``hypothesis`` reads, computed once."""
+        if hypothesis not in self._ric2:
+            self._ric2[hypothesis] = ricci(*self.read(hypothesis), 2)[0]
+        return self._ric2[hypothesis]
+
+
+# The curvature each hypothesis (a Pencil's Ric2, or a key of _CONES) reads, as
+# SchwarzPass attributes: the metric, the points, and the metric's values there
+_READS = {
+    "source_ric2": ("source", "points", "g"),
+    "target_ric2": ("target", "image_points", "image_metric"),
+    "mu_ric2": ("mu", "points", "mu_metric"),
+    "rbc": ("target", "image_points", "image_metric"),
+    "sbc_along_map": ("source", "points", "g"),
+    "sbc_full_cone": ("source", "points", "g"),
+}
 
 
 def _z_list(z):
@@ -250,8 +277,9 @@ def _first_extreme(values, points, sense=+1):
 @dataclass(frozen=True)
 class Pencil:
     """The form inequality ``ricci >= -K base + S shifted`` (``<=`` when
-    ``upper``) between forms of a ``SchwarzPass``, named by attribute paths,
-    that fits the constant ``fits`` (K) for a ``shift`` constant (S)."""
+    ``upper``) between forms of a ``SchwarzPass``, named by attribute paths
+    (``ricci`` by the key of ``_READS`` whose Ric2 it is), that fits the
+    constant ``fits`` (K) for a ``shift`` constant (S)."""
 
     fits: str
     shift: str
@@ -263,7 +291,7 @@ class Pencil:
 
     def _forms(self, sp):
         shifted = operator.attrgetter(self.shifted)(sp)  # first: the map's frames and their checks
-        return getattr(sp, self.ricci), shifted, getattr(sp, self.base)
+        return sp.ric2(self.ricci), shifted, getattr(sp, self.base)
 
     def fit(self, sp, s):
         """The tightest K on the grid of ``sp`` for ``S = s``, and the first point where it is tight."""
@@ -284,7 +312,7 @@ def _kappa_rbc(sp):
     """kappa with RBC <= -kappa: minus the largest RBC sup over the image
     points of the pass ``sp``, from one ``rbc_bounds`` call (exact for
     n <= 2, a PSD-cone ascent for n >= 3)."""
-    bounds = rbc_bounds(sp.curvature(sp.target, sp.image_points), sp.image_metric)
+    bounds = rbc_bounds(*sp.read("rbc"))
     sup, at = _first_extreme([b.sup for b in bounds], sp.image_points)
     return -sup, at
 
@@ -294,7 +322,7 @@ def _kappa_sbc_along_map(sp):
     of minus the pointwise curvature sum at the map's singular values, in
     the source singular frame."""
     sf = sp.full_rank_frames()
-    fm = curvature_in_frame(sp.curvature(sp.source, sp.points), sf.source_frame)
+    fm = curvature_in_frame(sp.read("sbc_along_map")[0], sf.source_frame)
     values = [-sbc_along_map(r_mat, lambdas) for r_mat, lambdas in zip(fm.r_mat, sf.lambdas)]
     value, at = _first_extreme(values, sp.points)
     return max(0.0, value), at
@@ -305,7 +333,7 @@ def _kappa_sbc_full_cone(sp):
     grid point solved in one ``sbc_bound`` call; raises
     UnboundedSbc with the divergence certificate of the first point, in
     grid order, where the infimum is -inf."""
-    results = sbc_bound(sp.curvature(sp.source, sp.points), sp.g)
+    results = sbc_bound(*sp.read("sbc_full_cone"))
     for z, res in zip(sp.points, results):
         if res.status == "unbounded_below":
             raise UnboundedSbc(f"SBC unbounded below at {z}", certificate=res.divergence_certificate)
@@ -560,18 +588,19 @@ def estimate_hypotheses(sp, theorem, fixed=None, kappa_mode=None, preset=None):
         c.provenance.setdefault(name, "preset")
     rules, fitted_by = row.rules + spec.rules, {}
     _check_rules(c, rules, fitted_by)
-    for pencil in row.pencils:
-        if pencil.fits in c.values or pencil.fits in spec.derives:
-            continue
+    cones = {name: f"sbc_{kappa_mode}" if cone == "sbc" else cone for name, cone in row.cones.items()}
+    pencils = [p for p in row.pencils if p.fits not in c.values and p.fits not in spec.derives]
+    sp.prefetch([p.ricci for p in pencils] + [cone for name, cone in cones.items() if name not in c.values])
+    for pencil in pencils:
         if pencil.shift not in c.values:
             c._set(pencil.shift, 0.0, "estimated")
         value, at = pencil.fit(sp, c.values[pencil.shift])
         c._set(pencil.fits, value, "estimated", at)
         fitted_by[pencil.fits] = fitted_by[pencil.shift] = pencil.text
         _check_rules(c, rules, fitted_by)
-    for name, cone in row.cones.items():
+    for name, cone in cones.items():
         if name not in c.values:
-            fit, fitted_by[name] = _CONES[f"sbc_{kappa_mode}" if cone == "sbc" else cone]
+            fit, fitted_by[name] = _CONES[cone]
             value, at = fit(sp)
             c._set(name, value, "estimated", at)
             _check_rules(c, rules, fitted_by)

@@ -600,18 +600,27 @@ class TestGrids:
         assert pts[-1][0] == 1.0 + 1.0j
 
     def test_parse_grid_spec(self):
-        grid = parse_grid_spec("box:center=0,0;half=0.4;per-axis=5")
+        grid = parse_grid_spec("box:center=0,0;half=0.4;per-axis=5", 1)
         assert grid == {"center": [[0.0, 0.0]], "half": 0.4, "per_axis": 5}
-        # an odd count of reals is real coordinates; omitted fields take their defaults
-        assert parse_grid_spec("box:center=0.1,0.2,0.3") == {
+        # n reals are real coordinates; omitted fields take their defaults
+        assert parse_grid_spec("box:center=0.1,0.2,0.3", 3) == {
             "center": [[0.1, 0.0], [0.2, 0.0], [0.3, 0.0]],
             "half": 0.25,
             "per_axis": 3,
         }
         with pytest.raises(SchemaError):
-            parse_grid_spec("sphere:radius=1")
+            parse_grid_spec("sphere:radius=1", 1)
         with pytest.raises(SchemaError):
-            parse_grid_spec("box:centre=0")
+            parse_grid_spec("box:centre=0", 1)
+
+    def test_grid_center_follows_the_source_dimension(self):
+        # the default centre is the origin of C^n; n reals are real coordinates, 2n are (re, im) pairs
+        assert parse_grid_spec("box:half=0.2", 2)["center"] == [[0.0, 0.0], [0.0, 0.0]]
+        assert parse_grid_spec("box:center=0.1,0.2", 2)["center"] == [[0.1, 0.0], [0.2, 0.0]]
+        assert parse_grid_spec("box:center=0.1,0.2,0.3,0.4", 2)["center"] == [[0.1, 0.2], [0.3, 0.4]]
+        for reals in ("0", "0,0,0", "0,0,0,0,0"):
+            with pytest.raises(SchemaError, match="center takes 2 reals"):
+                parse_grid_spec(f"box:center={reals}", 2)
 
 
 class TestEmitGrid:
@@ -698,6 +707,33 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("schema error:") and "$.metrics.e.domain.center" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite_tol_exit_2(self, tol, capsys):
+        for argv in (["curvature", "--metric", "poincare_disk:1", "--point", "0"],
+                     ["schwarz", "--theorem", "aubin_yau", "--source", "poincare_disk:1",
+                      "--target", "poincare_disk:1", "--grid", "box:half=0.2;per-axis=2"]):
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, f"--tol={tol}"])
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert err.startswith("usage:") and f"argument --tol: {tol} is not a finite number" in err
+
+    @pytest.mark.parametrize("constants", ['{"kappa": 1e999}', '{"c1": NaN}', '{"kappa": -Infinity}',
+                                           '{"r": 1' + "0" * 400 + "}"])
+    def test_non_finite_constants_exit_2(self, constants, capsys):
+        argv = ["schwarz", "--theorem", "aubin_yau", "--source", "poincare_disk:1", "--target", "poincare_disk:1",
+                "--grid", "box:half=0.2;per-axis=2", "--constants", constants]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("schema error: invalid JSON: ") and "is not a finite number (at --constants)" in err
+
+    def test_grid_without_center_on_a_polydisk_exit_0(self, capsys):
+        argv = ["schwarz", "--theorem", "aubin_yau", "--source", "polydisk:1,1", "--target", "polydisk:1,1",
+                "--grid", "box:half=0.2;per-axis=2"]
+        assert main(argv) == 0
+        result = json.loads(capsys.readouterr().out)["tasks"][0]["result"]
+        assert result["records"][0]["z"] == [[-0.2, -0.2], [-0.2, -0.2]]
 
     def test_non_numeric_metric_param_exit_2(self, capsys):
         assert main(["curvature", "--metric", "poincare_disk:x", "--point", "0"]) == 2

@@ -1,5 +1,6 @@
 """One grid pass per Schwarz task: a robustness sweep over theorems, maps,
-metrics and grids, and a ratchet on the evaluations of the shipped demo."""
+metrics and grids, a ratchet on the evaluations of the shipped demo, and one
+curvature stencil per metric per pass (a self-map's grid and images in one)."""
 
 import itertools
 import sys
@@ -9,9 +10,11 @@ import pytest
 
 import chernlab
 from chernlab.curvature import chern_curvature
-from chernlab.errors import ChernLabError
-from chernlab.metrics import ChartedHermitianMetric, metric_derivatives
+from chernlab.errors import BadParams, ChernLabError
+from chernlab.maps import catalog_map
+from chernlab.metrics import ChartedHermitianMetric, catalog_metric, metric_derivatives
 from chernlab.scenario import run_scenario
+from chernlab.verify import SchwarzPass, estimate_hypotheses
 
 DEMO = Path(__file__).resolve().parent.parent / "scenarios" / "demo.json"
 
@@ -151,3 +154,80 @@ def test_negative_user_kappa_is_a_sign_error():
     ]))
     assert report.tasks[0]["status"] == "error"
     assert report.tasks[0]["error"] == "HypothesisSignError: chern_lu needs kappa >= 0, got kappa = -0.5"
+
+
+SELF_MAPS = {
+    "m1": {"kind": "mobius", "a": [0.2, 0.1]},
+    "m2": {"kind": "mobius", "a": [-0.1, 0.25]},
+    "mm": {"kind": "product", "factors": ["m1", "m2"]},
+    "near": {"kind": "mobius", "a": [0.5, 0.0]},
+    "twice": {"kind": "scaling", "c": [2.0, 0.0], "dim": 1},
+}
+
+
+def _self_map_doc(**task):
+    metrics = {"pd": {"catalog": "polydisk", "params": [1.0, 1.0]},
+               "disk": {"catalog": "poincare_disk", "params": [1.0]}}
+    grid = {"center": [[0.1, 0.0], [0.0, -0.1]], "half": 0.2, "per_axis": 2}
+    task = {"kind": "schwarz", "map": "mm", "source": "pd", "target": "pd", "grid": grid, **task}
+    return {"version": 1, "seed": 4, "metrics": metrics, "maps": SELF_MAPS, "tasks": [task]}
+
+
+def _one_stack_at_a_time(doc, monkeypatch):
+    """The report text of ``doc`` with every curvature read made on its own
+    stack, as estimation reads it without the grouping."""
+    with monkeypatch.context() as patch:
+        patch.setattr(SchwarzPass, "prefetch", lambda sp, hypotheses: None)
+        return run_scenario(doc).to_json()
+
+
+@pytest.mark.parametrize("theorem", ["aubin_yau", "chern_lu"])
+def test_self_map_reads_one_stencil_per_metric(theorem, evaluations, monkeypatch):
+    # C1 and kappa are fitted: the target's curvature at the 16 images and the
+    # source's at the 16 grid points are one metric's, read in one stencil
+    doc = _self_map_doc(theorem=theorem)
+    report = run_scenario(doc)
+    assert report.tasks[0]["status"] == "ok"
+    assert set(report.tasks[0]["result"]["provenance"].values()) == {"estimated"}
+    assert evaluations["chern_curvature"] == 1 and evaluations["metric_derivatives"] == 1
+    # the same report, bit for bit, as reading one stack at a time, which takes two calls more
+    assert _one_stack_at_a_time(doc, monkeypatch) == report.to_json()
+    assert evaluations["chern_curvature"] == 1 + 2
+
+
+def test_self_map_with_given_constants_reads_no_curvature(evaluations):
+    report = run_scenario(_self_map_doc(theorem="aubin_yau", constants={"c1": 2.0, "c2": 0.0, "kappa": 4.0}))
+    assert report.tasks[0]["status"] == "ok"
+    assert evaluations["chern_curvature"] == 0
+
+
+@pytest.mark.parametrize("map_name, center, error", [
+    # the images of the second row lie within the stencil margin of the disk's boundary
+    ("near", [[0.985, 0.0]], "DomainMarginError: point [0.99665832-0.00167783j] is not interior to the domain "
+                             "with margin 4.00e-03"),
+    ("twice", [[0.6, 0.0]], "DomainMarginError: image point [1.-0.2j] is outside the target's domain"),
+])
+def test_a_failing_read_raises_as_it_does_alone(map_name, center, error, monkeypatch):
+    # the grouped call fails and is dropped; the read that fails first raises its own error
+    doc = _self_map_doc(theorem="aubin_yau", map=map_name, source="disk", target="disk",
+                        grid={"center": center, "half": 0.005 if map_name == "near" else 0.1, "per_axis": 2})
+    report = run_scenario(doc)
+    assert report.tasks[0]["error"] == error
+    assert _one_stack_at_a_time(doc, monkeypatch) == report.to_json()
+
+
+def test_equal_metric_specs_share_one_metric(evaluations):
+    # a document (as the CLI writes one) that names one metric spec twice reads one metric:
+    # the self-map's grid and images are still one stencil, and the report echoes both names
+    doc = _self_map_doc(theorem="aubin_yau", source="pd", target="pd_again")
+    doc["metrics"]["pd_again"] = dict(doc["metrics"]["pd"])
+    report = run_scenario(doc)
+    assert report.tasks[0]["status"] == "ok" and evaluations["chern_curvature"] == 1
+    assert report.scenario["metrics"]["pd_again"] == report.scenario["metrics"]["pd"]
+
+
+def test_family_without_mu_is_bad_params():
+    disk = catalog_metric("poincare_disk", (1.0,))
+    sp = SchwarzPass(disk, disk, catalog_map("identity", dim=1), [[0.1], [0.2j]])
+    with pytest.raises(BadParams, match="the family theorem needs the auxiliary metric mu"):
+        estimate_hypotheses(sp, "family")

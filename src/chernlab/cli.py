@@ -154,7 +154,7 @@ def _cmd_schwarz(args):
         try:
             task["constants"] = json.loads(args.constants, parse_float=finite, parse_constant=finite,
                                            parse_int=lambda text: finite(text, int))
-        except (ValueError, argparse.ArgumentTypeError) as exc:
+        except (ValueError, RecursionError, argparse.ArgumentTypeError) as exc:  # RecursionError: deep arrays
             raise SchemaError(f"invalid JSON: {exc}", "--constants") from exc
     options = {"preset": args.preset, "tol": args.tol, "kappa_mode": args.kappa_mode}
     task.update((key, value) for key, value in options.items() if value is not None)

@@ -1,12 +1,14 @@
 """Parser and evaluator for the metric-expression language.
 
-Grammar (per entry)::
+An entry is Python arithmetic over ``z1..zn``, read by Python's own parser
+with ``^`` for the power, and walked once against this whitelist::
 
-    expr   := ['-'] term (('+'|'-') term)*
-    term   := factor (('*'|'/') factor)*
-    factor := base ['^' integer]
-    base   := number | z<k> | conj(expr) | abs2(expr) | exp(expr)
-            | log(expr) | re(expr) | im(expr) | '(' expr ')'
+    expr := number | z<k> | -expr | expr ('+' | '-' | '*' | '/') expr
+          | expr '^' ['-'] integer | f(expr)    f in conj abs2 exp log re im
+
+with Python's precedence and numerals (int and float, not bool or complex).
+``**``, ``#`` and text outside ASCII are rejected, and so is nesting deeper
+than ``_MAX_DEPTH``.
 
 Metric tables are given entry-by-entry as ``g[i][j] = <expr>`` lines with
 1-based indices; omitted lower-triangle entries default to the conjugate
@@ -19,6 +21,7 @@ stack of points, so one evaluator call covers the whole stack.
 
 from __future__ import annotations
 
+import ast
 import operator
 import re
 import warnings
@@ -43,122 +46,16 @@ _FUNCTIONS = {
     "re": lambda w: np.asarray(np.real(w), dtype=complex),
     "im": lambda w: np.asarray(np.imag(w), dtype=complex),
 }
+_ARITHMETIC = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/"}
+# levels of nesting an expression may have: _eval recurses once per level,
+# so this keeps it well inside Python's recursion limit
+_MAX_DEPTH = 200
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)"
-    r"|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[-+*/^()]))"
-)
-
-_ENTRY_RE = re.compile(r"^\s*g\[(\d+)\]\[(\d+)\]\s*=\s*(.*?)\s*$")
-
-
-class _Tokenizer:
-    def __init__(self, text, line=1):
-        self.text = text
-        self.line = line
-        self.pos = 0
-        self.tokens = []
-        self._scan()
-        self.idx = 0
-
-    def _scan(self):
-        pos = 0
-        while pos < len(self.text):
-            m = _TOKEN_RE.match(self.text, pos)
-            if m is None or m.end() == pos:
-                stripped = self.text[pos:].lstrip()
-                if not stripped:
-                    break
-                col = pos + (len(self.text[pos:]) - len(stripped)) + 1
-                raise ParseError(f"unexpected character {stripped[0]!r}", self.line, col)
-            kind = m.lastgroup
-            self.tokens.append((kind, m.group(kind), m.start(kind) + 1))
-            pos = m.end()
-
-    def peek(self):
-        return self.tokens[self.idx] if self.idx < len(self.tokens) else None
-
-    def next(self):
-        tok = self.peek()
-        if tok is not None:
-            self.idx += 1
-        return tok
-
-    def accept(self, ops):
-        """The next token's operator, consumed, if it is one of ``ops``; else None."""
-        tok = self.peek()
-        if tok and tok[0] == "op" and tok[1] in ops:
-            self.idx += 1
-            return tok[1]
-        return None
-
-    def expect_op(self, op):
-        tok = self.next()
-        if tok is None or tok[0] != "op" or tok[1] != op:
-            col = tok[2] if tok else len(self.text) + 1
-            found = tok[1] if tok else "end of input"
-            raise ParseError(f"expected {op!r}, found {found!r}", self.line, col)
+_ENTRY = r"^\s*g\[(\d+)\]\[(\d+)\]\s*=\s*(.*?)\s*$"
 
 
 # AST nodes are tuples: ("num", c) | ("var", k) | ("call", name, arg)
 #                       | ("bin", op, lhs, rhs) | ("neg", arg) | ("pow", base, k)
-
-
-def _parse_expr(tz, n):
-    if tz.accept("-"):
-        return _parse_chain(tz, n, "+-", ("neg", _parse_term(tz, n)), _parse_term)
-    return _parse_chain(tz, n, "+-", _parse_term(tz, n), _parse_term)
-
-
-def _parse_term(tz, n):
-    return _parse_chain(tz, n, "*/", _parse_factor(tz, n), _parse_factor)
-
-
-def _parse_chain(tz, n, ops, node, operand):
-    """``node`` followed by any number of (one of ``ops``, ``operand``), left-associated."""
-    while op := tz.accept(ops):
-        node = ("bin", op, node, operand(tz, n))
-    return node
-
-
-def _parse_factor(tz, n):
-    node = _parse_base(tz, n)
-    if tz.accept("^"):
-        sign = -1 if tz.accept("-") else 1
-        tok = tz.next()
-        if tok is None or tok[0] != "num" or not tok[1].isdigit():
-            col = tok[2] if tok else len(tz.text) + 1
-            raise ParseError("exponent must be an integer", tz.line, col)
-        node = ("pow", node, sign * int(tok[1]))
-    return node
-
-
-def _parse_base(tz, n):
-    tok = tz.next()
-    if tok is None:
-        raise ParseError("unexpected end of expression", tz.line, len(tz.text) + 1)
-    kind, value, col = tok
-    if kind == "num":
-        return ("num", complex(float(value)))
-    if kind == "op" and value == "(":
-        node = _parse_expr(tz, n)
-        tz.expect_op(")")
-        return node
-    if kind == "ident":
-        if value in _FUNCTIONS:
-            tz.expect_op("(")
-            arg = _parse_expr(tz, n)
-            tz.expect_op(")")
-            return ("call", value, arg)
-        m = re.fullmatch(r"z(\d+)", value)
-        if m:
-            k = int(m.group(1))
-            if not 1 <= k <= n:
-                raise ParseError(f"variable z{k} out of range for n={n}", tz.line, col)
-            return ("var", k - 1)
-        raise ParseError(f"unknown identifier {value!r}", tz.line, col)
-    raise ParseError(f"unexpected token {value!r}", tz.line, col)
 
 
 def _eval(node, z):
@@ -181,13 +78,57 @@ def _eval(node, z):
 
 
 def parse_expression(text, n, line=1):
-    """Parse a single scalar expression; returns an AST node."""
-    tz = _Tokenizer(text, line=line)
-    node = _parse_expr(tz, n)
-    trailing = tz.peek()
-    if trailing is not None:
-        raise ParseError(f"trailing input {trailing[1]!r}", line, trailing[2])
-    return node
+    """Parse a single scalar expression; returns an AST node.
+
+    Anything outside the grammar, and any error of Python's parser, is a
+    ParseError at the column of ``text`` where it was found.
+    """
+    # Python would read ** as a second power and # as a comment, and refuses a null byte
+    junk = re.search(r"\*\*|#|[^\x01-\x7f]", text)
+    if junk:
+        raise ParseError(f"unexpected {junk.group()!r}", line, junk.start() + 1)
+    lead = len(text) - len(text.lstrip())
+    python = re.sub(r"\s", " ", text[lead:]).replace("^", "**")
+
+    def fail(message, offset):
+        """ParseError at the column of ``text`` spelled at ``offset`` (0-based) of ``python``."""
+        raise ParseError(message, line, lead + offset - python[:offset].count("**") + 1)
+
+    def walk(node, depth):
+        if depth > _MAX_DEPTH:
+            fail(f"expression nested deeper than {_MAX_DEPTH} levels", node.col_offset)
+        if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+            return ("num", np.complex128(str(node.value)))  # a double; an integer past one is inf, as 1e400 is
+        if isinstance(node, ast.Name):
+            m = re.fullmatch(r"z(\d+)", node.id)
+            if m is None:
+                fail(f"unknown identifier {node.id!r}", node.col_offset)
+            if not 1 <= int(m.group(1)) <= n:
+                fail(f"variable {node.id} out of range for n={n}", node.col_offset)
+            return ("var", int(m.group(1)) - 1)
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+            return ("neg", walk(node.operand, depth + 1))
+        if isinstance(node, ast.BinOp) and type(node.op) in _ARITHMETIC:
+            return ("bin", _ARITHMETIC[type(node.op)], walk(node.left, depth + 1), walk(node.right, depth + 1))
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+            negated = isinstance(node.right, ast.UnaryOp) and isinstance(node.right.op, ast.USub)
+            k = node.right.operand if negated else node.right
+            # numpy raises OverflowError on an exponent past a double's range
+            if not (isinstance(k, ast.Constant) and type(k.value) is int and k.value < 2**63):
+                fail("exponent must be an integer below 2^63 in magnitude", node.right.col_offset)
+            return ("pow", walk(node.left, depth + 1), -k.value if negated else k.value)
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in _FUNCTIONS
+                and len(node.args) == 1 and not isinstance(node.args[0], ast.Starred) and not node.keywords):
+            return ("call", node.func.id, walk(node.args[0], depth + 1))
+        fail(f"unsupported syntax ({type(node).__name__})", node.col_offset)
+
+    try:
+        tree = ast.parse(python, mode="eval")
+    except SyntaxError as exc:  # at the end of the text, its offset is 0
+        fail(exc.msg, (exc.offset or len(python) + 1) - 1)
+    except (RecursionError, MemoryError):  # what Python's parser raises on thousands of levels
+        fail(f"expression nested deeper than {_MAX_DEPTH} levels", 0)
+    return walk(tree.body, 1)
 
 
 def _probe_points(domain, n):
@@ -227,7 +168,7 @@ def parse_metric_expression(source, n, domain=None, label="custom"):
         stripped = raw.strip()
         if not stripped or stripped.startswith("#"):
             continue
-        m = _ENTRY_RE.match(raw)
+        m = re.match(_ENTRY, raw)
         if m:
             found_table = True
             i, j = int(m.group(1)), int(m.group(2))

@@ -165,8 +165,8 @@ def _conform(value, node, loc):
     use.  Returns ``value`` with every float the schema types as an integer
     made an int, so that ``"n": 3.0`` reaches the program as 3.
     """
-    if node is True:
-        return value
+    if isinstance(node, bool):  # the schemas true and false
+        return value if node else _fail("not allowed here", loc)
     held = _CHECKERS.get(id(node))
     if held is None:
         held = _CHECKERS[id(node)] = (node, [step for keys, step in _STEPS if any(key in node for key in keys)])
@@ -493,7 +493,7 @@ def run_scenario(source, seed=None, parallel=False):
         with open(source, "r", encoding="utf-8") as fh:
             try:
                 doc = json.load(fh)
-            except ValueError as exc:  # a JSONDecodeError, or an integer too long to convert
+            except (ValueError, RecursionError) as exc:  # a JSONDecodeError, a too long integer, deep arrays
                 raise SchemaError(f"invalid JSON: {exc}", "$") from exc
     else:
         doc = source

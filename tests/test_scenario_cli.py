@@ -171,6 +171,10 @@ class TestSchema:
                 True,
                 id="domain-center-length",
             ),
+            pytest.param(
+                lambda d: d["tasks"][0].update(theorem="trace_bound", map="nowhere"), "$.tasks[0].map", False,
+                id="trace-bound-map",
+            ),
             pytest.param(lambda d: d.update(seed="x"), "$.seed", True, id="seed"),
             pytest.param(lambda d: d.update(version=True), "$.version", True, id="version"),
         ],
@@ -666,6 +670,31 @@ class TestCli:
         scen.write_text("{\"version\": 1, \"tasks\": [], \"wat\": true}")
         assert main(["run", "--scenario", str(scen)]) == 2
         assert "schema error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["[" * 5000 + "]" * 5000, '{"version": 1, "tasks": ' + "[" * 5000 + "]" * 5000
+                                      + "}"], ids=["top", "tasks"])
+    def test_deep_json_exit_2(self, text, tmp_path, capsys):
+        scen = tmp_path / "deep.json"
+        scen.write_text(text)
+        assert main(["run", "--scenario", str(scen)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("schema error: invalid JSON: ") and err.count("\n") == 1
+        argv = ["schwarz", "--theorem", "aubin_yau", "--source", "poincare_disk:1", "--target", "poincare_disk:1",
+                "--grid", "box:half=0.2", "--constants", "[" * 5000 + "]" * 5000]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("schema error: invalid JSON: ") and err.endswith("(at --constants)\n")
+
+    @pytest.mark.parametrize("expression", ["(" * 400 + "1" + ")" * 400, "+".join(["1"] * 3000)],
+                             ids=["parentheses", "sum"])
+    def test_deep_expression_exit_2(self, expression, tmp_path, capsys):
+        doc = base_scenario()
+        doc["metrics"]["e"] = {"expression": expression, "dim": 1}
+        scen = tmp_path / "s.json"
+        scen.write_text(json.dumps(doc))
+        assert main(["run", "--scenario", str(scen)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ParseError: ") and err.count("\n") == 1
 
     def test_cli_byte_identical(self, tmp_path):
         scen = tmp_path / "s.json"

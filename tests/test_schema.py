@@ -148,3 +148,16 @@ def test_documents_are_valid():
 @hypothesis.given(mutated_documents())
 def test_agrees_with_jsonschema(doc):
     assert _accepted(doc) == _reference().is_valid(doc)
+
+
+@pytest.mark.parametrize("theorem, map_name, valid", [("trace_bound", None, True), ("trace_bound", "id1", False),
+                                                      ("trace_bound", "nowhere", False), ("chern_lu", "id1", True)])
+def test_trace_bound_takes_no_map(theorem, map_name, valid):
+    doc = base_scenario()
+    task = doc["tasks"][0]
+    task.update(theorem=theorem)
+    if map_name is None:
+        del task["map"]
+    else:
+        task["map"] = map_name
+    assert _accepted(doc) == _reference().is_valid(doc) == valid
